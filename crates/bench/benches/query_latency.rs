@@ -1,11 +1,16 @@
 //! Criterion micro-bench behind Figure 9: trip-query latency per query type
 //! and partitioning strategy, plus the cold single-SPQ path (`getTravelTimes`
 //! straight against the index, no cache, no engine) that the backward-search
-//! optimisations target.
+//! optimisations target, and the relaxation ladder (σ's whole widening
+//! sequence for one sub-query) answered by the level-by-level loop vs the
+//! index's one-call override.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tthr_bench::{query_for, QueryType, Scale, World};
-use tthr_core::{PartitionMethod, QueryEngine, QueryEngineConfig, SntConfig};
+use tthr_core::{
+    ladder_sequential, PartitionMethod, QueryEngine, QueryEngineConfig, SearchScratch, SntConfig,
+    Splitter, Spq, TimeInterval,
+};
 
 fn bench_trip_queries(c: &mut Criterion) {
     let world = World::generate(Scale::from_env());
@@ -112,5 +117,79 @@ fn bench_cold_spq(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_trip_queries, bench_cold_spq);
+/// The relaxation ladder of one sub-query, `loop` (the trait's default:
+/// one `getTravelTimes` per level) against `ladder` (the index override:
+/// one backward search, one bucketing pass), on the sub-queries a
+/// trip-query engine dispatches, classed by where the loop stops: every
+/// level fails, level 1 answers, level 4 answers.
+fn bench_ladder(c: &mut Criterion) {
+    let world = World::generate(Scale::from_env());
+    let index = world.build_index(SntConfig::default());
+    let config = QueryEngineConfig::default();
+    let splitter = Splitter::new(config.split_method, config.interval_sizes.clone());
+    let engine = QueryEngine::new(&index, world.network(), config);
+    let alpha_min = engine.config().interval_sizes[0];
+
+    type Ladder = (Spq, Vec<TimeInterval>);
+    let mut classes: [(&str, Vec<Ladder>); 3] = [
+        ("all_fail", Vec::new()),
+        ("hit_level_1", Vec::new()),
+        ("hit_level_4", Vec::new()),
+    ];
+    for query_type in [QueryType::TemporalFilters, QueryType::UserFilters] {
+        for &id in &world.queries {
+            let trip = query_for(&world.set, id, query_type, alpha_min, 20);
+            for sub in engine.initial_subqueries(&trip) {
+                let levels = splitter.ladder(sub.interval);
+                let (level, times) =
+                    ladder_sequential(&index, &sub, &levels, &mut SearchScratch::new());
+                let class = match (times.is_empty(), level) {
+                    (true, _) => 0,
+                    (false, 1) => 1,
+                    (false, 4) => 2,
+                    _ => continue,
+                };
+                if classes[class].1.len() < 32 {
+                    classes[class].1.push((sub, levels));
+                }
+            }
+        }
+    }
+
+    let mut group = c.benchmark_group("ladder");
+    for (class, ladders) in &classes {
+        if ladders.is_empty() {
+            eprintln!("ladder/{class}: no such sub-query at this scale, skipped");
+            continue;
+        }
+        group.bench_function(BenchmarkId::new(*class, "loop"), |b| {
+            let mut i = 0;
+            b.iter(|| {
+                let (q, levels) = &ladders[i % ladders.len()];
+                i += 1;
+                std::hint::black_box(ladder_sequential(
+                    &index,
+                    q,
+                    levels,
+                    &mut SearchScratch::new(),
+                ))
+            })
+        });
+        group.bench_function(BenchmarkId::new(*class, "ladder"), |b| {
+            let mut i = 0;
+            b.iter(|| {
+                let (q, levels) = &ladders[i % ladders.len()];
+                i += 1;
+                std::hint::black_box(index.travel_times_ladder_with(
+                    q,
+                    levels,
+                    &mut SearchScratch::new(),
+                ))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_trip_queries, bench_cold_spq, bench_ladder);
 criterion_main!(benches);

@@ -69,10 +69,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tthr_core::node::plan_node_records;
+use tthr_core::node::{plan_node_records, MAX_LADDER_LEVELS};
 use tthr_core::{
-    CardinalityMode, IndexBackend, NodeWalRecord, QueryEngine, QueryEngineConfig, SearchScratch,
-    ShardRouter, Spq, TimeInterval, TravelTimeProvider, TravelTimes, TripQuery, TtValues,
+    ladder_sequential, CardinalityMode, IndexBackend, NodeWalRecord, QueryEngine,
+    QueryEngineConfig, SearchScratch, ShardRouter, Spq, TimeInterval, TravelTimeProvider,
+    TravelTimes, TripQuery, TtValues,
 };
 use tthr_metrics::{Counter, Gauge, MetricsRegistry};
 use tthr_network::{RoadNetwork, Timestamp};
@@ -571,6 +572,9 @@ struct ShardSet {
     /// Index into `endpoints`: where reads and appends go first.
     active: AtomicUsize,
     failovers: Counter,
+    /// Read RPCs routed to this shard (one per query primitive or whole
+    /// ladder, however many endpoints the transport tried).
+    rpcs: Counter,
 }
 
 /// The shared router guts: everything the request paths and the
@@ -703,6 +707,7 @@ impl RouterCore {
     /// answered, so retrying elsewhere cannot change the outcome.
     fn query(&self, shard: u16, message: &Message) -> Result<Message, ClusterError> {
         let set = &self.shards[shard as usize];
+        set.rpcs.inc();
         let active = set.active.load(Ordering::Acquire);
         let mut last: Option<ClusterError> = None;
         if set.endpoints[active].breaker.allow() {
@@ -1101,6 +1106,11 @@ impl ClusterRouter {
                 "Preferred-endpoint switches (read failover or append promotion)",
                 &[("shard", shard_label.as_str())],
             );
+            let rpcs = registry.counter(
+                "tthr_router_rpcs_total",
+                "Read RPCs routed to the shard (a whole relaxation ladder is one)",
+                &[("shard", shard_label.as_str())],
+            );
             let mut endpoints = Vec::with_capacity(clients.len());
             for (idx, client) in clients.into_iter().enumerate() {
                 let addr_label = client.addr().to_string();
@@ -1132,6 +1142,7 @@ impl ClusterRouter {
                 endpoints,
                 active: AtomicUsize::new(0),
                 failovers,
+                rpcs,
             });
         }
         let probe_interval = config.probe_interval;
@@ -1309,6 +1320,39 @@ impl ClusterRouter {
         }
     }
 
+    /// A whole relaxation ladder in **one** RPC to the owning shard —
+    /// every level keeps the path, so every level routes there —
+    /// byte-identical to the in-process sharded index's ladder, which is
+    /// itself pinned to the level-by-level loop.
+    pub fn travel_times_ladder(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+    ) -> Result<(usize, TravelTimes), ClusterError> {
+        let shard = self.shard_for(spq);
+        let request = Message::Ladder {
+            spq: spq.clone(),
+            levels: levels.to_vec(),
+        };
+        match self.core.query(shard, &request)? {
+            Message::LadderResult {
+                level,
+                values,
+                fallback,
+            } if (level as usize) < levels.len() => Ok((
+                level as usize,
+                TravelTimes {
+                    values: tt_values(values),
+                    fallback,
+                },
+            )),
+            other => Err(ClusterError::Unexpected(format!(
+                "Ladder of {} levels answered with {other:?}",
+                levels.len()
+            ))),
+        }
+    }
+
     /// Capped exact count routed to the owning shard.
     pub fn count_matching(&self, spq: &Spq, cap: u32) -> Result<usize, ClusterError> {
         let shard = self.shard_for(spq);
@@ -1461,24 +1505,46 @@ impl RemoteBackend<'_> {
             *slot = Some(e);
         }
     }
+
+    /// Parks `e` and returns the non-empty dummy answer that makes the
+    /// engine finish promptly.
+    fn park_travel_times(&self, e: ClusterError) -> TravelTimes {
+        self.park(e);
+        TravelTimes {
+            values: TtValues::one(1.0),
+            fallback: true,
+        }
+    }
 }
 
 impl TravelTimeProvider for RemoteBackend<'_> {
     fn travel_times(&self, spq: &Spq) -> TravelTimes {
-        match self.cluster.travel_times(spq) {
-            Ok(tt) => tt,
-            Err(e) => {
-                self.park(e);
-                TravelTimes {
-                    values: TtValues::one(1.0),
-                    fallback: true,
-                }
-            }
-        }
+        self.cluster
+            .travel_times(spq)
+            .unwrap_or_else(|e| self.park_travel_times(e))
     }
 
     fn travel_times_with(&self, spq: &Spq, _scratch: &mut SearchScratch) -> TravelTimes {
         self.travel_times(spq)
+    }
+
+    /// One `Ladder` RPC instead of one `TravelTimes` RPC per level. A
+    /// single level stays a plain `TravelTimes`; a ladder longer than the
+    /// wire admits (an outsized `interval_sizes` configuration) keeps the
+    /// level-by-level loop.
+    fn travel_times_ladder(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut SearchScratch,
+    ) -> (usize, TravelTimes) {
+        if levels.len() < 2 || levels.len() > MAX_LADDER_LEVELS {
+            return ladder_sequential(self, spq, levels, scratch);
+        }
+        scratch.trace.ladders += 1;
+        self.cluster
+            .travel_times_ladder(spq, levels)
+            .unwrap_or_else(|e| (0, self.park_travel_times(e)))
     }
 }
 

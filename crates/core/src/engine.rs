@@ -39,6 +39,49 @@ pub trait TravelTimeProvider {
         let _ = scratch;
         self.travel_times(spq)
     }
+
+    /// Answers a whole relaxation ladder — `spq` under each window of
+    /// `levels` in turn (`levels[0]` is `spq.interval`; see
+    /// [`Splitter::ladder`]) — returning `(k, times)`: the first level
+    /// with a non-empty answer and that answer, or the last level with
+    /// `∅` when every level fails.
+    ///
+    /// The default is the sequential loop, one
+    /// [`travel_times_with`](Self::travel_times_with) per level: it *is*
+    /// the definition, the oracle every override is tested against, and
+    /// what a provider that cannot do better keeps using. Overrides
+    /// (the indexes, the service cache, the cluster's remote backend)
+    /// must return exactly what this loop returns.
+    fn travel_times_ladder(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut SearchScratch,
+    ) -> (usize, TravelTimes) {
+        ladder_sequential(self, spq, levels, scratch)
+    }
+}
+
+/// The relaxation ladder answered level by level — the default
+/// [`TravelTimeProvider::travel_times_ladder`], callable by overrides for
+/// inputs their fast path does not cover.
+///
+/// # Panics
+/// Panics if `levels` is empty.
+pub fn ladder_sequential<P: TravelTimeProvider + ?Sized>(
+    provider: &P,
+    spq: &Spq,
+    levels: &[TimeInterval],
+    scratch: &mut SearchScratch,
+) -> (usize, TravelTimes) {
+    let last = levels.len().checked_sub(1).expect("a ladder has a level");
+    let mut times = provider.travel_times_with(spq, scratch);
+    let mut level = 0;
+    while times.is_empty() && level < last {
+        level += 1;
+        times = provider.travel_times_with(&spq.with_interval(levels[level]), scratch);
+    }
+    (level, times)
 }
 
 impl TravelTimeProvider for SntIndex {
@@ -48,6 +91,15 @@ impl TravelTimeProvider for SntIndex {
 
     fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
         self.get_travel_times_with(spq, scratch)
+    }
+
+    fn travel_times_ladder(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut SearchScratch,
+    ) -> (usize, TravelTimes) {
+        self.travel_times_ladder_with(spq, levels, scratch)
     }
 }
 
@@ -461,8 +513,14 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
         Self::convolve_subs(subs, stats, trace)
     }
 
-    /// One engine step: estimator gate → index dispatch → either a
+    /// One engine step: estimator gate → ladder dispatch → either a
     /// completed [`SubResult`] or σ-relaxation replacements on the queue.
+    ///
+    /// The dispatch is always a relaxation ladder: the sub-query's window
+    /// plus every window σ's widening step would derive from it, answered
+    /// by the provider in one call. The levels the ladder consumed are
+    /// booked exactly as the one-dispatch-per-widening loop booked them,
+    /// so [`QueryStats`] is the paper's logical count either way.
     fn step<P: TravelTimeProvider + ?Sized>(
         &self,
         provider: &P,
@@ -471,17 +529,31 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
         stats: &mut QueryStats,
         scratch: &mut SearchScratch,
     ) -> Option<SubResult> {
-        // Estimator gate: relax without scanning when β̂ < β.
-        if let (Some(mode), Some(beta)) = (self.config.estimator, sub.beta) {
-            if sub.interval.is_periodic() && self.index.estimate(sub, mode) < beta as f64 {
-                stats.estimator_rejections += 1;
-                self.relax(sub, queue, stats, scratch);
-                return None;
+        let levels = match (self.config.estimator, sub.beta) {
+            // Estimator gate: relax without scanning when β̂ < β. The
+            // gate decides per level, so a gated sub-query is a ladder
+            // of one.
+            (Some(mode), Some(beta)) if sub.interval.is_periodic() => {
+                if self.index.estimate(sub, mode) < beta as f64 {
+                    stats.estimator_rejections += 1;
+                    self.relax(sub, queue, stats, scratch);
+                    return None;
+                }
+                vec![sub.interval]
             }
-        }
+            _ => self.splitter.ladder(sub.interval),
+        };
 
-        stats.index_queries += 1;
-        let times = provider.travel_times_with(sub, scratch);
+        let (level, times) = provider.travel_times_ladder(sub, &levels, scratch);
+        stats.index_queries += level + 1;
+        stats.widenings += level;
+        let widened;
+        let sub = if level == 0 {
+            sub
+        } else {
+            widened = sub.with_interval(levels[level]);
+            &widened
+        };
         if times.is_empty() {
             self.relax(sub, queue, stats, scratch);
             return None;

@@ -146,6 +146,36 @@ impl TimeInterval {
         }
     }
 
+    /// Whether `inner` is a periodic window lying entirely inside this
+    /// periodic window on every day (fixed intervals never nest — σ only
+    /// widens periodic ones).
+    pub fn encloses(&self, inner: &TimeInterval) -> bool {
+        match (*self, *inner) {
+            (
+                TimeInterval::Periodic { start_sod, len },
+                TimeInterval::Periodic {
+                    start_sod: inner_sod,
+                    len: inner_len,
+                },
+            ) => (inner_sod - start_sod).rem_euclid(SECONDS_PER_DAY) + inner_len <= len,
+            _ => false,
+        }
+    }
+
+    /// Whether `levels` is a well-formed relaxation ladder (see
+    /// [`Splitter::ladder`](crate::Splitter::ladder)): non-empty, every
+    /// level strictly longer than its predecessor and enclosing it. A
+    /// single level of any kind is a ladder; longer ones are periodic
+    /// throughout. Nesting makes each level's match set a superset of the
+    /// previous one's, which is what lets an index answer the whole
+    /// sequence in one pass.
+    pub fn is_ladder(levels: &[TimeInterval]) -> bool {
+        !levels.is_empty()
+            && levels
+                .windows(2)
+                .all(|w| w[1].size() > w[0].size() && w[1].encloses(&w[0]))
+    }
+
     /// Whether a timestamp satisfies the predicate.
     pub fn contains(&self, t: Timestamp) -> bool {
         match *self {
@@ -293,6 +323,27 @@ mod tests {
     fn widen_then_shrink_roundtrips() {
         let i = TimeInterval::periodic(10 * 3600, 900);
         assert_eq!(i.widen(2700).shrink(900), i);
+    }
+
+    #[test]
+    fn widened_windows_enclose_their_origin_across_midnight() {
+        // 23:55 + 901 s wraps; odd growth rounds down on the left.
+        let i = TimeInterval::periodic(23 * 3600 + 55 * 60, 901);
+        let w = i.widen(1800);
+        assert!(w.encloses(&i));
+        assert!(!i.encloses(&w));
+        assert!(TimeInterval::is_ladder(&[i, w, w.widen(2700)]));
+        assert!(!TimeInterval::is_ladder(&[w, i]), "must ascend");
+        assert!(!TimeInterval::is_ladder(&[]));
+        // A shifted window of the right length does not nest.
+        assert!(!TimeInterval::is_ladder(&[
+            i,
+            TimeInterval::periodic(12 * 3600, 1800)
+        ]));
+        // Fixed intervals are single-level ladders only.
+        let f = TimeInterval::fixed(0, 10);
+        assert!(TimeInterval::is_ladder(&[f]));
+        assert!(!TimeInterval::is_ladder(&[f, TimeInterval::fixed(-5, 15)]));
     }
 
     #[test]

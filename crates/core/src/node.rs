@@ -39,7 +39,7 @@ use crate::persist::prepare_batch;
 use crate::sharded::ShardRouter;
 use crate::snt::{SntIndex, TravelTimes};
 use crate::spq::Spq;
-use crate::{CardinalityMode, SearchScratch, ShardedSntIndex};
+use crate::{CardinalityMode, SearchScratch, ShardedSntIndex, TimeInterval};
 use std::borrow::Cow;
 use tthr_network::Timestamp;
 use tthr_store::snapshot::{SectionId, SnapshotArchive, SnapshotBuilder};
@@ -51,6 +51,11 @@ use tthr_trajectory::{TrajEntry, TrajId, Trajectory, UserId};
 pub const SECTION_NODE_META: SectionId = SectionId(120);
 /// The shard's complete monolithic index snapshot.
 pub const SECTION_NODE_INDEX: SectionId = SectionId(121);
+
+/// Most levels a relaxation ladder may carry across the wire: far above
+/// the paper's `|A| + 1 = 7`, small enough that a hostile list cannot
+/// buy an unbounded scan.
+pub const MAX_LADDER_LEVELS: usize = 32;
 
 /// One cluster append record: the slice of a batch one node must index,
 /// stamped with the global trajectory counters that make replay
@@ -308,19 +313,68 @@ impl ShardNodeState {
     /// `getTravelTimes` for a query owned by this shard — byte-identical
     /// to [`ShardedSntIndex::get_travel_times`] on the same history.
     pub fn get_travel_times(&self, spq: &Spq) -> Result<TravelTimes, StoreError> {
+        self.get_travel_times_with(spq, &mut SearchScratch::new())
+    }
+
+    /// [`ShardNodeState::get_travel_times`] through a caller-owned
+    /// [`SearchScratch`] — a serving loop keeps one per connection, so
+    /// the sub-path searches of one trip's RPCs share backward-search
+    /// states exactly as they do inside an in-process engine.
+    pub fn get_travel_times_with(
+        &self,
+        spq: &Spq,
+        scratch: &mut SearchScratch,
+    ) -> Result<TravelTimes, StoreError> {
         self.check_route(spq)?;
-        let mut scratch = SearchScratch::new();
         Ok(self
             .index
-            .get_travel_times_with(&Self::translate(&self.members, spq), &mut scratch))
+            .get_travel_times_with(&Self::translate(&self.members, spq), scratch))
+    }
+
+    /// A whole relaxation ladder for an owned query — byte-identical to
+    /// [`ShardedSntIndex::travel_times_ladder_with`]. The levels arrive
+    /// off the wire, so a list that is not a well-formed ladder of at
+    /// most [`MAX_LADDER_LEVELS`] windows starting at the query's own is
+    /// a typed error, never a panic or an unbounded scan.
+    pub fn travel_times_ladder_with(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut SearchScratch,
+    ) -> Result<(usize, TravelTimes), StoreError> {
+        self.check_route(spq)?;
+        if levels.len() > MAX_LADDER_LEVELS
+            || levels.first() != Some(&spq.interval)
+            || !TimeInterval::is_ladder(levels)
+        {
+            return Err(StoreError::corrupt(format!(
+                "not a relaxation ladder of 1..={MAX_LADDER_LEVELS} nested windows \
+                 starting at the query's own: {levels:?}"
+            )));
+        }
+        Ok(self.index.travel_times_ladder_with(
+            &Self::translate(&self.members, spq),
+            levels,
+            scratch,
+        ))
     }
 
     /// Exact predicate-matching traversal count for an owned query.
     pub fn count_matching(&self, spq: &Spq, cap: u32) -> Result<usize, StoreError> {
+        self.count_matching_with(spq, cap, &mut SearchScratch::new())
+    }
+
+    /// [`ShardNodeState::count_matching`] through a caller-owned scratch.
+    pub fn count_matching_with(
+        &self,
+        spq: &Spq,
+        cap: u32,
+        scratch: &mut SearchScratch,
+    ) -> Result<usize, StoreError> {
         self.check_route(spq)?;
         Ok(self
             .index
-            .count_matching(&Self::translate(&self.members, spq), cap))
+            .count_matching_with(&Self::translate(&self.members, spq), cap, scratch))
     }
 
     /// Cardinality estimate for an owned query.

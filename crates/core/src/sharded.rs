@@ -472,6 +472,24 @@ impl ShardedSntIndex {
             .get_travel_times_with(&Self::translate(&shard.members, spq), scratch)
     }
 
+    /// A whole relaxation ladder routed to the owning shard under **one**
+    /// read lock ([`SntIndex::travel_times_ladder_with`]): every level
+    /// keeps the path, so every level routes to the same shard, and the
+    /// answer reflects one atomic shard state.
+    pub fn travel_times_ladder_with(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut crate::SearchScratch,
+    ) -> (usize, TravelTimes) {
+        let s = self.router.shard_of(spq.path.first());
+        scratch.trace.note_shard(s);
+        let shard = self.read_shard(s);
+        shard
+            .index
+            .travel_times_ladder_with(&Self::translate(&shard.members, spq), levels, scratch)
+    }
+
     /// Exact predicate-matching traversal count, routed like a query.
     pub fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
         let shard = self.read_shard(self.router.shard_of(spq.path.first()));
@@ -837,6 +855,15 @@ impl TravelTimeProvider for ShardedSntIndex {
 
     fn travel_times_with(&self, spq: &Spq, scratch: &mut crate::SearchScratch) -> TravelTimes {
         self.get_travel_times_with(spq, scratch)
+    }
+
+    fn travel_times_ladder(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut crate::SearchScratch,
+    ) -> (usize, TravelTimes) {
+        self.travel_times_ladder_with(spq, levels, scratch)
     }
 }
 

@@ -531,6 +531,18 @@ impl SearchScratch {
             self.entries.clear();
         }
     }
+
+    /// Books one index-level query on the trace — the call, and its wall
+    /// time when the trace asks for timing — around `f`.
+    fn index_query<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        self.trace.index_queries += 1;
+        let start = self.trace.timing.then(std::time::Instant::now);
+        let out = f(self);
+        if let Some(t0) = start {
+            self.trace.search_ns += t0.elapsed().as_nanos() as u64;
+        }
+        out
+    }
 }
 
 /// The extended SNT-index (paper, Section 4).
@@ -1029,19 +1041,18 @@ impl SntIndex {
     /// and suffix cache (sub-path and widened re-dispatches of σ skip the
     /// wavelet descent entirely). Byte-identical results.
     pub fn get_travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
-        scratch.trace.index_queries += 1;
-        let start = scratch.trace.timing.then(std::time::Instant::now);
-        let out = self.get_travel_times_inner(spq, scratch);
-        if let Some(t0) = start {
-            scratch.trace.search_ns += t0.elapsed().as_nanos() as u64;
-        }
-        out
+        scratch.index_query(|scratch| self.get_travel_times_inner(spq, scratch))
     }
 
     fn get_travel_times_inner(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
         scratch.ensure(self.scratch_id, self.mutation_stamp);
         self.fill_ranges(&spq.path, scratch);
-        let ranges: &[IsaRange] = &scratch.ranges;
+        self.answer(spq, &scratch.ranges, &mut scratch.trace)
+    }
+
+    /// Procedure 5 behind the backward search: answers `spq` given the
+    /// per-partition ISA `ranges` of its path.
+    fn answer(&self, spq: &Spq, ranges: &[IsaRange], trace: &mut QueryTrace) -> TravelTimes {
         let single = spq.path.len() == 1;
         // Procedure 5, line 13: one inline value — no heap churn on the
         // estimate paths (σ's terminal fallback takes them constantly).
@@ -1049,7 +1060,7 @@ impl SntIndex {
             values: TtValues::one(self.estimate_tt[spq.path.first().index()]),
             fallback: true,
         };
-        if ranges.iter().all(|r| r.is_empty()) && !self.hot.traverses(&spq.path) {
+        if !self.traversed(&spq.path, ranges) {
             // Procedure 5 returns ∅ here; for the terminal fallback query
             // (single segment, fixed interval) that would strand the
             // splitter, so line 13's estimate applies directly.
@@ -1062,6 +1073,7 @@ impl SntIndex {
         // scan (the probe scan would revisit the same leaves); see
         // `build_map`.
         let mut collected: Vec<f64> = Vec::new();
+        trace.temporal_passes += 1;
         let (map, first_lo) = self.build_map(spq, ranges, single.then_some(&mut collected));
         if let Some(beta) = spq.beta {
             if (map.len() as u32) < beta && spq.interval.is_periodic() {
@@ -1082,6 +1094,143 @@ impl SntIndex {
         }
     }
 
+    /// Whether any trajectory — sealed or hot — traverses `path` at all
+    /// (the FM-index short-circuit of Procedure 5).
+    fn traversed(&self, path: &tthr_network::Path, ranges: &[IsaRange]) -> bool {
+        ranges.iter().any(|r| !r.is_empty()) || self.hot.traverses(path)
+    }
+
+    /// Visits, in scan order, every leaf of the path's first segment that
+    /// enters during `interval`, lies on the path, and passes the filter
+    /// and exclusion predicates — the match sequence `buildMap` draws its
+    /// first β entries from.
+    fn for_each_match(
+        &self,
+        spq: &Spq,
+        interval: &TimeInterval,
+        ranges: &[IsaRange],
+        f: &mut dyn FnMut(&LeafEntry, Timestamp) -> ControlFlow<()>,
+    ) {
+        let first = spq.path.first();
+        let Some((kmin, kmax)) = self.edge_bounds(first) else {
+            return;
+        };
+        let _ = interval.for_each_window(kmin, kmax, &mut |lo, hi| {
+            self.scan_merged(first, lo, hi, &mut |r, is_hot| {
+                let on_path = if is_hot {
+                    self.hot.leaf_matches(r, &spq.path)
+                } else {
+                    ranges[r.partition as usize].contains(r.isa)
+                };
+                if on_path && self.passes_filter(spq, r.traj) {
+                    f(r, lo)?;
+                }
+                ControlFlow::Continue(())
+            })
+        });
+    }
+
+    /// σ's whole widening sequence for one sub-query in one index call:
+    /// returns `(k, times)` where `k` is the first level of `levels`
+    /// whose window yields a non-empty answer and `times` is exactly
+    /// [`SntIndex::get_travel_times_with`] of `spq` under `levels[k]` —
+    /// or the last level with `∅` when every level fails. `levels[0]`
+    /// must be `spq.interval`.
+    ///
+    /// Byte-identical to dispatching the levels one by one (the default
+    /// [`TravelTimeProvider::travel_times_ladder`](crate::TravelTimeProvider::travel_times_ladder),
+    /// which is also what a malformed, non-nested `levels` falls back
+    /// to), with one backward search and at most three temporal scans of
+    /// the first segment instead of one per level:
+    ///
+    /// 1. level 0 is answered as always (the common success path is
+    ///    untouched);
+    /// 2. if it fails, **one** scan of the widest level's windows counts
+    ///    each match under the narrowest level containing it. Levels
+    ///    nest, so a level's match set is the union of the buckets up to
+    ///    it and its scan order is the widest scan's order restricted to
+    ///    it — the first level whose cumulative count reaches β is the
+    ///    level the sequential loop would have stopped at. The scan ends
+    ///    early once level 1 holds β (no narrower candidate remains);
+    /// 3. the chosen level is answered by the ordinary Procedure 5 path,
+    ///    so β-capping and tie order are the sequential loop's own.
+    ///
+    /// Works unchanged over the hot tail: matches are drawn from the same
+    /// merged scan `buildMap` uses.
+    pub fn travel_times_ladder_with(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut SearchScratch,
+    ) -> (usize, TravelTimes) {
+        debug_assert_eq!(levels.first(), Some(&spq.interval));
+        if levels.len() < 2 || !TimeInterval::is_ladder(levels) {
+            return crate::engine::ladder_sequential(self, spq, levels, scratch);
+        }
+        scratch.trace.ladders += 1;
+        scratch.index_query(|scratch| self.ladder_inner(spq, levels, scratch))
+    }
+
+    fn ladder_inner(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut SearchScratch,
+    ) -> (usize, TravelTimes) {
+        scratch.ensure(self.scratch_id, self.mutation_stamp);
+        self.fill_ranges(&spq.path, scratch);
+        let ranges: &[IsaRange] = &scratch.ranges;
+        let trace = &mut scratch.trace;
+        let last = levels.len() - 1;
+        if !self.traversed(&spq.path, ranges) {
+            // Periodic levels all answer ∅ without a scan.
+            return (last, TravelTimes::empty());
+        }
+        let times = self.answer(spq, ranges, trace);
+        if !times.is_empty() {
+            return (0, times);
+        }
+
+        // Each level's daily window as an offset span inside the widest
+        // level's window (nesting ⇒ no wrap).
+        let (start_sod, _) = levels[last].time_of_day_span().expect("periodic");
+        let spans: Vec<(i64, i64)> = levels
+            .iter()
+            .map(|level| {
+                let (sod, end) = level.time_of_day_span().expect("periodic");
+                let offset = (sod - start_sod).rem_euclid(SECONDS_PER_DAY);
+                (offset, offset + end - sod)
+            })
+            .collect();
+        // An empty answer means fewer than `need` matches (β omitted or 0
+        // still needs one value).
+        let need = spq.beta.unwrap_or(1).max(1) as usize;
+        let mut narrowest = vec![0usize; levels.len()];
+        trace.temporal_passes += 1;
+        self.for_each_match(spq, &levels[last], ranges, &mut |r, window_lo| {
+            let offset = r.time - window_lo;
+            let level = spans
+                .iter()
+                .position(|&(lo, hi)| lo <= offset && offset < hi)
+                .expect("the widest level spans its own window");
+            narrowest[level] += 1;
+            if narrowest[0] + narrowest[1] >= need {
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
+        let mut held = narrowest[0];
+        let Some(level) = (1..=last).find(|&k| {
+            held += narrowest[k];
+            held >= need
+        }) else {
+            return (last, TravelTimes::empty());
+        };
+        let times = self.answer(&spq.with_interval(levels[level]), ranges, trace);
+        debug_assert!(!times.is_empty(), "a level holding β matches answers");
+        (level, times)
+    }
+
     /// Exact count of traversals matching all SPQ predicates, capped at
     /// `cap` (σ_L's `|T^{P₁}| ≥ β` test and the q-error ground truth; pass
     /// `u32::MAX` for the uncapped cardinality).
@@ -1091,42 +1240,24 @@ impl SntIndex {
 
     /// [`SntIndex::count_matching`] through a per-query [`SearchScratch`].
     pub fn count_matching_with(&self, spq: &Spq, cap: u32, scratch: &mut SearchScratch) -> usize {
-        scratch.trace.index_queries += 1;
-        let start = scratch.trace.timing.then(std::time::Instant::now);
-        let out = self.count_matching_inner(spq, cap, scratch);
-        if let Some(t0) = start {
-            scratch.trace.search_ns += t0.elapsed().as_nanos() as u64;
-        }
-        out
+        scratch.index_query(|scratch| self.count_matching_inner(spq, cap, scratch))
     }
 
     fn count_matching_inner(&self, spq: &Spq, cap: u32, scratch: &mut SearchScratch) -> usize {
         scratch.ensure(self.scratch_id, self.mutation_stamp);
         self.fill_ranges(&spq.path, scratch);
         let ranges: &[IsaRange] = &scratch.ranges;
-        if ranges.iter().all(|r| r.is_empty()) && !self.hot.traverses(&spq.path) {
+        if !self.traversed(&spq.path, ranges) {
             return 0;
         }
-        let first = spq.path.first();
-        let Some((kmin, kmax)) = self.edge_bounds(first) else {
-            return 0;
-        };
         let mut n = 0usize;
-        let _ = spq.interval.for_each_window(kmin, kmax, &mut |lo, hi| {
-            self.scan_merged(first, lo, hi, &mut |r, is_hot| {
-                let on_path = if is_hot {
-                    self.hot.leaf_matches(r, &spq.path)
-                } else {
-                    ranges[r.partition as usize].contains(r.isa)
-                };
-                if on_path && self.passes_filter(spq, r.traj) {
-                    n += 1;
-                    if n >= cap as usize {
-                        return ControlFlow::Break(());
-                    }
-                }
-                ControlFlow::Continue(())
-            })
+        scratch.trace.temporal_passes += 1;
+        self.for_each_match(spq, &spq.interval, ranges, &mut |_, _| {
+            n += 1;
+            if n >= cap as usize {
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
         });
         n
     }

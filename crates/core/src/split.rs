@@ -9,6 +9,7 @@
 //! Procedure 5 answers with at least the speed-limit estimate).
 
 use crate::engine::IndexBackend;
+use crate::interval::TimeInterval;
 use crate::snt::SearchScratch;
 use crate::spq::{Filter, Spq};
 
@@ -71,6 +72,35 @@ impl Splitter {
         self.method
     }
 
+    /// σ's step 1 on a bare window: the next size in `A` above a periodic
+    /// window's length, applied with [`TimeInterval::widen`]; `None` once
+    /// the window is fixed or has reached `α_max`.
+    fn widened(&self, interval: &TimeInterval) -> Option<TimeInterval> {
+        if !interval.is_periodic() {
+            return None;
+        }
+        let alpha = interval.size();
+        let next = self.sizes.iter().copied().find(|&a| a > alpha)?;
+        let wider = interval.widen(next);
+        // `widen` caps at a full day: a capped no-op is not a widening.
+        (wider.size() > alpha).then_some(wider)
+    }
+
+    /// The relaxation ladder of a window: `interval` itself followed by
+    /// every window successive widening steps of σ would derive from it,
+    /// in order — the exact sequence, including off-list start lengths
+    /// (shift-and-enlarge) and the integer rounding of chained
+    /// [`TimeInterval::widen`]s. A fixed or already-widest window is a
+    /// ladder of one level. The engine dispatches whole ladders; σ's own
+    /// widening step draws from the same sequence.
+    pub fn ladder(&self, interval: TimeInterval) -> Vec<TimeInterval> {
+        let mut levels = vec![interval];
+        while let Some(wider) = self.widened(levels.last().expect("non-empty")) {
+            levels.push(wider);
+        }
+        levels
+    }
+
     /// Applies σ once (Procedure 1), returning the replacement sub-queries.
     pub fn split<B: IndexBackend>(&self, index: &B, spq: &Spq) -> Vec<Spq> {
         self.split_with(index, spq, &mut SearchScratch::new())
@@ -86,17 +116,8 @@ impl Splitter {
         scratch: &mut SearchScratch,
     ) -> Vec<Spq> {
         // Step 1: widen the periodic window to the next size in A.
-        if spq.interval.is_periodic() {
-            let alpha = spq.interval.size();
-            if alpha < self.alpha_max() {
-                let next = self
-                    .sizes
-                    .iter()
-                    .copied()
-                    .find(|&a| a > alpha)
-                    .expect("alpha < alpha_max implies a larger size exists");
-                return vec![spq.with_interval(spq.interval.widen(next))];
-            }
+        if let Some(wider) = self.widened(&spq.interval) {
+            return vec![spq.with_interval(wider)];
         }
 
         // Step 2: split the path, resetting periodic windows to α_min.
@@ -220,6 +241,39 @@ mod tests {
             sizes.push(q.interval.size());
         }
         assert_eq!(sizes, vec![1800, 2700, 3600, 5400, 7200]);
+    }
+
+    #[test]
+    fn ladder_is_the_sequence_repeated_widening_walks() {
+        let idx = index();
+        let s = splitter(SplitMethod::Regular);
+        // Off-list odd start length wrapping midnight: every rounding of
+        // the chained widens must match σ applied step by step.
+        for start in [
+            TimeInterval::periodic(8 * 3600, 900),
+            TimeInterval::periodic(23 * 3600 + 50 * 60, 900 + 37),
+            TimeInterval::periodic(100, 3601),
+            TimeInterval::periodic(0, 7200),
+            TimeInterval::periodic(0, 9000),
+            TimeInterval::fixed(0, 100),
+        ] {
+            let levels = s.ladder(start);
+            assert!(TimeInterval::is_ladder(&levels), "{levels:?}");
+            let mut q = Spq::new(Path::new(vec![EDGE_A]), start).with_beta(5);
+            let mut walked = vec![q.interval];
+            loop {
+                let out = s.split(&idx, &q);
+                let widening = out.len() == 1
+                    && out[0].interval.is_periodic()
+                    && out[0].interval.size() > q.interval.size();
+                if !widening {
+                    break;
+                }
+                q = out.into_iter().next().expect("one");
+                walked.push(q.interval);
+            }
+            assert_eq!(levels, walked, "start {start:?}");
+        }
     }
 
     #[test]

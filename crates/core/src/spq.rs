@@ -94,8 +94,9 @@ impl Spq {
         }
     }
 
-    /// Replaces the interval, keeping everything else.
-    pub(crate) fn with_interval(&self, interval: TimeInterval) -> Self {
+    /// Replaces the interval, keeping everything else (σ's widening, and
+    /// how a ladder level is spelled as a query).
+    pub fn with_interval(&self, interval: TimeInterval) -> Self {
         Spq {
             path: self.path.clone(),
             interval,

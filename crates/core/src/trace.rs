@@ -34,6 +34,15 @@ pub struct QueryTrace {
     /// Index-level queries executed (`get_travel_times` / `count_matching`
     /// calls that reached an [`SntIndex`](crate::SntIndex)).
     pub index_queries: u64,
+    /// Multi-level relaxation ladders answered as one operation (one
+    /// index call or one node RPC) instead of one dispatch per level —
+    /// [`QueryStats::index_queries`](crate::QueryStats) keeps counting
+    /// the levels logically consumed.
+    pub ladders: u64,
+    /// Temporal scans over a path's first segment (`buildMap` scans,
+    /// counting scans, ladder bucketing passes): the real work behind
+    /// `index_queries`.
+    pub temporal_passes: u64,
     /// Service-layer result-cache hits (filled in above core).
     pub cache_hits: u64,
     /// Service-layer result-cache misses.
@@ -92,6 +101,8 @@ impl QueryTrace {
         self.scratch_misses += other.scratch_misses;
         self.partitions_searched += other.partitions_searched;
         self.index_queries += other.index_queries;
+        self.ladders += other.ladders;
+        self.temporal_passes += other.temporal_passes;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.shard_queries += other.shard_queries;

@@ -31,6 +31,7 @@
 //! | 9   | `FetchSnapshot`     | req | resume offset (u64) |
 //! | 10  | `TailWal`           | req | from stamp (u64) |
 //! | 11  | `Promote`           | req | — |
+//! | 12  | `Ladder`            | req | SPQ + levels (interval seq, ≤ 32) |
 //! | 16  | `Ok`                | resp | — |
 //! | 17  | `Meta`              | resp | [`NodeMeta`] |
 //! | 18  | `Routing`           | resp | [`ShardRouter`] |
@@ -41,6 +42,7 @@
 //! | 23  | `SnapshotChunk`     | resp | stamp + offset + total (u64×3) + bytes |
 //! | 24  | `WalRecords`        | resp | records seq + end stamp (u64) |
 //! | 25  | `ReplStatus`        | resp | role (u8) + applied/snapshot stamps (u64×2) |
+//! | 26  | `LadderResult`      | resp | level (u32) + values (f64 seq) + fallback (bool) |
 //! | 31  | `Err`               | resp | code (u8) + expected/found (u64×2) + text |
 //!
 //! Decoding never panics on hostile bytes: a wrong length, tag, CRC, or
@@ -52,7 +54,7 @@
 #![warn(missing_docs)]
 
 use std::io::{Read, Write};
-use tthr_core::node::NodeWalRecord;
+use tthr_core::node::{NodeWalRecord, MAX_LADDER_LEVELS};
 use tthr_core::{CardinalityMode, Filter, ShardRouter, Spq, TimeInterval};
 use tthr_network::{EdgeId, Path, Timestamp, SECONDS_PER_DAY};
 use tthr_store::{crc32, ByteReader, ByteWriter, Persist, StoreError};
@@ -305,6 +307,16 @@ pub enum Message {
     /// Promote a standby to primary (idempotent on a primary). Answered
     /// with [`Message::ReplStatus`] reflecting the new role.
     Promote,
+    /// A whole relaxation ladder in one round trip: `spq` under each
+    /// window of `levels` in turn (`levels[0]` is the query's own),
+    /// answered with the first level that yields travel times. New with
+    /// this tag — routers and nodes upgrade together.
+    Ladder {
+        /// The query at level 0.
+        spq: Spq,
+        /// The nested window sequence, narrowest first.
+        levels: Vec<TimeInterval>,
+    },
     /// Generic success (snapshot requests).
     Ok,
     /// The node's self-description.
@@ -321,6 +333,16 @@ pub enum Message {
     /// f64s) plus the speed-limit-fallback flag.
     TravelTimesResult {
         /// The travel-time values.
+        values: Vec<f64>,
+        /// Whether they are the single speed-limit estimate.
+        fallback: bool,
+    },
+    /// Ladder answer: the level that answered (or the last level, with
+    /// no values, when every level failed) and its travel times.
+    LadderResult {
+        /// Index into the request's `levels`.
+        level: u32,
+        /// The travel-time values at that level.
         values: Vec<f64>,
         /// Whether they are the single speed-limit estimate.
         fallback: bool,
@@ -400,6 +422,7 @@ const TAG_SNAPSHOT: u8 = 8;
 const TAG_FETCH_SNAPSHOT: u8 = 9;
 const TAG_TAIL_WAL: u8 = 10;
 const TAG_PROMOTE: u8 = 11;
+const TAG_LADDER: u8 = 12;
 const TAG_OK: u8 = 16;
 const TAG_META: u8 = 17;
 const TAG_ROUTING: u8 = 18;
@@ -410,12 +433,11 @@ const TAG_APPENDED: u8 = 22;
 const TAG_SNAPSHOT_CHUNK: u8 = 23;
 const TAG_WAL_RECORDS: u8 = 24;
 const TAG_REPL_STATUS: u8 = 25;
+const TAG_LADDER_RESULT: u8 = 26;
 const TAG_ERR: u8 = 31;
 
-fn put_spq(w: &mut ByteWriter, spq: &Spq) {
-    let edges: Vec<u32> = spq.path.edges().iter().map(|e| e.0).collect();
-    w.put_seq(&edges);
-    match spq.interval {
+fn put_interval(w: &mut ByteWriter, interval: &TimeInterval) {
+    match *interval {
         TimeInterval::Fixed { start, end } => {
             w.put_u8(0);
             w.put_i64(start);
@@ -427,24 +449,10 @@ fn put_spq(w: &mut ByteWriter, spq: &Spq) {
             w.put_i64(len);
         }
     }
-    match spq.filter {
-        Filter::None => w.put_u8(0),
-        Filter::User(UserId(u)) => {
-            w.put_u8(1);
-            w.put_u32(u);
-        }
-    }
-    spq.beta.persist(w);
-    spq.exclude.map(|t| t.0).persist(w);
 }
 
-fn get_spq(r: &mut ByteReader<'_>) -> Result<Spq, FrameError> {
-    let edges: Vec<u32> = r.get_seq()?;
-    if edges.is_empty() {
-        return Err(FrameError::Body("empty query path".into()));
-    }
-    let path = Path::new(edges.into_iter().map(EdgeId).collect());
-    let interval = match r.get_u8()? {
+fn get_interval(r: &mut ByteReader<'_>) -> Result<TimeInterval, FrameError> {
+    Ok(match r.get_u8()? {
         0 => {
             let start = r.get_i64()?;
             let end = r.get_i64()?;
@@ -466,7 +474,31 @@ fn get_spq(r: &mut ByteReader<'_>) -> Result<Spq, FrameError> {
             TimeInterval::Periodic { start_sod, len }
         }
         other => return Err(FrameError::Body(format!("interval tag {other}"))),
-    };
+    })
+}
+
+fn put_spq(w: &mut ByteWriter, spq: &Spq) {
+    let edges: Vec<u32> = spq.path.edges().iter().map(|e| e.0).collect();
+    w.put_seq(&edges);
+    put_interval(w, &spq.interval);
+    match spq.filter {
+        Filter::None => w.put_u8(0),
+        Filter::User(UserId(u)) => {
+            w.put_u8(1);
+            w.put_u32(u);
+        }
+    }
+    spq.beta.persist(w);
+    spq.exclude.map(|t| t.0).persist(w);
+}
+
+fn get_spq(r: &mut ByteReader<'_>) -> Result<Spq, FrameError> {
+    let edges: Vec<u32> = r.get_seq()?;
+    if edges.is_empty() {
+        return Err(FrameError::Body("empty query path".into()));
+    }
+    let path = Path::new(edges.into_iter().map(EdgeId).collect());
+    let interval = get_interval(r)?;
     let filter = match r.get_u8()? {
         0 => Filter::None,
         1 => Filter::User(UserId(r.get_u32()?)),
@@ -529,10 +561,12 @@ impl Message {
             Message::FetchSnapshot { .. } => TAG_FETCH_SNAPSHOT,
             Message::TailWal { .. } => TAG_TAIL_WAL,
             Message::Promote => TAG_PROMOTE,
+            Message::Ladder { .. } => TAG_LADDER,
             Message::Ok => TAG_OK,
             Message::Meta(_) => TAG_META,
             Message::Routing(_) => TAG_ROUTING,
             Message::TravelTimesResult { .. } => TAG_TT_RESULT,
+            Message::LadderResult { .. } => TAG_LADDER_RESULT,
             Message::CountResult(_) => TAG_COUNT_RESULT,
             Message::EstimateResult(_) => TAG_ESTIMATE_RESULT,
             Message::Appended { .. } => TAG_APPENDED,
@@ -587,6 +621,22 @@ impl Message {
                 put_spq(w, spq);
                 w.put_u8(mode_tag(*mode));
             }
+            Message::Ladder { spq, levels } => {
+                put_spq(w, spq);
+                w.put_len(levels.len());
+                for level in levels {
+                    put_interval(w, level);
+                }
+            }
+            Message::LadderResult {
+                level,
+                values,
+                fallback,
+            } => {
+                w.put_u32(*level);
+                w.put_seq(values);
+                fallback.persist(w);
+            }
             Message::Append(record) => record.persist(w),
             Message::Meta(meta) => meta.persist(w),
             Message::Routing(router) => router.persist(w),
@@ -640,6 +690,32 @@ impl Message {
                 from_stamp: r.get_u64()?,
             },
             TAG_PROMOTE => Message::Promote,
+            TAG_LADDER => {
+                let spq = get_spq(&mut r)?;
+                // Bounded before allocating; whether the windows form a
+                // ladder is the node's (typed, connection-preserving)
+                // check.
+                let n = r.get_len(17)?;
+                if n > MAX_LADDER_LEVELS {
+                    return Err(FrameError::Body(format!(
+                        "{n} ladder levels exceed the cap of {MAX_LADDER_LEVELS}"
+                    )));
+                }
+                let levels = (0..n)
+                    .map(|_| get_interval(&mut r))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Message::Ladder { spq, levels }
+            }
+            TAG_LADDER_RESULT => {
+                let level = r.get_u32()?;
+                let values: Vec<f64> = r.get_seq()?;
+                let fallback = bool::restore(&mut r)?;
+                Message::LadderResult {
+                    level,
+                    values,
+                    fallback,
+                }
+            }
             TAG_OK => Message::Ok,
             TAG_META => Message::Meta(NodeMeta::restore(&mut r)?),
             TAG_ROUTING => Message::Routing(ShardRouter::restore(&mut r)?),

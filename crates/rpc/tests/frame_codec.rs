@@ -82,6 +82,11 @@ fn build_messages(
         ErrCode::NotPrimary,
     ];
     let message: String = text.iter().map(|&b| (b'a' + b % 26) as char).collect();
+    // The SPQ's own window plus `code % 4` windows of any kind: the codec
+    // carries level lists verbatim — whether they nest is the node's check.
+    let levels: Vec<TimeInterval> = std::iter::once(spq.interval)
+        .chain((1..=code as i64 % 4).map(|i| TimeInterval::periodic(istart + i, ilen * i)))
+        .collect();
     vec![
         Message::Health,
         Message::GetMeta,
@@ -91,16 +96,31 @@ fn build_messages(
             spq: spq.clone(),
             cap,
         },
-        Message::Estimate { spq, mode },
+        Message::Estimate {
+            spq: spq.clone(),
+            mode,
+        },
         Message::Append(record.clone()),
         Message::Snapshot,
         Message::FetchSnapshot { offset: base },
         Message::TailWal { from_stamp: base },
         Message::Promote,
+        Message::Ladder {
+            spq: spq.clone(),
+            levels,
+        },
         Message::Ok,
         Message::Meta(meta),
         Message::Routing(ShardRouter::build(&example_network(), k)),
-        Message::TravelTimesResult { values, fallback },
+        Message::TravelTimesResult {
+            values: values.clone(),
+            fallback,
+        },
+        Message::LadderResult {
+            level: cap % 8,
+            values,
+            fallback,
+        },
         Message::CountResult(base),
         Message::EstimateResult(istart as f64 + 0.5),
         Message::Appended {
@@ -172,7 +192,7 @@ proptest::proptest! {
             edges, periodic, istart, ilen, filter, beta, exclude, cap, mode,
             base, raw_entries, k, values, fallback, code, text
         );
-        assert_eq!(messages.len(), 22, "every tag is exercised");
+        assert_eq!(messages.len(), 24, "every tag is exercised");
         for message in messages {
             let frame = encode_frame(&message);
             match decode_frame(&frame) {
@@ -186,6 +206,13 @@ proptest::proptest! {
                 match decode_frame(&frame[..cut]) {
                     Ok(Decode::Incomplete) => {}
                     other => panic!("strict prefix of {cut} bytes: {other:?}"),
+                }
+                // ... and the blocking reader sees the same prefix as torn.
+                let mut torn: &[u8] = &frame[..cut];
+                match read_frame(&mut torn) {
+                    Ok(None) => proptest::prop_assert_eq!(cut, 0),
+                    Err(WireError::Frame(FrameError::Truncated)) => {}
+                    other => panic!("torn after {cut} bytes: {other:?}"),
                 }
             }
             // The blocking reader agrees with the incremental decoder.
@@ -247,8 +274,18 @@ proptest::proptest! {
             Path::new(edges.iter().map(|&e| EdgeId(e)).collect()),
             TimeInterval::fixed(0, 100),
         );
+        let window = TimeInterval::periodic(base as i64, 900);
         for message in [
             Message::Count { spq: spq.clone(), cap },
+            Message::Ladder {
+                spq: Spq::new(spq.path.clone(), window).with_beta(cap),
+                levels: vec![window, window.widen(1800), window.widen(1800).widen(2700)],
+            },
+            Message::LadderResult {
+                level: cap % 3,
+                values: vec![base as f64 + 0.5, cap as f64],
+                fallback: false,
+            },
             Message::Append(NodeWalRecord {
                 base,
                 new_total: base + 1,
@@ -344,4 +381,24 @@ proptest::proptest! {
         }
         proptest::prop_assert_eq!(&got, &blob);
     }
+}
+
+/// A level list longer than the wire admits is rejected while decoding —
+/// before the levels are allocated — with a typed payload error.
+#[test]
+fn oversized_ladder_is_a_typed_payload_error() {
+    let window = TimeInterval::periodic(0, 900);
+    let ladder = |n: usize| Message::Ladder {
+        spq: Spq::new(Path::new(vec![EdgeId(1)]), window),
+        levels: vec![window; n],
+    };
+    let cap = tthr_core::node::MAX_LADDER_LEVELS;
+    assert!(matches!(
+        decode_frame(&encode_frame(&ladder(cap))),
+        Ok(Decode::Done { .. })
+    ));
+    assert!(matches!(
+        decode_frame(&encode_frame(&ladder(cap + 1))),
+        Err(FrameError::Body(_))
+    ));
 }

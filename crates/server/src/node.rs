@@ -48,7 +48,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
-use tthr_core::{NodeWalRecord, ShardNodeState};
+use tthr_core::{NodeWalRecord, SearchScratch, ShardNodeState};
 use tthr_rpc::{read_frame, write_frame, ErrCode, Message, NodeMeta, Role, WireError};
 use tthr_store::wal::WalWriter;
 use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
@@ -67,6 +67,10 @@ pub const TAIL_RETAIN_CAP: usize = 1024;
 /// Records per `WalRecords` page; a standby further behind re-polls
 /// immediately (the reply's `end_stamp` shows it the remaining lag).
 const TAIL_PAGE: usize = 128;
+
+/// Cached backward searches a connection's scratch holds before it is
+/// replaced — a few trips' worth; lookups scan the entries linearly.
+const CONN_SCRATCH_SEARCHES: usize = 64;
 
 /// Snapshot transfer chunk size. Far below `MAX_FRAME_BODY`, large
 /// enough that a bootstrap is a few round trips, small enough that a
@@ -393,6 +397,11 @@ pub fn serve_node_shared(
 /// run a node on their own listener/threading setup.
 pub fn serve_node_conn(mut conn: TcpStream, store: &RwLock<NodeStore>) {
     let _ = conn.set_nodelay(true);
+    // One scratch per connection: a router sends one trip's sub-queries
+    // down one pooled connection, so its sub-path searches hit the suffix
+    // states of their parents here exactly as inside an in-process engine.
+    // Entries self-invalidate on every index mutation.
+    let mut scratch = SearchScratch::new();
     loop {
         let request = match read_frame(&mut conn) {
             Ok(Some(m)) => m,
@@ -407,14 +416,18 @@ pub fn serve_node_conn(mut conn: TcpStream, store: &RwLock<NodeStore>) {
             }
             Err(WireError::Io(_)) => return,
         };
-        let reply = dispatch(&request, store);
+        if scratch.cached_searches() >= CONN_SCRATCH_SEARCHES {
+            // Trips share nothing with each other; keep lookups short.
+            scratch = SearchScratch::new();
+        }
+        let reply = dispatch(&request, store, &mut scratch);
         if write_frame(&mut conn, &reply).is_err() {
             return;
         }
     }
 }
 
-fn dispatch(request: &Message, store: &RwLock<NodeStore>) -> Message {
+fn dispatch(request: &Message, store: &RwLock<NodeStore>, scratch: &mut SearchScratch) -> Message {
     match request {
         Message::Health => {
             let store = store.read().expect("store lock");
@@ -430,8 +443,19 @@ fn dispatch(request: &Message, store: &RwLock<NodeStore>) -> Message {
         }
         Message::TravelTimes(spq) => {
             let store = store.read().expect("store lock");
-            match store.state().get_travel_times(spq) {
+            match store.state().get_travel_times_with(spq, scratch) {
                 Ok(tt) => Message::TravelTimesResult {
+                    values: tt.values.into_vec(),
+                    fallback: tt.fallback,
+                },
+                Err(e) => err_reply(&e),
+            }
+        }
+        Message::Ladder { spq, levels } => {
+            let store = store.read().expect("store lock");
+            match store.state().travel_times_ladder_with(spq, levels, scratch) {
+                Ok((level, tt)) => Message::LadderResult {
+                    level: level as u32,
                     values: tt.values.into_vec(),
                     fallback: tt.fallback,
                 },
@@ -440,7 +464,7 @@ fn dispatch(request: &Message, store: &RwLock<NodeStore>) -> Message {
         }
         Message::Count { spq, cap } => {
             let store = store.read().expect("store lock");
-            match store.state().count_matching(spq, *cap) {
+            match store.state().count_matching_with(spq, *cap, scratch) {
                 Ok(n) => Message::CountResult(n as u64),
                 Err(e) => err_reply(&e),
             }
@@ -615,24 +639,83 @@ mod tests {
         let store = RwLock::new(NodeStore::init(temp_dir("dispatch"), example_state()).unwrap());
         let stamp = store.read().unwrap().applied_stamp();
         assert_eq!(
-            dispatch(&Message::Health, &store),
+            dispatch(&Message::Health, &store, &mut SearchScratch::new()),
             Message::ReplStatus {
                 role: Role::Primary,
                 applied_stamp: stamp,
                 snapshot_stamp: stamp,
             }
         );
-        let Message::Meta(meta) = dispatch(&Message::GetMeta, &store) else {
+        let Message::Meta(meta) = dispatch(&Message::GetMeta, &store, &mut SearchScratch::new())
+        else {
             panic!("GetMeta answers Meta");
         };
         assert_eq!(meta.num_shards, 2);
-        match dispatch(&Message::Ok, &store) {
+        match dispatch(&Message::Ok, &store, &mut SearchScratch::new()) {
             Message::Err {
                 code: ErrCode::BadRequest,
                 ..
             } => {}
             other => panic!("response frame as request: {other:?}"),
         }
+        let dir = store.read().unwrap().dir().to_path_buf();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A ladder is answered like the in-process index answers it; a level
+    /// list that is empty, does not start at the query's window, is not
+    /// nested-ascending, or is longer than the cap is a typed
+    /// `BadRequest` — and the connection's scratch keeps serving.
+    #[test]
+    fn dispatch_answers_ladders_and_rejects_malformed_level_lists() {
+        let store = RwLock::new(NodeStore::init(temp_dir("ladder"), example_state()).unwrap());
+        let mut scratch = SearchScratch::new();
+        // 12:00 ± 7.5 min holds nothing (the example data sits at t < 30 s);
+        // only the full-day level reaches it.
+        let narrow = TimeInterval::periodic_around(12 * 3600, 900);
+        let spq = Spq::new(NetPath::new(vec![EDGE_A, EDGE_B, EDGE_E]), narrow).with_beta(2);
+        let wide = narrow.widen(86_400);
+        let good = vec![narrow, narrow.widen(1800), wide];
+        let want = {
+            let guard = store.read().unwrap();
+            let index = guard.state().index();
+            tthr_core::ladder_sequential(index, &spq, &good, &mut SearchScratch::new())
+        };
+        assert_eq!(want.0, 2, "only the widest level holds β");
+        let ladder = |levels: Vec<TimeInterval>| Message::Ladder {
+            spq: spq.clone(),
+            levels,
+        };
+        assert_eq!(
+            dispatch(&ladder(good.clone()), &store, &mut scratch),
+            Message::LadderResult {
+                level: 2,
+                values: want.1.values.to_vec(),
+                fallback: want.1.fallback,
+            }
+        );
+        let bad_lists = [
+            vec![],
+            vec![narrow.widen(1800), wide],
+            vec![narrow, wide, narrow.widen(1800)],
+            vec![narrow, TimeInterval::periodic_around(6 * 3600, 1800)],
+            std::iter::successors(Some(narrow), |w| Some(w.widen(w.size() + 2)))
+                .take(tthr_core::node::MAX_LADDER_LEVELS + 1)
+                .collect(),
+        ];
+        for levels in bad_lists {
+            match dispatch(&ladder(levels.clone()), &store, &mut scratch) {
+                Message::Err {
+                    code: ErrCode::BadRequest,
+                    ..
+                } => {}
+                other => panic!("{levels:?} answered {other:?}"),
+            }
+        }
+        assert!(matches!(
+            dispatch(&ladder(good), &store, &mut scratch),
+            Message::LadderResult { level: 2, .. }
+        ));
         let dir = store.read().unwrap().dir().to_path_buf();
         std::fs::remove_dir_all(dir).ok();
     }
@@ -794,7 +877,11 @@ mod tests {
         init.set_role(Role::Standby);
         let record = advance_record(&init);
         let store = RwLock::new(init);
-        match dispatch(&Message::Append(record.clone()), &store) {
+        match dispatch(
+            &Message::Append(record.clone()),
+            &store,
+            &mut SearchScratch::new(),
+        ) {
             Message::Err {
                 code: ErrCode::NotPrimary,
                 ..
@@ -803,12 +890,14 @@ mod tests {
         }
         // Promote is answered with the new status, and is idempotent.
         for _ in 0..2 {
-            let Message::ReplStatus { role, .. } = dispatch(&Message::Promote, &store) else {
+            let Message::ReplStatus { role, .. } =
+                dispatch(&Message::Promote, &store, &mut SearchScratch::new())
+            else {
                 panic!("promote answers status");
             };
             assert_eq!(role, Role::Primary);
         }
-        match dispatch(&Message::Append(record), &store) {
+        match dispatch(&Message::Append(record), &store, &mut SearchScratch::new()) {
             Message::Appended { .. } => {}
             other => panic!("promoted append: {other:?}"),
         }
@@ -850,7 +939,7 @@ mod tests {
             members: vec![],
             trajectories: vec![],
         };
-        match dispatch(&Message::Append(record), &store) {
+        match dispatch(&Message::Append(record), &store, &mut SearchScratch::new()) {
             Message::Err {
                 code: ErrCode::WalGap,
                 expected,

@@ -520,6 +520,8 @@ fn slow_query_json(q: &SlowQuery) -> Json {
                 ("scratch_misses", int(t.scratch_misses)),
                 ("partitions_searched", int(t.partitions_searched)),
                 ("index_queries", int(t.index_queries)),
+                ("ladders", int(t.ladders)),
+                ("temporal_passes", int(t.temporal_passes)),
                 ("cache_hits", int(t.cache_hits)),
                 ("cache_misses", int(t.cache_misses)),
                 ("shard_queries", int(t.shard_queries)),

@@ -79,6 +79,7 @@ pub use stats::{Endpoint, LatencySummary, PerEndpoint, ServiceStats, SlowQuery};
 
 use crate::group_commit::{AppendOutcome, AppendRequest, GroupCommit};
 use crate::stats::{LatencyLog, ServiceMetrics, SlowLog};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -275,6 +276,48 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
             self.cache.insert(spq.clone(), computed.clone());
         }
         computed
+    }
+
+    /// Per-level cache lookups first — a cached level answers, or is
+    /// known to fail, without the index — then **one** backend ladder
+    /// over the levels from the first miss on. Every level the backend
+    /// consumed is inserted under the same seqlock validation as a
+    /// single dispatch (the failed ones as `∅`), so the cache holds what
+    /// the level-by-level loop would have left in it and a repeated trip
+    /// is all hits.
+    fn travel_times_ladder(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut tthr_core::SearchScratch,
+    ) -> (usize, TravelTimes) {
+        let last = levels.len() - 1;
+        let mut level = 0;
+        // Borrowed until a wider level (or an insert) needs its own key.
+        let mut sub = Cow::Borrowed(spq);
+        while let Some(hit) = self.cache.get(&sub) {
+            scratch.trace.cache_hits += 1;
+            if !hit.is_empty() || level == last {
+                return (level, hit);
+            }
+            level += 1;
+            sub.to_mut().interval = levels[level];
+        }
+        let before = self.generation.load(Ordering::SeqCst);
+        let (consumed, computed) = self
+            .index
+            .travel_times_ladder(&sub, &levels[level..], scratch);
+        scratch.trace.cache_misses += consumed as u64 + 1;
+        if before.is_multiple_of(2) && self.generation.load(Ordering::SeqCst) == before {
+            let mut sub = sub.into_owned();
+            for failed in &levels[level..level + consumed] {
+                sub.interval = *failed;
+                self.cache.insert(sub.clone(), TravelTimes::empty());
+            }
+            sub.interval = levels[level + consumed];
+            self.cache.insert(sub, computed.clone());
+        }
+        (level + consumed, computed)
     }
 }
 

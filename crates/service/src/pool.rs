@@ -120,8 +120,15 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.available.notify_all();
+        let me = std::thread::current().id();
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            // A job holding the last handle to the pool's owner drops the
+            // pool *on a worker*: that worker cannot join itself (EDEADLK).
+            // Its handle is dropped instead — the thread detaches and
+            // exits through the shutdown flag once this job returns.
+            if worker.thread().id() != me {
+                let _ = worker.join();
+            }
         }
     }
 }
@@ -260,6 +267,35 @@ mod tests {
         // Workers survive the panic: the pool still completes fresh work.
         let jobs: Vec<_> = (0..16usize).map(|i| move || i + 1).collect();
         assert_eq!(pool.run_all(jobs), (1..=16).collect::<Vec<_>>());
+    }
+
+    /// The last owner of a pool can be one of its own jobs (a request
+    /// holding the final service handle after the server shut down):
+    /// dropping the pool there must neither panic nor hang, and the
+    /// other workers are still joined.
+    #[test]
+    fn dropping_the_pool_from_inside_a_job_does_not_self_join() {
+        let pool = Arc::new(ThreadPool::new(2));
+        let (held, release) = std::sync::mpsc::channel::<()>();
+        let (done, finished) = std::sync::mpsc::channel::<bool>();
+        let last = Arc::clone(&pool);
+        pool.execute(Box::new(move || {
+            // Wait until the spawning thread has given up its handle, so
+            // this drop is the one that runs `ThreadPool::drop`.
+            release.recv().expect("released");
+            let dropped_here = Arc::strong_count(&last) == 1;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(last)));
+            done.send(dropped_here && outcome.is_ok()).expect("report");
+        }));
+        drop(pool);
+        held.send(()).expect("job is waiting");
+        let ok = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the in-job drop returned");
+        assert!(
+            ok,
+            "the job held the last handle and its drop did not panic"
+        );
     }
 
     #[test]

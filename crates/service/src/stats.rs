@@ -253,6 +253,8 @@ pub(crate) struct ServiceMetrics {
     pub(crate) scratch_misses: Counter,
     pub(crate) partitions_searched: Counter,
     pub(crate) index_queries: Counter,
+    pub(crate) ladders: Counter,
+    pub(crate) temporal_passes: Counter,
     pub(crate) shard_queries: Counter,
     // Result-cache mirrors (authoritative atomics live in ShardedCache).
     pub(crate) cache_hits: Counter,
@@ -325,6 +327,14 @@ impl ServiceMetrics {
             index_queries: counter(
                 "tthr_index_queries_total",
                 "Index-level getTravelTimes/countMatching dispatches",
+            ),
+            ladders: counter(
+                "tthr_ladders_total",
+                "Multi-level relaxation ladders answered as one index operation",
+            ),
+            temporal_passes: counter(
+                "tthr_temporal_passes_total",
+                "Temporal scans over a query path's first segment",
             ),
             shard_queries: counter(
                 "tthr_shard_queries_total",
@@ -429,6 +439,8 @@ impl ServiceMetrics {
         self.scratch_misses.add(t.scratch_misses);
         self.partitions_searched.add(t.partitions_searched);
         self.index_queries.add(t.index_queries);
+        self.ladders.add(t.ladders);
+        self.temporal_passes.add(t.temporal_passes);
         self.shard_queries.add(t.shard_queries);
     }
 

@@ -146,6 +146,52 @@ fn hot_tail_cluster_matches_in_process_reference() {
     }
 }
 
+/// Relaxation ladders over the wire, on sealed and on hot-tail nodes:
+/// one `Ladder` RPC answers like the level-by-level loop, trips drawn to
+/// climb the ladder stay byte-identical (stats included) to the
+/// in-process sharded index, and the router's RPC counter shows what the
+/// ladder is for — one RPC per dispatched ladder, not one per level.
+fn ladders_over_the_wire(mut h: ClusterHarness, name: &str) {
+    let mut gen = QueryGen::new(name);
+    // Grow past the bootstrap state (hot-tail nodes: into the hot tail).
+    h.append_next(h.full.len() / 6 + 1);
+    let (mut logical, mut widenings) = (0u64, 0u64);
+    let before = h.router_rpcs();
+    for _ in 0..30 {
+        let spq = gen.ladder_spq_from(&h.full, h.applied);
+        h.check_trip(&spq);
+        // `check_trip` proved the cluster's stats equal the reference's.
+        let stats = h.reference_trip(&spq).stats;
+        logical += stats.index_queries as u64;
+        widenings += stats.widenings as u64;
+    }
+    let rpcs = h.router_rpcs() - before;
+    assert!(widenings > 0, "no trip ever widened — the mix is too flat");
+    // σ_R without an estimator issues no other read RPCs: every engine
+    // step is one RPC, however many levels its ladder consumed.
+    assert_eq!(
+        rpcs,
+        logical - widenings,
+        "{logical} logical dispatches with {widenings} widenings took {rpcs} RPCs"
+    );
+    for _ in 0..30 {
+        let spq = gen.ladder_spq_from(&h.full, h.applied);
+        h.check_ladder(&spq);
+    }
+}
+
+#[test]
+fn ladder_trips_take_one_rpc_per_ladder() {
+    let h = ClusterHarness::boot("ladder", ClientConfig::default());
+    ladders_over_the_wire(h, "cluster_ladder");
+}
+
+#[test]
+fn ladder_trips_take_one_rpc_per_ladder_on_hot_tail_nodes() {
+    let h = ClusterHarness::boot_hot_tail("ladder-hot", ClientConfig::default());
+    ladders_over_the_wire(h, "cluster_ladder_hot");
+}
+
 /// The router *process* serves the single-process server's JSON wire
 /// format over the cluster: `/health`, `/spq`, `/trip` bodies must be
 /// byte-identical to encoding the reference answers.

@@ -17,7 +17,9 @@
 //! * a socket that accepts but never answers → timeout → typed
 //!   unavailability, not a hang;
 //! * out-of-order appends → [`ClusterError::WalGap`]-shaped `Err` frames
-//!   carrying both stamps.
+//!   carrying both stamps;
+//! * a shard that dies while a relaxation ladder is in flight → the whole
+//!   trip aborts typed, and malformed level lists → typed `BadRequest`.
 
 mod common;
 
@@ -27,9 +29,10 @@ use std::time::Duration;
 
 use common::cluster::ClusterHarness;
 use common::differential::QueryGen;
-use tthr::client::{ClientConfig, ClusterError, NodeClient};
-use tthr::core::{NodeWalRecord, Spq};
-use tthr::rpc::{encode_frame, read_frame, ErrCode, Message};
+use tthr::client::{ClientConfig, ClusterError, NodeClient, RouterConfig};
+use tthr::core::node::MAX_LADDER_LEVELS;
+use tthr::core::{NodeWalRecord, Spq, TimeInterval};
+use tthr::rpc::{encode_frame, read_frame, write_frame, ErrCode, Message};
 
 /// Short-fuse transport config so fault scenarios fail fast instead of
 /// hanging the suite.
@@ -45,12 +48,7 @@ fn quick() -> ClientConfig {
 
 /// Draws queries until one routes to `shard`.
 fn spq_routed_to(h: &ClusterHarness, gen: &mut QueryGen, shard: usize) -> Spq {
-    loop {
-        let spq = gen.spq_from(&h.full, h.applied);
-        if h.cluster.routing().shard_of(spq.path.first()) == shard {
-            return spq;
-        }
-    }
+    spq_routed_to_with(h, shard, || gen.spq_from(&h.full, h.applied))
 }
 
 #[test]
@@ -292,4 +290,100 @@ fn restarted_node_pool_is_evicted_without_burning_retries() {
     assert_eq!(client.evicted(), 1, "checkout probe must evict the corpse");
     assert_eq!(client.connects(), 2, "the second request redialed fresh");
     server.join().unwrap();
+}
+
+/// A frame-level relay in front of `upstream` that serves every request
+/// until the first `Ladder` arrives, then dies like a killed process: the
+/// ladder's connection closes unanswered and the listener goes away.
+fn relay_that_dies_on_the_first_ladder(upstream: std::net::SocketAddr) -> std::net::SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::spawn(move || {
+        let node = NodeClient::new(upstream, quick());
+        while let Ok((mut conn, _)) = listener.accept() {
+            while let Ok(Some(request)) = read_frame(&mut conn) {
+                if matches!(request, Message::Ladder { .. }) {
+                    return; // drops `conn` and `listener`
+                }
+                let reply = node.request(&request).expect("upstream reply");
+                if write_frame(&mut conn, &reply).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn shard_dying_mid_ladder_aborts_the_trip_typed() {
+    let h = ClusterHarness::boot("faults-ladder", quick());
+    let mut gen = QueryGen::new("cluster_faults_ladder");
+    let relay = relay_that_dies_on_the_first_ladder(h.nodes[0].addr);
+    let router = h.router_with(
+        &[vec![relay], vec![h.nodes[1].addr]],
+        RouterConfig {
+            client: quick(),
+            ..RouterConfig::default()
+        },
+    );
+    // The drawn windows start below α_max, so the trip's very first
+    // dispatch — whose path starts where the trip's does — is a
+    // multi-level `Ladder` to shard 0.
+    let spq = spq_routed_to_with(&h, 0, || gen.ladder_spq_from(&h.full, h.applied));
+    // Single-level primitives pass through the relay...
+    h.check_spq_on(&router, &spq);
+    // ...the ladder kills it: typed unavailability, never a partial trip.
+    match router.trip_query(&spq) {
+        Err(ClusterError::ShardUnavailable { shard: 0, .. }) => {}
+        other => panic!("trip over a shard dying mid-ladder must abort typed, got {other:?}"),
+    }
+    // The real node never saw the ladder and is unharmed.
+    h.check_trip(&spq);
+}
+
+#[test]
+fn malformed_ladders_are_bad_requests_not_panics() {
+    let h = ClusterHarness::boot("faults-ladder-bad", quick());
+    let mut gen = QueryGen::new("cluster_faults_ladder_bad");
+    let spq = spq_routed_to_with(&h, 0, || gen.ladder_spq_from(&h.full, h.applied));
+    let levels = common::differential::ladder_levels(&h.engine_config, &spq);
+    assert!(levels.len() > 2);
+    let client = NodeClient::new(h.nodes[0].addr, quick());
+    let mut reversed = levels.clone();
+    reversed[1..].reverse();
+    let endless: Vec<TimeInterval> =
+        std::iter::successors(Some(spq.interval), |w| Some(w.widen(w.size() + 2)))
+            .take(MAX_LADDER_LEVELS + 1)
+            .collect();
+    for (what, bad) in [
+        ("empty", vec![]),
+        ("not starting at the query's window", levels[1..].to_vec()),
+        ("unsorted", reversed),
+        ("longer than any A", endless),
+    ] {
+        let request = Message::Ladder {
+            spq: spq.clone(),
+            levels: bad,
+        };
+        match client.request(&request).expect("typed reply") {
+            Message::Err {
+                code: ErrCode::BadRequest,
+                ..
+            } => {}
+            other => panic!("{what} level list must answer BadRequest, got {other:?}"),
+        }
+    }
+    // The node is unharmed and still answers the well-formed ladder.
+    h.check_ladder(&spq);
+}
+
+/// Draws with `draw` until a query routes to `shard`.
+fn spq_routed_to_with(h: &ClusterHarness, shard: usize, mut draw: impl FnMut() -> Spq) -> Spq {
+    loop {
+        let spq = draw();
+        if h.cluster.routing().shard_of(spq.path.first()) == shard {
+            return spq;
+        }
+    }
 }

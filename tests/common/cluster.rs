@@ -18,14 +18,15 @@ use std::time::{Duration, Instant};
 
 use tthr::client::{ClientConfig, ClusterRouter, NodeClient, RouterConfig};
 use tthr::core::{
-    QueryEngine, QueryEngineConfig, ShardNodeState, ShardedSntIndex, SntConfig, Spq, TripQuery,
+    ladder_sequential, QueryEngine, QueryEngineConfig, SearchScratch, ShardNodeState,
+    ShardedSntIndex, SntConfig, Spq, TripQuery,
 };
 use tthr::network::RoadNetwork;
 use tthr::rpc::Message;
 use tthr::server::node::NodeStore;
 use tthr::trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet, UserId};
 
-use super::differential::trips_equal;
+use super::differential::{assert_ladders_equal, ladder_levels, trips_equal};
 use super::{prefix_set, small_world, value_bits as bits};
 
 /// The shard count every cluster test runs with: two real processes is
@@ -382,6 +383,32 @@ impl ClusterHarness {
             want.stats,
             got.stats,
         );
+    }
+
+    /// Asserts one `Ladder` RPC answers like the level-by-level loop over
+    /// the reference index (same level, value bits, fallback flag).
+    pub fn check_ladder(&self, spq: &Spq) {
+        let levels = ladder_levels(&self.engine_config, spq);
+        let want = ladder_sequential(&self.reference, spq, &levels, &mut SearchScratch::new());
+        let got = self
+            .cluster
+            .travel_times_ladder(spq, &levels)
+            .expect("cluster ladder");
+        assert_ladders_equal("cluster ladder", spq, &want, &got);
+    }
+
+    /// Read RPCs the router has routed so far, summed over shards (the
+    /// `tthr_router_rpcs_total{shard}` family on its `/metrics`).
+    pub fn router_rpcs(&self) -> u64 {
+        self.cluster
+            .render_metrics()
+            .lines()
+            .filter(|l| l.starts_with("tthr_router_rpcs_total{"))
+            .map(|l| {
+                let value = l.rsplit(' ').next().expect("sample value");
+                value.parse::<u64>().expect("integer counter")
+            })
+            .sum()
     }
 
     /// Kills the node serving `shard`. Its store directory stays; use

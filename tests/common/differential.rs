@@ -20,7 +20,9 @@ use proptest::{Strategy, TestRng};
 use std::path::PathBuf;
 use std::sync::Arc;
 use tthr::core::{
-    QueryEngineConfig, ShardedSntIndex, SntConfig, SntIndex, Spq, TimeInterval, TripQuery,
+    ladder_sequential, IndexBackend, QueryEngine, QueryEngineConfig, SearchScratch,
+    ShardedSntIndex, SntConfig, SntIndex, Splitter, Spq, TimeInterval, TravelTimeProvider,
+    TravelTimes, TripQuery,
 };
 use tthr::datagen::{generate_network, generate_workload, NetworkConfig, WorkloadConfig};
 use tthr::network::RoadNetwork;
@@ -321,6 +323,60 @@ impl DiffHarness {
         }
     }
 
+    /// The relaxation ladder the engine would dispatch for `spq`.
+    pub fn ladder_levels(&self, spq: &Spq) -> Vec<TimeInterval> {
+        ladder_levels(&self.config.engine, spq)
+    }
+
+    /// `ladder ≡ sequential` on every backend: the monolith's and every
+    /// sharded index's ladder override must return the same
+    /// `(level, values, fallback)` as the level-by-level loop over the
+    /// monolith (and, in hot-tail mode, over the direct-append oracle),
+    /// and every service's trip answer must equal the trip the engine
+    /// computes through that loop — subs, histogram, every stats field.
+    /// Returns the loop's answer so callers can assert the mix climbed.
+    pub fn check_ladder(&self, spq: &Spq) -> (usize, TravelTimes) {
+        let levels = self.ladder_levels(spq);
+        let want = self
+            .monolith
+            .with_index(|i| ladder_sequential(i, spq, &levels, &mut SearchScratch::new()));
+        let want_trip = self.monolith.with_index(|i| {
+            QueryEngine::new(i, &self.network, self.config.engine.clone())
+                .trip_query_via(&Sequential(i), spq)
+        });
+        if let Some(oracle) = &self.oracle {
+            let direct = oracle
+                .with_index(|i| ladder_sequential(i, spq, &levels, &mut SearchScratch::new()));
+            assert_ladders_equal("direct-append oracle loop", spq, &want, &direct);
+        }
+        let got = self
+            .monolith
+            .with_index(|i| i.travel_times_ladder(spq, &levels, &mut SearchScratch::new()));
+        assert_ladders_equal("monolith ladder", spq, &want, &got);
+        let got = self.monolith.trip_query(spq);
+        assert!(
+            trips_equal(&want_trip, &got),
+            "monolith service trip diverged from the sequential loop\n\
+             query: {spq:?}\nloop: {:?}\nladder: {:?}",
+            want_trip.stats,
+            got.stats
+        );
+        for (k, svc) in &self.sharded {
+            let got =
+                svc.with_index(|i| i.travel_times_ladder(spq, &levels, &mut SearchScratch::new()));
+            assert_ladders_equal(&format!("sharded K={k} ladder"), spq, &want, &got);
+            let got = svc.trip_query(spq);
+            assert!(
+                trips_equal(&want_trip, &got),
+                "sharded K={k} trip diverged from the sequential loop\n\
+                 query: {spq:?}\nloop: {:?}\nladder: {:?}",
+                want_trip.stats,
+                got.stats
+            );
+        }
+        want
+    }
+
     /// Runs both checks on a slice of queries (`spq` for every query,
     /// `trip` for every `trip_every`-th).
     pub fn check_all(&self, queries: &[Spq], trip_every: usize) {
@@ -371,6 +427,48 @@ impl Drop for DiffHarness {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.dir);
     }
+}
+
+/// The relaxation ladder an engine under `config` dispatches for `spq`.
+pub fn ladder_levels(config: &QueryEngineConfig, spq: &Spq) -> Vec<TimeInterval> {
+    Splitter::new(config.split_method, config.interval_sizes.clone()).ladder(spq.interval)
+}
+
+/// A provider that forwards single SPQs but inherits the trait's default
+/// ladder — the sequential loop every override is pinned to.
+pub struct Sequential<'a, B>(pub &'a B);
+
+impl<B: IndexBackend> TravelTimeProvider for Sequential<'_, B> {
+    fn travel_times(&self, spq: &Spq) -> TravelTimes {
+        self.0.travel_times(spq)
+    }
+
+    fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
+        self.0.travel_times_with(spq, scratch)
+    }
+}
+
+/// Asserts two ladder answers agree on level, value bits, and fallback.
+pub fn assert_ladders_equal(
+    what: &str,
+    spq: &Spq,
+    want: &(usize, TravelTimes),
+    got: &(usize, TravelTimes),
+) {
+    assert!(
+        want.0 == got.0
+            && bits(&want.1.values) == bits(&got.1.values)
+            && want.1.fallback == got.1.fallback,
+        "{what} diverged from the sequential loop\nquery: {spq:?}\n\
+         loop:   level {} values {:?} (fallback {})\n\
+         ladder: level {} values {:?} (fallback {})",
+        want.0,
+        want.1.values,
+        want.1.fallback,
+        got.0,
+        got.1.values,
+        got.1.fallback,
+    );
 }
 
 fn max_k() -> usize {
@@ -471,6 +569,28 @@ impl QueryGen {
     /// flavor, β, user filter, and exclusion.
     pub fn spq(&mut self, h: &DiffHarness) -> Spq {
         self.spq_from(h.stream(), h.applied())
+    }
+
+    /// A query built to climb the relaxation ladder: a whole trajectory
+    /// path (so π and σ have work), a periodic window of off-list length
+    /// `900 + r` centred near the traversal or pushed across midnight,
+    /// β ∈ {1, 20, unreachable}, optional user filter and exclusion id.
+    pub fn ladder_spq_from(&mut self, set: &TrajectorySet, applied: usize) -> Spq {
+        assert!(applied > 0, "cannot sample from an empty prefix");
+        let tr = set.get(TrajId(self.range(0..applied) as u32));
+        let centre = match self.range(0..4) {
+            0 => self.range(0..600) as i64 - 300,
+            _ => tr.start_time() + self.range(0..7200) as i64 - 3600,
+        };
+        let window = TimeInterval::periodic_around(centre, 900 + self.range(0..1800) as i64);
+        let mut q = Spq::new(tr.path(), window).with_beta([1, 20, 1_000_000][self.range(0..3)]);
+        if self.range(0..3) == 0 {
+            q = q.with_user(tr.user());
+        }
+        if self.range(0..3) == 0 {
+            q = q.without_trajectory(tr.id());
+        }
+        q
     }
 
     /// As [`QueryGen::spq`] over an explicit set prefix.

@@ -142,3 +142,54 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
 
     server.shutdown();
 }
+
+/// The cluster router's `/metrics`: `tthr_router_rpcs_total{shard}` passes
+/// the exposition grammar and counts what it says — one per read RPC
+/// routed to the shard, so RPCs per trip can be read off a running
+/// cluster (a whole relaxation ladder is one RPC, whatever the trip's
+/// logical `index_queries` says).
+#[test]
+fn router_metrics_count_rpcs_per_shard() {
+    use common::cluster::{ClusterHarness, CLUSTER_K};
+    use tthr::client::ClientConfig;
+
+    let h = ClusterHarness::boot("metrics-router", ClientConfig::default());
+    let rpcs = |text: &str| -> Vec<f64> {
+        (0..CLUSTER_K)
+            .map(|s| {
+                series_value(text, &format!("tthr_router_rpcs_total{{shard=\"{s}\"}}"))
+                    .unwrap_or_else(|| panic!("shard {s} series missing:\n{text}"))
+            })
+            .collect()
+    };
+    let text = h.cluster.render_metrics();
+    tthr::metrics::validate_exposition(&text).expect(&text);
+    let before = rpcs(&text);
+
+    let mut gen = QueryGen::new("metrics_router");
+    let mut expect = vec![0.0; CLUSTER_K];
+    for _ in 0..20 {
+        let spq = gen.spq_from(&h.full, h.applied);
+        h.cluster.travel_times(&spq).expect("cluster SPQ");
+        expect[h.cluster.routing().shard_of(spq.path.first())] += 1.0;
+    }
+    let (mut logical, mut real) = (0usize, 0.0);
+    for _ in 0..10 {
+        let spq = gen.ladder_spq_from(&h.full, h.applied);
+        let trip = h.cluster.trip_query(&spq).expect("cluster trip");
+        logical += trip.stats.index_queries;
+        real += (trip.stats.index_queries - trip.stats.widenings) as f64;
+    }
+    let text = h.cluster.render_metrics();
+    tthr::metrics::validate_exposition(&text).expect(&text);
+    let after = rpcs(&text);
+    let grew: Vec<f64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+    assert_eq!(grew.iter().sum::<f64>(), expect.iter().sum::<f64>() + real);
+    for s in 0..CLUSTER_K {
+        assert!(grew[s] >= expect[s], "shard {s}: {grew:?} vs {expect:?}");
+    }
+    assert!(
+        real < logical as f64,
+        "ladders must cost fewer RPCs ({real}) than logical dispatches ({logical})"
+    );
+}

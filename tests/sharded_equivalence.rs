@@ -217,6 +217,51 @@ fn hot_tail_compaction_differential() {
     assert!(compactions >= 2 && sealed > 0, "compaction never exercised");
 }
 
+/// `ladder ≡ sequential`: the engine answers σ's whole widening sequence
+/// in one provider call; the level-by-level loop it replaced is the
+/// oracle. Queries are drawn to climb the ladder (off-list window
+/// lengths, centres that wrap midnight, β ∈ {1, 20, unreachable}, user
+/// filter, exclusion id) and checked on the monolith and K ∈ {1, 2, 7}
+/// over a hot tail that appends keep non-empty and compactions seal.
+#[test]
+fn ladder_differential() {
+    let mut h = DiffHarness::with_ingest(
+        "ladder_mix",
+        default_engine(),
+        IngestConfig {
+            hot_tail: true,
+            ..IngestConfig::default()
+        },
+    );
+    let mut gen = QueryGen::new("ladder_mix");
+    let mut checks = 0usize;
+    let mut climbed = 0usize;
+    let (mut widened, mut exhausted) = (0usize, 0usize);
+    let mut max_hot = 0usize;
+    while h.can_append() {
+        h.append_next(1 + gen.range(0..24));
+        max_hot = max_hot.max(h.hot_entries());
+        if gen.range(0..5) == 0 {
+            h.compact_all();
+        }
+        for _ in 0..3 {
+            let q = gen.ladder_spq_from(h.stream(), h.applied());
+            climbed += usize::from(h.ladder_levels(&q).len() > 1);
+            let (level, times) = h.check_ladder(&q);
+            widened += usize::from(level > 0 && !times.is_empty());
+            exhausted += usize::from(times.is_empty());
+            checks += 1;
+        }
+    }
+    assert!(checks >= 60, "only {checks} checks — stream too short");
+    assert_eq!(climbed, checks, "every drawn window starts below α_max");
+    assert!(
+        widened >= 5 && exhausted >= 5,
+        "mix too flat: {widened} answered above level 0, {exhausted} failed every level"
+    );
+    assert!(max_hot > 0, "checks never saw a non-empty hot tail");
+}
+
 /// Long randomized soak (nightly-style; see `.github/workflows/ci.yml`).
 /// Run with: `cargo test --release --test sharded_equivalence -- --ignored`
 /// optionally re-seeded via `TTHR_DIFF_SEED=<n>`.
