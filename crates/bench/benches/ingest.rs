@@ -1,15 +1,20 @@
-//! Ingestion lifecycle throughput: `append_new` through the hot tail
-//! (absorb, sealed by compaction) versus the direct FM/wavelet update
-//! path, plus reader latency under concurrent ingest.
+//! Ingestion lifecycle latency: `append_new` through the hot tail
+//! (absorb, sealed by compaction later) versus the direct FM/wavelet
+//! update path, plus reader latency under concurrent ingest.
 //!
 //! Two contracts are asserted in measurement mode (skipped under
 //! `--test`, where one iteration only proves the code runs):
 //!
-//! * sustained hot-tail append throughput is ≥ 5× the direct path —
-//!   absorbing a batch is a bounded copy, while a direct append rebuilds
-//!   FM-index and wavelet structures for the new partition (the stream is
-//!   time-forward, like any live feed: each batch extends the hot lanes
-//!   instead of splicing into their middle);
+//! * absorbing a batch takes at most a fifth of the time sealing it
+//!   does — a bounded copy against an FM-index and wavelet build for the
+//!   new partition (the stream is time-forward, like any live feed: each
+//!   batch extends the hot lanes instead of splicing into their middle).
+//!   This is a *latency* ratio inside one process with no compaction and
+//!   no persistence in the window, which is all this bench times; it is
+//!   not sustained throughput — end to end, with the seals and snapshot
+//!   rotations the hot tail defers, `benchmark/` measures the hot-tail
+//!   tier acknowledging 6.2 k trajectories/s against 13–17 k for direct
+//!   seal (`append_traj_s`);
 //! * reader p95 under continuous hot-tail ingest stays within 20% (plus
 //!   a small absolute timer-noise allowance) of the quiet-service p95 —
 //!   the absorb path holds the write lock for microseconds, so queries
@@ -137,17 +142,17 @@ fn bench_ingest_contract(c: &mut Criterion) {
     let batch = payload(&world, 64);
     let (rounds, reader_rounds) = if test_mode { (2, 1) } else { (40, 8) };
 
-    // Sustained append throughput, hot tail vs direct, over a
-    // time-forward stream (prebuilt, so the shift copies are not timed).
+    // Per-batch append latency, absorb vs seal, over a time-forward
+    // stream (prebuilt, so the shift copies are not timed).
     let span = data_span(&world);
     let stream: Vec<_> = (0..rounds)
         .map(|k| shifted(&batch, (k as i64 + 1) * span))
         .collect();
     // Best of three passes per side — the min-time estimator: a noisy
     // shared box can make either path look slower than it is, never
-    // faster, so the max rate is the robust cost comparison.
+    // faster, so the smallest latency is the robust cost comparison.
     let trials = if test_mode { 1 } else { 3 };
-    let rate_of = |hot: bool| {
+    let batch_us = |hot: bool| {
         (0..trials)
             .map(|_| {
                 let service = make_service(&world, hot);
@@ -155,22 +160,23 @@ fn bench_ingest_contract(c: &mut Criterion) {
                 for b in &stream {
                     service.append_new(None, b).expect("append");
                 }
-                rounds as f64 * batch.len() as f64 / start.elapsed().as_secs_f64()
+                start.elapsed().as_secs_f64() * 1e6 / rounds as f64
             })
-            .fold(0.0f64, f64::max)
+            .fold(f64::INFINITY, f64::min)
     };
-    let hot_rate = rate_of(true);
-    let direct_rate = rate_of(false);
+    let absorb_us = batch_us(true);
+    let seal_us = batch_us(false);
     println!(
-        "ingest_contract: hot {hot_rate:.0} traj/s vs direct {direct_rate:.0} traj/s \
-         ({:.1}x)",
-        hot_rate / direct_rate
+        "ingest_contract: absorb {absorb_us:.0} µs vs seal {seal_us:.0} µs per \
+         {}-trajectory batch ({:.1}x)",
+        batch.len(),
+        seal_us / absorb_us
     );
     if !test_mode {
         assert!(
-            hot_rate >= 5.0 * direct_rate,
-            "hot-tail ingest must sustain ≥ 5× the direct path: \
-             {hot_rate:.0} vs {direct_rate:.0} traj/s"
+            seal_us >= 5.0 * absorb_us,
+            "absorbing a batch must take ≤ 1/5 of sealing it: \
+             {absorb_us:.0} vs {seal_us:.0} µs"
         );
     }
 

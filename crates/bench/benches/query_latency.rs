@@ -121,7 +121,13 @@ fn bench_cold_spq(c: &mut Criterion) {
 /// one `getTravelTimes` per level) against `ladder` (the index override:
 /// one backward search, one bucketing pass), on the sub-queries a
 /// trip-query engine dispatches, classed by where the loop stops: every
-/// level fails, level 1 answers, level 4 answers.
+/// level fails, level 1 answers, level 4 answers — and, for user-filter
+/// sub-queries alone, the outcome the census acts on and its twin: every
+/// level fails (`failing_user_ladder`: answered from counts, no scan) and
+/// a level above 0 answers (`level0_skipped`: counts could spare level
+/// 0's scan there; this row measured that as no gain — 65 µs with or
+/// without — so the ladder does not ask). Classes are drawn by outcome,
+/// so the same ladders run on a commit without the census.
 fn bench_ladder(c: &mut Criterion) {
     let world = World::generate(Scale::from_env());
     let index = world.build_index(SntConfig::default());
@@ -131,10 +137,12 @@ fn bench_ladder(c: &mut Criterion) {
     let alpha_min = engine.config().interval_sizes[0];
 
     type Ladder = (Spq, Vec<TimeInterval>);
-    let mut classes: [(&str, Vec<Ladder>); 3] = [
+    let mut classes: [(&str, Vec<Ladder>); 5] = [
         ("all_fail", Vec::new()),
         ("hit_level_1", Vec::new()),
         ("hit_level_4", Vec::new()),
+        ("failing_user_ladder", Vec::new()),
+        ("level0_skipped", Vec::new()),
     ];
     for query_type in [QueryType::TemporalFilters, QueryType::UserFilters] {
         for &id in &world.queries {
@@ -143,14 +151,21 @@ fn bench_ladder(c: &mut Criterion) {
                 let levels = splitter.ladder(sub.interval);
                 let (level, times) =
                     ladder_sequential(&index, &sub, &levels, &mut SearchScratch::new());
-                let class = match (times.is_empty(), level) {
-                    (true, _) => 0,
-                    (false, 1) => 1,
-                    (false, 4) => 2,
-                    _ => continue,
+                let by_outcome = match (times.is_empty(), level) {
+                    (true, _) => Some(0),
+                    (false, 1) => Some(1),
+                    (false, 4) => Some(2),
+                    _ => None,
                 };
-                if classes[class].1.len() < 32 {
-                    classes[class].1.push((sub, levels));
+                let by_user_outcome = match (query_type, times.is_empty(), level) {
+                    (QueryType::UserFilters, true, _) => Some(3),
+                    (QueryType::UserFilters, false, 1..) => Some(4),
+                    _ => None,
+                };
+                for class in by_outcome.into_iter().chain(by_user_outcome) {
+                    if classes[class].1.len() < 32 {
+                        classes[class].1.push((sub.clone(), levels.clone()));
+                    }
                 }
             }
         }

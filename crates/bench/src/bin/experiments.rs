@@ -130,8 +130,8 @@ fn fig10(world: &World) {
 
     println!("\n=== Figure 10a — Index Memory Consumption (MiB) ===");
     println!(
-        "{:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "partition", "partitions", "C", "WT", "user", "Forest", "setup s"
+        "{:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "partition", "partitions", "C", "WT", "U", "census", "Forest", "setup s"
     );
     let mib = |b: usize| b as f64 / (1024.0 * 1024.0);
     let mut setups: Vec<(String, f64)> = Vec::new();
@@ -145,12 +145,13 @@ fn fig10(world: &World) {
         let setup = t0.elapsed().as_secs_f64();
         let m = index.memory_report();
         println!(
-            "{:>10} {:>12} {:>10.2} {:>10.2} {:>10.3} {:>10.2} {:>10.2}",
+            "{:>10} {:>12} {:>10.2} {:>10.2} {:>10.3} {:>10.3} {:>10.2} {:>10.2}",
             label(days),
             index.num_partitions(),
             mib(m.counts_bytes),
             mib(m.wavelet_bytes),
-            mib(m.user_bytes),
+            mib(m.user_bytes - m.census_bytes),
+            mib(m.census_bytes),
             mib(m.forest_bytes),
             setup
         );
@@ -166,12 +167,13 @@ fn fig10(world: &World) {
     let setup = t0.elapsed().as_secs_f64();
     let m = bt.memory_report();
     println!(
-        "{:>10} {:>12} {:>10.2} {:>10.2} {:>10.3} {:>10.2} {:>10.2}",
+        "{:>10} {:>12} {:>10.2} {:>10.2} {:>10.3} {:>10.3} {:>10.2} {:>10.2}",
         "BT",
         bt.num_partitions(),
         mib(m.counts_bytes),
         mib(m.wavelet_bytes),
-        mib(m.user_bytes),
+        mib(m.user_bytes - m.census_bytes),
+        mib(m.census_bytes),
         mib(m.forest_bytes),
         setup
     );

@@ -264,9 +264,9 @@ impl HotTail {
         Some((lane.first()?.time, lane.last()?.time))
     }
 
-    /// Number of hot leaves on segment `e`.
-    pub(crate) fn lane_len(&self, e: EdgeId) -> usize {
-        self.per_edge.get(e.index()).map(|l| l.len()).unwrap_or(0)
+    /// Every hot leaf of segment `e`, in merged forest order.
+    pub(crate) fn lane(&self, e: EdgeId) -> &[LeafEntry] {
+        self.per_edge.get(e.index()).map_or(&[], |lane| lane)
     }
 
     /// The hot-side spatial filter: whether the trajectory behind a hot

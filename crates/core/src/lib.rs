@@ -42,6 +42,7 @@
 
 pub mod baseline;
 mod cardinality;
+mod census;
 mod engine;
 mod hot;
 mod interval;

@@ -384,6 +384,7 @@ impl SntIndex {
             partitions,
             forest,
             user_table,
+            census: Default::default(),
             tod,
             estimate_tt,
             data_min,
@@ -393,6 +394,9 @@ impl SntIndex {
             hot: Default::default(),
             mutation_stamp: 0,
         };
+        // The census is derived state, recounted from the forest (the hot
+        // batches re-absorbed below join it when they are sealed).
+        index.census = index.recount_census();
 
         // Pending hot batches (absent in pre-lifecycle snapshots → empty
         // tail). The user table and data span already cover them; only the

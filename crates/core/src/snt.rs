@@ -16,6 +16,7 @@
 //! (Procedure 2, in `tthr-fmindex`), `buildMap` (Procedure 3), `probeMap`
 //! (Procedure 4), and `getTravelTimes` (Procedure 5).
 
+use crate::census::{Census, LeafCounter};
 use crate::hot::{HotBatch, HotTail};
 use crate::interval::TimeInterval;
 use crate::probe::ProbeTable;
@@ -222,8 +223,11 @@ pub struct MemoryReport {
     pub counts_bytes: usize,
     /// Wavelet structures (`WT`), summed over partitions.
     pub wavelet_bytes: usize,
-    /// The `U : d → u` user table.
+    /// Per-user structures: the `U : d → u` user table plus the
+    /// user × edge time-of-day census.
     pub user_bytes: usize,
+    /// The user × edge time-of-day census's share of `user_bytes`.
+    pub census_bytes: usize,
     /// The temporal forest, as allocated.
     pub forest_bytes: usize,
     /// Logical forest payload with the partition id in every leaf.
@@ -366,20 +370,21 @@ impl Forest {
         }
     }
 
-    /// Calls `f` for every leaf in the forest (per-tree scan order).
-    fn for_each_leaf(&self, f: &mut dyn FnMut(&LeafEntry)) {
+    /// Calls `f(edge, leaf)` for every leaf in the forest (per-tree scan
+    /// order).
+    pub(crate) fn for_each_leaf(&self, f: &mut dyn FnMut(usize, &LeafEntry)) {
         match self {
             Forest::Css(trees) => {
-                for t in trees {
+                for (edge, t) in trees.iter().enumerate() {
                     for l in t.entries() {
-                        f(l);
+                        f(edge, l);
                     }
                 }
             }
             Forest::BPlus(trees) => {
-                for t in trees {
+                for (edge, t) in trees.iter().enumerate() {
                     let _ = t.scan_range(i64::MIN, i64::MAX, &mut |l| {
-                        f(l);
+                        f(edge, l);
                         ControlFlow::Continue(())
                     });
                 }
@@ -387,35 +392,24 @@ impl Forest {
         }
     }
 
-    /// Rebuilds every tree keeping only leaves `keep` accepts, passing each
-    /// survivor through `remap` (retention). Rebuilding `from_sorted` on
-    /// the filtered scan sequence preserves relative order — including
-    /// timestamp-tie order — so the result is exactly the forest an index
-    /// that only ever appended the surviving batches would hold.
-    fn retain_remap(
-        &mut self,
-        keep: &dyn Fn(&LeafEntry) -> bool,
-        remap: &dyn Fn(LeafEntry) -> LeafEntry,
-    ) {
+    /// Rebuilds every tree from the leaves `f(edge, leaf)` maps to `Some`
+    /// (retention). Rebuilding `from_sorted` on the filtered scan sequence
+    /// preserves relative order — including timestamp-tie order — so the
+    /// result is exactly the forest an index that only ever appended the
+    /// surviving batches would hold.
+    fn retain_map(&mut self, f: &mut dyn FnMut(usize, &LeafEntry) -> Option<LeafEntry>) {
         match self {
             Forest::Css(trees) => {
-                for t in trees {
-                    let kept: Vec<LeafEntry> = t
-                        .entries()
-                        .iter()
-                        .filter(|l| keep(l))
-                        .map(|l| remap(*l))
-                        .collect();
+                for (edge, t) in trees.iter_mut().enumerate() {
+                    let kept = t.entries().iter().filter_map(|l| f(edge, l)).collect();
                     *t = CssTree::from_sorted(kept);
                 }
             }
             Forest::BPlus(trees) => {
-                for t in trees {
+                for (edge, t) in trees.iter_mut().enumerate() {
                     let mut kept: Vec<LeafEntry> = Vec::new();
                     let _ = t.scan_range(i64::MIN, i64::MAX, &mut |l| {
-                        if keep(l) {
-                            kept.push(remap(*l));
-                        }
+                        kept.extend(f(edge, l));
                         ControlFlow::Continue(())
                     });
                     *t = BPlusTree::from_sorted(kept);
@@ -554,6 +548,9 @@ pub struct SntIndex {
     pub(crate) partitions: Vec<FmVariant>,
     pub(crate) forest: Forest,
     pub(crate) user_table: Vec<UserId>,
+    /// Per-(user, edge, hour) traversal counts over the forest's leaves
+    /// (derived, not persisted; see [`crate::census`]).
+    pub(crate) census: Census,
     pub(crate) tod: Option<TodStore>,
     /// Copied per-edge speed-limit estimates for the Procedure 5 fallback.
     pub(crate) estimate_tt: Vec<f64>,
@@ -662,22 +659,25 @@ impl SntIndex {
             partitions.push(fm);
         }
 
-        // Optional time-of-day histogram store.
-        let tod = config.tod_bucket_secs.map(|bucket| {
-            let mut hists: Vec<Vec<Option<TimeOfDayHistogram>>> =
-                (0..num_partitions).map(|_| vec![None; num_edges]).collect();
-            for (edge_idx, per_edge) in leaf_acc.iter().enumerate() {
-                for leaf in per_edge {
-                    hists[leaf.partition as usize][edge_idx]
+        // Optional time-of-day histogram store and the census, counted in
+        // one walk of the per-edge leaves.
+        let mut tod = config.tod_bucket_secs.map(|bucket| TodStore {
+            bucket_secs: bucket,
+            hists: (0..num_partitions).map(|_| vec![None; num_edges]).collect(),
+        });
+        let user_table = trajectories.user_table();
+        let mut census = LeafCounter::new(&user_table);
+        for (edge_idx, per_edge) in leaf_acc.iter().enumerate() {
+            for leaf in per_edge {
+                if let Some(tod) = &mut tod {
+                    let bucket = tod.bucket_secs;
+                    tod.hists[leaf.partition as usize][edge_idx]
                         .get_or_insert_with(|| TimeOfDayHistogram::new(bucket))
                         .add(leaf.time);
                 }
+                census.add(edge_idx, leaf);
             }
-            TodStore {
-                bucket_secs: bucket,
-                hists,
-            }
-        });
+        }
 
         // Temporal forest (leaves sorted by time; stable sort keeps the
         // trajectory-id order for equal timestamps).
@@ -706,7 +706,8 @@ impl SntIndex {
             config,
             partitions,
             forest,
-            user_table: trajectories.user_table(),
+            user_table,
+            census: census.finish(),
             tod,
             scratch_id: next_scratch_id(),
             estimate_tt: network.edge_ids().map(|e| network.estimate_tt(e)).collect(),
@@ -875,7 +876,7 @@ impl SntIndex {
 
     /// Total leaf count of a segment (immutable forest + hot tail).
     pub(crate) fn merged_edge_len(&self, e: EdgeId) -> usize {
-        self.forest.tree(e).len() + self.hot.lane_len(e)
+        self.forest.tree(e).len() + self.hot.lane(e).len()
     }
 
     /// Leaf count of a segment in `[lo, hi)` (immutable forest + hot tail)
@@ -1051,24 +1052,43 @@ impl SntIndex {
     }
 
     /// Procedure 5 behind the backward search: answers `spq` given the
-    /// per-partition ISA `ranges` of its path.
+    /// per-partition ISA `ranges` of its path. A periodic query the census
+    /// proves short of β is answered `∅` without its temporal scan
+    /// ([`SntIndex::provably_short`]).
     fn answer(&self, spq: &Spq, ranges: &[IsaRange], trace: &mut QueryTrace) -> TravelTimes {
-        let single = spq.path.len() == 1;
-        // Procedure 5, line 13: one inline value — no heap churn on the
-        // estimate paths (σ's terminal fallback takes them constantly).
-        let estimate = || TravelTimes {
-            values: TtValues::one(self.estimate_tt[spq.path.first().index()]),
-            fallback: true,
-        };
         if !self.traversed(&spq.path, ranges) {
             // Procedure 5 returns ∅ here; for the terminal fallback query
             // (single segment, fixed interval) that would strand the
             // splitter, so line 13's estimate applies directly.
-            if single && !spq.interval.is_periodic() {
-                return estimate();
+            if spq.path.len() == 1 && !spq.interval.is_periodic() {
+                return self.estimate(spq);
             }
             return TravelTimes::empty();
         }
+        if self.provably_short(spq, &spq.interval, ranges) {
+            trace.pruned += 1;
+            return TravelTimes::empty();
+        }
+        self.answer_by_scan(spq, ranges, trace)
+    }
+
+    /// Procedure 5, line 13: one inline value — no heap churn on the
+    /// estimate paths (σ's terminal fallback takes them constantly).
+    fn estimate(&self, spq: &Spq) -> TravelTimes {
+        TravelTimes {
+            values: TtValues::one(self.estimate_tt[spq.path.first().index()]),
+            fallback: true,
+        }
+    }
+
+    /// The scanning part of Procedure 5, for a path known to be traversed.
+    fn answer_by_scan(
+        &self,
+        spq: &Spq,
+        ranges: &[IsaRange],
+        trace: &mut QueryTrace,
+    ) -> TravelTimes {
+        let single = spq.path.len() == 1;
         // Single-segment queries collect their values during the build
         // scan (the probe scan would revisit the same leaves); see
         // `build_map`.
@@ -1086,7 +1106,7 @@ impl SntIndex {
             self.probe_map(spq, &map, first_lo)
         };
         if values.is_empty() && single && !spq.interval.is_periodic() {
-            return estimate();
+            return self.estimate(spq);
         }
         TravelTimes {
             values: values.into(),
@@ -1143,6 +1163,9 @@ impl SntIndex {
     /// to), with one backward search and at most three temporal scans of
     /// the first segment instead of one per level:
     ///
+    /// 0. if the census proves the *widest* level short of β, every level
+    ///    is, and the ladder is answered `(last, ∅)` with no scan at all
+    ///    (the `census` module documents the bound it compares);
     /// 1. level 0 is answered as always (the common success path is
     ///    untouched);
     /// 2. if it fails, **one** scan of the widest level's windows counts
@@ -1186,7 +1209,11 @@ impl SntIndex {
             // Periodic levels all answer ∅ without a scan.
             return (last, TravelTimes::empty());
         }
-        let times = self.answer(spq, ranges, trace);
+        if self.provably_short(spq, &levels[last], ranges) {
+            trace.pruned += 1;
+            return (last, TravelTimes::empty());
+        }
+        let times = self.answer_by_scan(spq, ranges, trace);
         if !times.is_empty() {
             return (0, times);
         }
@@ -1226,7 +1253,7 @@ impl SntIndex {
         }) else {
             return (last, TravelTimes::empty());
         };
-        let times = self.answer(&spq.with_interval(levels[level]), ranges, trace);
+        let times = self.answer_by_scan(&spq.with_interval(levels[level]), ranges, trace);
         debug_assert!(!times.is_empty(), "a level holding β matches answers");
         (level, times)
     }
@@ -1368,7 +1395,8 @@ impl SntIndex {
     /// Seals one pending batch as its own immutable partition — the exact
     /// construction direct appends have always used, so the sealed state is
     /// byte-identical to an index that appended the batch directly
-    /// (identical FM partition, forest leaves, and ToD row).
+    /// (identical FM partition, forest leaves, and ToD row). The batch's
+    /// leaves join the forest here, so the census counts them here.
     ///
     /// # Panics
     /// Panics if the partition id space (2¹⁶) is exhausted.
@@ -1409,6 +1437,7 @@ impl SntIndex {
             }
         }
         self.total_entries += entries;
+        self.census.add_trajectories(&trajs);
         if let Some(tod) = &mut self.tod {
             // The batch's ToD row — the same per-entry adds, in the same
             // order, the direct path used to make here.
@@ -1488,17 +1517,20 @@ impl SntIndex {
     /// partitions are renumbered densely and the forest is rebuilt on the
     /// filtered leaf sequence (relative order — including timestamp-tie
     /// order — is preserved, so answers match an index that only ever
-    /// appended the surviving batches). The user table keeps its full
-    /// dense id space (8 bytes per expired trajectory) so global ids
-    /// never shift.
+    /// appended the surviving batches); the same walk recounts the census
+    /// and finds the new `data_min`. The user table keeps its full dense
+    /// id space (4 bytes per expired trajectory) so global ids never
+    /// shift. Runs on a sealed index only ([`SntIndex::compact`] drains
+    /// the hot tail first).
     fn apply_retention(&mut self, horizon: Timestamp) -> (usize, usize) {
+        debug_assert!(self.hot.is_empty(), "retention runs after sealing");
         let num_parts = self.partitions.len();
         if num_parts == 0 {
             return (0, 0);
         }
         let mut max_time: Vec<Option<i64>> = vec![None; num_parts];
         let mut part_entries: Vec<usize> = vec![0; num_parts];
-        self.forest.for_each_leaf(&mut |l| {
+        self.forest.for_each_leaf(&mut |_, l| {
             let p = l.partition as usize;
             max_time[p] = Some(max_time[p].map_or(l.time, |m| m.max(l.time)));
             part_entries[p] += 1;
@@ -1537,18 +1569,24 @@ impl SntIndex {
                 keep
             });
         }
-        self.forest
-            .retain_remap(&|l| !drop[l.partition as usize], &|mut l| {
-                l.partition = remap[l.partition as usize];
-                l
-            });
+        let mut census = LeafCounter::new(&self.user_table);
+        let mut min_time = i64::MAX;
+        self.forest.retain_map(&mut |edge, l| {
+            if drop[l.partition as usize] {
+                return None;
+            }
+            census.add(edge, l);
+            min_time = min_time.min(l.time);
+            Some(LeafEntry {
+                partition: remap[l.partition as usize],
+                ..*l
+            })
+        });
+        self.census = census.finish();
         self.total_entries -= dropped_entries;
         // data_min tracks the oldest *retained* leaf (data_max stays — a
         // high-water mark). With nothing left, the old floor is harmless:
         // every scan bound comes from the now-empty forest.
-        let mut min_time = i64::MAX;
-        self.forest
-            .for_each_leaf(&mut |l| min_time = min_time.min(l.time));
         if min_time != i64::MAX {
             self.data_min = min_time;
         }
@@ -1557,10 +1595,12 @@ impl SntIndex {
 
     /// Memory accounting for the Figure 10 experiments.
     pub fn memory_report(&self) -> MemoryReport {
+        let census_bytes = self.census.size_bytes();
         MemoryReport {
             counts_bytes: self.partitions.iter().map(|p| p.counts_size_bytes()).sum(),
             wavelet_bytes: self.partitions.iter().map(|p| p.wavelet_size_bytes()).sum(),
-            user_bytes: self.user_table.len() * std::mem::size_of::<UserId>(),
+            user_bytes: self.user_table.len() * std::mem::size_of::<UserId>() + census_bytes,
+            census_bytes,
             forest_bytes: self.forest.size_bytes(),
             forest_logical_bytes: self.total_entries * LeafEntry::logical_size(true),
             forest_logical_bytes_no_partition: self.total_entries * LeafEntry::logical_size(false),
@@ -1726,7 +1766,12 @@ mod tests {
         assert_eq!(m.forest_logical_bytes, 13 * LeafEntry::logical_size(true));
         assert!(m.wavelet_bytes > 0);
         assert!(m.counts_bytes > 0);
-        assert!(m.user_bytes > 0);
+        assert!(m.census_bytes > 0);
+        assert_eq!(
+            m.user_bytes,
+            4 * std::mem::size_of::<UserId>() + m.census_bytes,
+            "U table + census"
+        );
         assert!(m.tod_bytes > 0, "default config builds the ToD store");
     }
 

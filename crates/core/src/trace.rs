@@ -43,6 +43,9 @@ pub struct QueryTrace {
     /// counting scans, ladder bucketing passes): the real work behind
     /// `index_queries`.
     pub temporal_passes: u64,
+    /// Index operations — single SPQs or whole ladders — answered `∅`
+    /// from counts alone, with no temporal scan (the census prune).
+    pub pruned: u64,
     /// Service-layer result-cache hits (filled in above core).
     pub cache_hits: u64,
     /// Service-layer result-cache misses.
@@ -103,6 +106,7 @@ impl QueryTrace {
         self.index_queries += other.index_queries;
         self.ladders += other.ladders;
         self.temporal_passes += other.temporal_passes;
+        self.pruned += other.pruned;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.shard_queries += other.shard_queries;

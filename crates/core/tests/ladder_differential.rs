@@ -10,6 +10,7 @@
 //! for whole trips (subs, histogram, every `QueryStats` field).
 
 use proptest::proptest;
+use std::cell::Cell;
 use std::sync::OnceLock;
 use tthr_core::{
     ladder_sequential, QueryEngine, QueryEngineConfig, SearchScratch, SntConfig, SntIndex,
@@ -175,6 +176,12 @@ proptest! {
             if got.is_empty() {
                 assert!(scratch.trace.temporal_passes <= 2, "{label}: {:?}", scratch.trace);
             }
+            // A ladder pruned from counts is the loop's all-levels-failed
+            // answer, reached without a temporal scan.
+            if scratch.trace.pruned == 1 {
+                assert_eq!(scratch.trace.temporal_passes, 0, "{label}: {spq:?}");
+                assert!(got.is_empty() && level == levels.len() - 1, "{label}: {spq:?}");
+            }
         }
     }
 
@@ -204,6 +211,82 @@ proptest! {
             assert_trips_equal(label, &q, &want, &got);
         }
     }
+}
+
+/// Forwards to the index, tallying multi-level ladders and how many of
+/// them counts alone answered.
+struct Tally<'a> {
+    index: &'a SntIndex,
+    ladders: Cell<usize>,
+    pruned: Cell<usize>,
+}
+
+impl TravelTimeProvider for Tally<'_> {
+    fn travel_times(&self, spq: &Spq) -> TravelTimes {
+        self.index.get_travel_times(spq)
+    }
+
+    fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
+        self.index.get_travel_times_with(spq, scratch)
+    }
+
+    fn travel_times_ladder(
+        &self,
+        spq: &Spq,
+        levels: &[TimeInterval],
+        scratch: &mut SearchScratch,
+    ) -> (usize, TravelTimes) {
+        let before = scratch.trace;
+        let out = self.index.travel_times_ladder(spq, levels, scratch);
+        if scratch.trace.ladders > before.ladders {
+            self.ladders.set(self.ladders.get() + 1);
+            if scratch.trace.pruned > before.pruned {
+                assert_eq!(scratch.trace.temporal_passes, before.temporal_passes);
+                assert_eq!((out.0, out.1.is_empty()), (levels.len() - 1, true));
+                self.pruned.set(self.pruned.get() + 1);
+            }
+        }
+        out
+    }
+}
+
+/// The benchmark's `trip_cold` mix (temporal / user / fixed thirds, β = 20,
+/// own trajectory excluded) over the small world: the census answers most
+/// of the ladders such trips dispatch — nearly all of them user-filter
+/// ladders no level of which can hold β — and every trip stays identical
+/// to the one the sequential loop computes.
+#[test]
+fn the_census_prunes_most_ladders_of_a_trip_mix() {
+    let f = fixture();
+    let (_, index) = &f.indexes[0];
+    let engine = QueryEngine::new(index, &f.network, QueryEngineConfig::default());
+    let tally = Tally {
+        index,
+        ladders: Cell::new(0),
+        pruned: Cell::new(0),
+    };
+    for (i, tr) in f.set.iter().enumerate().take(300) {
+        let centre = tr.start_time() + (i as i64 * 977) % 3600 - 1800;
+        let q = match i % 3 {
+            0 => Spq::new(tr.path(), TimeInterval::periodic_around(centre, 900)),
+            1 => {
+                Spq::new(tr.path(), TimeInterval::periodic_around(centre, 900)).with_user(tr.user())
+            }
+            _ => Spq::new(tr.path(), TimeInterval::fixed(0, centre.max(1))),
+        }
+        .with_beta(20)
+        .without_trajectory(tr.id());
+        let want = engine.trip_query_via(&Sequential(index), &q);
+        let got = engine.trip_query_via(&tally, &q);
+        assert_trips_equal("css", &q, &want, &got);
+    }
+    let (ladders, pruned) = (tally.ladders.get(), tally.pruned.get());
+    assert!(ladders > 1_000, "{ladders} ladders");
+    // 74 % here (3 331 of 4 472); ≥ 55 % on the benchmark's medium world.
+    assert!(
+        pruned * 2 >= ladders,
+        "{pruned} of {ladders} ladders pruned"
+    );
 }
 
 /// A level list that is not a nested ladder is answered by the default

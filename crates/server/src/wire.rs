@@ -522,6 +522,7 @@ fn slow_query_json(q: &SlowQuery) -> Json {
                 ("index_queries", int(t.index_queries)),
                 ("ladders", int(t.ladders)),
                 ("temporal_passes", int(t.temporal_passes)),
+                ("pruned", int(t.pruned)),
                 ("cache_hits", int(t.cache_hits)),
                 ("cache_misses", int(t.cache_misses)),
                 ("shard_queries", int(t.shard_queries)),

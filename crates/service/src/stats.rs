@@ -255,6 +255,7 @@ pub(crate) struct ServiceMetrics {
     pub(crate) index_queries: Counter,
     pub(crate) ladders: Counter,
     pub(crate) temporal_passes: Counter,
+    pub(crate) pruned: Counter,
     pub(crate) shard_queries: Counter,
     // Result-cache mirrors (authoritative atomics live in ShardedCache).
     pub(crate) cache_hits: Counter,
@@ -331,6 +332,10 @@ impl ServiceMetrics {
             ladders: counter(
                 "tthr_ladders_total",
                 "Multi-level relaxation ladders answered as one index operation",
+            ),
+            pruned: counter(
+                "tthr_spq_pruned_total",
+                "SPQs and ladders answered empty from counts alone, with no temporal scan",
             ),
             temporal_passes: counter(
                 "tthr_temporal_passes_total",
@@ -441,6 +446,7 @@ impl ServiceMetrics {
         self.index_queries.add(t.index_queries);
         self.ladders.add(t.ladders);
         self.temporal_passes.add(t.temporal_passes);
+        self.pruned.add(t.pruned);
         self.shard_queries.add(t.shard_queries);
     }
 

@@ -574,7 +574,8 @@ impl QueryGen {
     /// A query built to climb the relaxation ladder: a whole trajectory
     /// path (so π and σ have work), a periodic window of off-list length
     /// `900 + r` centred near the traversal or pushed across midnight,
-    /// β ∈ {1, 20, unreachable}, optional user filter and exclusion id.
+    /// β ∈ {1, 20, unreachable}, a user filter two times in three (the
+    /// ladders counts alone may answer), optional exclusion id.
     pub fn ladder_spq_from(&mut self, set: &TrajectorySet, applied: usize) -> Spq {
         assert!(applied > 0, "cannot sample from an empty prefix");
         let tr = set.get(TrajId(self.range(0..applied) as u32));
@@ -584,7 +585,7 @@ impl QueryGen {
         };
         let window = TimeInterval::periodic_around(centre, 900 + self.range(0..1800) as i64);
         let mut q = Spq::new(tr.path(), window).with_beta([1, 20, 1_000_000][self.range(0..3)]);
-        if self.range(0..3) == 0 {
+        if self.range(0..3) != 0 {
             q = q.with_user(tr.user());
         }
         if self.range(0..3) == 0 {

@@ -19,7 +19,7 @@ use common::differential::QueryGen;
 use common::http::HttpClient;
 use common::prefix_set;
 use std::sync::Arc;
-use tthr::core::{ShardedSntIndex, SntConfig, Spq};
+use tthr::core::{ShardedSntIndex, SntConfig, Spq, TimeInterval};
 use tthr::server::{serve, wire, ServerConfig};
 use tthr::service::{QueryService, ServiceConfig};
 
@@ -115,6 +115,30 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
         );
     }
 
+    // A query counts alone can answer: a user asked for more traversals of
+    // a path than the path has in total. It must show up as pruned, on
+    // `/metrics` and in the trace of a `/debug/slow` entry.
+    let tr = set.get(tthr::trajectory::TrajId(0));
+    let hopeless = Spq::new(
+        tr.path(),
+        TimeInterval::periodic_around(tr.start_time(), 900),
+    )
+    .with_user(tr.user())
+    .with_beta(1_000_000);
+    let mut client = HttpClient::connect(addr);
+    let response = client.request("POST", "/spq", wire::encode_spq(&hopeless).as_bytes());
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        response.body_str(),
+        wire::encode_travel_times(&tthr::core::TravelTimes::empty())
+    );
+    let slow = client.request("GET", "/debug/slow", b"");
+    assert!(
+        slow.body_str().contains("\"pruned\":"),
+        "{}",
+        slow.body_str()
+    );
+
     // The final exposition carries the whole stack: per-endpoint service
     // counters, engine trace totals, per-shard series, reactor counters.
     let text_response = HttpClient::connect(addr).request("GET", "/metrics", b"");
@@ -126,6 +150,8 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
         "tthr_request_duration_ns_count{endpoint=\"spq\"}",
         "tthr_rank_ops_total",
         "tthr_index_queries_total",
+        "tthr_ladders_total",
+        "tthr_spq_pruned_total",
         "tthr_shard_trajectories{shard=\"0\"}",
         "tthr_shard_trajectories{shard=\"1\"}",
         "tthr_server_connections_accepted_total",
@@ -139,6 +165,7 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
     }
     // 3 query threads × 40 requests, plus scrapes and the final checks.
     assert!(series_value(text, "tthr_server_requests_total").unwrap() >= 120.0);
+    assert!(series_value(text, "tthr_spq_pruned_total").unwrap() >= 1.0);
 
     server.shutdown();
 }
