@@ -1420,6 +1420,13 @@ impl ClusterRouter {
     /// the module docs; a record retried across that still applies
     /// exactly once thanks to base-stamp idempotency.
     ///
+    /// `base` is the caller's optional idempotency stamp — the global
+    /// trajectory count it believes the cluster holds. It is compared
+    /// under the same lock that assigns the batch its ids, so of any
+    /// number of concurrent callers carrying one stamp exactly one
+    /// appends; the rest (and any stale or future stamp) get a
+    /// [`ClusterError::WalGap`] and nothing is sent to any node.
+    ///
     /// Returns the number of trajectories appended. On partial failure
     /// the counters stay put; because record application is idempotent
     /// by base stamp, simply calling `append_batch` again with the same
@@ -1427,9 +1434,16 @@ impl ClusterRouter {
     /// rest catch up).
     pub fn append_batch(
         &self,
+        base: Option<u64>,
         trajectories: &[(UserId, Vec<TrajEntry>)],
     ) -> Result<u64, ClusterError> {
         let mut state = self.core.state.lock().expect("state lock");
+        if let Some(found) = base.filter(|&b| b != state.num_global) {
+            return Err(ClusterError::WalGap {
+                expected: state.num_global,
+                found,
+            });
+        }
         let records: Vec<NodeWalRecord> = plan_node_records(
             &self.core.routing,
             state.num_global,

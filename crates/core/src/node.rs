@@ -30,21 +30,21 @@
 //! empty — the node then only advances its global counters). Records are
 //! applied through [`ShardNodeState::apply`], which is **idempotent** by
 //! base stamp: a record the node already absorbed is skipped, a record
-//! from the future is a typed [`StoreError::WalGap`]. Node processes write
-//! each record to their own WAL before applying it and replay the log over
-//! their last snapshot on restart — the same recovery story as the
-//! monolithic service, per shard.
+//! from the future is a typed [`StoreError::WalGap`]. Node processes
+//! validate a record ([`ShardNodeState::prepare`]), write it to their own
+//! WAL, and only then apply it ([`ShardNodeState::commit`]); they replay
+//! the log over their last snapshot on restart — the same recovery story
+//! as the monolithic service, per shard.
 
-use crate::persist::prepare_batch;
-use crate::sharded::ShardRouter;
+use crate::persist::{get_trajectories, prepare_batch, put_trajectories};
+use crate::sharded::{Shard, ShardRouter};
 use crate::snt::{SntIndex, TravelTimes};
 use crate::spq::Spq;
 use crate::{CardinalityMode, SearchScratch, ShardedSntIndex, TimeInterval};
-use std::borrow::Cow;
 use tthr_network::Timestamp;
 use tthr_store::snapshot::{SectionId, SnapshotArchive, SnapshotBuilder};
 use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
-use tthr_trajectory::{TrajEntry, TrajId, Trajectory, UserId};
+use tthr_trajectory::{TrajEntry, Trajectory, UserId};
 
 /// Header section of a node snapshot: shard id, routing table, member
 /// list, global counters.
@@ -77,9 +77,9 @@ pub struct NodeWalRecord {
     pub trajectories: Vec<(UserId, Vec<TrajEntry>)>,
 }
 
-/// Wire form: the four counters, the member ids, then per member a user
-/// id and the `(e, t, TT)` entry sequence (the [`crate::WalBatch`]
-/// layout).
+/// Wire form: the four counters, the member ids, then the member
+/// trajectories in the payload layout every WAL record shares (the
+/// [`crate::WalBatch`] one).
 impl Persist for NodeWalRecord {
     fn persist(&self, w: &mut ByteWriter) {
         w.put_u64(self.base);
@@ -87,46 +87,19 @@ impl Persist for NodeWalRecord {
         w.put_i64(self.span_min);
         w.put_i64(self.span_max);
         w.put_seq(&self.members);
-        w.put_len(self.trajectories.len());
-        for (user, entries) in &self.trajectories {
-            user.persist(w);
-            w.put_seq(entries);
-        }
+        put_trajectories(w, self.trajectories.iter().map(|(u, e)| (*u, e.as_slice())));
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let base = r.get_u64()?;
-        let new_total = r.get_u64()?;
-        let span_min = r.get_i64()?;
-        let span_max = r.get_i64()?;
-        let members: Vec<u32> = r.get_seq()?;
-        let n = r.get_len(1)?;
-        let mut trajectories = Vec::with_capacity(n);
-        for _ in 0..n {
-            let user = UserId::restore(r)?;
-            let entries: Vec<TrajEntry> = r.get_seq()?;
-            trajectories.push((user, entries));
-        }
         Ok(NodeWalRecord {
-            base,
-            new_total,
-            span_min,
-            span_max,
-            members,
-            trajectories,
+            base: r.get_u64()?,
+            new_total: r.get_u64()?,
+            span_min: r.get_i64()?,
+            span_max: r.get_i64()?,
+            members: r.get_seq()?,
+            trajectories: get_trajectories(r)?,
         })
     }
-}
-
-/// Validates a raw `(user, entries)` batch against a network size without
-/// applying it anywhere — the router-side pre-check before global ids are
-/// assigned and per-node records planned. The same validation runs again
-/// inside every node's [`ShardNodeState::apply`].
-pub fn validate_batch(
-    num_edges: usize,
-    trajectories: &[(UserId, Vec<TrajEntry>)],
-) -> Result<(), StoreError> {
-    prepare_batch(0, num_edges, trajectories).map(|_| ())
 }
 
 /// The `(min start time, max entry time)` span of a raw batch, or `None`
@@ -156,7 +129,9 @@ pub fn batch_span(trajectories: &[(UserId, Vec<TrajEntry>)]) -> Option<(Timestam
 ///
 /// `base` must be the cluster's current global trajectory count and
 /// `(span_min, span_max)` its current data span (use `(0, 0)` when the
-/// cluster is empty, mirroring the empty-build convention).
+/// cluster is empty, mirroring the empty-build convention). The batch is
+/// validated here, before global ids are assigned, and again by every
+/// node's [`ShardNodeState::prepare`].
 pub fn plan_node_records(
     router: &ShardRouter,
     base: u64,
@@ -164,7 +139,7 @@ pub fn plan_node_records(
     span_max: Timestamp,
     trajectories: &[(UserId, Vec<TrajEntry>)],
 ) -> Result<Vec<NodeWalRecord>, StoreError> {
-    validate_batch(router.num_edges(), trajectories)?;
+    prepare_batch(0, router.num_edges(), trajectories)?;
     let new_total = base + trajectories.len() as u64;
     let (span_min, span_max) = match batch_span(trajectories) {
         Some((lo, hi)) if base == 0 => (lo, hi),
@@ -202,14 +177,21 @@ pub fn plan_node_records(
 pub struct ShardNodeState {
     shard: u16,
     router: ShardRouter,
-    /// `members[local] = global`, ascending (the sharded invariant).
-    members: Vec<u32>,
+    /// The shard itself: index + ascending member list.
+    state: Shard,
     /// Cluster-wide trajectory count this node has absorbed records up to.
     num_global: u64,
     /// Cluster-wide data span (not this shard's!).
     span_min: Timestamp,
     span_max: Timestamp,
-    index: SntIndex,
+}
+
+/// An append record validated against one node's state by
+/// [`ShardNodeState::prepare`]: applying it cannot fail any more, so the
+/// node logs it between the two steps.
+pub struct PreparedRecord<'r> {
+    record: &'r NodeWalRecord,
+    trajs: Vec<Trajectory>,
 }
 
 impl ShardNodeState {
@@ -231,11 +213,13 @@ impl ShardNodeState {
         ShardNodeState {
             shard: shard as u16,
             router: sharded.router().clone(),
-            members: sharded.shard_members(shard),
+            state: Shard {
+                index,
+                members: sharded.shard_members(shard),
+            },
             num_global: sharded.num_trajectories() as u64,
             span_min: sharded.data_min(),
             span_max: sharded.data_max(),
-            index,
         }
     }
 
@@ -256,7 +240,7 @@ impl ShardNodeState {
 
     /// Ascending global ids of this shard's members.
     pub fn members(&self) -> &[u32] {
-        &self.members
+        &self.state.members
     }
 
     /// Cluster-wide trajectory count this node is caught up to.
@@ -276,7 +260,7 @@ impl ShardNodeState {
 
     /// The shard's index (for stats / introspection).
     pub fn index(&self) -> &SntIndex {
-        &self.index
+        &self.state.index
     }
 
     /// Whether an SPQ routes to this shard — queries that do not are
@@ -291,23 +275,6 @@ impl ShardNodeState {
             )));
         }
         Ok(())
-    }
-
-    /// Translates the global exclusion id into the shard-local id space
-    /// (the [`crate::sharded`] translation, replicated: an excluded
-    /// trajectory with no occurrence in the shard cannot match anyway).
-    fn translate<'q>(members: &[u32], spq: &'q Spq) -> Cow<'q, Spq> {
-        match spq.exclude {
-            None => Cow::Borrowed(spq),
-            Some(TrajId(global)) => {
-                let mut q = spq.clone();
-                q.exclude = members
-                    .binary_search(&global)
-                    .ok()
-                    .map(|local| TrajId(local as u32));
-                Cow::Owned(q)
-            }
-        }
     }
 
     /// `getTravelTimes` for a query owned by this shard — byte-identical
@@ -327,8 +294,8 @@ impl ShardNodeState {
     ) -> Result<TravelTimes, StoreError> {
         self.check_route(spq)?;
         Ok(self
-            .index
-            .get_travel_times_with(&Self::translate(&self.members, spq), scratch))
+            .state
+            .query(spq, |i, q| i.get_travel_times_with(q, scratch)))
     }
 
     /// A whole relaxation ladder for an owned query — byte-identical to
@@ -352,11 +319,9 @@ impl ShardNodeState {
                  starting at the query's own: {levels:?}"
             )));
         }
-        Ok(self.index.travel_times_ladder_with(
-            &Self::translate(&self.members, spq),
-            levels,
-            scratch,
-        ))
+        Ok(self
+            .state
+            .query(spq, |i, q| i.travel_times_ladder_with(q, levels, scratch)))
     }
 
     /// Exact predicate-matching traversal count for an owned query.
@@ -373,18 +338,16 @@ impl ShardNodeState {
     ) -> Result<usize, StoreError> {
         self.check_route(spq)?;
         Ok(self
-            .index
-            .count_matching_with(&Self::translate(&self.members, spq), cap, scratch))
+            .state
+            .query(spq, |i, q| i.count_matching_with(q, cap, scratch)))
     }
 
     /// Cardinality estimate for an owned query.
     pub fn estimate(&self, spq: &Spq, mode: CardinalityMode) -> Result<f64, StoreError> {
         self.check_route(spq)?;
-        Ok(crate::cardinality::estimate_cardinality(
-            &self.index,
-            &Self::translate(&self.members, spq),
-            mode,
-        ))
+        Ok(self.state.query(spq, |i, q| {
+            crate::cardinality::estimate_cardinality(i, q, mode)
+        }))
     }
 
     /// Applies one append record, idempotently (see the module docs):
@@ -392,29 +355,35 @@ impl ShardNodeState {
     /// * `new_total ≤ num_global` — already absorbed, `Ok(0)`, no change.
     /// * `base ≠ num_global` — a missing predecessor,
     ///   [`StoreError::WalGap`].
-    /// * otherwise the member subset is validated and appended as one
-    ///   temporal partition (exactly like the touched shard of an
-    ///   in-process [`ShardedSntIndex::append_trajectories`]) and the
-    ///   global counters advance. An empty subset only advances counters.
+    /// * otherwise the member subset is validated and ingested exactly
+    ///   like the touched shard of an in-process
+    ///   [`ShardedSntIndex::ingest`] — sealed as one temporal partition,
+    ///   or absorbed into the shard index's hot tail when `seal` is off
+    ///   (a later [`ShardNodeState::compact`] seals it; answers are
+    ///   byte-identical throughout) — and the global counters advance.
+    ///   An empty subset only advances counters.
     ///
     /// Returns the number of trajectories this shard indexed. A failed
-    /// validation leaves the node untouched.
-    pub fn apply(&mut self, record: &NodeWalRecord) -> Result<usize, StoreError> {
-        self.apply_inner(record, false)
+    /// validation leaves the node untouched. This is
+    /// [`ShardNodeState::prepare`] + [`ShardNodeState::commit`] for
+    /// callers with nothing to log in between.
+    pub fn apply(&mut self, record: &NodeWalRecord, seal: bool) -> Result<usize, StoreError> {
+        Ok(match self.prepare(record)? {
+            Some(prepared) => self.commit(prepared, seal),
+            None => 0,
+        })
     }
 
-    /// [`ShardNodeState::apply`] through the shard index's hot tail: the
-    /// member subset is absorbed without touching the wavelet/FM levels
-    /// (a later [`ShardNodeState::compact`] seals it), with answers
-    /// byte-identical to the direct apply throughout. Same idempotency
-    /// and validation contract as `apply`.
-    pub fn absorb(&mut self, record: &NodeWalRecord) -> Result<usize, StoreError> {
-        self.apply_inner(record, true)
-    }
-
-    fn apply_inner(&mut self, record: &NodeWalRecord, absorb: bool) -> Result<usize, StoreError> {
+    /// The validation half of [`ShardNodeState::apply`]: `None` for a
+    /// record this node already absorbed, a typed error for a gap or a
+    /// malformed record, otherwise the record with its member subset
+    /// materialized — ready for an infallible [`ShardNodeState::commit`].
+    pub fn prepare<'r>(
+        &self,
+        record: &'r NodeWalRecord,
+    ) -> Result<Option<PreparedRecord<'r>>, StoreError> {
         if record.new_total <= self.num_global {
-            return Ok(0);
+            return Ok(None);
         }
         if record.base != self.num_global {
             return Err(StoreError::WalGap {
@@ -422,8 +391,7 @@ impl ShardNodeState {
                 found: record.base,
             });
         }
-        if record.new_total < record.base
-            || record.members.len() != record.trajectories.len()
+        if record.members.len() != record.trajectories.len()
             || record.members.len() as u64 > record.new_total - record.base
         {
             return Err(StoreError::corrupt(format!(
@@ -440,21 +408,24 @@ impl ShardNodeState {
                 "append record member ids must be ascending within the batch stamp",
             ));
         }
-        let local_from = self.index.num_trajectories() as u32;
-        let owned = prepare_batch(local_from, self.router.num_edges(), &record.trajectories)?;
-        if !owned.is_empty() {
-            let refs: Vec<&Trajectory> = owned.iter().collect();
-            if absorb {
-                self.index.absorb_trajectories(&refs);
-            } else {
-                self.index.append_trajectories(&refs);
-            }
-            self.members.extend_from_slice(&record.members);
+        let local_from = self.state.index.num_trajectories() as u32;
+        let trajs = prepare_batch(local_from, self.router.num_edges(), &record.trajectories)?;
+        Ok(Some(PreparedRecord { record, trajs }))
+    }
+
+    /// The mutation half of [`ShardNodeState::apply`]: ingests a record
+    /// [`ShardNodeState::prepare`] validated against this very state.
+    pub fn commit(&mut self, prepared: PreparedRecord<'_>, seal: bool) -> usize {
+        let PreparedRecord { record, trajs } = prepared;
+        debug_assert_eq!(record.base, self.num_global, "prepared against this state");
+        let applied = trajs.len();
+        if applied > 0 {
+            self.state.ingest(&record.members, trajs, seal);
         }
         self.num_global = record.new_total;
         self.span_min = self.span_min.min(record.span_min);
         self.span_max = self.span_max.max(record.span_max);
-        Ok(owned.len())
+        applied
     }
 
     /// Seals every absorbed hot-tail batch into the shard index's
@@ -464,12 +435,12 @@ impl ShardNodeState {
     /// the `members.len() == index.num_trajectories()` snapshot
     /// invariant holds across retention.
     pub fn compact(&mut self, retention_horizon: Option<Timestamp>) -> crate::CompactionOutcome {
-        self.index.compact(retention_horizon)
+        self.state.index.compact(retention_horizon)
     }
 
     /// The shard index's hot-tail backlog.
     pub fn hot_stats(&self) -> crate::HotStats {
-        self.index.hot_stats()
+        self.state.index.hot_stats()
     }
 
     /// Serializes the node state into a snapshot container
@@ -482,16 +453,17 @@ impl ShardNodeState {
         meta.put_i64(self.span_min);
         meta.put_i64(self.span_max);
         self.router.persist(&mut meta);
-        meta.put_seq(&self.members);
+        meta.put_seq(&self.state.members);
         builder.add_section(SECTION_NODE_META, meta.into_bytes());
-        builder.add_section(SECTION_NODE_INDEX, self.index.to_snapshot_bytes());
+        builder.add_section(SECTION_NODE_INDEX, self.state.index.to_snapshot_bytes());
         builder.into_bytes()
     }
 
     /// Restores a node state, verifying section CRCs plus the node
-    /// invariants: shard id within the routing table, ascending members
-    /// within the global count, and member count equal to the shard
-    /// index's trajectory count.
+    /// invariants: shard id within the routing table and the shard
+    /// invariants every tier shares (ascending members within the global
+    /// count, one member per indexed trajectory, index and routing table
+    /// over the same edges).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let archive = SnapshotArchive::from_bytes(bytes)?;
         let mut meta = archive.section(SECTION_NODE_META)?;
@@ -508,38 +480,16 @@ impl ShardNodeState {
                 router.num_shards()
             )));
         }
-        if !members.windows(2).all(|w| w[0] < w[1]) {
-            return Err(StoreError::corrupt("node member list is not ascending"));
-        }
-        if let Some(&bad) = members.iter().find(|&&g| g as u64 >= num_global) {
-            return Err(StoreError::corrupt(format!(
-                "node member {bad} out of range for {num_global} global trajectories"
-            )));
-        }
         let mut idx = archive.section(SECTION_NODE_INDEX)?;
         let index = SntIndex::from_snapshot_bytes(idx.get_bytes(idx.remaining())?)?;
-        if index.num_trajectories() != members.len() {
-            return Err(StoreError::corrupt(format!(
-                "node indexes {} trajectories but lists {} members",
-                index.num_trajectories(),
-                members.len()
-            )));
-        }
-        if index.num_edges() != router.num_edges() {
-            return Err(StoreError::corrupt(format!(
-                "node index covers {} edges, routing table {}",
-                index.num_edges(),
-                router.num_edges()
-            )));
-        }
+        let state = Shard::new(index, members, num_global, router.num_edges())?;
         Ok(ShardNodeState {
             shard,
             router,
-            members,
+            state,
             num_global,
             span_min,
             span_max,
-            index,
         })
     }
 }
@@ -581,7 +531,7 @@ mod tests {
                 Path::new(vec![EDGE_A, EDGE_B, EDGE_E]),
                 TimeInterval::fixed(0, 100),
             )
-            .without_trajectory(TrajId(0)),
+            .without_trajectory(tthr_trajectory::TrajId(0)),
         ]
     }
 
@@ -640,42 +590,52 @@ mod tests {
         ));
     }
 
+    /// Both flavours of the one write primitive: sealed and absorbed
+    /// records land every node exactly where the in-process sharded
+    /// `ingest` lands its shard.
     #[test]
     fn planned_records_apply_identically_to_an_in_process_append() {
-        let idx = sharded(2);
-        let mut nodes = nodes(&idx);
-        let batch: Vec<(UserId, Vec<TrajEntry>)> = vec![
-            (
-                UserId(8),
-                vec![
-                    TrajEntry::new(EDGE_A, 20, 3.0),
-                    TrajEntry::new(EDGE_B, 23, 3.0),
-                    TrajEntry::new(EDGE_E, 26, 5.0),
-                ],
-            ),
-            (UserId(9), vec![TrajEntry::new(EDGE_F, 22, 7.0)]),
-        ];
-        let records = plan_node_records(
-            idx.router(),
-            idx.num_trajectories() as u64,
-            idx.data_min(),
-            idx.data_max(),
-            &batch,
-        )
-        .unwrap();
-        assert_eq!(records.len(), 2);
-        idx.append_trajectory_batch(&batch).unwrap();
-        for (node, record) in nodes.iter_mut().zip(&records) {
-            node.apply(record).unwrap();
-            assert_eq!(node.num_global(), idx.num_trajectories() as u64);
-            assert_eq!(node.span_min(), idx.data_min());
-            assert_eq!(node.span_max(), idx.data_max());
-            assert_eq!(
-                node.members(),
-                idx.shard_members(node.shard() as usize).as_slice()
+        for seal in [true, false] {
+            let idx = sharded(2);
+            let mut nodes = nodes(&idx);
+            let batch: Vec<(UserId, Vec<TrajEntry>)> = vec![
+                (
+                    UserId(8),
+                    vec![
+                        TrajEntry::new(EDGE_A, 20, 3.0),
+                        TrajEntry::new(EDGE_B, 23, 3.0),
+                        TrajEntry::new(EDGE_E, 26, 5.0),
+                    ],
+                ),
+                (UserId(9), vec![TrajEntry::new(EDGE_F, 22, 7.0)]),
+            ];
+            let records = plan_node_records(
+                idx.router(),
+                idx.num_trajectories() as u64,
+                idx.data_min(),
+                idx.data_max(),
+                &batch,
+            )
+            .unwrap();
+            assert_eq!(records.len(), 2);
+            let from = idx.num_trajectories() as u32;
+            idx.ingest(
+                prepare_batch(from, idx.router().num_edges(), &batch).unwrap(),
+                seal,
             );
+            for (node, record) in nodes.iter_mut().zip(&records) {
+                node.apply(record, seal).unwrap();
+                assert_eq!(node.hot_stats().batches > 0, !seal, "seal={seal}");
+                assert_eq!(node.num_global(), idx.num_trajectories() as u64);
+                assert_eq!(node.span_min(), idx.data_min());
+                assert_eq!(node.span_max(), idx.data_max());
+                assert_eq!(
+                    node.members(),
+                    idx.shard_members(node.shard() as usize).as_slice()
+                );
+            }
+            assert_nodes_match(&idx, &nodes);
         }
-        assert_nodes_match(&idx, &nodes);
     }
 
     #[test]
@@ -685,9 +645,9 @@ mod tests {
         let batch = vec![(UserId(7), vec![TrajEntry::new(EDGE_A, 50, 3.0)])];
         let records = plan_node_records(idx.router(), node.num_global(), 0, 21, &batch).unwrap();
         let record = records[node.shard() as usize].clone();
-        let first = node.apply(&record).unwrap();
+        let first = node.apply(&record, true).unwrap();
         // Replaying the same record is a no-op.
-        assert_eq!(node.apply(&record).unwrap(), 0);
+        assert_eq!(node.apply(&record, true).unwrap(), 0);
         let members_after = node.members().to_vec();
         // A record from the future is a gap naming both stamps.
         let future = NodeWalRecord {
@@ -695,7 +655,7 @@ mod tests {
             new_total: node.num_global() + 4,
             ..record.clone()
         };
-        match node.apply(&future) {
+        match node.apply(&future, true) {
             Err(StoreError::WalGap { expected, found }) => {
                 assert_eq!(expected, node.num_global());
                 assert_eq!(found, future.base);
@@ -724,7 +684,10 @@ mod tests {
                 (UserId(2), vec![TrajEntry::new(EDGE_B, 91, 1.0)]),
             ],
         };
-        assert!(matches!(node.apply(&bad), Err(StoreError::Corrupt { .. })));
+        assert!(matches!(
+            node.apply(&bad, true),
+            Err(StoreError::Corrupt { .. })
+        ));
         // Invalid trajectory payload (empty entry list).
         let bad = NodeWalRecord {
             base: before_global,
@@ -734,7 +697,10 @@ mod tests {
             members: vec![before_global as u32],
             trajectories: vec![(UserId(1), vec![])],
         };
-        assert!(matches!(node.apply(&bad), Err(StoreError::Corrupt { .. })));
+        assert!(matches!(
+            node.apply(&bad, true),
+            Err(StoreError::Corrupt { .. })
+        ));
         assert_eq!(node.num_global(), before_global);
         assert_eq!(node.members(), before_members.as_slice());
     }
@@ -762,43 +728,19 @@ mod tests {
         assert_nodes_match(&idx, &nodes);
     }
 
+    /// Any flipped payload bit trips a section CRC. (Parts that pass
+    /// their CRCs but break the shard invariants: see the table in
+    /// `tests/persistence_roundtrip.rs`, driven through this container
+    /// and the sharded one.)
     #[test]
     fn corrupt_node_snapshots_are_typed_errors() {
-        let idx = sharded(2);
-        let node = ShardNodeState::export_from(&idx, 0);
-        let bytes = node.to_snapshot_bytes();
-        // Any flipped payload bit trips a section CRC.
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 1;
-        assert!(ShardNodeState::from_snapshot_bytes(&corrupt).is_err());
-        // A descending member list passes CRCs (regenerated) but fails the
-        // node invariants.
-        let archive = SnapshotArchive::from_bytes(&bytes).unwrap();
-        let mut rebuilt = SnapshotBuilder::new();
-        let mut meta = archive.section(SECTION_NODE_META).unwrap();
-        let shard = meta.get_u16().unwrap();
-        let num_global = meta.get_u64().unwrap();
-        let span_min = meta.get_i64().unwrap();
-        let span_max = meta.get_i64().unwrap();
-        let router = ShardRouter::restore(&mut meta).unwrap();
-        let mut members: Vec<u32> = meta.get_seq().unwrap();
-        members.reverse();
-        let mut w = ByteWriter::new();
-        w.put_u16(shard);
-        w.put_u64(num_global);
-        w.put_i64(span_min);
-        w.put_i64(span_max);
-        router.persist(&mut w);
-        w.put_seq(&members);
-        rebuilt.add_section(SECTION_NODE_META, w.into_bytes());
-        let mut idxs = archive.section(SECTION_NODE_INDEX).unwrap();
-        rebuilt.add_section(
-            SECTION_NODE_INDEX,
-            idxs.get_bytes(idxs.remaining()).unwrap().to_vec(),
-        );
-        let result = ShardNodeState::from_snapshot_bytes(&rebuilt.into_bytes());
-        assert!(matches!(result, Err(StoreError::Corrupt { .. })));
+        let node = ShardNodeState::export_from(&sharded(2), 0);
+        let mut corrupt = node.to_snapshot_bytes();
+        *corrupt.last_mut().unwrap() ^= 1;
+        assert!(matches!(
+            ShardNodeState::from_snapshot_bytes(&corrupt),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use tthr_histogram::TimeOfDayHistogram;
 use tthr_store::snapshot::{SectionId, SnapshotArchive, SnapshotBuilder};
 use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
 use tthr_temporal::{BPlusTree, CssTree, TemporalIndex};
-use tthr_trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet, UserId};
+use tthr_trajectory::{TrajEntry, TrajId, Trajectory, UserId};
 
 /// Header section: construction config, data span, component counts.
 pub const SECTION_META: SectionId = SectionId(1);
@@ -263,15 +263,14 @@ impl SntIndex {
         builder.add_section(SECTION_ESTIMATES, est.into_bytes());
 
         let mut hot = ByteWriter::new();
-        let batches = self.hot_snapshot_batches();
-        hot.put_len(batches.len());
-        for (first_id, trajs) in batches {
-            hot.put_u32(first_id);
-            hot.put_len(trajs.len());
-            for tr in trajs {
-                tr.user().persist(&mut hot);
-                hot.put_seq(tr.entries());
-            }
+        // Raw payloads only — lanes and histograms are rebuilt on restore.
+        hot.put_len(self.hot_batches().len());
+        for batch in self.hot_batches() {
+            hot.put_u32(batch.first_id);
+            put_trajectories(
+                &mut hot,
+                batch.trajs.iter().map(|t| (t.user(), t.entries())),
+            );
         }
         builder.add_section(SECTION_HOT, hot.into_bytes());
 
@@ -409,15 +408,7 @@ impl SntIndex {
                 let mut expect_end = num_trajectories as u32;
                 let mut raw = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let first_id = hs.get_u32()?;
-                    let m = hs.get_len(1)?;
-                    let mut trajectories = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        let user = UserId::restore(&mut hs)?;
-                        let entries: Vec<TrajEntry> = hs.get_seq()?;
-                        trajectories.push((user, entries));
-                    }
-                    raw.push((first_id, trajectories));
+                    raw.push((hs.get_u32()?, get_trajectories(&mut hs)?));
                 }
                 hs.expect_exhausted("hot section")?;
                 for (first_id, trajectories) in raw.iter().rev() {
@@ -439,56 +430,15 @@ impl SntIndex {
         }
         Ok(index)
     }
-
-    /// Validates a raw batch of `(user, entries)` payloads against this
-    /// index and materializes them as [`Trajectory`] values carrying the
-    /// next dense ids — **without** applying them. Invalid trajectory data
-    /// is reported as [`StoreError::Corrupt`] and the index is untouched.
-    ///
-    /// This is the validation half of
-    /// [`SntIndex::append_trajectory_batch`], split out so a caller that
-    /// must log write-ahead (`tthr-service`) can reject a bad batch
-    /// *before* the WAL record is written.
-    pub fn prepare_append_batch(
-        &self,
-        trajectories: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<Vec<Trajectory>, StoreError> {
-        self.prepare_append_batch_at(self.num_trajectories() as u32, trajectories)
-    }
-
-    /// [`SntIndex::prepare_append_batch`] with the first assigned id given
-    /// explicitly instead of read from the index. A group-commit leader
-    /// stamps queued batches arithmetically — batch *k*'s `from` counts
-    /// the not-yet-applied batches before it — so ids stay dense across a
-    /// multi-batch commit. Validation itself never depends on `from`.
-    pub fn prepare_append_batch_at(
-        &self,
-        from: u32,
-        trajectories: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<Vec<Trajectory>, StoreError> {
-        prepare_batch(from, self.estimate_tt.len(), trajectories)
-    }
-
-    /// Applies one WAL batch: validates the recorded trajectories and
-    /// appends them as a new temporal partition with the next dense ids.
-    /// Invalid trajectory data (a crash can never produce it — records
-    /// are CRC-guarded — but a foreign writer could) is reported as
-    /// [`StoreError::Corrupt`].
-    pub fn append_trajectory_batch(
-        &mut self,
-        trajectories: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<usize, StoreError> {
-        let owned = self.prepare_append_batch(trajectories)?;
-        let refs: Vec<&Trajectory> = owned.iter().collect();
-        Ok(self.append_trajectories(&refs))
-    }
 }
 
-/// Shared validation of a raw trajectory payload: edge ids must fit the
-/// network (an out-of-range id would panic deep in the append — per-edge
-/// forests, FM alphabet) and each entry sequence must form a valid
-/// [`Trajectory`]. Ids are assigned densely from `from`.
-pub(crate) fn prepare_batch(
+/// The one validation of a raw trajectory payload, run by every tier
+/// before a batch is logged or applied: edge ids must fit the network (an
+/// out-of-range id would panic deep in the append — per-edge forests, FM
+/// alphabet) and each entry sequence must form a valid [`Trajectory`].
+/// Ids are assigned densely from `from`; validation never depends on it,
+/// so a group-commit leader can stamp queued batches arithmetically.
+pub fn prepare_batch(
     from: u32,
     num_edges: usize,
     trajectories: &[(UserId, Vec<TrajEntry>)],
@@ -509,9 +459,34 @@ pub(crate) fn prepare_batch(
         .collect()
 }
 
-/// One write-ahead-log record: the trajectories a single
-/// `append_batch` call added, stamped with the trajectory count the
-/// index had *before* the batch.
+/// The one trajectory-payload wire form every WAL record flavor and the
+/// snapshot's `HOT` section share: a count, then per trajectory a user id
+/// and the `(e, t, TT)` entry sequence.
+pub(crate) fn put_trajectories<'a>(
+    w: &mut ByteWriter,
+    trajectories: impl ExactSizeIterator<Item = (UserId, &'a [TrajEntry])>,
+) {
+    w.put_len(trajectories.len());
+    for (user, entries) in trajectories {
+        user.persist(w);
+        w.put_seq(entries);
+    }
+}
+
+/// Reads what [`put_trajectories`] wrote.
+pub(crate) fn get_trajectories(
+    r: &mut ByteReader<'_>,
+) -> Result<Vec<(UserId, Vec<TrajEntry>)>, StoreError> {
+    let n = r.get_len(1)?;
+    let mut trajectories = Vec::with_capacity(n);
+    for _ in 0..n {
+        trajectories.push((UserId::restore(r)?, r.get_seq()?));
+    }
+    Ok(trajectories)
+}
+
+/// One write-ahead-log record: the trajectories a single append added,
+/// stamped with the trajectory count the index had *before* the batch.
 ///
 /// The stamp makes replay idempotent: a snapshot taken after the batch
 /// has `num_trajectories() > base`, so the record is skipped; a record
@@ -526,44 +501,27 @@ pub struct WalBatch {
 }
 
 impl WalBatch {
-    /// Extracts the batch of trajectories with ids `from..set.len()` from
-    /// a grown trajectory set (the delta an `append_batch(set)` call
-    /// appends to an index holding `from` trajectories).
-    pub fn delta(set: &TrajectorySet, from: usize) -> WalBatch {
-        WalBatch {
-            base: from as u64,
-            trajectories: (from..set.len())
-                .map(|id| {
-                    let tr = set.get(TrajId(id as u32));
-                    (tr.user(), tr.entries().to_vec())
-                })
-                .collect(),
-        }
+    /// Writes the record logging `batch` appended at trajectory count
+    /// `base` — the bytes [`Persist::persist`] writes for the same batch,
+    /// straight from the prepared trajectories.
+    pub fn encode(base: u64, batch: &[Trajectory], w: &mut ByteWriter) {
+        w.put_u64(base);
+        put_trajectories(w, batch.iter().map(|t| (t.user(), t.entries())));
     }
 }
 
-/// Wire form: base stamp (u64), then per trajectory a user id and the
-/// `(e, t, TT)` entry sequence.
+/// Wire form: base stamp (u64), then the shared trajectory payload.
 impl Persist for WalBatch {
     fn persist(&self, w: &mut ByteWriter) {
         w.put_u64(self.base);
-        w.put_len(self.trajectories.len());
-        for (user, entries) in &self.trajectories {
-            user.persist(w);
-            w.put_seq(entries);
-        }
+        put_trajectories(w, self.trajectories.iter().map(|(u, e)| (*u, e.as_slice())));
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let base = r.get_u64()?;
-        let n = r.get_len(1)?;
-        let mut trajectories = Vec::with_capacity(n);
-        for _ in 0..n {
-            let user = UserId::restore(r)?;
-            let entries: Vec<TrajEntry> = r.get_seq()?;
-            trajectories.push((user, entries));
-        }
-        Ok(WalBatch { base, trajectories })
+        Ok(WalBatch {
+            base: r.get_u64()?,
+            trajectories: get_trajectories(r)?,
+        })
     }
 }
 
@@ -589,6 +547,12 @@ mod tests {
             Spq::new(Path::new(vec![EDGE_A, EDGE_B]), TimeInterval::fixed(0, 15)),
             Spq::new(Path::new(vec![EDGE_E]), TimeInterval::periodic(0, 900)).with_beta(3),
         ]
+    }
+
+    /// Validate, then seal — what WAL replay does with a record's payload.
+    fn replay(index: &mut SntIndex, raw: &[(UserId, Vec<TrajEntry>)]) -> Result<usize, StoreError> {
+        let from = index.num_trajectories() as u32;
+        Ok(index.ingest(prepare_batch(from, index.num_edges(), raw)?, true))
     }
 
     fn assert_equivalent(a: &SntIndex, b: &SntIndex) {
@@ -646,15 +610,17 @@ mod tests {
     fn restored_index_accepts_appends() {
         let index = build(SntConfig::default());
         let mut restored = SntIndex::from_snapshot_bytes(&index.to_snapshot_bytes()).unwrap();
-        let appended = restored
-            .append_trajectory_batch(&[(
+        let appended = replay(
+            &mut restored,
+            &[(
                 UserId(7),
                 vec![
                     TrajEntry::new(EDGE_A, 100, 3.0),
                     TrajEntry::new(EDGE_B, 103, 4.0),
                 ],
-            )])
-            .unwrap();
+            )],
+        )
+        .unwrap();
         assert_eq!(appended, 1);
         assert_eq!(restored.num_trajectories(), 5);
         assert_eq!(restored.num_partitions(), 2);
@@ -670,14 +636,17 @@ mod tests {
     fn invalid_wal_trajectories_are_typed_errors() {
         let mut index = build(SntConfig::default());
         // Empty entry list violates the trajectory invariant.
-        let result = index.append_trajectory_batch(&[(UserId(0), vec![])]);
+        let result = replay(&mut index, &[(UserId(0), vec![])]);
         assert!(matches!(result, Err(StoreError::Corrupt { .. })));
         // An edge id past the network's range would panic deep inside the
         // append (per-edge forests, FM alphabet); it must be typed too.
-        let result = index.append_trajectory_batch(&[(
-            UserId(0),
-            vec![TrajEntry::new(tthr_network::EdgeId(9999), 0, 1.0)],
-        )]);
+        let result = replay(
+            &mut index,
+            &[(
+                UserId(0),
+                vec![TrajEntry::new(tthr_network::EdgeId(9999), 0, 1.0)],
+            )],
+        );
         assert!(matches!(result, Err(StoreError::Corrupt { .. })));
         // The failed batches must not have touched the index.
         assert_eq!(index.num_trajectories(), 4);
@@ -720,12 +689,22 @@ mod tests {
     #[test]
     fn wal_batch_round_trip() {
         let set = example_trajectories();
-        let batch = WalBatch::delta(&set, 2);
-        assert_eq!(batch.base, 2);
+        let delta: Vec<Trajectory> = set.iter().skip(2).cloned().collect();
+        let batch = WalBatch {
+            base: 2,
+            trajectories: delta
+                .iter()
+                .map(|t| (t.user(), t.entries().to_vec()))
+                .collect(),
+        };
         assert_eq!(batch.trajectories.len(), 2);
         let mut w = ByteWriter::new();
         batch.persist(&mut w);
         let bytes = w.into_bytes();
+        // The borrowed encoder writes the same record.
+        let mut direct = ByteWriter::new();
+        WalBatch::encode(2, &delta, &mut direct);
+        assert_eq!(direct.into_bytes(), bytes);
         let mut r = ByteReader::new(&bytes);
         let restored = WalBatch::restore(&mut r).unwrap();
         r.expect_exhausted("wal batch").unwrap();

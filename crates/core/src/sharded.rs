@@ -65,7 +65,7 @@ use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use tthr_network::{EdgeId, RoadNetwork, Timestamp};
 use tthr_store::snapshot::{SectionId, SnapshotArchive, SnapshotBuilder};
 use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
-use tthr_trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet, UserId};
+use tthr_trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet};
 
 /// Header section of a sharded snapshot: shard count, routing-table shape,
 /// trajectory count, data span, construction config.
@@ -146,8 +146,17 @@ impl ShardRouter {
     /// because the cluster tier's router plans per-node append subsets
     /// with exactly this partition (see [`crate::node`]).
     pub fn shards_touched(&self, entries: &[TrajEntry]) -> Vec<u16> {
+        self.shards_of(entries.iter())
+    }
+
+    /// Sorted, deduplicated shard ids a whole batch touches — the tag a
+    /// [`ShardedWalBatch`] stores.
+    pub fn batch_shards(&self, batch: &[Trajectory]) -> Vec<u16> {
+        self.shards_of(batch.iter().flat_map(|tr| tr.entries()))
+    }
+
+    fn shards_of<'a>(&self, entries: impl Iterator<Item = &'a TrajEntry>) -> Vec<u16> {
         let mut shards: Vec<u16> = entries
-            .iter()
             .map(|en| self.shard_of_edge[en.edge.index()])
             .collect();
         shards.sort_unstable();
@@ -223,15 +232,89 @@ impl Persist for ShardedWalBatch {
     }
 }
 
-/// One shard's state: the index and its member list, guarded together so
-/// a reader always sees the exclusion-id translation that matches the
-/// index content.
-struct ShardState {
-    index: SntIndex,
+/// One shard — the unit both [`ShardedSntIndex`] (`K` of them, each behind
+/// its own lock) and [`crate::ShardNodeState`] (one, plus the cluster's
+/// global counters) are made of: the index and its member list, guarded
+/// together so a reader always sees the exclusion-id translation that
+/// matches the index content.
+pub(crate) struct Shard {
+    pub(crate) index: SntIndex,
     /// `members[local] = global` trajectory id, ascending — shard-local
     /// dense ids preserve the global order, which is what keeps timestamp
     /// tie-breaks identical to the monolith.
-    members: Vec<u32>,
+    pub(crate) members: Vec<u32>,
+}
+
+impl Shard {
+    /// Pairs a restored index with its member list, validating the shard
+    /// invariants against the global id space and the routed network:
+    /// strictly ascending members below `num_global`, one member per
+    /// indexed trajectory, and an index over exactly `num_edges` edges.
+    pub(crate) fn new(
+        index: SntIndex,
+        members: Vec<u32>,
+        num_global: u64,
+        num_edges: usize,
+    ) -> Result<Self, StoreError> {
+        if !members.windows(2).all(|w| w[0] < w[1]) {
+            return Err(StoreError::corrupt(
+                "shard members are not strictly ascending",
+            ));
+        }
+        if let Some(&bad) = members.iter().find(|&&g| g as u64 >= num_global) {
+            return Err(StoreError::corrupt(format!(
+                "shard member {bad} out of range for {num_global} trajectories"
+            )));
+        }
+        if index.num_trajectories() != members.len() {
+            return Err(StoreError::corrupt(format!(
+                "shard indexes {} trajectories but lists {} members",
+                index.num_trajectories(),
+                members.len()
+            )));
+        }
+        if index.num_edges() != num_edges {
+            return Err(StoreError::corrupt(format!(
+                "shard index covers {} edges, routing table {num_edges}",
+                index.num_edges()
+            )));
+        }
+        Ok(Shard { index, members })
+    }
+
+    /// Translates the global exclusion id into the shard-local id space
+    /// (or drops it when the excluded trajectory has no occurrences in
+    /// the shard — it then cannot match the query anyway, because
+    /// matching implies membership).
+    fn translate<'q>(&self, spq: &'q Spq) -> Cow<'q, Spq> {
+        match spq.exclude {
+            None => Cow::Borrowed(spq),
+            Some(TrajId(global)) => {
+                let mut q = spq.clone();
+                q.exclude = self
+                    .members
+                    .binary_search(&global)
+                    .ok()
+                    .map(|local| TrajId(local as u32));
+                Cow::Owned(q)
+            }
+        }
+    }
+
+    /// Runs a read primitive of the shard's index on a query routed to
+    /// this shard, its exclusion id translated into the shard's id space.
+    pub(crate) fn query<R>(&self, spq: &Spq, run: impl FnOnce(&SntIndex, &Spq) -> R) -> R {
+        run(&self.index, &self.translate(spq))
+    }
+
+    /// Ingests the batch members that cross this shard: `globals[i]` is
+    /// the global id of `trajs[i]`, ascending and above every present
+    /// member.
+    pub(crate) fn ingest(&mut self, globals: &[u32], trajs: Vec<Trajectory>, seal: bool) {
+        debug_assert_eq!(globals.len(), trajs.len());
+        self.members.extend_from_slice(globals);
+        self.index.ingest(trajs, seal);
+    }
 }
 
 /// A partitioned SNT-index: `K` independently locked [`SntIndex`] shards
@@ -240,7 +323,7 @@ struct ShardState {
 pub struct ShardedSntIndex {
     config: SntConfig,
     router: ShardRouter,
-    shards: Vec<RwLock<ShardState>>,
+    shards: Vec<RwLock<Shard>>,
     /// Serializes appenders (and snapshots against appenders) without
     /// blocking readers; see [`ShardedSntIndex::append_permit`].
     append_serial: Mutex<()>,
@@ -326,7 +409,7 @@ impl ShardedSntIndex {
             .iter()
             .zip(members)
             .map(|(subset, members)| {
-                RwLock::new(ShardState {
+                RwLock::new(Shard {
                     index: SntIndex::build(network, subset, config),
                     members,
                 })
@@ -423,26 +506,16 @@ impl ShardedSntIndex {
         self.append_serial.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn read_shard(&self, s: usize) -> RwLockReadGuard<'_, ShardState> {
+    fn read_shard(&self, s: usize) -> RwLockReadGuard<'_, Shard> {
         self.shards[s].read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Translates the global exclusion id into the shard-local id space
-    /// (or drops it when the excluded trajectory has no occurrences in
-    /// the shard — it then cannot match the query anyway, because
-    /// matching implies membership).
-    fn translate<'q>(members: &[u32], spq: &'q Spq) -> Cow<'q, Spq> {
-        match spq.exclude {
-            None => Cow::Borrowed(spq),
-            Some(TrajId(global)) => {
-                let mut q = spq.clone();
-                q.exclude = members
-                    .binary_search(&global)
-                    .ok()
-                    .map(|local| TrajId(local as u32));
-                Cow::Owned(q)
-            }
-        }
+    /// Read-locks the shard owning a query (the shard of its path's first
+    /// edge), noting the routing in the scratch's trace.
+    fn route(&self, spq: &Spq, scratch: &mut crate::SearchScratch) -> RwLockReadGuard<'_, Shard> {
+        let s = self.router.shard_of(spq.path.first());
+        scratch.trace.note_shard(s);
+        self.read_shard(s)
     }
 
     /// `getTravelTimes` routed to the owning shard — byte-identical to the
@@ -464,12 +537,8 @@ impl ShardedSntIndex {
         spq: &Spq,
         scratch: &mut crate::SearchScratch,
     ) -> TravelTimes {
-        let s = self.router.shard_of(spq.path.first());
-        scratch.trace.note_shard(s);
-        let shard = self.read_shard(s);
-        shard
-            .index
-            .get_travel_times_with(&Self::translate(&shard.members, spq), scratch)
+        self.route(spq, scratch)
+            .query(spq, |i, q| i.get_travel_times_with(q, scratch))
     }
 
     /// A whole relaxation ladder routed to the owning shard under **one**
@@ -482,20 +551,13 @@ impl ShardedSntIndex {
         levels: &[TimeInterval],
         scratch: &mut crate::SearchScratch,
     ) -> (usize, TravelTimes) {
-        let s = self.router.shard_of(spq.path.first());
-        scratch.trace.note_shard(s);
-        let shard = self.read_shard(s);
-        shard
-            .index
-            .travel_times_ladder_with(&Self::translate(&shard.members, spq), levels, scratch)
+        self.route(spq, scratch)
+            .query(spq, |i, q| i.travel_times_ladder_with(q, levels, scratch))
     }
 
     /// Exact predicate-matching traversal count, routed like a query.
     pub fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
-        let shard = self.read_shard(self.router.shard_of(spq.path.first()));
-        shard
-            .index
-            .count_matching(&Self::translate(&shard.members, spq), cap)
+        self.count_matching_with(spq, cap, &mut crate::SearchScratch::new())
     }
 
     /// [`ShardedSntIndex::count_matching`] through a per-shard-tagged
@@ -506,12 +568,8 @@ impl ShardedSntIndex {
         cap: u32,
         scratch: &mut crate::SearchScratch,
     ) -> usize {
-        let s = self.router.shard_of(spq.path.first());
-        scratch.trace.note_shard(s);
-        let shard = self.read_shard(s);
-        shard
-            .index
-            .count_matching_with(&Self::translate(&shard.members, spq), cap, scratch)
+        self.route(spq, scratch)
+            .query(spq, |i, q| i.count_matching_with(q, cap, scratch))
     }
 
     /// Exact traversal count of a path (ISA-mode cardinality), routed to
@@ -523,59 +581,42 @@ impl ShardedSntIndex {
     }
 
     /// Appends all trajectories of `set` with ids `≥ num_trajectories()`
-    /// as one batch: each touched shard gains one temporal partition
-    /// holding the batch members that cross it; untouched shards are not
-    /// even write-locked. See the module docs (and
-    /// [`ShardedSntIndex::append_permit`]) for the multi-appender
-    /// serialization contract.
+    /// as one sealed batch — the paper's whole-set update API over
+    /// [`ShardedSntIndex::ingest`].
     pub fn append_batch(&self, set: &TrajectorySet) -> ShardedAppend {
-        let from = self.num_trajectories();
-        if set.len() <= from {
-            return ShardedAppend::default();
-        }
-        let batch: Vec<&Trajectory> = (from as u32..set.len() as u32)
-            .map(|id| set.get(TrajId(id)))
-            .collect();
-        self.append_trajectories(&batch)
+        let delta = set.iter().skip(self.num_trajectories()).cloned().collect();
+        self.ingest(delta, true)
     }
 
-    /// Appends a batch with the next dense global ids (embedded ids are
-    /// ignored, mirroring [`SntIndex::append_trajectories`]).
-    pub fn append_trajectories(&self, batch: &[&Trajectory]) -> ShardedAppend {
-        self.ingest(batch, false)
-    }
-
-    /// Absorbs a batch into every touched shard's hot tail — the sharded
-    /// counterpart of [`SntIndex::absorb_trajectories`]. Routing,
-    /// membership, and counters behave exactly like
-    /// [`ShardedSntIndex::append_trajectories`]; only the per-shard write
-    /// primitive differs, so answers stay byte-identical to the monolith
-    /// absorbing the same batch.
-    pub fn absorb_trajectories(&self, batch: &[&Trajectory]) -> ShardedAppend {
-        self.ingest(batch, true)
-    }
-
-    fn ingest(&self, batch: &[&Trajectory], absorb: bool) -> ShardedAppend {
+    /// The one mutator: ingests a batch with the next dense global ids
+    /// (embedded ids are ignored), each touched shard running
+    /// [`SntIndex::ingest`] over the batch members that cross it —
+    /// sealed into one new temporal partition per touched shard, or
+    /// absorbed into their hot tails (`seal = false`). Untouched shards
+    /// are not even write-locked, and answers stay byte-identical to the
+    /// monolith ingesting the same batch under the same flag. See the
+    /// module docs (and [`ShardedSntIndex::append_permit`]) for the
+    /// multi-appender serialization contract.
+    pub fn ingest(&self, batch: Vec<Trajectory>, seal: bool) -> ShardedAppend {
         if batch.is_empty() {
             return ShardedAppend::default();
         }
         let from = self.num_trajectories() as u32;
         let k = self.shards.len();
-        let mut per_shard: Vec<Vec<&Trajectory>> = vec![Vec::new(); k];
+        let mut per_shard: Vec<Vec<Trajectory>> = vec![Vec::new(); k];
         let mut new_members: Vec<Vec<u32>> = vec![Vec::new(); k];
         for (i, tr) in batch.iter().enumerate() {
-            let global = from + i as u32;
             self.data_min.fetch_min(tr.start_time(), Ordering::AcqRel);
             let last = tr.entries().last().expect("trajectories are non-empty");
             self.data_max.fetch_max(last.enter_time, Ordering::AcqRel);
             for &s in &self.router.shards_touched(tr.entries()) {
-                per_shard[s as usize].push(tr);
-                new_members[s as usize].push(global);
+                per_shard[s as usize].push(tr.clone());
+                new_members[s as usize].push(from + i as u32);
             }
         }
         let mut touched = Vec::new();
-        for (s, refs) in per_shard.iter().enumerate() {
-            if refs.is_empty() {
+        for (s, trajs) in per_shard.into_iter().enumerate() {
+            if trajs.is_empty() {
                 continue;
             }
             // Only this shard's readers wait, and only for this append.
@@ -588,13 +629,8 @@ impl ShardedSntIndex {
             counters.appends.fetch_add(1, Ordering::Relaxed);
             counters
                 .appended_trajectories
-                .fetch_add(refs.len() as u64, Ordering::Relaxed);
-            shard.members.extend_from_slice(&new_members[s]);
-            if absorb {
-                shard.index.absorb_trajectories(refs);
-            } else {
-                shard.index.append_trajectories(refs);
-            }
+                .fetch_add(trajs.len() as u64, Ordering::Relaxed);
+            shard.ingest(&new_members[s], trajs, seal);
             touched.push(s);
         }
         self.num_trajectories
@@ -603,54 +639,6 @@ impl ShardedSntIndex {
             appended: batch.len(),
             touched,
         }
-    }
-
-    /// Validates a raw batch of `(user, entries)` payloads and
-    /// materializes them with the next dense global ids, **without**
-    /// applying them — the sharded counterpart of
-    /// [`SntIndex::prepare_append_batch`].
-    pub fn prepare_append_batch(
-        &self,
-        trajectories: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<Vec<Trajectory>, StoreError> {
-        self.prepare_append_batch_at(self.num_trajectories() as u32, trajectories)
-    }
-
-    /// [`ShardedSntIndex::prepare_append_batch`] with the first assigned
-    /// global id given explicitly — the sharded counterpart of
-    /// [`SntIndex::prepare_append_batch_at`], used by group-commit leaders
-    /// stamping queued batches ahead of their application.
-    pub fn prepare_append_batch_at(
-        &self,
-        from: u32,
-        trajectories: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<Vec<Trajectory>, StoreError> {
-        crate::persist::prepare_batch(from, self.router.num_edges(), trajectories)
-    }
-
-    /// Applies one WAL batch (validated like
-    /// [`SntIndex::append_trajectory_batch`]): out-of-range edges and
-    /// invalid trajectories are typed errors and leave the index
-    /// untouched.
-    pub fn append_trajectory_batch(
-        &self,
-        trajectories: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<ShardedAppend, StoreError> {
-        let owned = self.prepare_append_batch(trajectories)?;
-        let refs: Vec<&Trajectory> = owned.iter().collect();
-        Ok(self.append_trajectories(&refs))
-    }
-
-    /// The absorb counterpart of
-    /// [`ShardedSntIndex::append_trajectory_batch`]: validates the raw
-    /// payload, then absorbs it into the touched shards' hot tails.
-    pub fn absorb_trajectory_batch(
-        &self,
-        trajectories: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<ShardedAppend, StoreError> {
-        let owned = self.prepare_append_batch(trajectories)?;
-        let refs: Vec<&Trajectory> = owned.iter().collect();
-        Ok(self.absorb_trajectories(&refs))
     }
 
     /// Compacts every shard — seals pending hot batches and applies the
@@ -677,26 +665,6 @@ impl ShardedSntIndex {
             out.bytes += st.bytes;
         }
         out
-    }
-
-    /// The WAL record for the delta `set[from..]`: the batch plus its
-    /// shard-routing tag under the current routing table.
-    pub fn plan_wal_batch(&self, set: &TrajectorySet, from: usize) -> ShardedWalBatch {
-        self.plan_wal_payload(WalBatch::delta(set, from))
-    }
-
-    /// The WAL record for a raw payload batch appended at the current
-    /// trajectory count: the batch plus its shard-routing tag under the
-    /// current routing table.
-    pub fn plan_wal_payload(&self, batch: WalBatch) -> ShardedWalBatch {
-        let mut touched: Vec<u16> = batch
-            .trajectories
-            .iter()
-            .flat_map(|(_, entries)| self.router.shards_touched(entries))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        ShardedWalBatch { touched, batch }
     }
 
     /// Serializes the sharded index into one snapshot container:
@@ -803,32 +771,16 @@ impl ShardedSntIndex {
             let shard_bytes = r.get_bytes(len)?;
             let index = SntIndex::from_snapshot_bytes(shard_bytes)?;
             r.expect_exhausted("shard section")?;
-            if !members.windows(2).all(|w| w[0] < w[1]) {
-                return Err(StoreError::corrupt(format!(
-                    "shard {s} member list is not strictly ascending"
-                )));
-            }
-            if let Some(&bad) = members.iter().find(|&&g| g as usize >= num_trajectories) {
-                return Err(StoreError::corrupt(format!(
-                    "shard {s} member {bad} out of range for {num_trajectories} trajectories"
-                )));
-            }
-            if index.num_trajectories() != members.len() {
-                return Err(StoreError::corrupt(format!(
-                    "shard {s} indexes {} trajectories but lists {} members",
-                    index.num_trajectories(),
-                    members.len()
-                )));
-            }
             if *index.config() != config {
                 return Err(StoreError::corrupt(format!(
                     "shard {s} config disagrees with the sharded meta config"
                 )));
             }
-            for &g in &members {
+            let shard = Shard::new(index, members, num_trajectories as u64, num_edges)?;
+            for &g in &shard.members {
                 covered[g as usize] = true;
             }
-            shards.push(RwLock::new(ShardState { index, members }));
+            shards.push(RwLock::new(shard));
         }
         if let Some(orphan) = covered.iter().position(|&c| !c) {
             return Err(StoreError::corrupt(format!(
@@ -885,12 +837,10 @@ impl IndexBackend for ShardedSntIndex {
         // The owning shard sees every traversal of the path's first edge,
         // so its ISA counts and per-partition ToD histograms match the
         // monolith's term for term (absent partitions contribute 0).
-        let shard = self.read_shard(self.router.shard_of(spq.path.first()));
-        crate::cardinality::estimate_cardinality(
-            &shard.index,
-            &Self::translate(&shard.members, spq),
-            mode,
-        )
+        self.read_shard(self.router.shard_of(spq.path.first()))
+            .query(spq, |i, q| {
+                crate::cardinality::estimate_cardinality(i, q, mode)
+            })
     }
 
     fn full_interval(&self) -> TimeInterval {
@@ -1176,37 +1126,21 @@ mod tests {
         );
     }
 
+    /// The one validator of a shard part, asked directly (the containers
+    /// that carry parts to it: `tests/persistence_roundtrip.rs`).
     #[test]
     fn corrupt_member_lists_are_typed_errors() {
-        let idx = sharded(2);
-        let bytes = idx.to_snapshot_bytes();
-        let archive = SnapshotArchive::from_bytes(&bytes).unwrap();
-
-        // Rebuild the container with shard 0's member list replaced by a
-        // descending one; every CRC is regenerated, so only the
-        // cross-validation can catch it.
-        let mut rebuilt = SnapshotBuilder::new();
-        for id in [SECTION_SHARDED_META, SECTION_ROUTING] {
-            let mut r = archive.section(id).unwrap();
-            rebuilt.add_section(id, r.get_bytes(r.remaining()).unwrap().to_vec());
+        let idx = sharded(1);
+        let part = |members: Vec<u32>| {
+            let bytes = idx.with_shard(0, |i| i.to_snapshot_bytes());
+            let index = SntIndex::from_snapshot_bytes(&bytes).unwrap();
+            Shard::new(index, members, 4, idx.router().num_edges()).map(|_| ())
+        };
+        part(vec![0, 1, 2, 3]).unwrap();
+        for members in [vec![3, 2, 1, 0], vec![0, 1, 2, 4], vec![0, 1, 2]] {
+            let err = part(members.clone()).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{members:?}");
         }
-        for s in 0..2u32 {
-            let mut r = archive.section(SectionId(SHARD_SECTION_BASE + s)).unwrap();
-            let mut member: Vec<u32> = r.get_seq().unwrap();
-            let rest = r.get_bytes(r.remaining()).unwrap();
-            if s == 0 {
-                member.reverse();
-            }
-            let mut w = ByteWriter::new();
-            w.put_seq(&member);
-            w.put_bytes(rest);
-            rebuilt.add_section(SectionId(SHARD_SECTION_BASE + s), w.into_bytes());
-        }
-        let result = ShardedSntIndex::from_snapshot_bytes(&rebuilt.into_bytes());
-        let err = result
-            .err()
-            .expect("descending member list must be rejected");
-        assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
     }
 
     #[test]
@@ -1222,8 +1156,17 @@ mod tests {
                 ],
             )
             .unwrap();
-        let record = idx.plan_wal_batch(&grown, 4);
-        assert_eq!(record.batch.base, 4);
+        let delta: Vec<Trajectory> = grown.iter().skip(4).cloned().collect();
+        let record = ShardedWalBatch {
+            touched: idx.router().batch_shards(&delta),
+            batch: WalBatch {
+                base: 4,
+                trajectories: delta
+                    .iter()
+                    .map(|t| (t.user(), t.entries().to_vec()))
+                    .collect(),
+            },
+        };
         assert!(!record.touched.is_empty());
         let mut w = ByteWriter::new();
         record.persist(&mut w);

@@ -1294,89 +1294,64 @@ impl SntIndex {
         self.user_table.len()
     }
 
-    /// Appends all trajectories of `set` with ids `≥ num_trajectories()` as
-    /// one new temporal partition — the batch-update path that temporal
-    /// partitioning exists for (paper, Section 4.3.2): the new batch gets
-    /// its own FM-index, existing partitions' succinct structures are left
-    /// untouched, and the new leaves are appended to the temporal forest
-    /// (an append-only operation on CSS-trees, ordinary inserts on
-    /// B+-trees).
+    /// The one mutator — Section 4.3.2's batch append. The batch gets the
+    /// next dense ids `num_trajectories()..` (the ids embedded in the
+    /// [`Trajectory`](tthr_trajectory::Trajectory) values are ignored) and
+    /// is queryable when this returns, byte-identically under either flag:
     ///
-    /// Returns the number of trajectories appended (0 leaves the index
-    /// unchanged).
+    /// * `seal = true` builds the batch's own FM-index and appends its
+    ///   leaves to the temporal forest (an append-only operation on
+    ///   CSS-trees, ordinary inserts on B+-trees); existing partitions'
+    ///   succinct structures are untouched. Batches whose time range
+    ///   slightly overlaps the indexed data merge the forest tails;
+    ///   β-capped answers stay identical to a from-scratch build because
+    ///   timestamp ties keep trajectory-id order either way.
+    /// * `seal = false` absorbs the batch into the mutable hot tail — no
+    ///   FM-index is built until [`SntIndex::compact`] seals the tail.
     ///
-    /// Batches whose time range slightly overlaps the indexed data are
-    /// handled by merging the forest tails; β-capped answers remain
-    /// identical to a from-scratch build because timestamp ties keep
-    /// trajectory-id order either way.
-    ///
-    /// # Panics
-    /// Panics if the partition id space (2¹⁶) is exhausted.
-    pub fn append_batch(&mut self, set: &TrajectorySet) -> usize {
-        let from = self.num_trajectories();
-        if set.len() <= from {
-            return 0;
-        }
-        let batch: Vec<&tthr_trajectory::Trajectory> = (from as u32..set.len() as u32)
-            .map(|id| set.get(tthr_trajectory::TrajId(id)))
-            .collect();
-        self.append_trajectories(&batch)
-    }
-
-    /// Appends a batch of trajectories as one new temporal partition,
-    /// assigning them the next dense ids `num_trajectories()..` — the ids
-    /// embedded in the [`Trajectory`](tthr_trajectory::Trajectory) values
-    /// are ignored. This is the primitive behind [`SntIndex::append_batch`]
-    /// and the write-ahead-log replay path
-    /// ([`SntIndex::append_trajectory_batch`]).
+    /// Once the hot tail is non-empty every batch joins it whatever the
+    /// flag (batches seal strictly in absorb order), so the two flavours
+    /// stay interchangeable mid-stream. Returns the number of trajectories
+    /// ingested.
     ///
     /// # Panics
-    /// Panics if the partition id space (2¹⁶) is exhausted.
-    pub fn append_trajectories(&mut self, batch: &[&tthr_trajectory::Trajectory]) -> usize {
+    /// Panics if the partition id space (2¹⁶), or the hot batch id space
+    /// (2¹⁶ − 1) before a compaction runs, is exhausted.
+    pub fn ingest(&mut self, batch: Vec<tthr_trajectory::Trajectory>, seal: bool) -> usize {
         if batch.is_empty() {
             return 0;
         }
-        // Once the hot tail is non-empty, later appends must land *after*
-        // it (batches seal strictly in absorb order), so the direct path
-        // delegates — the two write paths stay interchangeable mid-stream.
-        if !self.hot.is_empty() {
-            return self.absorb_trajectories(batch);
-        }
-        let pending = self.admit(batch.iter().map(|tr| (*tr).clone()).collect());
-        self.seal_batch(pending);
-        self.mutation_stamp += 1;
-        batch.len()
-    }
-
-    /// Absorbs a batch into the mutable hot tail — the cheap write path.
-    /// Trajectories get the next dense ids and are queryable immediately,
-    /// byte-identically to [`SntIndex::append_trajectories`], but no
-    /// FM-index is built until [`SntIndex::compact`] seals the tail.
-    /// Returns the number of trajectories absorbed.
-    ///
-    /// # Panics
-    /// Panics if the hot batch id space (2¹⁶ − 1) is exhausted before a
-    /// compaction runs.
-    pub fn absorb_trajectories(&mut self, batch: &[&tthr_trajectory::Trajectory]) -> usize {
-        self.absorb_trajectories_owned(batch.iter().map(|tr| (*tr).clone()).collect())
-    }
-
-    /// [`SntIndex::absorb_trajectories`] taking ownership — the hot tail
-    /// keeps the trajectories anyway, so a caller holding an owned
-    /// prepared batch (the service's group-commit path) skips the clone.
-    pub fn absorb_trajectories_owned(&mut self, batch: Vec<tthr_trajectory::Trajectory>) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
-        let absorbed = batch.len();
+        let ingested = batch.len();
         let pending = self.admit(batch);
-        let num_edges = self.estimate_tt.len();
-        self.hot.absorb(pending, num_edges);
+        if seal && self.hot.is_empty() {
+            self.seal_batch(pending);
+        } else {
+            self.hot.absorb(pending, self.estimate_tt.len());
+        }
         self.mutation_stamp += 1;
-        absorbed
+        ingested
     }
 
-    /// Shared admission bookkeeping for both write paths: assigns the next
+    /// Appends all trajectories of `set` with ids `≥ num_trajectories()` as
+    /// one new temporal partition — the paper's whole-set update API over
+    /// [`SntIndex::ingest`]. Returns the number of trajectories appended
+    /// (0 leaves the index unchanged).
+    pub fn append_batch(&mut self, set: &TrajectorySet) -> usize {
+        let delta = set.iter().skip(self.num_trajectories()).cloned().collect();
+        self.ingest(delta, true)
+    }
+
+    /// [`SntIndex::ingest`] with `seal = true` over borrowed trajectories.
+    pub fn append_trajectories(&mut self, batch: &[&tthr_trajectory::Trajectory]) -> usize {
+        self.ingest(batch.iter().map(|tr| (*tr).clone()).collect(), true)
+    }
+
+    /// [`SntIndex::ingest`] with `seal = false` over borrowed trajectories.
+    pub fn absorb_trajectories(&mut self, batch: &[&tthr_trajectory::Trajectory]) -> usize {
+        self.ingest(batch.iter().map(|tr| (*tr).clone()).collect(), false)
+    }
+
+    /// Admission bookkeeping of [`SntIndex::ingest`]: assigns the next
     /// dense ids, folds the batch into `data_min`/`data_max` and the user
     /// table, and builds the pending [`HotBatch`].
     fn admit(&mut self, trajs: Vec<tthr_trajectory::Trajectory>) -> HotBatch {
@@ -1453,17 +1428,6 @@ impl SntIndex {
         self.partitions.push(fm);
     }
 
-    /// The pending hot batches as raw `(first_id, trajectories)` payloads
-    /// (the snapshot wire form — lanes and histograms are rebuilt on
-    /// restore).
-    pub(crate) fn hot_snapshot_batches(&self) -> Vec<(u32, &[tthr_trajectory::Trajectory])> {
-        self.hot
-            .batches()
-            .iter()
-            .map(|b| (b.first_id, b.trajs.as_slice()))
-            .collect()
-    }
-
     /// Re-absorbs one snapshot hot batch during restore: the user table
     /// and data span already cover it, so only the tail state is rebuilt.
     pub(crate) fn restore_hot_batch(
@@ -1473,8 +1437,7 @@ impl SntIndex {
     ) {
         let tod_bucket = self.tod.as_ref().map(|t| t.bucket_secs);
         let batch = HotBatch::build(first_id, trajs, self.estimate_tt.len(), tod_bucket);
-        let num_edges = self.estimate_tt.len();
-        self.hot.absorb(batch, num_edges);
+        self.hot.absorb(batch, self.estimate_tt.len());
         self.mutation_stamp += 1;
     }
 

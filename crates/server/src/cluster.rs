@@ -162,22 +162,12 @@ fn handle(router: &ClusterRouter, request: &Request) -> (u16, String) {
                 Err(e) => return (400, wire::encode_error(&e.to_string())),
             };
             match wire::decode_append(&parsed) {
-                Ok((base, payload)) => {
-                    if let Some(base) = base {
-                        let current = router.num_global();
-                        if base != current {
-                            let e = ClusterError::WalGap {
-                                expected: current,
-                                found: base,
-                            };
-                            return (409, wire::encode_error(&e.to_string()));
-                        }
-                    }
-                    match router.append_batch(&payload) {
-                        Ok(appended) => (200, wire::encode_appended(appended as usize)),
-                        Err(e) => (status_of(&e), wire::encode_error(&e.to_string())),
-                    }
-                }
+                // The stamp is checked by the router under the lock that
+                // assigns ids; a conflict comes back as `WalGap` → 409.
+                Ok((base, payload)) => match router.append_batch(base, &payload) {
+                    Ok(appended) => (200, wire::encode_appended(appended as usize)),
+                    Err(e) => (status_of(&e), wire::encode_error(&e.to_string())),
+                },
                 Err(e) => (400, wire::encode_error(&e)),
             }
         }

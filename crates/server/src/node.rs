@@ -10,17 +10,19 @@
 //!
 //! # Durability contract
 //!
-//! * [`NodeStore::append`] applies the record to the in-memory state
-//!   *first* (application validates everything before mutating), then
-//!   logs it. A crash between the two loses an unacknowledged record —
-//!   the router never got its ack, retries, and the base-stamp
-//!   idempotency of [`tthr_core::NodeWalRecord`] makes the re-send
-//!   apply cleanly.
-//! * [`NodeStore::snapshot`] writes `node.snap` atomically (temp file +
-//!   rename + directory fsync) **before** starting a fresh WAL, mirroring
-//!   the service tier's ordering argument: a crash in between pairs the
-//!   new snapshot with stale WAL records, which replay as idempotent
-//!   skips on open.
+//! * [`NodeStore::append`] is **write-ahead**, in the one order the
+//!   service tier's group commit documents: validate the record against
+//!   the in-memory state, log + fsync it, and only then apply it (which
+//!   can no longer fail) and retain it for standbys. A failed log write
+//!   changes nothing, so the router's re-send is a fresh attempt, never
+//!   an idempotent skip of a record that was not logged; a crash after
+//!   the fsync replays the record on open, and the base-stamp idempotency
+//!   of [`tthr_core::NodeWalRecord`] makes the retried send a clean skip.
+//! * [`NodeStore::snapshot`] rotates `node.snap` / `node.wal` through
+//!   [`tthr_store::rotate`] — the service tier's routine, hence its
+//!   crash-ordering argument: a crash between the rename and the WAL
+//!   reset pairs the new snapshot with stale WAL records, which replay
+//!   as idempotent skips on open.
 //! * [`NodeStore::open`] restores the snapshot and replays every intact
 //!   WAL record; a torn tail is truncated by the store layer.
 //!
@@ -108,23 +110,8 @@ impl NodeStore {
     /// [`ShardNodeState::export_from`]): writes the snapshot and starts
     /// an empty WAL.
     pub fn init(dir: impl AsRef<Path>, state: ShardNodeState) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        write_node_snapshot(&dir, &state)?;
-        let wal = WalWriter::create(&dir.join(NODE_WAL_FILE))?;
-        sync_dir(&dir)?;
-        let stamp = state.num_global();
-        Ok(NodeStore {
-            dir,
-            state,
-            wal,
-            role: Role::Primary,
-            hot_tail: false,
-            retained: VecDeque::new(),
-            tail_start: stamp,
-            snapshot_stamp: stamp,
-            blob: Mutex::new(None),
-        })
+        let wal = rotate_to(dir.as_ref(), &state)?;
+        Ok(Self::at_snapshot(dir.as_ref(), state, wal))
     }
 
     /// Reopens a store directory: restores the snapshot, replays every
@@ -133,35 +120,38 @@ impl NodeStore {
     /// that advanced the state repopulate the retained tail, so a
     /// restarted primary can still feed its standbys from memory.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
+        let dir = dir.as_ref();
         let bytes = std::fs::read(dir.join(NODE_SNAPSHOT_FILE))?;
-        let mut state = ShardNodeState::from_snapshot_bytes(&bytes)?;
-        let snapshot_stamp = state.num_global();
-        let mut retained = VecDeque::new();
-        let mut tail_start = snapshot_stamp;
+        let state = ShardNodeState::from_snapshot_bytes(&bytes)?;
         let (wal, recovery) = WalWriter::open(&dir.join(NODE_WAL_FILE))?;
+        let mut store = Self::at_snapshot(dir, state, wal);
         for payload in &recovery.records {
             let mut r = ByteReader::new(payload);
             let record = NodeWalRecord::restore(&mut r)?;
             r.expect_exhausted("node wal record")?;
-            let before = state.num_global();
-            state.apply(&record)?;
-            if state.num_global() > before {
-                retained.push_back(record);
-                trim_tail(&mut retained, &mut tail_start);
+            if let Some(prepared) = store.state.prepare(&record)? {
+                store.state.commit(prepared, true);
+                store.retain(record);
             }
         }
-        Ok(NodeStore {
-            dir,
+        Ok(store)
+    }
+
+    /// A primary, direct-mode store whose on-disk snapshot is exactly
+    /// `state`: nothing retained, nothing cached.
+    fn at_snapshot(dir: &Path, state: ShardNodeState, wal: WalWriter) -> Self {
+        let stamp = state.num_global();
+        NodeStore {
+            dir: dir.to_path_buf(),
             state,
             wal,
             role: Role::Primary,
             hot_tail: false,
-            retained,
-            tail_start,
-            snapshot_stamp,
+            retained: VecDeque::new(),
+            tail_start: stamp,
+            snapshot_stamp: stamp,
             blob: Mutex::new(None),
-        })
+        }
     }
 
     /// The node's in-memory state.
@@ -223,24 +213,33 @@ impl NodeStore {
         }
     }
 
-    /// Applies one append record and, if it advanced the node, logs it.
-    /// Returns `(applied, num_global)` — how many trajectories this
-    /// shard indexed and the node's post-apply global count.
+    /// Appends one record write-ahead (see the module docs): validate,
+    /// log, apply, retain. A record the node already holds is an
+    /// idempotent skip that writes nothing. Returns `(applied,
+    /// num_global)` — how many trajectories this shard indexed and the
+    /// node's post-apply global count.
     pub fn append(&mut self, record: &NodeWalRecord) -> Result<(u64, u64), StoreError> {
-        let before = self.state.num_global();
-        let applied = if self.hot_tail {
-            self.state.absorb(record)?
-        } else {
-            self.state.apply(record)?
+        let Some(prepared) = self.state.prepare(record)? else {
+            return Ok((0, self.state.num_global()));
         };
-        if self.state.num_global() > before {
-            let mut w = ByteWriter::new();
-            record.persist(&mut w);
-            self.wal.append(&w.into_bytes())?;
-            self.retained.push_back(record.clone());
-            trim_tail(&mut self.retained, &mut self.tail_start);
-        }
+        let mut w = ByteWriter::new();
+        record.persist(&mut w);
+        self.wal.append_many(&[w.into_bytes()])?;
+        let applied = self.state.commit(prepared, !self.hot_tail);
+        self.retain(record.clone());
         Ok((applied as u64, self.state.num_global()))
+    }
+
+    /// Adds a record that advanced the state to the retained tail,
+    /// evicting the oldest past [`TAIL_RETAIN_CAP`] (the tail's start
+    /// stamp moves past each eviction).
+    fn retain(&mut self, record: NodeWalRecord) {
+        self.retained.push_back(record);
+        while self.retained.len() > TAIL_RETAIN_CAP {
+            if let Some(evicted) = self.retained.pop_front() {
+                self.tail_start = evicted.new_total;
+            }
+        }
     }
 
     /// Rotates the snapshot: seals the hot tail into the immutable
@@ -254,14 +253,8 @@ impl NodeStore {
     /// behind the rotation re-syncs, once, from the fresh snapshot.
     pub fn snapshot(&mut self) -> Result<(), StoreError> {
         self.state.compact(None);
-        write_node_snapshot(&self.dir, &self.state)?;
-        sync_dir(&self.dir)?;
-        self.wal = WalWriter::create(&self.dir.join(NODE_WAL_FILE))?;
-        sync_dir(&self.dir)?;
-        self.snapshot_stamp = self.state.num_global();
-        self.retained.clear();
-        self.tail_start = self.snapshot_stamp;
-        *self.blob.lock().expect("blob lock") = None;
+        self.wal = rotate_to(&self.dir, &self.state)?;
+        self.rotated();
         Ok(())
     }
 
@@ -269,16 +262,19 @@ impl NodeStore {
     /// re-sync after a `WalGap`): persists it atomically, starts a fresh
     /// WAL, and resets the replication bookkeeping.
     pub fn replace_state(&mut self, state: ShardNodeState) -> Result<(), StoreError> {
-        write_node_snapshot(&self.dir, &state)?;
-        sync_dir(&self.dir)?;
-        self.wal = WalWriter::create(&self.dir.join(NODE_WAL_FILE))?;
-        sync_dir(&self.dir)?;
+        self.wal = rotate_to(&self.dir, &state)?;
         self.state = state;
+        self.rotated();
+        Ok(())
+    }
+
+    /// Bookkeeping after a rotation landed: the snapshot now covers the
+    /// whole state, so the retained tail and the shipping blob reset.
+    fn rotated(&mut self) {
         self.snapshot_stamp = self.state.num_global();
         self.retained.clear();
         self.tail_start = self.snapshot_stamp;
         *self.blob.lock().expect("blob lock") = None;
-        Ok(())
     }
 
     /// Retained WAL records from `from_stamp` onward (one page), plus
@@ -338,38 +334,12 @@ impl NodeStore {
     }
 }
 
-/// Evicts the oldest retained records past [`TAIL_RETAIN_CAP`],
-/// advancing the tail's start stamp past each eviction.
-fn trim_tail(retained: &mut VecDeque<NodeWalRecord>, tail_start: &mut u64) {
-    while retained.len() > TAIL_RETAIN_CAP {
-        if let Some(evicted) = retained.pop_front() {
-            *tail_start = evicted.new_total;
-        }
-    }
-}
-
-fn write_node_snapshot(dir: &Path, state: &ShardNodeState) -> Result<(), StoreError> {
-    let tmp = dir.join(format!("{NODE_SNAPSHOT_FILE}.tmp"));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&state.to_snapshot_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, dir.join(NODE_SNAPSHOT_FILE))?;
-    Ok(())
-}
-
-/// Fsyncs a directory so renames inside it are durable; "unsupported"
-/// platforms degrade to best-effort (same policy as the service tier).
-fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-    match std::fs::File::open(dir) {
-        Ok(f) => match f.sync_all() {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => Ok(()),
-            Err(e) => Err(e.into()),
-        },
-        Err(e) => Err(e.into()),
-    }
+/// Rotates `dir` to `state`: snapshot written atomically, then a fresh
+/// WAL, whose writer is returned ([`tthr_store::rotate`]).
+fn rotate_to(dir: &Path, state: &ShardNodeState) -> Result<WalWriter, StoreError> {
+    let bytes = state.to_snapshot_bytes();
+    let write = |out: &mut std::io::BufWriter<_>| Ok(out.write_all(&bytes)?);
+    Ok(tthr_store::rotate(dir, NODE_SNAPSHOT_FILE, NODE_WAL_FILE, write)?.1)
 }
 
 /// Serves one shard node over `listener`, blocking forever: accepts
@@ -729,6 +699,39 @@ mod tests {
             members: vec![],
             trajectories: vec![],
         }
+    }
+
+    /// Regression: the node used to apply first and log second, so a
+    /// failed WAL write left the state advanced and the router's re-send
+    /// was acked as an idempotent skip — for a record in neither the log
+    /// nor the retained tail. Write-ahead, a failed log write changes
+    /// nothing and a re-send fails again.
+    #[test]
+    fn failed_wal_write_neither_applies_nor_acks() {
+        let dir = temp_dir("wal-fail");
+        let mut store = NodeStore::init(&dir, example_state()).unwrap();
+        let logged = advance_record(&store);
+        store.append(&logged).unwrap();
+        let stamp = store.applied_stamp();
+        let lost = advance_record(&store);
+        store.wal.poison();
+        for attempt in ["first send", "re-send"] {
+            assert!(store.append(&lost).is_err(), "{attempt} must not ack");
+            assert_eq!(store.applied_stamp(), stamp, "{attempt}");
+            let (tail, end) = store.tail_since(stamp - 1).unwrap();
+            assert_eq!((tail, end), (vec![logged.clone()], stamp), "{attempt}");
+        }
+        // A record the node already holds is still a skip that needs no
+        // log write — idempotency does not depend on the writer.
+        assert_eq!(store.append(&logged).unwrap(), (0, stamp));
+        drop(store);
+        let reopened = NodeStore::open(&dir).unwrap();
+        assert_eq!(
+            reopened.applied_stamp(),
+            stamp,
+            "the log holds what was acked"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Hot-tail mode absorbs appends without the FM update, answers

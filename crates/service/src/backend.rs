@@ -19,13 +19,14 @@
 //! — stamp-checked, so replay stays idempotent across the snapshot/WAL
 //! overlap a crash can leave behind.
 
+use tthr_core::persist::prepare_batch;
 use tthr_core::{
     CompactionOutcome, HotStats, IndexBackend, ShardStats, ShardedSntIndex, ShardedWalBatch,
     SntIndex, Spq, WalBatch,
 };
 use tthr_network::Timestamp;
 use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
-use tthr_trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet, UserId};
+use tthr_trajectory::{TrajEntry, Trajectory, UserId};
 
 /// What one append did to the backend — the service scopes cache
 /// invalidation with it.
@@ -41,28 +42,28 @@ pub struct AppendEffect {
 
 /// An index a [`QueryService`](crate::QueryService) can serve, append to,
 /// and persist.
+///
+/// The write surface is the paper's one update operation and its
+/// deferred half: [`Self::ingest`] (Section 4.3.2's batch append, sealed
+/// or absorbed) and [`Self::compact`]. Each has a `&self` twin only
+/// because [`Self::SHARED_APPENDS`] backends mutate under the service's
+/// *read* lock; a backend implements the pair its locking model uses —
+/// the `&mut self` defaults forward to the `&self` ones.
 pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
     /// Whether appends mutate the backend through `&self` under its own
-    /// fine-grained locking ([`Self::apply_append_shared`]), so the
-    /// service applies them under its *read* lock and readers of
-    /// untouched shards never stall. `false` routes appends through the
-    /// service's exclusive write lock and [`Self::apply_append`].
+    /// fine-grained locking ([`Self::ingest_shared`]), so the service
+    /// applies them under its *read* lock and readers of untouched shards
+    /// never stall. `false` routes appends through the service's
+    /// exclusive write lock and [`Self::ingest`].
     const SHARED_APPENDS: bool = false;
 
     /// Excludes other appenders (and snapshots racing appenders) without
     /// blocking readers. Returns `Some` exactly when
     /// [`Self::SHARED_APPENDS`]; the service holds the guard across the
-    /// WAL write and the apply, so concurrent `append_batch` calls
-    /// serialize and log in apply order.
+    /// WAL write and the apply, so concurrent appends serialize and log
+    /// in apply order.
     fn append_permit(&self) -> Option<std::sync::MutexGuard<'_, ()>> {
         None
-    }
-
-    /// Appends through `&self` under the backend's internal locks. Only
-    /// called when [`Self::SHARED_APPENDS`]; the caller holds
-    /// [`Self::append_permit`].
-    fn apply_append_shared(&self, _set: &TrajectorySet) -> AppendEffect {
-        unreachable!("apply_append_shared requires SHARED_APPENDS")
     }
 
     /// Number of trajectories currently indexed (the global id space).
@@ -73,75 +74,51 @@ pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
     /// [`SnapshotInfo`](crate::SnapshotInfo).
     fn num_partitions(&self) -> usize;
 
-    /// Appends the new trajectories of `set` (ids `≥ num_trajectories()`)
-    /// as one batch.
-    fn apply_append(&mut self, set: &TrajectorySet) -> AppendEffect;
-
     /// Validates a raw `(user, entries)` payload batch against this index
-    /// and materializes it with the next dense ids, **without** applying
-    /// it — so the service can reject a bad batch before the WAL record is
-    /// written ([`QueryService::append_new`](crate::QueryService::append_new)).
-    fn prepare_payload(
-        &self,
-        payload: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<Vec<Trajectory>, StoreError>;
-
-    /// [`Self::prepare_payload`] with the first assigned id (`from`)
-    /// given explicitly instead of read from the index. The group-commit
-    /// leader stamps a queue of batches arithmetically — batch *k*'s
-    /// `from` accounts for the not-yet-applied batches before it — so ids
-    /// stay dense across a multi-batch commit. Validation is independent
-    /// of `from`; only the materialized ids differ.
+    /// and materializes it with dense ids from `from`, **without**
+    /// applying it — so the service can reject a bad batch before its WAL
+    /// record is written. The group-commit leader stamps a queue of
+    /// batches arithmetically — batch *k*'s `from` accounts for the
+    /// not-yet-applied batches before it — so ids stay dense across a
+    /// multi-batch commit. Validation is independent of `from`; only the
+    /// materialized ids differ.
     fn prepare_payload_at(
         &self,
         payload: &[(UserId, Vec<TrajEntry>)],
         from: usize,
-    ) -> Result<Vec<Trajectory>, StoreError>;
-
-    /// Appends a batch previously validated by
-    /// [`Self::prepare_payload`] under the exclusive write lock.
-    fn apply_prepared(&mut self, batch: &[Trajectory]) -> AppendEffect;
-
-    /// Appends a prepared batch through `&self` under the backend's
-    /// internal locks. Only called when [`Self::SHARED_APPENDS`]; the
-    /// caller holds [`Self::append_permit`].
-    fn apply_prepared_shared(&self, _batch: &[Trajectory]) -> AppendEffect {
-        unreachable!("apply_prepared_shared requires SHARED_APPENDS")
+    ) -> Result<Vec<Trajectory>, StoreError> {
+        prepare_batch(from as u32, self.num_edges(), payload)
     }
 
-    /// Absorbs the new trajectories of `set` into the backend's mutable
-    /// hot tail instead of sealing them into an immutable partition — the
-    /// cheap write path [`IngestConfig`](crate::IngestConfig) routes
-    /// appends through. Answers stay byte-identical to
-    /// [`Self::apply_append`]; only [`Self::compact`] pays the
-    /// FM-index/wavelet construction cost later.
-    fn absorb_append(&mut self, set: &TrajectorySet) -> AppendEffect;
+    /// Edges of the indexed network — the range payload edge ids must
+    /// fall in.
+    fn num_edges(&self) -> usize;
 
-    /// [`Self::absorb_append`] through `&self` under the backend's
-    /// internal locks. Only called when [`Self::SHARED_APPENDS`]; the
-    /// caller holds [`Self::append_permit`].
-    fn absorb_append_shared(&self, _set: &TrajectorySet) -> AppendEffect {
-        unreachable!("absorb_append_shared requires SHARED_APPENDS")
+    /// Ingests a prepared batch with the next dense ids under the
+    /// exclusive write lock: sealed into an immutable partition right
+    /// away (`seal`), or absorbed into the backend's mutable hot tail —
+    /// the cheap write path [`IngestConfig`](crate::IngestConfig) routes
+    /// appends through, where only [`Self::compact`] pays the
+    /// FM-index/wavelet construction later. Answers are byte-identical
+    /// either way.
+    fn ingest(&mut self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect {
+        self.ingest_shared(batch, seal)
     }
 
-    /// Absorbs a batch previously validated by [`Self::prepare_payload`]
-    /// into the hot tail under the exclusive write lock. Takes the batch
-    /// by value: the tail keeps the trajectories, so an owning caller
-    /// (the group-commit leader) hands them over instead of cloning.
-    fn absorb_prepared(&mut self, batch: Vec<Trajectory>) -> AppendEffect;
-
-    /// [`Self::absorb_prepared`] through `&self` under the backend's
-    /// internal locks. Only called when [`Self::SHARED_APPENDS`]; the
-    /// caller holds [`Self::append_permit`].
-    fn absorb_prepared_shared(&self, _batch: Vec<Trajectory>) -> AppendEffect {
-        unreachable!("absorb_prepared_shared requires SHARED_APPENDS")
+    /// [`Self::ingest`] through `&self` under the backend's internal
+    /// locks. Only called when [`Self::SHARED_APPENDS`]; the caller holds
+    /// [`Self::append_permit`].
+    fn ingest_shared(&self, _batch: Vec<Trajectory>, _seal: bool) -> AppendEffect {
+        unreachable!("ingest_shared requires SHARED_APPENDS")
     }
 
     /// Seals every pending hot batch into its own immutable partition (in
     /// absorb order, byte-identical to the index direct appends would have
     /// built) and drops partitions fully expired by `horizon`, under the
     /// exclusive write lock.
-    fn compact(&mut self, horizon: Option<Timestamp>) -> CompactionOutcome;
+    fn compact(&mut self, horizon: Option<Timestamp>) -> CompactionOutcome {
+        self.compact_shared(horizon)
+    }
 
     /// [`Self::compact`] through `&self` under the backend's internal
     /// locks (one shard write-locked at a time, so readers of other
@@ -160,12 +137,6 @@ pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
     /// high-water mark the service's retention horizon is computed from.
     fn max_data_time(&self) -> Timestamp;
 
-    /// Encodes the WAL record logging a raw payload batch appended at
-    /// trajectory count `from` (the payload flavor of
-    /// [`Self::encode_wal_record`]; both replay through
-    /// [`Self::replay_wal_record`]).
-    fn encode_wal_payload(&self, payload: &[(UserId, Vec<TrajEntry>)], from: usize) -> Vec<u8>;
-
     /// The index shard a query routes to, or `None` when the backend is
     /// unpartitioned. Used to decide which cache entries an append
     /// invalidates; must agree with how [`AppendEffect::touched_shards`]
@@ -180,11 +151,12 @@ pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
         None
     }
 
-    /// Encodes the WAL record logging the delta `set[from..]`.
-    fn encode_wal_record(&self, set: &TrajectorySet, from: usize) -> Vec<u8>;
+    /// Encodes the WAL record logging `batch` ingested at trajectory
+    /// count `from`.
+    fn encode_wal_record(&self, batch: &[Trajectory], from: usize) -> Vec<u8>;
 
     /// Replays one WAL record: skips records the snapshot already covers
-    /// (base stamp < current trajectory count), applies records that line
+    /// (base stamp < current trajectory count), seals records that line
     /// up exactly, and reports a [`StoreError::WalGap`] for records that
     /// skip ahead.
     fn replay_wal_record(&mut self, record: &[u8]) -> Result<(), StoreError>;
@@ -197,12 +169,24 @@ pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
     fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError>;
 }
 
-/// The delta of a grown set: references to the members with ids `from..`
-/// (the ones an append/absorb of `set` at trajectory count `from` adds).
-fn new_members(set: &TrajectorySet, from: usize) -> Vec<&Trajectory> {
-    (from as u32..set.len() as u32)
-        .map(|id| set.get(TrajId(id)))
-        .collect()
+/// The stamp check every replay shares: the batch to seal now, `None`
+/// for one the snapshot already contains, a [`StoreError::WalGap`] for
+/// one that skips ahead of the `have` trajectories indexed.
+fn replay_due<B: ServiceBackend>(
+    index: &B,
+    batch: WalBatch,
+) -> Result<Option<Vec<Trajectory>>, StoreError> {
+    let have = index.num_trajectories();
+    match batch.base.cmp(&(have as u64)) {
+        std::cmp::Ordering::Less => Ok(None),
+        std::cmp::Ordering::Greater => Err(StoreError::WalGap {
+            expected: have as u64,
+            found: batch.base,
+        }),
+        std::cmp::Ordering::Equal => index
+            .prepare_payload_at(&batch.trajectories, have)
+            .map(Some),
+    }
 }
 
 impl ServiceBackend for SntIndex {
@@ -214,47 +198,13 @@ impl ServiceBackend for SntIndex {
         SntIndex::num_partitions(self)
     }
 
-    fn apply_append(&mut self, set: &TrajectorySet) -> AppendEffect {
+    fn num_edges(&self) -> usize {
+        SntIndex::num_edges(self)
+    }
+
+    fn ingest(&mut self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect {
         AppendEffect {
-            appended: self.append_batch(set),
-            touched_shards: None,
-        }
-    }
-
-    fn prepare_payload(
-        &self,
-        payload: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<Vec<Trajectory>, StoreError> {
-        self.prepare_append_batch(payload)
-    }
-
-    fn prepare_payload_at(
-        &self,
-        payload: &[(UserId, Vec<TrajEntry>)],
-        from: usize,
-    ) -> Result<Vec<Trajectory>, StoreError> {
-        self.prepare_append_batch_at(from as u32, payload)
-    }
-
-    fn apply_prepared(&mut self, batch: &[Trajectory]) -> AppendEffect {
-        let refs: Vec<&Trajectory> = batch.iter().collect();
-        AppendEffect {
-            appended: self.append_trajectories(&refs),
-            touched_shards: None,
-        }
-    }
-
-    fn absorb_append(&mut self, set: &TrajectorySet) -> AppendEffect {
-        let refs = new_members(set, SntIndex::num_trajectories(self));
-        AppendEffect {
-            appended: self.absorb_trajectories(&refs),
-            touched_shards: None,
-        }
-    }
-
-    fn absorb_prepared(&mut self, batch: Vec<Trajectory>) -> AppendEffect {
-        AppendEffect {
-            appended: self.absorb_trajectories_owned(batch),
+            appended: SntIndex::ingest(self, batch, seal),
             touched_shards: None,
         }
     }
@@ -271,23 +221,13 @@ impl ServiceBackend for SntIndex {
         self.data_max()
     }
 
-    fn encode_wal_payload(&self, payload: &[(UserId, Vec<TrajEntry>)], from: usize) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        WalBatch {
-            base: from as u64,
-            trajectories: payload.to_vec(),
-        }
-        .persist(&mut w);
-        w.into_bytes()
-    }
-
     fn route_shard(&self, _spq: &Spq) -> Option<usize> {
         None
     }
 
-    fn encode_wal_record(&self, set: &TrajectorySet, from: usize) -> Vec<u8> {
+    fn encode_wal_record(&self, batch: &[Trajectory], from: usize) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        WalBatch::delta(set, from).persist(&mut w);
+        WalBatch::encode(from as u64, batch, &mut w);
         w.into_bytes()
     }
 
@@ -295,17 +235,9 @@ impl ServiceBackend for SntIndex {
         let mut r = ByteReader::new(record);
         let batch = WalBatch::restore(&mut r)?;
         r.expect_exhausted("wal record")?;
-        let have = SntIndex::num_trajectories(self) as u64;
-        if batch.base < have {
-            return Ok(()); // batch predates the snapshot
+        if let Some(due) = replay_due(self, batch)? {
+            SntIndex::ingest(self, due, true);
         }
-        if batch.base > have {
-            return Err(StoreError::WalGap {
-                expected: have,
-                found: batch.base,
-            });
-        }
-        self.append_trajectory_batch(&batch.trajectories)?;
         Ok(())
     }
 
@@ -325,14 +257,6 @@ impl ServiceBackend for ShardedSntIndex {
         Some(ShardedSntIndex::append_permit(self))
     }
 
-    fn apply_append_shared(&self, set: &TrajectorySet) -> AppendEffect {
-        let effect = self.append_batch(set);
-        AppendEffect {
-            appended: effect.appended,
-            touched_shards: Some(effect.touched),
-        }
-    }
-
     fn num_trajectories(&self) -> usize {
         ShardedSntIndex::num_trajectories(self)
     }
@@ -341,69 +265,16 @@ impl ServiceBackend for ShardedSntIndex {
         ShardedSntIndex::num_partitions(self)
     }
 
-    fn apply_append(&mut self, set: &TrajectorySet) -> AppendEffect {
-        self.apply_append_shared(set)
+    fn num_edges(&self) -> usize {
+        self.router().num_edges()
     }
 
-    fn prepare_payload(
-        &self,
-        payload: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<Vec<Trajectory>, StoreError> {
-        self.prepare_append_batch(payload)
-    }
-
-    fn prepare_payload_at(
-        &self,
-        payload: &[(UserId, Vec<TrajEntry>)],
-        from: usize,
-    ) -> Result<Vec<Trajectory>, StoreError> {
-        self.prepare_append_batch_at(from as u32, payload)
-    }
-
-    fn apply_prepared(&mut self, batch: &[Trajectory]) -> AppendEffect {
-        self.apply_prepared_shared(batch)
-    }
-
-    fn apply_prepared_shared(&self, batch: &[Trajectory]) -> AppendEffect {
-        let refs: Vec<&Trajectory> = batch.iter().collect();
-        let effect = ShardedSntIndex::append_trajectories(self, &refs);
+    fn ingest_shared(&self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect {
+        let effect = ShardedSntIndex::ingest(self, batch, seal);
         AppendEffect {
             appended: effect.appended,
             touched_shards: Some(effect.touched),
         }
-    }
-
-    fn absorb_append(&mut self, set: &TrajectorySet) -> AppendEffect {
-        self.absorb_append_shared(set)
-    }
-
-    fn absorb_append_shared(&self, set: &TrajectorySet) -> AppendEffect {
-        let refs = new_members(set, ShardedSntIndex::num_trajectories(self));
-        let effect = ShardedSntIndex::absorb_trajectories(self, &refs);
-        AppendEffect {
-            appended: effect.appended,
-            touched_shards: Some(effect.touched),
-        }
-    }
-
-    fn absorb_prepared(&mut self, batch: Vec<Trajectory>) -> AppendEffect {
-        self.absorb_prepared_shared(batch)
-    }
-
-    fn absorb_prepared_shared(&self, batch: Vec<Trajectory>) -> AppendEffect {
-        // Sharded absorption clones per touched shard anyway (a
-        // trajectory lands whole on every shard it touches), so the
-        // by-value batch is only borrowed here.
-        let refs: Vec<&Trajectory> = batch.iter().collect();
-        let effect = ShardedSntIndex::absorb_trajectories(self, &refs);
-        AppendEffect {
-            appended: effect.appended,
-            touched_shards: Some(effect.touched),
-        }
-    }
-
-    fn compact(&mut self, horizon: Option<Timestamp>) -> CompactionOutcome {
-        ShardedSntIndex::compact(self, horizon)
     }
 
     fn compact_shared(&self, horizon: Option<Timestamp>) -> CompactionOutcome {
@@ -418,16 +289,6 @@ impl ServiceBackend for ShardedSntIndex {
         self.data_max()
     }
 
-    fn encode_wal_payload(&self, payload: &[(UserId, Vec<TrajEntry>)], from: usize) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.plan_wal_payload(WalBatch {
-            base: from as u64,
-            trajectories: payload.to_vec(),
-        })
-        .persist(&mut w);
-        w.into_bytes()
-    }
-
     fn route_shard(&self, spq: &Spq) -> Option<usize> {
         Some(self.router().shard_of(spq.path.first()))
     }
@@ -436,9 +297,12 @@ impl ServiceBackend for ShardedSntIndex {
         Some(ShardedSntIndex::shard_stats(self))
     }
 
-    fn encode_wal_record(&self, set: &TrajectorySet, from: usize) -> Vec<u8> {
+    /// The monolithic record behind the shard ids the batch routes to
+    /// under the current routing table ([`ShardedWalBatch`]'s layout).
+    fn encode_wal_record(&self, batch: &[Trajectory], from: usize) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        self.plan_wal_batch(set, from).persist(&mut w);
+        w.put_seq(&self.router().batch_shards(batch));
+        WalBatch::encode(from as u64, batch, &mut w);
         w.into_bytes()
     }
 
@@ -446,17 +310,10 @@ impl ServiceBackend for ShardedSntIndex {
         let mut r = ByteReader::new(record);
         let tagged = ShardedWalBatch::restore(&mut r)?;
         r.expect_exhausted("sharded wal record")?;
-        let have = ShardedSntIndex::num_trajectories(self) as u64;
-        if tagged.batch.base < have {
+        let Some(due) = replay_due(self, tagged.batch)? else {
             return Ok(());
-        }
-        if tagged.batch.base > have {
-            return Err(StoreError::WalGap {
-                expected: have,
-                found: tagged.batch.base,
-            });
-        }
-        let effect = self.append_trajectory_batch(&tagged.batch.trajectories)?;
+        };
+        let effect = ShardedSntIndex::ingest(self, due, true);
         // The record carries the routing the writer observed; a
         // disagreement means the snapshot's routing table is not the one
         // the log was written against.

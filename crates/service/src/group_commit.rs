@@ -38,14 +38,22 @@
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 use tthr_store::StoreError;
-use tthr_trajectory::{TrajEntry, TrajectorySet, UserId};
+use tthr_trajectory::{TrajEntry, Trajectory, UserId};
 
 /// One queued append, owned so the leader can process it on the
 /// submitter's behalf while the submitter blocks.
 pub(crate) enum AppendRequest {
-    /// `append_batch`: the whole grown set; the delta past the current
-    /// trajectory count is what gets logged and applied.
-    Set(TrajectorySet),
+    /// `append_batch`: the tail of a grown set. The delta past the
+    /// trajectory count the leader finds is what gets logged and applied.
+    Set {
+        /// Size of the whole grown set.
+        len: usize,
+        /// The trajectory count read at submit — never above the count a
+        /// leader later finds (the id space only grows).
+        from: usize,
+        /// The set's members with ids `from..len`.
+        tail: Vec<Trajectory>,
+    },
     /// `append_new`: a delta payload with an optional idempotency stamp.
     Payload {
         /// Client's idempotency stamp (trajectory count it believes).

@@ -90,7 +90,7 @@ use tthr_core::{
 use tthr_metrics::{LogHistogram, MetricsRegistry};
 use tthr_network::{RoadNetwork, Timestamp};
 use tthr_store::StoreError;
-use tthr_trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet, UserId};
+use tthr_trajectory::{TrajEntry, Trajectory, TrajectorySet, UserId};
 
 /// A [`QueryService`] over the partitioned
 /// [`ShardedSntIndex`]: appends stall only the
@@ -328,25 +328,8 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
 enum Plan {
     /// Outcome settled during stamping; nothing logged, nothing applied.
     Settled(AppendOutcome),
-    /// Apply the delta of this grown set (WAL record already encoded).
-    ApplySet(TrajectorySet),
-    /// Apply this prepared, id-stamped payload batch (record encoded).
-    ApplyPrepared(Vec<tthr_trajectory::Trajectory>),
-}
-
-/// Settles a planned batch after its WAL write failed: nothing was
-/// applied (the write rolled back, or poisoned the writer trying), so
-/// every request with a record in the batch reports the failure, while
-/// requests settled during stamping keep their own outcome.
-/// [`StoreError`] is not `Clone`; the error is replicated structurally.
-fn settle_failed(plans: Vec<(u64, Plan)>, error: &StoreError) -> Vec<(u64, AppendOutcome)> {
-    plans
-        .into_iter()
-        .map(|(ticket, plan)| match plan {
-            Plan::Settled(outcome) => (ticket, outcome),
-            Plan::ApplySet(_) | Plan::ApplyPrepared(_) => (ticket, Err(replicate_error(error))),
-        })
-        .collect()
+    /// Ingest this prepared, id-stamped batch (WAL record already encoded).
+    Apply(Vec<Trajectory>),
 }
 
 /// A structural copy of a [`StoreError`] for fan-out to every member of a
@@ -384,19 +367,57 @@ pub struct IngestStatus {
     pub dropped_partitions: u64,
 }
 
-/// Earliest entry timestamp of the delta `set[index.num_trajectories()..]`
-/// — the time floor of what an append of `set` ingests (`None` when the
-/// set holds nothing new). Trajectory entries are validated
-/// time-monotonic, so each member's floor is its start time.
-fn set_min_time<B: ServiceBackend>(index: &B, set: &TrajectorySet) -> Option<Timestamp> {
-    (index.num_trajectories() as u32..set.len() as u32)
-        .map(|id| set.get(TrajId(id)).start_time())
-        .min()
+/// The append serialization point, held — the write half of the index
+/// lock as the backend's locking model defines it. [`with_appender`] is
+/// the only place that model is branched on; everything that mutates the
+/// index runs one body over this.
+enum Appender<'a, B> {
+    /// The service write lock: readers are excluded outright.
+    Exclusive(&'a mut B),
+    /// The service read lock plus the backend's append permit: readers
+    /// keep flowing, stalled at most per shard.
+    Shared(&'a B),
 }
 
-/// Earliest entry timestamp of a prepared payload batch.
-fn prepared_min_time(batch: &[Trajectory]) -> Option<Timestamp> {
-    batch.iter().map(|t| t.start_time()).min()
+impl<B: ServiceBackend> Appender<'_, B> {
+    fn index(&self) -> &B {
+        match self {
+            Appender::Exclusive(index) => index,
+            Appender::Shared(index) => index,
+        }
+    }
+
+    fn ingest(&mut self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect {
+        match self {
+            Appender::Exclusive(index) => index.ingest(batch, seal),
+            Appender::Shared(index) => index.ingest_shared(batch, seal),
+        }
+    }
+
+    fn compact(&mut self, horizon: Option<Timestamp>) -> CompactionOutcome {
+        match self {
+            Appender::Exclusive(index) => index.compact(horizon),
+            Appender::Shared(index) => index.compact_shared(horizon),
+        }
+    }
+}
+
+/// Runs `f` holding the append serialization point: other appenders,
+/// compactions and snapshot rotations are excluded for its whole duration
+/// (lock order: index, then the append permit, then the persist mutex).
+fn with_appender<B: ServiceBackend, R>(
+    inner: &Inner<B>,
+    f: impl FnOnce(Appender<'_, B>) -> R,
+) -> R {
+    if B::SHARED_APPENDS {
+        let index = inner.index.read().expect("index lock");
+        let permit = index.append_permit();
+        debug_assert!(permit.is_some(), "SHARED_APPENDS promises a permit");
+        f(Appender::Shared(&*index))
+    } else {
+        let mut index = inner.index.write().expect("index lock");
+        f(Appender::Exclusive(&mut index))
+    }
 }
 
 /// The retention horizon of one compaction pass: everything strictly
@@ -416,33 +437,20 @@ fn retention_horizon<B: ServiceBackend>(index: &B, ingest: &IngestConfig) -> Opt
 /// trigger, and the background compactor thread.
 fn compact_on<B: ServiceBackend>(inner: &Inner<B>) -> Result<CompactionOutcome, StoreError> {
     let started = Instant::now();
-    let outcome = if B::SHARED_APPENDS {
-        let index = inner.index.read().expect("index lock");
-        // The permit excludes appenders (who also hold it) so the
-        // horizon, the per-shard seals, and `data_max` stay consistent;
-        // readers keep flowing, stalled at most per-shard.
-        let _permit = index.append_permit();
-        let horizon = retention_horizon(&*index, &inner.ingest);
-        // Seqlock write only when retention can change answers: sealing
-        // alone is byte-identity-preserving, so readers racing a pure
-        // seal keep both their results and their cache inserts.
-        if horizon.is_some() {
-            inner.generation.fetch_add(1, Ordering::SeqCst);
-        }
-        let outcome = index.compact_shared(horizon);
-        if horizon.is_some() {
-            inner.generation.fetch_add(1, Ordering::SeqCst);
-        }
-        outcome
-    } else {
-        let mut index = inner.index.write().expect("index lock");
-        let horizon = retention_horizon(&*index, &inner.ingest);
+    let outcome = with_appender(inner, |mut index| {
+        // Holding the serialization point keeps the horizon, the seals and
+        // `data_max` consistent.
+        let horizon = retention_horizon(index.index(), &inner.ingest);
+        // Seqlock write (odd while in flight) only when retention can
+        // change answers: sealing alone is byte-identity-preserving, so
+        // readers racing a pure seal keep both their results and their
+        // cache inserts.
+        let bump = u64::from(horizon.is_some());
+        inner.generation.fetch_add(bump, Ordering::SeqCst);
         let outcome = index.compact(horizon);
-        if horizon.is_some() {
-            inner.generation.fetch_add(2, Ordering::SeqCst);
-        }
+        inner.generation.fetch_add(bump, Ordering::SeqCst);
         outcome
-    };
+    });
     if outcome.dropped_partitions > 0 {
         // Retention changed answers; every cached entry may be stale.
         // (Pure sealing never clears: cached answers are byte-identical
@@ -467,13 +475,7 @@ fn compact_on<B: ServiceBackend>(inner: &Inner<B>) -> Result<CompactionOutcome, 
         // replays the old snapshot + full WAL (pre-compaction state); the
         // rotation itself is the same atomic rename + stamped-WAL-reset
         // sequence `save_snapshot` documents.
-        let dir = inner
-            .persist
-            .lock()
-            .expect("persist lock")
-            .as_ref()
-            .map(|p| p.dir.clone());
-        if let Some(dir) = dir {
+        if let Some(dir) = persist::store_dir(inner) {
             persist::save_snapshot_on(inner, &dir)?;
         }
     }
@@ -672,27 +674,33 @@ impl<B: ServiceBackend> QueryService<B> {
     /// saw the error) or replays it fully on the next `open`. Without
     /// storage attached the call is infallible.
     pub fn append_batch(&self, set: &TrajectorySet) -> Result<usize, StoreError> {
+        // Only the tail past the count read here is queued (owned, so a
+        // group-commit leader can process it on this caller's behalf): the
+        // count is monotone — retention never shrinks the id space — so
+        // the delta the leader applies can only start at or after it.
+        let from = self.with_index(|index| index.num_trajectories());
+        self.submit_append(AppendRequest::Set {
+            len: set.len(),
+            from,
+            tail: set.iter().skip(from).cloned().collect(),
+        })
+    }
+
+    /// The one entry to the write path: queues the request for a
+    /// group-commit leader ([`Self::commit_appends`]), then runs the
+    /// hot-tail size trigger.
+    fn submit_append(&self, request: AppendRequest) -> Result<usize, StoreError> {
         let start = Instant::now();
-        let result = self.append_batch_inner(set);
+        let result = self
+            .inner
+            .group
+            .submit(request, |batch| self.commit_appends(batch));
         // Appends have no search trace; they still count and feed the
         // slow-query log (a stalled append is worth seeing there).
         self.inner
             .observe(Endpoint::Append, start.elapsed(), 0, &QueryTrace::default());
         self.maybe_compact_after_append();
         result
-    }
-
-    fn append_batch_inner(&self, set: &TrajectorySet) -> Result<usize, StoreError> {
-        // The grown set is cloned into the queue so a group-commit leader
-        // can process it on this caller's behalf. The server's hot ingest
-        // path ships deltas through `append_new`; this whole-set entry
-        // point is the bulk/compat API, where the clone is dwarfed by the
-        // index update itself.
-        self.inner
-            .group
-            .submit(AppendRequest::Set(set.clone()), |batch| {
-                self.commit_appends(batch)
-            })
     }
 
     /// Appends a batch of **new** trajectory payloads — the network
@@ -719,26 +727,10 @@ impl<B: ServiceBackend> QueryService<B> {
         base: Option<u64>,
         new: &[(UserId, Vec<TrajEntry>)],
     ) -> Result<usize, StoreError> {
-        let start = Instant::now();
-        let result = self.append_new_inner(base, new);
-        self.inner
-            .observe(Endpoint::Append, start.elapsed(), 0, &QueryTrace::default());
-        self.maybe_compact_after_append();
-        result
-    }
-
-    fn append_new_inner(
-        &self,
-        base: Option<u64>,
-        new: &[(UserId, Vec<TrajEntry>)],
-    ) -> Result<usize, StoreError> {
-        self.inner.group.submit(
-            AppendRequest::Payload {
-                base,
-                new: new.to_vec(),
-            },
-            |batch| self.commit_appends(batch),
-        )
+        self.submit_append(AppendRequest::Payload {
+            base,
+            new: new.to_vec(),
+        })
     }
 
     /// Group-commit leader: settles a drained batch of append requests
@@ -756,93 +748,43 @@ impl<B: ServiceBackend> QueryService<B> {
     ///    generation-seqlock bumps and scoped cache eviction as a serial
     ///    execution.
     fn commit_appends(&self, batch: Vec<(u64, AppendRequest)>) -> Vec<(u64, AppendOutcome)> {
-        if B::SHARED_APPENDS {
-            let index = self.inner.index.read().expect("index lock");
-            let permit = index.append_permit();
-            debug_assert!(permit.is_some(), "SHARED_APPENDS promises a permit");
-            let (plans, records) = self.plan_appends(&*index, batch);
-            if let Err(e) = self.wal_append_group(&records) {
-                return settle_failed(plans, &e);
-            }
+        let inner = &*self.inner;
+        with_appender(inner, |mut index| {
+            let (plans, records) = self.plan_appends(index.index(), batch);
+            let logged = self.wal_append_group(&records);
             plans
                 .into_iter()
                 .map(|(ticket, plan)| {
-                    let outcome = match plan {
-                        Plan::Settled(outcome) => outcome,
-                        Plan::ApplySet(set) => {
-                            // Seqlock write: odd while the per-shard
-                            // applies are in flight, so a trip whose
-                            // chains straddle the apply window (shard A
+                    let outcome = match (plan, &logged) {
+                        (Plan::Settled(outcome), _) => outcome,
+                        // The WAL write failed: it rolled back (or poisoned
+                        // the writer trying) and nothing is applied, so
+                        // every request with a record in the batch reports
+                        // the failure; the settled ones keep their outcome.
+                        (Plan::Apply(_), Err(e)) => Err(replicate_error(e)),
+                        (Plan::Apply(delta), Ok(())) => {
+                            // Trajectory entries are validated
+                            // time-monotonic, so each member's time floor
+                            // is its start time.
+                            let floor = delta.iter().map(Trajectory::start_time).min();
+                            // Seqlock write: odd while the apply is in
+                            // flight, so a trip whose chains straddle the
+                            // window of a shared apply (shard A
                             // post-append, shard B pre-append) can never
-                            // pass generation validation — it either
-                            // reads an odd counter or sees it change.
-                            let floor = set_min_time(&*index, &set);
-                            self.inner.generation.fetch_add(1, Ordering::SeqCst);
-                            let effect = if self.inner.ingest.hot_tail {
-                                index.absorb_append_shared(&set)
-                            } else {
-                                index.apply_append_shared(&set)
-                            };
-                            self.inner.generation.fetch_add(1, Ordering::SeqCst);
-                            self.evict_stale(&*index, &effect, floor);
-                            Ok(effect.appended)
-                        }
-                        Plan::ApplyPrepared(prepared) => {
-                            let floor = prepared_min_time(&prepared);
-                            self.inner.generation.fetch_add(1, Ordering::SeqCst);
-                            let effect = if self.inner.ingest.hot_tail {
-                                index.absorb_prepared_shared(prepared)
-                            } else {
-                                index.apply_prepared_shared(&prepared)
-                            };
-                            self.inner.generation.fetch_add(1, Ordering::SeqCst);
-                            self.evict_stale(&*index, &effect, floor);
+                            // pass generation validation — it either reads
+                            // an odd counter or sees it change. (Under the
+                            // exclusive lock no reader runs in between.)
+                            inner.generation.fetch_add(1, Ordering::SeqCst);
+                            let effect = index.ingest(delta, !inner.ingest.hot_tail);
+                            inner.generation.fetch_add(1, Ordering::SeqCst);
+                            self.evict_stale(index.index(), &effect, floor);
                             Ok(effect.appended)
                         }
                     };
                     (ticket, outcome)
                 })
                 .collect()
-        } else {
-            let mut index = self.inner.index.write().expect("index lock");
-            let (plans, records) = self.plan_appends(&*index, batch);
-            if let Err(e) = self.wal_append_group(&records) {
-                return settle_failed(plans, &e);
-            }
-            plans
-                .into_iter()
-                .map(|(ticket, plan)| {
-                    let outcome = match plan {
-                        Plan::Settled(outcome) => outcome,
-                        Plan::ApplySet(set) => {
-                            let floor = set_min_time(&*index, &set);
-                            let effect = if self.inner.ingest.hot_tail {
-                                index.absorb_append(&set)
-                            } else {
-                                index.apply_append(&set)
-                            };
-                            // Readers are excluded by the write lock;
-                            // keep the counter's even parity in one jump.
-                            self.inner.generation.fetch_add(2, Ordering::SeqCst);
-                            self.evict_stale(&*index, &effect, floor);
-                            Ok(effect.appended)
-                        }
-                        Plan::ApplyPrepared(prepared) => {
-                            let floor = prepared_min_time(&prepared);
-                            let effect = if self.inner.ingest.hot_tail {
-                                index.absorb_prepared(prepared)
-                            } else {
-                                index.apply_prepared(&prepared)
-                            };
-                            self.inner.generation.fetch_add(2, Ordering::SeqCst);
-                            self.evict_stale(&*index, &effect, floor);
-                            Ok(effect.appended)
-                        }
-                    };
-                    (ticket, outcome)
-                })
-                .collect()
-        }
+        })
     }
 
     /// Phase 1 of a group commit: walk the batch in submission order,
@@ -863,41 +805,35 @@ impl<B: ServiceBackend> QueryService<B> {
         // records, so don't pay the serialization on every append.
         let logging = self.inner.persist.lock().expect("persist lock").is_some();
         for (ticket, request) in batch {
-            match request {
-                AppendRequest::Set(set) => {
-                    if set.len() <= running {
-                        plans.push((ticket, Plan::Settled(Ok(0))));
-                    } else {
-                        if logging {
-                            records.push(index.encode_wal_record(&set, running));
-                        }
-                        running = set.len();
-                        plans.push((ticket, Plan::ApplySet(set)));
+            // Turn the request into the delta it appends at `running`…
+            let delta = match request {
+                AppendRequest::Set { len, .. } if len <= running => Ok(Vec::new()),
+                AppendRequest::Set { from, mut tail, .. } => {
+                    tail.drain(..running - from);
+                    Ok(tail)
+                }
+                AppendRequest::Payload { base, new } => match base {
+                    Some(b) if b < running as u64 => Ok(Vec::new()),
+                    Some(b) if b > running as u64 => Err(StoreError::WalGap {
+                        expected: running as u64,
+                        found: b,
+                    }),
+                    _ => index.prepare_payload_at(&new, running),
+                },
+            };
+            // …then stamp and log it, or settle what needs no apply.
+            let plan = match delta {
+                Err(e) => Plan::Settled(Err(e)),
+                Ok(delta) if delta.is_empty() => Plan::Settled(Ok(0)),
+                Ok(delta) => {
+                    if logging {
+                        records.push(index.encode_wal_record(&delta, running));
                     }
+                    running += delta.len();
+                    Plan::Apply(delta)
                 }
-                AppendRequest::Payload { base, new } => {
-                    let have = running as u64;
-                    let plan = match base {
-                        Some(b) if b < have => Plan::Settled(Ok(0)),
-                        Some(b) if b > have => Plan::Settled(Err(StoreError::WalGap {
-                            expected: have,
-                            found: b,
-                        })),
-                        _ if new.is_empty() => Plan::Settled(Ok(0)),
-                        _ => match index.prepare_payload_at(&new, running) {
-                            Ok(prepared) => {
-                                if logging {
-                                    records.push(index.encode_wal_payload(&new, running));
-                                }
-                                running += prepared.len();
-                                Plan::ApplyPrepared(prepared)
-                            }
-                            Err(e) => Plan::Settled(Err(e)),
-                        },
-                    };
-                    plans.push((ticket, plan));
-                }
-            }
+            };
+            plans.push((ticket, plan));
         }
         (plans, records)
     }

@@ -16,7 +16,6 @@
 //! snapshot, replay the WAL, resume logging.
 
 use crate::{QueryService, ServiceBackend, ServiceConfig};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tthr_network::RoadNetwork;
@@ -129,13 +128,14 @@ impl<B: ServiceBackend> QueryService<B> {
 
     /// The attached storage directory, if the service is persistent.
     pub fn store_dir(&self) -> Option<PathBuf> {
-        self.inner
-            .persist
-            .lock()
-            .expect("persist lock")
-            .as_ref()
-            .map(|p| p.dir.clone())
+        store_dir(&self.inner)
     }
+}
+
+/// The storage directory attached to the service internals, if any.
+pub(crate) fn store_dir<B: ServiceBackend>(inner: &crate::Inner<B>) -> Option<PathBuf> {
+    let persist = inner.persist.lock().expect("persist lock");
+    persist.as_ref().map(|p| p.dir.clone())
 }
 
 impl QueryService {
@@ -158,7 +158,6 @@ pub(crate) fn save_snapshot_on<B: ServiceBackend>(
     inner: &crate::Inner<B>,
     dir: &Path,
 ) -> Result<SnapshotInfo, StoreError> {
-    std::fs::create_dir_all(dir)?;
     // Lock order: index, then the append permit, then the persist
     // mutex (same as `append_batch`). For an exclusive-append backend
     // the read lock alone keeps writers out; a shared-append backend
@@ -167,18 +166,13 @@ pub(crate) fn save_snapshot_on<B: ServiceBackend>(
     let index = inner.index.read().expect("index lock");
     let _permit = index.append_permit();
     let mut persist = inner.persist.lock().expect("persist lock");
-    let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
     let started = std::time::Instant::now();
-    let bytes;
-    {
-        let f = std::fs::File::create(&tmp)?;
-        let mut buf = std::io::BufWriter::new(f);
-        index.write_snapshot_to(&mut buf)?;
-        buf.flush()?;
-        let f = buf.get_ref();
-        bytes = f.metadata()?.len();
-        f.sync_all()?;
-    }
+    // The snapshot streams straight into the temp file; once it is
+    // renamed it covers everything, so the rotation starts a fresh log.
+    // (Crash points: see `tthr_store::rotate`.)
+    let (bytes, wal) = tthr_store::rotate(dir, SNAPSHOT_FILE, WAL_FILE, |out| {
+        index.write_snapshot_to(out)
+    })?;
     let metrics = &inner.metrics;
     metrics
         .snapshot_duration_ns
@@ -187,42 +181,16 @@ pub(crate) fn save_snapshot_on<B: ServiceBackend>(
         .snapshot_bytes
         .set(i64::try_from(bytes).unwrap_or(i64::MAX));
     metrics.snapshots.inc();
-    let info = SnapshotInfo {
-        path: dir.join(SNAPSHOT_FILE),
-        bytes,
-        trajectories: index.num_trajectories(),
-        partitions: index.num_partitions(),
-    };
-    std::fs::rename(&tmp, &info.path)?;
-    // Make the rename durable BEFORE truncating the WAL: if the
-    // truncation hit disk first and power failed, a reboot would pair
-    // the OLD snapshot with a NEW empty log — losing every batch the
-    // old log held.
-    sync_dir(dir)?;
-    // The snapshot now covers everything; start a fresh log. (If the
-    // process dies between the rename and here, stale WAL records are
-    // skipped on open thanks to their base stamps.)
-    let wal = WalWriter::create(&dir.join(WAL_FILE))?;
-    sync_dir(dir)?;
     *persist = Some(Persistence {
         dir: dir.to_path_buf(),
         wal,
     });
-    Ok(info)
-}
-
-/// Fsyncs a directory so renames and file creations inside it are
-/// durable. Some platforms refuse to sync a directory handle; treat
-/// "unsupported" as best-effort rather than failing the snapshot.
-fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-    match std::fs::File::open(dir) {
-        Ok(f) => match f.sync_all() {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => Ok(()),
-            Err(e) => Err(e.into()),
-        },
-        Err(e) => Err(e.into()),
-    }
+    Ok(SnapshotInfo {
+        path: dir.join(SNAPSHOT_FILE),
+        bytes,
+        trajectories: index.num_trajectories(),
+        partitions: index.num_partitions(),
+    })
 }
 
 #[cfg(test)]

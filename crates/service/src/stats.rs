@@ -387,7 +387,7 @@ impl ServiceMetrics {
             snapshot_bytes: gauge("tthr_snapshot_bytes", "Size of the last snapshot in bytes"),
             snapshot_duration_ns: registry.histogram(
                 "tthr_snapshot_duration_ns",
-                "Snapshot write+fsync duration in nanoseconds",
+                "Snapshot rotation (write, fsync, rename, WAL reset) duration in nanoseconds",
                 &[],
             ),
             compactions: counter(

@@ -122,12 +122,14 @@
 mod codec;
 mod crc;
 mod error;
+mod rotate;
 pub mod snapshot;
 pub mod wal;
 
 pub use codec::{ByteReader, ByteWriter};
 pub use crc::crc32;
 pub use error::StoreError;
+pub use rotate::rotate;
 
 /// A type with a stable binary wire form.
 ///

@@ -10,7 +10,7 @@
 use crate::crc::crc32;
 use crate::error::StoreError;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Magic bytes opening every WAL file.
@@ -45,17 +45,12 @@ pub struct WalRecovery {
 pub fn read_wal(path: &Path) -> Result<WalRecovery, StoreError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(WalRecovery {
-                records: Vec::new(),
-                valid_len: 0,
-                torn: false,
-            })
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e.into()),
     };
     if bytes.len() < HEADER_BYTES as usize {
-        // A header torn mid-write: nothing recoverable, rewrite from scratch.
+        // No file yet, or a header torn mid-write: nothing recoverable,
+        // rewrite from scratch.
         return Ok(WalRecovery {
             records: Vec::new(),
             valid_len: 0,
@@ -135,59 +130,31 @@ impl WalWriter {
             poisoned: false,
         };
         // Position at the (possibly truncated) end for appends.
-        writer.file.seek_end()?;
+        writer.file.seek(SeekFrom::End(0))?;
         Ok((writer, recovery))
     }
 
     /// Appends one record (length, CRC, payload) and syncs it to disk —
-    /// when this returns `Ok`, the record survives a crash.
-    ///
-    /// A failed write (e.g. a full disk) is rolled back by truncating the
-    /// file to its pre-record length, so the log stays well-formed and
-    /// later appends remain recoverable. If even the rollback fails, the
-    /// writer poisons itself and every further append errors out — the
-    /// alternative would be fsynced records stranded behind a torn frame
-    /// that recovery (rightly) stops at.
+    /// when this returns `Ok`, the record survives a crash. A batch of one
+    /// through [`WalWriter::append_many`], with its rollback contract.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        if self.poisoned {
-            return Err(StoreError::corrupt(
-                "wal writer poisoned by an earlier unrolled-back append failure",
-            ));
-        }
-        let len: u32 = payload
-            .len()
-            .try_into()
-            .map_err(|_| StoreError::corrupt("wal record over 4 GiB"))?;
-        let mut framed = Vec::with_capacity(8 + payload.len());
-        framed.extend_from_slice(&len.to_le_bytes());
-        framed.extend_from_slice(&crc32(payload).to_le_bytes());
-        framed.extend_from_slice(payload);
-        let start = self.file.metadata()?.len();
-        let result = self
-            .file
-            .write_all(&framed)
-            .and_then(|()| self.file.sync_all());
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                if self.file.set_len(start).is_err() || self.file.seek_end().is_err() {
-                    self.poisoned = true;
-                }
-                Err(e.into())
-            }
-        }
+        self.append_many(&[payload])
     }
 
     /// Appends a whole batch of records with **one** write and **one**
-    /// fsync — the group-commit primitive. The on-disk bytes are identical
-    /// to calling [`WalWriter::append`] once per payload in order; only
-    /// the write/sync count differs, so readers and crash recovery cannot
-    /// tell the difference.
+    /// fsync — the group-commit primitive, and the only code that writes
+    /// records: every WAL in the system (service, sharded service, shard
+    /// node) appends through here. The on-disk bytes are those of one
+    /// append per payload in order; only the write/sync count differs, so
+    /// readers and crash recovery cannot tell the difference.
     ///
-    /// The batch is all-or-nothing at the durability boundary: on any
-    /// failure the file is rolled back to its pre-batch length (poisoning
-    /// the writer if the rollback itself fails, exactly like `append`),
-    /// so no caller can observe a partially durable batch through an `Ok`.
+    /// The batch is all-or-nothing at the durability boundary: a failed
+    /// write (e.g. a full disk) is rolled back by truncating the file to
+    /// its pre-batch length, so the log stays well-formed and no caller
+    /// can observe a partially durable batch through an `Ok`. If even the
+    /// rollback fails, the writer poisons itself and every further append
+    /// errors out — the alternative would be fsynced records stranded
+    /// behind a torn frame that recovery (rightly) stops at.
     pub fn append_many<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<(), StoreError> {
         if payloads.is_empty() {
             return Ok(());
@@ -217,24 +184,19 @@ impl WalWriter {
         match result {
             Ok(()) => Ok(()),
             Err(e) => {
-                if self.file.set_len(start).is_err() || self.file.seek_end().is_err() {
+                if self.file.set_len(start).is_err() || self.file.seek(SeekFrom::End(0)).is_err() {
                     self.poisoned = true;
                 }
                 Err(e.into())
             }
         }
     }
-}
 
-/// Seek-to-end helper kept off the public surface.
-trait SeekEnd {
-    fn seek_end(&mut self) -> std::io::Result<()>;
-}
-
-impl SeekEnd for File {
-    fn seek_end(&mut self) -> std::io::Result<()> {
-        use std::io::Seek;
-        self.seek(std::io::SeekFrom::End(0)).map(|_| ())
+    /// Test seam: puts the writer in the state an unrolled-back write
+    /// failure leaves it in, so every later append errors out.
+    #[doc(hidden)]
+    pub fn poison(&mut self) {
+        self.poisoned = true;
     }
 }
 

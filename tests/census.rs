@@ -28,6 +28,10 @@ fn refs(set: &TrajectorySet, ids: std::ops::Range<usize>) -> Vec<&Trajectory> {
     ids.map(|id| set.get(TrajId(id as u32))).collect()
 }
 
+fn owned(set: &TrajectorySet, ids: std::ops::Range<usize>) -> Vec<Trajectory> {
+    refs(set, ids).into_iter().cloned().collect()
+}
+
 fn assert_exact(index: &ShardedSntIndex, after: &str) {
     for s in 0..index.num_shards() {
         assert!(
@@ -60,12 +64,12 @@ proptest! {
             let to = (applied + n).min(set.len());
             let what = match op {
                 0 => {
-                    index.append_trajectories(&refs(set, applied..to));
+                    index.ingest(owned(set, applied..to), true);
                     applied = to;
                     "append"
                 }
                 1 => {
-                    index.absorb_trajectories(&refs(set, applied..to));
+                    index.ingest(owned(set, applied..to), false);
                     applied = to;
                     "absorb"
                 }

@@ -259,7 +259,7 @@ fn append_retried_across_promotion_applies_exactly_once() {
     // and apply the batch exactly once cluster-wide.
     h.kill_node(0);
     let appended = router
-        .append_batch(&batch)
+        .append_batch(None, &batch)
         .expect("append across promotion");
     assert_eq!(appended as usize, batch.len());
     assert_eq!(router.num_global(), base + batch.len() as u64);
@@ -507,7 +507,7 @@ fn soak_failover_under_flapping_network() {
         // standby tails the primary directly, so it stays promotable.
         if round % 4 == 1 && h.can_append() {
             let batch = h.reference_append_next(4);
-            let appended = router.append_batch(&batch).expect("soak append");
+            let appended = router.append_batch(None, &batch).expect("soak append");
             assert_eq!(appended as usize, batch.len());
             assert_eq!(router.num_global() as u64, h.applied as u64);
             wait_for_stamp(standby0.addr, h.applied as u64, Duration::from_secs(10));

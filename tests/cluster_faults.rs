@@ -19,7 +19,8 @@
 //! * out-of-order appends → [`ClusterError::WalGap`]-shaped `Err` frames
 //!   carrying both stamps;
 //! * a shard that dies while a relaxation ladder is in flight → the whole
-//!   trip aborts typed, and malformed level lists → typed `BadRequest`.
+//!   trip aborts typed, and malformed level lists → typed `BadRequest`;
+//! * concurrent `/append` requests carrying one stamp → exactly one lands.
 
 mod common;
 
@@ -29,10 +30,13 @@ use std::time::Duration;
 
 use common::cluster::ClusterHarness;
 use common::differential::QueryGen;
-use tthr::client::{ClientConfig, ClusterError, NodeClient, RouterConfig};
+use common::http::HttpClient;
+use tthr::client::{ClientConfig, ClusterError, ClusterRouter, NodeClient, RouterConfig};
 use tthr::core::node::MAX_LADDER_LEVELS;
 use tthr::core::{NodeWalRecord, Spq, TimeInterval};
 use tthr::rpc::{encode_frame, read_frame, write_frame, ErrCode, Message};
+use tthr::server::cluster::serve_cluster;
+use tthr::server::wire::encode_append_request;
 
 /// Short-fuse transport config so fault scenarios fail fast instead of
 /// hanging the suite.
@@ -95,7 +99,7 @@ fn killed_replica_is_typed_and_restart_reconverges_from_wal() {
     // fails typed and the router's counters stay put...
     let before = h.cluster.num_global();
     let batch = h.next_batch(3);
-    match h.cluster.append_batch(&batch) {
+    match h.cluster.append_batch(None, &batch) {
         Err(ClusterError::ShardUnavailable { shard: 0, .. }) => {}
         other => panic!("append with a dead shard must fail typed, got {other:?}"),
     }
@@ -245,6 +249,90 @@ fn out_of_order_appends_answer_walgap_with_both_stamps() {
     match client.request(&Message::Append(ok)).expect("reply") {
         Message::Appended { appended: 0, total } => assert_eq!(total, base),
         other => panic!("clean append must ack, got {other:?}"),
+    }
+}
+
+/// Regression: the cluster front-end used to compare the client's stamp
+/// with `num_global()` and only then call `append_batch`, which took the
+/// router's state lock afresh — two requests carrying the same stamp
+/// could both pass the check and the batch was appended twice, the one
+/// thing the stamp exists to prevent. The comparison now runs under the
+/// lock that assigns ids.
+#[test]
+fn concurrent_stamped_appends_through_serve_cluster_land_exactly_once() {
+    const POSTERS: usize = 8;
+    const ROUNDS: usize = 12;
+    let mut h = ClusterHarness::boot("faults-stamp-race", quick());
+    // The contract, deterministically: the router itself refuses a stamp
+    // that is not its count — a replay after the batch landed, or one
+    // from the future — and contacts no node to find that out.
+    let stale = h.applied as u64;
+    h.append_next(1);
+    for found in [stale, stale + 2] {
+        match h.cluster.append_batch(Some(found), &h.next_batch(1)) {
+            Err(ClusterError::WalGap { expected, found: f }) => {
+                assert_eq!((expected, f), (stale + 1, found))
+            }
+            other => panic!("stamp {found} at count {} answered {other:?}", stale + 1),
+        }
+    }
+    assert_eq!(h.cluster.num_global(), stale + 1, "refusals append nothing");
+    let router = ClusterRouter::connect(
+        h.network.clone(),
+        &h.addrs(),
+        h.engine_config.clone(),
+        quick(),
+    )
+    .expect("connect the front-end's router");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind http");
+    let http = listener.local_addr().expect("http addr");
+    std::thread::spawn(move || serve_cluster(listener, router));
+
+    // And under fire. (The old window was a few instructions wide — a
+    // stress run cannot be relied on to hit it, which is why the contract
+    // is pinned above; this pins that nothing is lost or doubled when the
+    // stamp check and the id assignment contend for real.) The posters
+    // are connected up front and released together, round after round.
+    let mut posters: Vec<HttpClient> = (0..POSTERS).map(|_| HttpClient::connect(http)).collect();
+    let gate = std::sync::Barrier::new(POSTERS);
+    for round in 0..ROUNDS {
+        let stamp = h.applied as u64;
+        let batch = h.reference_append_next(2);
+        let body = encode_append_request(Some(stamp), &batch);
+        let statuses: Vec<u16> = std::thread::scope(|s| {
+            let running: Vec<_> = posters
+                .iter_mut()
+                .map(|poster| {
+                    s.spawn(|| {
+                        gate.wait();
+                        poster.request("POST", "/append", body.as_bytes()).status
+                    })
+                })
+                .collect();
+            running.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        let count = |status: u16| statuses.iter().filter(|&&s| s == status).count();
+        assert_eq!(
+            (count(200), count(409)),
+            (1, POSTERS - 1),
+            "round {round}: one stamped batch, posted {POSTERS}×, must land exactly once: \
+             {statuses:?}"
+        );
+        let health = posters[0].request("GET", "/health", b"");
+        let want = format!("\"trajectories\":{}", h.applied);
+        assert!(
+            health.body_str().contains(&want),
+            "round {round}: num_global must advance once, to {}: {}",
+            h.applied,
+            health.body_str()
+        );
+    }
+    for node in &h.nodes {
+        let client = NodeClient::new(node.addr, quick());
+        match client.request(&Message::GetMeta).expect("meta") {
+            Message::Meta(meta) => assert_eq!(meta.num_global, h.applied as u64),
+            other => panic!("GetMeta answered {other:?}"),
+        }
     }
 }
 

@@ -17,6 +17,7 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use tthr::client::{ClientConfig, ClusterRouter, NodeClient, RouterConfig};
+use tthr::core::persist::prepare_batch;
 use tthr::core::{
     ladder_sequential, QueryEngine, QueryEngineConfig, SearchScratch, ShardNodeState,
     ShardedSntIndex, SntConfig, Spq, TripQuery,
@@ -24,7 +25,7 @@ use tthr::core::{
 use tthr::network::RoadNetwork;
 use tthr::rpc::Message;
 use tthr::server::node::NodeStore;
-use tthr::trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet, UserId};
+use tthr::trajectory::{TrajEntry, TrajId, TrajectorySet, UserId};
 
 use super::differential::{assert_ladders_equal, ladder_levels, trips_equal};
 use super::{prefix_set, small_world, value_bits as bits};
@@ -300,12 +301,13 @@ impl ClusterHarness {
         if batch.is_empty() {
             return batch;
         }
-        let owned = self
-            .reference
-            .prepare_append_batch(&batch)
-            .expect("reference batch");
-        let refs: Vec<&Trajectory> = owned.iter().collect();
-        let appended = self.reference.append_trajectories(&refs).appended;
+        let owned = prepare_batch(
+            self.reference.num_trajectories() as u32,
+            self.reference.router().num_edges(),
+            &batch,
+        )
+        .expect("reference batch");
+        let appended = self.reference.ingest(owned, true).appended;
         assert_eq!(
             appended,
             batch.len(),
@@ -322,7 +324,10 @@ impl ClusterHarness {
         if batch.is_empty() {
             return 0;
         }
-        let cluster_appended = self.cluster.append_batch(&batch).expect("cluster append");
+        let cluster_appended = self
+            .cluster
+            .append_batch(None, &batch)
+            .expect("cluster append");
         assert_eq!(
             cluster_appended as usize,
             batch.len(),

@@ -26,8 +26,10 @@ use tthr::core::{
 };
 use tthr::datagen::{generate_network, generate_workload, NetworkConfig, WorkloadConfig};
 use tthr::network::RoadNetwork;
-use tthr::service::{IngestConfig, QueryService, ServiceConfig, ShardedQueryService};
-use tthr::trajectory::{TrajId, TrajectorySet};
+use tthr::service::{
+    IngestConfig, QueryService, ServiceBackend, ServiceConfig, ShardedQueryService,
+};
+use tthr::trajectory::{TrajEntry, TrajId, TrajectorySet, UserId};
 
 use super::{prefix_set, value_bits as bits};
 
@@ -146,6 +148,13 @@ impl DiffHarness {
     /// Appends up to `n` more trajectories from the stream to every
     /// service as one batch and cross-checks the append outcome.
     pub fn append_next(&mut self, n: usize) -> usize {
+        self.append_next_via(n, false)
+    }
+
+    /// [`Self::append_next`] through either entry point of the one write
+    /// path: the whole grown set (`append_batch`), or — `as_payload` —
+    /// the stamped delta a network client ships (`append_new`).
+    pub fn append_next_via(&mut self, n: usize, as_payload: bool) -> usize {
         let to = (self.applied + n.max(1)).min(self.full.len());
         if to == self.applied {
             return 0;
@@ -172,25 +181,56 @@ impl DiffHarness {
             self.max_shards_per_batch = self.max_shards_per_batch.max(touched);
         }
         let appended = to - self.applied;
-        assert_eq!(
-            self.monolith.append_batch(&grown).expect("monolith append"),
-            appended
-        );
+        let stamp = Some(self.applied as u64);
+        let payload: Vec<(UserId, Vec<TrajEntry>)> = (self.applied..to)
+            .map(|id| self.full.get(TrajId(id as u32)))
+            .map(|t| (t.user(), t.entries().to_vec()))
+            .collect();
+        // Generic over the backend, so a closure will not do.
+        fn append<B: ServiceBackend>(
+            svc: &QueryService<B>,
+            grown: &TrajectorySet,
+            delta: Option<&[(UserId, Vec<TrajEntry>)]>,
+            stamp: Option<u64>,
+        ) -> usize {
+            match delta {
+                Some(payload) => svc.append_new(stamp, payload),
+                None => svc.append_batch(grown),
+            }
+            .expect("append")
+        }
+        let delta = as_payload.then_some(payload.as_slice());
+        assert_eq!(append(&self.monolith, &grown, delta, stamp), appended);
         for (k, svc) in &self.sharded {
             assert_eq!(
-                svc.append_batch(&grown).expect("sharded append"),
+                append(svc, &grown, delta, stamp),
                 appended,
                 "K={k} appended a different count"
             );
         }
         if let Some(oracle) = &self.oracle {
-            assert_eq!(
-                oracle.append_batch(&grown).expect("oracle append"),
-                appended
-            );
+            assert_eq!(append(oracle, &grown, delta, stamp), appended);
         }
         self.applied = to;
         appended
+    }
+
+    /// Per service (monolith, then each shard count): the named file of
+    /// its latest snapshot directory and its in-memory snapshot bytes.
+    pub fn store_bytes(&self, file: &str) -> Vec<(Vec<u8>, Vec<u8>)> {
+        fn state<B: ServiceBackend>(svc: &QueryService<B>) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            svc.with_index(|i| i.write_snapshot_to(&mut bytes))
+                .expect("snapshot bytes");
+            bytes
+        }
+        let (mono_dir, shard_dirs) = self.latest.as_ref().expect("snapshot() ran");
+        let read = |dir: &PathBuf| std::fs::read(dir.join(file)).expect("store file");
+        let mut out = vec![(read(mono_dir), state(&self.monolith))];
+        for ((_, svc), dir) in self.sharded.iter().zip(shard_dirs) {
+            out.push((read(dir), state(svc)));
+        }
+        out
     }
 
     /// Compacts every lifecycle-enabled service (seals the hot tail into

@@ -10,9 +10,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use tthr::core::{SntConfig, SntIndex, Spq, TimeInterval, WalBatch};
 use tthr::datagen::sample_query_trajectories;
-use tthr::service::{QueryService, ServiceConfig, SNAPSHOT_FILE, WAL_FILE};
+use tthr::service::{QueryService, ServiceBackend, ServiceConfig, SNAPSHOT_FILE, WAL_FILE};
 use tthr::store::wal::WalWriter;
-use tthr::store::{ByteWriter, Persist, StoreError};
+use tthr::store::{ByteReader, ByteWriter, Persist, StoreError};
 use tthr::trajectory::TrajectorySet;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -443,7 +443,15 @@ fn sharded_wal_records_skipping_ahead_or_misrouted_are_typed_errors() {
     let network = Arc::new(syn.network.clone());
     let service = sharded_service(&network, &prefix_set(&set, 30));
     service.save_snapshot(&dir).unwrap();
-    let base_plan = service.with_index(|index| index.plan_wal_batch(&prefix_set(&set, 32), 30));
+    // The record the service itself would log for the next two
+    // trajectories, decoded so its stamp and tag can be forged.
+    let delta: Vec<_> = set.iter().skip(30).take(2).cloned().collect();
+    let logged = service.with_index(|index| index.encode_wal_record(&delta, 30));
+    let base_plan = ShardedWalBatch::restore(&mut ByteReader::new(&logged)).unwrap();
+    assert_eq!(
+        (base_plan.batch.base, base_plan.batch.trajectories.len()),
+        (30, 2)
+    );
     drop(service);
 
     let write_wal = |record: &ShardedWalBatch| {
@@ -843,10 +851,13 @@ fn wal_records_skipping_ahead_are_a_gap_error() {
 
     // Forge a WAL whose only record claims a base far past the snapshot
     // (as if an earlier log file had been deleted).
-    let batch = WalBatch::delta(&set, set.len() - 2);
     let batch = WalBatch {
         base: 1000,
-        trajectories: batch.trajectories,
+        trajectories: set
+            .iter()
+            .skip(set.len() - 2)
+            .map(|t| (t.user(), t.entries().to_vec()))
+            .collect(),
     };
     let mut w = ByteWriter::new();
     batch.persist(&mut w);
@@ -863,4 +874,229 @@ fn wal_records_skipping_ahead_are_a_gap_error() {
         })
     ));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// One write path: `append_batch(&set)` and `append_new(Some(n), payload)`
+// are two spellings of the same `ingest`, on every backend, sealed or
+// absorbed — same WAL record bytes, same snapshot bytes, same answers.
+// ---------------------------------------------------------------------
+
+use common::differential::{DiffHarness, QueryGen};
+use tthr::core::QueryEngineConfig;
+
+#[test]
+fn append_batch_and_append_new_write_identical_records_and_snapshots() {
+    for hot_tail in [false, true] {
+        // One harness per entry point: a monolith plus K ∈ {1, 2, 7}
+        // sharded services (plus, absorbing, the direct-append oracle),
+        // every check asserting they answer byte-identically.
+        let run = |as_payload: bool| {
+            let mut h = DiffHarness::with_ingest(
+                &format!("one-path-{hot_tail}-{as_payload}"),
+                QueryEngineConfig::default(),
+                IngestConfig {
+                    hot_tail,
+                    ..IngestConfig::default()
+                },
+            );
+            let mut gen = QueryGen::new("one-path");
+            h.snapshot(); // attaches the WAL
+            for n in [5, 1, 9] {
+                h.append_next_via(n, as_payload);
+            }
+            let logged = h.store_bytes(WAL_FILE);
+            let queries: Vec<Spq> = (0..24).map(|_| gen.spq(&h)).collect();
+            h.check_all(&queries, 6);
+            h.compact_all(); // absorbing: seals, rotates, truncates the log
+            h.check_all(&queries, 6);
+            (logged, h.store_bytes(SNAPSHOT_FILE))
+        };
+        let (wal_set, snap_set) = run(false);
+        let (wal_new, snap_new) = run(true);
+        for (service, (set, new)) in wal_set.iter().zip(&wal_new).enumerate() {
+            assert!(wal_frames(&set.0).len() == 3, "three records logged");
+            assert!(
+                set.0 == new.0,
+                "hot_tail={hot_tail} service {service}: WAL bytes differ by entry point"
+            );
+        }
+        for (service, (set, new)) in snap_set.iter().zip(&snap_new).enumerate() {
+            assert!(
+                set == new,
+                "hot_tail={hot_tail} service {service}: snapshot bytes differ by entry point"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// One shard type: the invariants of a shard part (index + member list)
+// are validated by one constructor, so the same corrupt part is the same
+// typed error whether it arrives in a sharded service snapshot or in a
+// shard node's.
+// ---------------------------------------------------------------------
+
+use tthr::core::node::{plan_node_records, SECTION_NODE_INDEX, SECTION_NODE_META};
+use tthr::core::{ShardNodeState, ShardRouter, SECTION_ROUTING, SECTION_SHARDED_META};
+use tthr::store::snapshot::{SectionId, SnapshotArchive, SnapshotBuilder};
+
+#[test]
+fn corrupt_shard_parts_are_the_same_typed_error_in_both_containers() {
+    let (syn, set) = small_world();
+    let set = prefix_set(&set, 40);
+    let sharded = ShardedSntIndex::build(&syn.network, &set, SntConfig::default(), 1);
+    let members = sharded.shard_members(0);
+    let num_global = members.len() as u32;
+    let index = sharded.with_shard(0, |i| i.to_snapshot_bytes());
+    let one_fewer = SntIndex::build(&syn.network, &prefix_set(&set, 39), SntConfig::default());
+    let router = sharded.router().clone();
+    let mut wider = ByteWriter::new();
+    wider.put_u32(1);
+    wider.put_seq(&vec![0u16; router.num_edges() + 1]);
+    let wider = ShardRouter::restore(&mut ByteReader::new(&wider.into_bytes())).unwrap();
+
+    // (what the error must say, the member list, the shard index, the
+    // routing table)
+    let mut swapped = members.clone();
+    swapped.swap(3, 4);
+    let mut beyond = members.clone();
+    *beyond.last_mut().unwrap() = num_global;
+    let fewer = one_fewer.to_snapshot_bytes();
+    let table: [(&str, &[u32], Vec<u8>, &ShardRouter); 4] = [
+        ("not strictly ascending", &swapped, index.clone(), &router),
+        (
+            "out of range for 40 trajectories",
+            &beyond,
+            index.clone(),
+            &router,
+        ),
+        (
+            "indexes 39 trajectories but lists 40",
+            &members,
+            fewer,
+            &router,
+        ),
+        ("edges, routing table", &members, index.clone(), &wider),
+    ];
+
+    let raw = |archive: &SnapshotArchive<'_>, id| {
+        let mut r = archive.section(id).unwrap();
+        r.get_bytes(r.remaining()).unwrap().to_vec()
+    };
+    let pristine_sharded = sharded.to_snapshot_bytes();
+    let pristine_node = ShardNodeState::export_from(&sharded, 0).to_snapshot_bytes();
+    assert!(ShardedSntIndex::from_snapshot_bytes(&pristine_sharded).is_ok());
+    assert!(ShardNodeState::from_snapshot_bytes(&pristine_node).is_ok());
+
+    for (what, members, index, router) in table {
+        // The sharded container: meta (edge count patched to the routing
+        // table's, so only the shard part disagrees), routing, shard 0.
+        let archive = SnapshotArchive::from_bytes(&pristine_sharded).unwrap();
+        let mut meta = raw(&archive, SECTION_SHARDED_META);
+        let at = meta.len() - 8;
+        meta[at..].copy_from_slice(&(router.num_edges() as u64).to_le_bytes());
+        let mut routing = ByteWriter::new();
+        router.persist(&mut routing);
+        let mut shard = ByteWriter::new();
+        shard.put_seq(members);
+        shard.put_len(index.len());
+        shard.put_bytes(&index);
+        let mut container = SnapshotBuilder::new();
+        container.add_section(SECTION_SHARDED_META, meta);
+        container.add_section(SECTION_ROUTING, routing.into_bytes());
+        container.add_section(SectionId(SHARD_SECTION_BASE), shard.into_bytes());
+        let err = ShardedSntIndex::from_snapshot_bytes(&container.into_bytes())
+            .err()
+            .unwrap_or_else(|| panic!("sharded container accepted: {what}"));
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{what}: {err:?}");
+        assert!(err.to_string().contains(what), "{what}: {err}");
+
+        // The node container: meta (shard, counters, routing, members),
+        // then the index.
+        let archive = SnapshotArchive::from_bytes(&pristine_node).unwrap();
+        let mut head = archive.section(SECTION_NODE_META).unwrap();
+        let mut meta = ByteWriter::new();
+        meta.put_bytes(head.get_bytes(2 + 8 + 8 + 8).unwrap());
+        router.persist(&mut meta);
+        meta.put_seq(members);
+        let mut container = SnapshotBuilder::new();
+        container.add_section(SECTION_NODE_META, meta.into_bytes());
+        container.add_section(SECTION_NODE_INDEX, index);
+        let err = ShardNodeState::from_snapshot_bytes(&container.into_bytes())
+            .err()
+            .unwrap_or_else(|| panic!("node container accepted: {what}"));
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{what}: {err:?}");
+        assert!(err.to_string().contains(what), "{what}: {err}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// One rotator: a shard node's store rotates through the same
+// `tthr_store::rotate` as the service directory above, so the same
+// battery applies — a process killed at any point of a rotation reopens
+// to the same state, byte for byte.
+// ---------------------------------------------------------------------
+
+use tthr::server::node::{NodeStore, NODE_SNAPSHOT_FILE, NODE_WAL_FILE};
+
+#[test]
+fn node_store_rotation_crash_battery_reopens_to_the_same_state() {
+    let (syn, set) = small_world();
+    let sharded =
+        ShardedSntIndex::build(&syn.network, &prefix_set(&set, 60), SntConfig::default(), 2);
+    let (dir, pre, crash) = (
+        temp_dir("node-rot"),
+        temp_dir("node-rot-pre"),
+        temp_dir("node-rot-crash"),
+    );
+    let mut store = NodeStore::init(&dir, ShardNodeState::export_from(&sharded, 0)).unwrap();
+    store.set_hot_tail(true);
+    // Two logged, absorbed batches — what the rotation seals and covers.
+    for from in [60, 70] {
+        let batch = flood_payloads(&set, from);
+        let state = store.state();
+        let records = plan_node_records(
+            state.router(),
+            state.num_global(),
+            state.span_min(),
+            state.span_max(),
+            &batch,
+        )
+        .unwrap();
+        store.append(&records[0]).unwrap();
+    }
+    assert!(
+        store.hot_stats().entries > 0,
+        "appends must sit in the hot tail"
+    );
+    copy_dir(&dir, &pre);
+    store.snapshot().unwrap();
+    let want = store.state().to_snapshot_bytes();
+    let reopened = |d: &std::path::Path| NodeStore::open(d).unwrap().state().to_snapshot_bytes();
+    assert!(reopened(&pre) == want, "pre-state: old snapshot + full log");
+    assert!(
+        reopened(&dir) == want,
+        "post-state: new snapshot + empty log"
+    );
+
+    let post_snapshot = std::fs::read(dir.join(NODE_SNAPSHOT_FILE)).unwrap();
+    let tmp = format!("{NODE_SNAPSHOT_FILE}.tmp");
+    // Killed mid tmp write, and after it: the stray file is ignored.
+    for cut in [post_snapshot.len() / 2, post_snapshot.len()] {
+        copy_dir(&pre, &crash);
+        std::fs::write(crash.join(&tmp), &post_snapshot[..cut]).unwrap();
+        assert!(reopened(&crash) == want, "tmp of {cut} bytes");
+    }
+    // Killed after the rename: every logged record is in the new snapshot
+    // and skips by stamp.
+    copy_dir(&pre, &crash);
+    std::fs::write(crash.join(NODE_SNAPSHOT_FILE), &post_snapshot).unwrap();
+    assert!(reopened(&crash) == want, "rotated snapshot + stale log");
+    // Killed mid WAL reset: a torn header reads as an empty log.
+    std::fs::write(crash.join(NODE_WAL_FILE), b"TTHRW").unwrap();
+    assert!(reopened(&crash) == want, "torn log header");
+    for d in [&dir, &pre, &crash] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }
