@@ -16,7 +16,8 @@
 //!   route by the traverse path's first edge, appends fan out one
 //!   planned [`NodeWalRecord`] to every shard, and
 //!   [`ClusterRouter::trip_query`] runs the full shift-and-enlarge
-//!   [`QueryEngine`] locally over a remote backend.
+//!   [`QueryEngine`] locally over a remote backend that ships each
+//!   relaxation round as one `LadderBatch` RPC per shard it touches.
 //!
 //! # Exactness
 //!
@@ -36,8 +37,9 @@
 //! method cannot return `Result`, so the remote backend parks the first
 //! error in a slot and returns a harmless non-empty dummy (the engine
 //! terminates promptly instead of relaxing forever against empty
-//! answers); [`ClusterRouter::trip_query`] checks the slot before
-//! returning and propagates the parked error.
+//! answers) — for that call and, without touching the wire again, for
+//! every later call of the same trip; [`ClusterRouter::trip_query`]
+//! checks the slot before returning and propagates the parked error.
 //!
 //! # Failover
 //!
@@ -69,9 +71,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tthr_core::node::{plan_node_records, MAX_LADDER_LEVELS};
+use tthr_core::node::{plan_node_records, MAX_LADDER_BATCH, MAX_LADDER_LEVELS};
 use tthr_core::{
-    ladder_sequential, CardinalityMode, IndexBackend, NodeWalRecord, QueryEngine,
+    ladder_sequential, CardinalityMode, IndexBackend, LadderRequest, NodeWalRecord, QueryEngine,
     QueryEngineConfig, SearchScratch, ShardRouter, Spq, TimeInterval, TravelTimeProvider,
     TravelTimes, TripQuery, TtValues,
 };
@@ -572,9 +574,11 @@ struct ShardSet {
     /// Index into `endpoints`: where reads and appends go first.
     active: AtomicUsize,
     failovers: Counter,
-    /// Read RPCs routed to this shard (one per query primitive or whole
-    /// ladder, however many endpoints the transport tried).
+    /// Read RPCs routed to this shard (one per query primitive or ladder
+    /// batch, however many endpoints the transport tried).
     rpcs: Counter,
+    /// Ladders shipped to this shard inside those batches.
+    ladders: Counter,
 }
 
 /// The shared router guts: everything the request paths and the
@@ -584,6 +588,8 @@ struct RouterCore {
     routing: ShardRouter,
     registry: MetricsRegistry,
     probe_failures: Counter,
+    /// Trip queries started ([`ClusterRouter::trip_query`]).
+    trips: Counter,
     config: RouterConfig,
     state: Mutex<ClusterState>,
 }
@@ -1098,6 +1104,11 @@ impl ClusterRouter {
             "Failed endpoint health probes (transport or protocol)",
             &[],
         );
+        let trips = registry.counter(
+            "tthr_router_trips_total",
+            "Trip queries started (rpcs / trips = round trips one trip costs)",
+            &[],
+        );
         let mut shards = Vec::with_capacity(metas.len());
         for (shard, (_, clients)) in metas.into_iter().enumerate() {
             let shard_label = shard.to_string();
@@ -1108,7 +1119,12 @@ impl ClusterRouter {
             );
             let rpcs = registry.counter(
                 "tthr_router_rpcs_total",
-                "Read RPCs routed to the shard (a whole relaxation ladder is one)",
+                "Read RPCs routed to the shard (a relaxation round's ladder batch is one)",
+                &[("shard", shard_label.as_str())],
+            );
+            let ladders = registry.counter(
+                "tthr_router_ladders_total",
+                "Relaxation ladders shipped to the shard inside ladder batches",
                 &[("shard", shard_label.as_str())],
             );
             let mut endpoints = Vec::with_capacity(clients.len());
@@ -1143,6 +1159,7 @@ impl ClusterRouter {
                 active: AtomicUsize::new(0),
                 failovers,
                 rpcs,
+                ladders,
             });
         }
         let probe_interval = config.probe_interval;
@@ -1151,6 +1168,7 @@ impl ClusterRouter {
             routing,
             registry,
             probe_failures,
+            trips,
             config,
             state: Mutex::new(ClusterState {
                 num_global,
@@ -1320,35 +1338,51 @@ impl ClusterRouter {
         }
     }
 
-    /// A whole relaxation ladder in **one** RPC to the owning shard —
-    /// every level keeps the path, so every level routes there —
-    /// byte-identical to the in-process sharded index's ladder, which is
-    /// itself pinned to the level-by-level loop.
+    /// A whole relaxation ladder in **one** RPC to the owning shard — a
+    /// ladder batch of one; every level keeps the path, so every level
+    /// routes there — byte-identical to the in-process sharded index's
+    /// ladder, which is itself pinned to the level-by-level loop.
     pub fn travel_times_ladder(
         &self,
         spq: &Spq,
         levels: &[TimeInterval],
     ) -> Result<(usize, TravelTimes), ClusterError> {
-        let shard = self.shard_for(spq);
-        let request = Message::Ladder {
-            spq: spq.clone(),
-            levels: levels.to_vec(),
-        };
-        match self.core.query(shard, &request)? {
-            Message::LadderResult {
-                level,
-                values,
-                fallback,
-            } if (level as usize) < levels.len() => Ok((
-                level as usize,
-                TravelTimes {
-                    values: tt_values(values),
-                    fallback,
-                },
-            )),
+        let items = vec![(spq.clone(), levels.to_vec())];
+        let mut answers = self.ladder_batch(self.shard_for(spq), items)?;
+        Ok(answers.pop().expect("one answer per item"))
+    }
+
+    /// One `LadderBatch` RPC: `items` — all owned by `shard`, at most
+    /// [`MAX_LADDER_BATCH`] of them — answered in item order under one
+    /// read guard of the node. A reply that does not hold exactly one
+    /// in-range level per item is [`ClusterError::Unexpected`].
+    fn ladder_batch(
+        &self,
+        shard: u16,
+        items: Vec<LadderRequest>,
+    ) -> Result<Vec<(usize, TravelTimes)>, ClusterError> {
+        self.core.shards[shard as usize]
+            .ladders
+            .add(items.len() as u64);
+        let heights: Vec<usize> = items.iter().map(|(_, levels)| levels.len()).collect();
+        match self.core.query(shard, &Message::LadderBatch { items })? {
+            Message::LadderBatchResult { results }
+                if results.len() == heights.len()
+                    && results
+                        .iter()
+                        .zip(&heights)
+                        .all(|((level, ..), &height)| (*level as usize) < height) =>
+            {
+                Ok(results
+                    .into_iter()
+                    .map(|(level, values, fallback)| {
+                        let values = tt_values(values);
+                        (level as usize, TravelTimes { values, fallback })
+                    })
+                    .collect())
+            }
             other => Err(ClusterError::Unexpected(format!(
-                "Ladder of {} levels answered with {other:?}",
-                levels.len()
+                "LadderBatch of ladders with {heights:?} levels answered with {other:?}"
             ))),
         }
     }
@@ -1401,6 +1435,7 @@ impl ClusterRouter {
     /// Any node failure mid-query aborts the whole trip query with the
     /// first error — never a partial answer.
     pub fn trip_query(&self, spq: &Spq) -> Result<TripQuery, ClusterError> {
+        self.core.trips.inc();
         let backend = RemoteBackend {
             cluster: self,
             error: RefCell::new(None),
@@ -1505,82 +1540,94 @@ fn tt_values(values: Vec<f64>) -> TtValues {
 /// is parked in `error` and a harmless *non-empty* dummy is returned:
 /// an empty answer would make σ relax the interval indefinitely, while
 /// a single fallback value / saturated count / infinite estimate makes
-/// the engine finish promptly. The caller checks the slot afterwards
-/// and discards the poisoned result.
+/// the engine finish promptly. Once an error is parked the trip is lost
+/// — the caller discards the poisoned result — so every later call is
+/// answered with the dummy **without an RPC**: against a silent shard
+/// each of those would otherwise cost a full retry budget for nothing.
 struct RemoteBackend<'a> {
     cluster: &'a ClusterRouter,
     error: RefCell<Option<ClusterError>>,
 }
 
-impl RemoteBackend<'_> {
-    fn park(&self, e: ClusterError) {
-        let mut slot = self.error.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
+/// The non-empty dummy travel times of a failed trip.
+fn dummy_times() -> TravelTimes {
+    TravelTimes {
+        values: TtValues::one(1.0),
+        fallback: true,
     }
+}
 
-    /// Parks `e` and returns the non-empty dummy answer that makes the
-    /// engine finish promptly.
-    fn park_travel_times(&self, e: ClusterError) -> TravelTimes {
-        self.park(e);
-        TravelTimes {
-            values: TtValues::one(1.0),
-            fallback: true,
+impl RemoteBackend<'_> {
+    /// Runs `rpc` unless the trip has already failed; parks its error.
+    /// `None` means "answer with the dummy".
+    fn call<T>(&self, rpc: impl FnOnce(&ClusterRouter) -> Result<T, ClusterError>) -> Option<T> {
+        if self.error.borrow().is_some() {
+            return None;
         }
+        rpc(self.cluster)
+            .map_err(|e| *self.error.borrow_mut() = Some(e))
+            .ok()
     }
 }
 
 impl TravelTimeProvider for RemoteBackend<'_> {
     fn travel_times(&self, spq: &Spq) -> TravelTimes {
-        self.cluster
-            .travel_times(spq)
-            .unwrap_or_else(|e| self.park_travel_times(e))
+        self.call(|cluster| cluster.travel_times(spq))
+            .unwrap_or_else(dummy_times)
     }
 
     fn travel_times_with(&self, spq: &Spq, _scratch: &mut SearchScratch) -> TravelTimes {
         self.travel_times(spq)
     }
 
-    /// One `Ladder` RPC instead of one `TravelTimes` RPC per level. A
-    /// single level stays a plain `TravelTimes`; a ladder longer than the
-    /// wire admits (an outsized `interval_sizes` configuration) keeps the
-    /// level-by-level loop.
-    fn travel_times_ladder(
+    /// One `LadderBatch` RPC per shard the round touches (in chunks of
+    /// [`MAX_LADDER_BATCH`]) instead of one RPC per ladder; the batches
+    /// go out one after the other. A ladder longer than the wire admits
+    /// (an outsized `interval_sizes` configuration) keeps the
+    /// level-by-level loop. The first failed batch parks its error and
+    /// every ladder from there on gets the dummy.
+    fn travel_times_ladders(
         &self,
-        spq: &Spq,
-        levels: &[TimeInterval],
+        requests: &[LadderRequest],
         scratch: &mut SearchScratch,
-    ) -> (usize, TravelTimes) {
-        if levels.len() < 2 || levels.len() > MAX_LADDER_LEVELS {
-            return ladder_sequential(self, spq, levels, scratch);
+    ) -> Vec<(usize, TravelTimes)> {
+        let mut answers: Vec<(usize, TravelTimes)> = vec![(0, dummy_times()); requests.len()];
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.cluster.num_shards()];
+        for (i, (spq, levels)) in requests.iter().enumerate() {
+            if levels.len() > MAX_LADDER_LEVELS {
+                answers[i] = ladder_sequential(self, spq, levels, scratch);
+            } else {
+                by_shard[self.cluster.shard_for(spq) as usize].push(i);
+            }
         }
-        scratch.trace.ladders += 1;
-        self.cluster
-            .travel_times_ladder(spq, levels)
-            .unwrap_or_else(|e| (0, self.park_travel_times(e)))
+        for (shard, members) in by_shard.iter().enumerate() {
+            for chunk in members.chunks(MAX_LADDER_BATCH) {
+                let Some(batch) = self.call(|cluster| {
+                    let items = chunk.iter().map(|&i| requests[i].clone()).collect();
+                    cluster.ladder_batch(shard as u16, items)
+                }) else {
+                    continue;
+                };
+                scratch.trace.ladder_batches += 1;
+                scratch.trace.ladders += chunk.len() as u64;
+                for (&i, answer) in chunk.iter().zip(batch) {
+                    answers[i] = answer;
+                }
+            }
+        }
+        answers
     }
 }
 
 impl IndexBackend for RemoteBackend<'_> {
     fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
-        match self.cluster.count_matching(spq, cap) {
-            Ok(n) => n,
-            Err(e) => {
-                self.park(e);
-                cap as usize
-            }
-        }
+        self.call(|cluster| cluster.count_matching(spq, cap))
+            .unwrap_or(cap as usize)
     }
 
     fn estimate(&self, spq: &Spq, mode: CardinalityMode) -> f64 {
-        match self.cluster.estimate(spq, mode) {
-            Ok(v) => v,
-            Err(e) => {
-                self.park(e);
-                f64::INFINITY
-            }
-        }
+        self.call(|cluster| cluster.estimate(spq, mode))
+            .unwrap_or(f64::INFINITY)
     }
 
     fn full_interval(&self) -> TimeInterval {

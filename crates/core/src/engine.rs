@@ -60,7 +60,36 @@ pub trait TravelTimeProvider {
     ) -> (usize, TravelTimes) {
         ladder_sequential(self, spq, levels, scratch)
     }
+
+    /// Answers one relaxation round of a trip — every ladder of the
+    /// round's frontier (see [`QueryEngine::trip_query_via_with`]) — in
+    /// one call, returning one `(level, times)` per request, in request
+    /// order.
+    ///
+    /// The default is a loop over
+    /// [`travel_times_ladder`](Self::travel_times_ladder): it *is* the
+    /// definition, and what every in-process provider keeps (the same
+    /// calls through the same scratch). The cluster's remote backend
+    /// overrides it to send one RPC per shard instead of one per ladder;
+    /// an override must return exactly what this loop returns. A call
+    /// that carries at least one ladder counts itself in
+    /// [`QueryTrace::ladder_batches`].
+    fn travel_times_ladders(
+        &self,
+        requests: &[LadderRequest],
+        scratch: &mut SearchScratch,
+    ) -> Vec<(usize, TravelTimes)> {
+        scratch.trace.ladder_batches += u64::from(!requests.is_empty());
+        requests
+            .iter()
+            .map(|(spq, levels)| self.travel_times_ladder(spq, levels, scratch))
+            .collect()
+    }
 }
+
+/// One ladder of a relaxation round: the sub-query and its window
+/// sequence ([`Splitter::ladder`]; `levels[0]` is the sub-query's own).
+pub type LadderRequest = (Spq, Vec<TimeInterval>);
 
 /// The relaxation ladder answered level by level — the default
 /// [`TravelTimeProvider::travel_times_ladder`], callable by overrides for
@@ -224,6 +253,16 @@ pub struct SubResult {
     pub histogram: Histogram,
     /// Whether the values are the speed-limit fallback estimate.
     pub fallback: bool,
+}
+
+impl SubResult {
+    /// This sub-query's shift-and-enlarge contribution:
+    /// `(H_min, H_max − H_min)` of its histogram.
+    fn span(&self) -> (f64, f64) {
+        let min = self.histogram.min_edge().expect("non-empty histogram");
+        let max = self.histogram.max_edge().expect("non-empty histogram");
+        (min, max - min)
+    }
 }
 
 /// Counters describing how a trip query was processed.
@@ -391,7 +430,38 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
     /// [`trip_query_via`](Self::trip_query_via) through a caller-owned
     /// [`SearchScratch`] — the caller controls the scratch's
     /// [`QueryTrace`] (e.g. enables wall-clock timing) and the returned
-    /// [`TripQuery::trace`] covers exactly this trip. Identical results.
+    /// [`TripQuery::trace`] covers exactly this trip.
+    ///
+    /// The trip runs in **relaxation rounds** over its work list, kept in
+    /// path order. Each round
+    ///
+    /// 1. **folds** the leading completed entries into the result and the
+    ///    shift-and-enlarge sums, strictly left to right — `f64` addition
+    ///    is not associative and the sums feed window bounds, so the order
+    ///    in which sub-queries happened to complete must not reach them;
+    /// 2. collects the **frontier**: every pending entry whose window is
+    ///    already final — adapted (σ's replacements keep the window of the
+    ///    sub-query they replace), or not subject to adaptation
+    ///    (shift-and-enlarge off, a fixed interval) — walking in path
+    ///    order up to the first un-adapted one. That one joins only when
+    ///    it is the first unfinished entry: everything before it is
+    ///    folded, so its window is adapted now, exactly as the depth-first
+    ///    definition adapts it when it reaches the head of the queue.
+    ///    Nothing past an un-adapted entry is ever speculated on. A
+    ///    frontier entry the estimator gate rejects is relaxed on the spot
+    ///    and its replacements join the same round;
+    /// 3. hands the frontier's ladders to the provider in **one**
+    ///    [`TravelTimeProvider::travel_times_ladders`] call;
+    /// 4. **settles** the outcomes in path order: a completed sub-query
+    ///    is done, a failed one is replaced by σ's relaxation.
+    ///
+    /// A trip with independent chains therefore puts its whole queue into
+    /// round 1 and finishes in as many rounds as its deepest chain; a
+    /// dependent trip batches σ's siblings only and needs at least one
+    /// round per initial sub-query. Either way the answer is
+    /// byte-identical — histogram, sub-results, every [`QueryStats`]
+    /// field — to the depth-first definition
+    /// [`trip_query_sequential_via`](Self::trip_query_sequential_via).
     pub fn trip_query_via_with<P: TravelTimeProvider + ?Sized>(
         &self,
         provider: &P,
@@ -402,30 +472,61 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
         let mut stats = QueryStats::default();
         let initial = self.initial_subqueries(query);
         stats.initial_subqueries = initial.len();
+        let slots = initial
+            .into_iter()
+            .map(|sub| Slot::Pending(sub, false))
+            .collect();
+        let subs = self.run_rounds(provider, slots, &mut stats, scratch);
+        stats.final_subqueries = subs.len();
+        Self::convolve_subs(subs, stats, scratch.trace)
+    }
+
+    /// Procedure 6 as the paper writes it — **the definition** the round
+    /// driver is tested against (`tests/frontier_differential.rs`), not a
+    /// serving path: one sub-query at a time, depth-first, each window
+    /// adapted from everything completed before it, σ's replacements
+    /// pushed to the front of the queue (line 10).
+    pub fn trip_query_sequential_via<P: TravelTimeProvider + ?Sized>(
+        &self,
+        provider: &P,
+        query: &Spq,
+    ) -> TripQuery {
+        let scratch = &mut SearchScratch::new();
+        let mut stats = QueryStats::default();
+        let initial = self.initial_subqueries(query);
+        stats.initial_subqueries = initial.len();
 
         // (sub-query, already shift-and-enlarge adapted?)
         let mut queue: VecDeque<(Spq, bool)> = initial.into_iter().map(|s| (s, false)).collect();
         let mut subs: Vec<SubResult> = Vec::new();
         // Shift-and-enlarge accumulators over completed sub-queries:
         // S = Σ H_min, R = Σ (H_max − H_min).
-        let mut sum_min = 0.0;
-        let mut sum_range = 0.0;
+        let (mut sum_min, mut sum_range) = (0.0, 0.0);
 
         while let Some((mut sub, adapted)) = queue.pop_front() {
             // Procedure 6, lines 3–5: adapt the window once per sub-query.
-            if !adapted
-                && self.config.shift_and_enlarge
-                && sub.interval.is_periodic()
-                && !subs.is_empty()
-            {
-                sub = sub.with_interval(sub.interval.shift_and_enlarge(sum_min, sum_range));
+            if !adapted && self.adapts(&sub) && !subs.is_empty() {
+                sub.interval = sub.interval.shift_and_enlarge(sum_min, sum_range);
             }
-
-            if let Some(done) = self.step(provider, &sub, &mut queue, &mut stats, scratch) {
-                sum_min += done.histogram.min_edge().expect("non-empty histogram");
-                sum_range += done.histogram.max_edge().expect("non-empty")
-                    - done.histogram.min_edge().expect("non-empty");
-                subs.push(done);
+            let outcome = match self.plan(&sub, &mut stats) {
+                Some(levels) => {
+                    let answer = provider.travel_times_ladder(&sub, &levels, scratch);
+                    self.settle(sub, &levels, answer, &mut stats)
+                }
+                None => Err(sub),
+            };
+            match outcome {
+                Ok(done) => {
+                    let (min, range) = done.span();
+                    sum_min += min;
+                    sum_range += range;
+                    subs.push(done);
+                }
+                Err(failed) => {
+                    for r in self.relax(&failed, &mut stats, scratch).into_iter().rev() {
+                        queue.push_front((r, true));
+                    }
+                }
             }
         }
 
@@ -453,13 +554,18 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
     /// and folding them with [`assemble`](Self::assemble) is result- and
     /// stats-identical to the sequential [`trip_query`](Self::trip_query).
     pub fn chains_are_independent(&self, query: &Spq) -> bool {
-        !(self.config.shift_and_enlarge && query.interval.is_periodic())
+        !self.adapts(query)
+    }
+
+    /// Whether shift-and-enlarge adapts this (sub-)query's window.
+    fn adapts(&self, sub: &Spq) -> bool {
+        self.config.shift_and_enlarge && sub.interval.is_periodic()
     }
 
     /// Processes one initial sub-query to completion: relaxations (σ)
-    /// replace it depth-first until every piece of its path is answered.
-    /// No window adaptation is applied — callers fan chains out exactly
-    /// when [`chains_are_independent`](Self::chains_are_independent).
+    /// replace it until every piece of its path is answered. No window
+    /// adaptation is applied — callers fan chains out exactly when
+    /// [`chains_are_independent`](Self::chains_are_independent).
     pub fn run_chain_via<P: TravelTimeProvider + ?Sized>(
         &self,
         provider: &P,
@@ -472,7 +578,8 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
 
     /// [`run_chain_via`](Self::run_chain_via) through a caller-owned
     /// [`SearchScratch`] (the caller controls the trace's timing flag).
-    /// Identical results.
+    /// A chain is a trip whose every entry is already adapted, so it runs
+    /// on the same round driver.
     pub fn run_chain_via_with<P: TravelTimeProvider + ?Sized>(
         &self,
         provider: &P,
@@ -481,13 +588,8 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
     ) -> ChainOutcome {
         scratch.trace.reset();
         let mut stats = QueryStats::default();
-        let mut queue: VecDeque<(Spq, bool)> = VecDeque::from([(sub, true)]);
-        let mut subs: Vec<SubResult> = Vec::new();
-        while let Some((sub, _)) = queue.pop_front() {
-            if let Some(done) = self.step(provider, &sub, &mut queue, &mut stats, scratch) {
-                subs.push(done);
-            }
-        }
+        let slots = vec![Slot::Pending(sub, true)];
+        let subs = self.run_rounds(provider, slots, &mut stats, scratch);
         ChainOutcome {
             subs,
             stats,
@@ -513,52 +615,130 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
         Self::convolve_subs(subs, stats, trace)
     }
 
-    /// One engine step: estimator gate → ladder dispatch → either a
-    /// completed [`SubResult`] or σ-relaxation replacements on the queue.
-    ///
-    /// The dispatch is always a relaxation ladder: the sub-query's window
-    /// plus every window σ's widening step would derive from it, answered
-    /// by the provider in one call. The levels the ladder consumed are
-    /// booked exactly as the one-dispatch-per-widening loop booked them,
-    /// so [`QueryStats`] is the paper's logical count either way.
-    fn step<P: TravelTimeProvider + ?Sized>(
+    /// The one trip driver: answers `slots` (a trip's work list, in path
+    /// order) round by round — fold, collect the frontier, dispatch,
+    /// settle; [`trip_query_via_with`](Self::trip_query_via_with) states
+    /// the rule — and returns the completed sub-results in path order.
+    fn run_rounds<P: TravelTimeProvider + ?Sized>(
         &self,
         provider: &P,
-        sub: &Spq,
-        queue: &mut VecDeque<(Spq, bool)>,
+        mut slots: Vec<Slot>,
         stats: &mut QueryStats,
         scratch: &mut SearchScratch,
-    ) -> Option<SubResult> {
-        let levels = match (self.config.estimator, sub.beta) {
-            // Estimator gate: relax without scanning when β̂ < β. The
-            // gate decides per level, so a gated sub-query is a ladder
-            // of one.
+    ) -> Vec<SubResult> {
+        let mut subs: Vec<SubResult> = Vec::new();
+        // S = Σ H_min, R = Σ (H_max − H_min) over `subs`.
+        let (mut sum_min, mut sum_range) = (0.0, 0.0);
+        let mut requests: Vec<LadderRequest> = Vec::new();
+        loop {
+            let mut rest = slots.into_iter().peekable();
+            while let Some(Slot::Done(done)) = rest.next_if(|s| matches!(s, Slot::Done(_))) {
+                let (min, range) = done.span();
+                sum_min += min;
+                sum_range += range;
+                subs.push(done);
+            }
+            if rest.peek().is_none() {
+                return subs;
+            }
+
+            // The round's work list: frontier entries become `Asked`
+            // (their query moves into `requests`), the rest pass through.
+            let mut round: Vec<Slot> = Vec::with_capacity(rest.len() + 1);
+            // Replacements of gate-rejected entries, next in path order last.
+            let mut rejected: Vec<Slot> = Vec::new();
+            let mut open = true;
+            while let Some(slot) = rejected.pop().or_else(|| rest.next()) {
+                let Slot::Pending(mut sub, adapted) = slot else {
+                    round.push(slot);
+                    continue;
+                };
+                if open && !adapted && self.adapts(&sub) {
+                    // Final only as the first unfinished entry: everything
+                    // it is adapted from has just been folded.
+                    if !round.is_empty() {
+                        open = false;
+                    } else if !subs.is_empty() {
+                        sub.interval = sub.interval.shift_and_enlarge(sum_min, sum_range);
+                    }
+                }
+                if !open {
+                    round.push(Slot::Pending(sub, adapted));
+                    continue;
+                }
+                match self.plan(&sub, stats) {
+                    Some(levels) => {
+                        requests.push((sub, levels));
+                        round.push(Slot::Asked);
+                    }
+                    None => rejected.extend(
+                        self.relax(&sub, stats, scratch)
+                            .into_iter()
+                            .rev()
+                            .map(|r| Slot::Pending(r, true)),
+                    ),
+                }
+            }
+
+            let answers = provider.travel_times_ladders(&requests, scratch);
+            assert_eq!(answers.len(), requests.len(), "one answer per ladder");
+            let mut answered = requests.drain(..).zip(answers);
+            slots = Vec::with_capacity(round.len() + answered.len());
+            for slot in round {
+                if !matches!(slot, Slot::Asked) {
+                    slots.push(slot);
+                    continue;
+                }
+                let ((sub, levels), answer) = answered.next().expect("one request per Asked");
+                match self.settle(sub, &levels, answer, stats) {
+                    Ok(done) => slots.push(Slot::Done(done)),
+                    Err(failed) => slots.extend(
+                        self.relax(&failed, stats, scratch)
+                            .into_iter()
+                            .map(|r| Slot::Pending(r, true)),
+                    ),
+                }
+            }
+        }
+    }
+
+    /// The ladder a sub-query dispatches: its window plus every window σ's
+    /// widening step would derive from it — or `None` when the estimator
+    /// gate rejects it unscanned (`β̂ < β`; the caller relaxes it). The
+    /// gate decides per level, so a gated sub-query is a ladder of one.
+    fn plan(&self, sub: &Spq, stats: &mut QueryStats) -> Option<Vec<TimeInterval>> {
+        match (self.config.estimator, sub.beta) {
             (Some(mode), Some(beta)) if sub.interval.is_periodic() => {
                 if self.index.estimate(sub, mode) < beta as f64 {
                     stats.estimator_rejections += 1;
-                    self.relax(sub, queue, stats, scratch);
                     return None;
                 }
-                vec![sub.interval]
+                Some(vec![sub.interval])
             }
-            _ => self.splitter.ladder(sub.interval),
-        };
+            _ => Some(self.splitter.ladder(sub.interval)),
+        }
+    }
 
-        let (level, times) = provider.travel_times_ladder(sub, &levels, scratch);
+    /// Books a ladder's answer: a completed [`SubResult`], or `Err` with
+    /// the sub-query as it failed — widened to the level the ladder
+    /// reached — for the caller to relax.
+    ///
+    /// The levels the ladder consumed are booked exactly as the
+    /// one-dispatch-per-widening loop booked them, so [`QueryStats`] is
+    /// the paper's logical count however the ladder was answered.
+    fn settle(
+        &self,
+        mut sub: Spq,
+        levels: &[TimeInterval],
+        (level, times): (usize, TravelTimes),
+        stats: &mut QueryStats,
+    ) -> Result<SubResult, Spq> {
         stats.index_queries += level + 1;
         stats.widenings += level;
-        let widened;
-        let sub = if level == 0 {
-            sub
-        } else {
-            widened = sub.with_interval(levels[level]);
-            &widened
-        };
+        sub.interval = levels[level];
         if times.is_empty() {
-            self.relax(sub, queue, stats, scratch);
-            return None;
+            return Err(sub);
         }
-
         let histogram = Histogram::from_values(&times.values, self.config.bucket_width);
         if (histogram.total() as usize) < times.values.len() {
             // `Histogram::from_values` silently drops non-finite values, so
@@ -567,14 +747,13 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
             // non-finite durations at ingest). Treat it like an empty
             // answer rather than letting a NaN mean or an empty histogram
             // poison the trip downstream.
-            self.relax(sub, queue, stats, scratch);
-            return None;
+            return Err(sub);
         }
         if times.fallback {
             stats.estimate_fallbacks += 1;
         }
-        Some(SubResult {
-            path: sub.path.clone(),
+        Ok(SubResult {
+            path: sub.path,
             mean: times.mean().expect("non-empty travel times"),
             values: times.values.into_vec(),
             histogram,
@@ -593,17 +772,11 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
         }
     }
 
-    /// Applies σ to a failed sub-query and pushes the replacements to the
-    /// front of the queue (Procedure 6, line 10), classifying the step for
-    /// the stats.
-    fn relax(
-        &self,
-        sub: &Spq,
-        queue: &mut VecDeque<(Spq, bool)>,
-        stats: &mut QueryStats,
-        scratch: &mut SearchScratch,
-    ) {
-        let replacements = self.splitter.split_with(self.index, sub, scratch);
+    /// Applies σ to a failed sub-query and returns the replacements in
+    /// path order (Procedure 6, line 10), classifying the step for the
+    /// stats.
+    fn relax(&self, sub: &Spq, stats: &mut QueryStats, scratch: &mut SearchScratch) -> Vec<Spq> {
+        let mut replacements = self.splitter.split_with(self.index, sub, scratch);
         match replacements.as_slice() {
             [_, _] => stats.path_splits += 1,
             [one] if one.interval.is_periodic() && one.interval.size() > sub.interval.size() => {
@@ -615,13 +788,26 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
         // The relaxed queries replace the failed one in order; they keep the
         // adapted window, so they are not re-adapted. Path splits re-derive
         // sub-paths, so the β policy re-applies.
-        for mut r in replacements.into_iter().rev() {
+        for r in &mut replacements {
             if r.path != sub.path {
-                self.apply_beta_policy(&mut r);
+                self.apply_beta_policy(r);
             }
-            queue.push_front((r, true));
         }
+        replacements
     }
+}
+
+/// One entry of a trip's work list, which the round driver keeps in path
+/// order.
+enum Slot {
+    /// Not answered yet; the flag says whether its window is final
+    /// (already adapted, or a replacement that inherited one).
+    Pending(Spq, bool),
+    /// Within one round only: dispatched, its query moved into the
+    /// round's requests (the k-th `Asked` is the k-th request).
+    Asked,
+    /// Answered.
+    Done(SubResult),
 }
 
 #[cfg(test)]

@@ -27,20 +27,20 @@
 //! The router assigns global ids and plans one [`NodeWalRecord`] per node
 //! and batch: the record carries the batch stamp (`base` → `new_total`),
 //! the post-batch global span, and this node's member subset (possibly
-//! empty — the node then only advances its global counters). Records are
-//! applied through [`ShardNodeState::apply`], which is **idempotent** by
-//! base stamp: a record the node already absorbed is skipped, a record
-//! from the future is a typed [`StoreError::WalGap`]. Node processes
-//! validate a record ([`ShardNodeState::prepare`]), write it to their own
-//! WAL, and only then apply it ([`ShardNodeState::commit`]); they replay
-//! the log over their last snapshot on restart — the same recovery story
-//! as the monolithic service, per shard.
+//! empty — the node then only advances its global counters). Application
+//! is **idempotent** by base stamp: a record the node already absorbed is
+//! skipped, a record from the future is a typed [`StoreError::WalGap`].
+//! Node processes validate a record ([`ShardNodeState::prepare`]), write
+//! it to their own WAL, and only then apply it
+//! ([`ShardNodeState::commit`]); they replay the log over their last
+//! snapshot on restart — the same recovery story as the monolithic
+//! service, per shard.
 
 use crate::persist::{get_trajectories, prepare_batch, put_trajectories};
 use crate::sharded::{Shard, ShardRouter};
 use crate::snt::{SntIndex, TravelTimes};
 use crate::spq::Spq;
-use crate::{CardinalityMode, SearchScratch, ShardedSntIndex, TimeInterval};
+use crate::{CardinalityMode, LadderRequest, SearchScratch, ShardedSntIndex, TimeInterval};
 use tthr_network::Timestamp;
 use tthr_store::snapshot::{SectionId, SnapshotArchive, SnapshotBuilder};
 use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
@@ -56,6 +56,12 @@ pub const SECTION_NODE_INDEX: SectionId = SectionId(121);
 /// the paper's `|A| + 1 = 7`, small enough that a hostile list cannot
 /// buy an unbounded scan.
 pub const MAX_LADDER_LEVELS: usize = 32;
+
+/// Most ladders one `LadderBatch` may carry — a protocol constant, not a
+/// setting: a trip's relaxation round rarely holds more (a larger one is
+/// sent in chunks), and it bounds what one request can make a node scan
+/// under a single read guard.
+pub const MAX_LADDER_BATCH: usize = 64;
 
 /// One cluster append record: the slice of a batch one node must index,
 /// stamped with the global trajectory counters that make replay
@@ -298,30 +304,46 @@ impl ShardNodeState {
             .query(spq, |i, q| i.get_travel_times_with(q, scratch)))
     }
 
-    /// A whole relaxation ladder for an owned query — byte-identical to
-    /// [`ShardedSntIndex::travel_times_ladder_with`]. The levels arrive
-    /// off the wire, so a list that is not a well-formed ladder of at
-    /// most [`MAX_LADDER_LEVELS`] windows starting at the query's own is
-    /// a typed error, never a panic or an unbounded scan.
-    pub fn travel_times_ladder_with(
+    /// One relaxation round's ladders for this shard, answered in request
+    /// order — each byte-identical to
+    /// [`ShardedSntIndex::travel_times_ladder_with`]. The caller holds one
+    /// borrow of the state throughout, so the answers are a consistent
+    /// cut of the shard. The batch arrives off the wire: unless it holds
+    /// 1..=[`MAX_LADDER_BATCH`] items, each an owned query with a
+    /// well-formed ladder of at most [`MAX_LADDER_LEVELS`] windows
+    /// starting at the query's own, the **whole** batch is a typed error
+    /// before anything is scanned — never a partial reply, a panic or an
+    /// unbounded scan.
+    pub fn travel_times_ladders_with(
         &self,
-        spq: &Spq,
-        levels: &[TimeInterval],
+        items: &[LadderRequest],
         scratch: &mut SearchScratch,
-    ) -> Result<(usize, TravelTimes), StoreError> {
-        self.check_route(spq)?;
-        if levels.len() > MAX_LADDER_LEVELS
-            || levels.first() != Some(&spq.interval)
-            || !TimeInterval::is_ladder(levels)
-        {
+    ) -> Result<Vec<(usize, TravelTimes)>, StoreError> {
+        if items.is_empty() || items.len() > MAX_LADDER_BATCH {
             return Err(StoreError::corrupt(format!(
-                "not a relaxation ladder of 1..={MAX_LADDER_LEVELS} nested windows \
-                 starting at the query's own: {levels:?}"
+                "a ladder batch holds 1..={MAX_LADDER_BATCH} ladders, not {}",
+                items.len()
             )));
         }
-        Ok(self
-            .state
-            .query(spq, |i, q| i.travel_times_ladder_with(q, levels, scratch)))
+        for (spq, levels) in items {
+            self.check_route(spq)?;
+            if levels.len() > MAX_LADDER_LEVELS
+                || levels.first() != Some(&spq.interval)
+                || !TimeInterval::is_ladder(levels)
+            {
+                return Err(StoreError::corrupt(format!(
+                    "not a relaxation ladder of 1..={MAX_LADDER_LEVELS} nested windows \
+                     starting at the query's own: {levels:?}"
+                )));
+            }
+        }
+        Ok(items
+            .iter()
+            .map(|(spq, levels)| {
+                self.state
+                    .query(spq, |i, q| i.travel_times_ladder_with(q, levels, scratch))
+            })
+            .collect())
     }
 
     /// Exact predicate-matching traversal count for an owned query.
@@ -350,34 +372,15 @@ impl ShardNodeState {
         }))
     }
 
-    /// Applies one append record, idempotently (see the module docs):
+    /// Validates one append record against this state (see the module
+    /// docs):
     ///
-    /// * `new_total ≤ num_global` — already absorbed, `Ok(0)`, no change.
+    /// * `new_total ≤ num_global` — already absorbed, `Ok(None)`.
     /// * `base ≠ num_global` — a missing predecessor,
     ///   [`StoreError::WalGap`].
-    /// * otherwise the member subset is validated and ingested exactly
-    ///   like the touched shard of an in-process
-    ///   [`ShardedSntIndex::ingest`] — sealed as one temporal partition,
-    ///   or absorbed into the shard index's hot tail when `seal` is off
-    ///   (a later [`ShardNodeState::compact`] seals it; answers are
-    ///   byte-identical throughout) — and the global counters advance.
-    ///   An empty subset only advances counters.
-    ///
-    /// Returns the number of trajectories this shard indexed. A failed
-    /// validation leaves the node untouched. This is
-    /// [`ShardNodeState::prepare`] + [`ShardNodeState::commit`] for
-    /// callers with nothing to log in between.
-    pub fn apply(&mut self, record: &NodeWalRecord, seal: bool) -> Result<usize, StoreError> {
-        Ok(match self.prepare(record)? {
-            Some(prepared) => self.commit(prepared, seal),
-            None => 0,
-        })
-    }
-
-    /// The validation half of [`ShardNodeState::apply`]: `None` for a
-    /// record this node already absorbed, a typed error for a gap or a
-    /// malformed record, otherwise the record with its member subset
-    /// materialized — ready for an infallible [`ShardNodeState::commit`].
+    /// * a malformed member subset — a typed error; the node is untouched.
+    /// * otherwise the record with its member subset materialized, ready
+    ///   for an infallible [`ShardNodeState::commit`].
     pub fn prepare<'r>(
         &self,
         record: &'r NodeWalRecord,
@@ -413,8 +416,14 @@ impl ShardNodeState {
         Ok(Some(PreparedRecord { record, trajs }))
     }
 
-    /// The mutation half of [`ShardNodeState::apply`]: ingests a record
-    /// [`ShardNodeState::prepare`] validated against this very state.
+    /// Ingests a record [`ShardNodeState::prepare`] validated against
+    /// this very state, exactly like the touched shard of an in-process
+    /// [`ShardedSntIndex::ingest`] — sealed as one temporal partition, or
+    /// absorbed into the shard index's hot tail when `seal` is off (a
+    /// later [`ShardNodeState::compact`] seals it; answers are
+    /// byte-identical throughout) — and advances the global counters (an
+    /// empty subset only does that). Returns the number of trajectories
+    /// this shard indexed.
     pub fn commit(&mut self, prepared: PreparedRecord<'_>, seal: bool) -> usize {
         let PreparedRecord { record, trajs } = prepared;
         debug_assert_eq!(record.base, self.num_global, "prepared against this state");
@@ -515,6 +524,18 @@ mod tests {
         (0..sharded.num_shards())
             .map(|s| ShardNodeState::export_from(sharded, s))
             .collect()
+    }
+
+    /// `prepare` + `commit`, as a node with nothing to log in between.
+    fn apply(
+        node: &mut ShardNodeState,
+        record: &NodeWalRecord,
+        seal: bool,
+    ) -> Result<usize, StoreError> {
+        Ok(match node.prepare(record)? {
+            Some(prepared) => node.commit(prepared, seal),
+            None => 0,
+        })
     }
 
     fn workload() -> Vec<Spq> {
@@ -624,7 +645,7 @@ mod tests {
                 seal,
             );
             for (node, record) in nodes.iter_mut().zip(&records) {
-                node.apply(record, seal).unwrap();
+                apply(node, record, seal).unwrap();
                 assert_eq!(node.hot_stats().batches > 0, !seal, "seal={seal}");
                 assert_eq!(node.num_global(), idx.num_trajectories() as u64);
                 assert_eq!(node.span_min(), idx.data_min());
@@ -645,9 +666,9 @@ mod tests {
         let batch = vec![(UserId(7), vec![TrajEntry::new(EDGE_A, 50, 3.0)])];
         let records = plan_node_records(idx.router(), node.num_global(), 0, 21, &batch).unwrap();
         let record = records[node.shard() as usize].clone();
-        let first = node.apply(&record, true).unwrap();
+        let first = apply(&mut node, &record, true).unwrap();
         // Replaying the same record is a no-op.
-        assert_eq!(node.apply(&record, true).unwrap(), 0);
+        assert_eq!(apply(&mut node, &record, true).unwrap(), 0);
         let members_after = node.members().to_vec();
         // A record from the future is a gap naming both stamps.
         let future = NodeWalRecord {
@@ -655,7 +676,7 @@ mod tests {
             new_total: node.num_global() + 4,
             ..record.clone()
         };
-        match node.apply(&future, true) {
+        match apply(&mut node, &future, true) {
             Err(StoreError::WalGap { expected, found }) => {
                 assert_eq!(expected, node.num_global());
                 assert_eq!(found, future.base);
@@ -685,7 +706,7 @@ mod tests {
             ],
         };
         assert!(matches!(
-            node.apply(&bad, true),
+            apply(&mut node, &bad, true),
             Err(StoreError::Corrupt { .. })
         ));
         // Invalid trajectory payload (empty entry list).
@@ -698,7 +719,7 @@ mod tests {
             trajectories: vec![(UserId(1), vec![])],
         };
         assert!(matches!(
-            node.apply(&bad, true),
+            apply(&mut node, &bad, true),
             Err(StoreError::Corrupt { .. })
         ));
         assert_eq!(node.num_global(), before_global);

@@ -39,6 +39,12 @@ pub struct QueryTrace {
     /// [`QueryStats::index_queries`](crate::QueryStats) keeps counting
     /// the levels logically consumed.
     pub ladders: u64,
+    /// [`TravelTimeProvider::travel_times_ladders`](crate::TravelTimeProvider::travel_times_ladders)
+    /// dispatches that carried at least one ladder: one per relaxation
+    /// round in process, one per (round, shard) RPC on the cluster —
+    /// where `ladders` counts every ladder shipped inside them, so
+    /// `ladders ÷ ladder_batches` is the batch fill.
+    pub ladder_batches: u64,
     /// Temporal scans over a path's first segment (`buildMap` scans,
     /// counting scans, ladder bucketing passes): the real work behind
     /// `index_queries`.
@@ -105,6 +111,7 @@ impl QueryTrace {
         self.partitions_searched += other.partitions_searched;
         self.index_queries += other.index_queries;
         self.ladders += other.ladders;
+        self.ladder_batches += other.ladder_batches;
         self.temporal_passes += other.temporal_passes;
         self.pruned += other.pruned;
         self.cache_hits += other.cache_hits;

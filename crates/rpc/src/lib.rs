@@ -31,7 +31,8 @@
 //! | 9   | `FetchSnapshot`     | req | resume offset (u64) |
 //! | 10  | `TailWal`           | req | from stamp (u64) |
 //! | 11  | `Promote`           | req | — |
-//! | 12  | `Ladder`            | req | SPQ + levels (interval seq, ≤ 32) |
+//! | 12  | *retired*           | —   | was `Ladder` (one ladder per frame); never reused |
+//! | 13  | `LadderBatch`       | req | items (≤ 64), each SPQ + levels (interval seq, ≤ 32) |
 //! | 16  | `Ok`                | resp | — |
 //! | 17  | `Meta`              | resp | [`NodeMeta`] |
 //! | 18  | `Routing`           | resp | [`ShardRouter`] |
@@ -42,8 +43,13 @@
 //! | 23  | `SnapshotChunk`     | resp | stamp + offset + total (u64×3) + bytes |
 //! | 24  | `WalRecords`        | resp | records seq + end stamp (u64) |
 //! | 25  | `ReplStatus`        | resp | role (u8) + applied/snapshot stamps (u64×2) |
-//! | 26  | `LadderResult`      | resp | level (u32) + values (f64 seq) + fallback (bool) |
+//! | 26  | *retired*           | —    | was `LadderResult`; never reused |
+//! | 27  | `LadderBatchResult` | resp | results (one per item), each level (u32) + values (f64 seq) + fallback (bool) |
 //! | 31  | `Err`               | resp | code (u8) + expected/found (u64×2) + text |
+//!
+//! A ladder is a batch of one, so the `LadderBatch` pair is the only
+//! ladder message; a peer still sending a retired tag gets a typed
+//! [`FrameError::Tag`] (the node answers it `BadRequest`).
 //!
 //! Decoding never panics on hostile bytes: a wrong length, tag, CRC, or
 //! payload is a typed [`FrameError`], and every strict prefix of a valid
@@ -54,8 +60,8 @@
 #![warn(missing_docs)]
 
 use std::io::{Read, Write};
-use tthr_core::node::{NodeWalRecord, MAX_LADDER_LEVELS};
-use tthr_core::{CardinalityMode, Filter, ShardRouter, Spq, TimeInterval};
+use tthr_core::node::{NodeWalRecord, MAX_LADDER_BATCH, MAX_LADDER_LEVELS};
+use tthr_core::{CardinalityMode, Filter, LadderRequest, ShardRouter, Spq, TimeInterval};
 use tthr_network::{EdgeId, Path, Timestamp, SECONDS_PER_DAY};
 use tthr_store::{crc32, ByteReader, ByteWriter, Persist, StoreError};
 use tthr_trajectory::{TrajId, UserId};
@@ -307,15 +313,14 @@ pub enum Message {
     /// Promote a standby to primary (idempotent on a primary). Answered
     /// with [`Message::ReplStatus`] reflecting the new role.
     Promote,
-    /// A whole relaxation ladder in one round trip: `spq` under each
-    /// window of `levels` in turn (`levels[0]` is the query's own),
-    /// answered with the first level that yields travel times. New with
-    /// this tag — routers and nodes upgrade together.
-    Ladder {
-        /// The query at level 0.
-        spq: Spq,
-        /// The nested window sequence, narrowest first.
-        levels: Vec<TimeInterval>,
+    /// One relaxation round's ladders for this shard in one round trip:
+    /// each item is a query under each window of its `levels` in turn
+    /// (`levels[0]` is the query's own), answered — all under one read
+    /// guard — with the first level that yields travel times. At most
+    /// [`MAX_LADDER_BATCH`] items; a single ladder is a batch of one.
+    LadderBatch {
+        /// `(query at level 0, nested window sequence narrowest first)`.
+        items: Vec<LadderRequest>,
     },
     /// Generic success (snapshot requests).
     Ok,
@@ -337,15 +342,14 @@ pub enum Message {
         /// Whether they are the single speed-limit estimate.
         fallback: bool,
     },
-    /// Ladder answer: the level that answered (or the last level, with
-    /// no values, when every level failed) and its travel times.
-    LadderResult {
-        /// Index into the request's `levels`.
-        level: u32,
-        /// The travel-time values at that level.
-        values: Vec<f64>,
-        /// Whether they are the single speed-limit estimate.
-        fallback: bool,
+    /// Ladder-batch answer: one result per request item, in item order —
+    /// never a partial reply (a bad item fails the whole batch typed).
+    LadderBatchResult {
+        /// Per item `(level, values, fallback)`: the index into the
+        /// item's `levels` that answered (or the last level, with no
+        /// values, when every level failed), the travel times at that
+        /// level, and whether they are the single speed-limit estimate.
+        results: Vec<(u32, Vec<f64>, bool)>,
     },
     /// Count answer.
     CountResult(
@@ -422,7 +426,7 @@ const TAG_SNAPSHOT: u8 = 8;
 const TAG_FETCH_SNAPSHOT: u8 = 9;
 const TAG_TAIL_WAL: u8 = 10;
 const TAG_PROMOTE: u8 = 11;
-const TAG_LADDER: u8 = 12;
+const TAG_LADDER_BATCH: u8 = 13;
 const TAG_OK: u8 = 16;
 const TAG_META: u8 = 17;
 const TAG_ROUTING: u8 = 18;
@@ -433,7 +437,7 @@ const TAG_APPENDED: u8 = 22;
 const TAG_SNAPSHOT_CHUNK: u8 = 23;
 const TAG_WAL_RECORDS: u8 = 24;
 const TAG_REPL_STATUS: u8 = 25;
-const TAG_LADDER_RESULT: u8 = 26;
+const TAG_LADDER_BATCH_RESULT: u8 = 27;
 const TAG_ERR: u8 = 31;
 
 fn put_interval(w: &mut ByteWriter, interval: &TimeInterval) {
@@ -547,6 +551,32 @@ fn get_string(r: &mut ByteReader<'_>) -> Result<String, FrameError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::Body("non-UTF-8 text".into()))
 }
 
+/// Wire size of an interval: tag + two `i64`s.
+const INTERVAL_BYTES: usize = 17;
+/// Least wire size of a `LadderBatch` item: an SPQ of one edge (edge
+/// count + edge, interval, filter tag, two `Option` tags) + level count.
+const ITEM_MIN_BYTES: usize = 8 + 4 + INTERVAL_BYTES + 3 + 8;
+/// Least wire size of a `LadderBatchResult` entry: level + value count +
+/// fallback flag.
+const RESULT_MIN_BYTES: usize = 4 + 8 + 1;
+
+/// A sequence length checked against the bytes left (`min_item_size`
+/// each) *and* a protocol cap, before the caller allocates for it.
+fn get_capped_len(
+    r: &mut ByteReader<'_>,
+    min_item_size: usize,
+    cap: usize,
+    what: &str,
+) -> Result<usize, FrameError> {
+    let n = r.get_len(min_item_size)?;
+    if n > cap {
+        return Err(FrameError::Body(format!(
+            "{n} {what} exceed the cap of {cap}"
+        )));
+    }
+    Ok(n)
+}
+
 impl Message {
     fn tag(&self) -> u8 {
         match self {
@@ -561,12 +591,12 @@ impl Message {
             Message::FetchSnapshot { .. } => TAG_FETCH_SNAPSHOT,
             Message::TailWal { .. } => TAG_TAIL_WAL,
             Message::Promote => TAG_PROMOTE,
-            Message::Ladder { .. } => TAG_LADDER,
+            Message::LadderBatch { .. } => TAG_LADDER_BATCH,
             Message::Ok => TAG_OK,
             Message::Meta(_) => TAG_META,
             Message::Routing(_) => TAG_ROUTING,
             Message::TravelTimesResult { .. } => TAG_TT_RESULT,
-            Message::LadderResult { .. } => TAG_LADDER_RESULT,
+            Message::LadderBatchResult { .. } => TAG_LADDER_BATCH_RESULT,
             Message::CountResult(_) => TAG_COUNT_RESULT,
             Message::EstimateResult(_) => TAG_ESTIMATE_RESULT,
             Message::Appended { .. } => TAG_APPENDED,
@@ -621,21 +651,23 @@ impl Message {
                 put_spq(w, spq);
                 w.put_u8(mode_tag(*mode));
             }
-            Message::Ladder { spq, levels } => {
-                put_spq(w, spq);
-                w.put_len(levels.len());
-                for level in levels {
-                    put_interval(w, level);
+            Message::LadderBatch { items } => {
+                w.put_len(items.len());
+                for (spq, levels) in items {
+                    put_spq(w, spq);
+                    w.put_len(levels.len());
+                    for level in levels {
+                        put_interval(w, level);
+                    }
                 }
             }
-            Message::LadderResult {
-                level,
-                values,
-                fallback,
-            } => {
-                w.put_u32(*level);
-                w.put_seq(values);
-                fallback.persist(w);
+            Message::LadderBatchResult { results } => {
+                w.put_len(results.len());
+                for (level, values, fallback) in results {
+                    w.put_u32(*level);
+                    w.put_seq(values);
+                    fallback.persist(w);
+                }
             }
             Message::Append(record) => record.persist(w),
             Message::Meta(meta) => meta.persist(w),
@@ -690,32 +722,37 @@ impl Message {
                 from_stamp: r.get_u64()?,
             },
             TAG_PROMOTE => Message::Promote,
-            TAG_LADDER => {
-                let spq = get_spq(&mut r)?;
-                // Bounded before allocating; whether the windows form a
-                // ladder is the node's (typed, connection-preserving)
-                // check.
-                let n = r.get_len(17)?;
-                if n > MAX_LADDER_LEVELS {
-                    return Err(FrameError::Body(format!(
-                        "{n} ladder levels exceed the cap of {MAX_LADDER_LEVELS}"
-                    )));
+            TAG_LADDER_BATCH => {
+                // Counts are bounded — against the protocol caps and the
+                // bytes left — before anything is allocated; whether the
+                // windows form ladders is the node's (typed,
+                // connection-preserving) check.
+                let n = get_capped_len(&mut r, ITEM_MIN_BYTES, MAX_LADDER_BATCH, "ladders")?;
+                let mut items = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let spq = get_spq(&mut r)?;
+                    let m = get_capped_len(&mut r, INTERVAL_BYTES, MAX_LADDER_LEVELS, "levels")?;
+                    let levels = (0..m)
+                        .map(|_| get_interval(&mut r))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    items.push((spq, levels));
                 }
-                let levels = (0..n)
-                    .map(|_| get_interval(&mut r))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Message::Ladder { spq, levels }
+                Message::LadderBatch { items }
             }
-            TAG_LADDER_RESULT => {
-                let level = r.get_u32()?;
-                let values: Vec<f64> = r.get_seq()?;
-                let fallback = bool::restore(&mut r)?;
-                Message::LadderResult {
-                    level,
-                    values,
-                    fallback,
+            TAG_LADDER_BATCH_RESULT => {
+                let n = get_capped_len(&mut r, RESULT_MIN_BYTES, MAX_LADDER_BATCH, "results")?;
+                let mut results = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let level = r.get_u32()?;
+                    let values: Vec<f64> = r.get_seq()?;
+                    let fallback = bool::restore(&mut r)?;
+                    results.push((level, values, fallback));
                 }
+                Message::LadderBatchResult { results }
             }
+            // Retired with the per-ladder pair (`Ladder` / `LadderResult`);
+            // the numbers stay reserved so an old peer fails typed.
+            tag @ (12 | 26) => return Err(FrameError::Tag(tag)),
             TAG_OK => Message::Ok,
             TAG_META => Message::Meta(NodeMeta::restore(&mut r)?),
             TAG_ROUTING => Message::Routing(ShardRouter::restore(&mut r)?),
@@ -800,18 +837,20 @@ impl Message {
     }
 }
 
-/// Encodes one message as a complete frame.
+/// Encodes one message as a complete frame: the header's eight bytes
+/// are reserved up front and patched once the body behind them is
+/// written, so the body is never copied.
 pub fn encode_frame(message: &Message) -> Vec<u8> {
-    let mut body = ByteWriter::new();
-    body.put_u8(message.tag());
-    message.put_payload(&mut body);
-    let body = body.into_bytes();
+    let mut w = ByteWriter::new();
+    w.put_bytes(&[0; FRAME_HEADER]);
+    w.put_u8(message.tag());
+    message.put_payload(&mut w);
+    let mut frame = w.into_bytes();
+    let (header, body) = frame.split_at_mut(FRAME_HEADER);
     debug_assert!(body.len() as u64 <= MAX_FRAME_BODY as u64);
-    let mut out = Vec::with_capacity(FRAME_HEADER + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
+    frame
 }
 
 /// The outcome of one incremental decode attempt.

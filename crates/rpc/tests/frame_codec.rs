@@ -2,11 +2,15 @@
 //! parser's (`crates/server/tests/http_parser.rs`): one-shot and
 //! incremental decoding agree on every split boundary for **every** frame
 //! type, single-byte corruption maps to a typed [`FrameError`] (never a
-//! panic, never a silently different message), and raw fuzz bytes never
-//! panic either decoder.
+//! panic, never a silently different message), raw fuzz bytes never
+//! panic either decoder, and the ladder-batch frames — the only ones
+//! whose payload nests two attacker-declared counts — survive a mutation
+//! loop that re-seals the CRC so every mutant reaches the payload parser:
+//! typed error or success, and no allocation a declared count alone
+//! could buy.
 
 use proptest::collection;
-use tthr_core::node::NodeWalRecord;
+use tthr_core::node::{NodeWalRecord, MAX_LADDER_BATCH, MAX_LADDER_LEVELS};
 use tthr_core::{CardinalityMode, ShardRouter, Spq, TimeInterval};
 use tthr_network::examples::example_network;
 use tthr_network::{EdgeId, Path};
@@ -82,11 +86,13 @@ fn build_messages(
         ErrCode::NotPrimary,
     ];
     let message: String = text.iter().map(|&b| (b'a' + b % 26) as char).collect();
-    // The SPQ's own window plus `code % 4` windows of any kind: the codec
-    // carries level lists verbatim — whether they nest is the node's check.
+    // `k` items, each the SPQ's own window plus `code % 4` windows of any
+    // kind: the codec carries level lists verbatim — whether they nest is
+    // the node's check.
     let levels: Vec<TimeInterval> = std::iter::once(spq.interval)
         .chain((1..=code as i64 % 4).map(|i| TimeInterval::periodic(istart + i, ilen * i)))
         .collect();
+    let items = vec![(spq.clone(), levels); k];
     vec![
         Message::Health,
         Message::GetMeta,
@@ -105,10 +111,7 @@ fn build_messages(
         Message::FetchSnapshot { offset: base },
         Message::TailWal { from_stamp: base },
         Message::Promote,
-        Message::Ladder {
-            spq: spq.clone(),
-            levels,
-        },
+        Message::LadderBatch { items },
         Message::Ok,
         Message::Meta(meta),
         Message::Routing(ShardRouter::build(&example_network(), k)),
@@ -116,10 +119,8 @@ fn build_messages(
             values: values.clone(),
             fallback,
         },
-        Message::LadderResult {
-            level: cap % 8,
-            values,
-            fallback,
+        Message::LadderBatchResult {
+            results: vec![(cap % 8, values, fallback); k],
         },
         Message::CountResult(base),
         Message::EstimateResult(istart as f64 + 0.5),
@@ -277,15 +278,8 @@ proptest::proptest! {
         let window = TimeInterval::periodic(base as i64, 900);
         for message in [
             Message::Count { spq: spq.clone(), cap },
-            Message::Ladder {
-                spq: Spq::new(spq.path.clone(), window).with_beta(cap),
-                levels: vec![window, window.widen(1800), window.widen(1800).widen(2700)],
-            },
-            Message::LadderResult {
-                level: cap % 3,
-                values: vec![base as f64 + 0.5, cap as f64],
-                fallback: false,
-            },
+            ladder_batch(&spq, window, cap),
+            ladder_batch_result(base, cap),
             Message::Append(NodeWalRecord {
                 base,
                 new_total: base + 1,
@@ -383,22 +377,188 @@ proptest::proptest! {
     }
 }
 
-/// A level list longer than the wire admits is rejected while decoding —
-/// before the levels are allocated — with a typed payload error.
+/// A two-item batch: a three-level ladder and a ladder of one.
+fn ladder_batch(spq: &Spq, window: TimeInterval, beta: u32) -> Message {
+    Message::LadderBatch {
+        items: vec![
+            (
+                Spq::new(spq.path.clone(), window).with_beta(beta),
+                vec![window, window.widen(1800), window.widen(1800).widen(2700)],
+            ),
+            (spq.clone(), vec![spq.interval]),
+        ],
+    }
+}
+
+fn ladder_batch_result(base: u64, cap: u32) -> Message {
+    Message::LadderBatchResult {
+        results: vec![
+            (cap % 3, vec![base as f64 + 0.5, cap as f64], false),
+            (0, vec![], false),
+            (0, vec![1.0], true),
+        ],
+    }
+}
+
+/// Item and level counts beyond the wire's caps are rejected while
+/// decoding — before anything is allocated — with a typed payload error.
 #[test]
 fn oversized_ladder_is_a_typed_payload_error() {
     let window = TimeInterval::periodic(0, 900);
-    let ladder = |n: usize| Message::Ladder {
-        spq: Spq::new(Path::new(vec![EdgeId(1)]), window),
-        levels: vec![window; n],
+    let batch = |items: usize, levels: usize| Message::LadderBatch {
+        items: vec![
+            (
+                Spq::new(Path::new(vec![EdgeId(1)]), window),
+                vec![window; levels]
+            );
+            items
+        ],
     };
-    let cap = tthr_core::node::MAX_LADDER_LEVELS;
-    assert!(matches!(
-        decode_frame(&encode_frame(&ladder(cap))),
-        Ok(Decode::Done { .. })
-    ));
-    assert!(matches!(
-        decode_frame(&encode_frame(&ladder(cap + 1))),
-        Err(FrameError::Body(_))
-    ));
+    let results = |n: usize| Message::LadderBatchResult {
+        results: vec![(0, vec![1.0], false); n],
+    };
+    for ok in [
+        batch(0, 0),
+        batch(MAX_LADDER_BATCH, MAX_LADDER_LEVELS),
+        results(MAX_LADDER_BATCH),
+    ] {
+        assert!(matches!(
+            decode_frame(&encode_frame(&ok)),
+            Ok(Decode::Done { .. })
+        ));
+    }
+    for oversized in [
+        batch(1, MAX_LADDER_LEVELS + 1),
+        batch(MAX_LADDER_BATCH + 1, 1),
+        results(MAX_LADDER_BATCH + 1),
+    ] {
+        assert!(matches!(
+            decode_frame(&encode_frame(&oversized)),
+            Err(FrameError::Body(_))
+        ));
+    }
+}
+
+/// The per-ladder pair's tags are retired, not recycled: a peer that
+/// still sends them gets a typed unknown-tag error.
+#[test]
+fn retired_ladder_tags_are_typed_unknown_tags() {
+    for tag in [12u8, 26] {
+        let mut frame = encode_frame(&Message::Health);
+        frame[FRAME_HEADER] = tag;
+        reseal(&mut frame);
+        assert_eq!(decode_frame(&frame), Err(FrameError::Tag(tag)));
+    }
+}
+
+/// Rewrites the header of a (mutated) frame so length and CRC match its
+/// body again — the mutant then reaches the payload parser.
+fn reseal(frame: &mut [u8]) {
+    let (header, body) = frame.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&tthr_store::crc32(body).to_le_bytes());
+}
+
+/// The largest single allocation this thread requested since the last
+/// reset — how the mutation loop sees what a declared count made the
+/// decoder reserve.
+mod peak_alloc {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static PEAK: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub struct Tracking;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the bookkeeping touches
+    // only a const-initialised, destructor-free thread-local `Cell`
+    // (`try_with` so a call during thread teardown is skipped, not a
+    // panic) and never allocates.
+    unsafe impl GlobalAlloc for Tracking {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    fn note(size: usize) {
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(size)));
+    }
+
+    /// Runs `f`, returning its result and the largest single allocation
+    /// it requested on this thread.
+    pub fn of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        PEAK.with(|peak| peak.set(0));
+        let out = f();
+        (out, PEAK.with(Cell::get))
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: peak_alloc::Tracking = peak_alloc::Tracking;
+
+proptest::proptest! {
+    /// Mutants of both ladder-batch frames, CRC re-sealed: byte smashes
+    /// anywhere in the payload, and the leading item count overwritten
+    /// with hostile values. Every one decodes to a typed error or to a
+    /// message within the protocol caps, and the decoder never reserves
+    /// more than the caps or the bytes actually present can justify.
+    #[test]
+    fn mutated_ladder_batches_are_typed_and_bounded(
+        base in 0u64..1000,
+        cap in 1u32..1000,
+        edges in collection::vec(0u32..50, 1..4),
+        smashes in collection::vec((0usize..4096, 0u8..255), 0..4),
+        count in 0usize..8,
+    ) {
+        let spq = Spq::new(
+            Path::new(edges.iter().map(|&e| EdgeId(e)).collect()),
+            TimeInterval::fixed(0, 100),
+        );
+        let window = TimeInterval::periodic(base as i64, 900);
+        let counts = [0, 1, 64, 65, 1 << 16, 1 << 32, u64::MAX / 40, u64::MAX];
+        for message in [ladder_batch(&spq, window, cap), ladder_batch_result(base, cap)] {
+            let mut frame = encode_frame(&message);
+            let payload = FRAME_HEADER + 1;
+            for &(at, to) in &smashes {
+                let at = payload + at % (frame.len() - payload);
+                frame[at] = to;
+            }
+            if count < counts.len() {
+                frame[payload..payload + 8].copy_from_slice(&counts[count].to_le_bytes());
+            }
+            reseal(&mut frame);
+            // What honest input of this size can need: a vector of
+            // `MAX_LADDER_BATCH` decoded items, or a sequence whose
+            // elements each took at least one wire byte.
+            let item = std::mem::size_of::<(Spq, Vec<TimeInterval>)>();
+            let bound = (MAX_LADDER_BATCH * item).max(8 * frame.len());
+            let (decoded, peak) = peak_alloc::of(|| decode_frame(&frame));
+            proptest::prop_assert!(peak <= bound, "decode reserved {peak} B for {frame:?}");
+            match decoded {
+                Ok(Decode::Done { message: Message::LadderBatch { items }, .. }) => {
+                    proptest::prop_assert!(items.len() <= MAX_LADDER_BATCH);
+                    proptest::prop_assert!(
+                        items.iter().all(|(_, levels)| levels.len() <= MAX_LADDER_LEVELS)
+                    );
+                }
+                Ok(Decode::Done { message: Message::LadderBatchResult { results }, .. }) => {
+                    proptest::prop_assert!(results.len() <= MAX_LADDER_BATCH);
+                }
+                Ok(other) => panic!("a re-sealed ladder frame decoded as {other:?}"),
+                Err(FrameError::Body(_)) => {}
+                Err(other) => panic!("a re-sealed frame failed outside its payload: {other:?}"),
+            }
+        }
+    }
 }

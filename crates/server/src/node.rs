@@ -421,13 +421,16 @@ fn dispatch(request: &Message, store: &RwLock<NodeStore>, scratch: &mut SearchSc
                 Err(e) => err_reply(&e),
             }
         }
-        Message::Ladder { spq, levels } => {
+        Message::LadderBatch { items } => {
+            // One read guard and one scratch for the whole round: its
+            // ladders see one append generation of this shard.
             let store = store.read().expect("store lock");
-            match store.state().travel_times_ladder_with(spq, levels, scratch) {
-                Ok((level, tt)) => Message::LadderResult {
-                    level: level as u32,
-                    values: tt.values.into_vec(),
-                    fallback: tt.fallback,
+            match store.state().travel_times_ladders_with(items, scratch) {
+                Ok(answers) => Message::LadderBatchResult {
+                    results: answers
+                        .into_iter()
+                        .map(|(level, tt)| (level as u32, tt.values.into_vec(), tt.fallback))
+                        .collect(),
                 },
                 Err(e) => err_reply(&e),
             }
@@ -632,12 +635,15 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
-    /// A ladder is answered like the in-process index answers it; a level
-    /// list that is empty, does not start at the query's window, is not
-    /// nested-ascending, or is longer than the cap is a typed
-    /// `BadRequest` — and the connection's scratch keeps serving.
+    /// A batch is answered item by item like the in-process index answers
+    /// each ladder; a level list that is empty, does not start at the
+    /// query's window, is not nested-ascending, or is longer than the cap
+    /// — alone or inside an otherwise good batch — and a batch of no or
+    /// too many items is a typed `BadRequest` for the whole batch, and
+    /// the connection's scratch keeps serving.
     #[test]
     fn dispatch_answers_ladders_and_rejects_malformed_level_lists() {
+        use tthr_core::node::{MAX_LADDER_BATCH, MAX_LADDER_LEVELS};
         let store = RwLock::new(NodeStore::init(temp_dir("ladder"), example_state()).unwrap());
         let mut scratch = SearchScratch::new();
         // 12:00 ± 7.5 min holds nothing (the example data sits at t < 30 s);
@@ -646,22 +652,26 @@ mod tests {
         let spq = Spq::new(NetPath::new(vec![EDGE_A, EDGE_B, EDGE_E]), narrow).with_beta(2);
         let wide = narrow.widen(86_400);
         let good = vec![narrow, narrow.widen(1800), wide];
-        let want = {
+        let easy = (example_spq(), vec![example_spq().interval]);
+        let want: Vec<_> = {
             let guard = store.read().unwrap();
             let index = guard.state().index();
-            tthr_core::ladder_sequential(index, &spq, &good, &mut SearchScratch::new())
+            [(&spq, &good), (&easy.0, &easy.1)]
+                .map(|(q, levels)| {
+                    let (level, tt) =
+                        tthr_core::ladder_sequential(index, q, levels, &mut SearchScratch::new());
+                    (level as u32, tt.values.to_vec(), tt.fallback)
+                })
+                .to_vec()
         };
-        assert_eq!(want.0, 2, "only the widest level holds β");
-        let ladder = |levels: Vec<TimeInterval>| Message::Ladder {
-            spq: spq.clone(),
-            levels,
-        };
+        assert_eq!(want[0].0, 2, "only the widest level holds β");
+        assert_eq!(want[1].0, 0);
+        let batch = |items: Vec<(Spq, Vec<TimeInterval>)>| Message::LadderBatch { items };
+        let good_batch = batch(vec![(spq.clone(), good.clone()), easy.clone()]);
         assert_eq!(
-            dispatch(&ladder(good.clone()), &store, &mut scratch),
-            Message::LadderResult {
-                level: 2,
-                values: want.1.values.to_vec(),
-                fallback: want.1.fallback,
+            dispatch(&good_batch, &store, &mut scratch),
+            Message::LadderBatchResult {
+                results: want.clone()
             }
         );
         let bad_lists = [
@@ -670,22 +680,35 @@ mod tests {
             vec![narrow, wide, narrow.widen(1800)],
             vec![narrow, TimeInterval::periodic_around(6 * 3600, 1800)],
             std::iter::successors(Some(narrow), |w| Some(w.widen(w.size() + 2)))
-                .take(tthr_core::node::MAX_LADDER_LEVELS + 1)
+                .take(MAX_LADDER_LEVELS + 1)
                 .collect(),
         ];
-        for levels in bad_lists {
-            match dispatch(&ladder(levels.clone()), &store, &mut scratch) {
+        let mut bad_batches: Vec<Message> = bad_lists
+            .into_iter()
+            .flat_map(|levels| {
+                [
+                    batch(vec![(spq.clone(), levels.clone())]),
+                    batch(vec![easy.clone(), (spq.clone(), levels), easy.clone()]),
+                ]
+            })
+            .collect();
+        bad_batches.push(batch(vec![]));
+        bad_batches.push(batch(vec![easy.clone(); MAX_LADDER_BATCH + 1]));
+        for bad in bad_batches {
+            match dispatch(&bad, &store, &mut scratch) {
                 Message::Err {
                     code: ErrCode::BadRequest,
                     ..
                 } => {}
-                other => panic!("{levels:?} answered {other:?}"),
+                other => panic!("{bad:?} answered {other:?}"),
             }
         }
-        assert!(matches!(
-            dispatch(&ladder(good), &store, &mut scratch),
-            Message::LadderResult { level: 2, .. }
-        ));
+        assert_eq!(
+            dispatch(&batch(vec![easy; MAX_LADDER_BATCH]), &store, &mut scratch),
+            Message::LadderBatchResult {
+                results: vec![want[1].clone(); MAX_LADDER_BATCH]
+            }
+        );
         let dir = store.read().unwrap().dir().to_path_buf();
         std::fs::remove_dir_all(dir).ok();
     }

@@ -521,6 +521,7 @@ fn slow_query_json(q: &SlowQuery) -> Json {
                 ("partitions_searched", int(t.partitions_searched)),
                 ("index_queries", int(t.index_queries)),
                 ("ladders", int(t.ladders)),
+                ("ladder_batches", int(t.ladder_batches)),
                 ("temporal_passes", int(t.temporal_passes)),
                 ("pruned", int(t.pruned)),
                 ("cache_hits", int(t.cache_hits)),

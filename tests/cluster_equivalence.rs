@@ -19,7 +19,7 @@ use common::cluster::{read_listening_line, ClusterHarness, CLUSTER_K};
 use common::differential::QueryGen;
 use common::http::HttpClient;
 use tthr::client::ClientConfig;
-use tthr::core::{CardinalityMode, IndexBackend};
+use tthr::core::{CardinalityMode, IndexBackend, QueryEngine, TimeInterval};
 use tthr::server::wire;
 
 /// One full differential pass: `rounds` rounds of randomized queries,
@@ -146,33 +146,56 @@ fn hot_tail_cluster_matches_in_process_reference() {
     }
 }
 
-/// Relaxation ladders over the wire, on sealed and on hot-tail nodes:
-/// one `Ladder` RPC answers like the level-by-level loop, trips drawn to
-/// climb the ladder stay byte-identical (stats included) to the
-/// in-process sharded index, and the router's RPC counter shows what the
-/// ladder is for — one RPC per dispatched ladder, not one per level.
+/// Relaxation rounds over the wire, on sealed and on hot-tail nodes: one
+/// ladder RPC answers like the level-by-level loop, trips drawn to climb
+/// the ladder stay byte-identical (stats included) to the in-process
+/// sharded index, and the router's RPC counter shows what the rounds are
+/// for — one RPC per (round, shard), not one per ladder: exactly the
+/// batches the trips' traces report, fewer than the ladders they carried,
+/// and for a trip of independent chains at most `shards × rounds`.
 fn ladders_over_the_wire(mut h: ClusterHarness, name: &str) {
     let mut gen = QueryGen::new(name);
     // Grow past the bootstrap state (hot-tail nodes: into the hot tail).
     h.append_next(h.full.len() / 6 + 1);
-    let (mut logical, mut widenings) = (0u64, 0u64);
-    let before = h.router_rpcs();
-    for _ in 0..30 {
-        let spq = gen.ladder_spq_from(&h.full, h.applied);
-        h.check_trip(&spq);
-        // `check_trip` proved the cluster's stats equal the reference's.
-        let stats = h.reference_trip(&spq).stats;
-        logical += stats.index_queries as u64;
-        widenings += stats.widenings as u64;
+    let engine = QueryEngine::new(&h.reference, &h.network, h.engine_config.clone());
+    let (mut batches, mut ladders, mut widenings, mut multi_zone_fixed) = (0, 0, 0, 0);
+    let start = h.router_rpcs();
+    for i in 0..40 {
+        let mut spq = gen.ladder_spq_from(&h.full, h.applied);
+        let fixed = i % 4 == 3;
+        if fixed {
+            // Independent chains: the whole queue is round 1's frontier.
+            spq.interval = TimeInterval::fixed(0, i64::MAX / 4);
+            multi_zone_fixed += usize::from(engine.initial_subqueries(&spq).len() > 1);
+        }
+        let before = h.router_rpcs();
+        // `check_trip` proves the cluster's answer equals the reference's.
+        let trip = h.check_trip(&spq);
+        let rpcs = h.router_rpcs() - before;
+        // σ_R without an estimator issues no other read RPCs.
+        assert_eq!(rpcs, trip.trace.ladder_batches, "{spq:?}");
+        if fixed {
+            // In process a round is one dispatch; on the wire it is at
+            // most one per shard.
+            let rounds = h.reference_trip(&spq).trace.ladder_batches;
+            assert!(
+                rpcs <= CLUSTER_K as u64 * rounds,
+                "{rpcs} RPCs for {rounds} rounds: {spq:?}"
+            );
+        }
+        batches += trip.trace.ladder_batches;
+        ladders += trip.trace.ladders;
+        widenings += trip.stats.widenings;
     }
-    let rpcs = h.router_rpcs() - before;
     assert!(widenings > 0, "no trip ever widened — the mix is too flat");
-    // σ_R without an estimator issues no other read RPCs: every engine
-    // step is one RPC, however many levels its ladder consumed.
-    assert_eq!(
-        rpcs,
-        logical - widenings,
-        "{logical} logical dispatches with {widenings} widenings took {rpcs} RPCs"
+    assert!(
+        multi_zone_fixed > 0,
+        "no fixed-interval trip spans two zones"
+    );
+    assert_eq!(h.router_rpcs() - start, batches);
+    assert!(
+        batches < ladders,
+        "{batches} RPCs must be fewer than the {ladders} ladders they carried"
     );
     for _ in 0..30 {
         let spq = gen.ladder_spq_from(&h.full, h.applied);
@@ -181,13 +204,13 @@ fn ladders_over_the_wire(mut h: ClusterHarness, name: &str) {
 }
 
 #[test]
-fn ladder_trips_take_one_rpc_per_ladder() {
+fn ladder_trips_take_one_rpc_per_round_and_shard() {
     let h = ClusterHarness::boot("ladder", ClientConfig::default());
     ladders_over_the_wire(h, "cluster_ladder");
 }
 
 #[test]
-fn ladder_trips_take_one_rpc_per_ladder_on_hot_tail_nodes() {
+fn ladder_trips_take_one_rpc_per_round_and_shard_on_hot_tail_nodes() {
     let h = ClusterHarness::boot_hot_tail("ladder-hot", ClientConfig::default());
     ladders_over_the_wire(h, "cluster_ladder_hot");
 }
@@ -261,6 +284,159 @@ fn router_process_serves_the_http_wire_format() {
         status.success() || status.code() == Some(0),
         "router exit: {status:?}"
     );
+}
+
+/// The count behind the frontier rounds, on the benchmark's own traffic:
+/// replays `benchmark/`'s `trip_stream` (medium world, seeds 1 and 4 —
+/// temporal-filter, user-filter and fixed-interval trips in equal thirds
+/// over 3 072 distinct query trajectories, β = 20, own trajectory
+/// excluded) through a real 2-node cluster and prints, per query type,
+/// ladders (= RPCs when every ladder was its own RPC), RPCs and rounds
+/// per trip. A count, not a timing: `cargo test --release --test
+/// cluster_equivalence -- --ignored --nocapture trip_stream`.
+#[test]
+#[ignore = "count report over the benchmark's medium world (≈ 1 min in release)"]
+fn trip_stream_takes_one_rpc_per_round_and_shard() {
+    use tthr::client::ClusterRouter;
+    use tthr::core::{QueryEngineConfig, ShardNodeState, ShardedSntIndex, SntConfig, Spq};
+    use tthr::datagen::{
+        generate_network, generate_workload, sample_query_trajectories, NetworkConfig,
+        WorkloadConfig,
+    };
+    use tthr::server::node::{serve_node, NodeStore};
+
+    // The benchmark's world and cluster tier: one `serve_node` thread per
+    // shard.
+    let syn = generate_network(&NetworkConfig::medium());
+    let set = generate_workload(&syn, &WorkloadConfig::medium());
+    let dir = std::env::temp_dir().join(format!("tthr-trip-stream-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reference = ShardedSntIndex::build(&syn.network, &set, SntConfig::default(), CLUSTER_K);
+    let addrs: Vec<_> = (0..CLUSTER_K)
+        .map(|shard| {
+            let state = ShardNodeState::export_from(&reference, shard);
+            let store = NodeStore::init(dir.join(format!("node{shard}")), state).expect("store");
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            std::thread::spawn(move || serve_node(listener, store));
+            addr
+        })
+        .collect();
+    let config = QueryEngineConfig::default();
+    let router = ClusterRouter::connect(
+        syn.network.clone(),
+        &addrs,
+        config.clone(),
+        ClientConfig::default(),
+    )
+    .expect("connect");
+    let engine = QueryEngine::new(&reference, &syn.network, config);
+
+    // `benchmark/src/world.rs`: its SplitMix64, `query_trajectories` and
+    // `trip_stream`, so the requests are the benchmark's to the byte.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+    const DISTINCT: usize = 3072;
+    let trip_stream = |seed: u64| -> Vec<Spq> {
+        let all = sample_query_trajectories(&set, 1.0, 15, seed);
+        let step = (all.len() / DISTINCT).max(1);
+        let mut ids: Vec<_> = all.into_iter().step_by(step).take(DISTINCT).collect();
+        let mut rng = Rng(seed ^ 0x5AFF_1E00);
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut rng = Rng(seed ^ 0x7219_C01D);
+        let mut pairs = std::collections::HashSet::new();
+        let mut trips: Vec<Spq> = Vec::with_capacity(DISTINCT);
+        while trips.len() < DISTINCT {
+            let i = trips.len();
+            let id = ids[i % ids.len()];
+            let offset = rng.below(3600) as i64 - 1800;
+            if !pairs.insert((id.0, offset)) {
+                continue;
+            }
+            let tr = set.get(id);
+            let centre = tr.start_time() + offset;
+            let window = TimeInterval::periodic_around(centre, 900);
+            let spq = match i % 3 {
+                0 => Spq::new(tr.path(), window),
+                1 => Spq::new(tr.path(), window).with_user(tr.user()),
+                _ => Spq::new(tr.path(), TimeInterval::fixed(0, centre.max(1))),
+            };
+            trips.push(spq.with_beta(20).without_trajectory(id));
+        }
+        trips
+    };
+
+    for seed in [1, 4] {
+        // Per query type: trips, ladders, RPCs, rounds.
+        let mut table = [[0u64; 4]; 3];
+        let (mut rpcs_per_trip, mut ladders_per_trip) = (Vec::new(), Vec::new());
+        for (i, spq) in trip_stream(seed).iter().enumerate() {
+            let before = common::cluster::router_rpcs(&router);
+            let trip = router.trip_query(spq).expect("cluster trip");
+            let rpcs = common::cluster::router_rpcs(&router) - before;
+            assert_eq!(rpcs, trip.trace.ladder_batches);
+            let want = engine.trip_query(spq);
+            assert!(common::differential::trips_equal(&want, &trip), "{spq:?}");
+            // At most one RPC per shard per round.
+            let rounds = want.trace.ladder_batches;
+            assert!(rpcs <= CLUSTER_K as u64 * rounds);
+            let row = &mut table[i % 3];
+            *row = [
+                row[0] + 1,
+                row[1] + trip.trace.ladders,
+                row[2] + rpcs,
+                row[3] + rounds,
+            ];
+            rpcs_per_trip.push(rpcs);
+            ladders_per_trip.push(trip.trace.ladders);
+        }
+
+        let mut total = [0u64; 4];
+        for row in table {
+            for (t, r) in total.iter_mut().zip(row) {
+                *t += r;
+            }
+        }
+        let per_trip = |sum: u64, trips: u64| sum as f64 / trips as f64;
+        println!("seed {seed}: query type        trips  ladders/trip  RPCs/trip  rounds/trip");
+        for (name, row) in ["temporal filter", "user filter", "fixed interval", "all"]
+            .iter()
+            .zip(table.into_iter().chain([total]))
+        {
+            println!(
+                "        {name:<17} {:>5}  {:>12.2}  {:>9.2}  {:>11.2}",
+                row[0],
+                per_trip(row[1], row[0]),
+                per_trip(row[2], row[0]),
+                per_trip(row[3], row[0]),
+            );
+        }
+        rpcs_per_trip.sort_unstable();
+        ladders_per_trip.sort_unstable();
+        let (median, p99) = (DISTINCT / 2, DISTINCT * 99 / 100);
+        println!(
+            "        median trip: {} ladders, {} RPCs; p99: {} ladders, {} RPCs",
+            ladders_per_trip[median],
+            rpcs_per_trip[median],
+            ladders_per_trip[p99],
+            rpcs_per_trip[p99],
+        );
+        assert!(
+            per_trip(total[2], total[0]) <= 11.0,
+            "a trip must take ≤ 11 router RPCs"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Long-running soak: many more rounds and queries, plus a mid-stream

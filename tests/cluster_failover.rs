@@ -11,6 +11,8 @@
 //! * SIGKILL of a primary mid-query-flood: every query keeps succeeding
 //!   (zero non-typed failures) and post-failover answers stay
 //!   byte-identical to the in-process sharded oracle;
+//! * a primary gone between two relaxation rounds of one trip: the next
+//!   ladder batch fails over and the trip stays byte-identical;
 //! * a stamped append retried across a promotion applies exactly once
 //!   (pinned via applied stamps and a duplicate re-send);
 //! * a stale standby (its tail black-holed) is never preferred over a
@@ -26,7 +28,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::cluster::{wait_for_stamp, ClusterHarness, NodeProcess};
+use common::cluster::{
+    relay_that_dies_on_ladder_batch, wait_for_stamp, ClusterHarness, NodeProcess,
+};
 use common::differential::QueryGen;
 use common::http::HttpClient;
 use common::proxy::{FaultProxy, Mode};
@@ -197,6 +201,50 @@ fn sigkill_primary_mid_flood_keeps_answering_byte_identically() {
         text.contains("tthr_failovers_total{shard=\"0\"} 1"),
         "failover counter missing:\n{text}"
     );
+}
+
+/// A primary that dies between two relaxation rounds of one trip: the
+/// trip's next `LadderBatch` fails over to the standby and the answer is
+/// still byte-identical — a round is answered whole by one endpoint, and
+/// nothing in the engine's state remembers which.
+#[test]
+fn primary_killed_between_two_rounds_of_a_trip_fails_the_next_batch_over() {
+    let h = ClusterHarness::boot("failover-rounds", quick());
+    let standby0 = h.spawn_standby(0, "standby0");
+    wait_for_stamp(standby0.addr, h.applied as u64, Duration::from_secs(10));
+
+    // Shard 0's "primary" answers the trip's first batch and is gone —
+    // connection dropped, listener closed — when the second arrives.
+    let primary = relay_that_dies_on_ladder_batch(h.nodes[0].addr, 2);
+    let groups = vec![vec![primary, standby0.addr], vec![h.nodes[1].addr]];
+    let router = h.router_with(&groups, quick_router());
+
+    // An unreachable β keeps shard 0 in at least the first two rounds:
+    // the first sub-query fails, and what σ derives from it keeps its
+    // first edge.
+    let mut gen = QueryGen::new("failover_rounds");
+    let spq = loop {
+        let mut spq = gen.ladder_spq_from(&h.full, h.applied);
+        spq.beta = Some(1_000_000);
+        if h.cluster.routing().shard_of(spq.path.first()) == 0 {
+            break spq;
+        }
+    };
+    let trip = h.check_trip_on(&router, &spq);
+    assert!(trip.trace.ladder_batches >= 2, "{:?}", trip.trace);
+
+    assert_eq!(
+        router.node_stats()[0].addr,
+        standby0.addr,
+        "shard 0 must prefer the standby"
+    );
+    let text = router.render_metrics();
+    assert!(
+        text.contains("tthr_failovers_total{shard=\"0\"} 1"),
+        "failover counter missing:\n{text}"
+    );
+    // And the standby keeps answering whole trips.
+    h.check_trip_on(&router, &spq);
 }
 
 /// A stamped append retried across a promotion applies exactly once:

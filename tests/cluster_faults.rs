@@ -18,23 +18,25 @@
 //!   unavailability, not a hang;
 //! * out-of-order appends → [`ClusterError::WalGap`]-shaped `Err` frames
 //!   carrying both stamps;
-//! * a shard that dies while a relaxation ladder is in flight → the whole
-//!   trip aborts typed, and malformed level lists → typed `BadRequest`;
+//! * a shard that dies between two relaxation rounds of a trip → the
+//!   whole trip aborts typed and stops dispatching; malformed ladder
+//!   batches → typed `BadRequest`, a short batch reply → typed
+//!   `Unexpected`;
 //! * concurrent `/append` requests carrying one stamp → exactly one lands.
 
 mod common;
 
 use std::io::Write as _;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use common::cluster::ClusterHarness;
+use common::cluster::{relay, relay_that_dies_on_ladder_batch, router_rpcs, ClusterHarness};
 use common::differential::QueryGen;
 use common::http::HttpClient;
 use tthr::client::{ClientConfig, ClusterError, ClusterRouter, NodeClient, RouterConfig};
-use tthr::core::node::MAX_LADDER_LEVELS;
+use tthr::core::node::{MAX_LADDER_BATCH, MAX_LADDER_LEVELS};
 use tthr::core::{NodeWalRecord, Spq, TimeInterval};
-use tthr::rpc::{encode_frame, read_frame, write_frame, ErrCode, Message};
+use tthr::rpc::{encode_frame, read_frame, ErrCode, Message};
 use tthr::server::cluster::serve_cluster;
 use tthr::server::wire::encode_append_request;
 
@@ -380,34 +382,14 @@ fn restarted_node_pool_is_evicted_without_burning_retries() {
     server.join().unwrap();
 }
 
-/// A frame-level relay in front of `upstream` that serves every request
-/// until the first `Ladder` arrives, then dies like a killed process: the
-/// ladder's connection closes unanswered and the listener goes away.
-fn relay_that_dies_on_the_first_ladder(upstream: std::net::SocketAddr) -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::spawn(move || {
-        let node = NodeClient::new(upstream, quick());
-        while let Ok((mut conn, _)) = listener.accept() {
-            while let Ok(Some(request)) = read_frame(&mut conn) {
-                if matches!(request, Message::Ladder { .. }) {
-                    return; // drops `conn` and `listener`
-                }
-                let reply = node.request(&request).expect("upstream reply");
-                if write_frame(&mut conn, &reply).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    addr
-}
-
+/// A trip whose shard dies between two of its rounds aborts typed — and
+/// stops dispatching: the parked error short-circuits every later call
+/// of the trip, so nothing is sent after the failing batch.
 #[test]
 fn shard_dying_mid_ladder_aborts_the_trip_typed() {
     let h = ClusterHarness::boot("faults-ladder", quick());
     let mut gen = QueryGen::new("cluster_faults_ladder");
-    let relay = relay_that_dies_on_the_first_ladder(h.nodes[0].addr);
+    let relay = relay_that_dies_on_ladder_batch(h.nodes[0].addr, 2);
     let router = h.router_with(
         &[vec![relay], vec![h.nodes[1].addr]],
         RouterConfig {
@@ -415,18 +397,39 @@ fn shard_dying_mid_ladder_aborts_the_trip_typed() {
             ..RouterConfig::default()
         },
     );
-    // The drawn windows start below α_max, so the trip's very first
-    // dispatch — whose path starts where the trip's does — is a
-    // multi-level `Ladder` to shard 0.
-    let spq = spq_routed_to_with(&h, 0, || gen.ladder_spq_from(&h.full, h.applied));
+    // An unreachable β on a periodic window: round 1 is the first
+    // sub-query alone — whose path starts where the trip's does, on shard
+    // 0 — it fails every level, and σ's replacement (or left half) keeps
+    // that first edge, so round 2 opens with a second batch to shard 0.
+    let spq = spq_routed_to_with(&h, 0, || {
+        let mut spq = gen.ladder_spq_from(&h.full, h.applied);
+        spq.beta = Some(1_000_000);
+        spq
+    });
     // Single-level primitives pass through the relay...
     h.check_spq_on(&router, &spq);
-    // ...the ladder kills it: typed unavailability, never a partial trip.
+    // ...the second batch kills it: typed unavailability, never a partial
+    // trip.
+    let before = router_rpcs(&router);
+    let started = Instant::now();
     match router.trip_query(&spq) {
         Err(ClusterError::ShardUnavailable { shard: 0, .. }) => {}
         other => panic!("trip over a shard dying mid-ladder must abort typed, got {other:?}"),
     }
-    // The real node never saw the ladder and is unharmed.
+    // Exactly the batches up to and including the failing one went out
+    // (a round sends shard 0's batch first); the rest of the trip — its
+    // remaining rounds, each a full retry budget against a dead shard —
+    // was answered from the parked error.
+    assert_eq!(router_rpcs(&router) - before, 2);
+    let config = quick();
+    let one_request = (config.connect_timeout.max(config.read_timeout) + config.backoff * 2)
+        * (1 + config.retries);
+    assert!(
+        started.elapsed() < one_request,
+        "a failed trip costs one request's retry budget, took {:?}",
+        started.elapsed()
+    );
+    // The real node never saw the fatal batch and is unharmed.
     h.check_trip(&spq);
 }
 
@@ -435,7 +438,13 @@ fn malformed_ladders_are_bad_requests_not_panics() {
     let h = ClusterHarness::boot("faults-ladder-bad", quick());
     let mut gen = QueryGen::new("cluster_faults_ladder_bad");
     let spq = spq_routed_to_with(&h, 0, || gen.ladder_spq_from(&h.full, h.applied));
-    let levels = common::differential::ladder_levels(&h.engine_config, &spq);
+    let elsewhere = spq_routed_to_with(&h, 1, || gen.ladder_spq_from(&h.full, h.applied));
+    let ladder_of = |spq: &Spq| {
+        let levels = common::differential::ladder_levels(&h.engine_config, spq);
+        (spq.clone(), levels)
+    };
+    let good = ladder_of(&spq);
+    let levels = &good.1;
     assert!(levels.len() > 2);
     let client = NodeClient::new(h.nodes[0].addr, quick());
     let mut reversed = levels.clone();
@@ -444,25 +453,68 @@ fn malformed_ladders_are_bad_requests_not_panics() {
         std::iter::successors(Some(spq.interval), |w| Some(w.widen(w.size() + 2)))
             .take(MAX_LADDER_LEVELS + 1)
             .collect();
-    for (what, bad) in [
-        ("empty", vec![]),
-        ("not starting at the query's window", levels[1..].to_vec()),
-        ("unsorted", reversed),
-        ("longer than any A", endless),
+    let bad_ladder = |levels: Vec<TimeInterval>| vec![(spq.clone(), levels)];
+    for (what, items) in [
+        ("empty level list", bad_ladder(vec![])),
+        (
+            "level list not starting at the query's window",
+            bad_ladder(levels[1..].to_vec()),
+        ),
+        ("unsorted level list", bad_ladder(reversed.clone())),
+        ("level list longer than any A", bad_ladder(endless)),
+        ("batch of no items", vec![]),
+        (
+            "batch beyond the cap",
+            vec![good.clone(); MAX_LADDER_BATCH + 1],
+        ),
+        (
+            "batch with an item of the other shard",
+            vec![good.clone(), ladder_of(&elsewhere)],
+        ),
+        (
+            "batch with one malformed ladder among good ones",
+            vec![good.clone(), (spq.clone(), reversed), good.clone()],
+        ),
     ] {
-        let request = Message::Ladder {
-            spq: spq.clone(),
-            levels: bad,
-        };
-        match client.request(&request).expect("typed reply") {
+        match client
+            .request(&Message::LadderBatch { items })
+            .expect("typed reply")
+        {
             Message::Err {
                 code: ErrCode::BadRequest,
                 ..
             } => {}
-            other => panic!("{what} level list must answer BadRequest, got {other:?}"),
+            other => panic!("{what} must answer BadRequest, got {other:?}"),
+        }
+        // The node is unharmed and still answers the well-formed ladder.
+        h.check_ladder(&spq);
+    }
+
+    // The router's side of the contract: a reply that does not hold one
+    // result per item is a typed `Unexpected`, never a misaligned answer.
+    let short = relay(h.nodes[0].addr, |request, node| {
+        let mut reply = node.request(request).expect("upstream reply");
+        if let Message::LadderBatchResult { results } = &mut reply {
+            results.pop();
+        }
+        Some(reply)
+    });
+    let router = h.router_with(
+        &[vec![short], vec![h.nodes[1].addr]],
+        RouterConfig {
+            client: quick(),
+            ..RouterConfig::default()
+        },
+    );
+    for outcome in [
+        router.travel_times_ladder(&spq, levels).map(drop),
+        router.trip_query(&spq).map(drop),
+    ] {
+        match outcome {
+            Err(ClusterError::Unexpected(_)) => {}
+            other => panic!("a short LadderBatchResult must be Unexpected, got {other:?}"),
         }
     }
-    // The node is unharmed and still answers the well-formed ladder.
     h.check_ladder(&spq);
 }
 

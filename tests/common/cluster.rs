@@ -162,6 +162,57 @@ pub fn read_listening_line(stdout: impl std::io::Read) -> SocketAddr {
     panic!("child exited before printing LISTENING");
 }
 
+/// Read RPCs `router` has routed so far, summed over shards (the
+/// `tthr_router_rpcs_total{shard}` family on its `/metrics`).
+pub fn router_rpcs(router: &ClusterRouter) -> u64 {
+    router
+        .render_metrics()
+        .lines()
+        .filter(|l| l.starts_with("tthr_router_rpcs_total{"))
+        .map(|l| {
+            let value = l.rsplit(' ').next().expect("sample value");
+            value.parse::<u64>().expect("integer counter")
+        })
+        .sum()
+}
+
+/// A frame-level relay in front of `upstream`, one connection at a time:
+/// `answer` sees every request plus a client for the real node and
+/// returns the reply to send — or `None` to die like a killed process
+/// (the request's connection closes unanswered and the listener goes
+/// away).
+pub fn relay(
+    upstream: SocketAddr,
+    mut answer: impl FnMut(&Message, &NodeClient) -> Option<Message> + Send + 'static,
+) -> SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::spawn(move || {
+        let node = NodeClient::new(upstream, ClientConfig::default());
+        while let Ok((mut conn, _)) = listener.accept() {
+            while let Ok(Some(request)) = tthr::rpc::read_frame(&mut conn) {
+                let Some(reply) = answer(&request, &node) else {
+                    return; // drops `conn` and `listener`
+                };
+                if tthr::rpc::write_frame(&mut conn, &reply).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    addr
+}
+
+/// A [`relay`] that serves every request until the `nth` `LadderBatch`
+/// arrives, then dies — before the real node sees that batch.
+pub fn relay_that_dies_on_ladder_batch(upstream: SocketAddr, nth: usize) -> SocketAddr {
+    let mut batches = 0;
+    relay(upstream, move |request, node| {
+        batches += usize::from(matches!(request, Message::LadderBatch { .. }));
+        (batches < nth).then(|| node.request(request).expect("upstream reply"))
+    })
+}
+
 /// A live 2-process cluster plus its in-process reference index.
 pub struct ClusterHarness {
     /// The shared road network (the cluster router owns its own clone).
@@ -374,12 +425,13 @@ impl ClusterHarness {
 
     /// Asserts the cluster's trip answer equals the reference engine's
     /// (stats, histogram, per-sub values — the full structural check).
-    pub fn check_trip(&self, spq: &Spq) {
-        self.check_trip_on(&self.cluster, spq);
+    pub fn check_trip(&self, spq: &Spq) -> TripQuery {
+        self.check_trip_on(&self.cluster, spq)
     }
 
     /// [`ClusterHarness::check_trip`] against an arbitrary router.
-    pub fn check_trip_on(&self, router: &ClusterRouter, spq: &Spq) {
+    /// Returns the cluster's answer (for its trace).
+    pub fn check_trip_on(&self, router: &ClusterRouter, spq: &Spq) -> TripQuery {
         let want = self.reference_trip(spq);
         let got = router.trip_query(spq).expect("cluster trip");
         assert!(
@@ -388,10 +440,12 @@ impl ClusterHarness {
             want.stats,
             got.stats,
         );
+        got
     }
 
-    /// Asserts one `Ladder` RPC answers like the level-by-level loop over
-    /// the reference index (same level, value bits, fallback flag).
+    /// Asserts one ladder RPC (a `LadderBatch` of one) answers like the
+    /// level-by-level loop over the reference index (same level, value
+    /// bits, fallback flag).
     pub fn check_ladder(&self, spq: &Spq) {
         let levels = ladder_levels(&self.engine_config, spq);
         let want = ladder_sequential(&self.reference, spq, &levels, &mut SearchScratch::new());
@@ -402,18 +456,9 @@ impl ClusterHarness {
         assert_ladders_equal("cluster ladder", spq, &want, &got);
     }
 
-    /// Read RPCs the router has routed so far, summed over shards (the
-    /// `tthr_router_rpcs_total{shard}` family on its `/metrics`).
+    /// Read RPCs the harness router has routed so far ([`router_rpcs`]).
     pub fn router_rpcs(&self) -> u64 {
-        self.cluster
-            .render_metrics()
-            .lines()
-            .filter(|l| l.starts_with("tthr_router_rpcs_total{"))
-            .map(|l| {
-                let value = l.rsplit(' ').next().expect("sample value");
-                value.parse::<u64>().expect("integer counter")
-            })
-            .sum()
+        router_rpcs(&self.cluster)
     }
 
     /// Kills the node serving `shard`. Its store directory stays; use

@@ -372,17 +372,19 @@ impl DiffHarness {
     /// sharded index's ladder override must return the same
     /// `(level, values, fallback)` as the level-by-level loop over the
     /// monolith (and, in hot-tail mode, over the direct-append oracle),
-    /// and every service's trip answer must equal the trip the engine
-    /// computes through that loop — subs, histogram, every stats field.
+    /// and every service's trip answer must equal the trip the engine's
+    /// depth-first definition computes through that loop — subs,
+    /// histogram, every stats field.
     /// Returns the loop's answer so callers can assert the mix climbed.
     pub fn check_ladder(&self, spq: &Spq) -> (usize, TravelTimes) {
         let levels = self.ladder_levels(spq);
         let want = self
             .monolith
             .with_index(|i| ladder_sequential(i, spq, &levels, &mut SearchScratch::new()));
+        // The definition twice over: depth-first, and level by level.
         let want_trip = self.monolith.with_index(|i| {
             QueryEngine::new(i, &self.network, self.config.engine.clone())
-                .trip_query_via(&Sequential(i), spq)
+                .trip_query_sequential_via(&Sequential(i), spq)
         });
         if let Some(oracle) = &self.oracle {
             let direct = oracle

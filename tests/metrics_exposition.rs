@@ -170,28 +170,32 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
     server.shutdown();
 }
 
-/// The cluster router's `/metrics`: `tthr_router_rpcs_total{shard}` passes
-/// the exposition grammar and counts what it says — one per read RPC
-/// routed to the shard, so RPCs per trip can be read off a running
-/// cluster (a whole relaxation ladder is one RPC, whatever the trip's
-/// logical `index_queries` says).
+/// The cluster router's `/metrics`: `tthr_router_rpcs_total{shard}`,
+/// `tthr_router_ladders_total{shard}` and `tthr_router_trips_total` pass
+/// the exposition grammar and count what they say — one per read RPC
+/// routed to the shard, one per ladder shipped inside a batch, one per
+/// trip — so RPCs per trip and ladders per RPC (the batch fill) can be
+/// read off a running cluster (a relaxation round is one RPC per shard,
+/// whatever the trip's logical `index_queries` says).
 #[test]
 fn router_metrics_count_rpcs_per_shard() {
     use common::cluster::{ClusterHarness, CLUSTER_K};
     use tthr::client::ClientConfig;
 
     let h = ClusterHarness::boot("metrics-router", ClientConfig::default());
-    let rpcs = |text: &str| -> Vec<f64> {
+    let per_shard = |text: &str, family: &str| -> Vec<f64> {
         (0..CLUSTER_K)
             .map(|s| {
-                series_value(text, &format!("tthr_router_rpcs_total{{shard=\"{s}\"}}"))
-                    .unwrap_or_else(|| panic!("shard {s} series missing:\n{text}"))
+                series_value(text, &format!("{family}{{shard=\"{s}\"}}"))
+                    .unwrap_or_else(|| panic!("{family} shard {s} series missing:\n{text}"))
             })
             .collect()
     };
     let text = h.cluster.render_metrics();
     tthr::metrics::validate_exposition(&text).expect(&text);
-    let before = rpcs(&text);
+    let before = per_shard(&text, "tthr_router_rpcs_total");
+    assert_eq!(per_shard(&text, "tthr_router_ladders_total"), [0.0, 0.0]);
+    assert_eq!(series_value(&text, "tthr_router_trips_total"), Some(0.0));
 
     let mut gen = QueryGen::new("metrics_router");
     let mut expect = vec![0.0; CLUSTER_K];
@@ -200,23 +204,36 @@ fn router_metrics_count_rpcs_per_shard() {
         h.cluster.travel_times(&spq).expect("cluster SPQ");
         expect[h.cluster.routing().shard_of(spq.path.first())] += 1.0;
     }
-    let (mut logical, mut real) = (0usize, 0.0);
+    let (mut logical, mut batches, mut ladders) = (0usize, 0.0, 0.0);
     for _ in 0..10 {
         let spq = gen.ladder_spq_from(&h.full, h.applied);
         let trip = h.cluster.trip_query(&spq).expect("cluster trip");
         logical += trip.stats.index_queries;
-        real += (trip.stats.index_queries - trip.stats.widenings) as f64;
+        batches += trip.trace.ladder_batches as f64;
+        ladders += trip.trace.ladders as f64;
     }
     let text = h.cluster.render_metrics();
     tthr::metrics::validate_exposition(&text).expect(&text);
-    let after = rpcs(&text);
+    let after = per_shard(&text, "tthr_router_rpcs_total");
     let grew: Vec<f64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-    assert_eq!(grew.iter().sum::<f64>(), expect.iter().sum::<f64>() + real);
+    assert_eq!(
+        grew.iter().sum::<f64>(),
+        expect.iter().sum::<f64>() + batches
+    );
     for s in 0..CLUSTER_K {
         assert!(grew[s] >= expect[s], "shard {s}: {grew:?} vs {expect:?}");
     }
+    // The numbers an operator divides: trips, and the ladders their RPCs
+    // carried — never fewer ladders than batches, since no batch is empty.
+    assert_eq!(series_value(&text, "tthr_router_trips_total"), Some(10.0));
+    let shipped: f64 = per_shard(&text, "tthr_router_ladders_total").iter().sum();
+    assert_eq!(shipped, ladders);
     assert!(
-        real < logical as f64,
-        "ladders must cost fewer RPCs ({real}) than logical dispatches ({logical})"
+        batches <= ladders && ladders <= logical as f64,
+        "{batches} RPCs carried {ladders} ladders for {logical} logical dispatches"
+    );
+    assert!(
+        batches < logical as f64,
+        "rounds must cost fewer RPCs ({batches}) than logical dispatches ({logical})"
     );
 }
