@@ -1571,13 +1571,9 @@ impl RemoteBackend<'_> {
 }
 
 impl TravelTimeProvider for RemoteBackend<'_> {
-    fn travel_times(&self, spq: &Spq) -> TravelTimes {
+    fn travel_times_with(&self, spq: &Spq, _scratch: &mut SearchScratch) -> TravelTimes {
         self.call(|cluster| cluster.travel_times(spq))
             .unwrap_or_else(dummy_times)
-    }
-
-    fn travel_times_with(&self, spq: &Spq, _scratch: &mut SearchScratch) -> TravelTimes {
-        self.travel_times(spq)
     }
 
     /// One `LadderBatch` RPC per shard the round touches (in chunks of
@@ -1620,7 +1616,7 @@ impl TravelTimeProvider for RemoteBackend<'_> {
 }
 
 impl IndexBackend for RemoteBackend<'_> {
-    fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
+    fn count_matching_with(&self, spq: &Spq, cap: u32, _scratch: &mut SearchScratch) -> usize {
         self.call(|cluster| cluster.count_matching(spq, cap))
             .unwrap_or(cap as usize)
     }

@@ -25,20 +25,12 @@ use tthr_network::{Path, RoadNetwork};
 /// exactly like [`SntIndex::get_travel_times`] on the same index state;
 /// the engine's relaxation logic relies on emptiness meaning "relax more".
 pub trait TravelTimeProvider {
-    /// Travel times matching the SPQ (`getTravelTimes`, Procedure 5).
-    fn travel_times(&self, spq: &Spq) -> TravelTimes;
-
-    /// [`TravelTimeProvider::travel_times`] with a caller-owned
-    /// [`SearchScratch`] — the engine passes one scratch down a whole
-    /// relaxation chain so sub-path searches reuse the parent path's
-    /// backward-search states. Implementations that can exploit the
-    /// scratch (the indexes) override this; the default ignores it.
-    /// Results must be byte-identical to
-    /// [`TravelTimeProvider::travel_times`].
-    fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
-        let _ = scratch;
-        self.travel_times(spq)
-    }
+    /// Travel times matching the SPQ (`getTravelTimes`, Procedure 5),
+    /// searched through a caller-owned [`SearchScratch`] — the engine
+    /// passes one scratch down a whole trip so sub-path searches reuse the
+    /// parent path's backward-search states. A provider that cannot
+    /// exploit the scratch ignores it.
+    fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes;
 
     /// Answers a whole relaxation ladder — `spq` under each window of
     /// `levels` in turn (`levels[0]` is `spq.interval`; see
@@ -114,10 +106,6 @@ pub fn ladder_sequential<P: TravelTimeProvider + ?Sized>(
 }
 
 impl TravelTimeProvider for SntIndex {
-    fn travel_times(&self, spq: &Spq) -> TravelTimes {
-        self.get_travel_times(spq)
-    }
-
     fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
         self.get_travel_times_with(spq, scratch)
     }
@@ -145,18 +133,11 @@ impl TravelTimeProvider for SntIndex {
 /// harness (`tests/sharded_equivalence.rs`) pins down.
 pub trait IndexBackend: TravelTimeProvider {
     /// Exact count of traversals matching all SPQ predicates, capped at
-    /// `cap` (σ_L's `|T^{P₁}| ≥ β` test).
-    fn count_matching(&self, spq: &Spq, cap: u32) -> usize;
-
-    /// [`IndexBackend::count_matching`] with a caller-owned
-    /// [`SearchScratch`] (σ_L's binary search issues a burst of counting
-    /// queries over prefixes of one path — the scratch keeps their pattern
-    /// and range buffers allocation-free). Must count identically to
-    /// [`IndexBackend::count_matching`].
-    fn count_matching_with(&self, spq: &Spq, cap: u32, scratch: &mut SearchScratch) -> usize {
-        let _ = scratch;
-        self.count_matching(spq, cap)
-    }
+    /// `cap` (σ_L's `|T^{P₁}| ≥ β` test), through a caller-owned
+    /// [`SearchScratch`]: σ_L's binary search issues a burst of counting
+    /// queries over prefixes of one path, and the scratch keeps their
+    /// pattern and range buffers allocation-free.
+    fn count_matching_with(&self, spq: &Spq, cap: u32, scratch: &mut SearchScratch) -> usize;
 
     /// The estimated cardinality `β̂` of the SPQ's result set
     /// (Section 4.4) used by the engine's estimator gate.
@@ -167,10 +148,6 @@ pub trait IndexBackend: TravelTimeProvider {
 }
 
 impl IndexBackend for SntIndex {
-    fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
-        SntIndex::count_matching(self, spq, cap)
-    }
-
     fn count_matching_with(&self, spq: &Spq, cap: u32, scratch: &mut SearchScratch) -> usize {
         SntIndex::count_matching_with(self, spq, cap, scratch)
     }
@@ -289,41 +266,6 @@ pub struct QueryStats {
     pub estimate_fallbacks: usize,
 }
 
-impl QueryStats {
-    /// Accumulates another stats record (all counters are additive; the
-    /// partition-level counters `initial_subqueries` / `final_subqueries`
-    /// are summed too, so merge per-chain records into a zeroed total and
-    /// set those two afterwards).
-    pub fn merge(&mut self, other: &QueryStats) {
-        self.initial_subqueries += other.initial_subqueries;
-        self.final_subqueries += other.final_subqueries;
-        self.widenings += other.widenings;
-        self.path_splits += other.path_splits;
-        self.filter_drops += other.filter_drops;
-        self.full_fallbacks += other.full_fallbacks;
-        self.estimator_rejections += other.estimator_rejections;
-        self.index_queries += other.index_queries;
-        self.estimate_fallbacks += other.estimate_fallbacks;
-    }
-}
-
-/// The completed relaxation chain of one initial sub-query: everything the
-/// engine derived from it — in path order — plus the processing counters.
-///
-/// Produced by [`QueryEngine::run_chain_via`]; [`QueryEngine::assemble`]
-/// folds the chains of a trip back into a [`TripQuery`].
-#[derive(Clone, Debug)]
-pub struct ChainOutcome {
-    /// Completed sub-results covering the initial sub-query's path.
-    pub subs: Vec<SubResult>,
-    /// Counters for this chain only.
-    pub stats: QueryStats,
-    /// Cost attribution for this chain only (observational — see
-    /// [`QueryTrace`]; deliberately outside the backend-compared
-    /// [`QueryStats`]).
-    pub trace: QueryTrace,
-}
-
 /// The answer to a trip query.
 #[derive(Clone, Debug)]
 pub struct TripQuery {
@@ -334,7 +276,7 @@ pub struct TripQuery {
     pub subs: Vec<SubResult>,
     /// Processing counters.
     pub stats: QueryStats,
-    /// Cost attribution across all chains (observational — see
+    /// Cost attribution for the whole trip (observational — see
     /// [`QueryTrace`]).
     pub trace: QueryTrace,
 }
@@ -544,75 +486,9 @@ impl<'a, B: IndexBackend> QueryEngine<'a, B> {
         initial
     }
 
-    /// Whether sub-queries of this trip depend on each other's results.
-    ///
-    /// With shift-and-enlarge active on a periodic query, every sub-query's
-    /// window is adapted using the histograms of the previously completed
-    /// ones (Procedure 6, line 4), forcing sequential execution. Otherwise
-    /// each initial sub-query's relaxation chain is independent: running
-    /// the chains concurrently via [`run_chain_via`](Self::run_chain_via)
-    /// and folding them with [`assemble`](Self::assemble) is result- and
-    /// stats-identical to the sequential [`trip_query`](Self::trip_query).
-    pub fn chains_are_independent(&self, query: &Spq) -> bool {
-        !self.adapts(query)
-    }
-
     /// Whether shift-and-enlarge adapts this (sub-)query's window.
     fn adapts(&self, sub: &Spq) -> bool {
         self.config.shift_and_enlarge && sub.interval.is_periodic()
-    }
-
-    /// Processes one initial sub-query to completion: relaxations (σ)
-    /// replace it until every piece of its path is answered. No window
-    /// adaptation is applied — callers fan chains out exactly when
-    /// [`chains_are_independent`](Self::chains_are_independent).
-    pub fn run_chain_via<P: TravelTimeProvider + ?Sized>(
-        &self,
-        provider: &P,
-        sub: Spq,
-    ) -> ChainOutcome {
-        // Per-chain scratch: the chain root's backward search seeds the
-        // suffix cache every σ-derived sub-path draws from.
-        self.run_chain_via_with(provider, sub, &mut SearchScratch::new())
-    }
-
-    /// [`run_chain_via`](Self::run_chain_via) through a caller-owned
-    /// [`SearchScratch`] (the caller controls the trace's timing flag).
-    /// A chain is a trip whose every entry is already adapted, so it runs
-    /// on the same round driver.
-    pub fn run_chain_via_with<P: TravelTimeProvider + ?Sized>(
-        &self,
-        provider: &P,
-        sub: Spq,
-        scratch: &mut SearchScratch,
-    ) -> ChainOutcome {
-        scratch.trace.reset();
-        let mut stats = QueryStats::default();
-        let slots = vec![Slot::Pending(sub, true)];
-        let subs = self.run_rounds(provider, slots, &mut stats, scratch);
-        ChainOutcome {
-            subs,
-            stats,
-            trace: scratch.trace,
-        }
-    }
-
-    /// Folds completed chains (in initial sub-query order) into the trip
-    /// answer, merging stats and convolving the normalized histograms.
-    pub fn assemble(&self, chains: Vec<ChainOutcome>) -> TripQuery {
-        let mut stats = QueryStats {
-            initial_subqueries: chains.len(),
-            ..QueryStats::default()
-        };
-        let mut trace = QueryTrace::default();
-        let mut subs = Vec::new();
-        for chain in chains {
-            stats.merge(&chain.stats);
-            trace.merge(&chain.trace);
-            subs.extend(chain.subs);
-        }
-        stats.final_subqueries = subs.len();
-        Self::convolve_subs(subs, stats, trace)
     }
 
     /// The one trip driver: answers `slots` (a trip's work list, in path

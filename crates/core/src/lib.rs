@@ -59,8 +59,8 @@ mod trace;
 
 pub use cardinality::{estimate_cardinality, CardinalityMode};
 pub use engine::{
-    ladder_sequential, BetaPolicy, ChainOutcome, IndexBackend, LadderRequest, QueryEngine,
-    QueryEngineConfig, QueryStats, SubResult, TravelTimeProvider, TripQuery,
+    ladder_sequential, BetaPolicy, IndexBackend, LadderRequest, QueryEngine, QueryEngineConfig,
+    QueryStats, SubResult, TravelTimeProvider, TripQuery,
 };
 pub use interval::TimeInterval;
 pub use node::{NodeWalRecord, ShardNodeState};
@@ -93,5 +93,4 @@ const _: () = {
     assert_send_sync::<Filter>();
     assert_send_sync::<snt::TravelTimes>();
     assert_send_sync::<TripQuery>();
-    assert_send_sync::<ChainOutcome>();
 };

@@ -269,9 +269,12 @@ impl ShardNodeState {
         &self.state.index
     }
 
-    /// Whether an SPQ routes to this shard — queries that do not are
-    /// router bugs and answered with a typed error, never a wrong answer.
+    /// Whether an SPQ names only edges of the routed network and routes
+    /// to this shard — queries that do not are malformed frames or router
+    /// bugs and answered with a typed error, never a panic or a wrong
+    /// answer.
     fn check_route(&self, spq: &Spq) -> Result<(), StoreError> {
+        spq.check_edges(self.router.num_edges())?;
         let owner = self.router.shard_of(spq.path.first());
         if owner != self.shard as usize {
             return Err(StoreError::corrupt(format!(
@@ -609,6 +612,30 @@ mod tests {
             nodes[wrong].get_travel_times(&q),
             Err(StoreError::Corrupt { .. })
         ));
+    }
+
+    /// The frame codec admits any `u32` edge id; one past the routing
+    /// table — first or later in the path — is a typed error on every
+    /// request kind, not an index panic.
+    #[test]
+    fn out_of_range_edges_are_typed_errors() {
+        let idx = sharded(2);
+        let nodes = nodes(&idx);
+        let node = &nodes[idx.router().shard_of(EDGE_A)];
+        let wild = tthr_network::EdgeId(9_999);
+        for edges in [vec![wild], vec![EDGE_A, wild]] {
+            let q = Spq::new(Path::new(edges), TimeInterval::fixed(0, 100));
+            let ladder = [(q.clone(), vec![q.interval])];
+            let scratch = &mut SearchScratch::new();
+            for outcome in [
+                node.get_travel_times(&q).map(drop),
+                node.travel_times_ladders_with(&ladder, scratch).map(drop),
+                node.count_matching(&q, u32::MAX).map(drop),
+                node.estimate(&q, CardinalityMode::Isa).map(drop),
+            ] {
+                assert!(matches!(outcome, Err(StoreError::Corrupt { .. })), "{q:?}");
+            }
+        }
     }
 
     /// Both flavours of the one write primitive: sealed and absorbed

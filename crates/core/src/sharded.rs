@@ -801,10 +801,6 @@ impl ShardedSntIndex {
 }
 
 impl TravelTimeProvider for ShardedSntIndex {
-    fn travel_times(&self, spq: &Spq) -> TravelTimes {
-        self.get_travel_times(spq)
-    }
-
     fn travel_times_with(&self, spq: &Spq, scratch: &mut crate::SearchScratch) -> TravelTimes {
         self.get_travel_times_with(spq, scratch)
     }
@@ -820,10 +816,6 @@ impl TravelTimeProvider for ShardedSntIndex {
 }
 
 impl IndexBackend for ShardedSntIndex {
-    fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
-        ShardedSntIndex::count_matching(self, spq, cap)
-    }
-
     fn count_matching_with(
         &self,
         spq: &Spq,

@@ -473,9 +473,9 @@ pub(crate) fn next_scratch_id() -> u64 {
 /// index's process-unique id plus its trajectory count, and
 /// self-invalidate whenever queries are answered by any other index (a
 /// different instance, another shard, or the same instance after an
-/// append) — reuse can never serve stale ranges. The engine creates one
-/// scratch per trip query (per chain when chains fan out), which also
-/// bounds the cache's size by the query's own relaxation work.
+/// append) — reuse can never serve stale ranges. A trip query runs
+/// through one scratch, which also bounds the cache's size by the
+/// query's own relaxation work.
 #[derive(Default)]
 pub struct SearchScratch {
     /// `(index id, mutation stamp)` the cache entries belong to.

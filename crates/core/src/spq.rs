@@ -2,6 +2,7 @@
 
 use crate::interval::TimeInterval;
 use tthr_network::Path;
+use tthr_store::StoreError;
 use tthr_trajectory::{TrajId, UserId};
 
 /// The non-temporal filter predicate `f` of an SPQ.
@@ -76,6 +77,19 @@ impl Spq {
     pub fn without_trajectory(mut self, traj: TrajId) -> Self {
         self.exclude = Some(traj);
         self
+    }
+
+    /// The admission rule for a query decoded off a binary frame (the
+    /// frame codec accepts any `u32` edge id): every edge of the path must
+    /// name one of the served network's `num_edges` edges.
+    pub fn check_edges(&self, num_edges: usize) -> Result<(), StoreError> {
+        match self.path.edges().iter().find(|e| e.index() >= num_edges) {
+            Some(bad) => Err(StoreError::corrupt(format!(
+                "edge id {} out of range: the network has {num_edges} edges",
+                bad.0
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// The effective retrieval cap (`u32::MAX` when β is omitted).

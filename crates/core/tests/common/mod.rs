@@ -19,10 +19,6 @@ pub const SIZES: [i64; 6] = [900, 1800, 2700, 3600, 5400, 7200];
 pub struct Sequential<'a>(pub &'a SntIndex);
 
 impl TravelTimeProvider for Sequential<'_> {
-    fn travel_times(&self, spq: &Spq) -> TravelTimes {
-        self.0.get_travel_times(spq)
-    }
-
     fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
         self.0.get_travel_times_with(spq, scratch)
     }

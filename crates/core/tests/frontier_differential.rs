@@ -22,8 +22,8 @@ use common::{assert_trips_equal, draw_query, fixture};
 use proptest::proptest;
 use std::cell::RefCell;
 use tthr_core::{
-    BetaPolicy, CardinalityMode, PartitionMethod, QueryEngine, QueryEngineConfig, SntConfig,
-    SntIndex, SplitMethod, Spq, TimeInterval, TravelTimeProvider, TravelTimes, TtValues,
+    BetaPolicy, CardinalityMode, PartitionMethod, QueryEngine, QueryEngineConfig, SearchScratch,
+    SntConfig, SntIndex, SplitMethod, Spq, TimeInterval, TravelTimeProvider, TravelTimes, TtValues,
 };
 use tthr_network::examples::{example_network, EDGE_A, EDGE_B, EDGE_C, EDGE_D, EDGE_E};
 use tthr_network::Path;
@@ -78,16 +78,6 @@ proptest! {
             assert_trips_equal(label, &q, &want, &got);
             // Rounds never cost more dispatches than there are ladders.
             assert!(got.trace.ladder_batches as usize <= want.stats.index_queries);
-            if engine.chains_are_independent(&q) {
-                // Chains are trips whose every entry is already adapted:
-                // fanned out and folded back they are the same trip.
-                let chains = engine
-                    .initial_subqueries(&q)
-                    .into_iter()
-                    .map(|sub| engine.run_chain_via(index, sub))
-                    .collect();
-                assert_trips_equal(label, &q, &want, &engine.assemble(chains));
-            }
         }
     }
 }
@@ -100,7 +90,7 @@ struct Scripted {
 }
 
 impl TravelTimeProvider for Scripted {
-    fn travel_times(&self, spq: &Spq) -> TravelTimes {
+    fn travel_times_with(&self, spq: &Spq, _scratch: &mut SearchScratch) -> TravelTimes {
         let edges = spq.path.edges();
         if self.asked.borrow().last() != Some(&spq.path) {
             self.asked.borrow_mut().push(spq.path.clone());

@@ -95,10 +95,6 @@ struct Tally<'a> {
 }
 
 impl TravelTimeProvider for Tally<'_> {
-    fn travel_times(&self, spq: &Spq) -> TravelTimes {
-        self.index.get_travel_times(spq)
-    }
-
     fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
         self.index.get_travel_times_with(spq, scratch)
     }

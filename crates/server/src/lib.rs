@@ -535,13 +535,8 @@ fn handle_spq_frame<B: ServiceBackend>(
     };
     // Same admission rule as the JSON decoder: every edge id must name an
     // edge of the served network.
-    if let Some(bad) = query
-        .path
-        .edges()
-        .iter()
-        .find(|e| e.0 as usize >= num_edges)
-    {
-        return frame_error(400, &format!("edge id {} out of range", bad.0));
+    if let Err(e) = query.check_edges(num_edges) {
+        return frame_error(400, &e.to_string());
     }
     let tt = service.get_travel_times(&query);
     ApiResponse::frame(

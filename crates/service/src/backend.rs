@@ -45,10 +45,10 @@ pub struct AppendEffect {
 ///
 /// The write surface is the paper's one update operation and its
 /// deferred half: [`Self::ingest`] (Section 4.3.2's batch append, sealed
-/// or absorbed) and [`Self::compact`]. Each has a `&self` twin only
-/// because [`Self::SHARED_APPENDS`] backends mutate under the service's
-/// *read* lock; a backend implements the pair its locking model uses —
-/// the `&mut self` defaults forward to the `&self` ones.
+/// or absorbed) and [`Self::compact`], both required. Each has a `&self`
+/// twin only because [`Self::SHARED_APPENDS`] backends mutate under the
+/// service's *read* lock; such a backend implements the twins and
+/// forwards the `&mut self` pair to them.
 pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
     /// Whether appends mutate the backend through `&self` under its own
     /// fine-grained locking ([`Self::ingest_shared`]), so the service
@@ -101,9 +101,7 @@ pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
     /// appends through, where only [`Self::compact`] pays the
     /// FM-index/wavelet construction later. Answers are byte-identical
     /// either way.
-    fn ingest(&mut self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect {
-        self.ingest_shared(batch, seal)
-    }
+    fn ingest(&mut self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect;
 
     /// [`Self::ingest`] through `&self` under the backend's internal
     /// locks. Only called when [`Self::SHARED_APPENDS`]; the caller holds
@@ -116,9 +114,7 @@ pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
     /// absorb order, byte-identical to the index direct appends would have
     /// built) and drops partitions fully expired by `horizon`, under the
     /// exclusive write lock.
-    fn compact(&mut self, horizon: Option<Timestamp>) -> CompactionOutcome {
-        self.compact_shared(horizon)
-    }
+    fn compact(&mut self, horizon: Option<Timestamp>) -> CompactionOutcome;
 
     /// [`Self::compact`] through `&self` under the backend's internal
     /// locks (one shard write-locked at a time, so readers of other
@@ -269,12 +265,20 @@ impl ServiceBackend for ShardedSntIndex {
         self.router().num_edges()
     }
 
+    fn ingest(&mut self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect {
+        self.ingest_shared(batch, seal)
+    }
+
     fn ingest_shared(&self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect {
         let effect = ShardedSntIndex::ingest(self, batch, seal);
         AppendEffect {
             appended: effect.appended,
             touched_shards: Some(effect.touched),
         }
+    }
+
+    fn compact(&mut self, horizon: Option<Timestamp>) -> CompactionOutcome {
+        self.compact_shared(horizon)
     }
 
     fn compact_shared(&self, horizon: Option<Timestamp>) -> CompactionOutcome {

@@ -15,11 +15,11 @@
 //!   [`ShardedSntIndex`] ([`ShardedQueryService`]) appends under the
 //!   *read* lock with per-shard write locks, so only the touched shards'
 //!   readers ever wait.
-//! * a worker **thread pool** ([`pool`]) fans batches out across threads
-//!   and fans each trip's independent sub-query chains (the
-//!   `QueryEngine::trip_query` decomposition) into parallel
-//!   `get_travel_times` calls; a helper-joining task group makes the
-//!   nesting deadlock-free.
+//! * a worker **thread pool** ([`pool`]) fans a batch out across threads,
+//!   one job per trip; a helper-joining task group keeps a batch issued
+//!   *from* a pool worker deadlock-free. A trip itself runs on one thread,
+//!   on the engine's round driver
+//!   ([`QueryEngine::trip_query_via_with`]).
 //! * a **sharded LRU cache** ([`cache`]) keyed by the full SPQ
 //!   `(path, interval, filter, β, exclusion)` with hit/miss/eviction
 //!   counters and one `Mutex` per shard. Appends invalidate it scoped to
@@ -37,11 +37,8 @@
 //!
 //! Results are **identical** to the single-threaded engine: the cache key
 //! is the entire query, the cached value is the exact
-//! [`TravelTimes`] the index returned, and chains
-//! are only executed in parallel when
-//! [`QueryEngine::chains_are_independent`] proves the decomposition order
-//! cannot matter (otherwise the service falls back to the sequential loop
-//! — still cache-accelerated).
+//! [`TravelTimes`] the index returned, and every trip runs on the same
+//! round driver the plain engine uses, with the cache as its provider.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -253,15 +250,8 @@ struct CachedIndex<'a, B> {
 }
 
 impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
-    fn travel_times(&self, spq: &Spq) -> TravelTimes {
-        // A fresh scratch is allocation-free; the seqlock-validated insert
-        // lives only in `travel_times_with` so the staleness gate cannot
-        // drift between the two entry points.
-        self.travel_times_with(spq, &mut tthr_core::SearchScratch::new())
-    }
-
     /// Cache miss → the backend runs its backward search through the
-    /// engine's per-chain scratch (suffix-cache reuse); the scratch
+    /// trip's scratch (suffix-cache reuse); the scratch
     /// self-invalidates on index-generation changes, so the seqlock
     /// validation below stays the only staleness gate for the *cache*.
     fn travel_times_with(&self, spq: &Spq, scratch: &mut tthr_core::SearchScratch) -> TravelTimes {
@@ -598,12 +588,11 @@ impl<B: ServiceBackend> QueryService<B> {
         result
     }
 
-    /// Answers a trip query, fanning its independent sub-query chains out
-    /// across the pool; identical results to
+    /// Answers a trip query on the calling thread; identical results to
     /// [`QueryEngine::trip_query`].
     pub fn trip_query(&self, query: &Spq) -> TripQuery {
         let start = Instant::now();
-        let result = self.trip_query_inner(query);
+        let result = trip_query_on(&self.inner, query);
         self.inner.observe(
             Endpoint::Trip,
             start.elapsed(),
@@ -613,27 +602,19 @@ impl<B: ServiceBackend> QueryService<B> {
         result
     }
 
-    /// Answers a batch of trip queries, fanned out across the pool; the
+    /// Answers a batch of trip queries, one pool job per trip; the
     /// result order matches the input order.
-    ///
-    /// When the batch alone cannot fill the workers, each trip's
-    /// independent sub-query chains additionally fan out as their own pool
-    /// tasks (the pool's helper-joining keeps the nesting deadlock-free);
-    /// a batch that already saturates the pool skips the nesting, since it
-    /// would only add scheduling overhead.
     pub fn batch_trip_queries(&self, queries: &[Spq]) -> Vec<TripQuery> {
-        let nest_chains = queries.len() < self.pool.threads();
         let jobs: Vec<_> = queries
             .iter()
             .map(|q| {
                 let inner = Arc::clone(&self.inner);
-                let pool = nest_chains.then(|| Arc::clone(&self.pool));
                 let query = q.clone();
                 move || {
                     // Per-query wall time from the moment a worker picks
                     // the trip up — the same scale `trip_query` records on.
                     let start = Instant::now();
-                    let result = trip_query_on(&inner, pool.as_deref(), &query);
+                    let result = trip_query_on(&inner, &query);
                     inner.observe(
                         Endpoint::Batch,
                         start.elapsed(),
@@ -645,10 +626,6 @@ impl<B: ServiceBackend> QueryService<B> {
             })
             .collect();
         self.pool.run_all(jobs)
-    }
-
-    fn trip_query_inner(&self, query: &Spq) -> TripQuery {
-        trip_query_on(&self.inner, Some(&self.pool), query)
     }
 
     /// Appends the new trajectories of `set` as one batch (Section 4.3.2's
@@ -768,7 +745,7 @@ impl<B: ServiceBackend> QueryService<B> {
                             // is its start time.
                             let floor = delta.iter().map(Trajectory::start_time).min();
                             // Seqlock write: odd while the apply is in
-                            // flight, so a trip whose chains straddle the
+                            // flight, so a trip whose ladders straddle the
                             // window of a shared apply (shard A
                             // post-append, shard B pre-append) can never
                             // pass generation validation — it either reads
@@ -1077,101 +1054,54 @@ impl<B: ServiceBackend> Clone for QueryService<B> {
     }
 }
 
-/// Executes one trip query against the shared state. With a pool and ≥ 2
-/// independent chains, the chains run as parallel pool tasks (each takes
-/// its own read lock); otherwise the sequential engine loop runs inline —
-/// both through the cache, both result-identical to the plain engine.
+/// Executes one trip query against the shared state: the engine's round
+/// driver over the cache, on the calling thread, under one read lock —
+/// result-identical to the plain engine.
 ///
-/// A returned `TripQuery` never mixes index generations: each optimistic
-/// pass is validated against the append generation counter and redone if
-/// an append committed mid-trip (possible for parallel chains on any
-/// backend, and for *any* trip on a shared-append backend, whose
-/// appenders do not take the service write lock). A trip is much shorter
-/// than an append, so consecutive invalidations are exponentially
-/// unlikely; after four of them the trip runs once more with appends
-/// frozen via the backend's permit — readers are still unaffected, only
-/// appenders briefly queue.
-fn trip_query_on<B: ServiceBackend>(
-    inner: &Arc<Inner<B>>,
-    pool: Option<&ThreadPool>,
-    query: &Spq,
-) -> TripQuery {
+/// A returned `TripQuery` never mixes index generations. With an
+/// exclusive-append backend that is the read lock's doing: a pass holds
+/// it from its first dispatch to its last, so no append can land inside
+/// one. A shared-append backend's appenders do not take the service write
+/// lock, so there a trip can straddle an append (shard A read post-append,
+/// shard B pre-append); each optimistic pass is therefore validated
+/// against the append generation counter and redone if it moved. A trip
+/// is much shorter than an append, so consecutive invalidations are
+/// exponentially unlikely; after four of them the trip runs once more
+/// with appends frozen via the backend's permit — readers are still
+/// unaffected, only appenders briefly queue.
+fn trip_query_on<B: ServiceBackend>(inner: &Inner<B>, query: &Spq) -> TripQuery {
     for _ in 0..4 {
-        if let Some(result) = trip_query_pass(inner, pool, query) {
+        if let Some(result) = trip_query_pass(inner, query) {
             return result;
         }
     }
     // Freeze appends for the final pass. For an exclusive-append backend
     // the permit is `None` — the read lock alone already excludes
-    // writers, so the inline pass below cannot be invalidated.
+    // writers, so the pass below cannot be invalidated.
     let index = inner.index.read().expect("index lock");
     let _permit = index.append_permit();
-    let engine = QueryEngine::new(&*index, &inner.network, inner.engine_config.clone());
-    let provider = CachedIndex {
-        index: &*index,
-        cache: &inner.cache,
-        generation: &inner.generation,
-    };
-    if engine.chains_are_independent(query) {
-        run_chains_inline(&engine, &provider, engine.initial_subqueries(query), inner)
-    } else {
-        engine.trip_query_via_with(&provider, query, &mut inner.scratch())
-    }
+    trip_query_at(inner, &index, query)
 }
 
 /// One optimistic trip execution; `None` when an append committed while
 /// it ran (the result may straddle two index generations).
-fn trip_query_pass<B: ServiceBackend>(
-    inner: &Arc<Inner<B>>,
-    pool: Option<&ThreadPool>,
-    query: &Spq,
-) -> Option<TripQuery> {
+fn trip_query_pass<B: ServiceBackend>(inner: &Inner<B>, query: &Spq) -> Option<TripQuery> {
     let generation_before = inner.generation.load(Ordering::SeqCst);
     let index = inner.index.read().expect("index lock");
-    let engine = QueryEngine::new(&*index, &inner.network, inner.engine_config.clone());
+    let result = trip_query_at(inner, &index, query);
+    generation_valid(inner, generation_before).then_some(result)
+}
+
+/// The trip itself, against a read-locked index: one round-driver run
+/// with the cache as the engine's provider.
+fn trip_query_at<B: ServiceBackend>(inner: &Inner<B>, index: &B, query: &Spq) -> TripQuery {
+    let engine = QueryEngine::new(index, &inner.network, inner.engine_config.clone());
     let provider = CachedIndex {
-        index: &*index,
+        index,
         cache: &inner.cache,
         generation: &inner.generation,
     };
-    let result = if !engine.chains_are_independent(query) {
-        engine.trip_query_via_with(&provider, query, &mut inner.scratch())
-    } else {
-        let chains = engine.initial_subqueries(query);
-        match pool {
-            Some(pool) if chains.len() > 1 && pool.threads() > 1 => {
-                // Re-acquire per task: pool jobs must own their state.
-                drop(index);
-                let jobs: Vec<_> = chains
-                    .into_iter()
-                    .map(|sub| {
-                        let inner = Arc::clone(inner);
-                        move || {
-                            let index = inner.index.read().expect("index lock");
-                            let engine = QueryEngine::new(
-                                &*index,
-                                &inner.network,
-                                inner.engine_config.clone(),
-                            );
-                            let provider = CachedIndex {
-                                index: &*index,
-                                cache: &inner.cache,
-                                generation: &inner.generation,
-                            };
-                            engine.run_chain_via_with(&provider, sub, &mut inner.scratch())
-                        }
-                    })
-                    .collect();
-                let outcomes = pool.run_all(jobs);
-                let index = inner.index.read().expect("index lock");
-                let engine = QueryEngine::new(&*index, &inner.network, inner.engine_config.clone());
-                return generation_valid(inner, generation_before)
-                    .then(|| engine.assemble(outcomes));
-            }
-            _ => run_chains_inline(&engine, &provider, chains, inner),
-        }
-    };
-    generation_valid(inner, generation_before).then_some(result)
+    engine.trip_query_via_with(&provider, query, &mut inner.scratch())
 }
 
 /// Seqlock read validation: the pass saw one index generation iff the
@@ -1179,26 +1109,6 @@ fn trip_query_pass<B: ServiceBackend>(
 /// moved since.
 fn generation_valid<B: ServiceBackend>(inner: &Inner<B>, before: u64) -> bool {
     before.is_multiple_of(2) && inner.generation.load(Ordering::SeqCst) == before
-}
-
-/// Runs a trip's independent chains sequentially on the calling thread
-/// (shared by the no-pool path and the update-race retry path). One
-/// scratch serves every chain — the suffix cache stays warm across them,
-/// and each [`ChainOutcome`](tthr_core::ChainOutcome) still captures its
-/// own trace (the chain runner resets it).
-fn run_chains_inline<B: ServiceBackend>(
-    engine: &QueryEngine<'_, B>,
-    provider: &CachedIndex<'_, B>,
-    chains: Vec<Spq>,
-    inner: &Inner<B>,
-) -> TripQuery {
-    let mut scratch = inner.scratch();
-    engine.assemble(
-        chains
-            .into_iter()
-            .map(|sub| engine.run_chain_via_with(provider, sub, &mut scratch))
-            .collect(),
-    )
 }
 
 // The whole point of the service is cross-thread sharing; keep that a
@@ -1215,6 +1125,7 @@ const _: () = {
 mod tests {
     use super::*;
     use tthr_core::{SntConfig, TimeInterval};
+    use tthr_datagen::{generate_network, generate_workload, NetworkConfig, WorkloadConfig};
     use tthr_network::examples::{example_network, EDGE_A, EDGE_B, EDGE_E, EDGE_F};
     use tthr_network::Path;
     use tthr_trajectory::examples::example_trajectories;
@@ -1271,17 +1182,88 @@ mod tests {
         assert_eq!(stats.latency.count, 2);
     }
 
+    /// Every trip of `queries`, through `/trip` and `/batch` alike, must
+    /// be the depth-first definition's answer — sub-results in path
+    /// order, value bits, histogram, all nine `QueryStats` fields — and
+    /// take the rounds the plain engine's driver takes on the same index.
+    /// Returns the definition's stats, one per trip.
+    fn assert_trips_match_the_definition<B: ServiceBackend>(
+        s: &QueryService<B>,
+        queries: &[Spq],
+    ) -> Vec<tthr_core::QueryStats> {
+        let batch = s.batch_trip_queries(queries);
+        let mut stats = Vec::new();
+        for (q, batched) in queries.iter().zip(&batch) {
+            let single = s.trip_query(q);
+            s.with_index(|index| {
+                let engine = QueryEngine::new(index, s.network(), s.engine_config().clone());
+                let want = engine.trip_query_sequential_via(index, q);
+                let rounds = engine.trip_query(q).trace.ladder_batches;
+                for got in [&single, batched] {
+                    assert_eq!(got.stats, want.stats, "{q:?}");
+                    assert_eq!(got.histogram, want.histogram, "{q:?}");
+                    assert_eq!(got.subs.len(), want.subs.len(), "{q:?}");
+                    for (a, b) in got.subs.iter().zip(&want.subs) {
+                        assert_eq!(a.path, b.path, "{q:?}");
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&a.values), bits(&b.values), "{q:?}");
+                        assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{q:?}");
+                        assert_eq!(a.fallback, b.fallback, "{q:?}");
+                    }
+                    assert_eq!(got.trace.ladder_batches, rounds, "one round driver: {q:?}");
+                }
+                stats.push(want.stats);
+            });
+        }
+        stats
+    }
+
     #[test]
     fn trip_query_matches_sequential_engine() {
-        let s = service(4);
-        let result = s.trip_query(&abe());
-        s.with_index(|index| {
-            let network = example_network();
-            let engine = QueryEngine::new(index, &network, s.engine_config().clone());
-            let expected = engine.trip_query(&abe());
-            assert_eq!(result.predicted_duration(), expected.predicted_duration());
-            assert_eq!(result.stats, expected.stats);
-        });
+        let syn = generate_network(&NetworkConfig::small());
+        let set = generate_workload(&syn, &WorkloadConfig::small());
+        // Whole paths of real trips under a fixed window around the
+        // departure (the zones are independent ladders, and the far ones
+        // are entered too late for the window: they relax), under the
+        // periodic window (each zone's is adapted from the ones before
+        // it), and with the driver as filter.
+        let queries: Vec<Spq> = set
+            .iter()
+            .filter(|tr| tr.len() >= 12)
+            .step_by(7)
+            .take(6)
+            .flat_map(|tr| {
+                let t0 = tr.start_time();
+                let fixed = Spq::new(tr.path(), TimeInterval::fixed(t0 - 450, t0 + 450));
+                let periodic = fixed.with_interval(TimeInterval::periodic_around(t0, 900));
+                [
+                    fixed.clone().with_beta(20),
+                    fixed.with_user(tr.user()),
+                    periodic.clone().with_beta(20),
+                    periodic.with_beta(5).with_user(tr.user()),
+                ]
+            })
+            .collect();
+        let network = Arc::new(syn.network);
+        for threads in [1, 4] {
+            let config = ServiceConfig {
+                num_threads: threads,
+                ..ServiceConfig::default()
+            };
+            let mono = SntIndex::build(&network, &set, SntConfig::default());
+            let sharded = ShardedSntIndex::build(&network, &set, SntConfig::default(), 2);
+            let mono = QueryService::new(mono, Arc::clone(&network), config.clone());
+            let sharded = QueryService::new(sharded, Arc::clone(&network), config);
+            let stats = assert_trips_match_the_definition(&mono, &queries);
+            assert_eq!(assert_trips_match_the_definition(&sharded, &queries), stats);
+            // The inputs hold what the single shape has to get right: a
+            // fixed-interval trip of ≥ 3 ladders, at least one relaxing.
+            assert!(queries.iter().zip(&stats).any(|(q, st)| {
+                !q.interval.is_periodic()
+                    && st.initial_subqueries >= 3
+                    && st.index_queries > st.final_subqueries
+            }));
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The pool is deliberately simple — a shared injector queue drained by a
 //! fixed set of workers — but its join primitive is not: [`ThreadPool::run_all`]
 //! keeps the *submitting* thread working on its own task set while it
-//! waits. That makes nested fan-out safe: a batch job running on a worker
-//! may fan its trip's sub-query chains out through the same pool without
-//! risking deadlock, because every joiner can always drain its own tasks
-//! even when all workers are busy with other joiners' work.
+//! waits. That makes nested fan-out safe: the server hands `/batch` to a
+//! worker, and that worker fans the batch's trips out through the same
+//! pool without risking deadlock, because every joiner can always drain
+//! its own tasks even when all workers are busy with other joiners' work.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};

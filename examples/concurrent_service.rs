@@ -1,6 +1,6 @@
 //! The service layer under load: N client threads drive a datagen workload
 //! through one shared [`QueryService`], demonstrating batch fan-out,
-//! sub-query-chain parallelism, the sharded result cache (cold → warm),
+//! the sharded result cache (cold → warm),
 //! invalidation on a live `append_batch`, and the `ServiceStats` snapshot.
 //!
 //! Run with: `cargo run --release --example concurrent_service`

@@ -61,10 +61,10 @@
 //! ```text
 //!   clients ──► QueryService ──► ThreadPool (N workers, helper-joined fan-out)
 //!                   │                │  batch → one task per trip query
-//!                   │                │  trip  → one task per independent sub-query chain
+//!                   │                │  trip  → the calling thread
 //!                   │                ▼
-//!                   │           QueryEngine::run_chain_via / trip_query_via
-//!                   │                │ every getTravelTimes dispatch
+//!                   │           QueryEngine::trip_query_via_with (round driver)
+//!                   │                │ one travel_times_ladders per round
 //!                   │                ▼
 //!                   ├──► ShardedCache (LRU per shard, Mutex per shard,
 //!                   │      key = full Spq, hit/miss/eviction counters)
@@ -77,14 +77,12 @@
 //! ```
 //!
 //! * **Concurrency** — trip queries in a batch run as parallel pool tasks;
-//!   within a trip, each initial sub-query's relaxation chain runs as its
-//!   own task whenever `QueryEngine::chains_are_independent` proves the
-//!   decomposition has no cross-chain data flow (shift-and-enlarge on
-//!   periodic windows is the one dependent case, which runs sequentially)
-//!   — batches that already saturate the workers skip the per-chain
-//!   nesting, which would only add scheduling overhead. The pool's join
-//!   primitive keeps the waiting thread working on its own task set, so
-//!   nested fan-out cannot deadlock.
+//!   a trip itself runs on one thread, on the engine's round driver
+//!   (every sub-query whose window is final joins one
+//!   `travel_times_ladders` call per relaxation round), under one read
+//!   lock and through one search scratch. The pool's join primitive keeps
+//!   the waiting thread working on its own task set, so a batch issued
+//!   from a pool worker cannot deadlock.
 //! * **Caching** — results are cached per relaxed SPQ, so two trips
 //!   sharing a sub-path (or one trip repeated) skip the FM-index and
 //!   temporal-forest scans entirely. Updates via

@@ -20,8 +20,8 @@
 //!   carrying both stamps;
 //! * a shard that dies between two relaxation rounds of a trip → the
 //!   whole trip aborts typed and stops dispatching; malformed ladder
-//!   batches → typed `BadRequest`, a short batch reply → typed
-//!   `Unexpected`;
+//!   batches and out-of-range edge ids → typed `BadRequest`, a short
+//!   batch reply → typed `Unexpected`;
 //! * concurrent `/append` requests carrying one stamp → exactly one lands.
 
 mod common;
@@ -35,7 +35,8 @@ use common::differential::QueryGen;
 use common::http::HttpClient;
 use tthr::client::{ClientConfig, ClusterError, ClusterRouter, NodeClient, RouterConfig};
 use tthr::core::node::{MAX_LADDER_BATCH, MAX_LADDER_LEVELS};
-use tthr::core::{NodeWalRecord, Spq, TimeInterval};
+use tthr::core::{CardinalityMode, NodeWalRecord, Spq, TimeInterval};
+use tthr::network::{EdgeId, Path};
 use tthr::rpc::{encode_frame, read_frame, ErrCode, Message};
 use tthr::server::cluster::serve_cluster;
 use tthr::server::wire::encode_append_request;
@@ -488,6 +489,43 @@ fn malformed_ladders_are_bad_requests_not_panics() {
         }
         // The node is unharmed and still answers the well-formed ladder.
         h.check_ladder(&spq);
+    }
+
+    // The frame codec admits any `u32` edge id: one past the routing
+    // table, first or later in the path, is a `BadRequest` on every
+    // request kind that carries a query — and the request's error, not
+    // the connection's: the next request rides the same socket.
+    let wild = EdgeId(h.cluster.routing().num_edges() as u32);
+    let client = NodeClient::new(h.nodes[0].addr, quick());
+    for edges in [vec![wild], vec![spq.path.first(), wild]] {
+        let bad = Spq::new(Path::new(edges), spq.interval);
+        for request in [
+            Message::TravelTimes(bad.clone()),
+            Message::LadderBatch {
+                items: vec![(bad.clone(), vec![bad.interval])],
+            },
+            Message::Count {
+                spq: bad.clone(),
+                cap: u32::MAX,
+            },
+            Message::Estimate {
+                spq: bad.clone(),
+                mode: CardinalityMode::Isa,
+            },
+        ] {
+            match client.request(&request).expect("typed reply") {
+                Message::Err {
+                    code: ErrCode::BadRequest,
+                    ..
+                } => {}
+                other => panic!("{request:?} must answer BadRequest, got {other:?}"),
+            }
+            match client.request(&Message::TravelTimes(spq.clone())) {
+                Ok(Message::TravelTimesResult { .. }) => {}
+                other => panic!("a good request after {request:?} got {other:?}"),
+            }
+            assert_eq!(client.connects(), 1, "still the first connection");
+        }
     }
 
     // The router's side of the contract: a reply that does not hold one

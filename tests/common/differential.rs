@@ -481,10 +481,6 @@ pub fn ladder_levels(config: &QueryEngineConfig, spq: &Spq) -> Vec<TimeInterval>
 pub struct Sequential<'a, B>(pub &'a B);
 
 impl<B: IndexBackend> TravelTimeProvider for Sequential<'_, B> {
-    fn travel_times(&self, spq: &Spq) -> TravelTimes {
-        self.0.travel_times(spq)
-    }
-
     fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
         self.0.travel_times_with(spq, scratch)
     }

@@ -6,7 +6,9 @@
 //! * **No torn reads** — every answer a reader observes equals the
 //!   complete answer of *some* index generation (never a mix of two), and
 //!   answers on shards the appender never writes are byte-stable for the
-//!   whole run.
+//!   whole run. That includes whole trips: a fixed-interval trip
+//!   dispatches all its sub-queries in one round, across shards the
+//!   appender is and is not writing.
 //! * **Scoped invalidation** — after the final append, the untouched
 //!   shards' cache entries are still resident: re-querying them is pure
 //!   hits (hit-rate on untouched shards stays flat, misses do not move).
@@ -16,7 +18,11 @@ mod common;
 use common::{small_world, value_bits as bits};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use tthr::core::{ShardedSntIndex, SntConfig, SntIndex, Spq, TimeInterval};
+use tthr::core::{
+    PartitionMethod, QueryEngine, QueryEngineConfig, ShardedSntIndex, SntConfig, SntIndex, Spq,
+    TimeInterval, TripQuery,
+};
+use tthr::network::Path;
 use tthr::service::{QueryService, ServiceConfig, ShardedQueryService};
 use tthr::trajectory::{TrajEntry, TrajectorySet, UserId};
 
@@ -24,6 +30,15 @@ const SHARDS: usize = 4;
 const ROUNDS: usize = 6;
 const READERS: usize = 8;
 const READER_ITERS: usize = 60;
+
+/// What a trip answered: every sub-result's path and value bits, in path
+/// order.
+fn trip_bits(trip: &TripQuery) -> Vec<(Path, Vec<u64>)> {
+    trip.subs
+        .iter()
+        .map(|s| (s.path.clone(), bits(&s.values)))
+        .collect()
+}
 
 /// Copies `set` and appends `extra` single-shard trajectories one per
 /// generation: `generations[g]` holds the set after `g` appends.
@@ -42,11 +57,26 @@ fn generations(set: &TrajectorySet, extra: &[(UserId, Vec<TrajEntry>)]) -> Vec<T
 fn readers_race_single_shard_appender_without_torn_reads() {
     let (syn, set) = small_world();
     let network = Arc::new(syn.network.clone());
+    let index = ShardedSntIndex::build(&network, &set, SntConfig::default(), SHARDS);
+    // π_k with k = the length of the first trajectory's opening run inside
+    // one shard — the first run the appender replays — so the trip over
+    // that trajectory's whole path opens with exactly the appended path
+    // and its answer moves with the appends.
+    let head = set.get(tthr::trajectory::TrajId(0)).entries();
+    let home = index.router().shard_of(head[0].edge);
+    let head_run = head
+        .iter()
+        .take_while(|e| index.router().shard_of(e.edge) == home)
+        .count();
     let service: ShardedQueryService = QueryService::new(
-        ShardedSntIndex::build(&network, &set, SntConfig::default(), SHARDS),
+        index,
         Arc::clone(&network),
         ServiceConfig {
             num_threads: READERS,
+            engine: QueryEngineConfig {
+                partition_method: PartitionMethod::Regular(head_run),
+                ..QueryEngineConfig::default()
+            },
             ..ServiceConfig::default()
         },
     );
@@ -112,11 +142,34 @@ fn readers_race_single_shard_appender_without_torn_reads() {
     }
     assert!(!untouched.is_empty() && !touched.is_empty());
 
+    // Fixed-interval trips over whole paths that cross the target shard
+    // and at least one other (the first trajectory's among them): each is
+    // one relaxation round of ladders on shards the appender is and is not
+    // writing.
+    let crosses = |tr: &&tthr::trajectory::Trajectory| {
+        let on_target = |e: &TrajEntry| shard_of(e.edge) == target;
+        tr.entries().iter().any(on_target) && !tr.entries().iter().all(on_target)
+    };
+    let trips: Vec<Spq> = set
+        .iter()
+        .filter(crosses)
+        .take(3)
+        .map(|tr| Spq::new(tr.path(), TimeInterval::fixed(0, i64::MAX / 4)))
+        .collect();
+
     // Expected answers per generation via an incrementally-appended
     // monolith (byte-equality monolith vs sharded is pinned elsewhere).
     let mut reference = SntIndex::build(&network, &set, SntConfig::default());
     let mut touched_expected: Vec<Vec<Vec<u64>>> = Vec::new(); // [gen][query]
+    let mut trips_expected = Vec::new(); // [gen][trip]
     for g in 0..=ROUNDS {
+        let engine = QueryEngine::new(&reference, &network, service.engine_config().clone());
+        trips_expected.push(
+            trips
+                .iter()
+                .map(|q| trip_bits(&engine.trip_query(q)))
+                .collect::<Vec<_>>(),
+        );
         touched_expected.push(
             touched
                 .iter()
@@ -127,6 +180,15 @@ fn readers_race_single_shard_appender_without_torn_reads() {
             assert_eq!(reference.append_batch(&gens[g + 1]), 1);
         }
     }
+    assert!(
+        trips_expected[0].iter().all(|subs| subs.len() >= 3),
+        "every trip is several ladders"
+    );
+    assert_ne!(
+        trips_expected[0],
+        trips_expected[ROUNDS - 1],
+        "the racing appends change no trip"
+    );
     let pristine: Vec<Vec<u64>> = untouched
         .iter()
         .map(|q| bits(&service.get_travel_times(q).values))
@@ -152,6 +214,12 @@ fn readers_race_single_shard_appender_without_torn_reads() {
                         let got = bits(&service.get_travel_times(q).values);
                         let legal = touched_expected.iter().any(|gen| gen[qi] == got);
                         if !legal {
+                            torn.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    for (qi, q) in trips.iter().enumerate() {
+                        let got = trip_bits(&service.trip_query(q));
+                        if !trips_expected.iter().any(|gen| gen[qi] == got) {
                             torn.fetch_add(1, Ordering::Relaxed);
                         }
                     }
