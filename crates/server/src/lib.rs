@@ -21,9 +21,12 @@
 //!            ╟──►│ accept → per-conn state machine:                   │
 //!  keep-alive╢   │   read → incremental parse → route                 │
 //!  pipelining╢   │     /health /stats /metrics ─────► inline answer   │
-//!            ║   │     /debug/slow                                    │
-//!            ╟──►│     /spq /trip /batch /append ──┐                  │
-//!            ║   │                                 ▼                  │
+//!            ║   │     /debug/slow                           ▲        │
+//!            ║   │     /spq ≤ 16 KiB → decode once → cache ──┘ hit/400│
+//!            ║   │       probe └─ miss: the decoded Spq ─┐            │
+//!            ╟──►│     /trip /batch /append ─────────────┤            │
+//!            ║   │     /spq > 16 KiB, raw body ──────────┤            │
+//!            ║   │                                       ▼            │
 //!            ║   │        [ bounded in-flight window = queue_cap ]    │
 //!            ║   │     full → park conn (stop reading: TCP back-      │
 //!            ║   │     pressure); parked ≥ watermark → 503+Retry-After│
@@ -42,12 +45,16 @@
 //!   [`ServerConfig::queue_cap`] requests in flight; overload answers are
 //!   `503` with `Retry-After`; keep-alive connections survive
 //!   served-then-idle cycles;
+//! * a cached `/spq` is answered by the reactor, in pipelining order,
+//!   even while the in-flight window is full; the reactor never takes the
+//!   index lock ([`QueryService::cached_travel_times`]);
 //! * graceful [`ServerHandle::shutdown`] drains in-flight requests,
 //!   refuses new ones, and never tears a response mid-byte;
 //! * malformed input never panics the reactor: it maps to `400`/`413`/
 //!   `431` or a clean close.
 //!
 //! [`QueryService`]: tthr_service::QueryService
+//! [`QueryService::cached_travel_times`]: tthr_service::QueryService::cached_travel_times
 //!
 //! ## Quickstart
 //!
@@ -81,7 +88,7 @@ pub mod standby;
 mod sys;
 pub mod wire;
 
-use reactor::{ApiResponse, Counters, Handlers, Reactor, Shared};
+use reactor::{ApiResponse, Counters, Handlers, Job, Reactor, Shared, SpqProbe};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
@@ -89,13 +96,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use tthr_core::{Spq, TravelTimes};
+use tthr_rpc::{decode_frame, encode_frame, Decode, ErrCode, Message};
 use tthr_service::{QueryService, ServiceBackend};
 use tthr_store::StoreError;
 
 /// The API operations that go through the bounded queue (the inline
 /// `/health`, `/stats`, `/metrics`, and `/debug/slow` endpoints bypass
 /// it: they are the liveness/observability signal and must answer even
-/// under full load).
+/// under full load; so does an `/spq` the result cache answers).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Op {
     Spq,
@@ -207,6 +216,10 @@ pub struct ServerMetrics {
     /// clients). Graceful closes — drained peers, shutdown drains — are
     /// not counted here.
     pub reaped_idle: u64,
+    /// `/spq` requests answered from the result cache on the reactor
+    /// thread, without the worker pool. Exported on `/metrics` as
+    /// `tthr_server_inline_hits_total`; the `/stats` body leaves it out.
+    pub inline_hits: u64,
 }
 
 /// A running server: one or more reactor threads plus their shared
@@ -316,13 +329,15 @@ pub fn serve<B: ServiceBackend>(
     let num_edges = service.network().num_edges();
     let max_batch = config.max_batch_queries;
     let api_service = service.clone();
+    let spq_service = service.clone();
     let health_service = service.clone();
     let stats_service = service.clone();
     let metrics_service = service.clone();
     let slow_service = service.clone();
     let exec_service = service;
     let handlers = Handlers {
-        api: Arc::new(move |op, body| handle_api(&api_service, num_edges, max_batch, op, body)),
+        api: Arc::new(move |job| handle_api(&api_service, num_edges, max_batch, job)),
+        spq: Arc::new(move |op, body| probe_spq(&spq_service, num_edges, op, body)),
         health: Arc::new(move || wire::encode_health(&health_service.ingest_status())),
         stats: Arc::new(move |server| {
             // One pass over the recorder stripes yields both the
@@ -458,32 +473,56 @@ fn mirror_server_metrics(registry: &tthr_metrics::MetricsRegistry, server: &Serv
         "Connections closed by the idle timeout",
         server.reaped_idle,
     );
+    counter(
+        "tthr_server_inline_hits_total",
+        "/spq requests answered from the result cache on the reactor",
+        server.inline_hits,
+    );
 }
 
-/// Decodes, executes, and encodes one API request (worker side).
+/// The reactor's half of `/spq`: decode the body once, answer a cache hit
+/// or a malformed body on the spot, and hand a miss's decoded query to the
+/// pool.
+fn probe_spq<B: ServiceBackend>(
+    service: &QueryService<B>,
+    num_edges: usize,
+    op: Op,
+    body: &[u8],
+) -> SpqProbe {
+    let query = match decode_spq_body(op, body, num_edges) {
+        Ok(query) => query,
+        Err(rejected) => return SpqProbe::Rejected(rejected),
+    };
+    match service.cached_travel_times(&query) {
+        Some(hit) => SpqProbe::Hit(encode_spq_answer(op, hit)),
+        None => SpqProbe::Miss(query),
+    }
+}
+
+/// Executes and encodes one API request, decoding its body first unless
+/// the reactor already did (worker side).
 fn handle_api<B: ServiceBackend>(
     service: &QueryService<B>,
     num_edges: usize,
     max_batch: usize,
-    op: Op,
-    body: &[u8],
+    job: Job,
 ) -> ApiResponse {
-    if op == Op::SpqFrame {
-        return handle_spq_frame(service, num_edges, body);
-    }
-    let parsed = match json::parse(body) {
+    let (op, body) = match job {
+        Job::Spq(op, query) => return encode_spq_answer(op, service.get_travel_times(&query)),
+        Job::Body(op @ (Op::Spq | Op::SpqFrame), body) => {
+            return match decode_spq_body(op, &body, num_edges) {
+                Ok(query) => encode_spq_answer(op, service.get_travel_times(&query)),
+                Err(rejected) => rejected,
+            };
+        }
+        Job::Body(op, body) => (op, body),
+    };
+    let parsed = match json::parse(&body) {
         Ok(v) => v,
         Err(e) => return ApiResponse::json(400, wire::encode_error(&e.to_string())),
     };
     let (status, body) = match op {
-        Op::SpqFrame => unreachable!("handled above"),
-        Op::Spq => match wire::decode_spq(&parsed, num_edges) {
-            Ok(q) => (
-                200,
-                wire::encode_travel_times(&service.get_travel_times(&q)),
-            ),
-            Err(e) => (400, wire::encode_error(&e)),
-        },
+        Op::Spq | Op::SpqFrame => unreachable!("answered above"),
         Op::Trip => match wire::decode_spq(&parsed, num_edges) {
             Ok(q) => (200, wire::encode_trip(&service.trip_query(&q))),
             Err(e) => (400, wire::encode_error(&e)),
@@ -508,37 +547,45 @@ fn handle_api<B: ServiceBackend>(
     ApiResponse::json(status, body)
 }
 
-/// The binary `/spq` fast path: the body is one `tthr-rpc`
-/// `TravelTimes` frame, decoded without a JSON value tree; the answer
-/// (success or typed error) is a frame too. Values are the bit-exact
-/// f64 multiset the JSON path would have serialized.
-fn handle_spq_frame<B: ServiceBackend>(
-    service: &QueryService<B>,
-    num_edges: usize,
-    body: &[u8],
-) -> ApiResponse {
-    use tthr_rpc::{decode_frame, encode_frame, Decode, ErrCode, Message};
-    let frame_error = |status: u16, reason: &str| {
+/// Decodes an `/spq` body of either content type — a JSON SPQ, or one
+/// `tthr-rpc` `TravelTimes` frame decoded without a JSON value tree —
+/// into a query whose every edge names an edge of the served network. A
+/// body that does not is answered `400` in its own content type.
+fn decode_spq_body(op: Op, body: &[u8], num_edges: usize) -> Result<Spq, ApiResponse> {
+    if op == Op::Spq {
+        let parsed = json::parse(body)
+            .map_err(|e| ApiResponse::json(400, wire::encode_error(&e.to_string())))?;
+        return wire::decode_spq(&parsed, num_edges)
+            .map_err(|e| ApiResponse::json(400, wire::encode_error(&e)));
+    }
+    let reject = |reason: &str| {
         ApiResponse::frame(
-            status,
+            400,
             encode_frame(&Message::error(ErrCode::BadRequest, reason)),
         )
     };
     let message = match decode_frame(body) {
         Ok(Decode::Done { message, consumed }) if consumed == body.len() => message,
-        Ok(Decode::Done { .. }) => return frame_error(400, "trailing bytes after frame"),
-        Ok(Decode::Incomplete) => return frame_error(400, "truncated frame"),
-        Err(e) => return frame_error(400, &e.to_string()),
+        Ok(Decode::Done { .. }) => return Err(reject("trailing bytes after frame")),
+        Ok(Decode::Incomplete) => return Err(reject("truncated frame")),
+        Err(e) => return Err(reject(&e.to_string())),
     };
     let Message::TravelTimes(query) = message else {
-        return frame_error(400, "expected a TravelTimes frame");
+        return Err(reject("expected a TravelTimes frame"));
     };
-    // Same admission rule as the JSON decoder: every edge id must name an
-    // edge of the served network.
-    if let Err(e) = query.check_edges(num_edges) {
-        return frame_error(400, &e.to_string());
+    query
+        .check_edges(num_edges)
+        .map_err(|e| reject(&e.to_string()))?;
+    Ok(query)
+}
+
+/// Encodes an `/spq` answer in the request's content type: JSON, or a
+/// `TravelTimesResult` frame carrying the bit-exact f64 multiset the JSON
+/// path would have serialized.
+fn encode_spq_answer(op: Op, tt: TravelTimes) -> ApiResponse {
+    if op == Op::Spq {
+        return ApiResponse::json(200, wire::encode_travel_times(&tt));
     }
-    let tt = service.get_travel_times(&query);
     ApiResponse::frame(
         200,
         encode_frame(&Message::TravelTimesResult {

@@ -17,12 +17,18 @@
 //!   are answered `503` + `Retry-After` immediately (load shedding), and
 //!   the connection stays usable.
 //!
+//! One API request never reaches the gate: a `/spq` whose body fits in one
+//! read chunk is decoded on the reactor and its result-cache entry probed
+//! (no index lock, no pool). A hit — or a body that does not decode — is
+//! answered on the spot; a miss is dispatched carrying the decoded query,
+//! so the worker never parses it again.
+//!
 //! Responses travel back over a per-connection write buffer. Because the
 //! pool completes requests in any order while HTTP/1.1 pipelining
 //! requires responses in request order, every request gets a
 //! per-connection sequence number and finished responses wait in a
-//! reorder map until their turn. Workers wake the reactor through a
-//! socketpair byte.
+//! reorder map until their turn — inline answers included. Workers wake
+//! the reactor through a socketpair byte.
 //!
 //! Graceful shutdown: the listener closes, already-accepted requests
 //! (dispatched *and* parked) drain normally, requests parsed after the
@@ -41,6 +47,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use tthr_core::Spq;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
@@ -115,6 +122,7 @@ pub(crate) struct Counters {
     pub bytes_in: AtomicU64,
     pub bytes_out: AtomicU64,
     pub reaped_idle: AtomicU64,
+    pub inline_hits: AtomicU64,
 }
 
 impl Counters {
@@ -132,6 +140,7 @@ impl Counters {
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             reaped_idle: self.reaped_idle.load(Ordering::Relaxed),
+            inline_hits: self.inline_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -174,10 +183,55 @@ impl ApiResponse {
             content_type: Some(crate::http::FRAME_CONTENT_TYPE),
         }
     }
+
+    /// The `500` a panicking handler is answered with.
+    fn internal_error() -> ApiResponse {
+        ApiResponse::json(500, crate::wire::encode_error("internal error"))
+    }
+
+    /// The full HTTP response.
+    fn encode(&self, keep_alive: bool) -> Vec<u8> {
+        match self.content_type {
+            None => http::encode_response(self.status, &self.body, keep_alive, None),
+            Some(ct) => http::encode_response_with_content_type(
+                self.status,
+                &self.body,
+                keep_alive,
+                None,
+                ct,
+            ),
+        }
+    }
 }
 
-/// Decode + execute + encode one API request; runs on a pool worker.
-pub(crate) type ApiHandler = Arc<dyn Fn(Op, &[u8]) -> ApiResponse + Send + Sync>;
+/// An API request on its way to the worker pool.
+pub(crate) enum Job {
+    /// An `/spq` the reactor decoded and found uncached; the [`Op`] picks
+    /// the answer's encoding.
+    Spq(Op, Spq),
+    /// A body the worker decodes: `/trip`, `/batch`, `/append`, and an
+    /// `/spq` body too large to decode on the reactor.
+    Body(Op, Vec<u8>),
+}
+
+/// What the reactor learned from an `/spq` body without the pool.
+pub(crate) enum SpqProbe {
+    /// A result-cache hit, encoded.
+    Hit(ApiResponse),
+    /// A body that does not decode to a query of the served network: the
+    /// `400` the pool would have answered (or, from the reactor itself,
+    /// the `500` for a probe that panicked).
+    Rejected(ApiResponse),
+    /// Decoded, not cached: the pool runs it.
+    Miss(Spq),
+}
+
+/// Execute (decoding first if the job carries a body) and encode one API
+/// request; runs on a pool worker.
+pub(crate) type ApiHandler = Arc<dyn Fn(Job) -> ApiResponse + Send + Sync>;
+/// Decode an `/spq` body and probe the result cache; runs inline on the
+/// reactor and never takes the index lock.
+pub(crate) type SpqHandler = Arc<dyn Fn(Op, &[u8]) -> SpqProbe + Send + Sync>;
 /// Render the `/stats` body; runs inline on the reactor.
 pub(crate) type StatsHandler = Arc<dyn Fn(ServerMetrics) -> String + Send + Sync>;
 /// Render the `/metrics` Prometheus exposition; runs inline on the
@@ -198,6 +252,7 @@ pub(crate) type Executor = Arc<dyn Fn(Box<dyn FnOnce() + Send>) + Send + Sync>;
 #[derive(Clone)]
 pub(crate) struct Handlers {
     pub api: ApiHandler,
+    pub spq: SpqHandler,
     pub health: HealthHandler,
     pub stats: StatsHandler,
     pub metrics: MetricsHandler,
@@ -217,7 +272,7 @@ struct Conn {
     /// Out-of-order finished responses: seq → (bytes, close-after).
     pending: BTreeMap<u64, (Vec<u8>, bool)>,
     /// The one request waiting for a queue slot (backpressure parking).
-    parked: Option<(u64, Op, Vec<u8>, bool)>,
+    parked: Option<(u64, Job, bool)>,
     /// In-order responses awaiting the socket, oldest first. Each encoded
     /// response is **moved** here (never recopied into a flat buffer) and
     /// freed the moment it is fully written, so a connection's retained
@@ -532,37 +587,27 @@ impl Reactor {
 
         let op = match (request.method.as_str(), request.target.as_str()) {
             ("GET", "/health") => {
-                let body = (self.handlers.health)();
-                let bytes = http::encode_response(200, body.as_bytes(), keep_alive, None);
-                self.shared.counters.count_status(200);
-                self.finish(token, seq, bytes, !keep_alive);
+                let response = ApiResponse::json(200, (self.handlers.health)());
+                self.respond(token, seq, &response, keep_alive);
                 return;
             }
             ("GET", "/stats") => {
                 let body = (self.handlers.stats)(self.shared.counters.snapshot());
-                let bytes = http::encode_response(200, body.as_bytes(), keep_alive, None);
-                self.shared.counters.count_status(200);
-                self.finish(token, seq, bytes, !keep_alive);
+                self.respond(token, seq, &ApiResponse::json(200, body), keep_alive);
                 return;
             }
             ("GET", "/metrics") => {
-                let body = (self.handlers.metrics)(self.shared.counters.snapshot());
-                let bytes = http::encode_response_with_content_type(
-                    200,
-                    body.as_bytes(),
-                    keep_alive,
-                    None,
-                    http::PROMETHEUS_CONTENT_TYPE,
-                );
-                self.shared.counters.count_status(200);
-                self.finish(token, seq, bytes, !keep_alive);
+                let response = ApiResponse {
+                    status: 200,
+                    body: (self.handlers.metrics)(self.shared.counters.snapshot()).into_bytes(),
+                    content_type: Some(http::PROMETHEUS_CONTENT_TYPE),
+                };
+                self.respond(token, seq, &response, keep_alive);
                 return;
             }
             ("GET", "/debug/slow") => {
-                let body = (self.handlers.slow)();
-                let bytes = http::encode_response(200, body.as_bytes(), keep_alive, None);
-                self.shared.counters.count_status(200);
-                self.finish(token, seq, bytes, !keep_alive);
+                let response = ApiResponse::json(200, (self.handlers.slow)());
+                self.respond(token, seq, &response, keep_alive);
                 return;
             }
             // The frame content type selects the binary fast path: the
@@ -627,16 +672,49 @@ impl Reactor {
             return;
         }
 
-        self.admit(token, seq, op, request.body, keep_alive);
+        // An `/spq` that fits in one read chunk is decoded here, once: the
+        // bound keeps the reactor's share of a request small.
+        let job = if matches!(op, Op::Spq | Op::SpqFrame)
+            && request.body.len() <= BUF_RETAIN_WATERMARK
+        {
+            let spq = &self.handlers.spq;
+            let probe =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spq(op, &request.body)))
+                    .unwrap_or_else(|_| SpqProbe::Rejected(ApiResponse::internal_error()));
+            match probe {
+                SpqProbe::Hit(response) => {
+                    self.shared
+                        .counters
+                        .inline_hits
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.respond(token, seq, &response, keep_alive);
+                    return;
+                }
+                SpqProbe::Rejected(response) => {
+                    self.respond(token, seq, &response, keep_alive);
+                    return;
+                }
+                SpqProbe::Miss(query) => Job::Spq(op, query),
+            }
+        } else {
+            Job::Body(op, request.body)
+        };
+        self.admit(token, seq, job, keep_alive);
+    }
+
+    /// Answers a request on the reactor.
+    fn respond(&mut self, token: u64, seq: u64, response: &ApiResponse, keep_alive: bool) {
+        self.shared.counters.count_status(response.status);
+        self.finish(token, seq, response.encode(keep_alive), !keep_alive);
     }
 
     /// The backpressure gate: dispatch into a free queue slot, park under
     /// the watermark, shed past it.
-    fn admit(&mut self, token: u64, seq: u64, op: Op, body: Vec<u8>, keep_alive: bool) {
+    fn admit(&mut self, token: u64, seq: u64, job: Job, keep_alive: bool) {
         if self.shared.inflight.load(Ordering::SeqCst) < self.config.queue_cap {
-            self.dispatch(token, seq, op, body, keep_alive);
+            self.dispatch(token, seq, job, keep_alive);
         } else {
-            self.park_or_shed(token, seq, op, body, keep_alive);
+            self.park_or_shed(token, seq, job, keep_alive);
         }
     }
 
@@ -644,7 +722,7 @@ impl Reactor {
     /// Callers have checked `inflight < queue_cap`; the reactor thread is
     /// the only incrementer (workers only decrement), so the
     /// check-then-add cannot overshoot the cap.
-    fn dispatch(&mut self, token: u64, seq: u64, op: Op, body: Vec<u8>, keep_alive: bool) {
+    fn dispatch(&mut self, token: u64, seq: u64, job: Job, keep_alive: bool) {
         let now_inflight = self.shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         debug_assert!(now_inflight <= self.config.queue_cap);
         self.shared
@@ -659,21 +737,10 @@ impl Reactor {
             if let Some(delay) = worker_delay {
                 std::thread::sleep(delay);
             }
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| api(op, &body)));
-            let response = result.unwrap_or_else(|_| {
-                ApiResponse::json(500, crate::wire::encode_error("internal error"))
-            });
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| api(job)));
+            let response = result.unwrap_or_else(|_| ApiResponse::internal_error());
             shared.counters.count_status(response.status);
-            let bytes = match response.content_type {
-                None => http::encode_response(response.status, &response.body, keep_alive, None),
-                Some(ct) => http::encode_response_with_content_type(
-                    response.status,
-                    &response.body,
-                    keep_alive,
-                    None,
-                    ct,
-                ),
-            };
+            let bytes = response.encode(keep_alive);
             shared
                 .completions
                 .lock()
@@ -690,13 +757,13 @@ impl Reactor {
     }
 
     /// Queue-full path: park under the watermark, shed past it.
-    fn park_or_shed(&mut self, token: u64, seq: u64, op: Op, body: Vec<u8>, keep_alive: bool) {
+    fn park_or_shed(&mut self, token: u64, seq: u64, job: Job, keep_alive: bool) {
         if self.parked_count < self.config.shed_watermark {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
             debug_assert!(conn.parked.is_none());
-            conn.parked = Some((seq, op, body, keep_alive));
+            conn.parked = Some((seq, job, keep_alive));
             self.parked.push_back(token);
             self.parked_count += 1;
             // `wants_read` is now false: the reactor stops reading this
@@ -715,10 +782,8 @@ impl Reactor {
     }
 
     fn respond_error(&mut self, token: u64, seq: u64, status: u16, reason: &str, keep_alive: bool) {
-        self.shared.counters.count_status(status);
-        let body = crate::wire::encode_error(reason);
-        let bytes = http::encode_response(status, body.as_bytes(), keep_alive, None);
-        self.finish(token, seq, bytes, !keep_alive);
+        let response = ApiResponse::json(status, crate::wire::encode_error(reason));
+        self.respond(token, seq, &response, keep_alive);
     }
 
     /// Hands a finished response to the connection's reorder map, stages
@@ -858,12 +923,12 @@ impl Reactor {
                 self.parked_count -= 1;
                 continue;
             };
-            let Some((seq, op, body, keep_alive)) = conn.parked.take() else {
+            let Some((seq, job, keep_alive)) = conn.parked.take() else {
                 self.parked_count -= 1;
                 continue;
             };
             self.parked_count -= 1;
-            self.dispatch(token, seq, op, body, keep_alive);
+            self.dispatch(token, seq, job, keep_alive);
             // The connection can read (and possibly park) again.
             self.advance_conn(token);
             self.update_interest(token);
@@ -1027,7 +1092,8 @@ mod tests {
     /// can drive the reactor's methods directly without a pool.
     fn sync_handlers() -> Handlers {
         Handlers {
-            api: Arc::new(|_, _| ApiResponse::json(200, "{}".to_string())),
+            api: Arc::new(|_| ApiResponse::json(200, "{}".to_string())),
+            spq: Arc::new(|_, _| SpqProbe::Rejected(ApiResponse::json(400, "{}".to_string()))),
             health: Arc::new(|| "{\"status\":\"ok\"}".to_string()),
             stats: Arc::new(|_| String::new()),
             metrics: Arc::new(|_| String::new()),
@@ -1036,19 +1102,13 @@ mod tests {
         }
     }
 
-    fn test_reactor() -> (Reactor, std::net::SocketAddr) {
+    fn test_reactor(handlers: Handlers) -> (Reactor, std::net::SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let (shared, wake_rx) = test_shared();
-        let reactor = Reactor::new(
-            listener,
-            wake_rx,
-            ServerConfig::default(),
-            shared,
-            sync_handlers(),
-        )
-        .unwrap();
+        let reactor =
+            Reactor::new(listener, wake_rx, ServerConfig::default(), shared, handlers).unwrap();
         (reactor, addr)
     }
 
@@ -1101,7 +1161,7 @@ mod tests {
     /// drained buffer must give the excess back to the allocator.
     #[test]
     fn drained_read_buffer_shrinks_to_the_watermark() {
-        let (mut reactor, addr) = test_reactor();
+        let (mut reactor, addr) = test_reactor(sync_handlers());
         let mut client = std::net::TcpStream::connect(addr).unwrap();
         let body = vec![b'x'; 256 * 1024];
         let mut request = format!(
@@ -1140,11 +1200,79 @@ mod tests {
         let _client = writer.join().unwrap();
     }
 
+    /// A cache hit is answered on the reactor — no pool job — yet waits
+    /// its turn behind an earlier miss on the same connection; a probe
+    /// that panics is answered `500`, as a panicking worker is.
+    #[test]
+    fn inline_hits_answer_in_pipelining_order() {
+        let (queue, queued) = std::sync::mpsc::channel();
+        let miss = Spq::new(
+            tthr_network::Path::new(vec![tthr_network::EdgeId(0)]),
+            tthr_core::TimeInterval::fixed(0, 1),
+        );
+        let handlers = Handlers {
+            api: Arc::new(|_| ApiResponse::json(200, "\"pool\"".to_string())),
+            spq: Arc::new(move |_, body| match body {
+                b"hit" => SpqProbe::Hit(ApiResponse::json(200, "\"reactor\"".to_string())),
+                b"panic" => panic!("probe bug"),
+                _ => SpqProbe::Miss(miss.clone()),
+            }),
+            exec: Arc::new(move |job| queue.send(job).unwrap()),
+            ..sync_handlers()
+        };
+        let (mut reactor, addr) = test_reactor(handlers);
+        let mut client = std::net::TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let burst: String = ["miss", "hit", "panic"]
+            .iter()
+            .map(|body| {
+                let len = body.len();
+                format!("POST /spq HTTP/1.1\r\ncontent-length: {len}\r\n\r\n{body}")
+            })
+            .collect();
+        client.write_all(burst.as_bytes()).unwrap();
+
+        let token = accept_one(&mut reactor);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reactor.conns[&token].next_seq < 3 {
+            reactor.read_conn(token);
+            assert!(Instant::now() < deadline, "burst never parsed");
+        }
+        reactor.flush_dirty();
+        let counters = Arc::clone(&reactor.shared.counters);
+        assert_eq!(counters.inline_hits.load(Ordering::Relaxed), 1);
+        let jobs: Vec<_> = queued.try_iter().collect();
+        assert_eq!(jobs.len(), 1, "only the miss is pool work");
+        assert!(
+            reactor.conns[&token].write_queue.is_empty(),
+            "nothing may overtake the miss"
+        );
+
+        for job in jobs {
+            job();
+        }
+        reactor.process_completions();
+        reactor.flush_dirty();
+        let mut replies = String::new();
+        while replies.matches("HTTP/1.1").count() < 3 || !replies.ends_with('}') {
+            let mut chunk = [0u8; 1024];
+            let n = client.read(&mut chunk).expect("replies arrive");
+            assert!(n > 0, "closed early: {replies}");
+            replies.push_str(std::str::from_utf8(&chunk[..n]).unwrap());
+        }
+        let at = |needle: &str| replies.find(needle).expect(needle);
+        assert!(at("\"pool\"") < at("\"reactor\""), "{replies}");
+        assert!(at("\"reactor\"") < at("500"), "{replies}");
+        assert_eq!(counters.server_errors.load(Ordering::Relaxed), 1);
+    }
+
     /// Closed connections donate their (emptied, capped) read buffers to
     /// the reactor's pool, and the next accept reuses one.
     #[test]
     fn closed_connection_read_buffers_are_recycled() {
-        let (mut reactor, addr) = test_reactor();
+        let (mut reactor, addr) = test_reactor(sync_handlers());
         let _c1 = std::net::TcpStream::connect(addr).unwrap();
         let token = accept_one(&mut reactor);
         // Give the buffer some capacity so reuse is observable.

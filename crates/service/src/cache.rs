@@ -189,29 +189,38 @@ impl ShardedCache {
         }
     }
 
-    fn shard_of(&self, key: &Spq) -> &Mutex<Shard> {
+    /// The shard a query's entry lives in; [`ShardedCache::clear`] sweeps
+    /// shards in index order.
+    pub(crate) fn shard_index(&self, key: &Spq) -> usize {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+        (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// Looks a query up, refreshing its recency on a hit.
+    fn shard_of(&self, key: &Spq) -> &Mutex<Shard> {
+        &self.shards[self.shard_index(key)]
+    }
+
+    /// Looks a query up, refreshing its recency on a hit; counts the hit
+    /// or the miss.
     pub fn get(&self, key: &Spq) -> Option<TravelTimes> {
-        if self.per_shard_capacity == 0 {
+        let hit = self.probe(key);
+        if hit.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// [`ShardedCache::get`] that counts only a hit: for a caller whose
+    /// miss falls through to one that looks the query up again with
+    /// [`ShardedCache::get`], so every request counts once.
+    pub fn probe(&self, key: &Spq) -> Option<TravelTimes> {
+        if self.per_shard_capacity == 0 {
             return None;
         }
-        let hit = self.shard_of(key).lock().expect("cache shard").get(key);
-        match hit {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = self.shard_of(key).lock().expect("cache shard").get(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
     }
 
     /// Stores a result, evicting the shard's least-recently-used entry if
@@ -282,6 +291,15 @@ impl ShardedCache {
 }
 
 #[cfg(test)]
+impl ShardedCache {
+    /// Holds shard `i`'s lock until the returned guard drops: a
+    /// [`ShardedCache::clear`] started meanwhile stalls at shard `i`.
+    pub(crate) fn hold_shard(&self, i: usize) -> impl Sized + '_ {
+        self.shards[i].lock().expect("cache shard")
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use tthr_core::TimeInterval;
@@ -312,6 +330,23 @@ mod tests {
         let c = cache.counters();
         assert_eq!((c.hits, c.misses, c.entries), (1, 2, 1));
         assert!(c.hit_rate() > 0.3 && c.hit_rate() < 0.4);
+    }
+
+    /// A probe refreshes recency and counts its hit, but leaves a miss
+    /// uncounted for the lookup that follows it.
+    #[test]
+    fn probe_counts_only_hits() {
+        let cache = ShardedCache::new(1, 2);
+        assert_eq!(cache.probe(&q(0, 0)), None);
+        assert_eq!(cache.counters().misses, 0);
+        cache.insert(q(0, 0), v(0.0));
+        cache.insert(q(1, 0), v(1.0));
+        assert_eq!(cache.probe(&q(0, 0)), Some(v(0.0)), "refresh key 0");
+        cache.insert(q(2, 0), v(2.0));
+        assert_eq!(cache.probe(&q(1, 0)), None, "key 1 was LRU");
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses), (1, 0));
+        assert_eq!(ShardedCache::new(4, 0).probe(&q(0, 0)), None);
     }
 
     #[test]

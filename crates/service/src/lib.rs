@@ -82,7 +82,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use tthr_core::{
     CompactionOutcome, HotStats, QueryEngine, QueryEngineConfig, QueryTrace, SearchScratch,
-    ShardedSntIndex, SntIndex, Spq, TimeInterval, TravelTimeProvider, TravelTimes, TripQuery,
+    ShardStats, ShardedSntIndex, SntIndex, Spq, TimeInterval, TravelTimeProvider, TravelTimes,
+    TripQuery,
 };
 use tthr_metrics::{LogHistogram, MetricsRegistry};
 use tthr_network::{RoadNetwork, Timestamp};
@@ -209,6 +210,33 @@ struct Inner<B: ServiceBackend> {
     /// leader commits the whole queue with a single WAL fsync (see
     /// [`group_commit`]).
     group: GroupCommit,
+    /// The index as `/health` and `/metrics` report it, republished by
+    /// every writer before it releases the append serialization point
+    /// ([`with_appender`]). The mutex guards only the pointer swap, so a
+    /// reader never waits behind index work.
+    summary: Mutex<Arc<IndexSummary>>,
+}
+
+/// The index state the liveness and scrape endpoints read: sizes, the
+/// hot-tail backlog and the per-shard counters. Every field changes only
+/// under the append serialization point, so the copy published there is
+/// exact until the next writer.
+struct IndexSummary {
+    trajectories: usize,
+    partitions: usize,
+    hot: HotStats,
+    shards: Option<Vec<ShardStats>>,
+}
+
+impl IndexSummary {
+    fn of<B: ServiceBackend>(index: &B) -> Arc<IndexSummary> {
+        Arc::new(IndexSummary {
+            trajectories: index.num_trajectories(),
+            partitions: index.num_partitions(),
+            hot: index.hot_stats(),
+            shards: index.shard_stats(),
+        })
+    }
 }
 
 impl<B: ServiceBackend> Inner<B> {
@@ -221,6 +249,11 @@ impl<B: ServiceBackend> Inner<B> {
         self.metrics.note_trace(trace);
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.slow.observe(endpoint.name(), path_len, ns, trace);
+    }
+
+    /// The last published [`IndexSummary`].
+    fn summary(&self) -> Arc<IndexSummary> {
+        Arc::clone(&self.summary.lock().expect("summary lock"))
     }
 
     /// A search scratch with this service's trace-timing policy applied.
@@ -395,18 +428,25 @@ impl<B: ServiceBackend> Appender<'_, B> {
 /// Runs `f` holding the append serialization point: other appenders,
 /// compactions and snapshot rotations are excluded for its whole duration
 /// (lock order: index, then the append permit, then the persist mutex).
+/// Before releasing it, publishes the [`IndexSummary`] `f` left behind.
 fn with_appender<B: ServiceBackend, R>(
     inner: &Inner<B>,
     f: impl FnOnce(Appender<'_, B>) -> R,
 ) -> R {
+    let publish =
+        |index: &B| *inner.summary.lock().expect("summary lock") = IndexSummary::of(index);
     if B::SHARED_APPENDS {
         let index = inner.index.read().expect("index lock");
         let permit = index.append_permit();
         debug_assert!(permit.is_some(), "SHARED_APPENDS promises a permit");
-        f(Appender::Shared(&*index))
+        let result = f(Appender::Shared(&*index));
+        publish(&index);
+        result
     } else {
         let mut index = inner.index.write().expect("index lock");
-        f(Appender::Exclusive(&mut index))
+        let result = f(Appender::Exclusive(&mut index));
+        publish(&index);
+        result
     }
 }
 
@@ -439,14 +479,17 @@ fn compact_on<B: ServiceBackend>(inner: &Inner<B>) -> Result<CompactionOutcome, 
         inner.generation.fetch_add(bump, Ordering::SeqCst);
         let outcome = index.compact(horizon);
         inner.generation.fetch_add(bump, Ordering::SeqCst);
+        if outcome.dropped_partitions > 0 {
+            // Retention changed answers; every cached entry may be stale.
+            // Cleared before the serialization point is released, so no
+            // reader that saw the post-retention index can be followed by
+            // a cache hit from before it. (Pure sealing never clears:
+            // cached answers are byte-identical across it — the hot-tail
+            // equivalence invariant.)
+            inner.cache.clear();
+        }
         outcome
     });
-    if outcome.dropped_partitions > 0 {
-        // Retention changed answers; every cached entry may be stale.
-        // (Pure sealing never clears: cached answers are byte-identical
-        // across it — the hot-tail equivalence invariant.)
-        inner.cache.clear();
-    }
     let m = &inner.metrics;
     m.compaction_duration_ns
         .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -517,6 +560,7 @@ impl<B: ServiceBackend> QueryService<B> {
             .hot_tail
             .then_some(config.ingest.compaction_interval)
             .flatten();
+        let summary = Mutex::new(IndexSummary::of(&index));
         let service = QueryService {
             inner: Arc::new(Inner {
                 index: RwLock::new(index),
@@ -531,6 +575,7 @@ impl<B: ServiceBackend> QueryService<B> {
                 generation: AtomicU64::new(0),
                 persist: Mutex::new(None),
                 group: GroupCommit::new(),
+                summary,
             }),
             pool: Arc::new(ThreadPool::new(threads)),
         };
@@ -586,6 +631,27 @@ impl<B: ServiceBackend> QueryService<B> {
             &scratch.trace,
         );
         result
+    }
+
+    /// The cached answer to an SPQ, or `None` — without the index lock, a
+    /// search scratch or the pool. A front-end answers a hit on the spot
+    /// and hands a miss to [`QueryService::get_travel_times`].
+    ///
+    /// A hit counts once, as [`QueryService::get_travel_times`] would
+    /// count it (cache counter, trace, request log); a miss is left
+    /// uncounted for the lookup that follows it. Every writer evicts what
+    /// it made stale before it acknowledges, so a hit served while a write
+    /// is in flight is ordered before that write.
+    pub fn cached_travel_times(&self, spq: &Spq) -> Option<TravelTimes> {
+        let start = Instant::now();
+        let hit = self.inner.cache.probe(spq)?;
+        let trace = QueryTrace {
+            cache_hits: 1,
+            ..QueryTrace::default()
+        };
+        self.inner
+            .observe(Endpoint::Spq, start.elapsed(), spq.path.len(), &trace);
+        Some(hit)
     }
 
     /// Answers a trip query on the calling thread; identical results to
@@ -917,13 +983,16 @@ impl<B: ServiceBackend> QueryService<B> {
     }
 
     /// Pending hot-tail accounting (batches, entries, approximate heap
-    /// bytes; summed across shards on a sharded backend).
+    /// bytes; summed across shards on a sharded backend) as of the last
+    /// completed write — read without the index lock.
     pub fn hot_stats(&self) -> HotStats {
-        self.with_index(|i| i.hot_stats())
+        self.inner.summary().hot
     }
 
     /// Ingestion-lifecycle status: the hot-tail backlog plus cumulative
     /// compaction counters — what the server's `/health` endpoint reports.
+    /// Never waits on the index lock, so it answers while a write holds
+    /// or awaits it.
     pub fn ingest_status(&self) -> IngestStatus {
         let m = &self.inner.metrics;
         IngestStatus {
@@ -945,9 +1014,7 @@ impl<B: ServiceBackend> QueryService<B> {
         if !ingest.hot_tail || ingest.hot_max_entries == 0 {
             return;
         }
-        if self.with_index(|i| i.hot_stats().entries) >= ingest.hot_max_entries
-            && self.compact_now().is_err()
-        {
+        if self.hot_stats().entries >= ingest.hot_max_entries && self.compact_now().is_err() {
             self.inner.metrics.compaction_errors.inc();
         }
     }
@@ -1004,29 +1071,24 @@ impl<B: ServiceBackend> QueryService<B> {
     /// Renders every registry series in the Prometheus text exposition
     /// format, after mirroring the scrape-time values (cache counters,
     /// index generation and size, per-shard series) into the registry.
+    /// The index values come from the last completed write's summary, so
+    /// a scrape never waits on the index lock.
     pub fn render_metrics(&self) -> String {
         let m = &self.inner.metrics;
         m.mirror_cache(&self.inner.cache.counters());
         m.generation.set(
             i64::try_from(self.inner.generation.load(Ordering::SeqCst) / 2).unwrap_or(i64::MAX),
         );
-        {
-            let index = self.inner.index.read().expect("index lock");
-            m.index_trajectories
-                .set(i64::try_from(index.num_trajectories()).unwrap_or(i64::MAX));
-            m.index_partitions
-                .set(i64::try_from(index.num_partitions()).unwrap_or(i64::MAX));
-            if let Some(shards) = index.shard_stats() {
-                m.mirror_shards(&shards);
-            }
-            let hot = index.hot_stats();
-            m.hot_tail_batches
-                .set(i64::try_from(hot.batches).unwrap_or(i64::MAX));
-            m.hot_tail_entries
-                .set(i64::try_from(hot.entries).unwrap_or(i64::MAX));
-            m.hot_tail_bytes
-                .set(i64::try_from(hot.bytes).unwrap_or(i64::MAX));
+        let index = self.inner.summary();
+        let gauge = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
+        m.index_trajectories.set(gauge(index.trajectories));
+        m.index_partitions.set(gauge(index.partitions));
+        if let Some(shards) = &index.shards {
+            m.mirror_shards(shards);
         }
+        m.hot_tail_batches.set(gauge(index.hot.batches));
+        m.hot_tail_entries.set(gauge(index.hot.entries));
+        m.hot_tail_bytes.set(gauge(index.hot.bytes));
         m.registry.render()
     }
 
@@ -1647,6 +1709,132 @@ mod tests {
             !s.compact_now().unwrap().changed(),
             "second pass is a no-op"
         );
+    }
+
+    /// Regression: retention's cache clear ran after the index write lock
+    /// was released, so a reader could take the lock, answer from the
+    /// post-retention index, and still find pre-retention entries in the
+    /// cache. With the clear stalled at cache shard 0, the index must stay
+    /// locked until the clear is done.
+    #[test]
+    fn retention_clear_lands_before_the_appender_releases_the_index() {
+        let s = &hot_service(
+            2,
+            IngestConfig {
+                hot_tail: true,
+                retention: Some(Duration::from_secs(50)),
+                ..IngestConfig::default()
+            },
+        );
+        let mut grown = example_trajectories();
+        grown
+            .push(UserId(9), vec![TrajEntry::new(EDGE_A, 1000, 3.0)])
+            .unwrap();
+        assert_eq!(s.append_batch(&grown).unwrap(), 1);
+        // Entries the retention pass makes stale, outside the held shard.
+        let cache = &s.inner.cache;
+        let queries: Vec<Spq> = (0..8)
+            .map(|k| Spq::new(Path::new(vec![EDGE_A]), TimeInterval::fixed(0, 2000 + k)))
+            .filter(|q| cache.shard_index(q) != 0)
+            .collect();
+        assert!(!queries.is_empty());
+        for q in &queries {
+            assert_eq!(s.get_travel_times(q).len(), 5);
+        }
+        let settled = s.inner.generation.load(Ordering::SeqCst) + 2;
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            // Owned here, so a failed assertion drops it and frees the shard.
+            let release_tx = release_tx;
+            scope.spawn(move || {
+                let _shard = cache.hold_shard(0);
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            });
+            held_rx.recv().unwrap();
+            let compaction = scope.spawn(|| s.compact_now());
+            // The pass has finished its index work; its clear is stalled.
+            while s.inner.generation.load(Ordering::SeqCst) != settled {
+                std::thread::yield_now();
+            }
+            let deadline = Instant::now() + Duration::from_millis(200);
+            while Instant::now() < deadline {
+                if let Ok(_index) = s.inner.index.try_read() {
+                    for q in &queries {
+                        assert_eq!(cache.probe(q), None, "stale hit after the index unlocked");
+                    }
+                }
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+            let outcome = compaction.join().unwrap().unwrap();
+            assert!(outcome.dropped_partitions >= 1, "the old build expired");
+        });
+        for q in &queries {
+            assert_eq!(s.get_travel_times(q).len(), 1);
+        }
+    }
+
+    /// `/health` and `/metrics` read what they report without the index
+    /// lock: with a reader holding it and an append queued behind it (so
+    /// the lock refuses new readers), both still answer, and once the
+    /// append lands they report it.
+    #[test]
+    fn ingest_status_and_metrics_answer_while_an_append_waits_for_the_lock() {
+        let s = &hot_service(
+            2,
+            IngestConfig {
+                hot_tail: true,
+                ..IngestConfig::default()
+            },
+        );
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (answered_tx, answered_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                s.with_index(|_| {
+                    held_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            });
+            held_rx.recv().unwrap();
+            let appender = scope.spawn(|| s.append_new(None, &[ninth()]));
+            while s.inner.index.try_read().is_ok() {
+                std::thread::yield_now();
+            }
+            scope.spawn(move || answered_tx.send((s.ingest_status(), s.render_metrics())));
+            let answered = answered_rx.recv_timeout(Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            let (status, text) = answered.expect("waited on the index lock");
+            assert_eq!(status.hot, HotStats::default());
+            assert!(text.contains("tthr_index_trajectories 4"), "{text}");
+            assert_eq!(appender.join().unwrap().unwrap(), 1);
+        });
+        assert_eq!(s.ingest_status().hot.batches, 1);
+        assert!(s.render_metrics().contains("tthr_index_trajectories 5"));
+    }
+
+    /// A cache probe counts a hit exactly as `get_travel_times` would and
+    /// leaves a miss to the lookup that follows it: every request counts
+    /// once.
+    #[test]
+    fn cached_travel_times_counts_each_request_once() {
+        let s = service(2);
+        assert_eq!(s.cached_travel_times(&abe()), None);
+        let counts = |s: &QueryService| {
+            let stats = s.stats();
+            (stats.spq_queries, stats.cache.hits, stats.cache.misses)
+        };
+        assert_eq!(counts(&s), (0, 0, 0), "a miss is left uncounted");
+        let computed = s.get_travel_times(&abe());
+        assert_eq!(s.cached_travel_times(&abe()), Some(computed));
+        assert_eq!(counts(&s), (2, 1, 1));
+        let hit = s.slow_queries();
+        assert!(hit
+            .iter()
+            .any(|q| q.trace.cache_hits == 1 && q.trace.cache_misses == 0));
     }
 
     /// An append that pushes the hot tail past `hot_max_entries` compacts

@@ -117,6 +117,18 @@ pub fn encode_request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Serializes a binary `/spq` request carrying one `tthr-rpc` frame.
+pub fn encode_frame_request(frame: &[u8]) -> Vec<u8> {
+    let mut out = format!(
+        "POST /spq HTTP/1.1\r\nhost: test\r\ncontent-type: {}\r\ncontent-length: {}\r\n\r\n",
+        tthr::server::http::FRAME_CONTENT_TYPE,
+        frame.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(frame);
+    out
+}
+
 /// One-shot convenience: connect, request, disconnect.
 pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> Response {
     HttpClient::connect(addr).request("POST", path, body)

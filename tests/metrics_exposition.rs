@@ -16,10 +16,11 @@
 mod common;
 
 use common::differential::QueryGen;
-use common::http::HttpClient;
+use common::http::{encode_frame_request, HttpClient};
 use common::prefix_set;
 use std::sync::Arc;
-use tthr::core::{ShardedSntIndex, SntConfig, Spq, TimeInterval};
+use tthr::core::{ShardedSntIndex, SntConfig, SntIndex, Spq, TimeInterval};
+use tthr::rpc::{encode_frame, Message};
 use tthr::server::{serve, wire, ServerConfig};
 use tthr::service::{QueryService, ServiceConfig};
 
@@ -80,6 +81,7 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
                 let mut client = HttpClient::connect(addr);
                 let mut last_requests = 0.0f64;
                 let mut last_rank_ops = 0.0f64;
+                let mut last_inline = 0.0f64;
                 for _ in 0..15 {
                     let scrape = client.request("GET", "/metrics", b"");
                     assert_eq!(scrape.status, 200);
@@ -90,10 +92,14 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
                         series_value(text, "tthr_server_requests_total").expect("server counter");
                     let rank_ops =
                         series_value(text, "tthr_rank_ops_total").expect("trace counter");
+                    let inline = series_value(text, "tthr_server_inline_hits_total")
+                        .expect("inline-hit counter");
                     assert!(requests >= last_requests, "requests went backwards");
                     assert!(rank_ops >= last_rank_ops, "rank_ops went backwards");
+                    assert!(inline >= last_inline, "inline hits went backwards");
                     last_requests = requests;
                     last_rank_ops = rank_ops;
+                    last_inline = inline;
 
                     let slow = client.request("GET", "/debug/slow", b"");
                     assert_eq!(slow.status, 200);
@@ -167,6 +173,70 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
     assert!(series_value(text, "tthr_server_requests_total").unwrap() >= 120.0);
     assert!(series_value(text, "tthr_spq_pruned_total").unwrap() >= 1.0);
 
+    server.shutdown();
+}
+
+/// Every `/spq` is counted once however it is answered — from the cache
+/// on the reactor, by the pool after the reactor decoded it and missed, or
+/// by the pool from a body too large to decode on the reactor: cache hits
+/// plus misses equal the requests, and so does `spq_queries`.
+#[test]
+fn every_spq_counts_once() {
+    let (syn, set) = common::small_world();
+    let network = Arc::new(syn.network);
+    let service = QueryService::new(
+        SntIndex::build(&network, &set, SntConfig::default()),
+        network,
+        ServiceConfig {
+            num_threads: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let server = serve(service.clone(), "127.0.0.1:0", ServerConfig::default()).expect("boot");
+    let mut client = HttpClient::connect(server.local_addr());
+    let mut gen = QueryGen::new("spq_counted_once");
+    let queries: Vec<Spq> = (0..6).map(|_| gen.spq_from(&set, set.len())).collect();
+    let padding = " ".repeat(20 * 1024);
+    let mut asked = 0u64;
+    let mut last_inline = 0.0f64;
+    for round in 0..4 {
+        for q in &queries {
+            let body = wire::encode_spq(q);
+            let response = match round {
+                0 | 1 => client.request("POST", "/spq", body.as_bytes()),
+                2 => {
+                    let frame = encode_frame(&Message::TravelTimes(q.clone()));
+                    client.send_raw(&encode_frame_request(&frame));
+                    client.read_response()
+                }
+                _ => {
+                    let padded = format!("{{{padding}{}", &body[1..]);
+                    client.request("POST", "/spq", padded.as_bytes())
+                }
+            };
+            assert_eq!(response.status, 200);
+            asked += 1;
+            let scrape = client.request("GET", "/metrics", b"");
+            let inline = series_value(scrape.body_str(), "tthr_server_inline_hits_total")
+                .expect("inline-hit counter");
+            assert!(inline >= last_inline, "inline hits went backwards");
+            last_inline = inline;
+        }
+    }
+    let text = client
+        .request("GET", "/metrics", b"")
+        .body_str()
+        .to_string();
+    let hits = series_value(&text, "tthr_cache_hits_total").expect("hits");
+    let misses = series_value(&text, "tthr_cache_misses_total").expect("misses");
+    assert_eq!(hits + misses, asked as f64, "{text}");
+    assert!(
+        misses <= queries.len() as f64,
+        "a miss counted twice: {text}"
+    );
+    assert_eq!(service.stats().spq_queries, asked);
+    // Rounds 1 and 2 repeat round 0: every one of them is an inline hit.
+    assert!(last_inline >= 2.0 * queries.len() as f64, "{text}");
     server.shutdown();
 }
 

@@ -12,21 +12,32 @@
 //!   valid request gets the valid response, then `400`, then a clean
 //!   close;
 //! * graceful shutdown drains in-flight requests to the last byte while
-//!   refusing new ones with `503` + `connection: close`.
+//!   refusing new ones with `503` + `connection: close`;
+//! * a cached `/spq` is answered by the reactor without a queue slot,
+//!   in pipelining order, and without ever waiting on the index lock —
+//!   but not after shutdown began.
 
 mod common;
 
-use common::http::{encode_request, HttpClient};
+use common::http::{encode_frame_request, encode_request, HttpClient};
 use common::prefix_set;
+use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tthr::core::{SntConfig, SntIndex, Spq, TimeInterval};
-use tthr::server::{serve, wire, ServerConfig, ServerHandle};
+use tthr::rpc::{decode_frame, encode_frame, ErrCode, Message};
+use tthr::server::{json, serve, wire, ServerConfig, ServerHandle};
 use tthr::service::{QueryService, ServiceConfig};
 use tthr::trajectory::TrajId;
 
 /// A served world plus a query whose path certainly matches data.
 fn boot(threads: usize, config: ServerConfig) -> (ServerHandle, Spq) {
+    let (service, spq) = world(threads);
+    (serve(service, "127.0.0.1:0", config).expect("boot"), spq)
+}
+
+/// [`boot`]'s service before it is served, and its query.
+fn world(threads: usize) -> (QueryService, Spq) {
     let (syn, set) = common::small_world();
     let initial = prefix_set(&set, set.len());
     let network = Arc::new(syn.network);
@@ -44,7 +55,22 @@ fn boot(threads: usize, config: ServerConfig) -> (ServerHandle, Spq) {
         tr.path().sub_path(0..path_len),
         TimeInterval::fixed(0, i64::MAX / 4),
     );
-    (serve(service, "127.0.0.1:0", config).expect("boot"), spq)
+    (service, spq)
+}
+
+/// A query no other test asks, answered `∅` (or the speed-limit
+/// estimate): never what `spq` answers, and uncached until asked.
+fn uncached(spq: &Spq, k: i64) -> String {
+    wire::encode_spq(&spq.clone().with_interval(TimeInterval::fixed(k, k + 1)))
+}
+
+/// Blocks until the server has parsed `n` requests in total.
+fn wait_parsed(server: &ServerHandle, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().requests < n {
+        assert!(Instant::now() < deadline, "request {n} never parsed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Flood 12 pipelining connections into a queue of 2 with a watermark of
@@ -65,13 +91,17 @@ fn flood_bounds_inflight_and_sheds_with_retry_after() {
     let body = wire::encode_spq(&spq);
 
     let clients: Vec<_> = (0..CONNS)
-        .map(|_| {
-            let body = body.clone();
+        .map(|c| {
+            // Every request distinct: a cached one would be answered on
+            // the reactor and never enter the window.
+            let bodies: Vec<String> = (0..PER_CONN)
+                .map(|i| wire::encode_spq(&spq.clone().with_beta((c * PER_CONN + i + 1) as u32)))
+                .collect();
             std::thread::spawn(move || {
                 let mut client = HttpClient::connect(addr);
                 // Pipeline the whole burst in one write.
                 let mut burst = Vec::new();
-                for _ in 0..PER_CONN {
+                for body in &bodies {
                     burst.extend_from_slice(&encode_request("POST", "/spq", body.as_bytes()));
                 }
                 client.send_raw(&burst);
@@ -371,10 +401,14 @@ fn graceful_shutdown_drains_and_refuses() {
     let (server, spq) = boot(2, config);
     let addr = server.local_addr();
     let body = wire::encode_spq(&spq);
+    // Cached before the shutdown, so the refusal below is checked on a
+    // request the reactor could otherwise answer itself.
+    let warm = HttpClient::connect(addr).request("POST", "/spq", body.as_bytes());
+    assert_eq!(warm.status, 200);
 
     // In-flight: dispatched before the shutdown, slow in the worker.
     let mut inflight = HttpClient::connect(addr);
-    inflight.send("POST", "/spq", body.as_bytes());
+    inflight.send("POST", "/spq", uncached(&spq, 0).as_bytes());
     std::thread::sleep(Duration::from_millis(100)); // surely dispatched
 
     // An idle keep-alive connection: nothing to drain, so the shutdown
@@ -401,6 +435,7 @@ fn graceful_shutdown_drains_and_refuses() {
     let metrics = shutdown.join().expect("shutdown thread");
     assert!(metrics.refused_shutdown >= 1, "{metrics:?}");
     assert!(metrics.responses_ok >= 1, "{metrics:?}");
+    assert_eq!(metrics.inline_hits, 0, "{metrics:?}");
     assert_eq!(metrics.active_connections, 0, "every connection closed");
 
     // The listener is gone: no new connections.
@@ -408,4 +443,203 @@ fn graceful_shutdown_drains_and_refuses() {
         std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err(),
         "listener must be closed after shutdown"
     );
+}
+
+/// A cached `/spq` needs no queue slot: while a slow `/trip` holds a
+/// window of one, the reactor answers it at once on another connection
+/// while an uncached one parks; on one connection, a cached answer
+/// pipelined behind an uncached one still comes second.
+#[test]
+fn cached_spq_is_answered_while_the_window_is_full() {
+    let config = ServerConfig {
+        queue_cap: 1,
+        worker_delay: Some(Duration::from_millis(500)),
+        ..ServerConfig::default()
+    };
+    let (server, spq) = boot(2, config);
+    let addr = server.local_addr();
+    let cached = wire::encode_spq(&spq);
+    let warm = HttpClient::connect(addr).request("POST", "/spq", cached.as_bytes());
+    assert_eq!(warm.status, 200);
+
+    let before = server.metrics();
+    let mut trip = HttpClient::connect(addr);
+    trip.send("POST", "/trip", cached.as_bytes());
+    wait_parsed(&server, before.requests + 1);
+    let mut parked = HttpClient::connect(addr);
+    parked.send("POST", "/spq", uncached(&spq, 1).as_bytes());
+    wait_parsed(&server, before.requests + 2);
+
+    let hit = HttpClient::connect(addr).request("POST", "/spq", cached.as_bytes());
+    assert_eq!((hit.status, &hit.body), (200, &warm.body));
+    let during = server.metrics();
+    assert_eq!(during.inline_hits, before.inline_hits + 1);
+    assert_eq!(
+        during.responses_ok,
+        before.responses_ok + 1,
+        "the trip and the parked /spq are still owed: {during:?}"
+    );
+    assert_eq!(trip.read_response().status, 200);
+    assert_eq!(parked.read_response().status, 200);
+
+    let mut client = HttpClient::connect(addr);
+    let mut burst = encode_request("POST", "/spq", uncached(&spq, 2).as_bytes());
+    burst.extend_from_slice(&encode_request("POST", "/spq", cached.as_bytes()));
+    client.send_raw(&burst);
+    let first = client.read_response();
+    let second = client.read_response();
+    assert_eq!(first.status, 200);
+    assert_ne!(first.body, warm.body, "the miss answers first");
+    assert_eq!(second.body, warm.body);
+    let after = server.metrics();
+    assert_eq!(after.inline_hits, before.inline_hits + 2);
+    assert_eq!(after.max_inflight, 1);
+    server.shutdown();
+}
+
+/// `/spq` bodies that do not decode get exactly the status and body the
+/// worker pool gave them, in their own content type; a body larger than
+/// one read chunk is not decoded on the reactor but still answered, by
+/// the pool.
+#[test]
+fn malformed_and_oversized_spq_bodies() {
+    let (service, spq) = world(2);
+    let num_edges = service.network().num_edges();
+    let server = serve(service, "127.0.0.1:0", ServerConfig::default()).expect("boot");
+    let addr = server.local_addr();
+    let mut client = HttpClient::connect(addr);
+
+    let json_error = |body: &[u8]| match json::parse(body) {
+        Err(e) => wire::encode_error(&e.to_string()),
+        Ok(v) => wire::encode_error(&wire::decode_spq(&v, num_edges).expect_err("malformed")),
+    };
+    let padding = " ".repeat(20 * 1024);
+    let interval = r#""interval":{"type":"fixed","start":0,"end":1}"#;
+    for body in [
+        "{nope".to_string(),
+        "{}".to_string(),
+        format!(r#"{{"path":[],{interval}}}"#),
+        format!(r#"{{"path":[{num_edges}],{interval}}}"#),
+        r#"{"path":[0],"interval":{"type":"weekly"}}"#.to_string(),
+        format!("{{{padding}\"path\":7}}"),
+    ] {
+        let response = client.request("POST", "/spq", body.as_bytes());
+        assert_eq!(response.status, 400, "{body:.40}");
+        assert_eq!(
+            response.body_str(),
+            json_error(body.as_bytes()),
+            "{body:.40}"
+        );
+    }
+
+    let good = encode_frame(&Message::TravelTimes(spq.clone()));
+    let reject = |reason: &str| encode_frame(&Message::error(ErrCode::BadRequest, reason));
+    let mut trailing = good.clone();
+    trailing.push(0);
+    let mut corrupt = good.clone();
+    *corrupt.last_mut().unwrap() ^= 1;
+    let crc_error = decode_frame(&corrupt).expect_err("corrupt").to_string();
+    let far_edge = Spq::new(
+        tthr::network::Path::new(vec![tthr::network::EdgeId(num_edges as u32)]),
+        TimeInterval::fixed(0, 1),
+    );
+    let range_error = far_edge
+        .check_edges(num_edges)
+        .expect_err("out of range")
+        .to_string();
+    for (frame, want) in [
+        (good[..good.len() / 2].to_vec(), reject("truncated frame")),
+        (trailing, reject("trailing bytes after frame")),
+        (
+            encode_frame(&Message::Health),
+            reject("expected a TravelTimes frame"),
+        ),
+        (corrupt, reject(&crc_error)),
+        (
+            encode_frame(&Message::TravelTimes(far_edge)),
+            reject(&range_error),
+        ),
+    ] {
+        client.send_raw(&encode_frame_request(&frame));
+        let response = client.read_response();
+        assert_eq!(response.status, 400);
+        assert_eq!(response.body, want);
+    }
+    assert_eq!(server.metrics().inline_hits, 0);
+
+    // Cached, then asked again with the body padded past one read chunk:
+    // the pool answers it, byte for byte.
+    let small = wire::encode_spq(&spq);
+    let first = client.request("POST", "/spq", small.as_bytes());
+    assert_eq!(first.status, 200);
+    let padded = format!("{{{padding}{}", &small[1..]);
+    let hits = server.metrics().inline_hits;
+    let response = client.request("POST", "/spq", padded.as_bytes());
+    assert_eq!((response.status, &response.body), (200, &first.body));
+    assert_eq!(server.metrics().inline_hits, hits, "answered by the pool");
+    let response = client.request("POST", "/spq", small.as_bytes());
+    assert_eq!(response.body, first.body);
+    assert_eq!(server.metrics().inline_hits, hits + 1);
+    server.shutdown();
+}
+
+/// The reactor's inline answers never wait on the index lock: with a
+/// reader holding it and an `/append` queued for the write lock (which
+/// then refuses new readers), `/health`, `/metrics` and a cached `/spq`
+/// still answer; the append lands once the reader lets go.
+#[test]
+fn inline_answers_do_not_wait_for_the_index_lock() {
+    let (service, spq) = world(2);
+    let service = &service;
+    let server = serve(service.clone(), "127.0.0.1:0", ServerConfig::default()).expect("boot");
+    let addr = server.local_addr();
+    let cached = wire::encode_spq(&spq);
+    assert_eq!(
+        HttpClient::connect(addr)
+            .request("POST", "/spq", cached.as_bytes())
+            .status,
+        200
+    );
+
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (answered_tx, answered_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        // Owned here, so a failed assertion drops it and frees the lock.
+        let release_tx = release_tx;
+        scope.spawn(move || {
+            service.with_index(|_| {
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        });
+        held_rx.recv().unwrap();
+        let mut appender = HttpClient::connect(addr);
+        let append = r#"{"trajectories":[{"user":77,"entries":[[0,1000000,5.0]]}]}"#;
+        appender.send("POST", "/append", append.as_bytes());
+        // Time for the worker to queue on the write lock; the inline
+        // answers must not depend on whether it has.
+        std::thread::sleep(Duration::from_millis(200));
+        let cached = &cached;
+        scope.spawn(move || {
+            let mut client = HttpClient::connect(addr);
+            let statuses = [
+                client.request("GET", "/health", b"").status,
+                client.request("GET", "/metrics", b"").status,
+                client.request("POST", "/spq", cached.as_bytes()).status,
+            ];
+            answered_tx.send(statuses)
+        });
+        let answered = answered_rx.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).unwrap();
+        assert_eq!(
+            answered.expect("an inline answer waited on the index lock"),
+            [200; 3]
+        );
+        assert_eq!(
+            appender.read_response().body_str(),
+            wire::encode_appended(1)
+        );
+    });
+    assert_eq!(server.shutdown().inline_hits, 1);
 }

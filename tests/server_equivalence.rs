@@ -10,15 +10,21 @@
 //! to the oracle through the original grown-set `append_batch` path, so
 //! the comparison also differentially validates the new
 //! `QueryService::append_new` plumbing against the old entry point.
+//!
+//! Every `/spq` is asked twice, as JSON and as a frame: the repeat is a
+//! result-cache hit the reactor answers itself, and it must be the same
+//! bytes — including right after an append or a retention pass.
 
 mod common;
 
 use common::differential::QueryGen;
-use common::http::{post, HttpClient};
+use common::http::{encode_frame_request, post, HttpClient};
 use common::prefix_set;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use tthr::core::{ShardedSntIndex, SntConfig, SntIndex, Spq};
+use std::time::Duration;
+use tthr::core::{ShardedSntIndex, SntConfig, SntIndex, Spq, TravelTimes};
+use tthr::rpc::{encode_frame, Message};
 use tthr::server::{serve, wire, ServerConfig, ServerHandle};
 use tthr::service::{IngestConfig, QueryService, ServiceBackend, ServiceConfig};
 use tthr::trajectory::{TrajEntry, TrajId, TrajectorySet, UserId};
@@ -59,16 +65,10 @@ impl<B: ServiceBackend> Harness<B> {
     /// Asserts `/spq` and (for every third query) `/trip` answer
     /// byte-identically to the oracle.
     fn check_queries(&self, queries: &[Spq]) {
+        let server = self.server.as_ref().expect("server running");
         for (i, q) in queries.iter().enumerate() {
             let body = wire::encode_spq(q);
-            let response = post(self.addr, "/spq", body.as_bytes());
-            assert_eq!(response.status, 200, "{}", response.body_str());
-            let expected = wire::encode_travel_times(&self.oracle.get_travel_times(q));
-            assert_eq!(
-                response.body_str(),
-                expected,
-                "spq response diverged for {q:?}"
-            );
+            assert_spq_twice(server, q, body.as_bytes(), &self.oracle.get_travel_times(q));
             if i % 3 == 0 {
                 let response = post(self.addr, "/trip", body.as_bytes());
                 assert_eq!(response.status, 200, "{}", response.body_str());
@@ -137,7 +137,44 @@ impl<B: ServiceBackend> Harness<B> {
     }
 }
 
-/// Runs the interleaved differential scenario against one harness.
+/// Asks one `/spq` twice as JSON, then twice as a frame, and asserts every
+/// answer is `want` in its encoding. The repeats are result-cache hits, so
+/// the reactor answers them: `inline_hits` advances by exactly one each.
+fn assert_spq_twice(server: &ServerHandle, q: &Spq, json: &[u8], want: &TravelTimes) {
+    let addr = server.local_addr();
+    let want_json = wire::encode_travel_times(want);
+    let want_frame = encode_frame(&Message::TravelTimesResult {
+        values: want.values.to_vec(),
+        fallback: want.fallback,
+    });
+    let frame = encode_frame_request(&encode_frame(&Message::TravelTimes(q.clone())));
+    let mut client = HttpClient::connect(addr);
+    for ask in 0..4 {
+        let hits = server.metrics().inline_hits;
+        let response = if ask < 2 {
+            client.request("POST", "/spq", json)
+        } else {
+            client.send_raw(&frame);
+            client.read_response()
+        };
+        assert_eq!(response.status, 200, "{q:?}: {:?}", response.body);
+        let want: &[u8] = if ask < 2 {
+            want_json.as_bytes()
+        } else {
+            &want_frame
+        };
+        assert_eq!(response.body, want, "spq response {ask} diverged for {q:?}");
+        if ask > 0 {
+            let now = server.metrics().inline_hits;
+            assert_eq!(now, hits + 1, "repeat {ask} of {q:?} not answered inline");
+        }
+    }
+}
+
+/// Runs the interleaved differential scenario against one harness. After
+/// every append the previous round's queries, all cached by then, are
+/// asked again: the reactor must not answer from an entry the append made
+/// stale.
 fn run_scenario<B: ServiceBackend>(name: &str, mut harness: Harness<B>) {
     let mut gen = QueryGen::new(name);
     for round in 0..4 {
@@ -148,6 +185,7 @@ fn run_scenario<B: ServiceBackend>(name: &str, mut harness: Harness<B>) {
         harness.check_batch(&queries[..6.min(queries.len())]);
         if round < 3 {
             harness.append_next(2 + round);
+            harness.check_queries(&queries);
         }
     }
     harness.shutdown();
@@ -350,6 +388,60 @@ fn hot_tail_server_matches_direct_append_oracle() {
         "{text}"
     );
     harness.shutdown();
+}
+
+/// A retention pass that drops partitions changes answers the cache holds:
+/// after it, every `/spq` the reactor answers is the served index's own
+/// uncached answer, never the pre-retention entry.
+#[test]
+fn retention_leaves_no_stale_inline_hit() {
+    let (syn, full) = common::small_world();
+    let network = Arc::new(syn.network);
+    let applied = full.len() * 2 / 3;
+    let served = QueryService::new(
+        SntIndex::build(&network, &prefix_set(&full, applied), SntConfig::default()),
+        network,
+        ServiceConfig {
+            ingest: IngestConfig {
+                hot_tail: true,
+                retention: Some(Duration::from_secs(86_400)),
+                ..IngestConfig::default()
+            },
+            ..service_config()
+        },
+    );
+    let lifecycle = served.clone();
+    let server = serve(served, "127.0.0.1:0", ServerConfig::default()).expect("boot server");
+    let mut gen = QueryGen::new("retention_inline_hits");
+    let queries: Vec<Spq> = (0..12).map(|_| gen.spq_from(&full, applied)).collect();
+    let check = || -> Vec<TravelTimes> {
+        queries
+            .iter()
+            .map(|q| {
+                let truth = lifecycle.with_index(|index| index.get_travel_times(q));
+                assert_spq_twice(&server, q, wire::encode_spq(q).as_bytes(), &truth);
+                truth
+            })
+            .collect()
+    };
+    let before = check();
+
+    // One trajectory ten days past the data: the retention horizon moves
+    // past everything the initial build holds.
+    let far = lifecycle.with_index(|index| index.max_data_time()) + 10 * 86_400;
+    let payload = [(
+        UserId(0),
+        vec![TrajEntry::new(queries[0].path.first(), far, 5.0)],
+    )];
+    let body = wire::encode_append_request(Some(applied as u64), &payload);
+    let response = post(server.local_addr(), "/append", body.as_bytes());
+    assert_eq!(response.body_str(), wire::encode_appended(1));
+    check();
+
+    let outcome = lifecycle.compact_now().expect("compact");
+    assert!(outcome.dropped_partitions > 0, "{outcome:?}");
+    assert_ne!(check(), before, "retention must change some answer");
+    server.shutdown();
 }
 
 /// The inline endpoints and the error paths of the router.

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::http::{encode_request, post, HttpClient};
+use common::http::{encode_frame_request, encode_request, post, HttpClient};
 use common::{prefix_set, value_bits};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -80,17 +80,6 @@ fn workload(set: &TrajectorySet) -> Vec<Spq> {
             .with_beta(5 + (i as u32 % 3) * 5)
         })
         .collect()
-}
-
-/// Serializes a binary `/spq` request carrying one `tthr-rpc` frame.
-fn encode_frame_request(frame: &[u8]) -> Vec<u8> {
-    let mut out = format!(
-        "POST /spq HTTP/1.1\r\nhost: test\r\ncontent-type: {FRAME_CONTENT_TYPE}\r\ncontent-length: {}\r\n\r\n",
-        frame.len()
-    )
-    .into_bytes();
-    out.extend_from_slice(frame);
-    out
 }
 
 /// One frame request → one decoded frame response.
