@@ -486,23 +486,20 @@ pub struct NodeStats {
     pub evicted: u64,
 }
 
-/// One shard's health report, from [`ClusterRouter::health`].
+/// One shard's entry in [`ClusterRouter::health`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardHealth {
-    /// The shard reporting.
+    /// The shard.
     pub shard: u16,
-    /// The endpoint that answered (the shard's preferred endpoint).
+    /// The shard's preferred endpoint.
     pub addr: SocketAddr,
-    /// The endpoint's replication role.
-    pub role: Role,
-    /// Records the endpoint has applied (global count at its stamp).
-    pub applied_stamp: u64,
-    /// Stamp of the endpoint's on-disk snapshot.
-    pub snapshot_stamp: u64,
+    /// Its last probe (seeded at connect for primaries), the applied stamp
+    /// advanced by every append it acknowledged since; `None` if unprobed.
+    pub status: Option<ReplInfo>,
 }
 
 /// An endpoint's replication status, as seen by the last probe.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplInfo {
     /// Primary or standby.
     pub role: Role,
@@ -532,7 +529,8 @@ pub struct RouterConfig {
 }
 
 /// The router's mirror of cluster-wide append progress, advanced only
-/// after every node acknowledged a batch.
+/// after every node acknowledged a batch (under this lock, held across
+/// the append's RPCs).
 struct ClusterState {
     num_global: u64,
     span_min: Timestamp,
@@ -566,6 +564,13 @@ impl Endpoint {
     fn sync_breaker_gauge(&self) {
         self.breaker_gauge.set(self.breaker.state().gauge_value());
     }
+
+    /// An `Appended { total }` ack: `total` is the applied stamp now.
+    fn note_applied(&self, total: u64) {
+        if let Some(info) = self.status.lock().expect("status lock").as_mut() {
+            info.applied_stamp = total;
+        }
+    }
 }
 
 /// A shard's endpoint list and its currently preferred endpoint.
@@ -592,6 +597,8 @@ struct RouterCore {
     trips: Counter,
     config: RouterConfig,
     state: Mutex<ClusterState>,
+    /// `state.num_global`, for readers that must not wait for an append.
+    confirmed: AtomicU64,
 }
 
 impl RouterCore {
@@ -634,22 +641,31 @@ impl RouterCore {
         }
     }
 
-    /// One probing sweep over every endpoint whose breaker admits it.
-    /// Keeps the lag gauges live and walks recovered endpoints' open
-    /// breakers back to closed (via the half-open trial the probe is).
+    /// Probes every endpoint of `shard` but `skip` whose breaker admits
+    /// it, setting its lag gauge against `need`; returns those that
+    /// answered. A probe is the half-open trial that walks a recovered
+    /// endpoint's open breaker back to closed.
+    fn probe_shard(&self, shard: u16, need: u64, skip: Option<usize>) -> Vec<(usize, ReplInfo)> {
+        let mut answered = Vec::new();
+        for (idx, ep) in self.shards[shard as usize].endpoints.iter().enumerate() {
+            if Some(idx) == skip || !ep.breaker.allow() {
+                ep.sync_breaker_gauge();
+                continue;
+            }
+            if let Some(info) = self.probe_endpoint(shard, idx) {
+                ep.lag_gauge
+                    .set(need.saturating_sub(info.applied_stamp) as i64);
+                answered.push((idx, info));
+            }
+        }
+        answered
+    }
+
+    /// One probing sweep over every shard: keeps the lag gauges live.
     fn probe_all(&self) {
         let need = self.state.lock().expect("state lock").num_global;
-        for (shard, set) in self.shards.iter().enumerate() {
-            for (idx, ep) in set.endpoints.iter().enumerate() {
-                if !ep.breaker.allow() {
-                    ep.sync_breaker_gauge();
-                    continue;
-                }
-                if let Some(info) = self.probe_endpoint(shard as u16, idx) {
-                    ep.lag_gauge
-                        .set(need.saturating_sub(info.applied_stamp) as i64);
-                }
-            }
+        for shard in 0..self.shards.len() {
+            self.probe_shard(shard as u16, need, None);
         }
     }
 
@@ -750,17 +766,7 @@ impl RouterCore {
     ) -> Result<Message, ClusterError> {
         let set = &self.shards[shard as usize];
         let need = self.state.lock().expect("state lock").num_global;
-        let mut candidates: Vec<(usize, ReplInfo)> = Vec::new();
-        for (idx, ep) in set.endpoints.iter().enumerate() {
-            if idx == active || !ep.breaker.allow() {
-                continue;
-            }
-            if let Some(info) = self.probe_endpoint(shard, idx) {
-                ep.lag_gauge
-                    .set(need.saturating_sub(info.applied_stamp) as i64);
-                candidates.push((idx, info));
-            }
-        }
+        let mut candidates = self.probe_shard(shard, need, Some(active));
         candidates.sort_by_key(|&(_, info)| std::cmp::Reverse(info.applied_stamp));
         for (idx, info) in candidates {
             // `>=`, not `==`: an endpoint can legitimately be *ahead* of
@@ -817,17 +823,7 @@ impl RouterCore {
     /// with a typed error keeps the loss visible and retryable.
     fn acquire_primary(&self, shard: u16, need: u64) -> Result<usize, ClusterError> {
         let set = &self.shards[shard as usize];
-        let mut candidates: Vec<(usize, ReplInfo)> = Vec::new();
-        for (idx, ep) in set.endpoints.iter().enumerate() {
-            if !ep.breaker.allow() {
-                continue;
-            }
-            if let Some(info) = self.probe_endpoint(shard, idx) {
-                ep.lag_gauge
-                    .set(need.saturating_sub(info.applied_stamp) as i64);
-                candidates.push((idx, info));
-            }
-        }
+        let mut candidates = self.probe_shard(shard, need, None);
         candidates.sort_by_key(|&(idx, info)| {
             (
                 std::cmp::Reverse(info.applied_stamp),
@@ -905,7 +901,8 @@ impl RouterCore {
         if set.endpoints[active].breaker.allow() {
             let ep = &set.endpoints[active];
             match rpc_on(&ep.client, shard, &Message::Append(record.clone())) {
-                Ok(Message::Appended { .. }) => {
+                Ok(Message::Appended { total, .. }) => {
+                    ep.note_applied(total);
                     ep.on_success();
                     return Ok(());
                 }
@@ -936,7 +933,8 @@ impl RouterCore {
         let idx = self.acquire_primary(shard, need)?;
         let ep = &set.endpoints[idx];
         match rpc_on(&ep.client, shard, &Message::Append(record.clone())) {
-            Ok(Message::Appended { .. }) => {
+            Ok(Message::Appended { total, .. }) => {
+                ep.note_applied(total);
                 ep.on_success();
                 Ok(())
             }
@@ -1175,7 +1173,12 @@ impl ClusterRouter {
                 span_min,
                 span_max,
             }),
+            confirmed: AtomicU64::new(num_global),
         });
+        // Seed each primary's status, which `health` reports from.
+        for shard in 0..core.shards.len() {
+            core.probe_endpoint(shard as u16, 0);
+        }
         let prober_stop = Arc::new(AtomicBool::new(false));
         let prober = probe_interval.map(|every| {
             let core = Arc::clone(&core);
@@ -1212,7 +1215,7 @@ impl ClusterRouter {
 
     /// Cluster-wide trajectory count the router has confirmed.
     pub fn num_global(&self) -> u64 {
-        self.core.state.lock().expect("state lock").num_global
+        self.core.confirmed.load(Ordering::Acquire)
     }
 
     /// The road network the cluster indexes.
@@ -1272,35 +1275,22 @@ impl ClusterRouter {
         self.core.probe_all();
     }
 
-    /// Pings every shard (following failover like any read); the first
-    /// unreachable shard is the error. Returns each shard's role and
-    /// replication stamps as reported by the endpoint that answered.
-    pub fn health(&self) -> Result<Vec<ShardHealth>, ClusterError> {
-        let mut out = Vec::with_capacity(self.core.shards.len());
-        for shard in 0..self.core.shards.len() as u16 {
-            let reply = self.core.query(shard, &Message::Health)?;
-            let set = &self.core.shards[shard as usize];
-            let active = set.active.load(Ordering::Acquire);
-            match reply {
-                Message::ReplStatus {
-                    role,
-                    applied_stamp,
-                    snapshot_stamp,
-                } => out.push(ShardHealth {
-                    shard,
-                    addr: set.endpoints[active].client.addr(),
-                    role,
-                    applied_stamp,
-                    snapshot_stamp,
-                }),
-                other => {
-                    return Err(ClusterError::Unexpected(format!(
-                        "Health answered with {other:?}"
-                    )))
+    /// Each shard's preferred endpoint and its last-known status, from
+    /// router state alone: no RPC, so a dark shard costs nothing here.
+    pub fn health(&self) -> Vec<ShardHealth> {
+        self.core
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(shard, set)| {
+                let ep = &set.endpoints[set.active.load(Ordering::Acquire)];
+                ShardHealth {
+                    shard: shard as u16,
+                    addr: ep.client.addr(),
+                    status: *ep.status.lock().expect("status lock"),
                 }
-            }
-        }
-        Ok(out)
+            })
+            .collect()
     }
 
     /// Asks every shard's preferred endpoint to rotate its snapshot
@@ -1495,6 +1485,9 @@ impl ClusterRouter {
         state.num_global = planned.new_total;
         state.span_min = planned.span_min;
         state.span_max = planned.span_max;
+        self.core
+            .confirmed
+            .store(planned.new_total, Ordering::Release);
         Ok(trajectories.len() as u64)
     }
 }
@@ -1742,6 +1735,56 @@ mod tests {
             other => panic!("expected WalGap, got {other:?}"),
         }
         handle.join().unwrap();
+    }
+
+    /// `health` answers from router state: the connect-time `Health`
+    /// seeds it, an `Appended` ack advances its applied stamp, and it
+    /// sends nothing (the stub has no reply left).
+    #[test]
+    fn health_is_seeded_at_connect_and_refreshed_by_append_acks() {
+        let network = tthr_network::examples::example_network();
+        let meta = NodeMeta {
+            shard: 0,
+            num_shards: 1,
+            num_edges: network.num_edges() as u64,
+            num_global: 5,
+            num_members: 5,
+            num_partitions: 1,
+            span_min: 0,
+            span_max: 100,
+        };
+        let (role, applied_stamp, snapshot_stamp) = (Role::Primary, 5, 3);
+        let replies = [
+            Message::Meta(meta),
+            Message::Routing(ShardRouter::build(&network, 1)),
+            Message::ReplStatus {
+                role,
+                applied_stamp,
+                snapshot_stamp,
+            },
+            Message::Appended {
+                appended: 0,
+                total: 9,
+            },
+        ];
+        let (addr, stub) = stub_node(replies.iter().map(tthr_rpc::encode_frame).collect());
+        let config = QueryEngineConfig::default();
+        let router = ClusterRouter::connect(network, &[addr], config, quick_config()).unwrap();
+        let seeded = ReplInfo {
+            role,
+            applied_stamp,
+            snapshot_stamp,
+        };
+        assert_eq!(router.health()[0].status, Some(seeded));
+        router.append_batch(Some(5), &[]).expect("append");
+        let acked = ReplInfo {
+            applied_stamp: 9,
+            ..seeded
+        };
+        assert_eq!(router.health()[0].status, Some(acked));
+        assert_eq!((router.health()[0].addr, router.num_global()), (addr, 5));
+        drop(router);
+        stub.join().unwrap();
     }
 
     #[test]

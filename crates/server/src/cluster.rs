@@ -1,15 +1,16 @@
-//! Cluster mode: the HTTP front-end for a shard-per-process cluster.
+//! Cluster mode: a [`ClusterRouter`] behind the one HTTP front door.
 //!
-//! Serves the same JSON wire format as the single-process server
-//! ([`crate::wire`]) but executes every request through a
-//! [`ClusterRouter`] — planning locally, scattering SPQ primitives to
-//! shard nodes over the binary protocol ([`crate::node`]).
+//! [`serve_router`](crate::serve_router) serves the router on the
+//! single-process server's reactor, request handler and wire format
+//! ([`crate::wire`]), with its in-flight bound, shedding, reaping and
+//! graceful drain; the router plans locally and scatters SPQ primitives
+//! to shard nodes ([`crate::node`]). Requests run on the router's own
+//! pool, a `/batch`'s trips in parallel. There is no result cache,
+//! `/stats` or `/debug/slow`, and `/health` sends no RPC.
 //!
-//! A blocking thread-per-connection loop, like the node side: the router
-//! tier fronts a handful of operators and test harnesses, not the open
-//! internet, so the epoll reactor would buy nothing here.
-//!
-//! Failure mapping (the part the fault suite pins):
+//! Failure mapping ([`status_of`]; `tests/cluster_faults.rs` pins it over
+//! HTTP). A `/batch` answers the status of its first failing trip, in
+//! input order, and never a partial body.
 //!
 //! | cluster failure                  | HTTP |
 //! |----------------------------------|------|
@@ -18,182 +19,33 @@
 //! | node rejected the request        | 400  |
 //! | protocol damage / node confusion | 502  |
 
-use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
 
 use tthr_client::{ClusterError, ClusterRouter};
+use tthr_core::{Spq, TravelTimes, TripQuery};
 use tthr_rpc::ErrCode;
+use tthr_service::pool::ThreadPool;
 
-use crate::http::{self, Limits, Parse, Request};
-use crate::{json, wire};
+use crate::{mirror_server_metrics, Api, Payload, Refusal, ServerConfig, ServerMetrics};
 
-/// Request-size limits for the cluster front-end (generous body cap:
-/// append batches carry whole trajectories).
-fn cluster_limits() -> Limits {
-    Limits {
-        max_head_bytes: 8 << 10,
+/// The router tier's server configuration: one reactor, and a 16 MiB
+/// body cap — append batches carry whole trajectories.
+pub fn router_config() -> ServerConfig {
+    ServerConfig {
+        reactors: 1,
         max_body_bytes: 16 << 20,
+        ..ServerConfig::default()
     }
 }
 
-/// Largest `/batch` request accepted, mirroring the single-process
-/// server's default.
-const MAX_BATCH_QUERIES: usize = 1024;
-
-/// Serves the cluster HTTP front-end on `listener`, blocking forever:
-/// one thread per connection, keep-alive supported.
+/// Serves the cluster HTTP front-end on `listener` with
+/// [`router_config`], blocking forever.
 pub fn serve_cluster(listener: TcpListener, router: ClusterRouter) -> std::io::Result<()> {
-    let router = Arc::new(router);
+    let api = Arc::new(RouterApi::new(Arc::new(router)));
+    let _server = crate::serve_api(api, vec![listener], router_config())?;
     loop {
-        let (conn, _) = listener.accept()?;
-        let router = Arc::clone(&router);
-        std::thread::spawn(move || serve_cluster_conn(conn, &router));
-    }
-}
-
-/// One connection's request loop — public so tests and embedders can
-/// drive it on their own listener.
-pub fn serve_cluster_conn(mut conn: TcpStream, router: &ClusterRouter) {
-    let _ = conn.set_nodelay(true);
-    let limits = cluster_limits();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 << 10];
-    loop {
-        match http::try_parse(&buf, &limits) {
-            Ok(Parse::Done(request, used)) => {
-                buf.drain(..used);
-                let keep_alive = request.keep_alive;
-                // `/metrics` is the one non-JSON endpoint: the router's
-                // registry (failovers, breaker states, replication lag)
-                // in Prometheus text exposition format.
-                let response =
-                    if (request.method.as_str(), request.target.as_str()) == ("GET", "/metrics") {
-                        http::encode_response_with_content_type(
-                            200,
-                            router.render_metrics().as_bytes(),
-                            keep_alive,
-                            None,
-                            http::PROMETHEUS_CONTENT_TYPE,
-                        )
-                    } else {
-                        let (status, body) = handle(router, &request);
-                        http::encode_response(status, body.as_bytes(), keep_alive, None)
-                    };
-                if std::io::Write::write_all(&mut conn, &response).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Ok(Parse::Incomplete) => match conn.read(&mut chunk) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            },
-            Err(e) => {
-                let body = wire::encode_error(e.reason());
-                let response = http::encode_response(e.status(), body.as_bytes(), false, None);
-                let _ = std::io::Write::write_all(&mut conn, &response);
-                return;
-            }
-        }
-    }
-}
-
-/// Decodes, executes, and encodes one request against the cluster.
-fn handle(router: &ClusterRouter, request: &Request) -> (u16, String) {
-    match (request.method.as_str(), request.target.as_str()) {
-        ("GET", "/health") => match router.health() {
-            Ok(reports) => {
-                let replication: Vec<String> = reports
-                    .iter()
-                    .map(|h| {
-                        format!(
-                            "{{\"shard\":{},\"addr\":\"{}\",\"role\":\"{}\",\
-                             \"applied_stamp\":{},\"snapshot_stamp\":{}}}",
-                            h.shard, h.addr, h.role, h.applied_stamp, h.snapshot_stamp
-                        )
-                    })
-                    .collect();
-                (
-                    200,
-                    format!(
-                        "{{\"status\":\"ok\",\"shards\":{},\"trajectories\":{},\
-                         \"replication\":[{}]}}",
-                        router.num_shards(),
-                        router.num_global(),
-                        replication.join(",")
-                    ),
-                )
-            }
-            Err(e) => (status_of(&e), wire::encode_error(&e.to_string())),
-        },
-        ("POST", "/spq") => with_spq(router, &request.body, |router, spq| {
-            router
-                .travel_times(spq)
-                .map(|tt| wire::encode_travel_times(&tt))
-        }),
-        ("POST", "/trip") => with_spq(router, &request.body, |router, spq| {
-            router.trip_query(spq).map(|trip| wire::encode_trip(&trip))
-        }),
-        ("POST", "/batch") => {
-            let parsed = match json::parse(&request.body) {
-                Ok(v) => v,
-                Err(e) => return (400, wire::encode_error(&e.to_string())),
-            };
-            let queries = match wire::decode_batch(
-                &parsed,
-                router.routing().num_edges(),
-                MAX_BATCH_QUERIES,
-            ) {
-                Ok(q) => q,
-                Err(e) => return (400, wire::encode_error(&e)),
-            };
-            let mut trips = Vec::with_capacity(queries.len());
-            for spq in &queries {
-                match router.trip_query(spq) {
-                    Ok(trip) => trips.push(trip),
-                    Err(e) => return (status_of(&e), wire::encode_error(&e.to_string())),
-                }
-            }
-            (200, wire::encode_trips(&trips))
-        }
-        ("POST", "/append") => {
-            let parsed = match json::parse(&request.body) {
-                Ok(v) => v,
-                Err(e) => return (400, wire::encode_error(&e.to_string())),
-            };
-            match wire::decode_append(&parsed) {
-                // The stamp is checked by the router under the lock that
-                // assigns ids; a conflict comes back as `WalGap` → 409.
-                Ok((base, payload)) => match router.append_batch(base, &payload) {
-                    Ok(appended) => (200, wire::encode_appended(appended as usize)),
-                    Err(e) => (status_of(&e), wire::encode_error(&e.to_string())),
-                },
-                Err(e) => (400, wire::encode_error(&e)),
-            }
-        }
-        (_, "/health" | "/metrics" | "/spq" | "/trip" | "/batch" | "/append") => {
-            (405, wire::encode_error("method not allowed"))
-        }
-        _ => (404, wire::encode_error("no such endpoint")),
-    }
-}
-
-fn with_spq(
-    router: &ClusterRouter,
-    body: &[u8],
-    run: impl FnOnce(&ClusterRouter, &tthr_core::Spq) -> Result<String, ClusterError>,
-) -> (u16, String) {
-    let parsed = match json::parse(body) {
-        Ok(v) => v,
-        Err(e) => return (400, wire::encode_error(&e.to_string())),
-    };
-    let spq = match wire::decode_spq(&parsed, router.routing().num_edges()) {
-        Ok(q) => q,
-        Err(e) => return (400, wire::encode_error(&e)),
-    };
-    match run(router, &spq) {
-        Ok(body) => (200, body),
-        Err(e) => (status_of(&e), wire::encode_error(&e.to_string())),
+        std::thread::park();
     }
 }
 
@@ -211,5 +63,91 @@ pub fn status_of(e: &ClusterError) -> u16 {
         | ClusterError::Frame(_)
         | ClusterError::Inconsistent(_)
         | ClusterError::Unexpected(_) => 502,
+    }
+}
+
+fn refusal(e: ClusterError) -> Refusal {
+    (status_of(&e), e.to_string())
+}
+
+/// The router tier: a [`ClusterRouter`] and the pool its requests run on,
+/// one worker per CPU (the `ServiceConfig::num_threads = 0` rule).
+pub(crate) struct RouterApi {
+    router: Arc<ClusterRouter>,
+    pool: ThreadPool,
+}
+
+impl RouterApi {
+    pub(crate) fn new(router: Arc<ClusterRouter>) -> RouterApi {
+        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+        RouterApi {
+            router,
+            pool: ThreadPool::new(threads),
+        }
+    }
+}
+
+impl Api for RouterApi {
+    fn num_edges(&self) -> usize {
+        self.router.routing().num_edges()
+    }
+
+    fn spq(&self, query: &Spq) -> Result<TravelTimes, Refusal> {
+        self.router.travel_times(query).map_err(refusal)
+    }
+
+    fn trip(&self, query: &Spq) -> Result<TripQuery, Refusal> {
+        self.router.trip_query(query).map_err(refusal)
+    }
+
+    fn batch(&self, queries: &[Spq]) -> Result<Vec<TripQuery>, Refusal> {
+        let jobs: Vec<_> = queries
+            .iter()
+            .map(|query| {
+                let (router, query) = (Arc::clone(&self.router), query.clone());
+                move || router.trip_query(&query)
+            })
+            .collect();
+        let trips: Result<_, _> = self.pool.run_all(jobs).into_iter().collect();
+        trips.map_err(refusal)
+    }
+
+    /// The router checks the stamp under the lock that assigns ids.
+    fn append(&self, base: Option<u64>, payload: &Payload) -> Result<usize, Refusal> {
+        let appended = self.router.append_batch(base, payload).map_err(refusal)?;
+        Ok(appended as usize)
+    }
+
+    fn execute(&self, job: Box<dyn FnOnce() + Send>) {
+        self.pool.execute(job);
+    }
+
+    /// Router state only: the confirmed trajectory count, and each
+    /// shard's preferred endpoint with the stamps it last reported.
+    fn health(&self) -> String {
+        let replication: Vec<String> = self
+            .router
+            .health()
+            .iter()
+            .map(|h| match h.status {
+                Some(s) => format!(
+                    "{{\"shard\":{},\"addr\":\"{}\",\"role\":\"{}\",\
+                     \"applied_stamp\":{},\"snapshot_stamp\":{}}}",
+                    h.shard, h.addr, s.role, s.applied_stamp, s.snapshot_stamp
+                ),
+                None => format!("{{\"shard\":{},\"addr\":\"{}\"}}", h.shard, h.addr),
+            })
+            .collect();
+        format!(
+            "{{\"status\":\"ok\",\"shards\":{},\"trajectories\":{},\"replication\":[{}]}}",
+            self.router.num_shards(),
+            self.router.num_global(),
+            replication.join(",")
+        )
+    }
+
+    fn metrics(&self, server: &ServerMetrics) -> String {
+        mirror_server_metrics(self.router.metrics_registry(), server);
+        self.router.render_metrics()
     }
 }

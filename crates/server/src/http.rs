@@ -190,10 +190,14 @@ pub fn reason_phrase(status: u16) -> &'static str {
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        502 => "Bad Gateway",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
 }
+
+/// The content type of every response but `/metrics` and frame `/spq`.
+pub(crate) const JSON_CONTENT_TYPE: &str = "application/json";
 
 /// The content type of the `/metrics` Prometheus text exposition.
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -211,7 +215,7 @@ pub fn encode_response(
     keep_alive: bool,
     retry_after: Option<u32>,
 ) -> Vec<u8> {
-    encode_response_with_content_type(status, body, keep_alive, retry_after, "application/json")
+    encode_response_with_content_type(status, body, keep_alive, retry_after, JSON_CONTENT_TYPE)
 }
 
 /// [`encode_response`] with an explicit `content-type` (everything this

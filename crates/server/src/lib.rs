@@ -6,12 +6,13 @@
 //! accept/IO reactors over raw `epoll` (the private `sys` module — the
 //! crate's only unsafe surface), a hand-rolled
 //! incremental HTTP/1.1 parser ([`http`]), a small JSON codec ([`json`]),
-//! and the wire protocol ([`wire`]). It serves both service backends —
-//! the monolithic `SntIndex` and the partitioned `ShardedSntIndex` —
-//! through the same generic [`serve`] entry point.
+//! and the wire protocol ([`wire`]). It is the one HTTP front door of
+//! both tiers: [`serve`] serves a [`QueryService`] over either backend
+//! (`SntIndex`, `ShardedSntIndex`), [`serve_router`] a cluster router,
+//! with one request handler and one `/spq` body decoder.
 //!
-//! One reactor thread runs by default; [`ServerConfig::reactors`] (or
-//! `TTHR_REACTORS`) starts N of them, each owning its own
+//! One reactor thread runs by default; [`ServerConfig::reactors`] starts
+//! N of them, each owning its own
 //! `SO_REUSEPORT` listener on the same address, its own epoll loop, and
 //! its own bounded in-flight window — the kernel shards accepts across
 //! them and the threads share nothing but the counters.
@@ -32,7 +33,7 @@
 //!            ║   │     pressure); parked ≥ watermark → 503+Retry-After│
 //!            ║   └───────────────┬───────────────────▲───────────────-┘
 //!            ║                   ▼ execute           │ completions (reordered
-//!            ║        QueryService worker pool ──────┘  per-conn by seq, wake
+//!            ║   the tier's worker pool ─────────────┘  per-conn by seq, wake
 //!            ╚═══◄═══ responses over per-conn write buffers  via socketpair)
 //! ```
 //!
@@ -88,18 +89,116 @@ pub mod standby;
 mod sys;
 pub mod wire;
 
-use reactor::{ApiResponse, Counters, Handlers, Job, Reactor, Shared, SpqProbe};
+use reactor::{ApiResponse, Counters, Job, Reactor, Shared};
 use std::io;
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tthr_core::{Spq, TravelTimes};
+use tthr_client::ClusterRouter;
+use tthr_core::{Spq, TravelTimes, TripQuery};
 use tthr_rpc::{decode_frame, encode_frame, Decode, ErrCode, Message};
 use tthr_service::{QueryService, ServiceBackend};
 use tthr_store::StoreError;
+use tthr_trajectory::{TrajEntry, UserId};
+
+/// A refused request: its HTTP status and error reason.
+pub(crate) type Refusal = (u16, String);
+
+/// An `/append` payload: new trajectories, no ids yet.
+pub(crate) type Payload = [(UserId, Vec<TrajEntry>)];
+
+/// What a tier provides to be served over HTTP: the reactor,
+/// [`handle_api`] and [`probe_spq`] see a tier only through it.
+pub(crate) trait Api: Send + Sync + 'static {
+    /// Edges of the served network; a query naming another is a `400`.
+    fn num_edges(&self) -> usize;
+    /// A result-cache hit, found without the index lock or the pool.
+    fn cached(&self, _: &Spq) -> Option<TravelTimes> {
+        None
+    }
+    /// `/spq`.
+    fn spq(&self, query: &Spq) -> Result<TravelTimes, Refusal>;
+    /// `/trip`.
+    fn trip(&self, query: &Spq) -> Result<TripQuery, Refusal>;
+    /// `/batch`: every trip in input order, or one refusal.
+    fn batch(&self, queries: &[Spq]) -> Result<Vec<TripQuery>, Refusal>;
+    /// `/append`: how many trajectories were appended.
+    fn append(&self, base: Option<u64>, payload: &Payload) -> Result<usize, Refusal>;
+    /// Runs a job on the tier's worker pool.
+    fn execute(&self, job: Box<dyn FnOnce() + Send>);
+    /// The `/health` body; runs on the reactor, so it must not block.
+    fn health(&self) -> String;
+    /// The `/metrics` exposition, reactor counters mirrored in.
+    fn metrics(&self, server: &ServerMetrics) -> String;
+    /// The `/stats` body; `None` is a `404`.
+    fn stats(&self, _: &ServerMetrics) -> Option<String> {
+        None
+    }
+    /// The `/debug/slow` body; `None` is a `404`.
+    fn slow(&self) -> Option<String> {
+        None
+    }
+}
+
+/// The single-process tier: every operation forwards to the service.
+impl<B: ServiceBackend> Api for QueryService<B> {
+    fn num_edges(&self) -> usize {
+        self.network().num_edges()
+    }
+
+    fn cached(&self, query: &Spq) -> Option<TravelTimes> {
+        self.cached_travel_times(query)
+    }
+
+    fn spq(&self, query: &Spq) -> Result<TravelTimes, Refusal> {
+        Ok(self.get_travel_times(query))
+    }
+
+    fn trip(&self, query: &Spq) -> Result<TripQuery, Refusal> {
+        Ok(self.trip_query(query))
+    }
+
+    fn batch(&self, queries: &[Spq]) -> Result<Vec<TripQuery>, Refusal> {
+        Ok(self.batch_trip_queries(queries))
+    }
+
+    fn append(&self, base: Option<u64>, payload: &Payload) -> Result<usize, Refusal> {
+        self.append_new(base, payload).map_err(|e| match e {
+            StoreError::WalGap { .. } => (409, e.to_string()),
+            StoreError::Corrupt { .. } => (400, e.to_string()),
+            _ => (500, e.to_string()),
+        })
+    }
+
+    fn execute(&self, job: Box<dyn FnOnce() + Send>) {
+        QueryService::execute(self, job);
+    }
+
+    fn health(&self) -> String {
+        wire::encode_health(&self.ingest_status())
+    }
+
+    fn metrics(&self, server: &ServerMetrics) -> String {
+        mirror_server_metrics(self.metrics_registry(), server);
+        self.render_metrics()
+    }
+
+    fn stats(&self, server: &ServerMetrics) -> Option<String> {
+        // One pass over the recorder stripes yields both the summaries
+        // and the raw bucket exports.
+        let (stats, histograms) = self.stats_with_histograms();
+        Some(wire::encode_stats(&stats, &histograms, server))
+    }
+
+    fn slow(&self) -> Option<String> {
+        let (top, sampled) = (self.slow_queries(), self.sampled_queries());
+        Some(wire::encode_slow(&top, &sampled))
+    }
+}
 
 /// The API operations that go through the bounded queue (the inline
 /// `/health`, `/stats`, `/metrics`, and `/debug/slow` endpoints bypass
@@ -127,9 +226,8 @@ pub(crate) enum Op {
 pub struct ServerConfig {
     /// Reactor (accept/IO) threads. Each binds its own `SO_REUSEPORT`
     /// listener on the same address and runs its own epoll loop; the
-    /// kernel spreads incoming connections across them. `0` means
-    /// auto: the `TTHR_REACTORS` environment variable if set to a
-    /// positive integer, else `1`. Clamped to 64.
+    /// kernel spreads incoming connections across them. `0` means one;
+    /// clamped to 64.
     pub reactors: usize,
     /// The backpressure boundary: maximum requests dispatched to the
     /// worker pool and not yet answered (per reactor). When the window is
@@ -276,21 +374,6 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Resolves [`ServerConfig::reactors`]: explicit wins, then the
-/// `TTHR_REACTORS` environment variable, then one.
-fn resolve_reactors(config: &ServerConfig) -> usize {
-    let n = if config.reactors > 0 {
-        config.reactors
-    } else {
-        std::env::var("TTHR_REACTORS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
-    };
-    n.min(64)
-}
-
 /// Boots the HTTP front-end over a query service on `addr` (use port 0
 /// for an ephemeral port; [`ServerHandle::local_addr`] reports the
 /// binding). The service's **existing** worker pool executes the
@@ -305,61 +388,46 @@ pub fn serve<B: ServiceBackend>(
     addr: impl ToSocketAddrs,
     config: ServerConfig,
 ) -> io::Result<ServerHandle> {
-    let num_reactors = resolve_reactors(&config);
-    let mut listeners = None;
+    serve_api(Arc::new(service), bind(addr, &config)?, config)
+}
+
+/// Boots [`serve`]'s front-end over a cluster router (see [`cluster`];
+/// [`cluster::router_config`] is its configuration).
+pub fn serve_router(
+    router: impl Into<Arc<ClusterRouter>>,
+    addr: impl ToSocketAddrs,
+    config: ServerConfig,
+) -> io::Result<ServerHandle> {
+    let api = Arc::new(cluster::RouterApi::new(router.into()));
+    serve_api(api, bind(addr, &config)?, config)
+}
+
+/// Binds one `SO_REUSEPORT` listener per reactor on the first address
+/// `addr` resolves to that accepts them.
+fn bind(addr: impl ToSocketAddrs, config: &ServerConfig) -> io::Result<Vec<TcpListener>> {
     let mut last_err = None;
     for candidate in addr.to_socket_addrs()? {
-        match sys::listener_group(candidate, num_reactors) {
-            Ok(group) => {
-                listeners = Some(group);
-                break;
-            }
+        match sys::listener_group(candidate, config.reactors.clamp(1, 64)) {
+            Ok(group) => return Ok(group),
             Err(e) => last_err = Some(e),
         }
     }
-    let listeners = listeners.ok_or_else(|| {
-        last_err.unwrap_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-        })
-    })?;
+    Err(last_err.unwrap_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
+    }))
+}
+
+/// Starts one reactor thread per listener, every one serving `api`.
+fn serve_api(
+    api: Arc<dyn Api>,
+    listeners: Vec<TcpListener>,
+    config: ServerConfig,
+) -> io::Result<ServerHandle> {
     let addr = listeners[0].local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let counters = Arc::new(Counters::default());
-
-    let num_edges = service.network().num_edges();
-    let max_batch = config.max_batch_queries;
-    let api_service = service.clone();
-    let spq_service = service.clone();
-    let health_service = service.clone();
-    let stats_service = service.clone();
-    let metrics_service = service.clone();
-    let slow_service = service.clone();
-    let exec_service = service;
-    let handlers = Handlers {
-        api: Arc::new(move |job| handle_api(&api_service, num_edges, max_batch, job)),
-        spq: Arc::new(move |op, body| probe_spq(&spq_service, num_edges, op, body)),
-        health: Arc::new(move || wire::encode_health(&health_service.ingest_status())),
-        stats: Arc::new(move |server| {
-            // One pass over the recorder stripes yields both the
-            // summaries and the raw bucket exports.
-            let (stats, histograms) = stats_service.stats_with_histograms();
-            wire::encode_stats(&stats, &histograms, &server)
-        }),
-        metrics: Arc::new(move |server| {
-            mirror_server_metrics(metrics_service.metrics_registry(), &server);
-            metrics_service.render_metrics()
-        }),
-        slow: Arc::new(move || {
-            wire::encode_slow(
-                &slow_service.slow_queries(),
-                &slow_service.sampled_queries(),
-            )
-        }),
-        exec: Arc::new(move |job| exec_service.execute(job)),
-    };
-
-    let mut reactors = Vec::with_capacity(num_reactors);
-    let mut threads = Vec::with_capacity(num_reactors);
+    let mut reactors = Vec::with_capacity(listeners.len());
+    let mut threads = Vec::with_capacity(listeners.len());
     for (i, listener) in listeners.into_iter().enumerate() {
         listener.set_nonblocking(true)?;
         let (wake_rx, wake_tx) = UnixStream::pair()?;
@@ -378,7 +446,7 @@ pub fn serve<B: ServiceBackend>(
             wake_rx,
             config.clone(),
             Arc::clone(&shared),
-            handlers.clone(),
+            Arc::clone(&api),
         )?;
         let thread = std::thread::Builder::new()
             .name(format!("tthr-reactor-{i}"))
@@ -481,37 +549,28 @@ fn mirror_server_metrics(registry: &tthr_metrics::MetricsRegistry, server: &Serv
 }
 
 /// The reactor's half of `/spq`: decode the body once, answer a cache hit
-/// or a malformed body on the spot, and hand a miss's decoded query to the
-/// pool.
-fn probe_spq<B: ServiceBackend>(
-    service: &QueryService<B>,
-    num_edges: usize,
-    op: Op,
-    body: &[u8],
-) -> SpqProbe {
-    let query = match decode_spq_body(op, body, num_edges) {
+/// (`200`) or a malformed body (`400`) on the spot, and hand a miss's
+/// decoded query on to the pool.
+fn probe_spq(api: &dyn Api, op: Op, body: &[u8]) -> ControlFlow<ApiResponse, Spq> {
+    let query = match decode_spq_body(op, body, api.num_edges()) {
         Ok(query) => query,
-        Err(rejected) => return SpqProbe::Rejected(rejected),
+        Err(rejected) => return ControlFlow::Break(rejected),
     };
-    match service.cached_travel_times(&query) {
-        Some(hit) => SpqProbe::Hit(encode_spq_answer(op, hit)),
-        None => SpqProbe::Miss(query),
+    match api.cached(&query) {
+        Some(hit) => ControlFlow::Break(encode_spq_answer(op, Ok(hit))),
+        None => ControlFlow::Continue(query),
     }
 }
 
 /// Executes and encodes one API request, decoding its body first unless
 /// the reactor already did (worker side).
-fn handle_api<B: ServiceBackend>(
-    service: &QueryService<B>,
-    num_edges: usize,
-    max_batch: usize,
-    job: Job,
-) -> ApiResponse {
+fn handle_api(api: &dyn Api, max_batch: usize, job: Job) -> ApiResponse {
+    let num_edges = api.num_edges();
     let (op, body) = match job {
-        Job::Spq(op, query) => return encode_spq_answer(op, service.get_travel_times(&query)),
+        Job::Spq(op, query) => return encode_spq_answer(op, api.spq(&query)),
         Job::Body(op @ (Op::Spq | Op::SpqFrame), body) => {
             return match decode_spq_body(op, &body, num_edges) {
-                Ok(query) => encode_spq_answer(op, service.get_travel_times(&query)),
+                Ok(query) => encode_spq_answer(op, api.spq(&query)),
                 Err(rejected) => rejected,
             };
         }
@@ -521,30 +580,26 @@ fn handle_api<B: ServiceBackend>(
         Ok(v) => v,
         Err(e) => return ApiResponse::json(400, wire::encode_error(&e.to_string())),
     };
-    let (status, body) = match op {
+    let bad = |e: wire::WireError| (400, e);
+    let answer = match op {
         Op::Spq | Op::SpqFrame => unreachable!("answered above"),
-        Op::Trip => match wire::decode_spq(&parsed, num_edges) {
-            Ok(q) => (200, wire::encode_trip(&service.trip_query(&q))),
-            Err(e) => (400, wire::encode_error(&e)),
-        },
-        Op::Batch => match wire::decode_batch(&parsed, num_edges, max_batch) {
-            Ok(queries) => (
-                200,
-                wire::encode_trips(&service.batch_trip_queries(&queries)),
-            ),
-            Err(e) => (400, wire::encode_error(&e)),
-        },
-        Op::Append => match wire::decode_append(&parsed) {
-            Ok((base, payload)) => match service.append_new(base, &payload) {
-                Ok(appended) => (200, wire::encode_appended(appended)),
-                Err(e @ StoreError::WalGap { .. }) => (409, wire::encode_error(&e.to_string())),
-                Err(e @ StoreError::Corrupt { .. }) => (400, wire::encode_error(&e.to_string())),
-                Err(e) => (500, wire::encode_error(&e.to_string())),
-            },
-            Err(e) => (400, wire::encode_error(&e)),
-        },
+        Op::Trip => wire::decode_spq(&parsed, num_edges)
+            .map_err(bad)
+            .and_then(|query| api.trip(&query))
+            .map(|trip| wire::encode_trip(&trip)),
+        Op::Batch => wire::decode_batch(&parsed, num_edges, max_batch)
+            .map_err(bad)
+            .and_then(|queries| api.batch(&queries))
+            .map(|trips| wire::encode_trips(&trips)),
+        Op::Append => wire::decode_append(&parsed)
+            .map_err(bad)
+            .and_then(|(base, payload)| api.append(base, &payload))
+            .map(wire::encode_appended),
     };
-    ApiResponse::json(status, body)
+    match answer {
+        Ok(body) => ApiResponse::json(200, body),
+        Err((status, reason)) => ApiResponse::json(status, wire::encode_error(&reason)),
+    }
 }
 
 /// Decodes an `/spq` body of either content type — a JSON SPQ, or one
@@ -581,18 +636,28 @@ fn decode_spq_body(op: Op, body: &[u8], num_edges: usize) -> Result<Spq, ApiResp
 
 /// Encodes an `/spq` answer in the request's content type: JSON, or a
 /// `TravelTimesResult` frame carrying the bit-exact f64 multiset the JSON
-/// path would have serialized.
-fn encode_spq_answer(op: Op, tt: TravelTimes) -> ApiResponse {
-    if op == Op::Spq {
-        return ApiResponse::json(200, wire::encode_travel_times(&tt));
+/// path would have serialized. A refusal keeps its status; a frame
+/// request gets it as an `Err` frame.
+fn encode_spq_answer(op: Op, answer: Result<TravelTimes, Refusal>) -> ApiResponse {
+    match (op, answer) {
+        (Op::Spq, Ok(tt)) => ApiResponse::json(200, wire::encode_travel_times(&tt)),
+        (_, Ok(tt)) => ApiResponse::frame(
+            200,
+            encode_frame(&Message::TravelTimesResult {
+                values: tt.values.into_vec(),
+                fallback: tt.fallback,
+            }),
+        ),
+        (Op::Spq, Err((status, reason))) => ApiResponse::json(status, wire::encode_error(&reason)),
+        (_, Err((status, reason))) => {
+            let code = if status < 500 {
+                ErrCode::BadRequest
+            } else {
+                ErrCode::Internal
+            };
+            ApiResponse::frame(status, encode_frame(&Message::error(code, reason)))
+        }
     }
-    ApiResponse::frame(
-        200,
-        encode_frame(&Message::TravelTimesResult {
-            values: tt.values.into_vec(),
-            fallback: tt.fallback,
-        }),
-    )
 }
 
 // The handle must be shareable across test/driver threads.
@@ -602,33 +667,3 @@ const _: () = {
     assert_send_sync::<ServerConfig>();
     assert_send_sync::<ServerMetrics>();
 };
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Explicit config beats the environment, the environment beats the
-    /// default of one, and both are clamped to 64.
-    #[test]
-    fn reactor_count_resolution_order() {
-        let explicit = |n| ServerConfig {
-            reactors: n,
-            ..ServerConfig::default()
-        };
-        // This is the only test touching TTHR_REACTORS, so the process
-        // env is safe to mutate here.
-        std::env::remove_var("TTHR_REACTORS");
-        assert_eq!(resolve_reactors(&explicit(0)), 1);
-        assert_eq!(resolve_reactors(&explicit(3)), 3);
-        assert_eq!(resolve_reactors(&explicit(1000)), 64);
-
-        std::env::set_var("TTHR_REACTORS", " 5 ");
-        assert_eq!(resolve_reactors(&explicit(0)), 5);
-        assert_eq!(resolve_reactors(&explicit(2)), 2, "explicit wins");
-        std::env::set_var("TTHR_REACTORS", "0");
-        assert_eq!(resolve_reactors(&explicit(0)), 1, "zero is not a count");
-        std::env::set_var("TTHR_REACTORS", "not a number");
-        assert_eq!(resolve_reactors(&explicit(0)), 1);
-        std::env::remove_var("TTHR_REACTORS");
-    }
-}

@@ -4,8 +4,8 @@
 //! One thread owns every socket. It multiplexes them through the
 //! level-triggered [`Poller`](crate::sys::Poller), parses requests
 //! incrementally ([`crate::http`]), and hands complete API requests to
-//! the query service's worker pool. **The bounded in-flight window is the
-//! backpressure boundary**:
+//! the tier's worker pool ([`Api::execute`]). **The bounded in-flight
+//! window is the backpressure boundary**:
 //!
 //! * `inflight < queue_cap` — the request is dispatched to the pool.
 //! * queue full — the connection **parks** the request and the reactor
@@ -38,10 +38,11 @@
 
 use crate::http::{self, Limits, Parse, ParseError};
 use crate::sys::{Event, Interest, Poller};
-use crate::{Op, ServerConfig, ServerMetrics};
+use crate::{Api, Op, ServerConfig, ServerMetrics};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -157,30 +158,29 @@ impl Counters {
 }
 
 /// A handler's answer: status, body, and the content type to frame it
-/// with (`None` ⇒ the default `application/json`, whose wire bytes are
-/// pinned by the equivalence suite).
+/// with.
 pub(crate) struct ApiResponse {
     pub status: u16,
     pub body: Vec<u8>,
-    pub content_type: Option<&'static str>,
+    pub content_type: &'static str,
 }
 
 impl ApiResponse {
     /// A JSON response (the default wire format).
     pub(crate) fn json(status: u16, body: String) -> ApiResponse {
-        ApiResponse {
-            status,
-            body: body.into_bytes(),
-            content_type: None,
-        }
+        ApiResponse::with(status, body.into_bytes(), http::JSON_CONTENT_TYPE)
     }
 
     /// A binary `tthr-rpc` frame response (the `/spq` fast path).
     pub(crate) fn frame(status: u16, body: Vec<u8>) -> ApiResponse {
+        ApiResponse::with(status, body, http::FRAME_CONTENT_TYPE)
+    }
+
+    fn with(status: u16, body: Vec<u8>, content_type: &'static str) -> ApiResponse {
         ApiResponse {
             status,
             body,
-            content_type: Some(crate::http::FRAME_CONTENT_TYPE),
+            content_type,
         }
     }
 
@@ -191,16 +191,8 @@ impl ApiResponse {
 
     /// The full HTTP response.
     fn encode(&self, keep_alive: bool) -> Vec<u8> {
-        match self.content_type {
-            None => http::encode_response(self.status, &self.body, keep_alive, None),
-            Some(ct) => http::encode_response_with_content_type(
-                self.status,
-                &self.body,
-                keep_alive,
-                None,
-                ct,
-            ),
-        }
+        let (status, body, content_type) = (self.status, &self.body, self.content_type);
+        http::encode_response_with_content_type(status, body, keep_alive, None, content_type)
     }
 }
 
@@ -212,52 +204,6 @@ pub(crate) enum Job {
     /// A body the worker decodes: `/trip`, `/batch`, `/append`, and an
     /// `/spq` body too large to decode on the reactor.
     Body(Op, Vec<u8>),
-}
-
-/// What the reactor learned from an `/spq` body without the pool.
-pub(crate) enum SpqProbe {
-    /// A result-cache hit, encoded.
-    Hit(ApiResponse),
-    /// A body that does not decode to a query of the served network: the
-    /// `400` the pool would have answered (or, from the reactor itself,
-    /// the `500` for a probe that panicked).
-    Rejected(ApiResponse),
-    /// Decoded, not cached: the pool runs it.
-    Miss(Spq),
-}
-
-/// Execute (decoding first if the job carries a body) and encode one API
-/// request; runs on a pool worker.
-pub(crate) type ApiHandler = Arc<dyn Fn(Job) -> ApiResponse + Send + Sync>;
-/// Decode an `/spq` body and probe the result cache; runs inline on the
-/// reactor and never takes the index lock.
-pub(crate) type SpqHandler = Arc<dyn Fn(Op, &[u8]) -> SpqProbe + Send + Sync>;
-/// Render the `/stats` body; runs inline on the reactor.
-pub(crate) type StatsHandler = Arc<dyn Fn(ServerMetrics) -> String + Send + Sync>;
-/// Render the `/metrics` Prometheus exposition; runs inline on the
-/// reactor (the server counter snapshot is mirrored into the service's
-/// registry before rendering).
-pub(crate) type MetricsHandler = Arc<dyn Fn(ServerMetrics) -> String + Send + Sync>;
-/// Render the `/health` body (liveness plus ingestion-lifecycle status);
-/// runs inline on the reactor.
-pub(crate) type HealthHandler = Arc<dyn Fn() -> String + Send + Sync>;
-/// Render the `/debug/slow` slow-query-log body; runs inline.
-pub(crate) type SlowHandler = Arc<dyn Fn() -> String + Send + Sync>;
-/// Submit a job to the service's worker pool.
-pub(crate) type Executor = Arc<dyn Fn(Box<dyn FnOnce() + Send>) + Send + Sync>;
-
-/// The request handlers the reactor drives (type-erased so the reactor is
-/// independent of the service's backend parameter; cloned once per
-/// reactor thread).
-#[derive(Clone)]
-pub(crate) struct Handlers {
-    pub api: ApiHandler,
-    pub spq: SpqHandler,
-    pub health: HealthHandler,
-    pub stats: StatsHandler,
-    pub metrics: MetricsHandler,
-    pub slow: SlowHandler,
-    pub exec: Executor,
 }
 
 struct Conn {
@@ -338,7 +284,8 @@ pub(crate) struct Reactor {
     config: ServerConfig,
     limits: Limits,
     shared: Arc<Shared>,
-    handlers: Handlers,
+    /// The tier served; one clone per reactor thread.
+    api: Arc<dyn Api>,
     shutdown_seen: Option<Instant>,
 }
 
@@ -348,7 +295,7 @@ impl Reactor {
         wake_rx: UnixStream,
         config: ServerConfig,
         shared: Arc<Shared>,
-        handlers: Handlers,
+        api: Arc<dyn Api>,
     ) -> std::io::Result<Reactor> {
         let poller = Poller::new()?;
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
@@ -369,7 +316,7 @@ impl Reactor {
             },
             config,
             shared,
-            handlers,
+            api,
             shutdown_seen: None,
         })
     }
@@ -586,27 +533,22 @@ impl Reactor {
         }
 
         let op = match (request.method.as_str(), request.target.as_str()) {
-            ("GET", "/health") => {
-                let response = ApiResponse::json(200, (self.handlers.health)());
-                self.respond(token, seq, &response, keep_alive);
-                return;
-            }
-            ("GET", "/stats") => {
-                let body = (self.handlers.stats)(self.shared.counters.snapshot());
-                self.respond(token, seq, &ApiResponse::json(200, body), keep_alive);
-                return;
-            }
-            ("GET", "/metrics") => {
-                let response = ApiResponse {
-                    status: 200,
-                    body: (self.handlers.metrics)(self.shared.counters.snapshot()).into_bytes(),
-                    content_type: Some(http::PROMETHEUS_CONTENT_TYPE),
+            // The inline endpoints; a tier without one answers `404`.
+            ("GET", target @ ("/health" | "/stats" | "/metrics" | "/debug/slow")) => {
+                let server = self.shared.counters.snapshot();
+                let (body, content_type) = match target {
+                    "/health" => (Some(self.api.health()), http::JSON_CONTENT_TYPE),
+                    "/stats" => (self.api.stats(&server), http::JSON_CONTENT_TYPE),
+                    "/metrics" => (
+                        Some(self.api.metrics(&server)),
+                        http::PROMETHEUS_CONTENT_TYPE,
+                    ),
+                    _ => (self.api.slow(), http::JSON_CONTENT_TYPE),
                 };
-                self.respond(token, seq, &response, keep_alive);
-                return;
-            }
-            ("GET", "/debug/slow") => {
-                let response = ApiResponse::json(200, (self.handlers.slow)());
+                let response = match body {
+                    Some(body) => ApiResponse::with(200, body.into_bytes(), content_type),
+                    None => ApiResponse::json(404, crate::wire::encode_error("unknown endpoint")),
+                };
                 self.respond(token, seq, &response, keep_alive);
                 return;
             }
@@ -674,31 +616,27 @@ impl Reactor {
 
         // An `/spq` that fits in one read chunk is decoded here, once: the
         // bound keeps the reactor's share of a request small.
-        let job = if matches!(op, Op::Spq | Op::SpqFrame)
-            && request.body.len() <= BUF_RETAIN_WATERMARK
-        {
-            let spq = &self.handlers.spq;
-            let probe =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spq(op, &request.body)))
-                    .unwrap_or_else(|_| SpqProbe::Rejected(ApiResponse::internal_error()));
-            match probe {
-                SpqProbe::Hit(response) => {
-                    self.shared
-                        .counters
-                        .inline_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.respond(token, seq, &response, keep_alive);
-                    return;
+        let job =
+            if matches!(op, Op::Spq | Op::SpqFrame) && request.body.len() <= BUF_RETAIN_WATERMARK {
+                let api = &*self.api;
+                let probe = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    crate::probe_spq(api, op, &request.body)
+                }))
+                .unwrap_or_else(|_| ControlFlow::Break(ApiResponse::internal_error()));
+                match probe {
+                    ControlFlow::Continue(query) => Job::Spq(op, query),
+                    ControlFlow::Break(response) => {
+                        // Only a cache hit is a `200` here.
+                        let hit = u64::from(response.status == 200);
+                        let hits = &self.shared.counters.inline_hits;
+                        hits.fetch_add(hit, Ordering::Relaxed);
+                        self.respond(token, seq, &response, keep_alive);
+                        return;
+                    }
                 }
-                SpqProbe::Rejected(response) => {
-                    self.respond(token, seq, &response, keep_alive);
-                    return;
-                }
-                SpqProbe::Miss(query) => Job::Spq(op, query),
-            }
-        } else {
-            Job::Body(op, request.body)
-        };
+            } else {
+                Job::Body(op, request.body)
+            };
         self.admit(token, seq, job, keep_alive);
     }
 
@@ -731,13 +669,16 @@ impl Reactor {
             .fetch_max(now_inflight, Ordering::Relaxed);
 
         let shared = Arc::clone(&self.shared);
-        let api = Arc::clone(&self.handlers.api);
+        let api = Arc::clone(&self.api);
         let worker_delay = self.config.worker_delay;
-        (self.handlers.exec)(Box::new(move || {
+        let max_batch = self.config.max_batch_queries;
+        self.api.execute(Box::new(move || {
             if let Some(delay) = worker_delay {
                 std::thread::sleep(delay);
             }
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| api(job)));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                crate::handle_api(&*api, max_batch, job)
+            }));
             let response = result.unwrap_or_else(|_| ApiResponse::internal_error());
             shared.counters.count_status(response.status);
             let bytes = response.encode(keep_alive);
@@ -1072,6 +1013,8 @@ fn wants_read(conn: &Conn) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Payload, Refusal};
+    use tthr_core::{TravelTimes, TripQuery};
 
     fn test_shared() -> (Arc<Shared>, UnixStream) {
         let (wake_rx, wake_tx) = UnixStream::pair().unwrap();
@@ -1088,28 +1031,68 @@ mod tests {
         (shared, wake_rx)
     }
 
-    /// Handlers that execute jobs inline on the calling thread, so a test
-    /// can drive the reactor's methods directly without a pool.
-    fn sync_handlers() -> Handlers {
-        Handlers {
-            api: Arc::new(|_| ApiResponse::json(200, "{}".to_string())),
-            spq: Arc::new(|_, _| SpqProbe::Rejected(ApiResponse::json(400, "{}".to_string()))),
-            health: Arc::new(|| "{\"status\":\"ok\"}".to_string()),
-            stats: Arc::new(|_| String::new()),
-            metrics: Arc::new(|_| String::new()),
-            slow: Arc::new(String::new),
-            exec: Arc::new(|job| job()),
+    type PoolJob = Box<dyn FnOnce() + Send>;
+
+    /// A tier whose pool is a queue the test drains by hand, so a test
+    /// can drive the reactor's methods directly. An `/spq` on edge 1 is a
+    /// cache hit answered `[2]`, one on edge 2 panics the probe, and any
+    /// other misses and is answered `[1]` by the pool.
+    #[derive(Default)]
+    struct Fake {
+        queued: Mutex<Vec<PoolJob>>,
+    }
+
+    fn times(value: f64) -> TravelTimes {
+        TravelTimes {
+            values: tthr_core::TtValues::one(value),
+            fallback: false,
         }
     }
 
-    fn test_reactor(handlers: Handlers) -> (Reactor, std::net::SocketAddr) {
+    impl Api for Fake {
+        fn num_edges(&self) -> usize {
+            4
+        }
+        fn cached(&self, query: &Spq) -> Option<TravelTimes> {
+            match query.path.first().0 {
+                1 => Some(times(2.0)),
+                2 => panic!("probe bug"),
+                _ => None,
+            }
+        }
+        fn spq(&self, _: &Spq) -> Result<TravelTimes, Refusal> {
+            Ok(times(1.0))
+        }
+        fn trip(&self, _: &Spq) -> Result<TripQuery, Refusal> {
+            unreachable!("no trips here")
+        }
+        fn batch(&self, _: &[Spq]) -> Result<Vec<TripQuery>, Refusal> {
+            unreachable!("no batches here")
+        }
+        fn append(&self, _: Option<u64>, _: &Payload) -> Result<usize, Refusal> {
+            unreachable!("no appends here")
+        }
+        fn execute(&self, job: PoolJob) {
+            self.queued.lock().unwrap().push(job);
+        }
+        fn health(&self) -> String {
+            unreachable!("no health here")
+        }
+        fn metrics(&self, _: &ServerMetrics) -> String {
+            unreachable!("no metrics here")
+        }
+    }
+
+    fn test_reactor() -> (Reactor, Arc<Fake>, std::net::SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let (shared, wake_rx) = test_shared();
+        let fake = Arc::new(Fake::default());
+        let api: Arc<dyn Api> = fake.clone();
         let reactor =
-            Reactor::new(listener, wake_rx, ServerConfig::default(), shared, handlers).unwrap();
-        (reactor, addr)
+            Reactor::new(listener, wake_rx, ServerConfig::default(), shared, api).unwrap();
+        (reactor, fake, addr)
     }
 
     /// Accepts the one connection a test just opened (retrying around the
@@ -1161,7 +1144,7 @@ mod tests {
     /// drained buffer must give the excess back to the allocator.
     #[test]
     fn drained_read_buffer_shrinks_to_the_watermark() {
-        let (mut reactor, addr) = test_reactor(sync_handlers());
+        let (mut reactor, _fake, addr) = test_reactor();
         let mut client = std::net::TcpStream::connect(addr).unwrap();
         let body = vec![b'x'; 256 * 1024];
         let mut request = format!(
@@ -1205,29 +1188,18 @@ mod tests {
     /// that panics is answered `500`, as a panicking worker is.
     #[test]
     fn inline_hits_answer_in_pipelining_order() {
-        let (queue, queued) = std::sync::mpsc::channel();
-        let miss = Spq::new(
-            tthr_network::Path::new(vec![tthr_network::EdgeId(0)]),
-            tthr_core::TimeInterval::fixed(0, 1),
-        );
-        let handlers = Handlers {
-            api: Arc::new(|_| ApiResponse::json(200, "\"pool\"".to_string())),
-            spq: Arc::new(move |_, body| match body {
-                b"hit" => SpqProbe::Hit(ApiResponse::json(200, "\"reactor\"".to_string())),
-                b"panic" => panic!("probe bug"),
-                _ => SpqProbe::Miss(miss.clone()),
-            }),
-            exec: Arc::new(move |job| queue.send(job).unwrap()),
-            ..sync_handlers()
-        };
-        let (mut reactor, addr) = test_reactor(handlers);
+        let (mut reactor, fake, addr) = test_reactor();
         let mut client = std::net::TcpStream::connect(addr).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let burst: String = ["miss", "hit", "panic"]
-            .iter()
-            .map(|body| {
+        // Edge 0 misses, edge 1 hits, edge 2 panics the probe.
+        let burst: String = (0..3)
+            .map(|edge| {
+                let body = crate::wire::encode_spq(&Spq::new(
+                    tthr_network::Path::new(vec![tthr_network::EdgeId(edge)]),
+                    tthr_core::TimeInterval::fixed(0, 1),
+                ));
                 let len = body.len();
                 format!("POST /spq HTTP/1.1\r\ncontent-length: {len}\r\n\r\n{body}")
             })
@@ -1243,7 +1215,7 @@ mod tests {
         reactor.flush_dirty();
         let counters = Arc::clone(&reactor.shared.counters);
         assert_eq!(counters.inline_hits.load(Ordering::Relaxed), 1);
-        let jobs: Vec<_> = queued.try_iter().collect();
+        let jobs = std::mem::take(&mut *fake.queued.lock().unwrap());
         assert_eq!(jobs.len(), 1, "only the miss is pool work");
         assert!(
             reactor.conns[&token].write_queue.is_empty(),
@@ -1263,8 +1235,12 @@ mod tests {
             replies.push_str(std::str::from_utf8(&chunk[..n]).unwrap());
         }
         let at = |needle: &str| replies.find(needle).expect(needle);
-        assert!(at("\"pool\"") < at("\"reactor\""), "{replies}");
-        assert!(at("\"reactor\"") < at("500"), "{replies}");
+        let (pool, reactor) = (
+            crate::wire::encode_travel_times(&times(1.0)),
+            crate::wire::encode_travel_times(&times(2.0)),
+        );
+        assert!(at(&pool) < at(&reactor), "{replies}");
+        assert!(at(&reactor) < at("500"), "{replies}");
         assert_eq!(counters.server_errors.load(Ordering::Relaxed), 1);
     }
 
@@ -1272,7 +1248,7 @@ mod tests {
     /// the reactor's pool, and the next accept reuses one.
     #[test]
     fn closed_connection_read_buffers_are_recycled() {
-        let (mut reactor, addr) = test_reactor(sync_handlers());
+        let (mut reactor, _fake, addr) = test_reactor();
         let _c1 = std::net::TcpStream::connect(addr).unwrap();
         let token = accept_one(&mut reactor);
         // Give the buffer some capacity so reuse is observable.

@@ -25,9 +25,9 @@ use tthr::core::{
     QueryEngineConfig, ShardNodeState, ShardedSntIndex, SntConfig, Spq, TimeInterval,
 };
 use tthr::datagen::{generate_network, generate_workload, NetworkConfig, WorkloadConfig};
-use tthr::server::cluster::serve_cluster;
+use tthr::server::cluster::router_config;
 use tthr::server::node::{serve_node, NodeStore};
-use tthr::server::wire;
+use tthr::server::{serve_router, wire};
 use tthr::trajectory::TrajId;
 
 const K: usize = 2;
@@ -71,7 +71,14 @@ fn main() {
         ClientConfig::default(),
     )
     .expect("assemble cluster");
-    router.health().expect("all shards healthy");
+    for shard in router.health() {
+        if let Some(status) = shard.status {
+            println!(
+                "shard {} at {}: {}, applied stamp {}",
+                shard.shard, shard.addr, status.role, status.applied_stamp
+            );
+        }
+    }
 
     // One trip query through the whole stack, to prove it breathes.
     let tr = set.get(TrajId(0));
@@ -89,13 +96,15 @@ fn main() {
 
     // --- The cluster HTTP endpoint -------------------------------------------
     let addr_env = std::env::var("TTHR_ADDR").unwrap_or_else(|_| "127.0.0.1:7879".to_string());
-    let listener = TcpListener::bind(addr_env.as_str())
+    let server = serve_router(router, addr_env.as_str(), router_config())
         .expect("binding the router address (override with TTHR_ADDR)");
-    let addr = listener.local_addr().expect("router addr");
+    let addr = server.local_addr();
     println!("tthr cluster router listening on http://{addr}");
     println!("\ntry it:");
     println!("  curl http://{addr}/health");
     println!("  curl -d '{}' http://{addr}/spq", wire::encode_spq(&spq));
     println!("  curl -d '{}' http://{addr}/trip", wire::encode_spq(&spq));
-    serve_cluster(listener, router).expect("serve cluster");
+    loop {
+        std::thread::park();
+    }
 }

@@ -6,26 +6,30 @@
 //! ```
 //!
 //! Connects to every shard node, cross-checks the cluster's shape, and
-//! serves the same JSON endpoints as the single-process server
-//! (`/health`, `/spq`, `/trip`, `/batch`, `/append`, plus the router's
-//! own `/metrics`) by scattering SPQ primitives over the binary
-//! protocol. Each `--node` lists one shard's endpoints: the primary
-//! first, then any standby replicas — when a primary dies, reads fail
-//! over to the freshest caught-up standby and appends promote it.
+//! serves the single-process server's endpoints on its epoll reactor
+//! (`/health`, `/spq` with JSON or frame bodies, `/trip`, `/batch`,
+//! `/append`, plus the router's own `/metrics`; `/stats` and
+//! `/debug/slow` are `404`) by scattering SPQ primitives over the binary
+//! protocol. `/health` answers from router state without contacting a
+//! node: each shard's replication stamps are the last ones its preferred
+//! endpoint reported. Each `--node` lists one shard's endpoints: the
+//! primary first, then any standby replicas — when a primary dies, reads
+//! fail over to the freshest caught-up standby and appends promote it.
 //! Trip-query planning needs the road network, which nodes do not ship;
 //! the router regenerates it deterministically from the named datagen
 //! preset (the same preset the cluster was bootstrapped from).
 //!
-//! Prints `LISTENING <addr>` on stdout once ready and exits when stdin
-//! reaches EOF, like `tthr-node`.
+//! Prints `LISTENING <addr>` on stdout once ready. When stdin reaches
+//! EOF, like `tthr-node`, it drains: requests in flight are answered to
+//! the last byte, new ones are refused `503`, and the process exits 0.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 
 use tthr::client::{ClusterRouter, RouterConfig};
 use tthr::core::QueryEngineConfig;
 use tthr::datagen::{generate_network, NetworkConfig};
-use tthr::server::cluster::serve_cluster;
+use tthr::server::{cluster, serve_router};
 
 const USAGE: &str = "usage: tthr-router --node <ip:port>[,<standby>…] [--node …] \
      [--addr <ip:port>] [--preset small|medium|large] [--probe-ms <n>]";
@@ -100,34 +104,21 @@ fn main() {
         Ok(router) => router,
         Err(e) => die(&format!("cannot assemble cluster: {e}")),
     };
-    let listener = match TcpListener::bind(&addr) {
-        Ok(l) => l,
-        Err(e) => die(&format!("cannot bind {addr}: {e}")),
+    let (shards, trajectories) = (router.num_shards(), router.num_global());
+    let server = match serve_router(router, addr.as_str(), cluster::router_config()) {
+        Ok(server) => server,
+        Err(e) => die(&format!("cannot serve on {addr}: {e}")),
     };
-    let local = listener
-        .local_addr()
-        .expect("bound listener has an address");
+    let local = server.local_addr();
     eprintln!(
-        "tthr-router: {} shards, {} trajectories, serving on http://{local}",
-        router.num_shards(),
-        router.num_global(),
+        "tthr-router: {shards} shards, {trajectories} trajectories, serving on http://{local}"
     );
     println!("LISTENING {local}");
     std::io::stdout().flush().ok();
 
-    std::thread::spawn(|| {
-        let mut sink = [0u8; 256];
-        let mut stdin = std::io::stdin();
-        loop {
-            match stdin.read(&mut sink) {
-                Ok(0) | Err(_) => std::process::exit(0),
-                Ok(_) => {}
-            }
-        }
-    });
-
-    if let Err(e) = serve_cluster(listener, router) {
-        eprintln!("tthr-router: accept loop failed: {e}");
-        std::process::exit(1);
-    }
+    let mut sink = [0u8; 256];
+    let mut stdin = std::io::stdin();
+    while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+    server.shutdown();
+    std::process::exit(0);
 }

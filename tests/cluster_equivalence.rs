@@ -14,13 +14,16 @@
 mod common;
 
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use common::cluster::{read_listening_line, ClusterHarness, CLUSTER_K};
 use common::differential::QueryGen;
-use common::http::HttpClient;
-use tthr::client::ClientConfig;
-use tthr::core::{CardinalityMode, IndexBackend, QueryEngine, TimeInterval};
-use tthr::server::wire;
+use common::http::{encode_frame_request, HttpClient};
+use tthr::client::{ClientConfig, ClusterRouter};
+use tthr::core::{CardinalityMode, IndexBackend, QueryEngine, Spq, TimeInterval};
+use tthr::rpc::{encode_frame, Message};
+use tthr::server::http::FRAME_CONTENT_TYPE;
+use tthr::server::{cluster, serve_router, wire};
 
 /// One full differential pass: `rounds` rounds of randomized queries,
 /// each followed by an append batch ingested by both sides.
@@ -284,6 +287,122 @@ fn router_process_serves_the_http_wire_format() {
         status.success() || status.code() == Some(0),
         "router exit: {status:?}"
     );
+}
+
+/// The router on the reactor answers a frame-bodied `/spq` with the
+/// reference answer as a `TravelTimesResult` frame, and a `/batch` —
+/// whose trips run in parallel on the router's pool — with exactly the
+/// per-trip `/trip` answers, in order.
+#[test]
+fn router_answers_frame_spqs_and_batches_like_the_reference() {
+    let h = ClusterHarness::boot("http-frames", ClientConfig::default());
+    let router = ClusterRouter::connect(
+        h.network.clone(),
+        &h.addrs(),
+        h.engine_config.clone(),
+        ClientConfig::default(),
+    )
+    .expect("connect router");
+    let server =
+        serve_router(router, "127.0.0.1:0", cluster::router_config()).expect("serve router");
+    let mut client = HttpClient::connect(server.local_addr());
+    let mut gen = QueryGen::new("cluster_http_frames");
+    for _ in 0..20 {
+        let spq = gen.spq_from(&h.full, h.applied);
+        let frame = encode_frame(&Message::TravelTimes(spq.clone()));
+        client.send_raw(&encode_frame_request(&frame));
+        let response = client.read_response();
+        assert_eq!(response.status, 200, "{spq:?}");
+        assert_eq!(response.header("content-type"), Some(FRAME_CONTENT_TYPE));
+        let want = h.reference.get_travel_times(&spq);
+        let want = Message::TravelTimesResult {
+            values: want.values.into_vec(),
+            fallback: want.fallback,
+        };
+        assert_eq!(response.body, encode_frame(&want), "{spq:?}");
+    }
+
+    let trips: Vec<Spq> = (0..12).map(|_| gen.spq_from(&h.full, h.applied)).collect();
+    let singles: Vec<String> = trips
+        .iter()
+        .map(|spq| {
+            let response = client.request("POST", "/trip", wire::encode_spq(spq).as_bytes());
+            assert_eq!(response.status, 200, "{spq:?}");
+            assert_eq!(
+                response.body_str(),
+                wire::encode_trip(&h.reference_trip(spq)),
+                "{spq:?}"
+            );
+            response.body_str().to_string()
+        })
+        .collect();
+    let batch = client.request("POST", "/batch", batch_body(&trips).as_bytes());
+    assert_eq!(batch.status, 200);
+    assert_eq!(
+        batch.body_str(),
+        format!("{{\"trips\":[{}]}}", singles.join(","))
+    );
+    server.shutdown();
+}
+
+/// A `/batch` request body.
+fn batch_body(trips: &[Spq]) -> String {
+    let queries: Vec<String> = trips.iter().map(wire::encode_spq).collect();
+    format!("{{\"queries\":[{}]}}", queries.join(","))
+}
+
+/// Closing `tthr-router`'s stdin drains it: a large `/batch` already in
+/// flight arrives whole, and the process exits 0.
+#[test]
+fn router_process_drains_a_batch_in_flight_when_stdin_closes() {
+    const TRIPS: usize = 512;
+    let h = ClusterHarness::boot("http-drain", ClientConfig::default());
+    let mut args: Vec<String> = Vec::new();
+    for addr in h.addrs() {
+        args.extend(["--node".to_string(), addr.to_string()]);
+    }
+    let mut router = Command::new(env!("CARGO_BIN_EXE_tthr-router"))
+        .args(&args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn tthr-router");
+    let stdin = router.stdin.take().expect("piped stdin");
+    let addr = read_listening_line(router.stdout.take().expect("piped stdout"));
+
+    let mut gen = QueryGen::new("cluster_http_drain");
+    let trips: Vec<Spq> = (0..TRIPS)
+        .map(|_| gen.spq_from(&h.full, h.applied))
+        .collect();
+    let mut client = HttpClient::connect(addr);
+    client.send("POST", "/batch", batch_body(&trips).as_bytes());
+    // Close stdin once the batch's trips have started, and before they
+    // are all done.
+    let mut scrape = HttpClient::connect(addr);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let metrics = scrape.request("GET", "/metrics", b"");
+        let started = metrics
+            .body_str()
+            .lines()
+            .find_map(|l| l.strip_prefix("tthr_router_trips_total "))
+            .and_then(|v| v.parse::<f64>().ok())
+            .unwrap_or(0.0) as usize;
+        assert!(started < TRIPS, "the batch finished before stdin closed");
+        if started > 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the batch never started");
+    }
+    drop(stdin);
+
+    let response = client.read_response();
+    assert_eq!(response.status, 200);
+    let want: Vec<_> = trips.iter().map(|spq| h.reference_trip(spq)).collect();
+    assert_eq!(response.body_str(), wire::encode_trips(&want));
+    let status = router.wait().expect("router exit");
+    assert_eq!(status.code(), Some(0), "router exit: {status:?}");
 }
 
 /// The count behind the frontier rounds, on the benchmark's own traffic:

@@ -24,7 +24,6 @@
 
 mod common;
 
-use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,7 +39,7 @@ use tthr::core::node::plan_node_records;
 use tthr::core::{NodeWalRecord, Spq};
 use tthr::metrics::validate_exposition;
 use tthr::rpc::{ErrCode, Message, Role};
-use tthr::server::cluster::serve_cluster_conn;
+use tthr::server::{cluster, serve_router};
 
 /// Short-fuse transport config so failover scenarios fail over fast
 /// instead of hanging the suite.
@@ -470,16 +469,9 @@ fn breaker_trips_on_refused_endpoint_and_recovers_via_probing() {
 
     // The HTTP front-end over the same router: `/health` carries roles
     // and stamps, `/metrics` the failover families.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind http");
-    let http_addr: SocketAddr = listener.local_addr().expect("http addr");
-    let conn_router = Arc::clone(&router);
-    std::thread::spawn(move || {
-        while let Ok((conn, _)) = listener.accept() {
-            let router = Arc::clone(&conn_router);
-            std::thread::spawn(move || serve_cluster_conn(conn, &router));
-        }
-    });
-    let mut http = HttpClient::connect(http_addr);
+    let server = serve_router(Arc::clone(&router), "127.0.0.1:0", cluster::router_config())
+        .expect("serve the router");
+    let mut http = HttpClient::connect(server.local_addr());
     let health = http.request("GET", "/health", b"");
     assert_eq!(health.status, 200);
     let body = health.body_str();

@@ -22,24 +22,33 @@
 //!   whole trip aborts typed and stops dispatching; malformed ladder
 //!   batches and out-of-range edge ids → typed `BadRequest`, a short
 //!   batch reply → typed `Unexpected`;
-//! * concurrent `/append` requests carrying one stamp → exactly one lands.
+//! * concurrent `/append` requests carrying one stamp → exactly one lands;
+//! * the router's HTTP failure table: a killed shard → `503`, a corrupt
+//!   reply frame → `502`, a malformed body or out-of-range edge → `400`,
+//!   and a `/batch` answers its first failing trip's status, never a
+//!   partial body;
+//! * `/health` answers from router state with a shard down.
 
 mod common;
 
 use std::io::Write as _;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::cluster::{relay, relay_that_dies_on_ladder_batch, router_rpcs, ClusterHarness};
+use common::cluster::{
+    relay, relay_bytes, relay_that_dies_on_ladder_batch, router_rpcs, ClusterHarness,
+};
 use common::differential::QueryGen;
-use common::http::HttpClient;
+use common::http::{encode_frame_request, HttpClient};
 use tthr::client::{ClientConfig, ClusterError, ClusterRouter, NodeClient, RouterConfig};
 use tthr::core::node::{MAX_LADDER_BATCH, MAX_LADDER_LEVELS};
 use tthr::core::{CardinalityMode, NodeWalRecord, Spq, TimeInterval};
 use tthr::network::{EdgeId, Path};
 use tthr::rpc::{encode_frame, read_frame, ErrCode, Message};
-use tthr::server::cluster::serve_cluster;
-use tthr::server::wire::encode_append_request;
+use tthr::server::cluster::{router_config, serve_cluster, status_of};
+use tthr::server::wire::{self, encode_append_request};
+use tthr::server::{json, serve_router, ServerHandle};
 
 /// Short-fuse transport config so fault scenarios fail fast instead of
 /// hanging the suite.
@@ -554,6 +563,184 @@ fn malformed_ladders_are_bad_requests_not_panics() {
         }
     }
     h.check_ladder(&spq);
+}
+
+/// `router` served over HTTP, shared so a test can also call it.
+fn serve(router: &Arc<ClusterRouter>) -> (ServerHandle, SocketAddr) {
+    let server = serve_router(Arc::clone(router), "127.0.0.1:0", router_config()).expect("serve");
+    let addr = server.local_addr();
+    (server, addr)
+}
+
+/// A relay that passes the cluster handshake (`GetMeta`, `GetRouting`,
+/// `Health`) through and corrupts every other reply frame's last byte.
+fn corrupting_relay(upstream: SocketAddr) -> SocketAddr {
+    relay_bytes(upstream, |request, node| {
+        let mut reply = encode_frame(&node.request(request).expect("upstream reply"));
+        if !matches!(
+            request,
+            Message::GetMeta | Message::GetRouting | Message::Health
+        ) {
+            *reply.last_mut().expect("non-empty frame") ^= 0xff;
+        }
+        Some(reply)
+    })
+}
+
+/// Asserts an HTTP answer is `status` with a bare error body whose reason
+/// starts with `reason` — never a partial answer.
+#[track_caller]
+fn assert_refused(response: &common::http::Response, status: u16, reason: &str) {
+    assert_eq!(response.status, status, "{}", response.body_str());
+    let body = json::parse(&response.body).expect("json error body");
+    let error = body.get("error").and_then(|e| e.as_str()).expect("error");
+    assert!(error.starts_with(reason), "{error}");
+    assert_eq!(response.body_str(), wire::encode_error(error));
+}
+
+/// A `/batch` request body.
+fn batch_body(trips: &[Spq]) -> String {
+    let queries: Vec<String> = trips.iter().map(wire::encode_spq).collect();
+    format!("{{\"queries\":[{}]}}", queries.join(","))
+}
+
+/// The router's HTTP failure table, over the reactor: a killed shard is
+/// `503` on `/spq`, `/trip` and `/batch`; a node's corrupt reply frame is
+/// `502`; a malformed body, or a frame `/spq` naming an edge past the
+/// routing table, is `400`. A `/batch` answers the status of its first
+/// failing trip in input order, with a bare error body.
+#[test]
+fn router_http_failure_table() {
+    let mut h = ClusterHarness::boot("faults-http", quick());
+    let mut gen = QueryGen::new("cluster_faults_http");
+    let connect = |addrs: &[SocketAddr]| {
+        let router =
+            ClusterRouter::connect(h.network.clone(), addrs, h.engine_config.clone(), quick());
+        Arc::new(router.expect("connect router"))
+    };
+    let good = connect(&h.addrs());
+    let corrupt = connect(&[h.nodes[0].addr, corrupting_relay(h.nodes[1].addr)]);
+    let (_good_server, good_http) = serve(&good);
+    let (_corrupt_server, corrupt_http) = serve(&corrupt);
+    let mut http = HttpClient::connect(good_http);
+
+    // 400: what the front door rejects before any node is asked.
+    for path in ["/spq", "/trip", "/batch", "/append"] {
+        let response = http.request("POST", path, b"{nope");
+        assert_refused(&response, 400, "");
+    }
+    let num_edges = h.cluster.routing().num_edges();
+    let wild = Spq::new(
+        Path::new(vec![EdgeId(num_edges as u32)]),
+        TimeInterval::fixed(0, 1),
+    );
+    http.send_raw(&encode_frame_request(&encode_frame(&Message::TravelTimes(
+        wild.clone(),
+    ))));
+    let response = http.read_response();
+    assert_eq!(response.status, 400);
+    let reason = wild.check_edges(num_edges).expect_err("out of range");
+    assert_eq!(
+        response.body,
+        encode_frame(&Message::error(ErrCode::BadRequest, reason.to_string()))
+    );
+
+    // 502: shard 1's replies arrive corrupt.
+    let on_1 = spq_routed_to(&h, &mut gen, 1);
+    let mut http_corrupt = HttpClient::connect(corrupt_http);
+    for path in ["/spq", "/trip"] {
+        let response = http_corrupt.request("POST", path, wire::encode_spq(&on_1).as_bytes());
+        assert_refused(&response, 502, "protocol error");
+    }
+
+    // 503: shard 0 is gone.
+    h.kill_node(0);
+    let on_0 = spq_routed_to(&h, &mut gen, 0);
+    for path in ["/spq", "/trip"] {
+        let response = http.request("POST", path, wire::encode_spq(&on_0).as_bytes());
+        assert_refused(&response, 503, "shard 0 unavailable");
+    }
+
+    // A batch whose k-th trip fails answers that trip's status alone.
+    let (mut ok, mut failing) = (Vec::new(), None);
+    while ok.len() < 7 || failing.is_none() {
+        let spq = gen.spq_from(&h.full, h.applied);
+        match good.trip_query(&spq) {
+            Ok(_) => ok.push(spq),
+            Err(_) => failing = Some(spq),
+        }
+    }
+    let mut trips = ok[..7].to_vec();
+    trips.insert(4, failing.expect("a failing trip"));
+    let response = http.request("POST", "/batch", batch_body(&trips).as_bytes());
+    assert_refused(&response, 503, "shard 0 unavailable");
+
+    // With shard 0 dead and shard 1 corrupt, each trip fails with the
+    // status of the first shard it reaches; a batch answers its first
+    // trip's, in input order.
+    let (mut by_502, mut by_503) = (None, None);
+    while by_502.is_none() || by_503.is_none() {
+        let spq = gen.spq_from(&h.full, h.applied);
+        let err = corrupt.trip_query(&spq).expect_err("every trip fails");
+        match status_of(&err) {
+            502 => by_502 = Some(spq),
+            _ => by_503 = Some(spq),
+        }
+    }
+    let (by_502, by_503) = (by_502.unwrap(), by_503.unwrap());
+    for (trips, status, reason) in [
+        ([by_502.clone(), by_503.clone()], 502, "protocol error"),
+        ([by_503, by_502], 503, "shard 0 unavailable"),
+    ] {
+        let response = http_corrupt.request("POST", "/batch", batch_body(&trips).as_bytes());
+        assert_refused(&response, status, reason);
+    }
+}
+
+/// `/health` answers from router state: with a shard's node killed it is
+/// a `200` carrying the confirmed trajectory count and each shard's
+/// stamps as the last append acknowledged them — at once, where asking
+/// the dark shard would spend a retry budget first.
+#[test]
+fn router_health_answers_from_router_state_with_a_shard_down() {
+    let mut h = ClusterHarness::boot("faults-health", quick());
+    let patient = ClientConfig {
+        retries: 4,
+        backoff: Duration::from_millis(100),
+        ..quick()
+    };
+    let router = ClusterRouter::connect(
+        h.network.clone(),
+        &h.addrs(),
+        h.engine_config.clone(),
+        patient.clone(),
+    )
+    .expect("connect router");
+    let server = serve_router(router, "127.0.0.1:0", router_config()).expect("serve");
+    let mut http = HttpClient::connect(server.local_addr());
+    let stamp = h.applied as u64;
+    let batch = h.reference_append_next(3);
+    let appended = http.request(
+        "POST",
+        "/append",
+        encode_append_request(Some(stamp), &batch).as_bytes(),
+    );
+    assert_eq!(appended.body_str(), wire::encode_appended(3));
+
+    h.kill_node(0);
+    let started = Instant::now();
+    let health = http.request("GET", "/health", b"");
+    let took = started.elapsed();
+    assert_eq!(health.status, 200, "{}", health.body_str());
+    assert!(
+        took < patient.backoff,
+        "/health waited {took:?}: it asked the dark shard"
+    );
+    let body = health.body_str();
+    let count = format!("\"trajectories\":{}", h.applied);
+    assert!(body.contains(&count), "{body}");
+    let acked = format!("\"applied_stamp\":{}", h.applied);
+    assert_eq!(body.matches(&acked).count(), 2, "{body}");
 }
 
 /// Draws with `draw` until a query routes to `shard`.

@@ -185,6 +185,17 @@ pub fn relay(
     upstream: SocketAddr,
     mut answer: impl FnMut(&Message, &NodeClient) -> Option<Message> + Send + 'static,
 ) -> SocketAddr {
+    relay_bytes(upstream, move |request, node| {
+        answer(request, node).map(|reply| tthr::rpc::encode_frame(&reply))
+    })
+}
+
+/// A [`relay`] whose `answer` returns the reply's raw bytes, so it can
+/// send a frame no node would.
+pub fn relay_bytes(
+    upstream: SocketAddr,
+    mut answer: impl FnMut(&Message, &NodeClient) -> Option<Vec<u8>> + Send + 'static,
+) -> SocketAddr {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
@@ -194,7 +205,7 @@ pub fn relay(
                 let Some(reply) = answer(&request, &node) else {
                     return; // drops `conn` and `listener`
                 };
-                if tthr::rpc::write_frame(&mut conn, &reply).is_err() {
+                if std::io::Write::write_all(&mut conn, &reply).is_err() {
                     break;
                 }
             }

@@ -2,7 +2,7 @@
 //! keep-alive, pipelining, and raw-byte access to responses (the
 //! equivalence harness compares bodies bit-for-bit).
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -91,18 +91,26 @@ impl HttpClient {
         self.read_response()
     }
 
-    /// Whether the server closed the connection (EOF observed after
-    /// draining buffered bytes).
+    /// Whether the server closed the connection (EOF or reset observed
+    /// after draining buffered bytes, within two seconds). A connection
+    /// that stays silent is open: a read timeout is not a close.
     pub fn at_eof(&mut self) -> bool {
         let mut chunk = [0u8; 1024];
-        match self.stream.read(&mut chunk) {
+        self.stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("read timeout");
+        let eof = match self.stream.read(&mut chunk) {
             Ok(0) => true,
             Ok(n) => {
                 self.buf.extend_from_slice(&chunk[..n]);
                 false
             }
-            Err(_) => true,
-        }
+            Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        };
+        self.stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        eof
     }
 }
 

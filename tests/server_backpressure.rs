@@ -16,46 +16,122 @@
 //! * a cached `/spq` is answered by the reactor without a queue slot,
 //!   in pipelining order, and without ever waiting on the index lock —
 //!   but not after shutdown began.
+//!
+//! Every leg runs against both tiers the reactor serves: the
+//! single-process server ([`serve`]) and the cluster router
+//! ([`serve_router`] over in-process `serve_node` shards, the way the
+//! benchmark builds its cluster); the router's tests carry a `router_`
+//! prefix. Two legs are stated skips at the router, which keeps no result
+//! cache: `cached_spq_is_answered_while_the_window_is_full` and
+//! `inline_answers_do_not_wait_for_the_index_lock`.
 
 mod common;
 
+use common::cluster::CLUSTER_K;
 use common::http::{encode_frame_request, encode_request, HttpClient};
-use common::prefix_set;
+use std::net::{SocketAddr, TcpListener};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tthr::core::{SntConfig, SntIndex, Spq, TimeInterval};
+use tthr::client::{ClientConfig, ClusterRouter};
+use tthr::core::{
+    QueryEngineConfig, ShardNodeState, ShardedSntIndex, SntConfig, SntIndex, Spq, TimeInterval,
+};
 use tthr::rpc::{decode_frame, encode_frame, ErrCode, Message};
-use tthr::server::{json, serve, wire, ServerConfig, ServerHandle};
+use tthr::server::node::{serve_node, NodeStore};
+use tthr::server::{json, serve, serve_router, wire, ServerConfig, ServerHandle};
 use tthr::service::{QueryService, ServiceConfig};
 use tthr::trajectory::TrajId;
 
-/// A served world plus a query whose path certainly matches data.
-fn boot(threads: usize, config: ServerConfig) -> (ServerHandle, Spq) {
-    let (service, spq) = world(threads);
-    (serve(service, "127.0.0.1:0", config).expect("boot"), spq)
+/// The tier a leg runs against.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// `serve` over a monolithic `QueryService`.
+    Process,
+    /// `serve_router` over [`CLUSTER_K`] in-process `serve_node` shards.
+    Router,
+}
+
+/// The shard stores of a router tier, removed when the leg ends.
+struct Stores(PathBuf);
+
+impl Drop for Stores {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A served world plus a query whose path certainly matches data. The
+/// router tier's pool is one worker per CPU whatever `threads` says.
+fn boot(tier: Tier, threads: usize, config: ServerConfig) -> (ServerHandle, Spq, Option<Stores>) {
+    match tier {
+        Tier::Process => {
+            let (service, spq) = world(threads);
+            (
+                serve(service, "127.0.0.1:0", config).expect("boot"),
+                spq,
+                None,
+            )
+        }
+        Tier::Router => {
+            let (syn, set) = common::small_world();
+            static BOOTS: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "tthr-backpressure-{}-{}",
+                std::process::id(),
+                BOOTS.fetch_add(1, Ordering::Relaxed)
+            ));
+            let sharded =
+                ShardedSntIndex::build(&syn.network, &set, SntConfig::default(), CLUSTER_K);
+            let nodes: Vec<SocketAddr> = (0..CLUSTER_K)
+                .map(|shard| {
+                    let state = ShardNodeState::export_from(&sharded, shard);
+                    let store = NodeStore::init(dir.join(format!("node{shard}")), state)
+                        .expect("init node store");
+                    let listener = TcpListener::bind("127.0.0.1:0").expect("bind node");
+                    let addr = listener.local_addr().expect("node addr");
+                    std::thread::spawn(move || serve_node(listener, store));
+                    addr
+                })
+                .collect();
+            let router = ClusterRouter::connect(
+                syn.network,
+                &nodes,
+                QueryEngineConfig::default(),
+                ClientConfig::default(),
+            )
+            .expect("connect router");
+            let server = serve_router(router, "127.0.0.1:0", config).expect("boot router");
+            (server, query(&set), Some(Stores(dir)))
+        }
+    }
 }
 
 /// [`boot`]'s service before it is served, and its query.
 fn world(threads: usize) -> (QueryService, Spq) {
     let (syn, set) = common::small_world();
-    let initial = prefix_set(&set, set.len());
     let network = Arc::new(syn.network);
     let service = QueryService::new(
-        SntIndex::build(&network, &initial, SntConfig::default()),
+        SntIndex::build(&network, &set, SntConfig::default()),
         network,
         ServiceConfig {
             num_threads: threads,
             ..ServiceConfig::default()
         },
     );
+    (service, query(&set))
+}
+
+/// A query whose path certainly matches data.
+fn query(set: &tthr::trajectory::TrajectorySet) -> Spq {
     let tr = set.get(TrajId(0));
     let path_len = tr.len().min(3);
-    let spq = Spq::new(
+    Spq::new(
         tr.path().sub_path(0..path_len),
         TimeInterval::fixed(0, i64::MAX / 4),
-    );
-    (service, spq)
+    )
 }
 
 /// A query no other test asks, answered `∅` (or the speed-limit
@@ -78,6 +154,15 @@ fn wait_parsed(server: &ServerHandle, n: u64) {
 /// full recovery.
 #[test]
 fn flood_bounds_inflight_and_sheds_with_retry_after() {
+    flood(Tier::Process);
+}
+
+#[test]
+fn router_flood_bounds_inflight_and_sheds_with_retry_after() {
+    flood(Tier::Router);
+}
+
+fn flood(tier: Tier) {
     const CONNS: usize = 12;
     const PER_CONN: usize = 3;
     let config = ServerConfig {
@@ -86,7 +171,7 @@ fn flood_bounds_inflight_and_sheds_with_retry_after() {
         worker_delay: Some(Duration::from_millis(25)),
         ..ServerConfig::default()
     };
-    let (server, spq) = boot(1, config);
+    let (server, spq, _stores) = boot(tier, 1, config);
     let addr = server.local_addr();
     let body = wire::encode_spq(&spq);
 
@@ -159,11 +244,20 @@ fn flood_bounds_inflight_and_sheds_with_retry_after() {
 /// slow-loris (partial request line forever) connections are reaped.
 #[test]
 fn keep_alive_cycle_and_idle_reaping() {
+    keep_alive_and_reaping(Tier::Process);
+}
+
+#[test]
+fn router_keep_alive_cycle_and_idle_reaping() {
+    keep_alive_and_reaping(Tier::Router);
+}
+
+fn keep_alive_and_reaping(tier: Tier) {
     let config = ServerConfig {
         idle_timeout: Duration::from_millis(250),
         ..ServerConfig::default()
     };
-    let (server, spq) = boot(2, config);
+    let (server, spq, _stores) = boot(tier, 2, config);
     let addr = server.local_addr();
     let body = wire::encode_spq(&spq);
 
@@ -193,7 +287,16 @@ fn keep_alive_cycle_and_idle_reaping() {
 /// pipelined request yields the valid answer, then 400, then close.
 #[test]
 fn pipelining_order_and_garbage_handling() {
-    let (server, spq) = boot(2, ServerConfig::default());
+    pipelining_and_garbage(Tier::Process);
+}
+
+#[test]
+fn router_pipelining_order_and_garbage_handling() {
+    pipelining_and_garbage(Tier::Router);
+}
+
+fn pipelining_and_garbage(tier: Tier) {
+    let (server, spq, _stores) = boot(tier, 2, ServerConfig::default());
     let addr = server.local_addr();
     let spq_body = wire::encode_spq(&spq);
 
@@ -240,9 +343,9 @@ fn pipelining_order_and_garbage_handling() {
     assert_eq!(response.status, 431);
     assert!(oversized.try_read_response().is_none(), "closed after 431");
 
-    // Oversized declared body → 413 + close.
+    // Oversized declared body (past either tier's cap) → 413 + close.
     let mut big = HttpClient::connect(addr);
-    big.send_raw(b"POST /spq HTTP/1.1\r\ncontent-length: 9999999\r\n\r\n");
+    big.send_raw(b"POST /spq HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n");
     assert_eq!(big.read_response().status, 413);
     server.shutdown();
 }
@@ -256,12 +359,21 @@ fn pipelining_order_and_garbage_handling() {
 /// and wrote bytes after the close when it completed last).
 #[test]
 fn pipelined_close_request_never_leaks_the_connection() {
+    pipelined_close(Tier::Process);
+}
+
+#[test]
+fn router_pipelined_close_request_never_leaks_the_connection() {
+    pipelined_close(Tier::Router);
+}
+
+fn pipelined_close(tier: Tier) {
     let config = ServerConfig {
         queue_cap: 8,
         worker_delay: Some(Duration::from_millis(5)),
         ..ServerConfig::default()
     };
-    let (server, spq) = boot(2, config);
+    let (server, spq, _stores) = boot(tier, 2, config);
     let addr = server.local_addr();
     let body = wire::encode_spq(&spq);
 
@@ -313,15 +425,25 @@ fn pipelined_close_request_never_leaks_the_connection() {
 /// invite a client retry and a double-append.
 #[test]
 fn requests_behind_a_close_are_not_executed() {
+    behind_a_close(Tier::Process);
+}
+
+#[test]
+fn router_requests_behind_a_close_are_not_executed() {
+    behind_a_close(Tier::Router);
+}
+
+fn behind_a_close(tier: Tier) {
     let config = ServerConfig {
         worker_delay: Some(Duration::from_millis(20)),
         ..ServerConfig::default()
     };
-    let (server, spq) = boot(2, config);
+    let (server, spq, _stores) = boot(tier, 2, config);
     let addr = server.local_addr();
     let spq_body = wire::encode_spq(&spq);
     // A stampless append pipelined behind a closing query: if it ran, the
-    // service generation would bump.
+    // service generation (the router's trajectory count) would move.
+    let before = appends_seen(tier, addr);
     let append_body = r#"{"trajectories":[{"user":77,"entries":[[0,1000000,5.0]]}]}"#;
 
     let mut client = HttpClient::connect(addr);
@@ -338,17 +460,26 @@ fn requests_behind_a_close_are_not_executed() {
     assert_eq!(first.header("connection"), Some("close"));
     assert!(client.try_read_response().is_none(), "socket closed");
 
-    // The pipelined append never ran: generation still 0.
-    let mut probe = HttpClient::connect(addr);
-    let stats = probe.request("GET", "/stats", b"");
-    let parsed = tthr::server::json::parse(&stats.body).expect("stats json");
+    // The pipelined append never ran.
     assert_eq!(
-        parsed.get("generation").and_then(|v| v.as_i64()),
-        Some(0),
-        "append behind a close must not execute: {}",
-        stats.body_str()
+        appends_seen(tier, addr),
+        before,
+        "append behind a close must not execute"
     );
     server.shutdown();
+}
+
+/// What an executed `/append` moves: the service's `/stats` generation,
+/// or the trajectory count on the router's `/health`.
+fn appends_seen(tier: Tier, addr: SocketAddr) -> i64 {
+    let (path, key) = match tier {
+        Tier::Process => ("/stats", "generation"),
+        Tier::Router => ("/health", "trajectories"),
+    };
+    let response = HttpClient::connect(addr).request("GET", path, b"");
+    let parsed = json::parse(&response.body).expect("json body");
+    let seen = parsed.get(key).and_then(|v| v.as_i64());
+    seen.unwrap_or_else(|| panic!("no {key:?} in {}", response.body_str()))
 }
 
 /// Regression: malformed bytes behind an in-flight response must produce
@@ -357,11 +488,20 @@ fn requests_behind_a_close_are_not_executed() {
 /// response waits its turn behind earlier responses.
 #[test]
 fn malformed_tail_yields_exactly_one_error() {
+    malformed_tail(Tier::Process);
+}
+
+#[test]
+fn router_malformed_tail_yields_exactly_one_error() {
+    malformed_tail(Tier::Router);
+}
+
+fn malformed_tail(tier: Tier) {
     let config = ServerConfig {
         worker_delay: Some(Duration::from_millis(100)),
         ..ServerConfig::default()
     };
-    let (server, spq) = boot(2, config);
+    let (server, spq, _stores) = boot(tier, 2, config);
     let addr = server.local_addr();
     let body = wire::encode_spq(&spq);
 
@@ -393,12 +533,21 @@ fn malformed_tail_yields_exactly_one_error() {
 /// stops accepting.
 #[test]
 fn graceful_shutdown_drains_and_refuses() {
+    graceful_shutdown(Tier::Process);
+}
+
+#[test]
+fn router_graceful_shutdown_drains_and_refuses() {
+    graceful_shutdown(Tier::Router);
+}
+
+fn graceful_shutdown(tier: Tier) {
     let config = ServerConfig {
         queue_cap: 4,
         worker_delay: Some(Duration::from_millis(300)),
         ..ServerConfig::default()
     };
-    let (server, spq) = boot(2, config);
+    let (server, spq, _stores) = boot(tier, 2, config);
     let addr = server.local_addr();
     let body = wire::encode_spq(&spq);
     // Cached before the shutdown, so the refusal below is checked on a
@@ -456,7 +605,7 @@ fn cached_spq_is_answered_while_the_window_is_full() {
         worker_delay: Some(Duration::from_millis(500)),
         ..ServerConfig::default()
     };
-    let (server, spq) = boot(2, config);
+    let (server, spq, _) = boot(Tier::Process, 2, config);
     let addr = server.local_addr();
     let cached = wire::encode_spq(&spq);
     let warm = HttpClient::connect(addr).request("POST", "/spq", cached.as_bytes());
@@ -503,9 +652,17 @@ fn cached_spq_is_answered_while_the_window_is_full() {
 /// the pool.
 #[test]
 fn malformed_and_oversized_spq_bodies() {
-    let (service, spq) = world(2);
-    let num_edges = service.network().num_edges();
-    let server = serve(service, "127.0.0.1:0", ServerConfig::default()).expect("boot");
+    malformed_and_oversized(Tier::Process);
+}
+
+#[test]
+fn router_malformed_and_oversized_spq_bodies() {
+    malformed_and_oversized(Tier::Router);
+}
+
+fn malformed_and_oversized(tier: Tier) {
+    let num_edges = common::small_world().0.network.num_edges();
+    let (server, spq, _stores) = boot(tier, 2, ServerConfig::default());
     let addr = server.local_addr();
     let mut client = HttpClient::connect(addr);
 
@@ -579,7 +736,8 @@ fn malformed_and_oversized_spq_bodies() {
     assert_eq!(server.metrics().inline_hits, hits, "answered by the pool");
     let response = client.request("POST", "/spq", small.as_bytes());
     assert_eq!(response.body, first.body);
-    assert_eq!(server.metrics().inline_hits, hits + 1);
+    let cached = u64::from(tier == Tier::Process);
+    assert_eq!(server.metrics().inline_hits, hits + cached);
     server.shutdown();
 }
 
