@@ -1,7 +1,9 @@
-//! A minimal JSON value: parse, navigate, serialize.
+//! A minimal JSON codec: a value tree ([`parse`], navigate, serialize)
+//! and a pull [`Reader`] that yields a document's tokens without building
+//! one.
 //!
 //! The workspace forbids registry crates, so the wire layer carries its
-//! own codec. Two properties matter for the protocol and are pinned by
+//! own codec. Three properties matter for the protocol and are pinned by
 //! tests:
 //!
 //! * **Integer fidelity** — whole numbers parse into `i64` (not through
@@ -11,11 +13,18 @@
 //! * **Bounded recursion** — nesting is capped ([`MAX_DEPTH`]), so a
 //!   `[[[[…` bomb from the network is a parse error, not a stack
 //!   overflow.
+//! * **One grammar** — [`parse`] and the [`Reader`] share the string,
+//!   escape and number routines and the depth cap, so they accept the
+//!   same documents and read the same values from them. The request path
+//!   decodes bodies with the reader ([`crate::wire`]'s typed decoders);
+//!   the tree is the definition they are tested against, and it reports
+//!   every error: a `400` body is always [`parse`]'s or a tree decoder's.
 //!
 //! Object keys keep their insertion order; serialization is therefore
 //! deterministic, which the byte-identical server-equivalence harness
 //! relies on.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by the parser.
@@ -108,23 +117,9 @@ impl Json {
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Num(v) => {
-                // Rust's Display for f64 is shortest-round-trip and never
-                // scientific; non-finite values cannot occur in results
-                // (histogram construction drops them) — encode defensively
-                // as null rather than emit invalid JSON.
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    debug_assert!(false, "non-finite number in wire value");
-                    out.push_str("null");
-                }
-            }
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Int(v) => write_int(out, *v),
+            Json::Num(v) => write_num(out, *v),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -162,6 +157,30 @@ impl Json {
     }
 }
 
+/// Writes an integer as [`Json::Int`] does.
+pub(crate) fn write_int(out: &mut String, v: i64) {
+    let _ = write!(out, "{v}");
+}
+
+/// Writes a float as [`Json::Num`] does.
+pub(crate) fn write_num(out: &mut String, v: f64) {
+    // Rust's Display for f64 is shortest-round-trip and never scientific;
+    // non-finite values cannot occur in results (histogram construction
+    // drops them) — encode defensively as null rather than emit invalid
+    // JSON.
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        debug_assert!(false, "non-finite number in wire value");
+        out.push_str("null");
+    }
+}
+
+/// Writes a bool as [`Json::Bool`] does.
+pub(crate) fn write_bool(out: &mut String, v: bool) {
+    out.push_str(if v { "true" } else { "false" });
+}
+
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -197,29 +216,176 @@ impl std::fmt::Display for JsonError {
 
 /// Parses a complete JSON document (trailing non-whitespace is an error).
 pub fn parse(bytes: &[u8]) -> Result<Json, JsonError> {
-    let text = std::str::from_utf8(bytes).map_err(|e| JsonError {
-        at: e.valid_up_to(),
-        reason: "invalid utf-8",
-    })?;
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(bytes)?;
     p.skip_ws();
     let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
+    p.end()?;
     Ok(value)
 }
 
+/// One token of a JSON document, as [`Reader::next`] yields it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Token<'a> {
+    /// `{`.
+    BeginObj,
+    /// `}`.
+    EndObj,
+    /// `[`.
+    BeginArr,
+    /// `]`.
+    EndArr,
+    /// An object key, borrowed from the input unless it has escapes.
+    Key(Cow<'a, str>),
+    /// A string value, borrowed likewise.
+    Str(Cow<'a, str>),
+    /// A number that is a whole integer in `i64` range ([`Json::Int`]).
+    Int(i64),
+    /// Any other number ([`Json::Num`]).
+    Num(f64),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+/// A pull reader: the tokens of one JSON document in order, with no tree.
+///
+/// It accepts exactly the documents [`parse`] accepts, and a value read
+/// from it equals the tree's: the two share every routine below the
+/// structure, and the nesting cap is the same [`MAX_DEPTH`]. The end of
+/// a well-formed document is `Ok(None)`; an error ends the document.
+pub struct Reader<'a> {
+    p: Parser<'a>,
+    /// Open containers, innermost last: `true` for an object.
+    open: Vec<bool>,
+    state: State,
+}
+
+/// Where a [`Reader`] stands between two tokens.
+#[derive(Clone, Copy)]
+enum State {
+    /// Before the root value.
+    Start,
+    /// After `{` or `[`: a first member or item, or the close.
+    Opened,
+    /// After a key: `:` and its value.
+    Key,
+    /// After a complete value: `,` or the close — or, at the root, the
+    /// end of input.
+    Value,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over `bytes`, which must be UTF-8 (as [`parse`] requires).
+    pub fn new(bytes: &'a [u8]) -> Result<Reader<'a>, JsonError> {
+        Ok(Reader {
+            p: Parser::new(bytes)?,
+            open: Vec::new(),
+            state: State::Start,
+        })
+    }
+
+    /// The next token, or `None` once the document is complete.
+    ///
+    /// Always inlined, with the number routine: a typed decoder's match
+    /// on the token then folds into the code that makes it, which is
+    /// most of the typed path's lead over the tree on number-dense
+    /// bodies.
+    #[allow(clippy::should_implement_trait)] // fallible: not an Iterator
+    #[inline(always)]
+    pub fn next(&mut self) -> Result<Option<Token<'a>>, JsonError> {
+        self.p.skip_ws();
+        match self.state {
+            State::Start => {}
+            State::Key => {
+                self.p.eat(b':', "expected ':'")?;
+                self.p.skip_ws();
+            }
+            State::Opened | State::Value => {
+                let Some(&object) = self.open.last() else {
+                    return self.p.end().map(|()| None);
+                };
+                let (close, reason) = if object {
+                    (b'}', "expected ',' or '}'")
+                } else {
+                    (b']', "expected ',' or ']'")
+                };
+                if self.p.peek() == Some(close) {
+                    self.p.pos += 1;
+                    self.open.pop();
+                    self.state = State::Value;
+                    return Ok(Some(if object { Token::EndObj } else { Token::EndArr }));
+                }
+                if let State::Value = self.state {
+                    self.p.eat(b',', reason)?;
+                    self.p.skip_ws();
+                }
+                if object {
+                    self.state = State::Key;
+                    return Ok(Some(Token::Key(self.p.string()?)));
+                }
+            }
+        }
+        self.value().map(Some)
+    }
+
+    #[inline(always)]
+    fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        let p = &mut self.p;
+        if self.open.len() > MAX_DEPTH {
+            return Err(p.err("nesting too deep"));
+        }
+        self.state = State::Value;
+        Ok(match p.peek() {
+            Some(open @ (b'{' | b'[')) => {
+                p.pos += 1;
+                self.open.push(open == b'{');
+                self.state = State::Opened;
+                if open == b'{' {
+                    Token::BeginObj
+                } else {
+                    Token::BeginArr
+                }
+            }
+            Some(b'"') => Token::Str(p.string()?),
+            Some(b't') => p.literal("true").map(|()| Token::Bool(true))?,
+            Some(b'f') => p.literal("false").map(|()| Token::Bool(false))?,
+            Some(b'n') => p.literal("null").map(|()| Token::Null)?,
+            Some(b'-' | b'0'..=b'9') => p.number()?,
+            _ => return Err(p.err("expected a value")),
+        })
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(bytes: &'a [u8]) -> Result<Parser<'a>, JsonError> {
+        let text = std::str::from_utf8(bytes).map_err(|e| JsonError {
+            at: e.valid_up_to(),
+            reason: "invalid utf-8",
+        })?;
+        Ok(Parser {
+            text,
+            bytes,
+            pos: 0,
+        })
+    }
+
+    /// Accepts only whitespace up to the end of input.
+    fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters"))
+        }
+    }
+
     fn err(&self, reason: &'static str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -253,19 +419,23 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b'-' | b'0'..=b'9') => match self.number()? {
+                Token::Int(v) => Ok(Json::Int(v)),
+                Token::Num(v) => Ok(Json::Num(v)),
+                _ => unreachable!("number() yields number tokens"),
+            },
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn literal(&mut self, text: &'static str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, text: &'static str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err("invalid literal"))
         }
@@ -281,7 +451,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string()?.into_owned();
             self.skip_ws();
             self.eat(b':', "expected ':'")?;
             self.skip_ws();
@@ -322,80 +492,103 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the input when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_owned();
         loop {
-            let start = self.pos;
-            // Fast path: a run of plain bytes.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                // The slice boundaries fall on char boundaries: multi-byte
-                // UTF-8 units are all ≥ 0x80 and skipped whole above.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf-8"));
-            }
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let unit = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&unit) {
-                                // Surrogate pair: require the low half.
-                                self.eat(b'\\', "expected low surrogate")?;
-                                self.eat(b'u', "expected low surrogate")?;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(code)
-                            } else {
-                                char::from_u32(unit)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid unicode escape"))?);
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
+                    self.escape(&mut out)?;
                 }
                 Some(_) => return Err(self.err("control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
+            let run = self.pos;
+            self.plain_run();
+            out.push_str(&self.text[run..self.pos]);
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated unicode escape"));
+    /// Skips a run of bytes that stand for themselves in a string. The
+    /// run ends on an ASCII byte or the end of input, so both ends are
+    /// char boundaries: multi-byte UTF-8 units are all ≥ 0x80.
+    fn plain_run(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// Decodes the escape after a `\` onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let unit = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&unit) {
+                    // Surrogate pair: require the low half.
+                    self.eat(b'\\', "expected low surrogate")?;
+                    self.eat(b'u', "expected low surrogate")?;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(code)
+                } else {
+                    char::from_u32(unit)
+                };
+                out.push(c.ok_or_else(|| self.err("invalid unicode escape"))?);
+            }
+            _ => return Err(self.err("invalid escape")),
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos = end;
+        Ok(())
+    }
+
+    /// Exactly four ASCII hex digits (`u32::from_str_radix` would also
+    /// take a leading `+`).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated unicode escape"))?;
+        let mut v = 0;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid unicode escape"))?;
+            v = v << 4 | digit;
+        }
+        self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// A number: [`Token::Int`] when it is a whole number in `i64` range,
+    /// else [`Token::Num`].
+    #[inline(always)]
+    fn number(&mut self) -> Result<Token<'static>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -419,26 +612,36 @@ impl<'a> Parser<'a> {
             }
             self.digits()?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        if integral && int_digits <= 18 {
+            // Always in `i64` range: the value `str::parse::<i64>` would
+            // read, without scanning the digits again.
+            let magnitude = self.bytes[digit_start..self.pos]
+                .iter()
+                .fold(0, |v, &d| v * 10 + i64::from(d - b'0'));
+            let negative = digit_start > start;
+            return Ok(Token::Int(if negative { -magnitude } else { magnitude }));
+        }
+        let text = &self.text[start..self.pos];
         if integral {
             if let Ok(v) = text.parse::<i64>() {
-                return Ok(Json::Int(v));
+                return Ok(Token::Int(v));
             }
         }
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(Token::Num)
             .map_err(|_| self.err("invalid number"))
     }
 
     fn digits(&mut self) -> Result<usize, JsonError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
+        let count = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if count == 0 {
             return Err(self.err("expected digits"));
         }
-        Ok(self.pos - start)
+        self.pos += count;
+        Ok(count)
     }
 }
 
@@ -496,13 +699,61 @@ mod tests {
             b"\"unterminated",
             b"\"bad \\q escape\"",
             b"\"\\ud800\"",
+            b"\"\\u+041\"",
+            b"\"\\u004\"",
             b"tru",
             b"nulll",
             b"1 2",
             b"\xff\xfe",
+            b"{\"a\":1,}",
+            b"{1:2}",
+            b"[1}",
+            b"{\"a\":1]",
         ] {
             assert!(parse(doc).is_err(), "{:?} must not parse", doc);
+            assert!(drain(doc).is_err(), "{:?} must not read", doc);
         }
+    }
+
+    /// Every token of a document, or the reader's error.
+    fn drain(doc: &[u8]) -> Result<Vec<Token<'_>>, JsonError> {
+        let mut reader = Reader::new(doc)?;
+        let mut tokens = Vec::new();
+        while let Some(token) = reader.next()? {
+            tokens.push(token);
+        }
+        Ok(tokens)
+    }
+
+    #[test]
+    fn reader_yields_the_documents_tokens_borrowing_plain_strings() {
+        let tokens =
+            drain(br#" {"a" : [1, -2.5e1, "x\ny"], "\u0062":{}, "c":[true,false,null]} "#).unwrap();
+        assert_eq!(
+            tokens,
+            [
+                Token::BeginObj,
+                Token::Key(Cow::Borrowed("a")),
+                Token::BeginArr,
+                Token::Int(1),
+                Token::Num(-25.0),
+                Token::Str(Cow::Owned("x\ny".to_string())),
+                Token::EndArr,
+                Token::Key(Cow::Borrowed("b")),
+                Token::BeginObj,
+                Token::EndObj,
+                Token::Key(Cow::Borrowed("c")),
+                Token::BeginArr,
+                Token::Bool(true),
+                Token::Bool(false),
+                Token::Null,
+                Token::EndArr,
+                Token::EndObj,
+            ]
+        );
+        assert!(matches!(&tokens[1], Token::Key(Cow::Borrowed(_))));
+        assert!(matches!(&tokens[7], Token::Key(Cow::Owned(_))));
+        assert_eq!(drain(b"7").unwrap(), [Token::Int(7)]);
     }
 
     #[test]
@@ -510,6 +761,16 @@ mod tests {
         let mut bomb = Vec::new();
         bomb.extend(std::iter::repeat_n(b'[', 100_000));
         assert_eq!(parse(&bomb).unwrap_err().reason, "nesting too deep");
+        assert_eq!(drain(&bomb).unwrap_err(), parse(&bomb).unwrap_err());
+        // The cap is the same in both: a value at depth MAX_DEPTH is
+        // accepted, one level deeper is not.
+        for depth in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let mut doc = vec![b'['; depth];
+            doc.push(b'0');
+            doc.extend(std::iter::repeat_n(b']', depth));
+            assert_eq!(parse(&doc).is_ok(), depth == MAX_DEPTH);
+            assert_eq!(drain(&doc).is_ok(), depth == MAX_DEPTH);
+        }
     }
 
     #[test]

@@ -38,10 +38,14 @@
 //! ```
 //!
 //! The contract the test battery pins (`tests/server_equivalence.rs`,
-//! `tests/server_backpressure.rs`, `crates/server/tests/http_parser.rs`):
+//! `tests/server_backpressure.rs`, `crates/server/tests/http_parser.rs`,
+//! `crates/server/tests/json_decoders.rs`):
 //!
 //! * every endpoint's response body is **byte-identical** to encoding the
 //!   in-process [`QueryService`] answer with [`wire`]'s functions;
+//! * a JSON body is decoded in one typed pass with no value tree, and
+//!   answered exactly as [`json::parse`] and [`wire`]'s tree decoders
+//!   would have it answered — every `400` body included;
 //! * the worker pool never holds more than
 //!   [`ServerConfig::queue_cap`] requests in flight; overload answers are
 //!   `503` with `Retry-After`; keep-alive connections survive
@@ -208,8 +212,8 @@ impl<B: ServiceBackend> Api for QueryService<B> {
 pub(crate) enum Op {
     Spq,
     /// `/spq` with the `tthr-rpc` frame content type: the body decodes
-    /// straight into an [`tthr_core::Spq`] without a JSON value tree, and
-    /// the answer is a `TravelTimesResult` frame.
+    /// into an [`tthr_core::Spq`] from the frame, and the answer is a
+    /// `TravelTimesResult` frame.
     SpqFrame,
     Trip,
     Batch,
@@ -576,22 +580,26 @@ fn handle_api(api: &dyn Api, max_batch: usize, job: Job) -> ApiResponse {
         }
         Job::Body(op, body) => (op, body),
     };
-    let parsed = match json::parse(&body) {
-        Ok(v) => v,
-        Err(e) => return ApiResponse::json(400, wire::encode_error(&e.to_string())),
-    };
     let bad = |e: wire::WireError| (400, e);
     let answer = match op {
         Op::Spq | Op::SpqFrame => unreachable!("answered above"),
-        Op::Trip => wire::decode_spq(&parsed, num_edges)
-            .map_err(bad)
-            .and_then(|query| api.trip(&query))
-            .map(|trip| wire::encode_trip(&trip)),
-        Op::Batch => wire::decode_batch(&parsed, num_edges, max_batch)
-            .map_err(bad)
-            .and_then(|queries| api.batch(&queries))
-            .map(|trips| wire::encode_trips(&trips)),
-        Op::Append => wire::decode_append(&parsed)
+        Op::Trip => decode_json(
+            &body,
+            |b| wire::read_spq(b, num_edges),
+            |v| wire::decode_spq(v, num_edges),
+        )
+        .map_err(bad)
+        .and_then(|query| api.trip(&query))
+        .map(|trip| wire::encode_trip(&trip)),
+        Op::Batch => decode_json(
+            &body,
+            |b| wire::read_batch(b, num_edges, max_batch),
+            |v| wire::decode_batch(v, num_edges, max_batch),
+        )
+        .map_err(bad)
+        .and_then(|queries| api.batch(&queries))
+        .map(|trips| wire::encode_trips(&trips)),
+        Op::Append => decode_json(&body, wire::read_append, wire::decode_append)
             .map_err(bad)
             .and_then(|(base, payload)| api.append(base, &payload))
             .map(wire::encode_appended),
@@ -602,16 +610,18 @@ fn handle_api(api: &dyn Api, max_batch: usize, job: Job) -> ApiResponse {
     }
 }
 
-/// Decodes an `/spq` body of either content type — a JSON SPQ, or one
-/// `tthr-rpc` `TravelTimes` frame decoded without a JSON value tree —
-/// into a query whose every edge names an edge of the served network. A
-/// body that does not is answered `400` in its own content type.
+/// Decodes an `/spq` body of either content type — a JSON SPQ (read by
+/// [`decode_json`]), or one `tthr-rpc` `TravelTimes` frame — into a query
+/// whose every edge names an edge of the served network. A body that does
+/// not is answered `400` in its own content type.
 fn decode_spq_body(op: Op, body: &[u8], num_edges: usize) -> Result<Spq, ApiResponse> {
     if op == Op::Spq {
-        let parsed = json::parse(body)
-            .map_err(|e| ApiResponse::json(400, wire::encode_error(&e.to_string())))?;
-        return wire::decode_spq(&parsed, num_edges)
-            .map_err(|e| ApiResponse::json(400, wire::encode_error(&e)));
+        return decode_json(
+            body,
+            |b| wire::read_spq(b, num_edges),
+            |v| wire::decode_spq(v, num_edges),
+        )
+        .map_err(|e| ApiResponse::json(400, wire::encode_error(&e)));
     }
     let reject = |reason: &str| {
         ApiResponse::frame(
@@ -632,6 +642,41 @@ fn decode_spq_body(op: Op, body: &[u8], num_edges: usize) -> Result<Spq, ApiResp
         .check_edges(num_edges)
         .map_err(|e| reject(&e.to_string()))?;
     Ok(query)
+}
+
+/// Decodes a JSON body with its typed decoder `read`, or — for a body
+/// `read` does not take — with [`json::parse`] and its tree decoder, whose
+/// error is the `400` reason (see [`wire`]'s module docs).
+fn decode_json<T>(
+    body: &[u8],
+    read: impl FnOnce(&[u8]) -> Option<T>,
+    tree: impl FnOnce(&json::Json) -> Result<T, wire::WireError>,
+) -> Result<T, wire::WireError> {
+    match read(body) {
+        Some(value) => Ok(value),
+        None => tree(&json::parse(body).map_err(|e| e.to_string())?),
+    }
+}
+
+/// Test support: the status and body [`serve`]'s workers answer a JSON
+/// `POST` of `body` to `target` (`/spq`, `/trip`, `/batch` or `/append`)
+/// with, computed without a socket; `None` for another target.
+#[doc(hidden)]
+pub fn answer_json<B: ServiceBackend>(
+    service: &QueryService<B>,
+    target: &str,
+    body: &[u8],
+) -> Option<(u16, Vec<u8>)> {
+    let op = match target {
+        "/spq" => Op::Spq,
+        "/trip" => Op::Trip,
+        "/batch" => Op::Batch,
+        "/append" => Op::Append,
+        _ => return None,
+    };
+    let max_batch = ServerConfig::default().max_batch_queries;
+    let response = handle_api(service, max_batch, Job::Body(op, body.to_vec()));
+    Some((response.status, response.body))
 }
 
 /// Encodes an `/spq` answer in the request's content type: JSON, or a
