@@ -21,11 +21,12 @@
 //!   on the engine's round driver
 //!   ([`QueryEngine::trip_query_via_with`]).
 //! * a **sharded LRU cache** ([`cache`]) keyed by the full SPQ
-//!   `(path, interval, filter, β, exclusion)` with hit/miss/eviction
-//!   counters and one `Mutex` per shard. Appends invalidate it scoped to
-//!   the backend: whole-cache for the monolith, only the entries routing
-//!   to touched index shards for the sharded backend
-//!   ([`cache::ShardedCache::clear_where`]).
+//!   `(path, interval, filter, β, exclusion)`, hashed once per lookup,
+//!   with one `Mutex` per shard, second-sighting admission once a shard
+//!   is full, and hit/miss/eviction/rejection counters. Appends
+//!   invalidate it scoped to the backend: whole-cache for the monolith,
+//!   only the entries routing to touched index shards for the sharded
+//!   backend ([`cache::ShardedCache::clear_where`]).
 //! * [`ServiceStats`] — p50/p95/p99 latency, throughput, and cache hit
 //!   rate, computed with `tthr-metrics`.
 //! * an **observability layer** — every request is cost-traced
@@ -288,7 +289,8 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
     /// self-invalidates on index-generation changes, so the seqlock
     /// validation below stays the only staleness gate for the *cache*.
     fn travel_times_with(&self, spq: &Spq, scratch: &mut tthr_core::SearchScratch) -> TravelTimes {
-        if let Some(hit) = self.cache.get(spq) {
+        let hash = self.cache.hash(spq);
+        if let Some(hit) = self.cache.get(hash, spq) {
             scratch.trace.cache_hits += 1;
             return hit;
         }
@@ -296,7 +298,7 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
         let before = self.generation.load(Ordering::SeqCst);
         let computed = self.index.travel_times_with(spq, scratch);
         if before.is_multiple_of(2) && self.generation.load(Ordering::SeqCst) == before {
-            self.cache.insert(spq.clone(), computed.clone());
+            self.cache.insert(hash, spq, &computed);
         }
         computed
     }
@@ -307,7 +309,7 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
     /// consumed is inserted under the same seqlock validation as a
     /// single dispatch (the failed ones as `∅`), so the cache holds what
     /// the level-by-level loop would have left in it and a repeated trip
-    /// is all hits.
+    /// is all hits. Each level's key is hashed once.
     fn travel_times_ladder(
         &self,
         spq: &Spq,
@@ -316,15 +318,17 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
     ) -> (usize, TravelTimes) {
         let last = levels.len() - 1;
         let mut level = 0;
-        // Borrowed until a wider level (or an insert) needs its own key.
+        // Borrowed until a wider level needs its own key.
         let mut sub = Cow::Borrowed(spq);
-        while let Some(hit) = self.cache.get(&sub) {
+        let mut hash = self.cache.hash(&sub);
+        while let Some(hit) = self.cache.get(hash, &sub) {
             scratch.trace.cache_hits += 1;
             if !hit.is_empty() || level == last {
                 return (level, hit);
             }
             level += 1;
             sub.to_mut().interval = levels[level];
+            hash = self.cache.hash(&sub);
         }
         let before = self.generation.load(Ordering::SeqCst);
         let (consumed, computed) = self
@@ -332,13 +336,15 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
             .travel_times_ladder(&sub, &levels[level..], scratch);
         scratch.trace.cache_misses += consumed as u64 + 1;
         if before.is_multiple_of(2) && self.generation.load(Ordering::SeqCst) == before {
-            let mut sub = sub.into_owned();
-            for failed in &levels[level..level + consumed] {
-                sub.interval = *failed;
-                self.cache.insert(sub.clone(), TravelTimes::empty());
+            let empty = TravelTimes::empty();
+            for (k, interval) in levels[level..=level + consumed].iter().enumerate() {
+                if k > 0 {
+                    sub.to_mut().interval = *interval;
+                    hash = self.cache.hash(&sub);
+                }
+                let value = if k < consumed { &empty } else { &computed };
+                self.cache.insert(hash, &sub, value);
             }
-            sub.interval = levels[level + consumed];
-            self.cache.insert(sub, computed.clone());
         }
         (level + consumed, computed)
     }
@@ -644,7 +650,8 @@ impl<B: ServiceBackend> QueryService<B> {
     /// is in flight is ordered before that write.
     pub fn cached_travel_times(&self, spq: &Spq) -> Option<TravelTimes> {
         let start = Instant::now();
-        let hit = self.inner.cache.probe(spq)?;
+        let cache = &self.inner.cache;
+        let hit = cache.probe(cache.hash(spq), spq)?;
         let trace = QueryTrace {
             cache_hits: 1,
             ..QueryTrace::default()
@@ -1762,7 +1769,11 @@ mod tests {
             while Instant::now() < deadline {
                 if let Ok(_index) = s.inner.index.try_read() {
                     for q in &queries {
-                        assert_eq!(cache.probe(q), None, "stale hit after the index unlocked");
+                        assert_eq!(
+                            cache.probe(cache.hash(q), q),
+                            None,
+                            "stale hit after the index unlocked"
+                        );
                     }
                 }
                 std::thread::yield_now();

@@ -261,6 +261,7 @@ pub(crate) struct ServiceMetrics {
     pub(crate) cache_hits: Counter,
     pub(crate) cache_misses: Counter,
     pub(crate) cache_evictions: Counter,
+    pub(crate) cache_rejected: Counter,
     pub(crate) cache_invalidations: Counter,
     pub(crate) cache_entries: Gauge,
     pub(crate) cache_capacity: Gauge,
@@ -348,6 +349,10 @@ impl ServiceMetrics {
             cache_hits: counter("tthr_cache_hits_total", "Result-cache hits"),
             cache_misses: counter("tthr_cache_misses_total", "Result-cache misses"),
             cache_evictions: counter("tthr_cache_evictions_total", "Result-cache LRU evictions"),
+            cache_rejected: counter(
+                "tthr_cache_admission_rejected_total",
+                "Result-cache inserts refused by the doorkeeper (a new key's first sighting in a full shard)",
+            ),
             cache_invalidations: counter(
                 "tthr_cache_invalidations_total",
                 "Result-cache entries invalidated by appends",
@@ -455,6 +460,7 @@ impl ServiceMetrics {
         self.cache_hits.set(c.hits);
         self.cache_misses.set(c.misses);
         self.cache_evictions.set(c.evictions);
+        self.cache_rejected.set(c.rejected);
         self.cache_invalidations.set(c.invalidations);
         self.cache_entries.set(c.entries as i64);
         self.cache_capacity.set(c.capacity as i64);
@@ -804,6 +810,7 @@ mod tests {
             hits: 3,
             misses: 4,
             evictions: 0,
+            rejected: 5,
             invalidations: 1,
             entries: 2,
             capacity: 100,
@@ -824,6 +831,7 @@ mod tests {
         assert!(text.contains("tthr_wavelet_nodes_total 12"));
         assert!(text.contains("tthr_cache_hits_total 3"));
         assert!(text.contains("tthr_cache_capacity 100"));
+        assert!(text.contains("tthr_cache_admission_rejected_total 5"));
         assert!(text.contains("tthr_shard_trajectories{shard=\"0\"} 10"));
         assert!(text.contains("tthr_shard_appends_total{shard=\"0\"} 2"));
         assert!(text.contains("tthr_shard_lock_wait_ns_total{shard=\"0\"} 1234"));

@@ -13,9 +13,16 @@ pub struct TrajEntry {
     pub edge: EdgeId,
     /// Entry timestamp (seconds since data set epoch).
     pub enter_time: Timestamp,
-    /// Time spent on the segment, in seconds (`TT > 0`).
+    /// Time spent on the segment, in seconds
+    /// (`0 < TT ≤` [`MAX_TRAVEL_TIME`]).
     pub travel_time: f64,
 }
+
+/// The longest traversal duration a trajectory may record, in seconds:
+/// one day per segment. Histograms size their bucket vectors by value, so
+/// an unbounded duration arriving over `/append` could ask one query for
+/// an arbitrarily large allocation.
+pub const MAX_TRAVEL_TIME: f64 = 86_400.0;
 
 impl TrajEntry {
     /// Creates an entry.
@@ -63,6 +70,11 @@ pub enum TrajectoryError {
         /// Index of the offending entry.
         at: usize,
     },
+    /// Traversal durations must not exceed [`MAX_TRAVEL_TIME`].
+    TravelTimeTooLong {
+        /// Index of the offending entry.
+        at: usize,
+    },
 }
 
 impl fmt::Display for TrajectoryError {
@@ -79,6 +91,12 @@ impl fmt::Display for TrajectoryError {
                 write!(
                     f,
                     "traversal durations must be positive and finite (entry {at})"
+                )
+            }
+            TrajectoryError::TravelTimeTooLong { at } => {
+                write!(
+                    f,
+                    "traversal durations must not exceed {MAX_TRAVEL_TIME} s (entry {at})"
                 )
             }
         }
@@ -98,7 +116,7 @@ pub struct Trajectory {
 impl Trajectory {
     /// Creates a trajectory, validating the paper's sequence invariants:
     /// non-empty, strictly increasing entry timestamps, positive finite
-    /// durations.
+    /// durations of at most [`MAX_TRAVEL_TIME`].
     pub fn new(id: TrajId, user: UserId, entries: Vec<TrajEntry>) -> Result<Self, TrajectoryError> {
         if entries.is_empty() {
             return Err(TrajectoryError::Empty);
@@ -109,6 +127,9 @@ impl Trajectory {
             // aggregates and histograms.
             if !e.travel_time.is_finite() || e.travel_time <= 0.0 {
                 return Err(TrajectoryError::NonPositiveTravelTime { at: i });
+            }
+            if e.travel_time > MAX_TRAVEL_TIME {
+                return Err(TrajectoryError::TravelTimeTooLong { at: i });
             }
             if i > 0 && entries[i - 1].enter_time >= e.enter_time {
                 return Err(TrajectoryError::NonMonotonicTimestamps { at: i });
@@ -273,6 +294,20 @@ mod tests {
                 "{bad} must be rejected"
             );
         }
+        // Finite but longer than a day: a histogram would size its
+        // buckets by it.
+        for long in [MAX_TRAVEL_TIME + 1.0, 1e10, 1e234, f64::MAX] {
+            assert_eq!(
+                Trajectory::new(
+                    TrajId(0),
+                    UserId(0),
+                    vec![entry(0, 5, 1.0), entry(1, 6, long)]
+                ),
+                Err(TrajectoryError::TravelTimeTooLong { at: 1 }),
+                "{long} must be rejected"
+            );
+        }
+        assert!(Trajectory::new(TrajId(0), UserId(0), vec![entry(0, 5, MAX_TRAVEL_TIME)]).is_ok());
     }
 
     #[test]

@@ -67,7 +67,8 @@
 //!                   │                │ one travel_times_ladders per round
 //!                   │                ▼
 //!                   ├──► ShardedCache (LRU per shard, Mutex per shard,
-//!                   │      key = full Spq, hit/miss/eviction counters)
+//!                   │      key = full Spq hashed once, second-sighting
+//!                   │      admission once a shard is full)
 //!                   │                │ miss
 //!                   │                ▼
 //!                   └──► backend: RwLock over SntIndex (monolith), or

@@ -158,6 +158,7 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
         "tthr_index_queries_total",
         "tthr_ladders_total",
         "tthr_spq_pruned_total",
+        "tthr_cache_admission_rejected_total",
         "tthr_shard_trajectories{shard=\"0\"}",
         "tthr_shard_trajectories{shard=\"1\"}",
         "tthr_server_connections_accepted_total",
@@ -235,6 +236,12 @@ fn every_spq_counts_once() {
         "a miss counted twice: {text}"
     );
     assert_eq!(service.stats().spq_queries, asked);
+    // The cache never fills, so its doorkeeper never refuses an insert.
+    assert_eq!(
+        series_value(&text, "tthr_cache_admission_rejected_total"),
+        Some(0.0),
+        "{text}"
+    );
     // Rounds 1 and 2 repeat round 0: every one of them is an inline hit.
     assert!(last_inline >= 2.0 * queries.len() as f64, "{text}");
     server.shutdown();

@@ -444,6 +444,37 @@ fn retention_leaves_no_stale_inline_hit() {
     server.shutdown();
 }
 
+/// A travel time past a day is refused at `/append` with a `400`. Were it
+/// indexed, every histogram over its edge would size its buckets by it
+/// (`1e234` s asks for ≈ 10²³³ buckets): a `500` on every `/trip` there.
+#[test]
+fn an_overlong_travel_time_is_a_400_and_never_a_500() {
+    let (syn, set) = common::small_world();
+    let network = Arc::new(syn.network);
+    let service = QueryService::new(
+        SntIndex::build(&network, &set, SntConfig::default()),
+        network,
+        service_config(),
+    );
+    let server = serve(service, "127.0.0.1:0", ServerConfig::default()).expect("boot");
+    let mut client = HttpClient::connect(server.local_addr());
+    let first = set.get(TrajId(0)).entries()[0];
+    let trip = Spq::new(
+        tthr::network::Path::new(vec![first.edge]),
+        tthr::core::TimeInterval::fixed(first.enter_time - 60, first.enter_time + 60),
+    );
+    let payload = [(
+        UserId(0),
+        vec![TrajEntry::new(first.edge, first.enter_time + 1, 1e234)],
+    )];
+    let body = wire::encode_append_request(None, &payload);
+    let response = client.request("POST", "/append", body.as_bytes());
+    assert_eq!(response.status, 400, "{}", response.body_str());
+    let response = client.request("POST", "/trip", wire::encode_spq(&trip).as_bytes());
+    assert_eq!(response.status, 200, "{}", response.body_str());
+    assert_eq!(server.shutdown().server_errors, 0);
+}
+
 /// The inline endpoints and the error paths of the router.
 #[test]
 fn health_stats_and_router_errors() {
