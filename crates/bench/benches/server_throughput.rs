@@ -1,14 +1,9 @@
-//! HTTP front-end throughput over loopback: per-request latency on a
-//! keep-alive connection (reactor + parse + dispatch + pool + encode) and
-//! sustained pipelined req/s, for the `/health` (pure reactor), `/spq`,
-//! and `/trip` endpoints — plus the binary `/spq` frame fast path, the
-//! multi-reactor (`SO_REUSEPORT`) configuration under concurrent
-//! connections, and a persistence-attached `/append` flood exercising the
-//! group-commit WAL.
-//!
-//! The criterion shim records every group into `BENCH.json`
-//! (`throughput_per_sec` on the pipelined groups is the sustained req/s
-//! figure CI tracks).
+//! HTTP front-end throughput with `reactors = max(cores, 2)` over
+//! loopback: sustained pipelined `/spq` req/s (JSON and the binary frame
+//! body) with one connection per reactor — the `SO_REUSEPORT` accept
+//! sharding plus the per-reactor epoll loops under concurrent clients.
+//! (Single-reactor latency and throughput are `benchmark/`'s `server.*`
+//! metrics and `read_ops_s @ spq_hot`.)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::io::{Read, Write};
@@ -16,9 +11,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use tthr_bench::{query_for, QueryType, Scale, World};
 use tthr_rpc::{encode_frame, Message};
-use tthr_server::{serve, wire, ServerConfig, ServerHandle};
+use tthr_server::{serve, wire, ServerConfig};
 use tthr_service::{QueryService, ServiceConfig};
-use tthr_trajectory::TrajId;
 
 /// Minimal blocking keep-alive client: pipelines `n` identical requests
 /// and reads the `n` responses back.
@@ -99,7 +93,12 @@ fn encode_frame_request(frame: &[u8]) -> Vec<u8> {
     out
 }
 
-fn boot_with(world: &World, config: ServerConfig) -> (ServerHandle, SocketAddr) {
+fn bench_multireactor_throughput(c: &mut Criterion) {
+    let reactors = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .max(2);
+    let world = World::generate(Scale::Small);
     let service = QueryService::new(
         world.build_index(Default::default()),
         Arc::new(world.network().clone()),
@@ -108,82 +107,12 @@ fn boot_with(world: &World, config: ServerConfig) -> (ServerHandle, SocketAddr) 
             ..ServiceConfig::default()
         },
     );
+    let config = ServerConfig {
+        reactors,
+        ..ServerConfig::default()
+    };
     let server = serve(service, "127.0.0.1:0", config).expect("boot server");
     let addr = server.local_addr();
-    (server, addr)
-}
-
-fn boot(world: &World) -> (ServerHandle, SocketAddr) {
-    boot_with(world, ServerConfig::default())
-}
-
-fn bench_server_throughput(c: &mut Criterion) {
-    let world = World::generate(Scale::Small);
-    let (server, addr) = boot(&world);
-    let spq = query_for(
-        &world.set,
-        world.queries[0],
-        QueryType::TemporalFilters,
-        900,
-        20,
-    );
-    let spq_request = encode_request("/spq", wire::encode_spq(&spq).as_bytes());
-    let trip_request = encode_request("/trip", wire::encode_spq(&spq).as_bytes());
-    let health_request = b"GET /health HTTP/1.1\r\nhost: bench\r\n\r\n".to_vec();
-
-    let mut group = c.benchmark_group("server_http");
-    group.sample_size(20);
-    let mut client = Client::connect(addr);
-    group.bench_function("health_roundtrip", |b| {
-        b.iter(|| client.roundtrip(&health_request, 1))
-    });
-    group.bench_function("spq_keepalive", |b| {
-        b.iter(|| client.roundtrip(&spq_request, 1))
-    });
-    group.bench_function("trip_keepalive", |b| {
-        b.iter(|| client.roundtrip(&trip_request, 1))
-    });
-    group.finish();
-
-    // Sustained req/s: 32 pipelined requests per iteration saturate the
-    // reactor/pool handoff instead of measuring one RTT at a time.
-    let mut group = c.benchmark_group("server_http_sustained");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(32));
-    let mut client = Client::connect(addr);
-    group.bench_function("spq_pipelined_x32", |b| {
-        b.iter(|| client.roundtrip(&spq_request, 32))
-    });
-    group.bench_function("health_pipelined_x32", |b| {
-        b.iter(|| client.roundtrip(&health_request, 32))
-    });
-    // The binary fast path over the same query: no JSON decode on the way
-    // in, no JSON encode on the way out.
-    let frame_request = encode_frame_request(&encode_frame(&Message::TravelTimes(spq.clone())));
-    group.bench_function("spq_frame_pipelined_x32", |b| {
-        b.iter(|| client.roundtrip(&frame_request, 32))
-    });
-    group.finish();
-
-    server.shutdown();
-}
-
-/// Sustained req/s with `reactors = max(cores, 2)` and one pipelining
-/// connection per reactor — the `SO_REUSEPORT` accept sharding plus the
-/// per-reactor epoll loops under genuinely concurrent clients.
-fn bench_multireactor_throughput(c: &mut Criterion) {
-    let reactors = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
-    let world = World::generate(Scale::Small);
-    let (server, addr) = boot_with(
-        &world,
-        ServerConfig {
-            reactors,
-            ..ServerConfig::default()
-        },
-    );
     let spq = query_for(
         &world.set,
         world.queries[0],
@@ -222,58 +151,5 @@ fn bench_multireactor_throughput(c: &mut Criterion) {
     server.shutdown();
 }
 
-/// `/append` flood against a persistence-attached service: 4 connections
-/// each pipelining 8 single-trajectory appends, so concurrent dispatch
-/// drives the group-commit WAL (shared fsyncs across the batch).
-fn bench_append_flood(c: &mut Criterion) {
-    const CONNS: usize = 4;
-    const PER_CONN: usize = 8;
-    let world = World::generate(Scale::Small);
-    let dir = std::env::temp_dir().join(format!("tthr-bench-append-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let service = QueryService::new(
-        world.build_index(Default::default()),
-        Arc::new(world.network().clone()),
-        ServiceConfig {
-            num_threads: 4,
-            ..ServiceConfig::default()
-        },
-    );
-    service.save_snapshot(&dir).expect("attach persistence");
-    let server = serve(service, "127.0.0.1:0", ServerConfig::default()).expect("boot server");
-    let addr = server.local_addr();
-
-    // A stampless single-trajectory payload: every request appends.
-    let tr = world.set.get(TrajId(0));
-    let payload = vec![(tr.user(), tr.entries().to_vec())];
-    let request = encode_request(
-        "/append",
-        wire::encode_append_request(None, &payload).as_bytes(),
-    );
-
-    let mut group = c.benchmark_group("server_append_flood");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements((CONNS * PER_CONN) as u64));
-    let mut clients: Vec<Client> = (0..CONNS).map(|_| Client::connect(addr)).collect();
-    group.bench_function("append_pipelined_x8_conns4", |b| {
-        b.iter(|| {
-            std::thread::scope(|s| {
-                for client in &mut clients {
-                    s.spawn(|| client.roundtrip(&request, PER_CONN));
-                }
-            })
-        })
-    });
-    group.finish();
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-criterion_group!(
-    benches,
-    bench_server_throughput,
-    bench_multireactor_throughput,
-    bench_append_flood
-);
+criterion_group!(benches, bench_multireactor_throughput);
 criterion_main!(benches);

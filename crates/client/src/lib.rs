@@ -25,7 +25,7 @@
 //! is: shard `s` holds the complete trajectories of everything touching
 //! its edges, every SPQ a trip query issues keeps the traverse path's
 //! first edge, and member ids preserve global order. The cluster
-//! differential suite (`tests/cluster_equivalence.rs`) checks the
+//! differential suite (`tests/equivalence.rs`) checks the
 //! byte-identity claim end to end against the monolith.
 //!
 //! # Failure semantics

@@ -130,7 +130,7 @@ impl TravelTimeProvider for SntIndex {
 /// [`ShardedSntIndex`](crate::ShardedSntIndex) — implementations must
 /// answer every operation exactly like a monolithic index over the same
 /// trajectory history, which is what the sharded differential test
-/// harness (`tests/sharded_equivalence.rs`) pins down.
+/// suite (`tests/equivalence.rs`) pins down.
 pub trait IndexBackend: TravelTimeProvider {
     /// Exact count of traversals matching all SPQ predicates, capped at
     /// `cap` (σ_L's `|T^{P₁}| ≥ β` test), through a caller-owned

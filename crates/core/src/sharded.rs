@@ -25,7 +25,7 @@
 //! the same leaves in the same order as the monolith: answers are
 //! **byte-identical**, including β-capped prefixes, fallback estimates,
 //! counting queries, and the cardinality estimator's per-partition sums.
-//! The differential harness in `tests/sharded_equivalence.rs` pins this
+//! The differential suite in `tests/equivalence.rs` pins this
 //! contract for K ∈ {1, 2, 7} across query/append/snapshot/reopen
 //! interleavings.
 //!

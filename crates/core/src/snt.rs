@@ -2063,6 +2063,34 @@ mod lifecycle_tests {
         }
     }
 
+    /// The hot tail's cost contract, by count rather than by clock:
+    /// absorbing a batch builds no FM-index — no partition, no wavelet
+    /// or counts byte — and only queues the batch; sealing it does.
+    #[test]
+    fn absorbing_a_batch_builds_no_fm_index() {
+        for config in configs() {
+            let mut idx = SntIndex::build(&example_network(), &example_trajectories(), config);
+            let sealed = idx.memory_report();
+            let mut s = 11u64;
+            for b in 0..3i64 {
+                let (partitions, batches) = (idx.num_partitions(), idx.hot_stats().batches);
+                let batch = random_batch(&mut s, b * 40, 5);
+                let refs: Vec<&Trajectory> = batch.iter().collect();
+                assert_eq!(idx.absorb_trajectories(&refs), 5);
+                let m = idx.memory_report();
+                assert_eq!(idx.num_partitions(), partitions, "{config:?}");
+                assert_eq!(m.wavelet_bytes, sealed.wavelet_bytes, "{config:?}");
+                assert_eq!(m.counts_bytes, sealed.counts_bytes, "{config:?}");
+                assert_eq!(idx.hot_stats().batches, batches + 1, "{config:?}");
+            }
+            idx.compact(None);
+            assert!(
+                idx.memory_report().wavelet_bytes > sealed.wavelet_bytes,
+                "sealing builds what absorbing deferred: {config:?}"
+            );
+        }
+    }
+
     #[test]
     fn direct_append_after_absorb_joins_the_hot_tail() {
         // A mixed schedule — absorb, append, absorb — must order batches by

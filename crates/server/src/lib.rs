@@ -37,7 +37,7 @@
 //!            ╚═══◄═══ responses over per-conn write buffers  via socketpair)
 //! ```
 //!
-//! The contract the test battery pins (`tests/server_equivalence.rs`,
+//! The contract the test battery pins (`tests/equivalence.rs`,
 //! `tests/server_backpressure.rs`, `crates/server/tests/http_parser.rs`,
 //! `crates/server/tests/json_decoders.rs`):
 //!

@@ -352,14 +352,29 @@ pub fn serve_node(listener: TcpListener, store: NodeStore) -> std::io::Result<()
 
 /// [`serve_node`] over an externally shared store — the standby runtime
 /// uses this so its tail loop and the accept loop see the same state.
+///
+/// A failed `accept` is transient, as in the epoll reactor: the loop
+/// keeps accepting. Out of file descriptors (`EMFILE` / `ENFILE`) — each
+/// connection holds one — it sleeps 10 ms first, so it cannot spin until
+/// a connection closes.
 pub fn serve_node_shared(
     listener: TcpListener,
     store: Arc<RwLock<NodeStore>>,
 ) -> std::io::Result<()> {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(10);
     loop {
-        let (conn, _) = listener.accept()?;
-        let store = Arc::clone(&store);
-        std::thread::spawn(move || serve_node_conn(conn, &store));
+        match listener.accept() {
+            Ok((conn, _)) => {
+                let store = Arc::clone(&store);
+                std::thread::spawn(move || serve_node_conn(conn, &store));
+            }
+            Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                std::thread::sleep(ACCEPT_BACKOFF);
+            }
+            Err(_) => {}
+        }
     }
 }
 

@@ -272,7 +272,8 @@ mod linux {
                     port: v6.port().to_be(),
                     flowinfo: v6.flowinfo().to_be(),
                     addr: v6.ip().octets(),
-                    scope_id: v6.scope_id().to_be(),
+                    // The kernel reads the scope id in host byte order.
+                    scope_id: v6.scope_id(),
                 };
                 // SAFETY: as above, for sockaddr_in6.
                 cvt(unsafe {
@@ -459,7 +460,7 @@ fn _api_check(p: &Poller) -> io::Result<()> {
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::net::TcpStream;
+    use std::net::{SocketAddr, TcpStream};
 
     #[test]
     fn listener_group_shares_one_port_and_loses_no_connection() {
@@ -501,6 +502,20 @@ mod tests {
             }
         }
         assert_eq!(accepted, CONNECTIONS);
+    }
+
+    /// A scoped IPv6 address names the same interface with one listener
+    /// (`TcpListener::bind`) and with a reuseport group: both bind, or
+    /// both fail with the same OS error.
+    #[test]
+    fn scoped_ipv6_binds_like_a_plain_bind() {
+        let addr: SocketAddr = "[fe80::1%1]:0".parse().unwrap();
+        let outcome = |n| {
+            listener_group(addr, n)
+                .map(|_| ())
+                .map_err(|e| e.raw_os_error())
+        };
+        assert_eq!(outcome(2), outcome(1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every encoder is a pure function of the in-memory value, so "the HTTP
 //! response is byte-identical to calling [`QueryService`] in-process"
-//! (`tests/server_equivalence.rs`) is a meaningful equation: the harness
+//! (`tests/equivalence.rs`) is a meaningful equation: the harness
 //! encodes the in-process result with the *same* functions and compares
 //! raw bytes. Floats use Rust's shortest-round-trip formatting; integer
 //! fields (timestamps in particular) never pass through `f64`

@@ -771,7 +771,7 @@ impl<B: ServiceBackend> QueryService<B> {
     /// seqlock, and scoped cache invalidation are exactly
     /// [`QueryService::append_batch`]'s — the two entry points produce
     /// byte-identical index states for the same logical batch
-    /// (`tests/server_equivalence.rs` enforces this differentially).
+    /// (`tests/persistence_roundtrip.rs` enforces this differentially).
     pub fn append_new(
         &self,
         base: Option<u64>,

@@ -8,7 +8,7 @@
 //! For a *real* multi-process deployment the node threads below become
 //! `tthr-node --dir <store-dir>` processes and the front-end becomes
 //! `tthr-router --node <addr> --node <addr>` — same stores, same wire
-//! protocol, same answers (that path is what `tests/cluster_equivalence.rs`
+//! protocol, same answers (that path is what `tests/equivalence.rs`
 //! exercises). This example keeps everything in one process tree so
 //! `cargo run` works anywhere.
 //!

@@ -6,41 +6,22 @@
 //! straightforward wall-clock measurement: per benchmark it calibrates an
 //! iteration count, takes `sample_size` samples, and prints min / p50 /
 //! mean / p95 per-iteration times (plus derived throughput when set). No
-//! statistical regression analysis is performed.
-//!
-//! Besides the human-readable table, every finished benchmark is recorded
-//! in-process; [`flush_bench_json`] (called automatically by
-//! [`criterion_main!`]) appends the records as JSON Lines to the file named
-//! by `TTHR_BENCH_JSON`. When that variable is unset the default is
-//! `BENCH.json` **at the workspace root** — found by walking up from the
-//! working directory to the first ancestor holding a `Cargo.lock` — so
-//! records land in one tracked file no matter whether cargo ran the bench
-//! binary (cwd = the package dir) or the binary was invoked by hand.
-//! One line per benchmark: `{"name", "ns_per_iter", "p50_ns", "p95_ns",
-//! "min_ns", "samples", "iters_per_sample", "ts", "tag"?,
-//! "throughput_per_sec"?}` — the machine-readable perf trajectory CI
-//! uploads as an artifact. `ts` is the unix time of the flush; `tag` is
-//! copied from `TTHR_BENCH_TAG` when set, so runs can be labelled (e.g.
-//! a pre-change baseline vs. a post-change measurement).
+//! statistical regression analysis is performed, and nothing is recorded:
+//! the numbers a change is judged by come from `benchmark/`
+//! (`BENCHMARK.json`).
 //!
 //! Bench binaries remain `cargo test`-safe: when invoked with `--test`
 //! (which `cargo test --benches` does), every benchmark runs exactly one
-//! iteration, timing output is suppressed, and nothing is recorded.
+//! iteration and timing output is suppressed.
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
-use std::io::Write as _;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// Finished-benchmark records awaiting [`flush_bench_json`], pre-serialized
-/// as JSON object lines.
-static RESULTS: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-/// Measurement configuration and result sink.
+/// Measurement configuration.
 pub struct Criterion {
     /// One-iteration smoke mode (`--test`).
     test_mode: bool,
@@ -64,17 +45,6 @@ impl Criterion {
             throughput: None,
         }
     }
-
-    /// Runs a standalone benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        f: F,
-    ) -> &mut Self {
-        let test_mode = self.test_mode;
-        run_one(&id.into().0, 20, None, test_mode, f);
-        self
-    }
 }
 
 /// Identifier of one benchmark within a group.
@@ -95,12 +65,6 @@ impl BenchmarkId {
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
         BenchmarkId(s.to_string())
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId(s)
     }
 }
 
@@ -230,106 +194,6 @@ fn run_one<F: FnMut(&mut Bencher)>(
         fmt_time(p95),
         rate.unwrap_or_default()
     );
-
-    let throughput_field = throughput
-        .map(|t| {
-            let per_sec = match t {
-                Throughput::Elements(n) | Throughput::Bytes(n) => n as f64 / mean,
-            };
-            format!(",\"throughput_per_sec\":{per_sec:.1}")
-        })
-        .unwrap_or_default();
-    let record = format!(
-        "{{\"name\":\"{}\",\"ns_per_iter\":{:.1},\"p50_ns\":{:.1},\"p95_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}{}}}",
-        escape_json(label),
-        mean * 1e9,
-        p50 * 1e9,
-        p95 * 1e9,
-        min * 1e9,
-        per_iter.len(),
-        b.iters,
-        throughput_field,
-    );
-    RESULTS.lock().expect("bench results").push(record);
-}
-
-/// Appends every benchmark recorded so far to the JSON-lines file named by
-/// `TTHR_BENCH_JSON` (default: `BENCH.json` at the workspace root, see
-/// [`bench_json_path`]), then forgets them. Called by [`criterion_main!`]
-/// after all groups ran; a no-op when nothing was measured (e.g. `--test`
-/// mode) so smoke runs never touch the file.
-pub fn flush_bench_json() {
-    let mut results = RESULTS.lock().expect("bench results");
-    if results.is_empty() {
-        return;
-    }
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let tag = std::env::var("TTHR_BENCH_TAG")
-        .ok()
-        .filter(|t| !t.is_empty())
-        .map(|t| format!(",\"tag\":\"{}\"", escape_json(&t)))
-        .unwrap_or_default();
-    let path = bench_json_path();
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        Ok(mut file) => {
-            for line in results.drain(..) {
-                // Each pending record ends in `}`; splice the run-wide
-                // fields in before it so every line carries them.
-                let body = &line[..line.len() - 1];
-                let _ = writeln!(file, "{body},\"ts\":{ts}{tag}}}");
-            }
-            eprintln!(
-                "[criterion-shim] bench records appended to {}",
-                path.display()
-            );
-        }
-        Err(err) => eprintln!("[criterion-shim] cannot write {}: {err}", path.display()),
-    }
-}
-
-/// Resolves where bench records go: `TTHR_BENCH_JSON` verbatim when set,
-/// else `BENCH.json` in the nearest ancestor of the working directory that
-/// contains a `Cargo.lock` (the workspace root — cargo runs bench binaries
-/// with cwd = the *package* dir, which previously scattered default-path
-/// records into untracked per-crate files). Falls back to the working
-/// directory when no workspace root is found.
-pub fn bench_json_path() -> std::path::PathBuf {
-    if let Ok(path) = std::env::var("TTHR_BENCH_JSON") {
-        if !path.is_empty() {
-            return std::path::PathBuf::from(path);
-        }
-    }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").is_file() {
-            return dir.join("BENCH.json");
-        }
-        match dir.parent() {
-            Some(parent) => dir = parent,
-            None => return cwd.join("BENCH.json"),
-        }
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn fmt_time(secs: f64) -> String {
@@ -361,7 +225,6 @@ macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
-            $crate::flush_bench_json();
         }
     };
 }
@@ -388,34 +251,5 @@ mod tests {
     fn ids_format() {
         assert_eq!(BenchmarkId::new("f", 3).0, "f/3");
         assert_eq!(BenchmarkId::from_parameter("x").0, "x");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json("plain/name"), "plain/name");
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\ny"), "x\\u000ay");
-    }
-
-    #[test]
-    fn default_bench_json_path_anchors_at_workspace_root() {
-        // Env-var override wins verbatim. (Set/remove around the default-path
-        // check too, since tests in this binary share the process env.)
-        std::env::set_var("TTHR_BENCH_JSON", "/tmp/custom-bench.json");
-        assert_eq!(
-            bench_json_path(),
-            std::path::PathBuf::from("/tmp/custom-bench.json")
-        );
-        std::env::remove_var("TTHR_BENCH_JSON");
-        // Default: walk up from cwd (this crate's dir under `cargo test`) to
-        // the workspace root — the first ancestor with a Cargo.lock.
-        let path = bench_json_path();
-        assert_eq!(path.file_name().unwrap(), "BENCH.json");
-        let root = path.parent().unwrap();
-        assert!(
-            root.join("Cargo.lock").is_file(),
-            "default path {} is not anchored at a Cargo.lock dir",
-            path.display()
-        );
     }
 }

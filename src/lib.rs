@@ -95,7 +95,7 @@
 //!   network into K zone/grid shards, each a complete SNT-index over the
 //!   trajectories touching it, behind its own lock. First-edge routing
 //!   keeps answers byte-identical to the monolith
-//!   (`tests/sharded_equivalence.rs` proves it differentially for
+//!   (`tests/equivalence.rs` proves it differentially for
 //!   K ∈ {1, 2, 7}), while appends stall only the written shards
 //!   (`crates/bench/benches/sharded.rs`).
 //! * **Observability** — [`service::ServiceStats`] snapshots p50/p95/p99
@@ -108,7 +108,7 @@
 //!   ring as JSON).
 //!
 //! The service returns byte-identical results to the single-threaded
-//! engine on the same index state (`tests/service_equivalence.rs` enforces
+//! engine on the same index state (`tests/equivalence.rs` enforces
 //! this across a synthetic workload).
 //!
 //! ## Persistence: snapshots and the write-ahead log

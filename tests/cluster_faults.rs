@@ -27,17 +27,20 @@
 //!   reply frame → `502`, a malformed body or out-of-range edge → `400`,
 //!   and a `/batch` answers its first failing trip's status, never a
 //!   partial body;
-//! * `/health` answers from router state with a shard down.
+//! * `/health` answers from router state with a shard down;
+//! * a connection burst past a node's fd limit leaves the node serving.
 
 mod common;
 
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::cluster::{
-    relay, relay_bytes, relay_that_dies_on_ladder_batch, router_rpcs, ClusterHarness,
+    read_listening_line, relay, relay_bytes, relay_that_dies_on_ladder_batch, router_rpcs,
+    ClusterHarness,
 };
 use common::differential::QueryGen;
 use common::http::{encode_frame_request, HttpClient};
@@ -741,6 +744,56 @@ fn router_health_answers_from_router_state_with_a_shard_down() {
     assert!(body.contains(&count), "{body}");
     let acked = format!("\"applied_stamp\":{}", h.applied);
     assert_eq!(body.matches(&acked).count(), 2, "{body}");
+}
+
+/// A burst of connections past a node's file-descriptor limit (`EMFILE`
+/// on `accept`) does not take the shard down: once the burst closes, the
+/// same process answers `Health`.
+#[test]
+fn a_node_survives_a_connection_burst_past_its_fd_limit() {
+    let mut h = ClusterHarness::boot("faults-emfile", quick());
+    h.kill_node(0);
+    let script = format!(
+        "ulimit -n 16; exec '{}' --dir '{}'",
+        env!("CARGO_BIN_EXE_tthr-node"),
+        h.nodes[0].dir.display()
+    );
+    let mut node = Command::new("sh")
+        .args(["-c", &script])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn tthr-node under ulimit");
+    // Held open: closing it asks the node to exit.
+    let _stdin = node.stdin.take();
+    let addr = read_listening_line(node.stdout.take().expect("piped stdout"));
+
+    let burst: Vec<TcpStream> = (0..40)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        node.try_wait().expect("poll node").is_none(),
+        "the node exited under the burst"
+    );
+    drop(burst);
+
+    let client = NodeClient::new(addr, quick());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match client.request(&Message::Health) {
+            Ok(Message::ReplStatus { .. }) => break,
+            other => assert!(
+                Instant::now() < deadline,
+                "no health after the burst: {other:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(node.try_wait().expect("poll node").is_none());
+    let _ = node.kill();
+    let _ = node.wait();
 }
 
 /// Draws with `draw` until a query routes to `shard`.

@@ -137,6 +137,12 @@ pub fn encode_frame_request(frame: &[u8]) -> Vec<u8> {
     out
 }
 
+/// A `/batch` request body.
+pub fn batch_body(queries: &[tthr::core::Spq]) -> String {
+    let queries: Vec<String> = queries.iter().map(tthr::server::wire::encode_spq).collect();
+    format!("{{\"queries\":[{}]}}", queries.join(","))
+}
+
 /// One-shot convenience: connect, request, disconnect.
 pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> Response {
     HttpClient::connect(addr).request("POST", path, body)

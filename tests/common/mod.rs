@@ -6,6 +6,7 @@ pub mod cluster;
 pub mod differential;
 pub mod http;
 pub mod proxy;
+pub mod tier;
 
 use tthr::core::{Filter, Spq};
 use tthr::datagen::{

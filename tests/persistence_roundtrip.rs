@@ -882,49 +882,60 @@ fn wal_records_skipping_ahead_are_a_gap_error() {
 // absorbed — same WAL record bytes, same snapshot bytes, same answers.
 // ---------------------------------------------------------------------
 
-use common::differential::{DiffHarness, QueryGen};
+use common::differential::Run;
+use common::tier::{service_config, Build, InProcess, Tier};
 use tthr::core::QueryEngineConfig;
+
+/// The WAL bytes three appends through one entry point log, and the
+/// snapshot bytes the compaction after them rotates to, on one
+/// in-process tier — whose answers the oracle checks before and after
+/// the compaction.
+type StoreBytes = ((Vec<u8>, Vec<u8>), (Vec<u8>, Vec<u8>));
+
+fn one_path<B: Build>(tier: &'static str, shards: usize, hot: bool, grown_set: bool) -> StoreBytes {
+    let config = service_config(&QueryEngineConfig::default(), hot);
+    let dir_name = format!("one-path-{tier}-{hot}-{grown_set}");
+    let mut r = Run::over_service::<B>("one-path", tier, shards, config, |svc, config| {
+        let mut tier = InProcess::new(tier, svc, config, &dir_name);
+        tier.via_grown_set = grown_set;
+        tier
+    });
+    r.tier.snapshot(); // attaches the WAL
+    for n in [5, 1, 9] {
+        r.append_next(n);
+    }
+    let logged = r.tier.store_bytes(WAL_FILE);
+    let queries: Vec<Spq> = (0..24).map(|_| r.spq()).collect();
+    r.check_all(&queries, 6);
+    r.tier.compact(); // absorbing: seals, rotates, truncates the log
+    r.check_all(&queries, 6);
+    (logged, r.tier.store_bytes(SNAPSHOT_FILE))
+}
 
 #[test]
 fn append_batch_and_append_new_write_identical_records_and_snapshots() {
-    for hot_tail in [false, true] {
-        // One harness per entry point: a monolith plus K ∈ {1, 2, 7}
-        // sharded services (plus, absorbing, the direct-append oracle),
-        // every check asserting they answer byte-identically.
-        let run = |as_payload: bool| {
-            let mut h = DiffHarness::with_ingest(
-                &format!("one-path-{hot_tail}-{as_payload}"),
-                QueryEngineConfig::default(),
-                IngestConfig {
-                    hot_tail,
-                    ..IngestConfig::default()
-                },
-            );
-            let mut gen = QueryGen::new("one-path");
-            h.snapshot(); // attaches the WAL
-            for n in [5, 1, 9] {
-                h.append_next_via(n, as_payload);
-            }
-            let logged = h.store_bytes(WAL_FILE);
-            let queries: Vec<Spq> = (0..24).map(|_| gen.spq(&h)).collect();
-            h.check_all(&queries, 6);
-            h.compact_all(); // absorbing: seals, rotates, truncates the log
-            h.check_all(&queries, 6);
-            (logged, h.store_bytes(SNAPSHOT_FILE))
+    for hot in [false, true] {
+        // The monolith and K ∈ {1, 2, 7}, sealed or absorbing, through
+        // each entry point.
+        let run = |grown_set: bool| {
+            [
+                ("mono", one_path::<SntIndex>("mono", 0, hot, grown_set)),
+                ("k1", one_path::<ShardedSntIndex>("k1", 1, hot, grown_set)),
+                ("k2", one_path::<ShardedSntIndex>("k2", 2, hot, grown_set)),
+                ("k7", one_path::<ShardedSntIndex>("k7", 7, hot, grown_set)),
+            ]
         };
-        let (wal_set, snap_set) = run(false);
-        let (wal_new, snap_new) = run(true);
-        for (service, (set, new)) in wal_set.iter().zip(&wal_new).enumerate() {
-            assert!(wal_frames(&set.0).len() == 3, "three records logged");
+        for ((tier, (wal_set, snap_set)), (_, (wal_new, snap_new))) in
+            run(true).iter().zip(run(false))
+        {
+            assert!(wal_frames(&wal_set.0).len() == 3, "three records logged");
             assert!(
-                set.0 == new.0,
-                "hot_tail={hot_tail} service {service}: WAL bytes differ by entry point"
+                wal_set.0 == wal_new.0,
+                "hot_tail={hot} {tier}: WAL bytes differ by entry point"
             );
-        }
-        for (service, (set, new)) in snap_set.iter().zip(&snap_new).enumerate() {
             assert!(
-                set == new,
-                "hot_tail={hot_tail} service {service}: snapshot bytes differ by entry point"
+                *snap_set == snap_new,
+                "hot_tail={hot} {tier}: snapshot bytes differ by entry point"
             );
         }
     }
