@@ -29,11 +29,10 @@ use tthr_service::pool::ThreadPool;
 
 use crate::{mirror_server_metrics, Api, Payload, Refusal, ServerConfig, ServerMetrics};
 
-/// The router tier's server configuration: one reactor, and a 16 MiB
-/// body cap — append batches carry whole trajectories.
+/// The router tier's server configuration: a 16 MiB body cap — append
+/// batches carry whole trajectories.
 pub fn router_config() -> ServerConfig {
     ServerConfig {
-        reactors: 1,
         max_body_bytes: 16 << 20,
         ..ServerConfig::default()
     }
@@ -43,7 +42,7 @@ pub fn router_config() -> ServerConfig {
 /// [`router_config`], blocking forever.
 pub fn serve_cluster(listener: TcpListener, router: ClusterRouter) -> std::io::Result<()> {
     let api = Arc::new(RouterApi::new(Arc::new(router)));
-    let _server = crate::serve_api(api, vec![listener], router_config())?;
+    let _server = crate::serve_api(api, listener, router_config())?;
     loop {
         std::thread::park();
     }

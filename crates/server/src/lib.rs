@@ -3,7 +3,7 @@
 //! The serving layer that turns the in-process
 //! [`QueryService`] into a network service, with **zero
 //! external dependencies**: no tokio, no hyper — non-blocking
-//! accept/IO reactors over raw `epoll` (the private `sys` module — the
+//! accept/IO reactor over raw `epoll` (the private `sys` module — the
 //! crate's only unsafe surface), a hand-rolled
 //! incremental HTTP/1.1 parser ([`http`]), a small JSON codec ([`json`]),
 //! and the wire protocol ([`wire`]). It is the one HTTP front door of
@@ -11,11 +11,8 @@
 //! (`SntIndex`, `ShardedSntIndex`), [`serve_router`] a cluster router,
 //! with one request handler and one `/spq` body decoder.
 //!
-//! One reactor thread runs by default; [`ServerConfig::reactors`] starts
-//! N of them, each owning its own
-//! `SO_REUSEPORT` listener on the same address, its own epoll loop, and
-//! its own bounded in-flight window — the kernel shards accepts across
-//! them and the threads share nothing but the counters.
+//! One reactor thread owns the listener and every connection; requests
+//! run on the tier's worker pool.
 //!
 //! ```text
 //!  clients ══╗   ┌────────────────── reactor thread ──────────────────┐
@@ -221,29 +218,23 @@ pub(crate) enum Op {
 }
 
 /// Server construction options.
-///
-/// With [`ServerConfig::reactors`] `> 1` the bounded-queue knobs
-/// (`queue_cap`, `shed_watermark`, `max_connections`) apply **per
-/// reactor** — each reactor thread owns its own connections, in-flight
-/// window, and parked set.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Reactor (accept/IO) threads. Each binds its own `SO_REUSEPORT`
-    /// listener on the same address and runs its own epoll loop; the
-    /// kernel spreads incoming connections across them. `0` means one;
-    /// clamped to 64.
+    /// The server runs exactly one reactor (accept/IO) thread: `0` and
+    /// `1` both mean that, and [`serve`] / [`serve_router`] refuse a
+    /// larger value with [`io::ErrorKind::InvalidInput`]. The field is
+    /// kept only for struct literals that still name it.
     pub reactors: usize,
     /// The backpressure boundary: maximum requests dispatched to the
-    /// worker pool and not yet answered (per reactor). When the window is
-    /// full the reactor stops reading (TCP backpressure); see
+    /// worker pool and not yet answered. When the window is full the
+    /// reactor stops reading (TCP backpressure); see
     /// [`ServerConfig::shed_watermark`].
     pub queue_cap: usize,
     /// Maximum *parked* requests (parsed, waiting for a queue slot with
     /// their connections paused) before further requests are shed with
-    /// `503` + `Retry-After` (per reactor).
+    /// `503` + `Retry-After`.
     pub shed_watermark: usize,
-    /// Maximum simultaneous connections (per reactor); beyond it,
-    /// accepts are dropped.
+    /// Maximum simultaneous connections; beyond it, accepts are dropped.
     pub max_connections: usize,
     /// Request line + header size limit (`431` beyond it).
     pub max_head_bytes: usize,
@@ -308,7 +299,7 @@ pub struct ServerMetrics {
     /// progress.
     pub refused_shutdown: u64,
     /// High-water mark of simultaneously in-flight (dispatched) requests
-    /// on any single reactor — never exceeds [`ServerConfig::queue_cap`].
+    /// — never exceeds [`ServerConfig::queue_cap`].
     pub max_inflight: usize,
     /// Request bytes read off sockets.
     pub bytes_in: u64,
@@ -324,69 +315,55 @@ pub struct ServerMetrics {
     pub inline_hits: u64,
 }
 
-/// A running server: one or more reactor threads plus their shared
-/// state.
+/// A running server: its reactor thread and the state it shares.
 ///
 /// Dropping the handle shuts the server down gracefully (equivalent to
 /// [`ServerHandle::shutdown`] with the result discarded).
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    reactors: Vec<Arc<Shared>>,
-    threads: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    reactor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// The address the server actually bound (resolves port 0; with
-    /// multiple reactors every listener shares it via `SO_REUSEPORT`).
+    /// The address the server actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Current server counters (aggregated across reactors).
+    /// Current server counters.
     pub fn metrics(&self) -> ServerMetrics {
-        self.counters.snapshot()
+        self.shared.counters.snapshot()
     }
 
     /// Graceful shutdown: stop accepting, refuse new requests (`503` +
     /// `connection: close`), drain dispatched and parked requests, flush
-    /// every owed response byte, then join every reactor. Returns the
-    /// final counters.
+    /// every owed response byte, then join the reactor. Returns the final
+    /// counters.
     pub fn shutdown(mut self) -> ServerMetrics {
-        self.initiate_shutdown();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
-        self.counters.snapshot()
+        self.stop();
+        self.metrics()
     }
 
-    fn initiate_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for reactor in &self.reactors {
-            reactor.wake();
+    fn stop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake();
+        if let Some(reactor) = self.reactor.take() {
+            let _ = reactor.join();
         }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.initiate_shutdown();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
+        self.stop();
     }
 }
 
 /// Boots the HTTP front-end over a query service on `addr` (use port 0
 /// for an ephemeral port; [`ServerHandle::local_addr`] reports the
 /// binding). The service's **existing** worker pool executes the
-/// requests; the reactors themselves never block on query work.
-///
-/// With [`ServerConfig::reactors`] `> 1`, that many accept/IO threads
-/// start, each with its own `SO_REUSEPORT` listener on the same address
-/// and its own epoll loop — the kernel spreads connections across them
-/// and no accept lock or cross-reactor handoff exists anywhere.
+/// requests; the reactor itself never blocks on query work.
 pub fn serve<B: ServiceBackend>(
     service: QueryService<B>,
     addr: impl ToSocketAddrs,
@@ -406,68 +383,52 @@ pub fn serve_router(
     serve_api(api, bind(addr, &config)?, config)
 }
 
-/// Binds one `SO_REUSEPORT` listener per reactor on the first address
-/// `addr` resolves to that accepts them.
-fn bind(addr: impl ToSocketAddrs, config: &ServerConfig) -> io::Result<Vec<TcpListener>> {
-    let mut last_err = None;
-    for candidate in addr.to_socket_addrs()? {
-        match sys::listener_group(candidate, config.reactors.clamp(1, 64)) {
-            Ok(group) => return Ok(group),
-            Err(e) => last_err = Some(e),
-        }
+/// Binds `addr` for a server with `config`, refusing a config that asks
+/// for more than one reactor.
+fn bind(addr: impl ToSocketAddrs, config: &ServerConfig) -> io::Result<TcpListener> {
+    if config.reactors > 1 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "ServerConfig::reactors = {}: the server runs one reactor",
+                config.reactors
+            ),
+        ));
     }
-    Err(last_err.unwrap_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-    }))
+    TcpListener::bind(addr)
 }
 
-/// Starts one reactor thread per listener, every one serving `api`.
+/// Starts the reactor thread serving `api` on `listener`.
 fn serve_api(
     api: Arc<dyn Api>,
-    listeners: Vec<TcpListener>,
+    listener: TcpListener,
     config: ServerConfig,
 ) -> io::Result<ServerHandle> {
-    let addr = listeners[0].local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let counters = Arc::new(Counters::default());
-    let mut reactors = Vec::with_capacity(listeners.len());
-    let mut threads = Vec::with_capacity(listeners.len());
-    for (i, listener) in listeners.into_iter().enumerate() {
-        listener.set_nonblocking(true)?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let shared = Arc::new(Shared {
-            completions: Mutex::new(Vec::new()),
-            wake_tx,
-            inflight: AtomicUsize::new(0),
-            shutdown: Arc::clone(&shutdown),
-            counters: Arc::clone(&counters),
-            wake_errors: AtomicU64::new(0),
-        });
-        let reactor = Reactor::new(
-            listener,
-            wake_rx,
-            config.clone(),
-            Arc::clone(&shared),
-            Arc::clone(&api),
-        )?;
-        let thread = std::thread::Builder::new()
-            .name(format!("tthr-reactor-{i}"))
-            .spawn(move || {
-                if let Err(e) = reactor.run() {
-                    eprintln!("tthr-server reactor failed: {e}");
-                }
-            })?;
-        reactors.push(shared);
-        threads.push(thread);
-    }
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    let shared = Arc::new(Shared {
+        completions: Mutex::new(Vec::new()),
+        wake_tx,
+        inflight: AtomicUsize::new(0),
+        shutdown: AtomicBool::new(false),
+        counters: Counters::default(),
+        wake_errors: AtomicU64::new(0),
+    });
+    let reactor = Reactor::new(listener, wake_rx, config, Arc::clone(&shared), api)?;
+    let reactor = std::thread::Builder::new()
+        .name("tthr-reactor".into())
+        .spawn(move || {
+            if let Err(e) = reactor.run() {
+                eprintln!("tthr-server reactor failed: {e}");
+            }
+        })?;
     Ok(ServerHandle {
         addr,
-        shutdown,
-        counters,
-        reactors,
-        threads,
+        shared,
+        reactor: Some(reactor),
     })
 }
 

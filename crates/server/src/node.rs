@@ -354,25 +354,19 @@ pub fn serve_node(listener: TcpListener, store: NodeStore) -> std::io::Result<()
 /// uses this so its tail loop and the accept loop see the same state.
 ///
 /// A failed `accept` is transient, as in the epoll reactor: the loop
-/// keeps accepting. Out of file descriptors (`EMFILE` / `ENFILE`) — each
-/// connection holds one — it sleeps 10 ms first, so it cannot spin until
-/// a connection closes.
+/// keeps accepting. Out of file descriptors — each connection holds one —
+/// it sleeps 10 ms first, so it cannot spin until a connection closes.
 pub fn serve_node_shared(
     listener: TcpListener,
     store: Arc<RwLock<NodeStore>>,
 ) -> std::io::Result<()> {
-    const ENFILE: i32 = 23;
-    const EMFILE: i32 = 24;
-    const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(10);
     loop {
         match listener.accept() {
             Ok((conn, _)) => {
                 let store = Arc::clone(&store);
                 std::thread::spawn(move || serve_node_conn(conn, &store));
             }
-            Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
-                std::thread::sleep(ACCEPT_BACKOFF);
-            }
+            Err(e) if crate::sys::out_of_fds(&e) => std::thread::sleep(crate::sys::ACCEPT_BACKOFF),
             Err(_) => {}
         }
     }

@@ -37,7 +37,7 @@
 //! expires).
 
 use crate::http::{self, Limits, Parse, ParseError};
-use crate::sys::{Event, Interest, Poller};
+use crate::sys::{self, Event, Interest, Poller};
 use crate::{Api, Op, ServerConfig, ServerMetrics};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -62,22 +62,19 @@ pub(crate) struct Completion {
     pub close: bool,
 }
 
-/// State shared between **one** reactor, its workers, and the handle.
-/// With `reactors > 1` each reactor thread owns one of these; the
-/// process-wide pieces (shutdown flag, counters) are behind `Arc`s every
-/// instance shares.
+/// State shared between the reactor, its workers, and the handle.
 pub(crate) struct Shared {
     pub completions: Mutex<Vec<Completion>>,
-    /// Write end of this reactor's wake-up socketpair (non-blocking; a
+    /// Write end of the reactor's wake-up socketpair (non-blocking; a
     /// full pipe means a wake-up is already pending — see [`Shared::wake`]).
     pub wake_tx: UnixStream,
-    /// Requests dispatched to the worker pool by this reactor and not yet
-    /// completed — the bounded queue the reactor gates on (per reactor).
+    /// Requests dispatched to the worker pool and not yet completed — the
+    /// bounded queue the reactor gates on.
     pub inflight: AtomicUsize,
-    /// Process-wide shutdown flag, shared by every reactor.
-    pub shutdown: Arc<AtomicBool>,
-    /// Process-wide counters, shared by every reactor.
-    pub counters: Arc<Counters>,
+    /// Set by [`crate::ServerHandle`] to start the graceful drain.
+    pub shutdown: AtomicBool,
+    /// What [`crate::ServerHandle::metrics`] snapshots.
+    pub counters: Counters,
     /// Wake writes that failed with a *real* error (not the benign
     /// full-pipe case). Diagnostic only: the reactor's poll timeout is
     /// the fallback delivery path if the pipe ever dies.
@@ -267,6 +264,9 @@ impl Conn {
 
 pub(crate) struct Reactor {
     listener: Option<TcpListener>,
+    /// Set while the listener is out of the poller because `accept` ran
+    /// out of file descriptors: when to put it back.
+    accept_paused_until: Option<Instant>,
     wake_rx: UnixStream,
     poller: Poller,
     conns: HashMap<u64, Conn>,
@@ -277,14 +277,14 @@ pub(crate) struct Reactor {
     /// one gathered `writev` per connection per loop iteration instead of
     /// one `write` per response).
     dirty_tokens: Vec<u64>,
-    /// Recycled read buffers from closed connections — a per-reactor pool
-    /// so short-lived connections don't pay a fresh allocation each.
+    /// Recycled read buffers from closed connections, so short-lived
+    /// connections don't pay a fresh allocation each.
     buf_pool: Vec<Vec<u8>>,
     next_token: u64,
     config: ServerConfig,
     limits: Limits,
     shared: Arc<Shared>,
-    /// The tier served; one clone per reactor thread.
+    /// The tier served.
     api: Arc<dyn Api>,
     shutdown_seen: Option<Instant>,
 }
@@ -302,6 +302,7 @@ impl Reactor {
         poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
         Ok(Reactor {
             listener: Some(listener),
+            accept_paused_until: None,
             wake_rx,
             poller,
             conns: HashMap::new(),
@@ -325,8 +326,12 @@ impl Reactor {
         let mut events = Vec::with_capacity(128);
         loop {
             events.clear();
-            self.poller
-                .wait(&mut events, Some(Duration::from_millis(100)))?;
+            let timeout = match self.accept_paused_until {
+                Some(_) => sys::ACCEPT_BACKOFF,
+                None => Duration::from_millis(100),
+            };
+            self.poller.wait(&mut events, Some(timeout))?;
+            self.resume_accept();
             for &ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
@@ -395,8 +400,37 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if sys::out_of_fds(&e) => return self.pause_accept(),
                 Err(_) => return, // transient accept failure; retry on next event
             }
+        }
+    }
+
+    /// Out of file descriptors: the connection stays in the backlog, so
+    /// the level-triggered listener stays ready and the loop would spin
+    /// until a descriptor frees up. Take the listener out of the poller
+    /// for [`sys::ACCEPT_BACKOFF`] instead.
+    fn pause_accept(&mut self) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        if self.poller.delete(listener.as_raw_fd()).is_ok() {
+            self.accept_paused_until = Some(Instant::now() + sys::ACCEPT_BACKOFF);
+        }
+    }
+
+    /// Puts a paused listener back into the poller once its backoff is up.
+    fn resume_accept(&mut self) {
+        let (Some(until), Some(listener)) = (self.accept_paused_until, &self.listener) else {
+            return;
+        };
+        if Instant::now() >= until
+            && self
+                .poller
+                .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
+                .is_ok()
+        {
+            self.accept_paused_until = None;
         }
     }
 
@@ -884,6 +918,7 @@ impl Reactor {
             if let Some(listener) = self.listener.take() {
                 let _ = self.poller.delete(listener.as_raw_fd());
             }
+            self.accept_paused_until = None;
             self.shutdown_seen = Some(Instant::now());
         }
 
@@ -1024,8 +1059,8 @@ mod tests {
             completions: Mutex::new(Vec::new()),
             wake_tx,
             inflight: AtomicUsize::new(0),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            counters: Arc::new(Counters::default()),
+            shutdown: AtomicBool::new(false),
+            counters: Counters::default(),
             wake_errors: AtomicU64::new(0),
         });
         (shared, wake_rx)
@@ -1213,7 +1248,8 @@ mod tests {
             assert!(Instant::now() < deadline, "burst never parsed");
         }
         reactor.flush_dirty();
-        let counters = Arc::clone(&reactor.shared.counters);
+        let shared = Arc::clone(&reactor.shared);
+        let counters = &shared.counters;
         assert_eq!(counters.inline_hits.load(Ordering::Relaxed), 1);
         let jobs = std::mem::take(&mut *fake.queued.lock().unwrap());
         assert_eq!(jobs.len(), 1, "only the miss is pool work");

@@ -1,25 +1,28 @@
-//! The readiness poller and socket syscalls: a minimal, self-contained
-//! `epoll` + `SO_REUSEPORT` binding.
+//! The readiness poller: a minimal, self-contained `epoll` binding.
 //!
 //! The workspace forbids external registry crates, so instead of `mio`
-//! this module declares the handful of syscalls it needs itself and links
-//! them from the C library the standard library already links. This is
-//! the **only** unsafe surface of the crate: the three `epoll` entry
-//! points plus the four socket calls (`socket`/`setsockopt`/`bind`/
-//! `listen`) needed to build listeners the standard library cannot — N
-//! sockets bound to **one** address via `SO_REUSEPORT`, so the kernel
-//! shards incoming connections across reactor threads with no shared
-//! accept lock ([`listener_group`]). Everything is wrapped in safe APIs
-//! (owned fds, checked returns, no raw pointers escaping).
+//! this module declares the syscalls it needs itself and links them from
+//! the C library the standard library already links. It is the **only**
+//! non-test unsafe code in the workspace: the three `epoll` entry points
+//! (`epoll_create1`, `epoll_ctl`, `epoll_wait`) on Linux, and `poll(2)`
+//! on other Unixes. Each call has exactly one checked wrapper, which
+//! states the call's invariant in a `debug_assert!` and turns a negative
+//! return into an [`io::Error`]; no raw pointer escapes, and the epoll fd
+//! is owned. An fd handed to [`Poller::add`] is validated by the kernel
+//! (a bad one is `EBADF`, not undefined behaviour).
 //!
-//! On non-Linux Unixes the same APIs are backed by POSIX `poll(2)` and
-//! accept-sharing `try_clone` duplicates of a single listener — so the
-//! crate builds and behaves identically (Linux is the deployment target;
-//! the fallback exists for development machines).
+//! On non-Linux Unixes [`Poller`] is backed by POSIX `poll(2)` over a
+//! registration table with `epoll_ctl`'s error contract (`EEXIST`,
+//! `ENOENT`, `EBADF`), so the crate builds and behaves identically (Linux
+//! is the deployment target; the fallback exists for development
+//! machines).
 //!
 //! The poller is **level-triggered**: an fd with unread input or writable
 //! space keeps reporting ready, so the reactor never needs the
-//! drain-until-`EAGAIN` discipline edge-triggering would force on it.
+//! drain-until-`EAGAIN` discipline edge-triggering would force on it. The
+//! flip side is that an fd whose readiness cannot be consumed — a
+//! listener whose `accept` fails for want of file descriptors — must be
+//! taken out of the interest set, or the loop spins ([`out_of_fds`]).
 
 #![allow(unsafe_code)]
 
@@ -57,18 +60,39 @@ pub struct Event {
     pub error: bool,
 }
 
+/// How long an accept loop waits before retrying once [`out_of_fds`].
+pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Whether a failed `accept` ran out of file descriptors (`EMFILE`: the
+/// process; `ENFILE`: the system). The pending connection stays in the
+/// backlog, so the listener stays ready: retrying at once spins until a
+/// descriptor frees up, and an accept loop backs off for
+/// [`ACCEPT_BACKOFF`] instead.
+pub(crate) fn out_of_fds(e: &io::Error) -> bool {
+    // The same numbers on Linux, the BSDs and macOS.
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    matches!(e.raw_os_error(), Some(EMFILE | ENFILE))
+}
+
+/// A poll timeout in the kernel's milliseconds (`-1`: none).
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
+    }
+}
+
 #[cfg(target_os = "linux")]
-pub use linux::{listener_group, Poller};
+pub use linux::Poller;
 
 #[cfg(target_os = "linux")]
 mod linux {
     use super::{Event, Interest};
-    use std::io;
-    use std::net::{SocketAddr, TcpListener};
-    use std::os::fd::{FromRawFd, OwnedFd, RawFd};
-    use std::time::Duration;
-
     use std::ffi::c_int;
+    use std::io;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+    use std::time::Duration;
 
     // <sys/epoll.h>. On x86-64 the kernel ABI packs the event struct to
     // 12 bytes; other architectures use natural alignment.
@@ -89,6 +113,8 @@ mod linux {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+    /// Events one `epoll_wait` reports at most.
+    const MAX_EVENTS: usize = 128;
 
     extern "C" {
         fn epoll_create1(flags: c_int) -> c_int;
@@ -109,7 +135,8 @@ mod linux {
         }
     }
 
-    /// A level-triggered `epoll` instance.
+    /// A level-triggered `epoll` instance. Each of its methods is the one
+    /// checked wrapper of one `epoll` call.
     pub struct Poller {
         epfd: OwnedFd,
     }
@@ -117,24 +144,28 @@ mod linux {
     impl Poller {
         /// Creates the epoll instance (close-on-exec).
         pub fn new() -> io::Result<Poller> {
-            // SAFETY: epoll_create1 takes no pointers; a non-negative
-            // return is a freshly created fd we immediately take ownership
-            // of.
+            // SAFETY: takes no pointers.
             let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-            Ok(Poller {
-                epfd: unsafe { OwnedFd::from_raw_fd(fd) },
-            })
+            debug_assert!(fd >= 0, "epoll_create1 succeeded with fd {fd}");
+            // SAFETY: a successful return is a fresh fd nothing else owns.
+            let epfd = unsafe { OwnedFd::from_raw_fd(fd) };
+            Ok(Poller { epfd })
         }
 
         fn ctl(&self, op: c_int, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
-            use std::os::fd::AsRawFd;
+            debug_assert!(
+                matches!(op, EPOLL_CTL_ADD | EPOLL_CTL_DEL | EPOLL_CTL_MOD),
+                "epoll_ctl op {op}"
+            );
             let mut ev = EpollEvent {
                 events: EPOLLRDHUP
                     | if interest.readable { EPOLLIN } else { 0 }
                     | if interest.writable { EPOLLOUT } else { 0 },
                 data: token,
             };
-            // SAFETY: `ev` outlives the call; the kernel copies it.
+            // SAFETY: `epfd` is owned, so live for the call, and `ev`
+            // outlives it (the kernel copies it). A bad `fd` is the
+            // kernel's `EBADF`.
             cvt(unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) })?;
             Ok(())
         }
@@ -156,20 +187,16 @@ mod linux {
 
         /// Blocks until readiness or timeout; appends events to `out`.
         pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            use std::os::fd::AsRawFd;
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 128];
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as c_int,
-            };
-            // SAFETY: `buf` is a valid writable array of `buf.len()`
-            // events; the kernel writes at most `maxevents` entries.
+            let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+            // SAFETY: `epfd` is owned, so live for the call, and `buf` is a
+            // writable array of `MAX_EVENTS` events; the kernel writes at
+            // most `maxevents` of them.
             let n = match cvt(unsafe {
                 epoll_wait(
                     self.epfd.as_raw_fd(),
                     buf.as_mut_ptr(),
-                    buf.len() as c_int,
-                    timeout_ms,
+                    MAX_EVENTS as c_int,
+                    super::timeout_ms(timeout),
                 )
             }) {
                 Ok(n) => n as usize,
@@ -177,6 +204,7 @@ mod linux {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
                 Err(e) => return Err(e),
             };
+            debug_assert!(n <= MAX_EVENTS, "epoll_wait reported {n} events");
             for ev in &buf[..n] {
                 let bits = ev.events;
                 out.push(Event {
@@ -189,141 +217,20 @@ mod linux {
             Ok(())
         }
     }
-
-    // <sys/socket.h> — just enough to build a listener the standard
-    // library cannot: one with SO_REUSEPORT set *before* bind.
-    const AF_INET: c_int = 2;
-    const AF_INET6: c_int = 10;
-    const SOCK_STREAM: c_int = 1;
-    const SOCK_CLOEXEC: c_int = 0o2000000;
-    const SOL_SOCKET: c_int = 1;
-    const SO_REUSEADDR: c_int = 2;
-    const SO_REUSEPORT: c_int = 15;
-    /// Accept backlog for reuseport listeners (the kernel clamps to
-    /// `somaxconn`); matches what `TcpListener::bind` requests.
-    const BACKLOG: c_int = 128;
-
-    /// `struct sockaddr_in` (fields already in network byte order).
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port: u16,
-        addr: [u8; 4],
-        zero: [u8; 8],
-    }
-
-    /// `struct sockaddr_in6`.
-    #[repr(C)]
-    struct SockaddrIn6 {
-        family: u16,
-        port: u16,
-        flowinfo: u32,
-        addr: [u8; 16],
-        scope_id: u32,
-    }
-
-    extern "C" {
-        fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-        fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_int, len: u32)
-            -> c_int;
-        fn bind(fd: c_int, addr: *const u8, len: u32) -> c_int;
-        fn listen(fd: c_int, backlog: c_int) -> c_int;
-    }
-
-    /// Builds one listening socket bound to `addr` with `SO_REUSEPORT`
-    /// (and `SO_REUSEADDR`) set before the bind, returned as a standard
-    /// [`TcpListener`] owning the fd.
-    fn reuseport_listener(addr: &SocketAddr) -> io::Result<TcpListener> {
-        let domain = match addr {
-            SocketAddr::V4(_) => AF_INET,
-            SocketAddr::V6(_) => AF_INET6,
-        };
-        // SAFETY: socket takes no pointers; a non-negative return is a
-        // fresh fd we immediately take ownership of (closed on any early
-        // return below).
-        let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0) })?;
-        let owned = unsafe { OwnedFd::from_raw_fd(fd) };
-        let one: c_int = 1;
-        let optlen = std::mem::size_of::<c_int>() as u32;
-        // SAFETY: `one` outlives each call; the kernel copies the value.
-        cvt(unsafe { setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, optlen) })?;
-        cvt(unsafe { setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, optlen) })?;
-        match addr {
-            SocketAddr::V4(v4) => {
-                let sa = SockaddrIn {
-                    family: AF_INET as u16,
-                    port: v4.port().to_be(),
-                    addr: v4.ip().octets(),
-                    zero: [0; 8],
-                };
-                // SAFETY: `sa` is a valid sockaddr_in for the duration of
-                // the call; the kernel copies it.
-                cvt(unsafe {
-                    bind(
-                        fd,
-                        (&sa as *const SockaddrIn).cast(),
-                        std::mem::size_of::<SockaddrIn>() as u32,
-                    )
-                })?;
-            }
-            SocketAddr::V6(v6) => {
-                let sa = SockaddrIn6 {
-                    family: AF_INET6 as u16,
-                    port: v6.port().to_be(),
-                    flowinfo: v6.flowinfo().to_be(),
-                    addr: v6.ip().octets(),
-                    // The kernel reads the scope id in host byte order.
-                    scope_id: v6.scope_id(),
-                };
-                // SAFETY: as above, for sockaddr_in6.
-                cvt(unsafe {
-                    bind(
-                        fd,
-                        (&sa as *const SockaddrIn6).cast(),
-                        std::mem::size_of::<SockaddrIn6>() as u32,
-                    )
-                })?;
-            }
-        }
-        // SAFETY: listen takes no pointers.
-        cvt(unsafe { listen(fd, BACKLOG) })?;
-        Ok(TcpListener::from(owned))
-    }
-
-    /// `n` listeners sharing one address. With `n == 1` this is a plain
-    /// `TcpListener::bind`. With more, every socket is bound via
-    /// `SO_REUSEPORT` — the kernel hashes each incoming connection's
-    /// 4-tuple to exactly one of the sockets, sharding accepts across the
-    /// reactors that own them with no locks and no thundering herd. A
-    /// port-0 request is resolved by the first bind; the rest bind the
-    /// concrete port it got.
-    pub fn listener_group(addr: SocketAddr, n: usize) -> io::Result<Vec<TcpListener>> {
-        if n <= 1 {
-            return Ok(vec![TcpListener::bind(addr)?]);
-        }
-        let first = reuseport_listener(&addr)?;
-        let resolved = first.local_addr()?;
-        let mut group = Vec::with_capacity(n);
-        group.push(first);
-        for _ in 1..n {
-            group.push(reuseport_listener(&resolved)?);
-        }
-        Ok(group)
-    }
 }
 
 #[cfg(all(unix, not(target_os = "linux")))]
-pub use fallback::{listener_group, Poller};
+pub use fallback::Poller;
 
 #[cfg(all(unix, not(target_os = "linux")))]
 mod fallback {
     use super::{Event, Interest};
     use std::collections::HashMap;
+    use std::ffi::{c_int, c_uint};
     use std::io;
     use std::os::fd::RawFd;
+    use std::sync::{Mutex, MutexGuard};
     use std::time::Duration;
-
-    use std::ffi::{c_int, c_uint};
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -337,45 +244,66 @@ mod fallback {
     const POLLOUT: i16 = 0x004;
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
+    // <errno.h>, the numbers `epoll_ctl` would answer with.
+    const ENOENT: i32 = 2;
+    const EBADF: i32 = 9;
+    const EEXIST: i32 = 17;
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
     }
 
-    /// `poll(2)`-backed stand-in with the same level-triggered semantics.
+    /// `poll(2)`-backed stand-in with the same level-triggered semantics;
+    /// [`Poller::wait`] is the one checked wrapper of `poll`.
     pub struct Poller {
-        registered: std::sync::Mutex<HashMap<RawFd, (u64, Interest)>>,
+        registered: Mutex<HashMap<RawFd, (u64, Interest)>>,
     }
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             Ok(Poller {
-                registered: std::sync::Mutex::new(HashMap::new()),
+                registered: Mutex::new(HashMap::new()),
             })
         }
 
+        /// The registration table. Every update is one map operation, so
+        /// a panic elsewhere cannot leave it half-written.
+        fn registered(&self) -> MutexGuard<'_, HashMap<RawFd, (u64, Interest)>> {
+            self.registered.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
         pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.registered
-                .lock()
-                .unwrap()
-                .insert(fd, (token, interest));
+            if fd < 0 {
+                return Err(io::Error::from_raw_os_error(EBADF));
+            }
+            let mut registered = self.registered();
+            if registered.contains_key(&fd) {
+                return Err(io::Error::from_raw_os_error(EEXIST));
+            }
+            registered.insert(fd, (token, interest));
             Ok(())
         }
 
         pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.add(fd, token, interest)
+            match self.registered().get_mut(&fd) {
+                Some(entry) => {
+                    *entry = (token, interest);
+                    Ok(())
+                }
+                None => Err(io::Error::from_raw_os_error(ENOENT)),
+            }
         }
 
         pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            self.registered.lock().unwrap().remove(&fd);
-            Ok(())
+            match self.registered().remove(&fd) {
+                Some(_) => Ok(()),
+                None => Err(io::Error::from_raw_os_error(ENOENT)),
+            }
         }
 
         pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
             let snapshot: Vec<(RawFd, u64, Interest)> = self
-                .registered
-                .lock()
-                .unwrap()
+                .registered()
                 .iter()
                 .map(|(&fd, &(token, interest))| (fd, token, interest))
                 .collect();
@@ -388,20 +316,20 @@ mod fallback {
                     revents: 0,
                 })
                 .collect();
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as c_int,
-            };
-            // SAFETY: `fds` is a valid writable array of `fds.len()`
-            // entries for the duration of the call.
+            debug_assert!(fds.iter().all(|p| p.fd >= 0), "poll on a negative fd");
+            let timeout_ms = super::timeout_ms(timeout);
+            // SAFETY: `fds` is a writable array of `fds.len()` entries for
+            // the call; the kernel writes only their `revents`.
             let ret = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_uint, timeout_ms) };
             if ret < 0 {
                 let e = io::Error::last_os_error();
+                // A signal is not an error; report an empty wake-up.
                 if e.kind() == io::ErrorKind::Interrupted {
                     return Ok(());
                 }
                 return Err(e);
             }
+            debug_assert!(ret as usize <= fds.len(), "poll reported {ret} fds");
             for (pfd, &(_, token, _)) in fds.iter().zip(snapshot.iter()) {
                 let bits = pfd.revents;
                 if bits == 0 {
@@ -418,30 +346,6 @@ mod fallback {
         }
     }
 }
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod fallback_listeners {
-    use std::io;
-    use std::net::{SocketAddr, TcpListener};
-
-    /// Accept-sharing stand-in for the Linux `SO_REUSEPORT` group: one
-    /// bound socket, `try_clone`d per reactor. All clones share the
-    /// kernel accept queue (wake-ups may thunder, but each connection is
-    /// accepted exactly once), so the multi-reactor server behaves
-    /// identically on development machines.
-    pub fn listener_group(addr: SocketAddr, n: usize) -> io::Result<Vec<TcpListener>> {
-        let first = TcpListener::bind(addr)?;
-        let mut group = Vec::with_capacity(n.max(1));
-        for _ in 1..n {
-            group.push(first.try_clone()?);
-        }
-        group.insert(0, first);
-        Ok(group)
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-pub use fallback_listeners::listener_group;
 
 #[cfg(not(unix))]
 compile_error!("tthr-server requires a Unix platform (epoll or poll readiness)");
@@ -460,68 +364,77 @@ fn _api_check(p: &Poller) -> io::Result<()> {
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::net::{SocketAddr, TcpStream};
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
 
-    #[test]
-    fn listener_group_shares_one_port_and_loses_no_connection() {
-        const LISTENERS: usize = 2;
-        const CONNECTIONS: usize = 16;
-        let group = listener_group("127.0.0.1:0".parse().unwrap(), LISTENERS).unwrap();
-        assert_eq!(group.len(), LISTENERS);
-        let addr = group[0].local_addr().unwrap();
-        for l in &group {
-            assert_eq!(l.local_addr().unwrap(), addr, "group must share the port");
-            l.set_nonblocking(true).unwrap();
-        }
+    // <errno.h>: the same numbers on Linux, the BSDs and macOS.
+    const ENOENT: i32 = 2;
+    const EBADF: i32 = 9;
+    const EEXIST: i32 = 17;
 
-        let mut open = Vec::new();
-        for _ in 0..CONNECTIONS {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(b"x").unwrap();
-            open.push(c);
-        }
-
-        // Every connection must be accepted by exactly one listener —
-        // the kernel shards them; none may be dropped or duplicated.
-        let mut accepted = 0;
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while accepted < CONNECTIONS && std::time::Instant::now() < deadline {
-            let mut progress = false;
-            for l in &group {
-                match l.accept() {
-                    Ok(_) => {
-                        accepted += 1;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(e) => panic!("accept failed: {e}"),
-                }
-            }
-            if !progress {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-        assert_eq!(accepted, CONNECTIONS);
+    fn errno(result: io::Result<()>) -> Option<i32> {
+        result.expect_err("the call must fail").raw_os_error()
     }
 
-    /// A scoped IPv6 address names the same interface with one listener
-    /// (`TcpListener::bind`) and with a reuseport group: both bind, or
-    /// both fail with the same OS error.
+    /// Every registration error comes back as the kernel's errno, and a
+    /// failed call leaves the poller usable.
     #[test]
-    fn scoped_ipv6_binds_like_a_plain_bind() {
-        let addr: SocketAddr = "[fe80::1%1]:0".parse().unwrap();
-        let outcome = |n| {
-            listener_group(addr, n)
-                .map(|_| ())
-                .map_err(|e| e.raw_os_error())
-        };
-        assert_eq!(outcome(2), outcome(1));
+    fn registration_errors_are_the_kernels() {
+        let poller = Poller::new().unwrap();
+        let (a, _b) = UnixStream::pair().unwrap();
+        let fd = a.as_raw_fd();
+
+        assert_eq!(errno(poller.add(-1, 7, Interest::READ)), Some(EBADF));
+        assert_eq!(errno(poller.modify(fd, 7, Interest::READ)), Some(ENOENT));
+        assert_eq!(errno(poller.delete(fd)), Some(ENOENT));
+
+        poller.add(fd, 7, Interest::READ).unwrap();
+        assert_eq!(errno(poller.add(fd, 8, Interest::READ)), Some(EEXIST));
+        poller.modify(fd, 9, Interest::READ).unwrap();
+        poller.delete(fd).unwrap();
+        assert_eq!(errno(poller.delete(fd)), Some(ENOENT));
+        assert_eq!(errno(poller.modify(fd, 9, Interest::READ)), Some(ENOENT));
+    }
+
+    /// Level-triggered readiness under the token of the latest `modify`:
+    /// unread input keeps reporting, and a deregistered fd reports
+    /// nothing.
+    #[test]
+    fn wait_reports_level_triggered_readiness() {
+        let poller = Poller::new().unwrap();
+        let (a, mut b) = UnixStream::pair().unwrap();
+        poller.add(a.as_raw_fd(), 3, Interest::READ).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(0)))
+            .unwrap();
+        assert!(events.is_empty(), "nothing to read yet");
+
+        b.write_all(b"x").unwrap();
+        poller.modify(a.as_raw_fd(), 4, Interest::READ).unwrap();
+        for _ in 0..2 {
+            events.clear();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].token, 4);
+            assert!(events[0].readable && !events[0].error);
+        }
+
+        poller.delete(a.as_raw_fd()).unwrap();
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(0)))
+            .unwrap();
+        assert!(events.is_empty(), "a deregistered fd reports nothing");
     }
 
     #[test]
-    fn single_listener_group_is_a_plain_bind() {
-        let group = listener_group("127.0.0.1:0".parse().unwrap(), 1).unwrap();
-        assert_eq!(group.len(), 1);
-        assert!(group[0].local_addr().unwrap().port() != 0);
+    fn only_fd_exhaustion_is_out_of_fds() {
+        assert!(out_of_fds(&io::Error::from_raw_os_error(23)));
+        assert!(out_of_fds(&io::Error::from_raw_os_error(24)));
+        assert!(!out_of_fds(&io::Error::from_raw_os_error(EBADF)));
+        assert!(!out_of_fds(&io::ErrorKind::WouldBlock.into()));
     }
 }

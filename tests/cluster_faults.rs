@@ -28,7 +28,8 @@
 //!   and a `/batch` answers its first failing trip's status, never a
 //!   partial body;
 //! * `/health` answers from router state with a shard down;
-//! * a connection burst past a node's fd limit leaves the node serving.
+//! * a connection burst past a node's or the router's fd limit leaves it
+//!   serving, and the router's reactor does not spin while it lasts.
 
 mod common;
 
@@ -794,6 +795,64 @@ fn a_node_survives_a_connection_burst_past_its_fd_limit() {
     assert!(node.try_wait().expect("poll node").is_none());
     let _ = node.kill();
     let _ = node.wait();
+}
+
+/// The router's reactor under the same burst. While `accept` fails with
+/// `EMFILE` it takes the listener out of its level-triggered poller for
+/// a backoff instead of spinning on it: a held second costs the process
+/// well under 0.2 s of CPU, where a spinning reactor burns one. Once the
+/// burst closes, the same process answers `/health`.
+#[test]
+fn the_router_idles_through_a_connection_burst_past_its_fd_limit() {
+    let h = ClusterHarness::boot("faults-router-emfile", quick());
+    let nodes: Vec<String> = h.addrs().iter().map(|a| format!("--node {a}")).collect();
+    let script = format!(
+        "ulimit -n 32; exec '{}' {} --probe-ms 0",
+        env!("CARGO_BIN_EXE_tthr-router"),
+        nodes.join(" ")
+    );
+    let mut router = Command::new("sh")
+        .args(["-c", &script])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn tthr-router under ulimit");
+    // Held open: closing it asks the router to exit.
+    let _stdin = router.stdin.take();
+    let addr = read_listening_line(router.stdout.take().expect("piped stdout"));
+
+    let burst: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    let before = cpu_seconds(router.id());
+    std::thread::sleep(Duration::from_secs(1));
+    let burned = cpu_seconds(router.id()) - before;
+    assert!(
+        burned < 0.2,
+        "the router burned {burned:.2} s of CPU in a second at its fd limit"
+    );
+    drop(burst);
+
+    let health = HttpClient::connect(addr).request("GET", "/health", b"");
+    assert_eq!(health.status, 200, "{}", health.body_str());
+    assert!(router.try_wait().expect("poll router").is_none());
+    let _ = router.kill();
+    let _ = router.wait();
+}
+
+/// User plus system CPU time a process has used, in seconds.
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
+    // The fields after the parenthesised command name, from `state` (the
+    // third field) on: `utime` and `stime` are the 14th and 15th.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+        .split(' ')
+        .collect();
+    let ticks = |i: usize| fields[i - 3].parse::<u64>().expect("tick count");
+    // `/proc` counts in USER_HZ ticks: 100 per second on Linux.
+    (ticks(14) + ticks(15)) as f64 / 100.0
 }
 
 /// Draws with `draw` until a query routes to `shard`.

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use common::cluster::{read_listening_line, ClusterHarness, CLUSTER_K};
 use common::differential::{ladder_levels, Oracle, QueryGen, Run};
-use common::http::{batch_body, encode_frame_request, post, HttpClient};
+use common::http::{batch_body, encode_frame_request, encode_request, post, HttpClient};
 use common::tier::{service_config, Build, Http, InProcess, Tier, TierSpec};
 use common::{prefix_set, small_world};
 use tthr::client::{ClientConfig, ClusterRouter};
@@ -513,10 +513,11 @@ fn queries_racing_compaction_are_unperturbed() {
 
 // ------------------------------------------------------------ HTTP checks
 
-/// Asks one `/spq` twice as JSON, then twice as a frame, and asserts every
-/// answer is `want` in its encoding. The repeats are result-cache hits, so
-/// the reactor answers them: `inline_hits` advances by exactly one each.
-fn assert_spq_twice(server: &ServerHandle, q: &Spq, want: &TravelTimes) {
+/// Asks one `/spq` twice as JSON, then twice as a frame (the frame first
+/// when `frame_first`), and asserts every answer is `want` in its
+/// encoding. The repeats are result-cache hits, so the reactor answers
+/// them: `inline_hits` advances by exactly one each.
+fn assert_spq_twice(server: &ServerHandle, q: &Spq, want: &TravelTimes, frame_first: bool) {
     let json = wire::encode_spq(q);
     let want_json = wire::encode_travel_times(want);
     let want_frame = encode_frame(&Message::TravelTimesResult {
@@ -527,14 +528,15 @@ fn assert_spq_twice(server: &ServerHandle, q: &Spq, want: &TravelTimes) {
     let mut client = HttpClient::connect(server.local_addr());
     for ask in 0..4 {
         let hits = server.metrics().inline_hits;
-        let response = if ask < 2 {
+        let as_json = (ask < 2) != frame_first;
+        let response = if as_json {
             client.request("POST", "/spq", json.as_bytes())
         } else {
             client.send_raw(&frame);
             client.read_response()
         };
         assert_eq!(response.status, 200, "{q:?}: {:?}", response.body);
-        let want: &[u8] = if ask < 2 {
+        let want: &[u8] = if as_json {
             want_json.as_bytes()
         } else {
             &want_frame
@@ -549,7 +551,9 @@ fn assert_spq_twice(server: &ServerHandle, q: &Spq, want: &TravelTimes) {
 
 /// Every `/spq` repeat is a result-cache hit the reactor answers itself,
 /// as JSON and as a frame, with the oracle's bytes — also right after an
-/// append made the cached entries stale — over either backend.
+/// append made the cached entries stale — over either backend. Then one
+/// keep-alive connection pipelines hits between fresh misses, and every
+/// answer comes back in request order with the oracle's bytes.
 #[test]
 fn repeated_spqs_are_inline_hits_with_the_oracle_bytes() {
     fn check<B: Build>(name: &'static str, shards: usize) {
@@ -559,12 +563,30 @@ fn repeated_spqs_are_inline_hits_with_the_oracle_bytes() {
         });
         let queries: Vec<Spq> = (0..12).map(|_| r.spq()).collect();
         for round in 0..2 {
-            for q in &queries {
-                assert_spq_twice(&r.tier.server, q, &r.oracle.index.get_travel_times(q));
+            for (i, q) in queries.iter().enumerate() {
+                let want = r.oracle.index.get_travel_times(q);
+                assert_spq_twice(&r.tier.server, q, &want, i % 2 == 1);
             }
             if round == 0 {
                 r.append_next(4);
             }
+        }
+
+        let fresh: Vec<Spq> = (0..queries.len()).map(|_| r.spq()).collect();
+        let burst: Vec<&Spq> = queries
+            .iter()
+            .zip(&fresh)
+            .flat_map(|(a, b)| [b, a])
+            .collect();
+        let mut client = HttpClient::connect(r.tier.server.local_addr());
+        let requests: Vec<u8> = burst
+            .iter()
+            .flat_map(|q| encode_request("POST", "/spq", wire::encode_spq(q).as_bytes()))
+            .collect();
+        client.send_raw(&requests);
+        for q in burst {
+            let want = wire::encode_travel_times(&r.oracle.index.get_travel_times(q));
+            assert_eq!(client.read_response().body_str(), want, "pipelined {q:?}");
         }
     }
     check::<SntIndex>("http_mono", 0);
@@ -640,7 +662,7 @@ fn retention_leaves_no_stale_inline_hit() {
             .iter()
             .map(|q| {
                 let truth = lifecycle.with_index(|index| index.get_travel_times(q));
-                assert_spq_twice(&server, q, &truth);
+                assert_spq_twice(&server, q, &truth, false);
                 truth
             })
             .collect()

@@ -10,7 +10,9 @@
 //!   slow-loris connections are reaped by the idle timeout;
 //! * pipelined requests come back in order; pipelined garbage after a
 //!   valid request gets the valid response, then `400`, then a clean
-//!   close;
+//!   close; malformed `/spq` bodies, JSON or frame, get the pool's exact
+//!   `400` and leave the connection usable;
+//! * `ServerConfig::reactors` above 1 is refused, never ignored;
 //! * graceful shutdown drains in-flight requests to the last byte while
 //!   refusing new ones with `503` + `connection: close`;
 //! * a cached `/spq` is answered by the reactor without a queue slot,
@@ -39,7 +41,8 @@ use tthr::client::{ClientConfig, ClusterRouter};
 use tthr::core::{
     QueryEngineConfig, ShardNodeState, ShardedSntIndex, SntConfig, SntIndex, Spq, TimeInterval,
 };
-use tthr::rpc::{decode_frame, encode_frame, ErrCode, Message};
+use tthr::rpc::{decode_frame, encode_frame, Decode, ErrCode, Message};
+use tthr::server::http::FRAME_CONTENT_TYPE;
 use tthr::server::node::{serve_node, NodeStore};
 use tthr::server::{json, serve, serve_router, wire, ServerConfig, ServerHandle};
 use tthr::service::{QueryService, ServiceConfig};
@@ -63,17 +66,34 @@ impl Drop for Stores {
     }
 }
 
-/// A served world plus a query whose path certainly matches data. The
-/// router tier's pool is one worker per CPU whatever `threads` says.
+/// A tier's world, ready to be served.
+enum Backend {
+    Process(QueryService),
+    Router(Arc<ClusterRouter>),
+}
+
+impl Backend {
+    fn serve(&self, config: ServerConfig) -> std::io::Result<ServerHandle> {
+        match self {
+            Backend::Process(service) => serve(service.clone(), "127.0.0.1:0", config),
+            Backend::Router(router) => serve_router(Arc::clone(router), "127.0.0.1:0", config),
+        }
+    }
+}
+
+/// A served world plus a query whose path certainly matches data.
 fn boot(tier: Tier, threads: usize, config: ServerConfig) -> (ServerHandle, Spq, Option<Stores>) {
+    let (backend, spq, stores) = unserved(tier, threads);
+    (backend.serve(config).expect("boot"), spq, stores)
+}
+
+/// [`boot`] before the serving. The router tier's pool is one worker per
+/// CPU whatever `threads` says.
+fn unserved(tier: Tier, threads: usize) -> (Backend, Spq, Option<Stores>) {
     match tier {
         Tier::Process => {
             let (service, spq) = world(threads);
-            (
-                serve(service, "127.0.0.1:0", config).expect("boot"),
-                spq,
-                None,
-            )
+            (Backend::Process(service), spq, None)
         }
         Tier::Router => {
             let (syn, set) = common::small_world();
@@ -103,8 +123,11 @@ fn boot(tier: Tier, threads: usize, config: ServerConfig) -> (ServerHandle, Spq,
                 ClientConfig::default(),
             )
             .expect("connect router");
-            let server = serve_router(router, "127.0.0.1:0", config).expect("boot router");
-            (server, query(&set), Some(Stores(dir)))
+            (
+                Backend::Router(Arc::new(router)),
+                query(&set),
+                Some(Stores(dir)),
+            )
         }
     }
 }
@@ -284,7 +307,8 @@ fn keep_alive_and_reaping(tier: Tier) {
 }
 
 /// Pipelined responses come back in request order; garbage after a valid
-/// pipelined request yields the valid answer, then 400, then close.
+/// pipelined request yields the valid answer, then 400, then close. The
+/// server runs one reactor whatever `ServerConfig::reactors` asks.
 #[test]
 fn pipelining_order_and_garbage_handling() {
     pipelining_and_garbage(Tier::Process);
@@ -296,7 +320,26 @@ fn router_pipelining_order_and_garbage_handling() {
 }
 
 fn pipelining_and_garbage(tier: Tier) {
-    let (server, spq, _stores) = boot(tier, 2, ServerConfig::default());
+    let (backend, spq, _stores) = unserved(tier, 2);
+    // The server runs one reactor: `reactors` 0 (the default, served
+    // below) and 1 boot it, and a larger value is refused, not ignored.
+    let one = backend
+        .serve(ServerConfig {
+            reactors: 1,
+            ..ServerConfig::default()
+        })
+        .expect("boot with one reactor");
+    let health = HttpClient::connect(one.local_addr()).request("GET", "/health", b"");
+    assert_eq!(health.status, 200);
+    one.shutdown();
+    let refused = backend.serve(ServerConfig {
+        reactors: 2,
+        ..ServerConfig::default()
+    });
+    let refused = refused.err().expect("two reactors must be refused");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+
+    let server = backend.serve(ServerConfig::default()).expect("boot");
     let addr = server.local_addr();
     let spq_body = wire::encode_spq(&spq);
 
@@ -722,6 +765,19 @@ fn malformed_and_oversized(tier: Tier) {
         assert_eq!(response.status, 400);
         assert_eq!(response.body, want);
     }
+    // The errors were the requests', not the connection's: a good frame
+    // on it still answers.
+    client.send_raw(&encode_frame_request(&good));
+    let response = client.read_response();
+    assert_eq!(response.status, 200);
+    assert_eq!(response.header("content-type"), Some(FRAME_CONTENT_TYPE));
+    assert!(matches!(
+        decode_frame(&response.body),
+        Ok(Decode::Done {
+            message: Message::TravelTimesResult { .. },
+            consumed,
+        }) if consumed == response.body.len()
+    ));
     assert_eq!(server.metrics().inline_hits, 0);
 
     // Cached, then asked again with the body padded past one read chunk:

@@ -1,8 +1,8 @@
-//! Multi-reactor front-end battery: with `ServerConfig::reactors > 1`
-//! every serving contract the single-reactor suites pin down must hold
-//! unchanged — bounded in-flight work, `503` + `Retry-After` shedding,
-//! exactly-once in-order answers, keep-alive survival — while the kernel
-//! spreads connections across the `SO_REUSEPORT` listener group.
+//! Front-end battery for the reactor's serving contracts under many
+//! concurrent connections: bounded in-flight work, `503` + `Retry-After`
+//! shedding, exactly-once in-order answers and keep-alive survival. The
+//! server runs one reactor (`ServerConfig::reactors` may only be 0 or 1),
+//! so every connection here shares it.
 //!
 //! Also home of the binary `/spq` fast-path contract: a
 //! `application/x-tthr-frame` request decodes straight into the `tthr-rpc`
@@ -24,10 +24,9 @@ use tthr::server::{serve, wire, ServerConfig, ServerHandle};
 use tthr::service::{QueryService, ServiceConfig};
 use tthr::trajectory::{TrajId, TrajectorySet};
 
-const REACTORS: usize = 2;
-
-/// A served world behind `REACTORS` reactor threads, plus an identically
-/// built in-process oracle and the full trajectory set for sampling.
+/// A served world behind the server's one reactor thread, plus an
+/// identically built in-process oracle and the full trajectory set for
+/// sampling.
 fn boot(config: ServerConfig) -> (ServerHandle, QueryService<SntIndex>, TrajectorySet) {
     let (syn, set) = common::small_world();
     let initial = prefix_set(&set, set.len());
@@ -43,15 +42,7 @@ fn boot(config: ServerConfig) -> (ServerHandle, QueryService<SntIndex>, Trajecto
         )
     };
     let oracle = build();
-    let server = serve(
-        build(),
-        "127.0.0.1:0",
-        ServerConfig {
-            reactors: REACTORS,
-            ..config
-        },
-    )
-    .expect("boot multi-reactor server");
+    let server = serve(build(), "127.0.0.1:0", config).expect("boot server");
     (server, oracle, set)
 }
 
@@ -99,11 +90,10 @@ fn frame_round_trip(addr: SocketAddr, frame: &[u8]) -> (u16, Message) {
     (response.status, message)
 }
 
-/// The single-reactor flood contract, verbatim, against two reactors: a
-/// burst past `queue_cap` + `shed_watermark` keeps at most `queue_cap`
-/// requests in flight on any one reactor, sheds the excess with `503` +
-/// `Retry-After`, answers every request exactly once and in order, and
-/// recovers to normal service.
+/// A pipelined burst from many connections past `queue_cap` +
+/// `shed_watermark` keeps at most `queue_cap` requests in flight, sheds
+/// the excess with `503` + `Retry-After`, answers every request exactly
+/// once and in order, and recovers to normal service.
 #[test]
 fn flood_across_reactors_bounds_inflight_and_sheds() {
     const CONNS: usize = 12;
@@ -157,11 +147,10 @@ fn flood_across_reactors_bounds_inflight_and_sheds() {
     assert!(ok > 0, "dispatched and parked requests must complete");
 
     let metrics = server.metrics();
-    // `queue_cap` is a per-reactor bound, and `max_inflight` reports the
-    // high-water mark of the busiest single reactor.
+    // `max_inflight` is the high-water mark of dispatched requests.
     assert!(
         metrics.max_inflight <= 2,
-        "one reactor saw {} > queue_cap in flight",
+        "saw {} > queue_cap in flight",
         metrics.max_inflight
     );
     assert_eq!(metrics.shed as usize, shed);
@@ -172,8 +161,8 @@ fn flood_across_reactors_bounds_inflight_and_sheds() {
     server.shutdown();
 }
 
-/// Keep-alive connections served by (potentially) different reactors all
-/// see the same answers, in order, across sequential and pipelined use.
+/// Several keep-alive connections to the same reactor all see the
+/// oracle's answers, in order, across sequential and pipelined use.
 #[test]
 fn keep_alive_connections_agree_across_reactors() {
     let (server, oracle, set) = boot(ServerConfig::default());
@@ -184,8 +173,8 @@ fn keep_alive_connections_agree_across_reactors() {
     for q in &queries {
         let body = wire::encode_spq(q);
         let expected = wire::encode_travel_times(&oracle.get_travel_times(q));
-        // Sequential round trips on every connection: identical bytes no
-        // matter which reactor owns the socket.
+        // Sequential round trips on every connection: identical bytes on
+        // each.
         for client in &mut clients {
             let response = client.request("POST", "/spq", body.as_bytes());
             assert_eq!(response.status, 200, "{}", response.body_str());
