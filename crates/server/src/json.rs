@@ -15,10 +15,11 @@
 //!   overflow.
 //! * **One grammar** — [`parse`] and the [`Reader`] share the string,
 //!   escape and number routines and the depth cap, so they accept the
-//!   same documents and read the same values from them. The request path
-//!   decodes bodies with the reader ([`crate::wire`]'s typed decoders);
-//!   the tree is the definition they are tested against, and it reports
-//!   every error: a `400` body is always [`parse`]'s or a tree decoder's.
+//!   same documents and read the same values from them, and fail on the
+//!   same byte with the same reason. The request path decodes bodies with
+//!   the reader only ([`crate::wire`]'s typed decoders), which write every
+//!   `400` body too; the tree is the reader's grammar oracle in tests, and
+//!   what clients and tests parse replies with.
 //!
 //! Object keys keep their insertion order; serialization is therefore
 //! deterministic, which the byte-identical server-equivalence harness
@@ -181,7 +182,8 @@ pub(crate) fn write_bool(out: &mut String, v: bool) {
     out.push_str(if v { "true" } else { "false" });
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Writes a string as [`Json::Str`] does.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -200,7 +202,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 /// A parse failure: byte offset and reason.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure.
     pub at: usize,
@@ -253,7 +255,8 @@ pub enum Token<'a> {
 /// It accepts exactly the documents [`parse`] accepts, and a value read
 /// from it equals the tree's: the two share every routine below the
 /// structure, and the nesting cap is the same [`MAX_DEPTH`]. The end of
-/// a well-formed document is `Ok(None)`; an error ends the document.
+/// a well-formed document is `Ok(None)`; an error ends the document, and
+/// every later call returns it again.
 pub struct Reader<'a> {
     p: Parser<'a>,
     /// Open containers, innermost last: `true` for an object.
@@ -273,6 +276,8 @@ enum State {
     /// After a complete value: `,` or the close — or, at the root, the
     /// end of input.
     Value,
+    /// After an error, which every later call returns.
+    Failed(JsonError),
 }
 
 impl<'a> Reader<'a> {
@@ -294,8 +299,15 @@ impl<'a> Reader<'a> {
     #[allow(clippy::should_implement_trait)] // fallible: not an Iterator
     #[inline(always)]
     pub fn next(&mut self) -> Result<Option<Token<'a>>, JsonError> {
+        self.step().inspect_err(|&e| self.state = State::Failed(e))
+    }
+
+    /// [`Self::next`] before an error is recorded as the reader's state.
+    #[inline(always)]
+    fn step(&mut self) -> Result<Option<Token<'a>>, JsonError> {
         self.p.skip_ws();
         match self.state {
+            State::Failed(e) => return Err(e),
             State::Start => {}
             State::Key => {
                 self.p.eat(b':', "expected ':'")?;

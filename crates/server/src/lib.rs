@@ -40,9 +40,9 @@
 //!
 //! * every endpoint's response body is **byte-identical** to encoding the
 //!   in-process [`QueryService`] answer with [`wire`]'s functions;
-//! * a JSON body is decoded in one typed pass with no value tree, and
-//!   answered exactly as [`json::parse`] and [`wire`]'s tree decoders
-//!   would have it answered — every `400` body included;
+//! * a JSON body is decoded in one typed pass with no value tree, which
+//!   writes its `400` reason too: the reason [`json::parse`] and the
+//!   reference decoders give (see [`wire`]);
 //! * the worker pool never holds more than
 //!   [`ServerConfig::queue_cap`] requests in flight; overload answers are
 //!   `503` with `Retry-After`; keep-alive connections survive
@@ -544,23 +544,15 @@ fn handle_api(api: &dyn Api, max_batch: usize, job: Job) -> ApiResponse {
     let bad = |e: wire::WireError| (400, e);
     let answer = match op {
         Op::Spq | Op::SpqFrame => unreachable!("answered above"),
-        Op::Trip => decode_json(
-            &body,
-            |b| wire::read_spq(b, num_edges),
-            |v| wire::decode_spq(v, num_edges),
-        )
-        .map_err(bad)
-        .and_then(|query| api.trip(&query))
-        .map(|trip| wire::encode_trip(&trip)),
-        Op::Batch => decode_json(
-            &body,
-            |b| wire::read_batch(b, num_edges, max_batch),
-            |v| wire::decode_batch(v, num_edges, max_batch),
-        )
-        .map_err(bad)
-        .and_then(|queries| api.batch(&queries))
-        .map(|trips| wire::encode_trips(&trips)),
-        Op::Append => decode_json(&body, wire::read_append, wire::decode_append)
+        Op::Trip => wire::read_spq(&body, num_edges)
+            .map_err(bad)
+            .and_then(|query| api.trip(&query))
+            .map(|trip| wire::encode_trip(&trip)),
+        Op::Batch => wire::read_batch(&body, num_edges, max_batch)
+            .map_err(bad)
+            .and_then(|queries| api.batch(&queries))
+            .map(|trips| wire::encode_trips(&trips)),
+        Op::Append => wire::read_append(&body)
             .map_err(bad)
             .and_then(|(base, payload)| api.append(base, &payload))
             .map(wire::encode_appended),
@@ -572,17 +564,13 @@ fn handle_api(api: &dyn Api, max_batch: usize, job: Job) -> ApiResponse {
 }
 
 /// Decodes an `/spq` body of either content type — a JSON SPQ (read by
-/// [`decode_json`]), or one `tthr-rpc` `TravelTimes` frame — into a query
+/// [`wire::read_spq`]), or one `tthr-rpc` `TravelTimes` frame — into a query
 /// whose every edge names an edge of the served network. A body that does
 /// not is answered `400` in its own content type.
 fn decode_spq_body(op: Op, body: &[u8], num_edges: usize) -> Result<Spq, ApiResponse> {
     if op == Op::Spq {
-        return decode_json(
-            body,
-            |b| wire::read_spq(b, num_edges),
-            |v| wire::decode_spq(v, num_edges),
-        )
-        .map_err(|e| ApiResponse::json(400, wire::encode_error(&e)));
+        return wire::read_spq(body, num_edges)
+            .map_err(|e| ApiResponse::json(400, wire::encode_error(&e)));
     }
     let reject = |reason: &str| {
         ApiResponse::frame(
@@ -603,20 +591,6 @@ fn decode_spq_body(op: Op, body: &[u8], num_edges: usize) -> Result<Spq, ApiResp
         .check_edges(num_edges)
         .map_err(|e| reject(&e.to_string()))?;
     Ok(query)
-}
-
-/// Decodes a JSON body with its typed decoder `read`, or — for a body
-/// `read` does not take — with [`json::parse`] and its tree decoder, whose
-/// error is the `400` reason (see [`wire`]'s module docs).
-fn decode_json<T>(
-    body: &[u8],
-    read: impl FnOnce(&[u8]) -> Option<T>,
-    tree: impl FnOnce(&json::Json) -> Result<T, wire::WireError>,
-) -> Result<T, wire::WireError> {
-    match read(body) {
-        Some(value) => Ok(value),
-        None => tree(&json::parse(body).map_err(|e| e.to_string())?),
-    }
 }
 
 /// Test support: the status and body [`serve`]'s workers answer a JSON

@@ -586,9 +586,9 @@ impl Reactor {
                 self.respond(token, seq, &response, keep_alive);
                 return;
             }
-            // The frame content type selects the binary fast path: the
-            // body decodes straight into an `Spq` via the `tthr-rpc`
-            // codec, skipping the JSON value tree entirely.
+            // The frame content type selects the binary codec: the body
+            // decodes into an `Spq` with the `tthr-rpc` frame codec
+            // instead of the JSON reader.
             ("POST", "/spq")
                 if request
                     .content_type

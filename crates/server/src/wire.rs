@@ -30,28 +30,25 @@
 //! `{"type":"periodic","start_sod":s,"len":l}`. An append trajectory is
 //! `{"user":u,"entries":[[edge,enter_time,travel_time],…]}`.
 //!
-//! ## Two decoders per body, one definition
+//! ## One decoder per body
 //!
-//! Each request body has a **tree decoder** ([`decode_spq`],
-//! [`decode_batch`], [`decode_append`]: [`json::parse`] then a walk of
-//! the [`Json`] value) and a **typed decoder** ([`read_spq`],
-//! [`read_batch`], [`read_append`]) that reads the same value straight
-//! from the bytes with a [`json::Reader`] — no tree, no per-node
-//! allocation. The server tries the typed decoder first. It answers
-//! `Some` only for a body the tree decoder accepts, with a value equal to
-//! the tree's (floats to the bit); for every other body — malformed JSON,
-//! an escaped or repeated key, a value of a type it does not take, a
-//! failed check — it answers `None` and the tree decoder decides, so
-//! every `400` body is the tree's by construction. The tree decoders are
-//! the definition `crates/server/tests/json_decoders.rs` holds the typed
-//! ones to, over generated and mutated bodies.
+//! Each request body has one decoder ([`read_spq`], [`read_batch`],
+//! [`read_append`]). It reads the value straight from the bytes with a
+//! [`json::Reader`] — no tree, no per-node allocation — and writes its own
+//! `400` reason. A syntax error anywhere wins, with [`json::parse`]'s text;
+//! otherwise the reason is the first refusal in the reference decoder's
+//! field order, whatever the document's order. The first of repeated keys
+//! counts, an escaped key matches by its text, and a value that is not an
+//! object has no fields. [`decode_spq`], a walk of a [`Json`] tree off the
+//! request path, is the reference for an SPQ;
+//! `crates/server/tests/json_decoders.rs` keeps those for a batch and an
+//! append, and holds each decoder's `Result` to its reference's.
 //!
 //! The `/spq`, `/trip` and `/batch` replies are written straight into
 //! the output string; the tree encoders they replaced are kept in this
 //! module's tests as the definition of their bytes.
 
-use crate::json::{self, Json, Reader, Token};
-use std::borrow::Cow;
+use crate::json::{self, Json, JsonError, Reader, Token};
 use tthr_core::{Filter, Spq, TimeInterval, TravelTimes, TripQuery};
 use tthr_metrics::LogHistogram;
 use tthr_network::{EdgeId, Path};
@@ -110,13 +107,17 @@ pub fn encode_health(ingest: &tthr_service::IngestStatus) -> String {
 
 /// Encodes an error body `{"error": reason}`.
 pub fn encode_error(reason: &str) -> String {
-    obj(vec![("error", Json::Str(reason.to_string()))]).encode()
+    let mut out = String::from("{\"error\":");
+    json::write_string(&mut out, reason);
+    out + "}"
 }
 
 // ---------------------------------------------------------------- queries
 
-/// Decodes an SPQ, validating edges against the network size (an
-/// out-of-range edge would panic deep inside the engine).
+/// Decodes an SPQ from its [`Json`] tree, validating edges against the
+/// network size (an out-of-range edge would panic deep inside the engine):
+/// the reference definition [`read_spq`] is tested against, off the
+/// request path.
 pub fn decode_spq(v: &Json, num_edges: usize) -> Result<Spq, WireError> {
     let edges = v
         .get("path")
@@ -160,6 +161,7 @@ pub fn decode_spq(v: &Json, num_edges: usize) -> Result<Spq, WireError> {
     Ok(spq)
 }
 
+/// The reference definition of an SPQ's `interval` (see [`decode_spq`]).
 fn decode_interval(v: &Json) -> Result<TimeInterval, WireError> {
     match v.get("type").and_then(Json::as_str) {
         Some("fixed") => {
@@ -234,137 +236,172 @@ pub fn encode_spq(spq: &Spq) -> String {
     obj(members).encode()
 }
 
-/// Decodes a `/batch` request body.
-pub fn decode_batch(v: &Json, num_edges: usize, max: usize) -> Result<Vec<Spq>, WireError> {
-    let queries = v
-        .get("queries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err("\"queries\" must be an array of SPQs"))?;
-    if queries.len() > max {
-        return Err(err(format!("batch too large (max {max} queries)")));
-    }
-    queries.iter().map(|q| decode_spq(q, num_edges)).collect()
-}
-
 // --------------------------------------------------------- typed decoders
 
-/// Reads an SPQ body (`/spq`, `/trip`) as [`decode_spq`] would decode
-/// it, or `None` to leave the body to [`decode_spq`] (module docs).
-pub fn read_spq(body: &[u8], num_edges: usize) -> Option<Spq> {
+/// Reads an SPQ body (`/spq`, `/trip`): [`decode_spq`]'s value, or its
+/// refusal.
+pub fn read_spq(body: &[u8], num_edges: usize) -> Result<Spq, WireError> {
     Typed::document(body, |r, open| r.spq(open, num_edges))
 }
 
-/// Reads a `/batch` body as [`decode_batch`] would decode it, or `None`
-/// to leave the body to [`decode_batch`].
-pub fn read_batch(body: &[u8], num_edges: usize, max: usize) -> Option<Vec<Spq>> {
+/// Reads a `/batch` body, `{"queries":[SPQ,…]}` with at most `max` SPQs.
+pub fn read_batch(body: &[u8], num_edges: usize, max: usize) -> Result<Vec<Spq>, WireError> {
+    const QUERIES: &str = "\"queries\" must be an array of SPQs";
     Typed::document(body, |r, open| {
         let mut queries = None;
-        r.members(open, |r, key| {
-            let first = r.token()?;
-            if key != "queries" {
-                return r.skip(first);
+        r.members(open, |r, key, first| {
+            if key != "queries" || queries.is_some() {
+                return r.skip(&first);
             }
-            let mut spqs = Vec::new();
-            r.items(first, |r, query| {
-                (spqs.len() < max).then_some(())?;
-                spqs.push(r.spq(query, num_edges)?);
-                Some(())
-            })?;
-            once(&mut queries, spqs)
+            // Every item is counted: an oversized batch is refused before
+            // any of its SPQs.
+            let (mut spqs, mut count) = (Ok(Vec::new()), 0);
+            let listed = r.items(first, QUERIES, |r, query| {
+                count += 1;
+                match &mut spqs {
+                    Ok(read) if count <= max => match r.spq(query, num_edges) {
+                        Ok(spq) => read.push(spq),
+                        Err(e) => spqs = Err(e),
+                    },
+                    _ => r.skip(&query)?,
+                }
+                Ok(())
+            });
+            queries = Some(listed.and_then(|()| match count > max {
+                true => Err(err(format!("batch too large (max {max} queries)"))),
+                false => spqs,
+            }));
+            Ok(())
         })?;
-        queries
+        queries.unwrap_or_else(|| Err(err(QUERIES)))
     })
 }
 
-/// Reads an `/append` body as [`decode_append`] would decode it, or
-/// `None` to leave the body to [`decode_append`].
-pub fn read_append(body: &[u8]) -> Option<AppendBody> {
+/// Reads an `/append` body into the optional idempotency stamp and the
+/// raw trajectory payloads
+/// ([`QueryService::append_new`](tthr_service::QueryService::append_new)).
+pub fn read_append(body: &[u8]) -> Result<AppendBody, WireError> {
+    const TRAJECTORIES: &str = "\"trajectories\" must be an array";
     Typed::document(body, |r, open| {
         let (mut base, mut trajectories) = (None, None);
-        r.members(open, |r, key| {
-            let first = r.token()?;
+        r.members(open, |r, key, first| {
             match key {
-                "base" => once(
-                    &mut base,
-                    match first {
-                        Token::Null => None,
-                        other => Some(u64::try_from(int(other)?).ok()?),
-                    },
-                ),
-                "trajectories" => {
-                    let mut payload = Vec::new();
-                    r.items(first, |r, open| {
-                        payload.push(r.trajectory(open)?);
-                        Some(())
-                    })?;
-                    once(&mut trajectories, payload)
+                "base" => r.keep(&mut base, first)?,
+                "trajectories" if trajectories.is_none() => {
+                    trajectories = Some(r.array(first, TRAJECTORIES, Typed::trajectory));
                 }
-                _ => r.skip(first),
+                _ => r.skip(&first)?,
             }
+            Ok(())
         })?;
-        Some((base.flatten(), trajectories?))
+        let base = match base {
+            None | Some(Token::Null) => None,
+            Some(b) => Some(u64_of(&b).ok_or_else(|| err("\"base\" must be a u64"))?),
+        };
+        let trajectories = trajectories.unwrap_or_else(|| Err(err(TRAJECTORIES)))?;
+        Ok((base, trajectories))
     })
 }
 
-/// The typed decoders' view of a [`Reader`]: each step answers `None` for
-/// anything but the one shape it takes.
+/// The typed decoders' view of a [`Reader`], which reads every token. A
+/// field's refusal waits for the field's turn in the reference order; a
+/// syntax error waits the same way and wins, as the reader repeats it.
 struct Typed<'a>(Reader<'a>);
+
+/// A syntax error's `400` reason: [`json::parse`]'s text.
+fn syntax(e: JsonError) -> WireError {
+    e.to_string()
+}
 
 impl<'a> Typed<'a> {
     /// Reads the one value of `body` with `read`, given its first token;
     /// the document must end there.
     fn document<T>(
         body: &'a [u8],
-        read: impl FnOnce(&mut Self, Token<'a>) -> Option<T>,
-    ) -> Option<T> {
-        let mut r = Typed(Reader::new(body).ok()?);
-        let first = r.token()?;
-        let value = read(&mut r, first)?;
-        matches!(r.0.next(), Ok(None)).then_some(value)
+        read: impl FnOnce(&mut Self, Token<'a>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        let mut r = Typed(Reader::new(body).map_err(syntax)?);
+        let value = r.token().and_then(|first| read(&mut r, first));
+        r.0.next().map_err(syntax)?;
+        value
     }
 
-    /// Always inlined, as [`Reader::next`] is, so the caller's match folds
-    /// into the token's construction.
+    /// The next token of an unfinished document. Always inlined, as
+    /// [`Reader::next`] is, so the caller's match folds into the token.
     #[inline(always)]
-    fn token(&mut self) -> Option<Token<'a>> {
-        self.0.next().ok().flatten()
+    fn token(&mut self) -> Result<Token<'a>, WireError> {
+        let token = self.0.next().map_err(syntax)?;
+        Ok(token.expect("an unfinished document has a next token"))
     }
 
-    /// Reads the object `open` begins, handing each member's key to
-    /// `member`, which reads the value. An escaped key is not taken.
+    /// Reads the object `open` begins, handing each member's key and the
+    /// first token of its value to `member`, which reads the value. A
+    /// value that is not an object is read as one with no members, as
+    /// [`Json::get`] reads it.
     fn members(
         &mut self,
         open: Token<'a>,
-        mut member: impl FnMut(&mut Self, &'a str) -> Option<()>,
-    ) -> Option<()> {
-        matches!(open, Token::BeginObj).then_some(())?;
-        loop {
-            match self.token()? {
-                Token::EndObj => return Some(()),
-                Token::Key(Cow::Borrowed(key)) => member(self, key)?,
-                _ => return None,
-            }
+        mut member: impl FnMut(&mut Self, &str, Token<'a>) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        if !matches!(open, Token::BeginObj) {
+            return self.skip(&open);
         }
+        // The reader's only other token here is the `}`.
+        while let Token::Key(key) = self.token()? {
+            let first = self.token()?;
+            member(self, &key, first)?;
+        }
+        Ok(())
     }
 
     /// Reads the array `open` begins, handing each item's first token to
-    /// `item`.
+    /// `item`, which reads the item. A value that is not an array is
+    /// refused as `not_array`.
     fn items(
         &mut self,
         open: Token<'a>,
-        mut item: impl FnMut(&mut Self, Token<'a>) -> Option<()>,
-    ) -> Option<()> {
-        matches!(open, Token::BeginArr).then_some(())?;
+        not_array: &str,
+        mut item: impl FnMut(&mut Self, Token<'a>) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        if !matches!(open, Token::BeginArr) {
+            self.skip(&open)?;
+            return Err(err(not_array));
+        }
         loop {
             match self.token()? {
-                Token::EndArr => return Some(()),
+                Token::EndArr => return Ok(()),
                 first => item(self, first)?,
             }
         }
     }
 
-    /// Skips the value `first` begins.
-    fn skip(&mut self, first: Token<'a>) -> Option<()> {
+    /// [`Self::items`], each read by `item`, up to the first one it
+    /// refuses: that refusal is the array's, and the items after it are
+    /// only skipped.
+    fn array<T>(
+        &mut self,
+        open: Token<'a>,
+        not_array: &str,
+        mut item: impl FnMut(&mut Self, Token<'a>) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut values = Ok(Vec::new());
+        self.items(open, not_array, |r, first| {
+            match &mut values {
+                Ok(read) => match item(r, first) {
+                    Ok(value) => read.push(value),
+                    Err(e) => values = Err(e),
+                },
+                Err(_) => r.skip(&first)?,
+            }
+            Ok(())
+        })?;
+        values
+    }
+
+    /// Skips the value `first` begins: for a scalar, nothing. Always
+    /// inlined, as it is called on every scalar read.
+    #[inline(always)]
+    fn skip(&mut self, first: &Token<'a>) -> Result<(), WireError> {
         let mut depth = usize::from(matches!(first, Token::BeginObj | Token::BeginArr));
         while depth > 0 {
             match self.token()? {
@@ -373,126 +410,148 @@ impl<'a> Typed<'a> {
                 _ => {}
             }
         }
-        Some(())
+        Ok(())
     }
 
-    /// [`decode_spq`]'s value and checks.
-    fn spq(&mut self, open: Token<'a>, num_edges: usize) -> Option<Spq> {
+    /// Skips a field's value, keeping its first token in `slot` if this
+    /// is the field's first occurrence (the one [`Json::get`] finds).
+    fn keep(&mut self, slot: &mut Option<Token<'a>>, first: Token<'a>) -> Result<(), WireError> {
+        self.skip(&first)?;
+        slot.get_or_insert(first);
+        Ok(())
+    }
+
+    /// [`decode_spq`]'s value and checks, in its order.
+    fn spq(&mut self, open: Token<'a>, num_edges: usize) -> Result<Spq, WireError> {
+        const PATH: &str = "\"path\" must be an array of edge ids";
         let (mut path, mut interval) = (None, None);
         let (mut beta, mut user, mut exclude) = (None, None, None);
-        self.members(open, |r, key| {
-            let first = r.token()?;
+        self.members(open, |r, key, first| {
             match key {
-                "path" => {
-                    let mut edges = Vec::new();
-                    r.items(first, |_, edge| {
-                        let id = u64::try_from(int(edge)?).ok()?;
-                        (id < num_edges as u64).then_some(())?;
-                        edges.push(EdgeId(id as u32));
-                        Some(())
-                    })?;
-                    once(&mut path, edges)
+                "path" if path.is_none() => {
+                    path = Some(r.array(first, PATH, |r, edge| {
+                        r.skip(&edge)?;
+                        let id = u64_of(&edge).filter(|&id| id < num_edges as u64);
+                        let e = || err(format!("edge ids must be integers < {num_edges}"));
+                        Ok(EdgeId(id.ok_or_else(e)? as u32))
+                    }));
                 }
-                "interval" => once(&mut interval, r.interval(first)?),
-                "beta" => once(&mut beta, u32_of(first)?),
-                "user" => once(&mut user, u32_of(first)?),
-                "exclude" => once(&mut exclude, u32_of(first)?),
-                _ => r.skip(first),
+                "interval" if interval.is_none() => interval = Some(r.interval(first)),
+                "beta" => r.keep(&mut beta, first)?,
+                "user" => r.keep(&mut user, first)?,
+                "exclude" => r.keep(&mut exclude, first)?,
+                _ => r.skip(&first)?,
             }
+            Ok(())
         })?;
-        let mut spq = Spq::new(Path::try_new(path?).ok()?, interval?);
-        if let Some(beta) = beta {
-            spq = spq.with_beta(beta);
-        }
-        if let Some(user) = user {
-            spq = spq.with_user(UserId(user));
-        }
-        if let Some(ex) = exclude {
-            spq = spq.without_trajectory(TrajId(ex));
-        }
-        Some(spq)
+        let path = path.unwrap_or_else(|| Err(err(PATH)))?;
+        let path = Path::try_new(path).map_err(|e| err(format!("invalid path: {e:?}")))?;
+        let interval = interval.unwrap_or_else(|| Err(err("missing \"interval\"")))?;
+        let u32_field = |field: Option<Token<'_>>, name: &str| {
+            let refused = || err(format!("\"{name}\" must be a u32"));
+            field.map(|v| u32_of(&v).ok_or_else(refused)).transpose()
+        };
+        Ok(Spq {
+            path,
+            interval,
+            beta: u32_field(beta, "beta")?,
+            filter: u32_field(user, "user")?.map_or(Filter::None, |u| Filter::User(UserId(u))),
+            exclude: u32_field(exclude, "exclude")?.map(TrajId),
+        })
     }
 
-    /// [`decode_interval`]'s value and checks.
-    fn interval(&mut self, open: Token<'a>) -> Option<TimeInterval> {
+    /// [`decode_interval`]'s value and checks, in its order.
+    fn interval(&mut self, open: Token<'a>) -> Result<TimeInterval, WireError> {
         let (mut kind, mut start, mut end, mut start_sod, mut len) = (None, None, None, None, None);
-        self.members(open, |r, key| {
-            let first = r.token()?;
-            match key {
-                "type" => match first {
-                    Token::Str(kind_name) => once(&mut kind, kind_name),
-                    _ => None,
-                },
-                "start" => once(&mut start, int(first)?),
-                "end" => once(&mut end, int(first)?),
-                "start_sod" => once(&mut start_sod, int(first)?),
-                "len" => once(&mut len, int(first)?),
-                _ => r.skip(first),
-            }
+        self.members(open, |r, key, first| match key {
+            "type" => r.keep(&mut kind, first),
+            "start" => r.keep(&mut start, first),
+            "end" => r.keep(&mut end, first),
+            "start_sod" => r.keep(&mut start_sod, first),
+            "len" => r.keep(&mut len, first),
+            _ => r.skip(&first),
         })?;
-        match &*kind? {
-            "fixed" => {
-                let (start, end) = (start?, end?);
-                (start < end).then(|| TimeInterval::fixed(start, end))
+        let int = |field: Option<Token<'_>>| field.as_ref().and_then(int);
+        match kind {
+            Some(Token::Str(kind)) if kind == "fixed" => {
+                let start =
+                    int(start).ok_or_else(|| err("fixed interval needs integer \"start\""))?;
+                let end = int(end).ok_or_else(|| err("fixed interval needs integer \"end\""))?;
+                if start >= end {
+                    return Err(err("fixed interval must have start < end"));
+                }
+                Ok(TimeInterval::fixed(start, end))
             }
-            "periodic" => {
-                let (start_sod, len) = (start_sod?, len?);
-                (len > 0).then(|| TimeInterval::periodic(start_sod, len))
+            Some(Token::Str(kind)) if kind == "periodic" => {
+                let start_sod = int(start_sod)
+                    .ok_or_else(|| err("periodic interval needs integer \"start_sod\""))?;
+                let len = int(len)
+                    .filter(|&l| l > 0)
+                    .ok_or_else(|| err("periodic interval needs positive \"len\""))?;
+                Ok(TimeInterval::periodic(start_sod, len))
             }
-            _ => None,
+            _ => Err(err("\"interval\" needs \"type\": \"fixed\" | \"periodic\"")),
         }
     }
 
-    /// One [`decode_append`] trajectory.
-    fn trajectory(&mut self, open: Token<'a>) -> Option<(UserId, Vec<TrajEntry>)> {
+    /// One `/append` trajectory, `user` checked before `entries`.
+    fn trajectory(&mut self, open: Token<'a>) -> Result<(UserId, Vec<TrajEntry>), WireError> {
+        const ENTRIES: &str = "trajectory needs \"entries\" [[edge,enter,tt],…]";
         let (mut user, mut entries) = (None, None);
-        self.members(open, |r, key| {
-            let first = r.token()?;
+        self.members(open, |r, key, first| {
             match key {
-                "user" => once(&mut user, u32_of(first)?),
-                "entries" => {
-                    let mut decoded = Vec::new();
-                    r.items(first, |r, open| {
-                        decoded.push(r.entry(open)?);
-                        Some(())
-                    })?;
-                    once(&mut entries, decoded)
+                "user" => r.keep(&mut user, first)?,
+                "entries" if entries.is_none() => {
+                    entries = Some(r.array(first, ENTRIES, Typed::entry));
                 }
-                _ => r.skip(first),
+                _ => r.skip(&first)?,
             }
+            Ok(())
         })?;
-        Some((UserId(user?), entries?))
+        let user = user.as_ref().and_then(u32_of);
+        let user = user.ok_or_else(|| err("trajectory needs u32 \"user\""))?;
+        Ok((UserId(user), entries.unwrap_or_else(|| Err(err(ENTRIES)))?))
     }
 
-    /// One `[edge, enter_time, travel_time]` triple.
-    fn entry(&mut self, open: Token<'a>) -> Option<TrajEntry> {
-        matches!(open, Token::BeginArr).then_some(())?;
-        let edge = u32_of(self.token()?)?;
-        let enter = int(self.token()?)?;
-        let travel_time = match self.token()? {
+    /// One `[edge, enter_time, travel_time]` entry: an array of exactly
+    /// three items before any item is checked.
+    fn entry(&mut self, open: Token<'a>) -> Result<TrajEntry, WireError> {
+        const TRIPLE: &str = "each entry must be a [edge, enter_time, travel_time] triple";
+        let (mut triple, mut len) = ([None, None, None], 0);
+        self.items(open, TRIPLE, |r, item| {
+            r.skip(&item)?;
+            if let Some(slot) = triple.get_mut(len) {
+                *slot = Some(item);
+            }
+            len += 1;
+            Ok(())
+        })?;
+        let (3, [Some(edge), Some(enter), Some(travel_time)]) = (len, triple) else {
+            return Err(err(TRIPLE));
+        };
+        let edge = u32_of(&edge).ok_or_else(|| err("entry edge must be a u32"))?;
+        let enter = int(&enter).ok_or_else(|| err("entry enter_time must be an integer"))?;
+        let travel_time = match travel_time {
             Token::Int(v) => v as f64,
             Token::Num(v) if v.is_finite() => v,
-            _ => return None,
+            _ => return Err(err("entry travel_time must be a finite number")),
         };
-        matches!(self.token()?, Token::EndArr)
-            .then(|| TrajEntry::new(EdgeId(edge), enter, travel_time))
+        Ok(TrajEntry::new(EdgeId(edge), enter, travel_time))
     }
 }
 
-/// Fills `slot`; a key seen twice is not taken (the tree reads the
-/// first).
-fn once<T>(slot: &mut Option<T>, value: T) -> Option<()> {
-    slot.replace(value).is_none().then_some(())
-}
-
-fn int(token: Token<'_>) -> Option<i64> {
-    match token {
+fn int(token: &Token<'_>) -> Option<i64> {
+    match *token {
         Token::Int(v) => Some(v),
         _ => None,
     }
 }
 
-fn u32_of(token: Token<'_>) -> Option<u32> {
+fn u64_of(token: &Token<'_>) -> Option<u64> {
+    u64::try_from(int(token)?).ok()
+}
+
+fn u32_of(token: &Token<'_>) -> Option<u32> {
     u32::try_from(int(token)?).ok()
 }
 
@@ -606,52 +665,6 @@ fn write_trip(out: &mut String, trip: &TripQuery) {
 
 // ---------------------------------------------------------------- appends
 
-/// Decodes an `/append` request body into the optional idempotency stamp
-/// and the raw trajectory payloads
-/// ([`QueryService::append_new`](tthr_service::QueryService::append_new)).
-pub fn decode_append(v: &Json) -> Result<AppendBody, WireError> {
-    let base = match v.get("base") {
-        None | Some(Json::Null) => None,
-        Some(b) => Some(b.as_u64().ok_or_else(|| err("\"base\" must be a u64"))?),
-    };
-    let trajectories = v
-        .get("trajectories")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err("\"trajectories\" must be an array"))?;
-    let mut out = Vec::with_capacity(trajectories.len());
-    for t in trajectories {
-        let user = t
-            .get("user")
-            .and_then(Json::as_u64)
-            .filter(|&u| u <= u32::MAX as u64)
-            .ok_or_else(|| err("trajectory needs u32 \"user\""))?;
-        let entries = t
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("trajectory needs \"entries\" [[edge,enter,tt],…]"))?;
-        let mut decoded = Vec::with_capacity(entries.len());
-        for e in entries {
-            let triple = e.as_arr().filter(|a| a.len() == 3).ok_or_else(|| {
-                err("each entry must be a [edge, enter_time, travel_time] triple")
-            })?;
-            let edge = triple[0]
-                .as_u64()
-                .filter(|&id| id <= u32::MAX as u64)
-                .ok_or_else(|| err("entry edge must be a u32"))?;
-            let enter = triple[1]
-                .as_i64()
-                .ok_or_else(|| err("entry enter_time must be an integer"))?;
-            let tt = triple[2]
-                .as_f64()
-                .filter(|t| t.is_finite())
-                .ok_or_else(|| err("entry travel_time must be a finite number"))?;
-            decoded.push(TrajEntry::new(tthr_network::EdgeId(edge as u32), enter, tt));
-        }
-        out.push((UserId(user as u32), decoded));
-    }
-    Ok((base, out))
-}
-
 /// Encodes an `/append` request body (client half).
 pub fn encode_append_request(base: Option<u64>, payload: &[(UserId, Vec<TrajEntry>)]) -> String {
     let mut members = Vec::new();
@@ -691,7 +704,7 @@ pub fn encode_append_request(base: Option<u64>, payload: &[(UserId, Vec<TrajEntr
 
 /// Encodes an `/append` response.
 pub fn encode_appended(appended: usize) -> String {
-    obj(vec![("appended", Json::Int(appended as i64))]).encode()
+    format!("{{\"appended\":{appended}}}")
 }
 
 // ------------------------------------------------------------------ stats
@@ -845,7 +858,7 @@ mod tests {
         let encoded = encode_spq(&spq);
         let back = decode_spq(&json::parse(encoded.as_bytes()).unwrap(), 6).unwrap();
         assert_eq!(back, spq, "fixed-interval query");
-        assert_eq!(read_spq(encoded.as_bytes(), 6), Some(spq));
+        assert_eq!(read_spq(encoded.as_bytes(), 6), Ok(spq));
 
         let periodic = Spq::new(
             Path::new(vec![tthr_network::EdgeId(5)]),
@@ -854,15 +867,15 @@ mod tests {
         let encoded = encode_spq(&periodic);
         let back = decode_spq(&json::parse(encoded.as_bytes()).unwrap(), 6).unwrap();
         assert_eq!(back, periodic, "periodic query");
-        assert_eq!(read_spq(encoded.as_bytes(), 6), Some(periodic));
+        assert_eq!(read_spq(encoded.as_bytes(), 6), Ok(periodic));
     }
 
     #[test]
     fn spq_validation_rejects_bad_input() {
         let reject = |body: &str| {
-            assert_eq!(read_spq(body.as_bytes(), 6), None, "{body}");
-            decode_spq(&json::parse(body.as_bytes()).unwrap(), 6)
-                .expect_err(&format!("{body} must be rejected"))
+            let reason = decode_spq(&json::parse(body.as_bytes()).unwrap(), 6)
+                .expect_err(&format!("{body} must be rejected"));
+            assert_eq!(read_spq(body.as_bytes(), 6), Err(reason), "{body}");
         };
         reject(r#"{}"#);
         reject(r#"{"path":[],"interval":{"type":"fixed","start":0,"end":1}}"#);
@@ -885,12 +898,7 @@ mod tests {
             ],
         )];
         let encoded = encode_append_request(Some(42), &payload);
-        let (base, back) = decode_append(&json::parse(encoded.as_bytes()).unwrap()).unwrap();
-        assert_eq!(base, Some(42));
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].0, UserId(3));
-        assert_eq!(back[0].1, payload[0].1);
-        assert_eq!(read_append(encoded.as_bytes()), Some((base, back)));
+        assert_eq!(read_append(encoded.as_bytes()), Ok((Some(42), payload)));
     }
 
     #[test]

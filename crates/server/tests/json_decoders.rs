@@ -1,19 +1,21 @@
-//! Typed-vs-tree decoder battery.
+//! Typed-decoder battery: the request path's decoders against their
+//! reference definitions.
 //!
 //! The server decodes `/spq`, `/trip`, `/batch` and `/append` bodies with
-//! `wire::read_*` — a pull reader, no value tree — and hands any body
-//! those do not take to `json::parse` + `wire::decode_*`, the tree
-//! decoders that define the protocol and write every `400` body. For
-//! generated bodies — the protocol's own encoders, the benchmark's
-//! `/append` shape, and restyled variants with whitespace, reordered,
-//! unknown, repeated and escaped keys, and numbers spelled with
-//! exponents, as `-0` or at the `i64` / `u32` bounds — and for every
+//! `wire::read_*` alone — a pull reader, no value tree — and those write
+//! every `400` reason too. Their definition is `json::parse` followed by a
+//! walk of the tree: `wire::decode_spq`, and the batch and append
+//! decoders below, which are kept here as the oracle and are not on the
+//! request path. For generated bodies — the protocol's own encoders, the
+//! benchmark's `/append` shape, and restyled variants with whitespace,
+//! reordered, unknown, repeated and escaped keys, and numbers spelled
+//! with exponents, as `-0` or at the `i64` / `u32` bounds — and for every
 //! single-byte flip, truncation and insertion of each:
 //!
 //! * the pull reader accepts exactly the documents `json::parse`
 //!   accepts, and its tokens spell the same tree (errors equal too);
-//! * a typed `Some` implies a tree `Ok` with an equal value, floats
-//!   compared by their bits;
+//! * a typed decoder's `Result` is the oracle's: `Ok` values equal with
+//!   floats compared by their bits, `Err` reasons equal as strings;
 //! * the server's request handler answers the status and body the tree
 //!   path answers;
 //! * no input panics.
@@ -33,6 +35,70 @@ use tthr_service::{QueryService, ServiceConfig};
 use tthr_store::StoreError;
 use tthr_trajectory::examples::example_trajectories;
 use tthr_trajectory::{TrajEntry, TrajId, UserId};
+
+fn err(reason: impl Into<String>) -> wire::WireError {
+    reason.into()
+}
+
+/// The reference definition of a `/batch` body.
+fn decode_batch(v: &Json, num_edges: usize, max: usize) -> Result<Vec<Spq>, wire::WireError> {
+    let queries = v
+        .get("queries")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| err("\"queries\" must be an array of SPQs"))?;
+    if queries.len() > max {
+        return Err(err(format!("batch too large (max {max} queries)")));
+    }
+    queries
+        .iter()
+        .map(|q| wire::decode_spq(q, num_edges))
+        .collect()
+}
+
+/// The reference definition of an `/append` body: the optional
+/// idempotency stamp and the raw trajectory payloads.
+fn decode_append(v: &Json) -> Result<wire::AppendBody, wire::WireError> {
+    let base = match v.get("base") {
+        None | Some(Json::Null) => None,
+        Some(b) => Some(b.as_u64().ok_or_else(|| err("\"base\" must be a u64"))?),
+    };
+    let trajectories = v
+        .get("trajectories")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| err("\"trajectories\" must be an array"))?;
+    let mut out = Vec::with_capacity(trajectories.len());
+    for t in trajectories {
+        let user = t
+            .get("user")
+            .and_then(Json::as_u64)
+            .filter(|&u| u <= u32::MAX as u64)
+            .ok_or_else(|| err("trajectory needs u32 \"user\""))?;
+        let entries = t
+            .get("entries")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| err("trajectory needs \"entries\" [[edge,enter,tt],…]"))?;
+        let mut decoded = Vec::with_capacity(entries.len());
+        for e in entries {
+            let triple = e.as_arr().filter(|a| a.len() == 3).ok_or_else(|| {
+                err("each entry must be a [edge, enter_time, travel_time] triple")
+            })?;
+            let edge = triple[0]
+                .as_u64()
+                .filter(|&id| id <= u32::MAX as u64)
+                .ok_or_else(|| err("entry edge must be a u32"))?;
+            let enter = triple[1]
+                .as_i64()
+                .ok_or_else(|| err("entry enter_time must be an integer"))?;
+            let tt = triple[2]
+                .as_f64()
+                .filter(|t| t.is_finite())
+                .ok_or_else(|| err("entry travel_time must be a finite number"))?;
+            decoded.push(TrajEntry::new(tthr_network::EdgeId(edge as u32), enter, tt));
+        }
+        out.push((UserId(user as u32), decoded));
+    }
+    Ok((base, out))
+}
 
 /// `ServerConfig::default().max_batch_queries`, which `answer_json` uses.
 const MAX_BATCH: usize = 1024;
@@ -321,25 +387,25 @@ fn lossy(body: &[u8]) -> String {
     String::from_utf8_lossy(body).into_owned()
 }
 
-/// A typed `Some` is the tree decoder's `Ok` value.
+/// The typed decoder's `Result` is the oracle's: `json::parse`, then the
+/// tree decoder `decode`.
 fn check_typed<T: std::fmt::Debug>(
     body: &[u8],
     tree: &Result<Json, JsonError>,
-    typed: Option<T>,
+    typed: Result<T, wire::WireError>,
     decode: impl FnOnce(&Json) -> Result<T, wire::WireError>,
     equal: impl FnOnce(&T, &T) -> bool,
 ) {
-    let Some(typed) = typed else { return };
-    let parsed = tree
-        .as_ref()
-        .unwrap_or_else(|e| panic!("typed Some, tree {e}: {:?}", lossy(body)));
-    let decoded =
-        decode(parsed).unwrap_or_else(|e| panic!("typed Some, tree {e:?}: {:?}", lossy(body)));
-    assert!(
-        equal(&typed, &decoded),
-        "{:?}: typed {typed:?}, tree {decoded:?}",
-        lossy(body)
-    );
+    let want = tree.as_ref().map_err(JsonError::to_string).and_then(decode);
+    match (&typed, &want) {
+        (Ok(got), Ok(want)) => assert!(
+            equal(got, want),
+            "{:?}: typed {got:?}, tree {want:?}",
+            lossy(body)
+        ),
+        (Err(got), Err(want)) => assert_eq!(got, want, "{:?}", lossy(body)),
+        _ => panic!("{:?}: typed {typed:?}, tree {want:?}", lossy(body)),
+    }
 }
 
 /// An `/append` body with its travel times as bits.
@@ -385,10 +451,10 @@ fn tree_answer(service: &QueryService<SntIndex>, target: &str, body: &[u8]) -> (
             "/trip" => wire::decode_spq(&v, num_edges)
                 .map_err(bad)
                 .map(|q| wire::encode_trip(&service.trip_query(&q))),
-            "/batch" => wire::decode_batch(&v, num_edges, MAX_BATCH)
+            "/batch" => decode_batch(&v, num_edges, MAX_BATCH)
                 .map_err(bad)
                 .map(|qs| wire::encode_trips(&service.batch_trip_queries(&qs))),
-            "/append" => wire::decode_append(&v)
+            "/append" => decode_append(&v)
                 .map_err(bad)
                 .and_then(|(base, payload)| {
                     service.append_new(base, &payload).map_err(|e| {
@@ -434,7 +500,7 @@ fn spq_bodies_decode_like_the_tree() {
     cases("spq_bodies_decode_like_the_tree", |gen| {
         let spq = gen.spq(num_edges);
         let plain = wire::encode_spq(&spq);
-        assert_eq!(wire::read_spq(plain.as_bytes(), num_edges), Some(spq));
+        assert_eq!(wire::read_spq(plain.as_bytes(), num_edges), Ok(spq));
         let styled = gen.restyle(&json::parse(plain.as_bytes()).unwrap());
         for body in [plain, styled] {
             gen.body_and_mutants(body.as_bytes(), |body| {
@@ -462,7 +528,7 @@ fn batch_bodies_decode_like_the_tree() {
         let queries: Vec<String> = spqs.iter().map(wire::encode_spq).collect();
         let plain = format!("{{\"queries\":[{}]}}", queries.join(","));
         let read = wire::read_batch(plain.as_bytes(), num_edges, MAX_BATCH);
-        assert_eq!(read, Some(spqs));
+        assert_eq!(read, Ok(spqs));
         let styled = gen.restyle(&json::parse(plain.as_bytes()).unwrap());
         for body in [plain, styled] {
             gen.body_and_mutants(body.as_bytes(), |body| {
@@ -472,7 +538,7 @@ fn batch_bodies_decode_like_the_tree() {
                         body,
                         &tree,
                         wire::read_batch(body, num_edges, max),
-                        |v| wire::decode_batch(v, num_edges, max),
+                        |v| decode_batch(v, num_edges, max),
                         |a, b| a == b,
                     );
                 }
@@ -520,7 +586,7 @@ fn append_bodies_decode_like_the_tree() {
             gen.body_and_mutants(body.as_bytes(), |body| {
                 let tree = check_reader(body);
                 let read = wire::read_append(body);
-                check_typed(body, &tree, read, wire::decode_append, |a, b| {
+                check_typed(body, &tree, read, decode_append, |a, b| {
                     append_bits(a) == append_bits(b)
                 });
                 check_answer(&served, &oracle, "/append", body);
@@ -529,8 +595,8 @@ fn append_bodies_decode_like_the_tree() {
     });
 }
 
-/// Hand-picked bodies on the edges of the contract: each decodes through
-/// the typed path only when the tree agrees.
+/// Hand-picked bodies on the edges of the contract: each decodes to the
+/// oracle's `Result`.
 #[test]
 fn edge_case_bodies_decode_like_the_tree() {
     let service = example_service();
@@ -587,8 +653,133 @@ fn edge_case_bodies_decode_like_the_tree() {
             body,
             &tree,
             wire::read_append(body),
-            wire::decode_append,
+            decode_append,
             |a, b| append_bits(a) == append_bits(b),
+        );
+    }
+}
+
+/// The `400` reason of hand-written bodies on the edges of the error
+/// contract, pinned as the tree path gives them.
+#[test]
+fn refused_bodies_answer_their_pinned_reasons() {
+    let service = example_service();
+    let fixed = r#""interval":{"type":"fixed","start":0,"end":9}"#;
+    let path = r#""path" must be an array of edge ids"#;
+    let triple = "each entry must be a [edge, enter_time, travel_time] triple";
+    let cases = [
+        // A syntax error wins over an earlier refusal.
+        (
+            "/spq",
+            r#"{"path":"x","interval":}"#.to_string(),
+            "invalid json at byte 23: expected a value",
+        ),
+        (
+            "/append",
+            r#"{"trajectories":[{"user":1,"entries":[[0,1,"x"]]},{"user":1}],"base":4"#.to_string(),
+            "invalid json at byte 70: expected ',' or '}'",
+        ),
+        // Refusals follow the fields' order, not the document's.
+        (
+            "/spq",
+            r#"{"interval":{"type":"bogus"},"path":"x"}"#.to_string(),
+            path,
+        ),
+        (
+            "/spq",
+            r#"{"beta":-1,"path":[0]}"#.to_string(),
+            r#"missing "interval""#,
+        ),
+        (
+            "/trip",
+            r#"{"path":[0],"interval":{"len":0,"start_sod":"x","type":"periodic"}}"#.to_string(),
+            r#"periodic interval needs integer "start_sod""#,
+        ),
+        (
+            "/append",
+            r#"{"trajectories":"x","base":-1}"#.to_string(),
+            r#""base" must be a u64"#,
+        ),
+        (
+            "/append",
+            r#"{"trajectories":[{"entries":[[0,1,"x"]],"user":-1}]}"#.to_string(),
+            r#"trajectory needs u32 "user""#,
+        ),
+        // The first occurrence of a key wins, bad or good.
+        (
+            "/spq",
+            format!(r#"{{"path":"x","path":[0],{fixed}}}"#),
+            path,
+        ),
+        (
+            "/spq",
+            r#"{"path":[0],"path":"x","interval":{"type":"fixed","start":9,"end":0}}"#.to_string(),
+            "fixed interval must have start < end",
+        ),
+        (
+            "/batch",
+            format!(
+                r#"{{"queries":[{{"path":[0],{fixed}}},{{"path":[0],{fixed},"user":-1}}],"queries":[]}}"#
+            ),
+            r#""user" must be a u32"#,
+        ),
+        // An escaped key is its unescaped text.
+        (
+            "/spq",
+            format!(r#"{{"p\u0061th":[9],{fixed}}}"#),
+            "edge ids must be integers < 6",
+        ),
+        // A value that is not an object has no fields.
+        ("/spq", "[0,1]".to_string(), path),
+        (
+            "/append",
+            "[]".to_string(),
+            r#""trajectories" must be an array"#,
+        ),
+        (
+            "/spq",
+            r#"{"path":[0],"interval":null}"#.to_string(),
+            r#""interval" needs "type": "fixed" | "periodic""#,
+        ),
+        // A present `null` is a value of the wrong type.
+        (
+            "/trip",
+            format!(r#"{{"path":[0],{fixed},"beta":null}}"#),
+            r#""beta" must be a u32"#,
+        ),
+        (
+            "/spq",
+            r#"{"path":[],"interval":null}"#.to_string(),
+            "invalid path: Empty",
+        ),
+        // An oversized batch is refused before its first, bad, SPQ.
+        (
+            "/batch",
+            format!(
+                r#"{{"queries":[{{"path":"x"}}{}]}}"#,
+                ",{}".repeat(MAX_BATCH)
+            ),
+            "batch too large (max 1024 queries)",
+        ),
+        // An entry is a three-item array before its items are checked.
+        (
+            "/append",
+            r#"{"trajectories":[{"user":1,"entries":[[1,2]]}]}"#.to_string(),
+            triple,
+        ),
+        (
+            "/append",
+            r#"{"trajectories":[{"user":1,"entries":[[[1],2,3]]}]}"#.to_string(),
+            "entry edge must be a u32",
+        ),
+    ];
+    for (target, body, reason) in cases {
+        let (status, reply) =
+            answer_json(&service, target, body.as_bytes()).expect("a JSON endpoint");
+        assert_eq!(
+            (status, lossy(&reply)),
+            (400, wire::encode_error(reason)),
+            "{target} {body}"
         );
     }
 }

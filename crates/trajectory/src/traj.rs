@@ -24,6 +24,12 @@ pub struct TrajEntry {
 /// an arbitrarily large allocation.
 pub const MAX_TRAVEL_TIME: f64 = 86_400.0;
 
+/// The largest magnitude an entry timestamp may have, in seconds: 2⁵³,
+/// about 285 million years either side of the epoch. Queries add day
+/// windows, travel times and one-past-the-end scan bounds to stored
+/// timestamps; within this bound none of that arithmetic leaves `i64`.
+pub const MAX_ABS_ENTER_TIME: Timestamp = 1 << 53;
+
 impl TrajEntry {
     /// Creates an entry.
     pub fn new(edge: EdgeId, enter_time: Timestamp, travel_time: f64) -> Self {
@@ -75,6 +81,11 @@ pub enum TrajectoryError {
         /// Index of the offending entry.
         at: usize,
     },
+    /// Entry timestamps must lie within ±[`MAX_ABS_ENTER_TIME`].
+    EnterTimeOutOfRange {
+        /// Index of the offending entry.
+        at: usize,
+    },
 }
 
 impl fmt::Display for TrajectoryError {
@@ -99,6 +110,12 @@ impl fmt::Display for TrajectoryError {
                     "traversal durations must not exceed {MAX_TRAVEL_TIME} s (entry {at})"
                 )
             }
+            TrajectoryError::EnterTimeOutOfRange { at } => {
+                write!(
+                    f,
+                    "entry timestamps must lie within ±{MAX_ABS_ENTER_TIME} s (entry {at})"
+                )
+            }
         }
     }
 }
@@ -115,8 +132,9 @@ pub struct Trajectory {
 
 impl Trajectory {
     /// Creates a trajectory, validating the paper's sequence invariants:
-    /// non-empty, strictly increasing entry timestamps, positive finite
-    /// durations of at most [`MAX_TRAVEL_TIME`].
+    /// non-empty, strictly increasing entry timestamps within
+    /// ±[`MAX_ABS_ENTER_TIME`], positive finite durations of at most
+    /// [`MAX_TRAVEL_TIME`].
     pub fn new(id: TrajId, user: UserId, entries: Vec<TrajEntry>) -> Result<Self, TrajectoryError> {
         if entries.is_empty() {
             return Err(TrajectoryError::Empty);
@@ -130,6 +148,9 @@ impl Trajectory {
             }
             if e.travel_time > MAX_TRAVEL_TIME {
                 return Err(TrajectoryError::TravelTimeTooLong { at: i });
+            }
+            if e.enter_time.unsigned_abs() > MAX_ABS_ENTER_TIME as u64 {
+                return Err(TrajectoryError::EnterTimeOutOfRange { at: i });
             }
             if i > 0 && entries[i - 1].enter_time >= e.enter_time {
                 return Err(TrajectoryError::NonMonotonicTimestamps { at: i });
@@ -308,6 +329,31 @@ mod tests {
             );
         }
         assert!(Trajectory::new(TrajId(0), UserId(0), vec![entry(0, 5, MAX_TRAVEL_TIME)]).is_ok());
+        // Timestamps past ±2⁵³ s: query arithmetic on them would overflow.
+        for far in [
+            MAX_ABS_ENTER_TIME + 1,
+            -MAX_ABS_ENTER_TIME - 1,
+            i64::MAX,
+            i64::MIN,
+        ] {
+            let (lo, hi) = if far < 0 { (far, 0) } else { (0, far) };
+            assert_eq!(
+                Trajectory::new(
+                    TrajId(0),
+                    UserId(0),
+                    vec![entry(0, lo, 1.0), entry(1, hi, 1.0)]
+                ),
+                Err(TrajectoryError::EnterTimeOutOfRange {
+                    at: usize::from(far > 0)
+                }),
+                "{far} must be rejected"
+            );
+        }
+        let widest = vec![
+            entry(0, -MAX_ABS_ENTER_TIME, 1.0),
+            entry(1, MAX_ABS_ENTER_TIME, 1.0),
+        ];
+        assert!(Trajectory::new(TrajId(0), UserId(0), widest).is_ok());
     }
 
     #[test]

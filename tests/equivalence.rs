@@ -705,27 +705,63 @@ fn serve_whole_world() -> (TrajectorySet, ServerHandle) {
     (set, server)
 }
 
-/// A travel time past a day is refused at `/append` with a `400`. Were it
-/// indexed, every histogram over its edge would size its buckets by it
-/// (`1e234` s asks for ≈ 10²³³ buckets): a `500` on every `/trip` there.
+/// A travel time past a day, or an entry time near the `i64` extremes,
+/// is refused at `/append` with a `400`, and no later answer changes.
+/// Were the first indexed, every histogram over its edge would size its
+/// buckets by it (`1e234` s asks for ≈ 10²³³ buckets): a `500` on every
+/// `/trip` there. Were the second, the periodic day-window and the scan
+/// bound arithmetic would overflow: wrong answers in a release build, a
+/// panic in a debug one, on every later query over its edges.
 #[test]
 fn an_overlong_travel_time_is_a_400_and_never_a_500() {
     let (set, server) = serve_whole_world();
     let mut client = HttpClient::connect(server.local_addr());
-    let first = set.get(TrajId(0)).entries()[0];
+    let (first, second) = match set.get(TrajId(0)).entries() {
+        [first, second, ..] => (*first, *second),
+        short => panic!("trajectory 0 has {} entries", short.len()),
+    };
     let trip = Spq::new(
         tthr::network::Path::new(vec![first.edge]),
         TimeInterval::fixed(first.enter_time - 60, first.enter_time + 60),
     );
-    let payload = [(
-        UserId(0),
+    let spqs = [
+        Spq::new(
+            tthr::network::Path::new(vec![first.edge]),
+            TimeInterval::periodic_around(first.enter_time, 3600),
+        ),
+        Spq::new(
+            tthr::network::Path::new(vec![first.edge, second.edge]),
+            TimeInterval::fixed(first.enter_time - 3600, second.enter_time + 3600),
+        ),
+    ]
+    .map(|spq| wire::encode_spq(&spq));
+    let answers = |client: &mut HttpClient| {
+        spqs.iter()
+            .map(|spq| {
+                let response = client.request("POST", "/spq", spq.as_bytes());
+                (response.status, response.body_str().to_string())
+            })
+            .collect::<Vec<_>>()
+    };
+    let before = answers(&mut client);
+    assert!(
+        before.iter().all(|(status, _)| *status == 200),
+        "{before:?}"
+    );
+    for entries in [
         vec![TrajEntry::new(first.edge, first.enter_time + 1, 1e234)],
-    )];
-    let body = wire::encode_append_request(None, &payload);
-    let response = client.request("POST", "/append", body.as_bytes());
-    assert_eq!(response.status, 400, "{}", response.body_str());
-    let response = client.request("POST", "/trip", wire::encode_spq(&trip).as_bytes());
-    assert_eq!(response.status, 200, "{}", response.body_str());
+        vec![
+            TrajEntry::new(first.edge, i64::MIN, 5.0),
+            TrajEntry::new(second.edge, i64::MAX, 5.0),
+        ],
+    ] {
+        let body = wire::encode_append_request(None, &[(UserId(0), entries)]);
+        let response = client.request("POST", "/append", body.as_bytes());
+        assert_eq!(response.status, 400, "{}", response.body_str());
+        let response = client.request("POST", "/trip", wire::encode_spq(&trip).as_bytes());
+        assert_eq!(response.status, 200, "{}", response.body_str());
+        assert_eq!(answers(&mut client), before);
+    }
     assert_eq!(server.shutdown().server_errors, 0);
 }
 
