@@ -522,10 +522,6 @@ pub struct RouterConfig {
     /// live, and walks open breakers back through half-open to closed
     /// while the application is idle.
     pub probe_interval: Option<Duration>,
-    /// Admit read failover to an endpoint *behind* the router's
-    /// confirmed progress. Off by default: a stale answer is a silent
-    /// correctness violation, an unavailability error is typed.
-    pub allow_stale_reads: bool,
 }
 
 /// The router's mirror of cluster-wide append progress, advanced only
@@ -595,7 +591,6 @@ struct RouterCore {
     probe_failures: Counter,
     /// Trip queries started ([`ClusterRouter::trip_query`]).
     trips: Counter,
-    config: RouterConfig,
     state: Mutex<ClusterState>,
     /// `state.num_global`, for readers that must not wait for an append.
     confirmed: AtomicU64,
@@ -755,8 +750,9 @@ impl RouterCore {
     /// The read failover path: probe every other admissible endpoint,
     /// try them freshest-first (never preferring a stale standby over a
     /// fresher one), filter out endpoints behind the router's confirmed
-    /// count (unless stale reads are admitted), verify, and make the
-    /// first endpoint that answers the new preferred one.
+    /// count (a stale answer is a silent correctness violation, an
+    /// unavailability error is typed), verify, and make the first
+    /// endpoint that answers the new preferred one.
     fn failover_read(
         &self,
         shard: u16,
@@ -772,7 +768,7 @@ impl RouterCore {
             // `>=`, not `==`: an endpoint can legitimately be *ahead* of
             // the router's confirmed count after a lost append ack;
             // stamped idempotency makes reading it safe.
-            if info.applied_stamp < need && !self.config.allow_stale_reads {
+            if info.applied_stamp < need {
                 last = Some(self.unavailable(
                     shard,
                     format!(
@@ -1167,7 +1163,6 @@ impl ClusterRouter {
             registry,
             probe_failures,
             trips,
-            config,
             state: Mutex::new(ClusterState {
                 num_global,
                 span_min,
@@ -1267,12 +1262,6 @@ impl ClusterRouter {
             .iter()
             .map(|ep| (ep.client.addr(), ep.breaker.state()))
             .collect()
-    }
-
-    /// Runs one probing sweep over every endpoint, as the background
-    /// prober would. Useful without a prober thread (tests, CLIs).
-    pub fn probe_now(&self) {
-        self.core.probe_all();
     }
 
     /// Each shard's preferred endpoint and its last-known status, from

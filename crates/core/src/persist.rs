@@ -436,8 +436,7 @@ impl SntIndex {
 /// before a batch is logged or applied: edge ids must fit the network (an
 /// out-of-range id would panic deep in the append — per-edge forests, FM
 /// alphabet) and each entry sequence must form a valid [`Trajectory`].
-/// Ids are assigned densely from `from`; validation never depends on it,
-/// so a group-commit leader can stamp queued batches arithmetically.
+/// Ids are assigned densely from `from`; validation never depends on it.
 pub fn prepare_batch(
     from: u32,
     num_edges: usize,

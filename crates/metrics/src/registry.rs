@@ -158,13 +158,6 @@ impl HistogramHandle {
         }
         out
     }
-
-    /// Forgets all observations.
-    pub fn clear(&self) {
-        for stripe in &self.0.stripes {
-            stripe.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -748,8 +741,6 @@ mod tests {
         h.record(200);
         let same = reg.histogram("tthr_lat_ns", "latency", &[("endpoint", "spq")]);
         assert_eq!(same.merged().count(), 2);
-        same.clear();
-        assert_eq!(h.merged().count(), 0);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! # Durability contract
 //!
 //! * [`NodeStore::append`] is **write-ahead**, in the one order the
-//!   service tier's group commit documents: validate the record against
-//!   the in-memory state, log + fsync it, and only then apply it (which
-//!   can no longer fail) and retain it for standbys. A failed log write
-//!   changes nothing, so the router's re-send is a fresh attempt, never
-//!   an idempotent skip of a record that was not logged; a crash after
-//!   the fsync replays the record on open, and the base-stamp idempotency
-//!   of [`tthr_core::NodeWalRecord`] makes the retried send a clean skip.
+//!   service tier's appends follow: validate the record against the
+//!   in-memory state, log + fsync it as one record, and only then apply
+//!   it (which can no longer fail) and retain it for standbys. A failed
+//!   log write changes nothing, so the router's re-send is a fresh
+//!   attempt, never an idempotent skip of a record that was not logged;
+//!   a crash after the fsync replays the record on open, and the
+//!   base-stamp idempotency of [`tthr_core::NodeWalRecord`] makes the
+//!   retried send a clean skip.
 //! * [`NodeStore::snapshot`] rotates `node.snap` / `node.wal` through
 //!   [`tthr_store::rotate`] — the service tier's routine, hence its
 //!   crash-ordering argument: a crash between the rename and the WAL
@@ -224,7 +225,7 @@ impl NodeStore {
         };
         let mut w = ByteWriter::new();
         record.persist(&mut w);
-        self.wal.append_many(&[w.into_bytes()])?;
+        self.wal.append(&w.into_bytes())?;
         let applied = self.state.commit(prepared, !self.hot_tail);
         self.retain(record.clone());
         Ok((applied as u64, self.state.num_global()))
@@ -753,6 +754,18 @@ mod tests {
             let (tail, end) = store.tail_since(stamp - 1).unwrap();
             assert_eq!((tail, end), (vec![logged.clone()], stamp), "{attempt}");
         }
+        // Over the wire the refusal is the node's fault, not the sender's:
+        // `Internal`, which the router answers as a 5xx.
+        let shared = RwLock::new(store);
+        match dispatch(&Message::Append(lost), &shared, &mut SearchScratch::new()) {
+            Message::Err {
+                code: ErrCode::Internal,
+                ..
+            } => {}
+            other => panic!("re-send over a poisoned wal answered {other:?}"),
+        }
+        let mut store = shared.into_inner().unwrap();
+        assert_eq!(store.applied_stamp(), stamp);
         // A record the node already holds is still a skip that needs no
         // log write — idempotency does not depend on the writer.
         assert_eq!(store.append(&logged).unwrap(), (0, stamp));

@@ -38,28 +38,13 @@ use tthr_core::ShardNodeState;
 use tthr_rpc::{ErrCode, Message, Role};
 use tthr_store::StoreError;
 
-/// How the standby paces and retries its replication traffic.
-#[derive(Clone, Debug)]
-pub struct StandbyConfig {
-    /// Tail poll cadence while caught up (a page that might be capped is
-    /// re-polled immediately).
-    pub poll_interval: Duration,
-    /// Backoff after a transport error talking to the primary (the
-    /// primary being down is normal standby life, not a crash).
-    pub retry_backoff: Duration,
-    /// Transport knobs for the replication client.
-    pub client: ClientConfig,
-}
+/// Tail poll cadence while caught up (a page that might be capped is
+/// re-polled immediately).
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-impl Default for StandbyConfig {
-    fn default() -> Self {
-        StandbyConfig {
-            poll_interval: Duration::from_millis(50),
-            retry_backoff: Duration::from_millis(250),
-            client: ClientConfig::default(),
-        }
-    }
-}
+/// Backoff after a transport error talking to the primary (the primary
+/// being down is normal standby life, not a crash).
+const RETRY_BACKOFF: Duration = Duration::from_millis(250);
 
 /// A replication failure during bootstrap or re-sync.
 #[derive(Debug)]
@@ -172,7 +157,7 @@ pub fn bootstrap_standby(
 /// shared write lock, so concurrent readers on the serving threads never
 /// observe a half-applied batch and every record persists to the
 /// standby's own WAL before the next poll.
-pub fn run_tail_loop(store: &Arc<RwLock<NodeStore>>, primary: &NodeClient, config: &StandbyConfig) {
+pub fn run_tail_loop(store: &Arc<RwLock<NodeStore>>, primary: &NodeClient) {
     loop {
         {
             let guard = store.read().expect("store lock");
@@ -196,14 +181,14 @@ pub fn run_tail_loop(store: &Arc<RwLock<NodeStore>>, primary: &NodeClient, confi
                             // lost page, corruption) forces a re-sync.
                             eprintln!("tthr-node standby: apply failed ({e}); re-syncing");
                             drop(guard);
-                            resync_from_snapshot(store, primary, config);
+                            resync_from_snapshot(store, primary);
                             break;
                         }
                     }
                 }
                 if applied_through >= end_stamp {
                     // Caught up: ease off.
-                    std::thread::sleep(config.poll_interval);
+                    std::thread::sleep(POLL_INTERVAL);
                 }
                 // Else the page was capped — poll again immediately.
             }
@@ -213,16 +198,16 @@ pub fn run_tail_loop(store: &Arc<RwLock<NodeStore>>, primary: &NodeClient, confi
             }) => {
                 // We fell behind the primary's retained tail (or diverge
                 // ahead of it): ship a fresh snapshot.
-                resync_from_snapshot(store, primary, config);
+                resync_from_snapshot(store, primary);
             }
             Ok(other) => {
                 eprintln!("tthr-node standby: tail answered {other:?}");
-                std::thread::sleep(config.retry_backoff);
+                std::thread::sleep(RETRY_BACKOFF);
             }
             Err(_) => {
                 // Primary unreachable — keep trying; a promotion may
                 // arrive any moment and ends the loop above.
-                std::thread::sleep(config.retry_backoff);
+                std::thread::sleep(RETRY_BACKOFF);
             }
         }
     }
@@ -231,18 +216,14 @@ pub fn run_tail_loop(store: &Arc<RwLock<NodeStore>>, primary: &NodeClient, confi
 /// Ships a fresh snapshot and replaces the local state, unless the
 /// shipped state is no newer than what we already have (then the gap was
 /// transient — e.g. the primary restarted — and tailing just resumes).
-fn resync_from_snapshot(
-    store: &Arc<RwLock<NodeStore>>,
-    primary: &NodeClient,
-    config: &StandbyConfig,
-) {
+fn resync_from_snapshot(store: &Arc<RwLock<NodeStore>>, primary: &NodeClient) {
     let state = match fetch_snapshot_bytes(primary)
         .and_then(|bytes| ShardNodeState::from_snapshot_bytes(&bytes).map_err(Into::into))
     {
         Ok(state) => state,
         Err(e) => {
             eprintln!("tthr-node standby: re-sync fetch failed ({e})");
-            std::thread::sleep(config.retry_backoff);
+            std::thread::sleep(RETRY_BACKOFF);
             return;
         }
     };
@@ -264,17 +245,16 @@ pub fn serve_standby(
     listener: std::net::TcpListener,
     dir: impl AsRef<std::path::Path>,
     primary_addr: SocketAddr,
-    config: StandbyConfig,
     on_ready: impl FnOnce(&NodeStore),
 ) -> Result<(), StandbyError> {
-    let primary = NodeClient::new(primary_addr, config.client.clone());
+    let primary = NodeClient::new(primary_addr, ClientConfig::default());
     let store = bootstrap_standby(dir, &primary)?;
     on_ready(&store);
     let store = Arc::new(RwLock::new(store));
     let tail_store = Arc::clone(&store);
     std::thread::Builder::new()
         .name("tthr-standby-tail".into())
-        .spawn(move || run_tail_loop(&tail_store, &primary, &config))
+        .spawn(move || run_tail_loop(&tail_store, &primary))
         .map_err(|e| StandbyError::Transport(e.to_string()))?;
     crate::node::serve_node_shared(listener, store)
         .map_err(|e| StandbyError::Transport(e.to_string()))

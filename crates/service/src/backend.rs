@@ -77,11 +77,10 @@ pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
     /// Validates a raw `(user, entries)` payload batch against this index
     /// and materializes it with dense ids from `from`, **without**
     /// applying it — so the service can reject a bad batch before its WAL
-    /// record is written. The group-commit leader stamps a queue of
-    /// batches arithmetically — batch *k*'s `from` accounts for the
-    /// not-yet-applied batches before it — so ids stay dense across a
-    /// multi-batch commit. Validation is independent of `from`; only the
-    /// materialized ids differ.
+    /// record is written. Both callers — an append and a WAL replay —
+    /// pass the index's own trajectory count, under the serialization
+    /// point that keeps it from moving. Validation is independent of
+    /// `from`; only the materialized ids differ.
     fn prepare_payload_at(
         &self,
         payload: &[(UserId, Vec<TrajEntry>)],

@@ -243,6 +243,9 @@ impl Shard {
     }
 }
 
+/// The service's result-cache shard (lock) count.
+pub(crate) const CACHE_SHARDS: usize = 16;
+
 /// A sharded LRU map from [`Spq`] to [`TravelTimes`] with second-sighting
 /// admission once a shard is full (see the module docs).
 ///

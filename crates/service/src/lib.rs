@@ -64,7 +64,6 @@
 
 pub mod backend;
 pub mod cache;
-mod group_commit;
 mod persist;
 pub mod pool;
 mod stats;
@@ -75,7 +74,6 @@ pub use persist::{SnapshotInfo, SNAPSHOT_FILE, WAL_FILE};
 pub use pool::ThreadPool;
 pub use stats::{Endpoint, LatencySummary, PerEndpoint, ServiceStats, SlowQuery};
 
-use crate::group_commit::{AppendOutcome, AppendRequest, GroupCommit};
 use crate::stats::{LatencyLog, ServiceMetrics, SlowLog};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,8 +144,6 @@ impl Default for IngestConfig {
 pub struct ServiceConfig {
     /// Worker threads in the pool (0 = one per available CPU).
     pub num_threads: usize,
-    /// Result-cache shard count (locks).
-    pub cache_shards: usize,
     /// Total result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Ingestion lifecycle: hot-tail absorption, compaction cadence, and
@@ -173,7 +169,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             num_threads: 0,
-            cache_shards: 16,
             cache_capacity: 65_536,
             ingest: IngestConfig::default(),
             engine: QueryEngineConfig::default(),
@@ -207,10 +202,6 @@ struct Inner<B: ServiceBackend> {
     /// Durable storage, attached by `save_snapshot` / `open`. Lock order:
     /// the index lock is always taken **before** this mutex.
     persist: Mutex<Option<persist::Persistence>>,
-    /// Group-commit waiting room: concurrent appends enqueue here and one
-    /// leader commits the whole queue with a single WAL fsync (see
-    /// [`group_commit`]).
-    group: GroupCommit,
     /// The index as `/health` and `/metrics` report it, republished by
     /// every writer before it releases the append serialization point
     /// ([`with_appender`]). The mutex guards only the pointer swap, so a
@@ -347,31 +338,6 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
             }
         }
         (level + consumed, computed)
-    }
-}
-
-/// A group-commit leader's decision for one queued append: either the
-/// outcome is already known without touching the index (idempotent
-/// replay, typed error, empty delta), or the request has a WAL record in
-/// the batch and an apply to run once the batch is durable.
-enum Plan {
-    /// Outcome settled during stamping; nothing logged, nothing applied.
-    Settled(AppendOutcome),
-    /// Ingest this prepared, id-stamped batch (WAL record already encoded).
-    Apply(Vec<Trajectory>),
-}
-
-/// A structural copy of a [`StoreError`] for fan-out to every member of a
-/// failed commit group (`std::io::Error` and thus `StoreError` are not
-/// `Clone`).
-fn replicate_error(error: &StoreError) -> StoreError {
-    match error {
-        StoreError::Io(e) => StoreError::Io(std::io::Error::new(e.kind(), e.to_string())),
-        StoreError::WalGap { expected, found } => StoreError::WalGap {
-            expected: *expected,
-            found: *found,
-        },
-        other => StoreError::corrupt(format!("group commit failed: {other}")),
     }
 }
 
@@ -571,7 +537,7 @@ impl<B: ServiceBackend> QueryService<B> {
             inner: Arc::new(Inner {
                 index: RwLock::new(index),
                 network,
-                cache: ShardedCache::new(config.cache_shards, config.cache_capacity),
+                cache: ShardedCache::new(cache::CACHE_SHARDS, config.cache_capacity),
                 engine_config: config.engine,
                 ingest: config.ingest,
                 latency,
@@ -580,7 +546,6 @@ impl<B: ServiceBackend> QueryService<B> {
                 trace_timing: config.trace_timing,
                 generation: AtomicU64::new(0),
                 persist: Mutex::new(None),
-                group: GroupCommit::new(),
                 summary,
             }),
             pool: Arc::new(ThreadPool::new(threads)),
@@ -724,33 +689,9 @@ impl<B: ServiceBackend> QueryService<B> {
     /// saw the error) or replays it fully on the next `open`. Without
     /// storage attached the call is infallible.
     pub fn append_batch(&self, set: &TrajectorySet) -> Result<usize, StoreError> {
-        // Only the tail past the count read here is queued (owned, so a
-        // group-commit leader can process it on this caller's behalf): the
-        // count is monotone — retention never shrinks the id space — so
-        // the delta the leader applies can only start at or after it.
-        let from = self.with_index(|index| index.num_trajectories());
-        self.submit_append(AppendRequest::Set {
-            len: set.len(),
-            from,
-            tail: set.iter().skip(from).cloned().collect(),
-        })
-    }
-
-    /// The one entry to the write path: queues the request for a
-    /// group-commit leader ([`Self::commit_appends`]), then runs the
-    /// hot-tail size trigger.
-    fn submit_append(&self, request: AppendRequest) -> Result<usize, StoreError> {
-        let start = Instant::now();
-        let result = self
-            .inner
-            .group
-            .submit(request, |batch| self.commit_appends(batch));
-        // Appends have no search trace; they still count and feed the
-        // slow-query log (a stalled append is worth seeing there).
-        self.inner
-            .observe(Endpoint::Append, start.elapsed(), 0, &QueryTrace::default());
-        self.maybe_compact_after_append();
-        result
+        // The id space only grows (retention never shrinks it), so the
+        // members past the index's count are exactly the delta.
+        self.append_delta(|_, from| Ok(set.iter().skip(from).cloned().collect()))
     }
 
     /// Appends a batch of **new** trajectory payloads — the network
@@ -777,141 +718,79 @@ impl<B: ServiceBackend> QueryService<B> {
         base: Option<u64>,
         new: &[(UserId, Vec<TrajEntry>)],
     ) -> Result<usize, StoreError> {
-        self.submit_append(AppendRequest::Payload {
-            base,
-            new: new.to_vec(),
+        self.append_delta(|index, from| match base {
+            Some(b) if b < from as u64 => Ok(Vec::new()),
+            Some(b) if b > from as u64 => Err(StoreError::WalGap {
+                expected: from as u64,
+                found: b,
+            }),
+            _ => index.prepare_payload_at(new, from),
         })
     }
 
-    /// Group-commit leader: settles a drained batch of append requests
-    /// under **one** index-lock acquisition and **one** WAL fsync.
-    ///
-    /// Phases (see the [`group_commit`] module docs for the ordering
-    /// argument):
-    /// 1. stamp + validate every request arithmetically against a running
-    ///    trajectory count, encoding its WAL record with the stamp a
-    ///    serial execution would have used;
-    /// 2. write + fsync all records as one [`WalWriter::append_many`]
-    ///    batch (all-or-nothing: a failure settles every surviving
-    ///    request with the error and applies nothing);
-    /// 3. apply each request in stamp order with the same per-request
-    ///    generation-seqlock bumps and scoped cache eviction as a serial
-    ///    execution.
-    fn commit_appends(&self, batch: Vec<(u64, AppendRequest)>) -> Vec<(u64, AppendOutcome)> {
-        let inner = &*self.inner;
-        with_appender(inner, |mut index| {
-            let (plans, records) = self.plan_appends(index.index(), batch);
-            let logged = self.wal_append_group(&records);
-            plans
-                .into_iter()
-                .map(|(ticket, plan)| {
-                    let outcome = match (plan, &logged) {
-                        (Plan::Settled(outcome), _) => outcome,
-                        // The WAL write failed: it rolled back (or poisoned
-                        // the writer trying) and nothing is applied, so
-                        // every request with a record in the batch reports
-                        // the failure; the settled ones keep their outcome.
-                        (Plan::Apply(_), Err(e)) => Err(replicate_error(e)),
-                        (Plan::Apply(delta), Ok(())) => {
-                            // Trajectory entries are validated
-                            // time-monotonic, so each member's time floor
-                            // is its start time.
-                            let floor = delta.iter().map(Trajectory::start_time).min();
-                            // Seqlock write: odd while the apply is in
-                            // flight, so a trip whose ladders straddle the
-                            // window of a shared apply (shard A
-                            // post-append, shard B pre-append) can never
-                            // pass generation validation — it either reads
-                            // an odd counter or sees it change. (Under the
-                            // exclusive lock no reader runs in between.)
-                            inner.generation.fetch_add(1, Ordering::SeqCst);
-                            let effect = index.ingest(delta, !inner.ingest.hot_tail);
-                            inner.generation.fetch_add(1, Ordering::SeqCst);
-                            self.evict_stale(index.index(), &effect, floor);
-                            Ok(effect.appended)
-                        }
-                    };
-                    (ticket, outcome)
-                })
-                .collect()
-        })
-    }
-
-    /// Phase 1 of a group commit: walk the batch in submission order,
-    /// settle what needs no apply (idempotent replays, gaps, invalid
-    /// payloads, empty deltas), and stamp + encode the WAL record of
-    /// everything else against a *running* trajectory count — request
-    /// *k*'s stamp counts the not-yet-applied requests before it, so the
-    /// records are byte-identical to a serial one-at-a-time execution.
-    fn plan_appends(
+    /// The one write path both entry points run, holding the append
+    /// serialization point ([`with_appender`]) throughout: `delta_at`
+    /// turns the request into the id-stamped batch it appends at the
+    /// index's own trajectory count (empty for an already-applied
+    /// request, an error for an invalid or gapped one — neither is
+    /// logged nor applied); the batch is logged write-ahead as **one**
+    /// record with **one** fsync; then it is applied between two
+    /// generation-seqlock bumps and the stale cache entries are evicted.
+    /// The hot-tail size trigger runs after the serialization point is
+    /// released.
+    fn append_delta(
         &self,
-        index: &B,
-        batch: Vec<(u64, AppendRequest)>,
-    ) -> (Vec<(u64, Plan)>, Vec<Vec<u8>>) {
-        let mut running = index.num_trajectories();
-        let mut plans = Vec::with_capacity(batch.len());
-        let mut records = Vec::new();
-        // Without attached storage `wal_append_group` discards the
-        // records, so don't pay the serialization on every append.
-        let logging = self.inner.persist.lock().expect("persist lock").is_some();
-        for (ticket, request) in batch {
-            // Turn the request into the delta it appends at `running`…
-            let delta = match request {
-                AppendRequest::Set { len, .. } if len <= running => Ok(Vec::new()),
-                AppendRequest::Set { from, mut tail, .. } => {
-                    tail.drain(..running - from);
-                    Ok(tail)
-                }
-                AppendRequest::Payload { base, new } => match base {
-                    Some(b) if b < running as u64 => Ok(Vec::new()),
-                    Some(b) if b > running as u64 => Err(StoreError::WalGap {
-                        expected: running as u64,
-                        found: b,
-                    }),
-                    _ => index.prepare_payload_at(&new, running),
-                },
-            };
-            // …then stamp and log it, or settle what needs no apply.
-            let plan = match delta {
-                Err(e) => Plan::Settled(Err(e)),
-                Ok(delta) if delta.is_empty() => Plan::Settled(Ok(0)),
-                Ok(delta) => {
-                    if logging {
-                        records.push(index.encode_wal_record(&delta, running));
-                    }
-                    running += delta.len();
-                    Plan::Apply(delta)
-                }
-            };
-            plans.push((ticket, plan));
-        }
-        (plans, records)
+        delta_at: impl FnOnce(&B, usize) -> Result<Vec<Trajectory>, StoreError>,
+    ) -> Result<usize, StoreError> {
+        let start = Instant::now();
+        let inner = &*self.inner;
+        let result = with_appender(inner, |mut index| {
+            let from = index.index().num_trajectories();
+            let delta = delta_at(index.index(), from)?;
+            if delta.is_empty() {
+                return Ok(0);
+            }
+            // A failed log write applies nothing: the caller sees the
+            // error and a re-send is a fresh attempt.
+            self.wal_append(index.index(), &delta, from)?;
+            // Trajectory entries are validated time-monotonic, so each
+            // member's time floor is its start time.
+            let floor = delta.iter().map(Trajectory::start_time).min();
+            // Seqlock write: odd while the apply is in flight, so a trip
+            // whose ladders straddle the window of a shared apply (shard A
+            // post-append, shard B pre-append) can never pass generation
+            // validation — it either reads an odd counter or sees it
+            // change. (Under the exclusive lock no reader runs in between.)
+            inner.generation.fetch_add(1, Ordering::SeqCst);
+            let effect = index.ingest(delta, !inner.ingest.hot_tail);
+            inner.generation.fetch_add(1, Ordering::SeqCst);
+            self.evict_stale(index.index(), &effect, floor);
+            Ok(effect.appended)
+        });
+        // Appends have no search trace; they still count and feed the
+        // slow-query log (a stalled append is worth seeing there).
+        inner.observe(Endpoint::Append, start.elapsed(), 0, &QueryTrace::default());
+        self.maybe_compact_after_append();
+        result
     }
 
-    /// Phase 2 of a group commit: all records of the batch in one WAL
-    /// write + one fsync, with the registry counters recording the
-    /// amortization (`wal_appends` per record, `wal_fsyncs` once,
-    /// `wal_group_size` the batch size). A no-op without attached storage
-    /// or an empty batch.
-    fn wal_append_group(&self, records: &[Vec<u8>]) -> Result<(), StoreError> {
-        if records.is_empty() {
-            return Ok(());
-        }
+    /// Logs one stamped batch as one WAL record, written and fsynced
+    /// before this returns `Ok`. A no-op without attached storage — the
+    /// record is only encoded when there is a log to write it to.
+    fn wal_append(&self, index: &B, delta: &[Trajectory], from: usize) -> Result<(), StoreError> {
         let mut persist = self.inner.persist.lock().expect("persist lock");
         let Some(p) = persist.as_mut() else {
             return Ok(());
         };
+        let record = index.encode_wal_record(delta, from);
         let start = Instant::now();
-        p.wal.append_many(records)?;
+        p.wal.append(&record)?;
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let metrics = &self.inner.metrics;
         metrics.wal_fsync_ns.record(ns);
         metrics.wal_fsyncs.inc();
-        metrics.wal_group_size.record(records.len() as u64);
-        metrics.wal_appends.add(records.len() as u64);
-        metrics
-            .wal_bytes
-            .add(records.iter().map(|r| r.len() as u64).sum());
+        metrics.wal_appends.inc();
+        metrics.wal_bytes.add(record.len() as u64);
         Ok(())
     }
 
@@ -1060,12 +939,6 @@ impl<B: ServiceBackend> QueryService<B> {
     /// instead of pre-computed percentiles.
     pub fn endpoint_histogram(&self, endpoint: Endpoint) -> LogHistogram {
         self.inner.latency.merged(endpoint)
-    }
-
-    /// Clears the latency log and restarts the throughput clock (the
-    /// cache and its counters are left untouched).
-    pub fn reset_stats(&self) {
-        self.inner.latency.reset();
     }
 
     /// The service's metrics registry. Other layers (e.g. a network
@@ -1538,6 +1411,64 @@ mod tests {
                 TrajEntry::new(EDGE_E, 9, 4.0),
             ],
         )
+    }
+
+    /// A WAL write that fails changes nothing: the append and its re-send
+    /// are both I/O errors (the service's fault, not the payload's), the
+    /// index, the generation and a warm cache entry are untouched, and the
+    /// directory reopens to exactly the acknowledged appends.
+    fn failed_wal_write_neither_applies_nor_acks<B: ServiceBackend>(s: QueryService<B>, tag: &str) {
+        let dir = std::env::temp_dir().join(format!(
+            "tthr-service-wal-fail-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        s.save_snapshot(&dir).unwrap();
+        assert_eq!(s.append_new(None, &[ninth()]).unwrap(), 1);
+        let acked = s.with_index(|i| i.num_trajectories());
+        let generation = s.stats().generation;
+        let warm = s.get_travel_times(&abe()).sorted();
+        s.inner
+            .persist
+            .lock()
+            .unwrap()
+            .as_mut()
+            .expect("storage attached")
+            .wal
+            .poison();
+        for attempt in ["first send", "re-send"] {
+            let hits = s.stats().cache.hits;
+            assert!(
+                matches!(
+                    s.append_new(Some(acked as u64), &[ninth()]),
+                    Err(StoreError::Io(_))
+                ),
+                "{attempt}"
+            );
+            assert_eq!(s.with_index(|i| i.num_trajectories()), acked, "{attempt}");
+            assert_eq!(s.stats().generation, generation, "{attempt}");
+            assert_eq!(s.get_travel_times(&abe()).sorted(), warm, "{attempt}");
+            assert_eq!(s.stats().cache.hits, hits + 1, "{attempt}: still cached");
+        }
+        drop(s);
+        let reopened = QueryService::<B>::open_with(
+            &dir,
+            Arc::new(example_network()),
+            ServiceConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(reopened.with_index(|i| i.num_trajectories()), acked);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_wal_write_neither_applies_nor_acks_on_the_monolith() {
+        failed_wal_write_neither_applies_nor_acks(service(2), "mono");
+    }
+
+    #[test]
+    fn failed_wal_write_neither_applies_nor_acks_on_two_shards() {
+        failed_wal_write_neither_applies_nor_acks(sharded_service(2, 2), "k2");
     }
 
     /// Hot-tail appends answer byte-identically to sealed appends, and a

@@ -159,7 +159,7 @@ pub struct ServiceStats {
 /// (regression-tested below with 8 recording threads).
 pub(crate) struct LatencyLog {
     handles: [HistogramHandle; 4],
-    started: Mutex<Instant>,
+    started: Instant,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -176,7 +176,7 @@ impl LatencyLog {
                     &[("endpoint", e.name())],
                 )
             }),
-            started: Mutex::new(Instant::now()),
+            started: Instant::now(),
         }
     }
 
@@ -205,7 +205,7 @@ impl LatencyLog {
         f64,
         Duration,
     ) {
-        let uptime = lock(&self.started).elapsed();
+        let uptime = self.started.elapsed();
         let merged = PerEndpoint(Endpoint::ALL.map(|e| self.merged(e)));
         let mut overall = LogHistogram::new();
         let mut per = PerEndpoint::<LatencySummary>::default();
@@ -220,14 +220,6 @@ impl LatencyLog {
             0.0
         };
         (merged, per, summary, qps, uptime)
-    }
-
-    /// Forgets all samples and restarts the throughput clock.
-    pub(crate) fn reset(&self) {
-        for handle in &self.handles {
-            handle.clear();
-        }
-        *lock(&self.started) = Instant::now();
     }
 }
 
@@ -273,7 +265,6 @@ pub(crate) struct ServiceMetrics {
     pub(crate) wal_appends: Counter,
     pub(crate) wal_bytes: Counter,
     pub(crate) wal_fsyncs: Counter,
-    pub(crate) wal_group_size: HistogramHandle,
     pub(crate) wal_fsync_ns: HistogramHandle,
     pub(crate) snapshots: Counter,
     pub(crate) snapshot_bytes: Gauge,
@@ -375,13 +366,7 @@ impl ServiceMetrics {
             ),
             wal_fsyncs: counter(
                 "tthr_wal_fsyncs_total",
-                "Write-ahead-log fsyncs issued (one per commit group; \
-                 strictly fewer than appends when group commit engages)",
-            ),
-            wal_group_size: registry.histogram(
-                "tthr_wal_group_size",
-                "Records durably committed per WAL fsync (group-commit batch size)",
-                &[],
+                "Write-ahead-log fsyncs issued (one per appended record)",
             ),
             wal_fsync_ns: registry.histogram(
                 "tthr_wal_fsync_duration_ns",
@@ -697,19 +682,11 @@ mod tests {
         assert_eq!(qps, 0.0);
     }
 
-    #[test]
-    fn reset_clears_samples() {
-        let (_registry, log) = log();
-        log.record(Endpoint::Spq, Duration::from_millis(5));
-        log.reset();
-        assert_eq!(log.export().2.count, 0);
-    }
-
     /// Regression for the per-endpoint refactor: 8 threads recording
     /// concurrently (spread across stripes) while the main thread
     /// snapshots and exports continuously — snapshots must never deadlock,
     /// always see internally consistent merges, and the final counts must
-    /// be exact. Then a reset under no recording leaves everything empty.
+    /// be exact.
     #[test]
     fn concurrent_recording_with_cheap_snapshots() {
         const THREADS: usize = 8;
@@ -751,11 +728,8 @@ mod tests {
         for e in Endpoint::ALL {
             assert_eq!(per[e].count, 2 * PER_THREAD, "two threads per endpoint");
         }
-        // Merge export agrees, then clear empties every stripe.
+        // Merge export agrees.
         assert_eq!(log.merged(Endpoint::Spq).count() as usize, 2 * PER_THREAD);
-        log.reset();
-        assert_eq!(log.export().2.count, 0);
-        assert!(log.merged(Endpoint::Spq).is_empty());
     }
 
     #[test]

@@ -96,7 +96,8 @@ mod tests {
             std::fs::copy(dir.join(file), killed.join(file)).unwrap();
         };
         let (_, mut wal) = rotate(&dir, SNAP, WAL, |out| Ok(out.write_all(&[7])?)).unwrap();
-        wal.append_many(&[[1, 8], [2, 9]]).unwrap();
+        wal.append(&[1, 8]).unwrap();
+        wal.append(&[2, 9]).unwrap();
         let state = [7, 8, 9];
         assert_eq!(open(&dir), state);
         let failed = rotate(&dir, SNAP, WAL, |_| Err(StoreError::corrupt("gave up")));

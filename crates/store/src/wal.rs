@@ -134,48 +134,32 @@ impl WalWriter {
         Ok((writer, recovery))
     }
 
-    /// Appends one record (length, CRC, payload) and syncs it to disk —
-    /// when this returns `Ok`, the record survives a crash. A batch of one
-    /// through [`WalWriter::append_many`], with its rollback contract.
-    pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        self.append_many(&[payload])
-    }
-
-    /// Appends a whole batch of records with **one** write and **one**
-    /// fsync — the group-commit primitive, and the only code that writes
-    /// records: every WAL in the system (service, sharded service, shard
-    /// node) appends through here. The on-disk bytes are those of one
-    /// append per payload in order; only the write/sync count differs, so
-    /// readers and crash recovery cannot tell the difference.
+    /// Appends one record (length, CRC, payload) with one write and one
+    /// fsync — when this returns `Ok`, the record survives a crash. This
+    /// is the only code that writes records: every WAL in the system
+    /// (service, sharded service, shard node) appends through here.
     ///
-    /// The batch is all-or-nothing at the durability boundary: a failed
-    /// write (e.g. a full disk) is rolled back by truncating the file to
-    /// its pre-batch length, so the log stays well-formed and no caller
-    /// can observe a partially durable batch through an `Ok`. If even the
-    /// rollback fails, the writer poisons itself and every further append
-    /// errors out — the alternative would be fsynced records stranded
-    /// behind a torn frame that recovery (rightly) stops at.
-    pub fn append_many<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> Result<(), StoreError> {
-        if payloads.is_empty() {
-            return Ok(());
-        }
+    /// A failed write (e.g. a full disk) is rolled back by truncating the
+    /// file to its pre-append length, so the log stays well-formed and no
+    /// caller can observe a partially durable record through an `Ok`. If
+    /// even the rollback fails, the writer poisons itself and every
+    /// further append is an I/O error — the alternative would be fsynced
+    /// records stranded behind a torn frame that recovery (rightly) stops
+    /// at.
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         if self.poisoned {
-            return Err(StoreError::corrupt(
+            return Err(StoreError::Io(std::io::Error::other(
                 "wal writer poisoned by an earlier unrolled-back append failure",
-            ));
+            )));
         }
-        let total: usize = payloads.iter().map(|p| 8 + p.as_ref().len()).sum();
-        let mut framed = Vec::with_capacity(total);
-        for payload in payloads {
-            let payload = payload.as_ref();
-            let len: u32 = payload
-                .len()
-                .try_into()
-                .map_err(|_| StoreError::corrupt("wal record over 4 GiB"))?;
-            framed.extend_from_slice(&len.to_le_bytes());
-            framed.extend_from_slice(&crc32(payload).to_le_bytes());
-            framed.extend_from_slice(payload);
-        }
+        let len: u32 = payload
+            .len()
+            .try_into()
+            .map_err(|_| StoreError::corrupt("wal record over 4 GiB"))?;
+        let mut framed = Vec::with_capacity(8 + payload.len());
+        framed.extend_from_slice(&len.to_le_bytes());
+        framed.extend_from_slice(&crc32(payload).to_le_bytes());
+        framed.extend_from_slice(payload);
         let start = self.file.metadata()?.len();
         let result = self
             .file
@@ -228,50 +212,18 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A writer that could not roll a failed append back refuses every
+    /// later append with an I/O error — the log can no longer be made
+    /// durable, which is the server's fault, not the caller's payload.
     #[test]
-    fn append_many_bytes_identical_to_sequential_appends() {
-        let one = temp_path("seq");
-        let many = temp_path("grouped");
-        let payloads: Vec<&[u8]> = vec![b"first", b"", b"third record"];
-        let mut w = WalWriter::create(&one).unwrap();
-        for p in &payloads {
-            w.append(p).unwrap();
-        }
-        drop(w);
-        let mut w = WalWriter::create(&many).unwrap();
-        w.append_many(&payloads).unwrap();
-        drop(w);
-        assert_eq!(
-            std::fs::read(&one).unwrap(),
-            std::fs::read(&many).unwrap(),
-            "group commit must not change the on-disk byte layout"
-        );
-        let rec = read_wal(&many).unwrap();
-        assert_eq!(
-            rec.records,
-            vec![b"first".to_vec(), Vec::new(), b"third record".to_vec()]
-        );
-        assert!(!rec.torn);
-        std::fs::remove_file(&one).unwrap();
-        std::fs::remove_file(&many).unwrap();
-    }
-
-    #[test]
-    fn append_many_empty_batch_is_a_noop() {
-        let path = temp_path("empty-batch");
+    fn poisoned_writer_refuses_appends_as_io_errors() {
+        let path = temp_path("poisoned");
         let mut w = WalWriter::create(&path).unwrap();
-        let before = std::fs::read(&path).unwrap();
-        w.append_many::<&[u8]>(&[]).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), before);
-        // Interleaving grouped and single appends keeps the log well-formed.
-        w.append_many(&[b"a".as_slice(), b"bb"]).unwrap();
-        w.append(b"ccc").unwrap();
+        w.append(b"kept").unwrap();
+        w.poison();
+        assert!(matches!(w.append(b"refused"), Err(StoreError::Io(_))));
         drop(w);
-        let rec = read_wal(&path).unwrap();
-        assert_eq!(
-            rec.records,
-            vec![b"a".to_vec(), b"bb".to_vec(), b"ccc".to_vec()]
-        );
+        assert_eq!(read_wal(&path).unwrap().records, vec![b"kept".to_vec()]);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -29,7 +29,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 
 use tthr::server::node::{serve_node, NodeStore};
-use tthr::server::standby::{serve_standby, StandbyConfig};
+use tthr::server::standby::serve_standby;
 
 const USAGE: &str =
     "usage: tthr-node --dir <store-dir> [--addr <ip:port>] [--standby-of <ip:port>] [--hot-tail]";
@@ -102,7 +102,7 @@ fn main() {
             println!("LISTENING {local}");
             std::io::stdout().flush().ok();
         };
-        if let Err(e) = serve_standby(listener, &dir, primary, StandbyConfig::default(), announce) {
+        if let Err(e) = serve_standby(listener, &dir, primary, announce) {
             eprintln!("tthr-node: standby failed: {e}");
             std::process::exit(1);
         }

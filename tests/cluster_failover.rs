@@ -63,7 +63,6 @@ fn quick_router() -> RouterConfig {
             cooldown: Duration::from_millis(300),
         },
         probe_interval: None,
-        allow_stale_reads: false,
     }
 }
 

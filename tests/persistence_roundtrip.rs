@@ -486,9 +486,9 @@ fn sharded_wal_records_skipping_ahead_or_misrouted_are_typed_errors() {
 }
 
 // ---------------------------------------------------------------------
-// Group commit: concurrent `append_new` callers share WAL fsyncs, every
-// acked append is durable, and a crash between any two records recovers
-// exactly the stamped prefix.
+// Concurrent appends: each `append_new` logs one record with one fsync,
+// every acked append is durable, and a crash between any two records
+// recovers exactly the stamped prefix.
 // ---------------------------------------------------------------------
 
 use tthr::trajectory::{TrajEntry, TrajId, UserId};
@@ -507,11 +507,10 @@ fn flood_payloads(set: &TrajectorySet, from: usize) -> Vec<(UserId, Vec<TrajEntr
 }
 
 /// Floods the service with one `append_new` per payload from
-/// [`FLOOD_THREADS`] threads while the index read lock is held: the first
-/// elected leader blocks inside its commit (it needs the write lock), so
-/// the remaining submitters pile into the group queue — the worst case
-/// group commit exists to amortize — and every ack means "fsynced".
-fn group_commit_flood(service: &QueryService<SntIndex>, payloads: &[(UserId, Vec<TrajEntry>)]) {
+/// [`FLOOD_THREADS`] threads while the index read lock is held: every
+/// appender queues on the write lock, then each logs, fsyncs and applies
+/// its own record in turn — and every ack means "fsynced".
+fn append_flood(service: &QueryService<SntIndex>, payloads: &[(UserId, Vec<TrajEntry>)]) {
     std::thread::scope(|s| {
         let handles = service.with_index(|_held| {
             let handles: Vec<_> = payloads
@@ -520,8 +519,8 @@ fn group_commit_flood(service: &QueryService<SntIndex>, payloads: &[(UserId, Vec
                     s.spawn(move || service.append_new(None, std::slice::from_ref(payload)))
                 })
                 .collect();
-            // Give every thread time to reach `submit` before the lock
-            // releases; stragglers only cost extra (counted) fsyncs.
+            // Give every thread time to queue on the lock before it
+            // releases.
             std::thread::sleep(std::time::Duration::from_millis(400));
             handles
         });
@@ -546,8 +545,8 @@ fn counter_value(text: &str, name: &str) -> u64 {
 }
 
 #[test]
-fn concurrent_append_flood_shares_fsyncs_across_appends() {
-    let dir = temp_dir("group-flood");
+fn concurrent_append_flood_fsyncs_once_per_acknowledged_append() {
+    let dir = temp_dir("append-flood");
     let (syn, set) = small_world();
     let network = Arc::new(syn.network.clone());
     let half = set.len() / 2;
@@ -558,22 +557,22 @@ fn concurrent_append_flood_shares_fsyncs_across_appends() {
     );
     service.save_snapshot(&dir).unwrap();
 
-    group_commit_flood(&service, &flood_payloads(&set, half));
+    append_flood(&service, &flood_payloads(&set, half));
 
-    // The amortization is the whole point: one WAL record per append, but
-    // strictly fewer fsyncs than appends (the held lock guarantees at
-    // least one multi-request group formed).
+    // One WAL record and one fsync per acknowledged append, however many
+    // appenders queued at once.
     let text = service.render_metrics();
-    let appends = counter_value(&text, "tthr_wal_appends_total");
-    let fsyncs = counter_value(&text, "tthr_wal_fsyncs_total");
-    assert_eq!(appends, FLOOD_THREADS as u64);
-    assert!(
-        fsyncs >= 1 && fsyncs < appends,
-        "group commit must amortize: {fsyncs} fsyncs for {appends} appends"
+    assert_eq!(
+        counter_value(&text, "tthr_wal_appends_total"),
+        FLOOD_THREADS as u64
+    );
+    assert_eq!(
+        counter_value(&text, "tthr_wal_fsyncs_total"),
+        FLOOD_THREADS as u64
     );
 
-    // Every acked append is durable, and replaying the group-committed
-    // log reproduces the live index byte for byte.
+    // Every acked append is durable, and replaying the log reproduces the
+    // live index byte for byte.
     let reopened =
         QueryService::open(&dir, Arc::clone(&network), ServiceConfig::default()).unwrap();
     reopened.with_index(|index| assert_eq!(index.num_trajectories(), half + FLOOD_THREADS));
@@ -584,8 +583,8 @@ fn concurrent_append_flood_shares_fsyncs_across_appends() {
 }
 
 #[test]
-fn group_committed_wal_recovers_every_record_prefix() {
-    let dir = temp_dir("group-crash");
+fn concurrent_append_flood_wal_recovers_every_record_prefix() {
+    let dir = temp_dir("append-crash");
     let (syn, set) = small_world();
     let network = Arc::new(syn.network.clone());
     let half = set.len() / 2;
@@ -597,12 +596,12 @@ fn group_committed_wal_recovers_every_record_prefix() {
     );
     service.save_snapshot(&dir).unwrap();
 
-    group_commit_flood(&service, &flood_payloads(&set, half));
+    append_flood(&service, &flood_payloads(&set, half));
     let live: Vec<_> = queries.iter().map(|q| bits(&service, q)).collect();
     drop(service);
 
-    // However the groups formed, the log holds one stamped record per
-    // acked append, in commit order.
+    // However the appenders interleaved, the log holds one stamped record
+    // per acked append, in apply order.
     let wal_path = dir.join(WAL_FILE);
     let pristine = std::fs::read(&wal_path).unwrap();
     let frames = wal_frames(&pristine);
@@ -610,8 +609,8 @@ fn group_committed_wal_recovers_every_record_prefix() {
 
     // Crash battery: a crash between any two records — and, torn, in the
     // middle of the next write — recovers exactly the stamped prefix.
-    // Requests a group leader had not yet fsynced were never acked, so a
-    // shorter log never loses an acknowledged append.
+    // An append is acked only after its fsync, so a shorter log never
+    // loses an acknowledged append.
     for k in 0..=frames.len() {
         let end = match k.checked_sub(1) {
             None => 12, // file header only
