@@ -61,7 +61,7 @@ impl Scale {
     }
 
     /// Number of evaluation queries (the paper uses 6 942).
-    pub fn num_queries(self) -> usize {
+    pub(crate) fn num_queries(self) -> usize {
         match self {
             Scale::Small => 150,
             Scale::Medium => 700,

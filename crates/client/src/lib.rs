@@ -235,7 +235,7 @@ impl NodeClient {
     }
 
     /// The node's address.
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -385,7 +385,7 @@ pub enum BreakerState {
 impl BreakerState {
     /// Encoding used by the `tthr_breaker_state` gauge:
     /// 0 closed, 1 half-open, 2 open.
-    pub fn gauge_value(self) -> i64 {
+    pub(crate) fn gauge_value(self) -> i64 {
         match self {
             BreakerState::Closed => 0,
             BreakerState::HalfOpen => 1,
@@ -1211,11 +1211,6 @@ impl ClusterRouter {
     /// Cluster-wide trajectory count the router has confirmed.
     pub fn num_global(&self) -> u64 {
         self.core.confirmed.load(Ordering::Acquire)
-    }
-
-    /// The road network the cluster indexes.
-    pub fn network(&self) -> &RoadNetwork {
-        &self.network
     }
 
     /// The first-edge routing table.

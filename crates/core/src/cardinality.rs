@@ -60,12 +60,12 @@ impl CardinalityMode {
     }
 
     /// Whether the mode uses the time-of-day histogram store.
-    pub fn uses_tod_histograms(&self) -> bool {
+    pub(crate) fn uses_tod_histograms(&self) -> bool {
         matches!(self, CardinalityMode::BtAcc | CardinalityMode::CssAcc)
     }
 
     /// Whether the mode reads exact range counts from the CSS-tree.
-    pub fn uses_css_counts(&self) -> bool {
+    pub(crate) fn uses_css_counts(&self) -> bool {
         matches!(self, CardinalityMode::CssFast | CardinalityMode::CssAcc)
     }
 }

@@ -106,7 +106,7 @@ impl TimeInterval {
 
     /// `shrink(I^R, α_min)`: shrinks the window back to `α_min` seconds
     /// around its center (Procedure 1, line 7, applied after a path split).
-    pub fn shrink(&self, new_size: i64) -> Self {
+    pub(crate) fn shrink(&self, new_size: i64) -> Self {
         match *self {
             TimeInterval::Fixed { start, end } => {
                 let shrink = ((end - start) - new_size).max(0) / 2;
@@ -149,7 +149,7 @@ impl TimeInterval {
     /// Whether `inner` is a periodic window lying entirely inside this
     /// periodic window on every day (fixed intervals never nest — σ only
     /// widens periodic ones).
-    pub fn encloses(&self, inner: &TimeInterval) -> bool {
+    pub(crate) fn encloses(&self, inner: &TimeInterval) -> bool {
         match (*self, *inner) {
             (
                 TimeInterval::Periodic { start_sod, len },
@@ -189,7 +189,7 @@ impl TimeInterval {
 
     /// The window as a time-of-day span `(start_sod, end_sod_exclusive)` for
     /// selectivity estimation; `None` for fixed intervals.
-    pub fn time_of_day_span(&self) -> Option<(i64, i64)> {
+    pub(crate) fn time_of_day_span(&self) -> Option<(i64, i64)> {
         match *self {
             TimeInterval::Fixed { .. } => None,
             TimeInterval::Periodic { start_sod, len } => Some((start_sod, start_sod + len)),
@@ -200,7 +200,7 @@ impl TimeInterval {
     /// intersect `[data_min, data_max]`, in ascending order, until the
     /// callback breaks. A fixed interval yields one window; a periodic one
     /// yields one window per day.
-    pub fn for_each_window(
+    pub(crate) fn for_each_window(
         &self,
         data_min: Timestamp,
         data_max: Timestamp,
@@ -236,7 +236,12 @@ impl TimeInterval {
     }
 
     /// Collects the concrete windows (convenience for tests).
-    pub fn windows(&self, data_min: Timestamp, data_max: Timestamp) -> Vec<(Timestamp, Timestamp)> {
+    #[cfg(test)]
+    pub(crate) fn windows(
+        &self,
+        data_min: Timestamp,
+        data_max: Timestamp,
+    ) -> Vec<(Timestamp, Timestamp)> {
         let mut out = Vec::new();
         let _ = self.for_each_window(data_min, data_max, &mut |lo, hi| {
             out.push((lo, hi));

@@ -66,7 +66,6 @@ pub use interval::TimeInterval;
 pub use node::{NodeWalRecord, ShardNodeState};
 pub use partition::{partition_query, PartitionMethod};
 pub use persist::WalBatch;
-pub use probe::ProbeTable;
 pub use sharded::{
     ShardRouter, ShardStats, ShardedAppend, ShardedSntIndex, ShardedWalBatch, SECTION_ROUTING,
     SECTION_SHARDED_META, SHARD_SECTION_BASE,

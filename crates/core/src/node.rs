@@ -113,7 +113,9 @@ impl Persist for NodeWalRecord {
 /// global span before stamping [`NodeWalRecord::span_min`]/`span_max`.
 /// Matches the monolith's accounting: `data_min` tracks trajectory start
 /// times, `data_max` the *entry* time of each trajectory's last segment.
-pub fn batch_span(trajectories: &[(UserId, Vec<TrajEntry>)]) -> Option<(Timestamp, Timestamp)> {
+pub(crate) fn batch_span(
+    trajectories: &[(UserId, Vec<TrajEntry>)],
+) -> Option<(Timestamp, Timestamp)> {
     let mut span: Option<(Timestamp, Timestamp)> = None;
     for (_, entries) in trajectories {
         let (first, last) = match (entries.first(), entries.last()) {
@@ -309,7 +311,7 @@ impl ShardNodeState {
 
     /// One relaxation round's ladders for this shard, answered in request
     /// order — each byte-identical to
-    /// [`ShardedSntIndex::travel_times_ladder_with`]. The caller holds one
+    /// `ShardedSntIndex::travel_times_ladder_with`. The caller holds one
     /// borrow of the state throughout, so the answers are a consistent
     /// cut of the shard. The batch arrives off the wire: unless it holds
     /// 1..=[`MAX_LADDER_BATCH`] items, each an owned query with a
@@ -349,12 +351,15 @@ impl ShardNodeState {
             .collect())
     }
 
-    /// Exact predicate-matching traversal count for an owned query.
-    pub fn count_matching(&self, spq: &Spq, cap: u32) -> Result<usize, StoreError> {
+    /// Exact predicate-matching traversal count with a fresh scratch: the
+    /// tests' convenience over [`ShardNodeState::count_matching_with`].
+    #[cfg(test)]
+    pub(crate) fn count_matching(&self, spq: &Spq, cap: u32) -> Result<usize, StoreError> {
         self.count_matching_with(spq, cap, &mut SearchScratch::new())
     }
 
-    /// [`ShardNodeState::count_matching`] through a caller-owned scratch.
+    /// Exact predicate-matching traversal count for an owned query,
+    /// through a caller-owned scratch.
     pub fn count_matching_with(
         &self,
         spq: &Spq,

@@ -3,7 +3,7 @@
 //! The index is decomposed into the six CRC-guarded sections below (see
 //! `tthr-store` for the container layout and `docs/storage-format.md` for
 //! the full specification). Restoring cross-validates the sections
-//! against the [`SECTION_META`] header — component counts, tree/wavelet
+//! against the `SECTION_META` header — component counts, tree/wavelet
 //! kinds, and entry totals must all agree — so a snapshot assembled from
 //! mismatched pieces is rejected with a typed error instead of producing
 //! an index that answers queries incorrectly.
@@ -35,19 +35,19 @@ use tthr_temporal::{BPlusTree, CssTree, TemporalIndex};
 use tthr_trajectory::{TrajEntry, TrajId, Trajectory, UserId};
 
 /// Header section: construction config, data span, component counts.
-pub const SECTION_META: SectionId = SectionId(1);
+pub(crate) const SECTION_META: SectionId = SectionId(1);
 /// Per-partition FM-indexes.
-pub const SECTION_FMINDEX: SectionId = SectionId(2);
+pub(crate) const SECTION_FMINDEX: SectionId = SectionId(2);
 /// The temporal forest.
-pub const SECTION_FOREST: SectionId = SectionId(3);
+pub(crate) const SECTION_FOREST: SectionId = SectionId(3);
 /// The `U : d → u` user table.
-pub const SECTION_USERS: SectionId = SectionId(4);
+pub(crate) const SECTION_USERS: SectionId = SectionId(4);
 /// The optional time-of-day histogram store.
-pub const SECTION_TOD: SectionId = SectionId(5);
+pub(crate) const SECTION_TOD: SectionId = SectionId(5);
 /// Per-edge speed-limit estimates.
-pub const SECTION_ESTIMATES: SectionId = SectionId(6);
+pub(crate) const SECTION_ESTIMATES: SectionId = SectionId(6);
 /// Pending hot-tail batches (raw trajectories, absorb order).
-pub const SECTION_HOT: SectionId = SectionId(7);
+pub(crate) const SECTION_HOT: SectionId = SectionId(7);
 
 /// Wire form: tree kind (u8), wavelet kind (u8), optional partition
 /// width in days, optional ToD bucket width in seconds.
@@ -279,7 +279,7 @@ impl SntIndex {
 
     /// Reassembles an index from a snapshot container, verifying the
     /// magic, version, per-section checksums, and the cross-section
-    /// invariants (component counts and kinds against [`SECTION_META`]).
+    /// invariants (component counts and kinds against `SECTION_META`).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let archive = SnapshotArchive::from_bytes(bytes)?;
 

@@ -21,7 +21,7 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// antecedent aggregate `diff = a − TT` (the probe table `M` of
 /// Procedure 3).
 #[derive(Clone, Debug)]
-pub struct ProbeTable {
+pub(crate) struct ProbeTable {
     keys: Vec<u64>,
     values: Vec<f64>,
     len: usize,
@@ -36,12 +36,12 @@ impl Default for ProbeTable {
 
 impl ProbeTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(16)
     }
 
     /// Creates a table pre-sized for about `cap` entries (e.g. β).
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         let slots = (cap * 2).next_power_of_two().max(16);
         ProbeTable {
             keys: vec![EMPTY; slots],
@@ -53,13 +53,13 @@ impl ProbeTable {
 
     /// Number of stored entries `|M|`.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the table is empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -70,7 +70,7 @@ impl ProbeTable {
 
     /// Inserts `(traj, seq) → diff`, overwriting any previous value for the
     /// same key (cannot occur in practice: a traversal has one antecedent).
-    pub fn insert(&mut self, traj: u32, seq: u32, diff: f64) {
+    pub(crate) fn insert(&mut self, traj: u32, seq: u32, diff: f64) {
         if (self.len + 1) * 2 > self.keys.len() {
             self.grow();
         }
@@ -94,7 +94,7 @@ impl ProbeTable {
 
     /// Looks up the antecedent for `(traj, seq)`.
     #[inline]
-    pub fn get(&self, traj: u32, seq: u32) -> Option<f64> {
+    pub(crate) fn get(&self, traj: u32, seq: u32) -> Option<f64> {
         let key = pack(traj, seq);
         let mut slot = self.slot_of(key);
         loop {

@@ -145,7 +145,7 @@ impl ShardRouter {
     /// the shards that must index a trajectory traversing them. Public
     /// because the cluster tier's router plans per-node append subsets
     /// with exactly this partition (see [`crate::node`]).
-    pub fn shards_touched(&self, entries: &[TrajEntry]) -> Vec<u16> {
+    pub(crate) fn shards_touched(&self, entries: &[TrajEntry]) -> Vec<u16> {
         self.shards_of(entries.iter())
     }
 
@@ -427,11 +427,6 @@ impl ShardedSntIndex {
         }
     }
 
-    /// The construction configuration.
-    pub fn config(&self) -> &SntConfig {
-        &self.config
-    }
-
     /// The edge → shard routing table.
     pub fn router(&self) -> &ShardRouter {
         &self.router
@@ -496,7 +491,7 @@ impl ShardedSntIndex {
     }
 
     /// Excludes other appenders — and snapshots from racing appenders —
-    /// while held; readers are unaffected. [`ShardedSntIndex::append_batch`]
+    /// while held; readers are unaffected. [`ShardedSntIndex::ingest`]
     /// and the snapshot writers do **not** take this internally (so a
     /// holder can compose append + WAL logging atomically, the way
     /// `tthr-service` does); anyone running concurrent appenders must
@@ -545,7 +540,7 @@ impl ShardedSntIndex {
     /// read lock ([`SntIndex::travel_times_ladder_with`]): every level
     /// keeps the path, so every level routes to the same shard, and the
     /// answer reflects one atomic shard state.
-    pub fn travel_times_ladder_with(
+    pub(crate) fn travel_times_ladder_with(
         &self,
         spq: &Spq,
         levels: &[TimeInterval],
@@ -555,13 +550,15 @@ impl ShardedSntIndex {
             .query(spq, |i, q| i.travel_times_ladder_with(q, levels, scratch))
     }
 
-    /// Exact predicate-matching traversal count, routed like a query.
-    pub fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
+    /// Exact predicate-matching traversal count with a fresh scratch: the
+    /// tests' convenience over [`ShardedSntIndex::count_matching_with`].
+    #[cfg(test)]
+    pub(crate) fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
         self.count_matching_with(spq, cap, &mut crate::SearchScratch::new())
     }
 
-    /// [`ShardedSntIndex::count_matching`] through a per-shard-tagged
-    /// scratch.
+    /// Exact predicate-matching traversal count, routed like a query,
+    /// through a per-shard-tagged scratch.
     pub fn count_matching_with(
         &self,
         spq: &Spq,
@@ -572,18 +569,11 @@ impl ShardedSntIndex {
             .query(spq, |i, q| i.count_matching_with(q, cap, scratch))
     }
 
-    /// Exact traversal count of a path (ISA-mode cardinality), routed to
-    /// the shard of the path's first edge.
-    pub fn traversal_count(&self, path: &tthr_network::Path) -> usize {
-        self.read_shard(self.router.shard_of(path.first()))
-            .index
-            .traversal_count(path)
-    }
-
     /// Appends all trajectories of `set` with ids `≥ num_trajectories()`
-    /// as one sealed batch — the paper's whole-set update API over
-    /// [`ShardedSntIndex::ingest`].
-    pub fn append_batch(&self, set: &TrajectorySet) -> ShardedAppend {
+    /// as one sealed batch over [`ShardedSntIndex::ingest`]: the tests'
+    /// whole-set update helper.
+    #[cfg(test)]
+    pub(crate) fn append_batch(&self, set: &TrajectorySet) -> ShardedAppend {
         let delta = set.iter().skip(self.num_trajectories()).cloned().collect();
         self.ingest(delta, true)
     }

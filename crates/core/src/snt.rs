@@ -108,7 +108,7 @@ impl TtValues {
 
     /// The values as a slice.
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         match &self.0 {
             TtRepr::Empty => &[],
             TtRepr::One(v) => std::slice::from_ref(v),
@@ -272,7 +272,7 @@ impl CompactionOutcome {
     }
 
     /// Folds another outcome into this one (per-shard aggregation).
-    pub fn merge(&mut self, other: &CompactionOutcome) {
+    pub(crate) fn merge(&mut self, other: &CompactionOutcome) {
         self.sealed_batches += other.sealed_batches;
         self.sealed_entries += other.sealed_entries;
         self.dropped_partitions += other.dropped_partitions;
@@ -488,7 +488,7 @@ pub struct SearchScratch {
     entries: Vec<ScratchEntry>,
     /// Cost attribution for the queries answered through this scratch;
     /// purely observational (see [`QueryTrace`]). Callers that want
-    /// per-query profiles call [`QueryTrace::reset`] between queries.
+    /// per-query profiles call `QueryTrace::reset` between queries.
     pub trace: QueryTrace,
 }
 
@@ -720,7 +720,7 @@ impl SntIndex {
     }
 
     /// The construction configuration.
-    pub fn config(&self) -> &SntConfig {
+    pub(crate) fn config(&self) -> &SntConfig {
         &self.config
     }
 
@@ -750,29 +750,24 @@ impl SntIndex {
         TimeInterval::fixed(self.data_min.min(0), self.data_max + 1)
     }
 
-    /// Speed-limit travel-time estimate for a segment (`estimateTT`).
-    pub fn estimate_tt(&self, e: EdgeId) -> f64 {
-        self.estimate_tt[e.index()]
-    }
-
     /// The user of a trajectory (the `U` container).
     pub fn user_of(&self, traj: u32) -> UserId {
         self.user_table[traj as usize]
     }
 
     /// The temporal index `Φe` of a segment.
-    pub fn temporal(&self, e: EdgeId) -> &dyn TemporalIndex {
+    pub(crate) fn temporal(&self, e: EdgeId) -> &dyn TemporalIndex {
         self.forest.tree(e)
     }
 
     /// Per-partition, per-segment time-of-day histogram, when the store is
     /// enabled and the segment has traversals in the partition.
-    pub fn tod_histogram(&self, partition: usize, e: EdgeId) -> Option<&TimeOfDayHistogram> {
+    pub(crate) fn tod_histogram(&self, partition: usize, e: EdgeId) -> Option<&TimeOfDayHistogram> {
         self.tod.as_ref().and_then(|s| s.get(partition, e))
     }
 
     /// Bucket width of the ToD store, if enabled.
-    pub fn tod_bucket_secs(&self) -> Option<u32> {
+    pub(crate) fn tod_bucket_secs(&self) -> Option<u32> {
         self.tod.as_ref().map(|s| s.bucket_secs)
     }
 
@@ -1801,7 +1796,7 @@ mod tests {
 
         // Timing, when requested, accumulates wall-clock nanoseconds.
         let mut timed = SearchScratch::new();
-        timed.trace = QueryTrace::timed();
+        timed.trace.timing = true;
         let _ = idx.get_travel_times_with(&q, &mut timed);
         assert!(timed.trace.search_ns > 0, "timed trace reads the clock");
 

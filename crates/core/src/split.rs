@@ -58,18 +58,8 @@ impl Splitter {
     }
 
     /// The minimum interval size `α_min = α₁`.
-    pub fn alpha_min(&self) -> i64 {
+    pub(crate) fn alpha_min(&self) -> i64 {
         self.sizes[0]
-    }
-
-    /// The maximum interval size `α_max = α_n`.
-    pub fn alpha_max(&self) -> i64 {
-        *self.sizes.last().expect("non-empty")
-    }
-
-    /// The split strategy.
-    pub fn method(&self) -> SplitMethod {
-        self.method
     }
 
     /// σ's step 1 on a bare window: the next size in `A` above a periodic
@@ -101,15 +91,17 @@ impl Splitter {
         levels
     }
 
-    /// Applies σ once (Procedure 1), returning the replacement sub-queries.
-    pub fn split<B: IndexBackend>(&self, index: &B, spq: &Spq) -> Vec<Spq> {
+    /// [`Splitter::split_with`] with a fresh scratch (the tests' entry
+    /// point).
+    #[cfg(test)]
+    pub(crate) fn split<B: IndexBackend>(&self, index: &B, spq: &Spq) -> Vec<Spq> {
         self.split_with(index, spq, &mut SearchScratch::new())
     }
 
-    /// [`Splitter::split`] with a caller-owned [`SearchScratch`] — σ_L's
-    /// prefix binary search reuses the chain's search buffers. Identical
-    /// replacements.
-    pub fn split_with<B: IndexBackend>(
+    /// Applies σ once (Procedure 1), returning the replacement
+    /// sub-queries. The caller owns the [`SearchScratch`], so σ_L's prefix
+    /// binary search reuses the chain's search buffers.
+    pub(crate) fn split_with<B: IndexBackend>(
         &self,
         index: &B,
         spq: &Spq,

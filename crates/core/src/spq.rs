@@ -93,7 +93,7 @@ impl Spq {
     }
 
     /// The effective retrieval cap (`u32::MAX` when β is omitted).
-    pub fn beta_cap(&self) -> u32 {
+    pub(crate) fn beta_cap(&self) -> u32 {
         self.beta.unwrap_or(u32::MAX)
     }
 

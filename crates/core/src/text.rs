@@ -9,29 +9,29 @@ use tthr_network::{EdgeId, Path};
 use tthr_trajectory::Trajectory;
 
 /// The `$` terminator symbol.
-pub const TERMINATOR: u32 = 0;
+pub(crate) const TERMINATOR: u32 = 0;
 
 /// The FM-index symbol of an edge.
 #[inline]
-pub fn edge_symbol(e: EdgeId) -> u32 {
+pub(crate) fn edge_symbol(e: EdgeId) -> u32 {
     e.0 + 1
 }
 
 /// The alphabet size for a network with `num_edges` edges: `|E| + 1`.
 #[inline]
-pub fn alphabet_size(num_edges: usize) -> u32 {
+pub(crate) fn alphabet_size(num_edges: usize) -> u32 {
     num_edges as u32 + 1
 }
 
 /// A path as an FM-index pattern.
-pub fn path_symbols(path: &Path) -> Vec<u32> {
+pub(crate) fn path_symbols(path: &Path) -> Vec<u32> {
     path.edges().iter().map(|&e| edge_symbol(e)).collect()
 }
 
 /// [`path_symbols`] into a caller-owned buffer (cleared first) — the
 /// query hot path re-uses one buffer per query instead of allocating a
 /// pattern `Vec` per `getISARange` dispatch.
-pub fn path_symbols_into(path: &Path, out: &mut Vec<u32>) {
+pub(crate) fn path_symbols_into(path: &Path, out: &mut Vec<u32>) {
     out.clear();
     out.extend(path.edges().iter().map(|&e| edge_symbol(e)));
 }

@@ -71,17 +71,9 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// A trace with wall-clock timing enabled.
-    pub fn timed() -> Self {
-        QueryTrace {
-            timing: true,
-            ..QueryTrace::default()
-        }
-    }
-
     /// Resets every counter, preserving the `timing` flag (the scratch
     /// owner decides when timing is on, not the query that used it last).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = QueryTrace {
             timing: self.timing,
             ..QueryTrace::default()
@@ -90,7 +82,7 @@ impl QueryTrace {
 
     /// Records that shard `s` served part of this query.
     #[inline]
-    pub fn note_shard(&mut self, s: usize) {
+    pub(crate) fn note_shard(&mut self, s: usize) {
         self.shard_queries += 1;
         self.shard_mask |= 1u64 << (s % 64);
     }
@@ -129,7 +121,10 @@ mod tests {
 
     #[test]
     fn reset_preserves_timing_flag() {
-        let mut t = QueryTrace::timed();
+        let mut t = QueryTrace {
+            timing: true,
+            ..QueryTrace::default()
+        };
         t.rank_ops = 7;
         t.search_ns = 99;
         t.reset();
@@ -162,7 +157,10 @@ mod tests {
             ..QueryTrace::default()
         };
         a.note_shard(1);
-        let mut b = QueryTrace::timed();
+        let mut b = QueryTrace {
+            timing: true,
+            ..QueryTrace::default()
+        };
         b.rank_ops = 3;
         b.search_ns = 10;
         b.note_shard(2);

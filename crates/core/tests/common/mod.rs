@@ -12,11 +12,11 @@ use tthr_datagen::{generate_network, generate_workload, NetworkConfig, WorkloadC
 use tthr_network::RoadNetwork;
 use tthr_trajectory::{TrajId, Trajectory, TrajectorySet};
 
-pub const SIZES: [i64; 6] = [900, 1800, 2700, 3600, 5400, 7200];
+pub(crate) const SIZES: [i64; 6] = [900, 1800, 2700, 3600, 5400, 7200];
 
 /// A provider that answers single SPQs from the index but inherits the
 /// trait's default ladder: the sequential oracle.
-pub struct Sequential<'a>(pub &'a SntIndex);
+pub(crate) struct Sequential<'a>(pub &'a SntIndex);
 
 impl TravelTimeProvider for Sequential<'_> {
     fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
@@ -24,14 +24,14 @@ impl TravelTimeProvider for Sequential<'_> {
     }
 }
 
-pub struct Fixture {
+pub(crate) struct Fixture {
     pub network: RoadNetwork,
     pub set: TrajectorySet,
     /// `(label, index)`: every shape the override must be exact over.
     pub indexes: Vec<(&'static str, SntIndex)>,
 }
 
-pub fn fixture() -> &'static Fixture {
+pub(crate) fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let syn = generate_network(&NetworkConfig::small());
@@ -82,7 +82,7 @@ pub fn fixture() -> &'static Fixture {
 /// traversal (or pushed across midnight), optional user filter and
 /// exclusion id, β from {1, 20, unreachable}.
 #[allow(clippy::too_many_arguments)]
-pub fn draw_query(
+pub(crate) fn draw_query(
     f: &Fixture,
     traj: usize,
     cut: (usize, usize),
@@ -115,11 +115,11 @@ pub fn draw_query(
     q
 }
 
-pub fn bits(t: &TravelTimes) -> Vec<u64> {
+pub(crate) fn bits(t: &TravelTimes) -> Vec<u64> {
     t.values.iter().map(|v| v.to_bits()).collect()
 }
 
-pub fn assert_trips_equal(label: &str, q: &Spq, want: &TripQuery, got: &TripQuery) {
+pub(crate) fn assert_trips_equal(label: &str, q: &Spq, want: &TripQuery, got: &TripQuery) {
     assert_eq!(want.stats, got.stats, "{label}: {q:?}");
     assert_eq!(want.histogram, got.histogram, "{label}: {q:?}");
     assert_eq!(want.subs.len(), got.subs.len(), "{label}: {q:?}");

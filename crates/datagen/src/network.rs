@@ -75,15 +75,13 @@ impl NetworkConfig {
 
 /// Per-city bookkeeping the workload generator samples from.
 #[derive(Clone, Debug)]
-pub struct CityInfo {
+pub(crate) struct CityInfo {
     /// All grid vertices of the city.
     pub vertices: Vec<VertexId>,
     /// The west/east arterial endpoints the corridors attach to.
     pub west_gate: VertexId,
     /// East arterial endpoint.
     pub east_gate: VertexId,
-    /// City center position.
-    pub center: Point,
 }
 
 /// A generated network plus the structure the workload generator needs.
@@ -92,9 +90,9 @@ pub struct SyntheticNetwork {
     /// The road network graph.
     pub network: RoadNetwork,
     /// Per-city vertex groups.
-    pub cities: Vec<CityInfo>,
+    pub(crate) cities: Vec<CityInfo>,
     /// Vertices of summer-house pockets (weekend-trip destinations).
-    pub summer_vertices: Vec<VertexId>,
+    pub(crate) summer_vertices: Vec<VertexId>,
 }
 
 /// Generates a synthetic road network.
@@ -222,10 +220,6 @@ fn build_city(
     CityInfo {
         west_gate: grid[mid][0],
         east_gate: grid[mid][n - 1],
-        center: Point::new(
-            origin.x + (n / 2) as f64 * block,
-            origin.y + (n / 2) as f64 * block,
-        ),
         vertices,
     }
 }

@@ -22,7 +22,7 @@ mod rand_distr_shim {
     use rand::Rng;
 
     /// Samples `exp(N(mu, sigma))` via Box–Muller.
-    pub fn sample_lognormal(rng: &mut StdRng, mu: f64, sigma: f64) -> f64 {
+    pub(crate) fn sample_lognormal(rng: &mut StdRng, mu: f64, sigma: f64) -> f64 {
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();

@@ -38,7 +38,7 @@ pub struct RankBitVec {
 
 impl RankBitVec {
     /// Builds from a boolean-producing iterator.
-    pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
+    pub(crate) fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
         let mut words: Vec<u64> = Vec::new();
         let mut len = 0usize;
         let mut current = 0u64;
@@ -118,7 +118,7 @@ impl RankBitVec {
 
     /// Number of set bits in positions `[0, i)`. `i` may equal `len`.
     #[inline]
-    pub fn rank1(&self, i: usize) -> usize {
+    pub(crate) fn rank1(&self, i: usize) -> usize {
         debug_assert!(i <= self.len);
         if i == 0 {
             return 0;
@@ -143,7 +143,7 @@ impl RankBitVec {
 
     /// Number of clear bits in positions `[0, i)`.
     #[inline]
-    pub fn rank0(&self, i: usize) -> usize {
+    pub(crate) fn rank0(&self, i: usize) -> usize {
         i - self.rank1(i)
     }
 
@@ -152,14 +152,14 @@ impl RankBitVec {
     /// search, as `[st, ed)` narrows — the second rank reuses the block the
     /// first one already pulled into cache.
     #[inline]
-    pub fn rank1_pair(&self, i: usize, j: usize) -> (usize, usize) {
+    pub(crate) fn rank1_pair(&self, i: usize, j: usize) -> (usize, usize) {
         debug_assert!(i <= j);
         (self.rank1(i), self.rank1(j))
     }
 
     /// `(rank0(i), rank0(j))` for `i ≤ j`; see [`RankBitVec::rank1_pair`].
     #[inline]
-    pub fn rank0_pair(&self, i: usize, j: usize) -> (usize, usize) {
+    pub(crate) fn rank0_pair(&self, i: usize, j: usize) -> (usize, usize) {
         let (a, b) = self.rank1_pair(i, j);
         (i - a, j - b)
     }

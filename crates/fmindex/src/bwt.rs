@@ -4,7 +4,7 @@
 /// `Tbwt[i] = T[SA[i] − 1]`, with the cyclic convention `T[−1] = T[n−1]`
 /// for the row where `SA[i] = 0` (paper, Section 4.1.1; trajectory strings
 /// always end in `$`, so that row contributes a `$`).
-pub fn bwt_from_sa(text: &[u32], sa: &[u32]) -> Vec<u32> {
+pub(crate) fn bwt_from_sa(text: &[u32], sa: &[u32]) -> Vec<u32> {
     debug_assert_eq!(text.len(), sa.len());
     let n = text.len();
     sa.iter()
@@ -22,7 +22,7 @@ pub fn bwt_from_sa(text: &[u32], sa: &[u32]) -> Vec<u32> {
 /// `alphabet_size + 1`: `C[c]` is the number of symbols in `text` that are
 /// lexicographically smaller than `c` (so `C[σ] = |T|`, and the initial
 /// backward-search range for symbol `c` is `[C[c], C[c+1])`).
-pub fn symbol_counts(text: &[u32], alphabet_size: u32) -> Vec<u64> {
+pub(crate) fn symbol_counts(text: &[u32], alphabet_size: u32) -> Vec<u64> {
     let sigma = alphabet_size as usize;
     let mut counts = vec![0u64; sigma + 1];
     for &s in text {

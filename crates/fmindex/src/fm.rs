@@ -45,13 +45,13 @@ impl IsaRange {
 }
 
 /// Backward-search cost attribution: how much wavelet work a search (or a
-/// sequence of searches) performed. Accumulated by the `_costed` variants
-/// of [`FmIndex::extend_left`] and [`FmIndex::suffix_ranges`]; the query
-/// layers above thread it into their per-query traces.
+/// sequence of searches) performed. Accumulated by
+/// [`FmIndex::suffix_ranges_costed`]; the query layers above thread it
+/// into their per-query traces.
 ///
 /// Only **live** extensions count: a dead-cursor or out-of-alphabet step
 /// is a constant-time no-op that touches no wavelet structure, matching
-/// what [`FmIndex::extend_left`] actually executes.
+/// what `FmIndex::extend_left` actually executes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchCost {
     /// Paired-boundary `rank2` operations executed (one per live
@@ -62,14 +62,6 @@ pub struct SearchCost {
     /// symbol) — the finer-grained currency for comparing hot paths
     /// across wavelet shapes.
     pub wavelet_nodes: u64,
-}
-
-impl SearchCost {
-    /// Accumulates another cost into this one.
-    pub fn merge(&mut self, other: SearchCost) {
-        self.rank_ops += other.rank_ops;
-        self.wavelet_nodes += other.wavelet_nodes;
-    }
 }
 
 /// Strategy for constructing a wavelet structure from a symbol sequence;
@@ -151,7 +143,7 @@ impl<W: WaveletBuild> FmIndex<W> {
 /// query layer's scratch cache makes the splitter's suffix re-searches
 /// free.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SearchCursor {
+pub(crate) struct SearchCursor {
     st: u64,
     ed: u64,
     /// Symbols matched so far.
@@ -163,7 +155,7 @@ impl SearchCursor {
     /// dead cursor and for the zero-length pattern (matching Procedure 2,
     /// which never returns a range for the empty pattern).
     #[inline]
-    pub fn range(&self) -> IsaRange {
+    pub(crate) fn range(&self) -> IsaRange {
         if self.len == 0 || self.st >= self.ed {
             IsaRange::EMPTY
         } else {
@@ -177,24 +169,12 @@ impl SearchCursor {
     /// Whether no occurrence of the matched pattern remains (extending a
     /// dead cursor is a constant-time no-op).
     #[inline]
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.st >= self.ed
-    }
-
-    /// Number of symbols matched so far.
-    #[inline]
-    pub fn matched_len(&self) -> usize {
-        self.len as usize
     }
 }
 
 impl<W: SymbolRank> FmIndex<W> {
-    /// Length of the indexed text.
-    #[inline]
-    pub fn text_len(&self) -> usize {
-        self.bwt.len()
-    }
-
     /// The alphabet size σ.
     #[inline]
     pub fn alphabet_size(&self) -> u32 {
@@ -203,7 +183,7 @@ impl<W: SymbolRank> FmIndex<W> {
 
     /// A fresh cursor matching the empty pattern (every suffix matches).
     #[inline]
-    pub fn cursor(&self) -> SearchCursor {
+    pub(crate) fn cursor(&self) -> SearchCursor {
         SearchCursor {
             st: 0,
             ed: self.bwt.len() as u64,
@@ -216,7 +196,7 @@ impl<W: SymbolRank> FmIndex<W> {
     /// computed in a single paired wavelet descent
     /// ([`SymbolRank::rank2`]).
     #[inline]
-    pub fn extend_left(&self, cur: SearchCursor, c: u32) -> SearchCursor {
+    pub(crate) fn extend_left(&self, cur: SearchCursor, c: u32) -> SearchCursor {
         if cur.st >= cur.ed || c >= self.alphabet_size {
             return SearchCursor {
                 st: 0,
@@ -239,7 +219,7 @@ impl<W: SymbolRank> FmIndex<W> {
     /// mirroring the work the uncosted path performs. The returned cursor
     /// is bit-identical to `extend_left`'s.
     #[inline]
-    pub fn extend_left_costed(
+    pub(crate) fn extend_left_costed(
         &self,
         cur: SearchCursor,
         c: u32,
@@ -269,13 +249,10 @@ impl<W: SymbolRank> FmIndex<W> {
         cur.range()
     }
 
-    /// The ISA range of **every suffix** of the pattern in one backward
-    /// search: `out[k] = isa_range(&pattern[k..])`, appended to `out` in
-    /// index order. One search costs the same as `isa_range(pattern)`
-    /// (dead-state extensions are constant-time), and the recorded states
-    /// are what the query layer's suffix cache serves sub-path searches
-    /// from.
-    pub fn suffix_ranges(&self, pattern: &[u32], out: &mut Vec<IsaRange>) {
+    /// [`Self::suffix_ranges_costed`] without the cost: the tests' reference
+    /// that cost attribution changes no output.
+    #[cfg(test)]
+    fn suffix_ranges(&self, pattern: &[u32], out: &mut Vec<IsaRange>) {
         let from = out.len();
         out.resize(from + pattern.len(), IsaRange::EMPTY);
         let mut cur = self.cursor();
@@ -285,8 +262,12 @@ impl<W: SymbolRank> FmIndex<W> {
         }
     }
 
-    /// [`Self::suffix_ranges`] with cost attribution — identical output,
-    /// with each live backward-search step charged to `cost`.
+    /// The ISA range of **every suffix** of the pattern in one backward
+    /// search: `out[k] = isa_range(&pattern[k..])`, appended to `out` in
+    /// index order, with each live backward-search step charged to `cost`.
+    /// One search costs the same as `isa_range(pattern)` (dead-state
+    /// extensions are constant-time), and the recorded states are what the
+    /// query layer's suffix cache serves sub-path searches from.
     pub fn suffix_ranges_costed(
         &self,
         pattern: &[u32],
@@ -458,7 +439,7 @@ mod tests {
         let restored = FmIndex::<HuffmanWaveletTree>::restore(&mut r).unwrap();
         r.expect_exhausted("fm index").unwrap();
         assert_eq!(restored.alphabet_size(), 7);
-        assert_eq!(restored.text_len(), text.len());
+        assert_eq!(restored.bwt.len(), text.len());
         for a in 0..7u32 {
             for b in 0..7u32 {
                 assert_eq!(fm.isa_range(&[a, b]), restored.isa_range(&[a, b]));
@@ -501,7 +482,7 @@ mod tests {
         for k in (0..pattern.len()).rev() {
             cur = fm.extend_left(cur, pattern[k]);
             assert_eq!(cur.range(), fm.isa_range(&pattern[k..]), "suffix {k}");
-            assert_eq!(cur.matched_len(), pattern.len() - k);
+            assert_eq!(cur.len as usize, pattern.len() - k);
         }
         // Dead cursors absorb further extensions.
         let dead = fm.extend_left(cur, 2); // ⟨B,A,B,E⟩ never occurs
@@ -587,13 +568,6 @@ mod tests {
             cur_b = matrix.extend_left_costed(cur_b, c, &mut cost);
             assert_eq!(cur_a, cur_b);
         }
-
-        // merge() is additive.
-        let mut total = SearchCost::default();
-        total.merge(cost);
-        total.merge(cost);
-        assert_eq!(total.rank_ops, 2 * cost.rank_ops);
-        assert_eq!(total.wavelet_nodes, 2 * cost.wavelet_nodes);
     }
 
     proptest::proptest! {

@@ -158,7 +158,7 @@ impl HuffmanWaveletTree {
     }
 
     /// The code length (tree depth) of a symbol, if present.
-    pub fn code_len(&self, c: u32) -> Option<u8> {
+    pub(crate) fn code_len(&self, c: u32) -> Option<u8> {
         self.codes
             .get(c as usize)
             .copied()

@@ -8,9 +8,9 @@
 //!
 //! Everything is implemented from scratch:
 //!
-//! * [`suffix`] — linear-time SA-IS suffix array construction for integer
+//! * `suffix` — linear-time SA-IS suffix array construction for integer
 //!   alphabets, plus the inverse suffix array.
-//! * [`bwt`] — the Burrows–Wheeler transform and the `C` symbol-count array.
+//! * `bwt` — the Burrows–Wheeler transform and the `C` symbol-count array.
 //! * [`RankBitVec`] — a plain bit vector with constant-time `rank`.
 //! * [`WaveletMatrix`] — the balanced wavelet structure (rank in
 //!   `O(log σ)`).
@@ -27,14 +27,14 @@
 #![warn(missing_docs)]
 
 mod bitvec;
-pub mod bwt;
+pub(crate) mod bwt;
 mod fm;
 mod huffman;
-pub mod suffix;
+mod suffix;
 mod wavelet;
 
 pub use bitvec::RankBitVec;
-pub use fm::{FmIndex, IsaRange, SearchCost, SearchCursor, WaveletBuild};
+pub use fm::{FmIndex, IsaRange, SearchCost, WaveletBuild};
 pub use huffman::HuffmanWaveletTree;
 pub use wavelet::WaveletMatrix;
 

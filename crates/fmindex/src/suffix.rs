@@ -17,7 +17,7 @@
 /// precondition holds.
 ///
 /// Returns `sa` with `sa[j] = i` iff the suffix `text[i..]` has rank `j`.
-pub fn suffix_array(text: &[u32]) -> Vec<u32> {
+pub(crate) fn suffix_array(text: &[u32]) -> Vec<u32> {
     let n = text.len();
     if n == 0 {
         return Vec::new();
@@ -33,20 +33,12 @@ pub fn suffix_array(text: &[u32]) -> Vec<u32> {
 }
 
 /// Builds the inverse suffix array: `isa[i] = j` iff `sa[j] = i`.
-pub fn inverse_suffix_array(sa: &[u32]) -> Vec<u32> {
+pub(crate) fn inverse_suffix_array(sa: &[u32]) -> Vec<u32> {
     let mut isa = vec![0u32; sa.len()];
     for (j, &i) in sa.iter().enumerate() {
         isa[i as usize] = j as u32;
     }
     isa
-}
-
-/// Reference implementation: naive comparison sort of all suffixes.
-/// Exponentially slower than SA-IS; used by tests and benches only.
-pub fn naive_suffix_array(text: &[u32]) -> Vec<u32> {
-    let mut sa: Vec<u32> = (0..text.len() as u32).collect();
-    sa.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
-    sa
 }
 
 /// Core SA-IS over `text` which must end with a unique, minimal `0` sentinel.
@@ -191,6 +183,14 @@ fn sais(text: &[usize], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference implementation: naive comparison sort of all suffixes,
+    /// the oracle SA-IS is checked against.
+    fn naive_suffix_array(text: &[u32]) -> Vec<u32> {
+        let mut sa: Vec<u32> = (0..text.len() as u32).collect();
+        sa.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
+        sa
+    }
 
     /// The paper's Figure 3 text: `ABE$ACDE$ABF$ABE$` with `$ = 0`,
     /// `A = 1, B = 2, C = 3, D = 4, E = 5, F = 6`.

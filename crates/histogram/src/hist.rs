@@ -129,32 +129,6 @@ impl Histogram {
         }
     }
 
-    /// `B(H, [lo, hi))`: total mass of buckets whose *lower edge* lies in
-    /// `[lo, hi)` (bucket granularity, as in the paper's definitions).
-    pub fn count_range(&self, lo: f64, hi: f64) -> f64 {
-        if self.counts.is_empty() || hi <= lo {
-            return 0.0;
-        }
-        let lo_b = if lo <= 0.0 {
-            0
-        } else {
-            (lo / self.bucket_width).ceil() as u64
-        };
-        let hi_b = if hi <= 0.0 {
-            0
-        } else {
-            (hi / self.bucket_width).ceil() as u64
-        };
-        let from = lo_b.max(self.start_bucket);
-        let to = hi_b.min(self.start_bucket + self.counts.len() as u64);
-        if from >= to {
-            return 0.0;
-        }
-        self.counts[(from - self.start_bucket) as usize..(to - self.start_bucket) as usize]
-            .iter()
-            .sum()
-    }
-
     /// Iterator over `(bucket_lower_edge, mass)` for non-empty buckets.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.counts
@@ -284,23 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn count_range_uses_bucket_edges() {
-        let h = Histogram::from_values(&[5.0, 15.0, 25.0, 25.5], 10.0);
-        assert_eq!(h.count_range(0.0, 30.0), 4.0);
-        assert_eq!(h.count_range(10.0, 20.0), 1.0);
-        assert_eq!(h.count_range(10.0, 30.0), 3.0);
-        assert_eq!(h.count_range(20.0, 100.0), 2.0);
-        assert_eq!(h.count_range(30.0, 20.0), 0.0);
-        // Partial bucket overlap counts only buckets whose lower edge is in
-        // range.
-        assert_eq!(
-            h.count_range(5.0, 15.0),
-            1.0,
-            "only bucket [10,20) starts in [5,15)"
-        );
-    }
-
-    #[test]
     fn mean_and_edges() {
         let h = Histogram::from_values(&[10.0, 20.0, 30.0], 10.0);
         // Midpoints 15, 25, 35 → mean 25.
@@ -391,15 +348,6 @@ mod tests {
             let a = Histogram::from_values(&xs, 5.0);
             let b = Histogram::from_values(&ys, 5.0);
             proptest::prop_assert_eq!(a.convolve(&b), b.convolve(&a));
-        }
-
-        /// `count_range` over the full support equals the total.
-        #[test]
-        fn count_range_total(
-            xs in proptest::collection::vec(0.0f64..1000.0, 0..50),
-        ) {
-            let h = Histogram::from_values(&xs, 7.0);
-            proptest::prop_assert_eq!(h.count_range(0.0, 2000.0), h.total());
         }
     }
 }

@@ -35,7 +35,7 @@ impl<'a> SmoothedPdf<'a> {
     }
 
     /// Probability mass of the bucket containing `x`.
-    pub fn bucket_mass(&self, x: f64) -> f64 {
+    pub(crate) fn bucket_mass(&self, x: f64) -> f64 {
         let h = self.hist.bucket_width();
         let uniform = h / (self.t_max - self.t_min);
         let empirical = if self.hist.is_empty() {

@@ -37,12 +37,6 @@ impl TimeOfDayHistogram {
         }
     }
 
-    /// Bucket width in seconds.
-    #[inline]
-    pub fn bucket_secs(&self) -> u32 {
-        self.bucket_secs
-    }
-
     /// Records a traversal at an absolute timestamp.
     pub fn add(&mut self, timestamp: i64) {
         let sod = timestamp.rem_euclid(DAY);
@@ -50,15 +44,9 @@ impl TimeOfDayHistogram {
         self.total += 1;
     }
 
-    /// Total traversals `B(H, [0, 24h))`.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// `B(H, [start, end))` over seconds-of-day, with midnight wrap-around
     /// when `start ≥ end` (a periodic interval like 23:50–00:20).
-    pub fn count_range(&self, start_sod: i64, end_sod: i64) -> u64 {
+    pub(crate) fn count_range(&self, start_sod: i64, end_sod: i64) -> u64 {
         let start = start_sod.rem_euclid(DAY);
         // An end on a day boundary means "until midnight", not an empty
         // window — unless the window itself is zero-length.
@@ -145,7 +133,7 @@ mod tests {
         h.add(8 * 3600 + 200);
         h.add(17 * 3600); // 17:00
         h.add(DAY + 8 * 3600); // next day, 08:00
-        assert_eq!(h.total(), 4);
+        assert_eq!(h.total, 4);
         assert_eq!(h.count_range(8 * 3600, 9 * 3600), 3);
         assert_eq!(h.count_range(17 * 3600, 18 * 3600), 1);
         assert_eq!(h.count_range(0, DAY), 4);
@@ -203,7 +191,7 @@ mod tests {
         let restored = TimeOfDayHistogram::restore(&mut r).unwrap();
         r.expect_exhausted("tod histogram").unwrap();
         assert_eq!(restored, h);
-        assert_eq!(restored.total(), 5);
+        assert_eq!(restored.total, 5);
     }
 
     #[test]

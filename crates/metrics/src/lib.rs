@@ -12,18 +12,17 @@
 //! * [`LogHistogram`] — an HDR-style log-bucketed aggregating histogram
 //!   for service latency summaries: bounded memory regardless of sample
 //!   count, ≤ 1.6 % relative quantile error.
-//! * [`registry`] — a dependency-free labeled metrics registry
-//!   ([`MetricsRegistry`]) with Prometheus text exposition and a strict
-//!   format validator, built on [`LogHistogram`] for histogram series.
+//! * [`MetricsRegistry`] — a dependency-free labeled metrics registry
+//!   with Prometheus text exposition and a strict format validator
+//!   ([`validate_exposition`]), built on [`LogHistogram`] for histogram
+//!   series.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod registry;
+mod registry;
 
-pub use registry::{
-    validate_exposition, Counter, Gauge, HistogramHandle, MetricKind, MetricsRegistry,
-};
+pub use registry::{validate_exposition, Counter, Gauge, HistogramHandle, MetricsRegistry};
 
 use tthr_histogram::{Histogram, SmoothedPdf};
 
@@ -98,7 +97,7 @@ impl LogHistogram {
     }
 
     /// Records one value.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.counts[Self::bucket_of(v)] += 1;
         self.count += 1;
         self.sum += v as u128;
@@ -183,25 +182,13 @@ impl LogHistogram {
     /// Iterator over the non-empty buckets as `(bucket_index, count)`
     /// pairs, in ascending value order — the raw export a cross-process
     /// aggregator (e.g. the HTTP `/stats` endpoint) ships instead of lossy
-    /// pre-computed percentiles. [`LogHistogram::bucket_value`] maps an
-    /// index back to its representative value.
+    /// pre-computed percentiles.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
-    }
-
-    /// The representative (midpoint) value of a bucket index — the value
-    /// [`LogHistogram::value_at_percentile`] reports for quantiles landing
-    /// in that bucket. Indexes come from
-    /// [`LogHistogram::nonzero_buckets`]; out-of-range indexes saturate to
-    /// the top bucket's midpoint. Bucket 0 holds exactly the value 0 (all
-    /// buckets below 64 are exact unit buckets), and the top bucket's
-    /// midpoint is below `u64::MAX` — reading it back never overflows.
-    pub fn bucket_value(idx: usize) -> u64 {
-        Self::bucket_mid(idx.min(NUM_BUCKETS - 1))
     }
 
     /// The **inclusive upper bound** of a bucket: the largest value that
@@ -215,7 +202,7 @@ impl LogHistogram {
     /// This is the cumulative-bucket boundary Prometheus `le=` labels use:
     /// `bucket_of(bucket_bound(i)) == i` and
     /// `bucket_of(bucket_bound(i) + 1) == i + 1` for every non-top bucket.
-    pub fn bucket_bound(idx: usize) -> u64 {
+    pub(crate) fn bucket_bound(idx: usize) -> u64 {
         if idx >= NUM_BUCKETS {
             return u64::MAX;
         }
@@ -299,7 +286,7 @@ pub fn smape(pairs: &[(f64, f64)]) -> f64 {
 /// `Σⱼ wⱼ · |X̄ⱼ − aⱼ| / (½ (X̄ⱼ + aⱼ))` in percent, where each element of
 /// `subs` is `(weight, predicted mean, actual sub-path duration)` and the
 /// weights are the sub-paths' shares of the trip length.
-pub fn weighted_error_term(subs: &[(f64, f64, f64)]) -> f64 {
+pub(crate) fn weighted_error_term(subs: &[(f64, f64, f64)]) -> f64 {
     subs.iter()
         .map(|&(w, pred, actual)| {
             let denom = 0.5 * (pred + actual);
@@ -312,7 +299,7 @@ pub fn weighted_error_term(subs: &[(f64, f64, f64)]) -> f64 {
         .sum()
 }
 
-/// Weighted error over a query set: mean of [`weighted_error_term`].
+/// Weighted error over a query set: mean of `weighted_error_term`.
 pub fn weighted_error(queries: &[Vec<(f64, f64, f64)>]) -> f64 {
     mean(queries.iter().map(|q| weighted_error_term(q)))
 }
@@ -562,7 +549,7 @@ mod tests {
         let mut exported = 0;
         for (idx, count) in h.nonzero_buckets() {
             for _ in 0..count {
-                replayed.record(LogHistogram::bucket_value(idx));
+                replayed.record(LogHistogram::bucket_mid(idx));
             }
             exported += count;
         }
@@ -576,8 +563,6 @@ mod tests {
             assert!((a - b).abs() <= a / 64.0 + 1.0, "p{p}: {a} vs {b}");
         }
         assert!(LogHistogram::new().nonzero_buckets().next().is_none());
-        // Saturating index mapping cannot panic.
-        let _ = LogHistogram::bucket_value(usize::MAX);
     }
 
     #[test]
@@ -600,7 +585,7 @@ mod tests {
                 );
             }
             // The midpoint never exceeds the bound (no overflow artifacts).
-            assert!(LogHistogram::bucket_value(i) <= bound, "bucket {i}");
+            assert!(LogHistogram::bucket_mid(i) <= bound, "bucket {i}");
             prev = Some(bound);
         }
         // The top bucket saturates at u64::MAX instead of wrapping to 0.
@@ -608,7 +593,7 @@ mod tests {
         assert_eq!(LogHistogram::bucket_bound(usize::MAX), u64::MAX);
         // Bucket 0 is the exact value 0.
         assert_eq!(LogHistogram::bucket_bound(0), 0);
-        assert_eq!(LogHistogram::bucket_value(0), 0);
+        assert_eq!(LogHistogram::bucket_mid(0), 0);
     }
 
     #[test]

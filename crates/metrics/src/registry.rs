@@ -23,7 +23,7 @@
 //!
 //! [`MetricsRegistry::render`] produces the Prometheus text exposition
 //! format (`# HELP`/`# TYPE` headers, escaped label values, cumulative
-//! `le=` histogram buckets derived from [`LogHistogram::bucket_bound`]),
+//! `le=` histogram buckets derived from `LogHistogram::bucket_bound`),
 //! and [`validate_exposition`] is a strict parser for that format — shared
 //! by the unit tests and the end-to-end `/metrics` scrape checks.
 
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 
 /// What a family measures — fixes the exposition `# TYPE`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonically increasing `u64`.
     Counter,
     /// Instantaneous signed level.
@@ -316,7 +316,7 @@ impl MetricsRegistry {
     /// (version 0.0.4): per family a `# HELP` and `# TYPE` header, then
     /// one sample line per member — counters and gauges directly,
     /// histograms as cumulative `_bucket{le=…}` lines (bounds from
-    /// [`LogHistogram::bucket_bound`] over the non-empty buckets, plus
+    /// `LogHistogram::bucket_bound` over the non-empty buckets, plus
     /// `+Inf`), `_sum`, and `_count`.
     pub fn render(&self) -> String {
         let families = self.families.lock().unwrap_or_else(|e| e.into_inner());

@@ -43,38 +43,4 @@ impl EdgeAttrs {
             length_m,
         }
     }
-
-    /// Traversal time in seconds at the given speed: `3.6 · l / v`.
-    ///
-    /// Returns `None` when the speed is unknown; the network-level
-    /// [`crate::RoadNetwork::estimate_tt`] supplies the category-median
-    /// fallback in that case.
-    #[inline]
-    pub fn traversal_secs_at_limit(&self) -> Option<f64> {
-        self.speed_limit_kmh.map(|sl| 3.6 * self.length_m / sl)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn traversal_time_matches_table_1() {
-        // Table 1 of the paper: segment A, motorway, rural, 110 km/h, 900 m
-        // => 29.5 s (rounded).
-        let a = EdgeAttrs::new(Category::Motorway, Zone::Rural, 110.0, 900.0);
-        let tt = a.traversal_secs_at_limit().unwrap();
-        assert!((tt - 29.4545).abs() < 1e-3, "got {tt}");
-
-        // Segment F: primary, rural, 80 km/h, 800 m => 36.0 s.
-        let f = EdgeAttrs::new(Category::Primary, Zone::Rural, 80.0, 800.0);
-        assert!((f.traversal_secs_at_limit().unwrap() - 36.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unknown_speed_limit_yields_none() {
-        let e = EdgeAttrs::without_speed_limit(Category::Residential, Zone::City, 50.0);
-        assert_eq!(e.traversal_secs_at_limit(), None);
-    }
 }

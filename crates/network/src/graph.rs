@@ -98,20 +98,14 @@ impl RoadNetwork {
             .unwrap_or(self.category_fallback_kmh[attrs.category.index()])
     }
 
-    /// The median known speed limit of a category (km/h), as used by the
-    /// untagged-limit fallback.
-    pub fn category_fallback_kmh(&self, c: Category) -> f64 {
-        self.category_fallback_kmh[c.index()]
-    }
-
     /// Whether consecutive edges `a → b` connect head-to-tail.
     #[inline]
-    pub fn connects(&self, a: EdgeId, b: EdgeId) -> bool {
+    pub(crate) fn connects(&self, a: EdgeId, b: EdgeId) -> bool {
         self.to[a.index()] == self.from[b.index()]
     }
 
     /// Whether a sequence of edges forms a traversable path in this network.
-    pub fn is_traversable(&self, edges: &[EdgeId]) -> bool {
+    pub(crate) fn is_traversable(&self, edges: &[EdgeId]) -> bool {
         if edges.iter().any(|e| e.index() >= self.num_edges()) {
             return false;
         }
@@ -126,11 +120,6 @@ impl RoadNetwork {
     /// Total length of a path in meters: `Σ F(e).l`.
     pub fn path_length_m(&self, path: &Path) -> f64 {
         path.edges().iter().map(|e| self.attrs(*e).length_m).sum()
-    }
-
-    /// Sum of `estimateTT` over a path, in seconds.
-    pub fn path_estimate_tt(&self, path: &Path) -> f64 {
-        path.edges().iter().map(|e| self.estimate_tt(*e)).sum()
     }
 
     /// Iterator over all edge ids.
@@ -204,11 +193,6 @@ impl NetworkBuilder {
     /// Number of edges added so far.
     pub fn num_edges(&self) -> usize {
         self.from.len()
-    }
-
-    /// Number of vertices added so far.
-    pub fn num_vertices(&self) -> usize {
-        self.positions.len()
     }
 
     /// Position of an already-added vertex.
@@ -361,7 +345,10 @@ mod tests {
             EdgeAttrs::without_speed_limit(Category::Residential, Zone::City, 200.0),
         );
         let net = b.build();
-        assert_eq!(net.category_fallback_kmh(Category::Residential), 40.0);
+        assert_eq!(
+            net.category_fallback_kmh[Category::Residential.index()],
+            40.0
+        );
         assert_eq!(net.effective_speed_limit_kmh(untagged), 40.0);
         assert!((net.estimate_tt(untagged) - 3.6 * 200.0 / 40.0).abs() < 1e-12);
     }
@@ -393,7 +380,7 @@ mod tests {
         assert_eq!(net.num_vertices(), 0);
         // With no data at all the global default applies.
         assert_eq!(
-            net.category_fallback_kmh(Category::Primary),
+            net.category_fallback_kmh[Category::Primary.index()],
             GLOBAL_FALLBACK_KMH
         );
     }

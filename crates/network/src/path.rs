@@ -113,22 +113,6 @@ impl Path {
         assert!(m >= 1 && m < self.len(), "split point {m} out of range");
         (self.sub_path(0..m), self.sub_path(m..self.len()))
     }
-
-    /// Whether `other` occurs as a contiguous sub-sequence of `self`, i.e.
-    /// `∃ i, j : P[i, j) = other`. Returns the first starting index if so.
-    pub fn find_sub_path(&self, other: &Path) -> Option<usize> {
-        if other.len() > self.len() {
-            return None;
-        }
-        self.edges
-            .windows(other.len())
-            .position(|w| w == other.edges())
-    }
-
-    /// Whether `other` is a contiguous sub-path of `self`.
-    pub fn contains_sub_path(&self, other: &Path) -> bool {
-        self.find_sub_path(other).is_some()
-    }
 }
 
 impl fmt::Debug for Path {
@@ -193,17 +177,6 @@ mod tests {
         let (a, b) = path.split_at(2);
         assert_eq!(a, p(&[0, 2]));
         assert_eq!(b, p(&[3, 4]));
-    }
-
-    #[test]
-    fn find_sub_path() {
-        let path = p(&[0, 1, 4]); // ⟨A,B,E⟩
-        assert_eq!(path.find_sub_path(&p(&[0, 1])), Some(0));
-        assert_eq!(path.find_sub_path(&p(&[1, 4])), Some(1));
-        assert_eq!(path.find_sub_path(&p(&[4])), Some(2));
-        assert_eq!(path.find_sub_path(&p(&[0, 4])), None);
-        assert_eq!(path.find_sub_path(&p(&[0, 1, 4, 5])), None);
-        assert!(path.contains_sub_path(&path));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! segments for its transition probabilities.
 
 use crate::graph::RoadNetwork;
-use crate::path::Path;
 use crate::types::{EdgeId, VertexId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -62,13 +61,6 @@ pub struct Route {
     pub edges: Vec<EdgeId>,
     /// Total cost under the requested [`Weighting`].
     pub cost: f64,
-}
-
-impl Route {
-    /// The route as a [`Path`], or `None` for the trivial empty route.
-    pub fn to_path(&self) -> Option<Path> {
-        Path::try_new(self.edges.clone()).ok()
-    }
 }
 
 /// Reusable Dijkstra search state. Buffers are retained across queries so a

@@ -103,8 +103,10 @@ pub enum Category {
 }
 
 impl Category {
-    /// All 17 categories, ordered from most to least arterial.
-    pub const ALL: [Category; 17] = [
+    /// All 17 categories, ordered from most to least arterial (the tests'
+    /// check that [`Category::index`] is dense).
+    #[cfg(test)]
+    pub(crate) const ALL: [Category; 17] = [
         Category::Motorway,
         Category::MotorwayLink,
         Category::Trunk,
@@ -125,7 +127,7 @@ impl Category {
     ];
 
     /// Number of distinct categories.
-    pub const COUNT: usize = 17;
+    pub(crate) const COUNT: usize = 17;
 
     /// Stable dense index in `0..Self::COUNT`.
     #[inline]
@@ -147,29 +149,6 @@ impl Category {
                 | Category::Primary
                 | Category::PrimaryLink
         )
-    }
-
-    /// The OSM `highway=` tag value for this category.
-    pub fn osm_tag(self) -> &'static str {
-        match self {
-            Category::Motorway => "motorway",
-            Category::MotorwayLink => "motorway_link",
-            Category::Trunk => "trunk",
-            Category::TrunkLink => "trunk_link",
-            Category::Primary => "primary",
-            Category::PrimaryLink => "primary_link",
-            Category::Secondary => "secondary",
-            Category::SecondaryLink => "secondary_link",
-            Category::Tertiary => "tertiary",
-            Category::TertiaryLink => "tertiary_link",
-            Category::Unclassified => "unclassified",
-            Category::Residential => "residential",
-            Category::LivingStreet => "living_street",
-            Category::Service => "service",
-            Category::Track => "track",
-            Category::Road => "road",
-            Category::Pedestrian => "pedestrian",
-        }
     }
 }
 
@@ -195,10 +174,7 @@ impl Zone {
     /// All zone types.
     pub const ALL: [Zone; 4] = [Zone::City, Zone::Rural, Zone::SummerHouse, Zone::Ambiguous];
 
-    /// Number of distinct zone types.
-    pub const COUNT: usize = 4;
-
-    /// Stable dense index in `0..Self::COUNT`.
+    /// Stable dense index in `0..Self::ALL.len()`.
     #[inline]
     pub fn index(self) -> usize {
         self as usize
@@ -232,14 +208,6 @@ mod tests {
         assert!(!Category::Secondary.is_main_road());
         assert!(!Category::Residential.is_main_road());
         assert!(!Category::Service.is_main_road());
-    }
-
-    #[test]
-    fn osm_tags_are_unique() {
-        let mut tags: Vec<_> = Category::ALL.iter().map(|c| c.osm_tag()).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), Category::COUNT);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub const FRAME_HEADER: usize = 8;
 /// Largest accepted frame body (tag + payload). Append batches dominate;
 /// 64 MiB is far above any batch the service tier accepts and small
 /// enough that a corrupt length field cannot balloon a read buffer.
-pub const MAX_FRAME_BODY: u32 = 64 << 20;
+pub(crate) const MAX_FRAME_BODY: u32 = 64 << 20;
 
 /// A typed framing/decoding error. Every variant is a protocol violation
 /// by the peer (or wire corruption) — never an I/O condition.
@@ -81,7 +81,7 @@ pub enum FrameError {
     /// The stream ended inside a frame (blocking reads only; the
     /// incremental decoder reports [`Decode::Incomplete`] instead).
     Truncated,
-    /// The length field is zero or exceeds [`MAX_FRAME_BODY`].
+    /// The length field is zero or exceeds `MAX_FRAME_BODY` (64 MiB).
     Length {
         /// The claimed body length.
         len: u32,

@@ -470,7 +470,7 @@ mod peak_alloc {
         static PEAK: Cell<usize> = const { Cell::new(0) };
     }
 
-    pub struct Tracking;
+    pub(crate) struct Tracking;
 
     // SAFETY: every method forwards its arguments unchanged to `System`,
     // which upholds the `GlobalAlloc` contract; the bookkeeping touches
@@ -497,7 +497,7 @@ mod peak_alloc {
 
     /// Runs `f`, returning its result and the largest single allocation
     /// it requested on this thread.
-    pub fn of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    pub(crate) fn of<T>(f: impl FnOnce() -> T) -> (T, usize) {
         PEAK.with(|peak| peak.set(0));
         let out = f();
         (out, PEAK.with(Cell::get))

@@ -180,7 +180,7 @@ fn find_crlf_crlf(buf: &[u8]) -> Option<usize> {
 }
 
 /// The reason phrase of the statuses this server emits.
-pub fn reason_phrase(status: u16) -> &'static str {
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -200,7 +200,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
 pub(crate) const JSON_CONTENT_TYPE: &str = "application/json";
 
 /// The content type of the `/metrics` Prometheus text exposition.
-pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+pub(crate) const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
 /// The content type selecting the binary `/spq` fast path: the body is
 /// one `tthr-rpc` frame instead of a JSON document, and the response is
@@ -209,7 +209,7 @@ pub const FRAME_CONTENT_TYPE: &str = "application/x-tthr-frame";
 
 /// Serializes one response. `retry_after` adds the `Retry-After` header
 /// (load shedding); `keep_alive: false` adds `Connection: close`.
-pub fn encode_response(
+pub(crate) fn encode_response(
     status: u16,
     body: &[u8],
     keep_alive: bool,
@@ -220,7 +220,7 @@ pub fn encode_response(
 
 /// [`encode_response`] with an explicit `content-type` (everything this
 /// server emits is JSON except the `/metrics` text exposition).
-pub fn encode_response_with_content_type(
+pub(crate) fn encode_response_with_content_type(
     status: u16,
     body: &[u8],
     keep_alive: bool,

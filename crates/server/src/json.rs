@@ -10,7 +10,7 @@
 //!   `f64`), because timestamps legitimately exceed 2⁵³ (the differential
 //!   workload uses `i64::MAX / 4` interval bounds). Floats round-trip via
 //!   Rust's shortest-representation formatting.
-//! * **Bounded recursion** — nesting is capped ([`MAX_DEPTH`]), so a
+//! * **Bounded recursion** — nesting is capped (`MAX_DEPTH`), so a
 //!   `[[[[…` bomb from the network is a parse error, not a stack
 //!   overflow.
 //! * **One grammar** — [`parse`] and the [`Reader`] share the string,
@@ -29,7 +29,7 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by the parser.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,16 +146,6 @@ impl Json {
             }
         }
     }
-
-    /// Convenience constructor for a float that collapses integral values
-    /// to [`Json::Int`] when lossless (keeps the encoding canonical).
-    pub fn num(v: f64) -> Json {
-        if v.is_finite() && v == v.trunc() && v.abs() < (1u64 << 53) as f64 {
-            Json::Int(v as i64)
-        } else {
-            Json::Num(v)
-        }
-    }
 }
 
 /// Writes an integer as [`Json::Int`] does.
@@ -254,7 +244,7 @@ pub enum Token<'a> {
 ///
 /// It accepts exactly the documents [`parse`] accepts, and a value read
 /// from it equals the tree's: the two share every routine below the
-/// structure, and the nesting cap is the same [`MAX_DEPTH`]. The end of
+/// structure, and the nesting cap is the same `MAX_DEPTH`. The end of
 /// a well-formed document is `Ok(None)`; an error ends the document, and
 /// every later call returns it again.
 pub struct Reader<'a> {
@@ -690,9 +680,6 @@ mod tests {
             let back = parse(encoded.as_bytes()).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), f.to_bits(), "{f} via {encoded}");
         }
-        // Integral floats collapse to canonical integers via `num`.
-        assert_eq!(Json::num(3.0), Json::Int(3));
-        assert_eq!(Json::num(3.5), Json::Num(3.5));
     }
 
     #[test]

@@ -34,11 +34,11 @@
 //!
 //! * It keeps an in-memory **retained tail** of the WAL records that
 //!   advanced the state since the last snapshot rotation (capped at
-//!   [`TAIL_RETAIN_CAP`]), so `TailWal{from_stamp}` is answered from
+//!   `TAIL_RETAIN_CAP`), so `TailWal{from_stamp}` is answered from
 //!   memory. A stamp older than the tail is a typed `WalGap` — the
 //!   standby re-syncs from a snapshot instead.
 //! * `FetchSnapshot{offset}` serves the serialized state in
-//!   [`SNAPSHOT_CHUNK_BYTES`] chunks from a cached blob, stamped with
+//!   `SNAPSHOT_CHUNK_BYTES` chunks from a cached blob, stamped with
 //!   the `num_global` it captures; a resuming client that sees the stamp
 //!   change restarts at offset 0.
 //! * The node carries a [`Role`]: standbys answer reads at their applied
@@ -65,7 +65,7 @@ pub const NODE_WAL_FILE: &str = "node.wal";
 /// this the oldest are evicted and a standby that far behind re-syncs
 /// from a snapshot (the snapshot transfer is cheaper than shipping that
 /// much WAL anyway).
-pub const TAIL_RETAIN_CAP: usize = 1024;
+pub(crate) const TAIL_RETAIN_CAP: usize = 1024;
 
 /// Records per `WalRecords` page; a standby further behind re-polls
 /// immediately (the reply's `end_stamp` shows it the remaining lag).
@@ -78,7 +78,7 @@ const CONN_SCRATCH_SEARCHES: usize = 64;
 /// Snapshot transfer chunk size. Far below `MAX_FRAME_BODY`, large
 /// enough that a bootstrap is a few round trips, small enough that a
 /// severed transfer wastes little.
-pub const SNAPSHOT_CHUNK_BYTES: usize = 256 << 10;
+pub(crate) const SNAPSHOT_CHUNK_BYTES: usize = 256 << 10;
 
 /// A shard node's durable store: the in-memory [`ShardNodeState`] plus
 /// the snapshot/WAL pair that lets the process die and come back.
@@ -160,25 +160,15 @@ impl NodeStore {
         &self.state
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The node's replication role.
-    pub fn role(&self) -> Role {
+    pub(crate) fn role(&self) -> Role {
         self.role
     }
 
     /// Sets the replication role (a standby runtime flips this to
     /// [`Role::Standby`] before serving; `Promote` flips it back).
-    pub fn set_role(&mut self, role: Role) {
+    pub(crate) fn set_role(&mut self, role: Role) {
         self.role = role;
-    }
-
-    /// Whether appends go through the hot tail.
-    pub fn hot_tail(&self) -> bool {
-        self.hot_tail
     }
 
     /// Routes subsequent appends through the index's hot tail: the
@@ -200,13 +190,8 @@ impl NodeStore {
         self.state.num_global()
     }
 
-    /// The stamp the on-disk snapshot covers.
-    pub fn snapshot_stamp(&self) -> u64 {
-        self.snapshot_stamp
-    }
-
     /// The node's replication status as a wire message.
-    pub fn repl_status(&self) -> Message {
+    pub(crate) fn repl_status(&self) -> Message {
         Message::ReplStatus {
             role: self.role,
             applied_stamp: self.applied_stamp(),
@@ -248,7 +233,7 @@ impl NodeStore {
     /// the current state atomically, then starts a fresh WAL (see the
     /// module docs for the crash-ordering argument). The retained tail
     /// resets — everything it covered is in the snapshot now — and
-    /// [`NodeStore::snapshot_stamp`] advances, shipped to standbys via
+    /// `NodeStore::snapshot_stamp` advances, shipped to standbys via
     /// `ReplStatus`. A caught-up standby keeps tailing across the
     /// rotation (its stamp equals the new tail start); only a standby
     /// behind the rotation re-syncs, once, from the fresh snapshot.
@@ -262,7 +247,7 @@ impl NodeStore {
     /// Replaces the whole state from a shipped snapshot (standby
     /// re-sync after a `WalGap`): persists it atomically, starts a fresh
     /// WAL, and resets the replication bookkeeping.
-    pub fn replace_state(&mut self, state: ShardNodeState) -> Result<(), StoreError> {
+    pub(crate) fn replace_state(&mut self, state: ShardNodeState) -> Result<(), StoreError> {
         self.wal = rotate_to(&self.dir, &state)?;
         self.state = state;
         self.rotated();
@@ -282,7 +267,10 @@ impl NodeStore {
     /// the node's current stamp. `Err((expected, found))` is a WAL gap:
     /// the stamp predates the retained tail (or lies ahead of the node)
     /// and the caller must re-sync from a snapshot.
-    pub fn tail_since(&self, from_stamp: u64) -> Result<(Vec<NodeWalRecord>, u64), (u64, u64)> {
+    pub(crate) fn tail_since(
+        &self,
+        from_stamp: u64,
+    ) -> Result<(Vec<NodeWalRecord>, u64), (u64, u64)> {
         let applied = self.state.num_global();
         if from_stamp < self.tail_start || from_stamp > applied {
             return Err((self.tail_start, from_stamp));
@@ -301,7 +289,7 @@ impl NodeStore {
     /// is cached so a multi-chunk transfer is stable across concurrent
     /// appends; a fresh transfer (offset 0) re-captures the current
     /// state when the cache has gone stale.
-    pub fn snapshot_chunk(&self, offset: u64) -> Message {
+    pub(crate) fn snapshot_chunk(&self, offset: u64) -> Message {
         let blob = {
             let mut cache = self.blob.lock().expect("blob lock");
             let current = self.state.num_global();
@@ -357,7 +345,7 @@ pub fn serve_node(listener: TcpListener, store: NodeStore) -> std::io::Result<()
 /// A failed `accept` is transient, as in the epoll reactor: the loop
 /// keeps accepting. Out of file descriptors — each connection holds one —
 /// it sleeps 10 ms first, so it cannot spin until a connection closes.
-pub fn serve_node_shared(
+pub(crate) fn serve_node_shared(
     listener: TcpListener,
     store: Arc<RwLock<NodeStore>>,
 ) -> std::io::Result<()> {
@@ -375,7 +363,7 @@ pub fn serve_node_shared(
 
 /// One connection's request loop — public so tests (and embedders) can
 /// run a node on their own listener/threading setup.
-pub fn serve_node_conn(mut conn: TcpStream, store: &RwLock<NodeStore>) {
+pub(crate) fn serve_node_conn(mut conn: TcpStream, store: &RwLock<NodeStore>) {
     let _ = conn.set_nodelay(true);
     // One scratch per connection: a router sends one trip's sub-queries
     // down one pooled connection, so its sub-path searches hit the suffix
@@ -641,7 +629,7 @@ mod tests {
             } => {}
             other => panic!("response frame as request: {other:?}"),
         }
-        let dir = store.read().unwrap().dir().to_path_buf();
+        let dir = store.read().unwrap().dir.to_path_buf();
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -719,7 +707,7 @@ mod tests {
                 results: vec![want[1].clone(); MAX_LADDER_BATCH]
             }
         );
-        let dir = store.read().unwrap().dir().to_path_buf();
+        let dir = store.read().unwrap().dir.to_path_buf();
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -820,7 +808,7 @@ mod tests {
         let caught_up = hot.applied_stamp();
         hot.snapshot().unwrap();
         assert_eq!(hot.hot_stats().entries, 0, "rotation seals the backlog");
-        assert_eq!(hot.snapshot_stamp(), caught_up, "ReplStatus ships it");
+        assert_eq!(hot.snapshot_stamp, caught_up, "ReplStatus ships it");
         // A caught-up standby keeps tailing across the rotation — the
         // primary's compaction never reads as a WalGap to it.
         let (tail, end) = hot.tail_since(caught_up).unwrap();
@@ -868,12 +856,12 @@ mod tests {
         let store = NodeStore::open(&dir).unwrap();
         let (tail, _) = store.tail_since(base).unwrap();
         assert_eq!(tail, records);
-        assert_eq!(store.snapshot_stamp(), base);
+        assert_eq!(store.snapshot_stamp, base);
 
         // ...and resets on snapshot rotation: older stamps now gap.
         let mut store = store;
         store.snapshot().unwrap();
-        assert_eq!(store.snapshot_stamp(), base + 3);
+        assert_eq!(store.snapshot_stamp, base + 3);
         assert_eq!(store.tail_since(base), Err((base + 3, base)));
         let (tail, _) = store.tail_since(base + 3).unwrap();
         assert!(tail.is_empty());
@@ -949,7 +937,7 @@ mod tests {
             Message::Appended { .. } => {}
             other => panic!("promoted append: {other:?}"),
         }
-        let dir = store.read().unwrap().dir().to_path_buf();
+        let dir = store.read().unwrap().dir.to_path_buf();
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -966,7 +954,7 @@ mod tests {
         let shipped = ShardNodeState::from_snapshot_bytes(&primary.state().to_snapshot_bytes());
         standby.replace_state(shipped.unwrap()).unwrap();
         assert_eq!(standby.applied_stamp(), primary.applied_stamp());
-        assert_eq!(standby.snapshot_stamp(), primary.applied_stamp());
+        assert_eq!(standby.snapshot_stamp, primary.applied_stamp());
         drop(standby);
         // The replacement is durable and reopens at the shipped stamp.
         let reopened = NodeStore::open(&dir_b).unwrap();
@@ -998,7 +986,7 @@ mod tests {
             }
             other => panic!("expected WalGap, got {other:?}"),
         }
-        let dir = store.read().unwrap().dir().to_path_buf();
+        let dir = store.read().unwrap().dir.to_path_buf();
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -18,7 +18,7 @@
 //!    to the standby's own WAL as they arrive). Records the standby
 //!    already has skip by base stamp; a `WalGap` reply (the primary's
 //!    retained tail no longer reaches back far enough) re-syncs from a
-//!    fresh snapshot via [`NodeStore::replace_state`].
+//!    fresh snapshot via `NodeStore::replace_state`.
 //! 3. **Promotion** — a `Promote` request flips the role to primary
 //!    (served by the node dispatch); the tail loop notices and exits, and
 //!    the node starts accepting appends.
@@ -79,7 +79,7 @@ impl From<StoreError> for StandbyError {
 /// `FetchSnapshot` requests. Resumes by offset after short chunks and
 /// restarts from 0 if the blob stamp changes mid-transfer (the primary
 /// rotated or re-captured its snapshot).
-pub fn fetch_snapshot_bytes(primary: &NodeClient) -> Result<Vec<u8>, StandbyError> {
+pub(crate) fn fetch_snapshot_bytes(primary: &NodeClient) -> Result<Vec<u8>, StandbyError> {
     let mut got: Vec<u8> = Vec::new();
     let mut blob_stamp: Option<u64> = None;
     loop {
@@ -136,7 +136,7 @@ pub fn fetch_snapshot_bytes(primary: &NodeClient) -> Result<Vec<u8>, StandbyErro
 /// `node.snap` wins — the standby resumes from its local stamp and the
 /// tail loop catches it up; otherwise the primary's state is shipped
 /// into a fresh directory.
-pub fn bootstrap_standby(
+pub(crate) fn bootstrap_standby(
     dir: impl AsRef<std::path::Path>,
     primary: &NodeClient,
 ) -> Result<NodeStore, StandbyError> {
@@ -157,7 +157,7 @@ pub fn bootstrap_standby(
 /// shared write lock, so concurrent readers on the serving threads never
 /// observe a half-applied batch and every record persists to the
 /// standby's own WAL before the next poll.
-pub fn run_tail_loop(store: &Arc<RwLock<NodeStore>>, primary: &NodeClient) {
+pub(crate) fn run_tail_loop(store: &Arc<RwLock<NodeStore>>, primary: &NodeClient) {
     loop {
         {
             let guard = store.read().expect("store lock");

@@ -32,7 +32,7 @@ use std::time::Duration;
 
 /// What a registration wants to be woken for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the fd is readable (or the peer hung up).
     pub readable: bool,
     /// Wake when the fd is writable.
@@ -41,7 +41,7 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
     };
@@ -49,7 +49,7 @@ impl Interest {
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Clone, Copy, Debug)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the fd was registered with.
     pub token: u64,
     /// Readable (or peer-closed — the subsequent `read` reports which).
@@ -84,7 +84,7 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 }
 
 #[cfg(target_os = "linux")]
-pub use linux::Poller;
+pub(crate) use linux::Poller;
 
 #[cfg(target_os = "linux")]
 mod linux {
@@ -137,13 +137,13 @@ mod linux {
 
     /// A level-triggered `epoll` instance. Each of its methods is the one
     /// checked wrapper of one `epoll` call.
-    pub struct Poller {
+    pub(crate) struct Poller {
         epfd: OwnedFd,
     }
 
     impl Poller {
         /// Creates the epoll instance (close-on-exec).
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             // SAFETY: takes no pointers.
             let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             debug_assert!(fd >= 0, "epoll_create1 succeeded with fd {fd}");
@@ -171,22 +171,26 @@ mod linux {
         }
 
         /// Registers an fd.
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, interest, token)
         }
 
         /// Changes an fd's interest set.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, interest, token)
         }
 
         /// Deregisters an fd (must happen before the fd is closed).
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, Interest::READ, 0)
         }
 
         /// Blocks until readiness or timeout; appends events to `out`.
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
             // SAFETY: `epfd` is owned, so live for the call, and `buf` is a
             // writable array of `MAX_EVENTS` events; the kernel writes at
@@ -220,7 +224,7 @@ mod linux {
 }
 
 #[cfg(all(unix, not(target_os = "linux")))]
-pub use fallback::Poller;
+pub(crate) use fallback::Poller;
 
 #[cfg(all(unix, not(target_os = "linux")))]
 mod fallback {
@@ -255,12 +259,12 @@ mod fallback {
 
     /// `poll(2)`-backed stand-in with the same level-triggered semantics;
     /// [`Poller::wait`] is the one checked wrapper of `poll`.
-    pub struct Poller {
+    pub(crate) struct Poller {
         registered: Mutex<HashMap<RawFd, (u64, Interest)>>,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             Ok(Poller {
                 registered: Mutex::new(HashMap::new()),
             })
@@ -272,7 +276,7 @@ mod fallback {
             self.registered.lock().unwrap_or_else(|e| e.into_inner())
         }
 
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             if fd < 0 {
                 return Err(io::Error::from_raw_os_error(EBADF));
             }
@@ -284,7 +288,7 @@ mod fallback {
             Ok(())
         }
 
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             match self.registered().get_mut(&fd) {
                 Some(entry) => {
                     *entry = (token, interest);
@@ -294,14 +298,18 @@ mod fallback {
             }
         }
 
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
             match self.registered().remove(&fd) {
                 Some(_) => Ok(()),
                 None => Err(io::Error::from_raw_os_error(ENOENT)),
             }
         }
 
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             let snapshot: Vec<(RawFd, u64, Interest)> = self
                 .registered()
                 .iter()

@@ -15,10 +15,10 @@
 //!
 //! | Method & path | Request body                   | Response body |
 //! |---------------|--------------------------------|---------------|
-//! | `GET /health` | —                              | [`{"status":"ok","ingest":…}`](encode_health) |
+//! | `GET /health` | —                              | `{"status":"ok","ingest":…}` |
 //! | `GET /stats`  | —                              | service + server statistics |
 //! | `GET /metrics`| —                              | Prometheus text exposition |
-//! | `GET /debug/slow` | —                          | [slow-query log](encode_slow) |
+//! | `GET /debug/slow` | —                          | slow-query log |
 //! | `POST /spq`   | [SPQ](decode_spq)              | `{"values":[…],"fallback":…}` |
 //! | `POST /trip`  | [SPQ](decode_spq)              | trip result (stats, subs, histogram) |
 //! | `POST /batch` | `{"queries":[SPQ,…]}`          | `{"trips":[…]}` |
@@ -79,7 +79,7 @@ fn err(reason: impl Into<String>) -> WireError {
 
 /// Encodes the `/health` body: liveness plus the ingestion-lifecycle
 /// status (hot-tail backlog and compaction counters).
-pub fn encode_health(ingest: &tthr_service::IngestStatus) -> String {
+pub(crate) fn encode_health(ingest: &tthr_service::IngestStatus) -> String {
     obj(vec![
         ("status", Json::Str("ok".to_string())),
         (
@@ -731,7 +731,7 @@ fn buckets_json(h: &LogHistogram) -> Json {
 /// Encodes the `/stats` response: the [`ServiceStats`] snapshot, the raw
 /// per-endpoint latency bucket export (`ns` log-buckets — see
 /// [`LogHistogram::nonzero_buckets`]), and the server-side counters.
-pub fn encode_stats(
+pub(crate) fn encode_stats(
     stats: &ServiceStats,
     histograms: &PerEndpoint<LogHistogram>,
     server: &crate::ServerMetrics,
@@ -829,7 +829,7 @@ fn slow_query_json(q: &SlowQuery) -> Json {
 /// Encodes the `/debug/slow` response: the worst queries seen (by wall
 /// latency, worst first) and an every-Nth sample stream (oldest first),
 /// each with its full [`QueryTrace`](tthr_core::QueryTrace).
-pub fn encode_slow(top: &[SlowQuery], sampled: &[SlowQuery]) -> String {
+pub(crate) fn encode_slow(top: &[SlowQuery], sampled: &[SlowQuery]) -> String {
     obj(vec![
         ("top", Json::Arr(top.iter().map(slow_query_json).collect())),
         (

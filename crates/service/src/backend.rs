@@ -11,7 +11,7 @@
 //! * [`ShardedSntIndex`] — `K` network-partitioned shards. An append
 //!   touches only the shards its trajectories cross, so the service can
 //!   invalidate just those shards' cache entries; readers of untouched
-//!   shards keep their warm entries ([`AppendEffect::touched_shards`]).
+//!   shards keep their warm entries (`AppendEffect::touched_shards`).
 //!
 //! The trait also owns the on-disk formats: each backend serializes its
 //! own snapshot container and WAL record flavor, and replays its own
@@ -37,7 +37,7 @@ pub struct AppendEffect {
     /// Index shards the append wrote, or `None` when the whole index
     /// changed (the monolithic backend): `None` forces a full cache
     /// clear, `Some(shards)` evicts only queries routing to those shards.
-    pub touched_shards: Option<Vec<usize>>,
+    pub(crate) touched_shards: Option<Vec<usize>>,
 }
 
 /// An index a [`QueryService`](crate::QueryService) can serve, append to,
@@ -134,7 +134,7 @@ pub trait ServiceBackend: IndexBackend + Send + Sync + Sized + 'static {
 
     /// The index shard a query routes to, or `None` when the backend is
     /// unpartitioned. Used to decide which cache entries an append
-    /// invalidates; must agree with how [`AppendEffect::touched_shards`]
+    /// invalidates; must agree with how `AppendEffect::touched_shards`
     /// numbers shards.
     fn route_shard(&self, spq: &Spq) -> Option<usize>;
 

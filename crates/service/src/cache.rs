@@ -3,12 +3,12 @@
 //! The cache key is the whole [`Spq`] — path, interval, filter, β, and
 //! exclusion — because [`SntIndex::get_travel_times`] is a pure function of
 //! `(index state, query)`; see `tthr_core::Spq`'s `Hash` impl. Index
-//! mutations invalidate either the whole cache ([`ShardedCache::clear`],
+//! mutations invalidate either the whole cache (`ShardedCache::clear`,
 //! monolithic backends) or exactly the entries routing to the written
-//! index shards ([`ShardedCache::clear_where`], partitioned backends).
+//! index shards (`ShardedCache::clear_where`, partitioned backends).
 //!
 //! **One hash per key.** A caller hashes a key once with
-//! [`ShardedCache::hash`] — the cache's own keyed hasher (`RandomState` by
+//! `ShardedCache::hash` — the cache's own keyed hasher (`RandomState` by
 //! default: request keys come from sockets) — and hands that `u64` to every
 //! call for the key. Its high bits pick the shard (independently locked,
 //! so concurrent workers rarely contend); inside the shard the same `u64`
@@ -39,7 +39,7 @@ mod oracle;
 
 /// Monotonic counters describing cache behaviour since construction.
 ///
-/// Counters are cumulative and never reset by [`ShardedCache::clear`];
+/// Counters are cumulative and never reset by `ShardedCache::clear`;
 /// rates derived from them (hit rate) describe the service's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
@@ -250,7 +250,7 @@ pub(crate) const CACHE_SHARDS: usize = 16;
 /// admission once a shard is full (see the module docs).
 ///
 /// `S` is the key hasher; the default `RandomState` is keyed per cache.
-pub struct ShardedCache<S = RandomState> {
+pub(crate) struct ShardedCache<S = RandomState> {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
     hasher: S,
@@ -265,14 +265,14 @@ impl ShardedCache {
     /// A cache of ~`capacity` total entries over `shards` locks. A zero
     /// capacity disables caching (every lookup misses, inserts are
     /// dropped).
-    pub fn new(shards: usize, capacity: usize) -> Self {
+    pub(crate) fn new(shards: usize, capacity: usize) -> Self {
         Self::with_hasher(shards, capacity, RandomState::new())
     }
 }
 
 impl<S: BuildHasher> ShardedCache<S> {
     /// [`ShardedCache::new`] with the given key hasher.
-    pub fn with_hasher(shards: usize, capacity: usize, hasher: S) -> Self {
+    pub(crate) fn with_hasher(shards: usize, capacity: usize, hasher: S) -> Self {
         let shards = shards.max(1);
         let per_shard_capacity = if capacity == 0 {
             0
@@ -295,7 +295,7 @@ impl<S: BuildHasher> ShardedCache<S> {
 
     /// The key's hash: computed once per key by the caller and passed to
     /// every other call for that key.
-    pub fn hash(&self, key: &Spq) -> u64 {
+    pub(crate) fn hash(&self, key: &Spq) -> u64 {
         self.hasher.hash_one(key)
     }
 
@@ -313,7 +313,7 @@ impl<S: BuildHasher> ShardedCache<S> {
 
     /// Looks a query up, refreshing its recency on a hit; counts the hit
     /// or the miss. `hash` is [`ShardedCache::hash`] of `key`.
-    pub fn get(&self, hash: u64, key: &Spq) -> Option<TravelTimes> {
+    pub(crate) fn get(&self, hash: u64, key: &Spq) -> Option<TravelTimes> {
         let hit = self.probe(hash, key);
         if hit.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -324,7 +324,7 @@ impl<S: BuildHasher> ShardedCache<S> {
     /// [`ShardedCache::get`] that counts only a hit: for a caller whose
     /// miss falls through to one that looks the query up again with
     /// [`ShardedCache::get`], so every request counts once.
-    pub fn probe(&self, hash: u64, key: &Spq) -> Option<TravelTimes> {
+    pub(crate) fn probe(&self, hash: u64, key: &Spq) -> Option<TravelTimes> {
         if self.per_shard_capacity == 0 {
             return None;
         }
@@ -337,7 +337,7 @@ impl<S: BuildHasher> ShardedCache<S> {
     /// takes it; a full one takes it only on the key's second sighting,
     /// evicting its least-recently-used entry. Key and value are cloned
     /// only when stored. `hash` is [`ShardedCache::hash`] of `key`.
-    pub fn insert(&self, hash: u64, key: &Spq, value: &TravelTimes) {
+    pub(crate) fn insert(&self, hash: u64, key: &Spq, value: &TravelTimes) {
         if self.per_shard_capacity == 0 {
             return;
         }
@@ -357,7 +357,7 @@ impl<S: BuildHasher> ShardedCache<S> {
 
     /// Drops every entry (index-update invalidation), emptying the shards
     /// in place.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for shard in &self.shards {
             shard.lock().expect("cache shard").clear();
         }
@@ -368,7 +368,7 @@ impl<S: BuildHasher> ShardedCache<S> {
     /// other entry (and its recency) untouched — the scoped invalidation
     /// a partitioned index uses when an append wrote only some shards.
     /// Returns the number of entries removed; counts one invalidation.
-    pub fn clear_where(&self, pred: impl Fn(&Spq) -> bool) -> usize {
+    pub(crate) fn clear_where(&self, pred: impl Fn(&Spq) -> bool) -> usize {
         let mut removed = 0;
         for shard in &self.shards {
             let mut shard = shard.lock().expect("cache shard");
@@ -390,7 +390,7 @@ impl<S: BuildHasher> ShardedCache<S> {
     }
 
     /// Snapshot of the counters.
-    pub fn counters(&self) -> CacheCounters {
+    pub(crate) fn counters(&self) -> CacheCounters {
         CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -7,7 +7,7 @@
 //! pay off. This crate adds that serving layer without touching query
 //! semantics:
 //!
-//! * [`QueryService`] — wraps an index [`backend`] + `Arc<RoadNetwork>`
+//! * [`QueryService`] — wraps an index backend + `Arc<RoadNetwork>`
 //!   behind a thread-safe API for single SPQs, single trip queries, and
 //!   batches of trip queries. The backend is generic
 //!   ([`ServiceBackend`]): the monolithic `SntIndex` appends under the
@@ -20,13 +20,13 @@
 //!   *from* a pool worker deadlock-free. A trip itself runs on one thread,
 //!   on the engine's round driver
 //!   ([`QueryEngine::trip_query_via_with`]).
-//! * a **sharded LRU cache** ([`cache`]) keyed by the full SPQ
+//! * a **sharded LRU cache** keyed by the full SPQ
 //!   `(path, interval, filter, β, exclusion)`, hashed once per lookup,
 //!   with one `Mutex` per shard, second-sighting admission once a shard
 //!   is full, and hit/miss/eviction/rejection counters. Appends
 //!   invalidate it scoped to the backend: whole-cache for the monolith,
 //!   only the entries routing to touched index shards for the sharded
-//!   backend ([`cache::ShardedCache::clear_where`]).
+//!   backend (`cache::ShardedCache::clear_where`).
 //! * [`ServiceStats`] — p50/p95/p99 latency, throughput, and cache hit
 //!   rate, computed with `tthr-metrics`.
 //! * an **observability layer** — every request is cost-traced
@@ -62,18 +62,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod cache;
+mod backend;
+mod cache;
 mod persist;
 pub mod pool;
 mod stats;
 
 pub use backend::{AppendEffect, ServiceBackend};
-pub use cache::{CacheCounters, ShardedCache};
+pub use cache::CacheCounters;
 pub use persist::{SnapshotInfo, SNAPSHOT_FILE, WAL_FILE};
 pub use pool::ThreadPool;
 pub use stats::{Endpoint, LatencySummary, PerEndpoint, ServiceStats, SlowQuery};
 
+use crate::cache::ShardedCache;
 use crate::stats::{LatencyLog, ServiceMetrics, SlowLog};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -931,14 +932,6 @@ impl<B: ServiceBackend> QueryService<B> {
             uptime,
         };
         (stats, histograms)
-    }
-
-    /// The merged raw latency histogram of one endpoint — the lossless
-    /// export ([`tthr_metrics::LogHistogram::nonzero_buckets`]) a
-    /// cross-process aggregator or the HTTP `/stats` endpoint ships
-    /// instead of pre-computed percentiles.
-    pub fn endpoint_histogram(&self, endpoint: Endpoint) -> LogHistogram {
-        self.inner.latency.merged(endpoint)
     }
 
     /// The service's metrics registry. Other layers (e.g. a network

@@ -125,11 +125,6 @@ impl<B: ServiceBackend> QueryService<B> {
         });
         Ok(service)
     }
-
-    /// The attached storage directory, if the service is persistent.
-    pub fn store_dir(&self) -> Option<PathBuf> {
-        store_dir(&self.inner)
-    }
 }
 
 /// The storage directory attached to the service internals, if any.
@@ -241,7 +236,7 @@ mod tests {
         let info = service.save_snapshot(&dir).unwrap();
         assert_eq!(info.trajectories, 4);
         assert!(info.bytes > 0);
-        assert_eq!(service.store_dir().as_deref(), Some(dir.as_path()));
+        assert_eq!(store_dir(&service.inner).as_deref(), Some(dir.as_path()));
 
         let reopened = QueryService::open(&dir, network, ServiceConfig::default()).unwrap();
         assert_eq!(

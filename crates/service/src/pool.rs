@@ -55,7 +55,7 @@ impl ThreadPool {
     }
 
     /// Number of worker threads.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.workers.len()
     }
 

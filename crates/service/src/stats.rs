@@ -27,7 +27,7 @@ use tthr_metrics::{Counter, Gauge, HistogramHandle, LogHistogram, MetricsRegistr
 /// endpoint ([`ServiceStats::endpoints`]) plus the merged overall summary
 /// ([`ServiceStats::latency`]); the raw per-endpoint histograms are
 /// exported by
-/// [`QueryService::endpoint_histogram`](crate::QueryService::endpoint_histogram).
+/// [`QueryService::stats_with_histograms`](crate::QueryService::stats_with_histograms).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// Single SPQs ([`QueryService::get_travel_times`](crate::QueryService::get_travel_times)).

@@ -121,7 +121,7 @@ impl<'a> ByteReader<'a> {
 
     /// Whether every byte has been consumed.
     #[inline]
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
 

@@ -83,7 +83,7 @@
 //! ```
 //!
 //! A crash can tear the **tail** of the log (a partially flushed record).
-//! [`wal::read_wal`] therefore stops at the first incomplete or
+//! `wal::read_wal` therefore stops at the first incomplete or
 //! CRC-mismatching record, reports everything before it as intact, and
 //! returns the byte offset the log should be truncated to before further
 //! appends ([`wal::WalRecovery`]). Records are opaque bytes at this layer;

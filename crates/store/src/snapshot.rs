@@ -6,10 +6,10 @@ use crate::crc::crc32;
 use crate::error::StoreError;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TTHRSNAP";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"TTHRSNAP";
 
 /// Newest container format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// Bytes per section-table entry: id (4) + offset (8) + length (8) + CRC (4).
 const TABLE_ENTRY_BYTES: usize = 24;

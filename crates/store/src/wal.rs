@@ -14,10 +14,10 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Magic bytes opening every WAL file.
-pub const WAL_MAGIC: [u8; 8] = *b"TTHRWAL1";
+pub(crate) const WAL_MAGIC: [u8; 8] = *b"TTHRWAL1";
 
 /// Newest WAL format version this build reads and writes.
-pub const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 1;
 
 /// Header length in bytes (magic + version).
 const HEADER_BYTES: u64 = 12;
@@ -28,7 +28,7 @@ pub struct WalRecovery {
     pub records: Vec<Vec<u8>>,
     /// File offset just past the last intact record — the length the file
     /// must be truncated to before appending after a crash.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// Whether bytes past `valid_len` were discarded (torn tail).
     pub torn: bool,
 }
@@ -42,7 +42,7 @@ pub struct WalRecovery {
 /// * A torn tail (incomplete length/CRC/payload, or a payload failing its
 ///   CRC) ends the scan; everything before it is returned and
 ///   [`WalRecovery::torn`] is set.
-pub fn read_wal(path: &Path) -> Result<WalRecovery, StoreError> {
+pub(crate) fn read_wal(path: &Path) -> Result<WalRecovery, StoreError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),

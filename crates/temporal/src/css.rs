@@ -165,7 +165,7 @@ impl CssTree {
 
     /// Index of the first entry with `time ≥ key`, via directory descent —
     /// `O(log_FANOUT n)` node visits, each one cache line.
-    pub fn lower_bound(&self, key: i64) -> usize {
+    pub(crate) fn lower_bound(&self, key: i64) -> usize {
         if self.entries.is_empty() {
             return 0;
         }

@@ -55,7 +55,7 @@ impl LeafEntry {
     /// up front and parsed with `chunks_exact` — one bounds check per
     /// record instead of one per field. Forests hold millions of leaves;
     /// this is the hot loop of a snapshot load.
-    pub fn restore_seq(r: &mut ByteReader<'_>) -> Result<Vec<LeafEntry>, StoreError> {
+    pub(crate) fn restore_seq(r: &mut ByteReader<'_>) -> Result<Vec<LeafEntry>, StoreError> {
         const WIRE: usize = LeafEntry::logical_size(true);
         let n = r.get_len(WIRE)?;
         let bytes = r.get_bytes(n * WIRE)?;

@@ -20,7 +20,7 @@ use tthr_network::examples::{EDGE_A, EDGE_B, EDGE_C, EDGE_D, EDGE_E, EDGE_F};
 /// User `u1` of the example.
 pub const USER_1: UserId = UserId(1);
 /// User `u2` of the example.
-pub const USER_2: UserId = UserId(2);
+pub(crate) const USER_2: UserId = UserId(2);
 
 /// Builds the example trajectory set `T = {tr0, tr1, tr2, tr3}`.
 pub fn example_trajectories() -> TrajectorySet {

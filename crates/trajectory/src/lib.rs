@@ -25,5 +25,5 @@ mod types;
 
 pub use gps::{GpsPoint, GpsTrace};
 pub use set::TrajectorySet;
-pub use traj::{TrajEntry, Trajectory, TrajectoryError, MAX_ABS_ENTER_TIME, MAX_TRAVEL_TIME};
+pub use traj::{TrajEntry, Trajectory, TrajectoryError};
 pub use types::{TrajId, UserId};

@@ -13,7 +13,6 @@ use crate::types::{TrajId, UserId};
 #[derive(Clone, Debug, Default)]
 pub struct TrajectorySet {
     trajectories: Vec<Trajectory>,
-    num_users: u32,
     total_traversals: usize,
 }
 
@@ -32,7 +31,6 @@ impl TrajectorySet {
     ) -> Result<TrajId, TrajectoryError> {
         let id = TrajId(self.trajectories.len() as u32);
         let tr = Trajectory::new(id, user, entries)?;
-        self.num_users = self.num_users.max(user.0 + 1);
         self.total_traversals += tr.len();
         self.trajectories.push(tr);
         Ok(id)
@@ -54,12 +52,6 @@ impl TrajectorySet {
     #[inline]
     pub fn total_traversals(&self) -> usize {
         self.total_traversals
-    }
-
-    /// One past the largest user id seen (users are assumed dense as well).
-    #[inline]
-    pub fn num_users(&self) -> usize {
-        self.num_users as usize
     }
 
     /// The trajectory with the given id.
@@ -117,7 +109,6 @@ mod tests {
         assert_eq!(b, TrajId(1));
         assert_eq!(set.get(a).user(), UserId(1));
         assert_eq!(set.len(), 2);
-        assert_eq!(set.num_users(), 3);
         assert_eq!(set.total_traversals(), 2);
     }
 

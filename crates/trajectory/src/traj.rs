@@ -14,7 +14,7 @@ pub struct TrajEntry {
     /// Entry timestamp (seconds since data set epoch).
     pub enter_time: Timestamp,
     /// Time spent on the segment, in seconds
-    /// (`0 < TT ≤` [`MAX_TRAVEL_TIME`]).
+    /// (`0 < TT ≤ MAX_TRAVEL_TIME`, one day).
     pub travel_time: f64,
 }
 
@@ -22,13 +22,13 @@ pub struct TrajEntry {
 /// one day per segment. Histograms size their bucket vectors by value, so
 /// an unbounded duration arriving over `/append` could ask one query for
 /// an arbitrarily large allocation.
-pub const MAX_TRAVEL_TIME: f64 = 86_400.0;
+pub(crate) const MAX_TRAVEL_TIME: f64 = 86_400.0;
 
 /// The largest magnitude an entry timestamp may have, in seconds: 2⁵³,
 /// about 285 million years either side of the epoch. Queries add day
 /// windows, travel times and one-past-the-end scan bounds to stored
 /// timestamps; within this bound none of that arithmetic leaves `i64`.
-pub const MAX_ABS_ENTER_TIME: Timestamp = 1 << 53;
+pub(crate) const MAX_ABS_ENTER_TIME: Timestamp = 1 << 53;
 
 impl TrajEntry {
     /// Creates an entry.
@@ -76,12 +76,12 @@ pub enum TrajectoryError {
         /// Index of the offending entry.
         at: usize,
     },
-    /// Traversal durations must not exceed [`MAX_TRAVEL_TIME`].
+    /// Traversal durations must not exceed one day (`MAX_TRAVEL_TIME`).
     TravelTimeTooLong {
         /// Index of the offending entry.
         at: usize,
     },
-    /// Entry timestamps must lie within ±[`MAX_ABS_ENTER_TIME`].
+    /// Entry timestamps must lie within ±2⁵³ s (`MAX_ABS_ENTER_TIME`).
     EnterTimeOutOfRange {
         /// Index of the offending entry.
         at: usize,
@@ -133,8 +133,8 @@ pub struct Trajectory {
 impl Trajectory {
     /// Creates a trajectory, validating the paper's sequence invariants:
     /// non-empty, strictly increasing entry timestamps within
-    /// ±[`MAX_ABS_ENTER_TIME`], positive finite durations of at most
-    /// [`MAX_TRAVEL_TIME`].
+    /// ±2⁵³ s (`MAX_ABS_ENTER_TIME`), positive finite durations of at most
+    /// one day (`MAX_TRAVEL_TIME`).
     pub fn new(id: TrajId, user: UserId, entries: Vec<TrajEntry>) -> Result<Self, TrajectoryError> {
         if entries.is_empty() {
             return Err(TrajectoryError::Empty);
@@ -200,11 +200,6 @@ impl Trajectory {
         Path::new(self.entries.iter().map(|e| e.edge).collect())
     }
 
-    /// The edge sequence without allocating a [`Path`].
-    pub fn edge_at(&self, i: usize) -> EdgeId {
-        self.entries[i].edge
-    }
-
     /// Total duration of the whole trajectory: `Σ TTᵢ`.
     pub fn total_duration(&self) -> f64 {
         self.entries.iter().map(|e| e.travel_time).sum()
@@ -213,23 +208,16 @@ impl Trajectory {
     /// The paper's duration function `Dur(tr, P)`: the sum of traversal times
     /// over the **first** occurrence of `P` as a contiguous sub-path of
     /// `P_tr`, or `None` when `P_tr` does not contain `P` (the paper leaves
-    /// `Dur` undefined in that case).
-    pub fn duration_over(&self, path: &Path) -> Option<f64> {
+    /// `Dur` undefined in that case). The tests' reference for the example
+    /// data of Section 2.3.
+    #[cfg(test)]
+    pub(crate) fn duration_over(&self, path: &Path) -> Option<f64> {
         self.occurrences_of(path).next().map(|i| {
             self.entries[i..i + path.len()]
                 .iter()
                 .map(|e| e.travel_time)
                 .sum()
         })
-    }
-
-    /// Entry timestamp into the first occurrence of `P`, if any: the time the
-    /// trajectory entered `P`'s first segment. This is the timestamp the SPQ
-    /// temporal predicate is evaluated against.
-    pub fn enter_time_of(&self, path: &Path) -> Option<Timestamp> {
-        self.occurrences_of(path)
-            .next()
-            .map(|i| self.entries[i].enter_time)
     }
 
     /// Iterator over the starting indices of **all** occurrences of `P` as a
@@ -248,20 +236,6 @@ impl Trajectory {
     /// Whether the trajectory strictly traverses `P` (no detours inside `P`).
     pub fn traverses(&self, path: &Path) -> bool {
         self.occurrences_of(path).next().is_some()
-    }
-
-    /// Prefix sums of traversal times: `a_seq = Σ_{i ≤ seq} TTᵢ`, the
-    /// aggregate the extended SNT-index stores in every temporal leaf
-    /// (paper, Section 4.1.3).
-    pub fn aggregate_times(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        self.entries
-            .iter()
-            .map(|e| {
-                acc += e.travel_time;
-                acc
-            })
-            .collect()
     }
 }
 
@@ -362,20 +336,13 @@ mod tests {
         let tr = tr1();
         let full = Path::new(vec![EdgeId(0), EdgeId(2), EdgeId(3), EdgeId(4)]);
         assert_eq!(tr.duration_over(&full), Some(15.0));
+        assert_eq!(tr.total_duration(), 15.0);
         // Dur over sub-path ⟨C,D⟩ = 2+4 = 6.
         let cd = Path::new(vec![EdgeId(2), EdgeId(3)]);
         assert_eq!(tr.duration_over(&cd), Some(6.0));
         // ⟨A,B⟩ is not contained: undefined.
         let ab = Path::new(vec![EdgeId(0), EdgeId(1)]);
         assert_eq!(tr.duration_over(&ab), None);
-    }
-
-    #[test]
-    fn enter_time_of_sub_path() {
-        let tr = tr1();
-        let cd = Path::new(vec![EdgeId(2), EdgeId(3)]);
-        assert_eq!(tr.enter_time_of(&cd), Some(6));
-        assert_eq!(tr.start_time(), 2);
     }
 
     #[test]
@@ -400,13 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_are_prefix_sums() {
-        let tr = tr1();
-        assert_eq!(tr.aggregate_times(), vec![4.0, 6.0, 10.0, 15.0]);
-        assert_eq!(tr.total_duration(), 15.0);
-    }
-
-    #[test]
     fn path_roundtrip() {
         let tr = tr1();
         assert_eq!(
@@ -415,5 +375,6 @@ mod tests {
         );
         assert!(tr.traverses(&Path::new(vec![EdgeId(3), EdgeId(4)])));
         assert!(!tr.traverses(&Path::new(vec![EdgeId(4), EdgeId(3)])));
+        assert_eq!(tr.start_time(), 2);
     }
 }

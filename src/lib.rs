@@ -14,15 +14,16 @@
 //! per-sub-path histograms are convolved into a distribution for the whole
 //! trip.
 //!
-//! This facade crate re-exports the entire workspace:
+//! This facade crate re-exports the workspace crates that its tests,
+//! examples and binaries use, plus a [`prelude`]. The FM-index substrate
+//! (`tthr-fmindex`: SA-IS suffix arrays, BWT, wavelet trees, backward
+//! search) and the temporal index forests (`tthr-temporal`: B+-trees and
+//! CSS-trees) sit behind [`core`] and are not re-exported.
 //!
 //! * [`network`] — road network graph (categories, zones, speed limits,
 //!   routing, the paper's Figure 1 example network).
 //! * [`trajectory`] — network-constrained trajectories, GPS traces, and an
 //!   HMM map-matcher.
-//! * [`fmindex`] — the succinct text-index substrate (SA-IS suffix arrays,
-//!   BWT, wavelet trees, FM-index backward search).
-//! * [`temporal`] — temporal index forests (B+-trees and CSS-trees).
 //! * [`histogram`] — travel-time histograms, convolution, time-of-day
 //!   histograms.
 //! * [`core`] — the SNT-index adapted for travel-time retrieval, the SPQ
@@ -151,7 +152,6 @@
 pub use tthr_client as client;
 pub use tthr_core as core;
 pub use tthr_datagen as datagen;
-pub use tthr_fmindex as fmindex;
 pub use tthr_histogram as histogram;
 pub use tthr_metrics as metrics;
 pub use tthr_network as network;
@@ -159,7 +159,6 @@ pub use tthr_rpc as rpc;
 pub use tthr_server as server;
 pub use tthr_service as service;
 pub use tthr_store as store;
-pub use tthr_temporal as temporal;
 pub use tthr_trajectory as trajectory;
 
 /// Convenience re-exports covering the common end-to-end workflow.

@@ -33,10 +33,10 @@ use super::{prefix_set, small_world, value_bits as bits};
 
 /// The shard count every cluster test runs with: two real processes is
 /// the smallest cluster where routing can actually go wrong.
-pub const CLUSTER_K: usize = 2;
+pub(crate) const CLUSTER_K: usize = 2;
 
 /// One spawned `tthr-node` process.
-pub struct NodeProcess {
+pub(crate) struct NodeProcess {
     /// The shard this node serves.
     pub shard: usize,
     /// The node's store directory (survives kills; restarts reuse it).
@@ -52,12 +52,12 @@ pub struct NodeProcess {
 impl NodeProcess {
     /// Spawns `tthr-node --dir <dir>` and waits for its `LISTENING`
     /// line.
-    pub fn spawn(shard: usize, dir: &Path) -> NodeProcess {
+    pub(crate) fn spawn(shard: usize, dir: &Path) -> NodeProcess {
         Self::spawn_with(shard, dir, &[])
     }
 
     /// [`NodeProcess::spawn`] with extra CLI flags (e.g. `--hot-tail`).
-    pub fn spawn_with(shard: usize, dir: &Path, extra_args: &[&str]) -> NodeProcess {
+    pub(crate) fn spawn_with(shard: usize, dir: &Path, extra_args: &[&str]) -> NodeProcess {
         let mut child = Command::new(env!("CARGO_BIN_EXE_tthr-node"))
             .args(["--dir", dir.to_str().expect("utf-8 store dir")])
             .args(extra_args)
@@ -81,7 +81,7 @@ impl NodeProcess {
     /// Spawns `tthr-node --dir <dir> --standby-of <primary>` and waits
     /// for its `LISTENING` line (which a standby prints only once it
     /// has bootstrapped and is queryable).
-    pub fn spawn_standby(shard: usize, dir: &Path, primary: SocketAddr) -> NodeProcess {
+    pub(crate) fn spawn_standby(shard: usize, dir: &Path, primary: SocketAddr) -> NodeProcess {
         let mut child = Command::new(env!("CARGO_BIN_EXE_tthr-node"))
             .args([
                 "--dir",
@@ -108,7 +108,7 @@ impl NodeProcess {
 
     /// Kills the node process outright (SIGKILL — no graceful anything),
     /// simulating a crashed replica.
-    pub fn kill(&mut self) {
+    pub(crate) fn kill(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
@@ -117,7 +117,7 @@ impl NodeProcess {
 /// Polls a node's `Health` until its applied stamp reaches `want`
 /// (replication is asynchronous — tests must wait, not assume).
 /// Panics after `timeout`.
-pub fn wait_for_stamp(addr: SocketAddr, want: u64, timeout: Duration) {
+pub(crate) fn wait_for_stamp(addr: SocketAddr, want: u64, timeout: Duration) {
     let client = NodeClient::new(
         addr,
         ClientConfig {
@@ -152,7 +152,7 @@ impl Drop for NodeProcess {
 }
 
 /// Blocks until the child prints `LISTENING <addr>`.
-pub fn read_listening_line(stdout: impl std::io::Read) -> SocketAddr {
+pub(crate) fn read_listening_line(stdout: impl std::io::Read) -> SocketAddr {
     let reader = std::io::BufReader::new(stdout);
     for line in reader.lines() {
         let line = line.expect("child stdout");
@@ -165,7 +165,7 @@ pub fn read_listening_line(stdout: impl std::io::Read) -> SocketAddr {
 
 /// Read RPCs `router` has routed so far, summed over shards (the
 /// `tthr_router_rpcs_total{shard}` family on its `/metrics`).
-pub fn router_rpcs(router: &ClusterRouter) -> u64 {
+pub(crate) fn router_rpcs(router: &ClusterRouter) -> u64 {
     router
         .render_metrics()
         .lines()
@@ -182,7 +182,7 @@ pub fn router_rpcs(router: &ClusterRouter) -> u64 {
 /// returns the reply to send — or `None` to die like a killed process
 /// (the request's connection closes unanswered and the listener goes
 /// away).
-pub fn relay(
+pub(crate) fn relay(
     upstream: SocketAddr,
     mut answer: impl FnMut(&Message, &NodeClient) -> Option<Message> + Send + 'static,
 ) -> SocketAddr {
@@ -193,7 +193,7 @@ pub fn relay(
 
 /// A [`relay`] whose `answer` returns the reply's raw bytes, so it can
 /// send a frame no node would.
-pub fn relay_bytes(
+pub(crate) fn relay_bytes(
     upstream: SocketAddr,
     mut answer: impl FnMut(&Message, &NodeClient) -> Option<Vec<u8>> + Send + 'static,
 ) -> SocketAddr {
@@ -217,7 +217,7 @@ pub fn relay_bytes(
 
 /// A [`relay`] that serves every request until the `nth` `LadderBatch`
 /// arrives, then dies — before the real node sees that batch.
-pub fn relay_that_dies_on_ladder_batch(upstream: SocketAddr, nth: usize) -> SocketAddr {
+pub(crate) fn relay_that_dies_on_ladder_batch(upstream: SocketAddr, nth: usize) -> SocketAddr {
     let mut batches = 0;
     relay(upstream, move |request, node| {
         batches += usize::from(matches!(request, Message::LadderBatch { .. }));
@@ -226,7 +226,7 @@ pub fn relay_that_dies_on_ladder_batch(upstream: SocketAddr, nth: usize) -> Sock
 }
 
 /// A live 2-process cluster plus its in-process reference index.
-pub struct ClusterHarness {
+pub(crate) struct ClusterHarness {
     /// The shared road network (the cluster router owns its own clone).
     pub network: RoadNetwork,
     /// The full datagen stream; `applied` trajectories are indexed.
@@ -251,7 +251,7 @@ impl ClusterHarness {
     /// Builds the reference index over the first third of a small
     /// synthetic world, bootstraps node stores from its shards, spawns
     /// the node processes, and connects the router.
-    pub fn boot(name: &str, client_config: ClientConfig) -> ClusterHarness {
+    pub(crate) fn boot(name: &str, client_config: ClientConfig) -> ClusterHarness {
         Self::boot_with(name, client_config, false)
     }
 
@@ -260,7 +260,7 @@ impl ClusterHarness {
     /// rotations, while the in-process reference applies them directly —
     /// so every differential check also pins the absorb/apply identity
     /// across the wire.
-    pub fn boot_hot_tail(name: &str, client_config: ClientConfig) -> ClusterHarness {
+    pub(crate) fn boot_hot_tail(name: &str, client_config: ClientConfig) -> ClusterHarness {
         Self::boot_with(name, client_config, true)
     }
 
@@ -304,32 +304,41 @@ impl ClusterHarness {
     }
 
     /// The nodes' current addresses, indexed by shard.
-    pub fn addrs(&self) -> Vec<SocketAddr> {
+    pub(crate) fn addrs(&self) -> Vec<SocketAddr> {
         self.nodes.iter().map(|n| n.addr).collect()
     }
 
     /// A fresh store directory under the harness root (cleaned up with
     /// the harness), for standby replicas.
-    pub fn standby_dir(&self, name: &str) -> PathBuf {
+    pub(crate) fn standby_dir(&self, name: &str) -> PathBuf {
         self.dir.join(name)
     }
 
     /// Spawns a standby for `shard`, bootstrapping by snapshot-shipping
     /// from the shard's current primary.
-    pub fn spawn_standby(&self, shard: usize, name: &str) -> NodeProcess {
+    pub(crate) fn spawn_standby(&self, shard: usize, name: &str) -> NodeProcess {
         NodeProcess::spawn_standby(shard, &self.standby_dir(name), self.nodes[shard].addr)
     }
 
     /// Like [`ClusterHarness::spawn_standby`], but tailing `primary`
     /// (e.g. a fault proxy in front of the real one).
-    pub fn spawn_standby_via(&self, shard: usize, name: &str, primary: SocketAddr) -> NodeProcess {
+    pub(crate) fn spawn_standby_via(
+        &self,
+        shard: usize,
+        name: &str,
+        primary: SocketAddr,
+    ) -> NodeProcess {
         NodeProcess::spawn_standby(shard, &self.standby_dir(name), primary)
     }
 
     /// A failover router over explicit per-shard endpoint groups
     /// (primary first, then standbys), sharing the harness network and
     /// engine config.
-    pub fn router_with(&self, groups: &[Vec<SocketAddr>], config: RouterConfig) -> ClusterRouter {
+    pub(crate) fn router_with(
+        &self,
+        groups: &[Vec<SocketAddr>],
+        config: RouterConfig,
+    ) -> ClusterRouter {
         ClusterRouter::connect_with_standbys(
             self.network.clone(),
             groups,
@@ -340,13 +349,13 @@ impl ClusterHarness {
     }
 
     /// Whether the stream still has unappended trajectories.
-    pub fn can_append(&self) -> bool {
+    pub(crate) fn can_append(&self) -> bool {
         self.applied < self.full.len()
     }
 
     /// The next `n` stream trajectories as an append payload (does not
     /// advance `applied` — both sides must ingest it first).
-    pub fn next_batch(&self, n: usize) -> Vec<(UserId, Vec<TrajEntry>)> {
+    pub(crate) fn next_batch(&self, n: usize) -> Vec<(UserId, Vec<TrajEntry>)> {
         let to = (self.applied + n.max(1)).min(self.full.len());
         (self.applied..to)
             .map(|id| {
@@ -359,7 +368,7 @@ impl ClusterHarness {
     /// Applies the next `n` stream trajectories to the **reference side
     /// only**, returning the batch for the caller to apply to whatever
     /// router is under test (advances `applied`).
-    pub fn reference_append_next(&mut self, n: usize) -> Vec<(UserId, Vec<TrajEntry>)> {
+    pub(crate) fn reference_append_next(&mut self, n: usize) -> Vec<(UserId, Vec<TrajEntry>)> {
         let batch = self.next_batch(n);
         if batch.is_empty() {
             return batch;
@@ -382,7 +391,7 @@ impl ClusterHarness {
 
     /// Appends up to `n` stream trajectories to BOTH sides and
     /// cross-checks the outcome. Returns the number appended.
-    pub fn append_next(&mut self, n: usize) -> usize {
+    pub(crate) fn append_next(&mut self, n: usize) -> usize {
         let batch = self.reference_append_next(n);
         if batch.is_empty() {
             return 0;
@@ -406,20 +415,20 @@ impl ClusterHarness {
 
     /// The reference trip answer (the in-process engine over the
     /// sharded index).
-    pub fn reference_trip(&self, spq: &Spq) -> TripQuery {
+    pub(crate) fn reference_trip(&self, spq: &Spq) -> TripQuery {
         let engine = QueryEngine::new(&self.reference, &self.network, self.engine_config.clone());
         engine.trip_query(spq)
     }
 
     /// Asserts the cluster answers the SPQ byte-identically to the
     /// reference index.
-    pub fn check_spq(&self, spq: &Spq) {
+    pub(crate) fn check_spq(&self, spq: &Spq) {
         self.check_spq_on(&self.cluster, spq);
     }
 
     /// [`ClusterHarness::check_spq`] against an arbitrary router (e.g. a
     /// failover router over primaries + standbys).
-    pub fn check_spq_on(&self, router: &ClusterRouter, spq: &Spq) {
+    pub(crate) fn check_spq_on(&self, router: &ClusterRouter, spq: &Spq) {
         let want = self.reference.get_travel_times(spq);
         let got = router.travel_times(spq).expect("cluster SPQ");
         assert_eq!(
@@ -437,13 +446,13 @@ impl ClusterHarness {
 
     /// Asserts the cluster's trip answer equals the reference engine's
     /// (stats, histogram, per-sub values — the full structural check).
-    pub fn check_trip(&self, spq: &Spq) -> TripQuery {
+    pub(crate) fn check_trip(&self, spq: &Spq) -> TripQuery {
         self.check_trip_on(&self.cluster, spq)
     }
 
     /// [`ClusterHarness::check_trip`] against an arbitrary router.
     /// Returns the cluster's answer (for its trace).
-    pub fn check_trip_on(&self, router: &ClusterRouter, spq: &Spq) -> TripQuery {
+    pub(crate) fn check_trip_on(&self, router: &ClusterRouter, spq: &Spq) -> TripQuery {
         let want = self.reference_trip(spq);
         let got = router.trip_query(spq).expect("cluster trip");
         assert!(
@@ -458,7 +467,7 @@ impl ClusterHarness {
     /// Asserts one ladder RPC (a `LadderBatch` of one) answers like the
     /// level-by-level loop over the reference index (same level, value
     /// bits, fallback flag).
-    pub fn check_ladder(&self, spq: &Spq) {
+    pub(crate) fn check_ladder(&self, spq: &Spq) {
         let levels = ladder_levels(&self.engine_config, spq);
         let want = ladder_sequential(&self.reference, spq, &levels, &mut SearchScratch::new());
         let got = self
@@ -473,13 +482,13 @@ impl ClusterHarness {
     }
 
     /// Read RPCs the harness router has routed so far ([`router_rpcs`]).
-    pub fn router_rpcs(&self) -> u64 {
+    pub(crate) fn router_rpcs(&self) -> u64 {
         router_rpcs(&self.cluster)
     }
 
     /// Kills the node serving `shard`. Its store directory stays; use
     /// [`ClusterHarness::restart_node`] to bring the replica back.
-    pub fn kill_node(&mut self, shard: usize) {
+    pub(crate) fn kill_node(&mut self, shard: usize) {
         self.nodes[shard].kill();
     }
 
@@ -487,7 +496,7 @@ impl ClusterHarness {
     /// replay) on a fresh ephemeral port. Call
     /// [`ClusterHarness::reconnect`] once every node is up so the router
     /// learns the new addresses.
-    pub fn respawn_node(&mut self, shard: usize) {
+    pub(crate) fn respawn_node(&mut self, shard: usize) {
         let dir = self.nodes[shard].dir.clone();
         let args: &[&str] = if self.hot_tail { &["--hot-tail"] } else { &[] };
         self.nodes[shard] = NodeProcess::spawn_with(shard, &dir, args);
@@ -495,14 +504,14 @@ impl ClusterHarness {
 
     /// [`ClusterHarness::respawn_node`] + [`ClusterHarness::reconnect`]
     /// — for restarting one replica while the rest of the cluster is up.
-    pub fn restart_node(&mut self, shard: usize) {
+    pub(crate) fn restart_node(&mut self, shard: usize) {
         self.respawn_node(shard);
         self.reconnect();
     }
 
     /// Rebuilds the router against the nodes' current addresses
     /// (re-running every connect-time consistency cross-check).
-    pub fn reconnect(&mut self) {
+    pub(crate) fn reconnect(&mut self) {
         self.cluster = ClusterRouter::connect(
             self.network.clone(),
             &self.addrs(),

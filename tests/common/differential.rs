@@ -30,7 +30,7 @@ use super::{prefix_set, small_world};
 
 /// The reference every tier must match byte for byte: a direct-append
 /// index (ingest lifecycle off) answered by the single-threaded engine.
-pub struct Oracle {
+pub(crate) struct Oracle {
     pub network: Arc<RoadNetwork>,
     pub index: SntIndex,
     pub engine: QueryEngineConfig,
@@ -38,7 +38,7 @@ pub struct Oracle {
 
 impl Oracle {
     /// Builds the oracle over the first `applied` trajectories of `full`.
-    pub fn new(
+    pub(crate) fn new(
         network: Arc<RoadNetwork>,
         full: &TrajectorySet,
         applied: usize,
@@ -57,40 +57,40 @@ impl Oracle {
     }
 
     /// Grows the oracle to the first `to` trajectories of `full`.
-    pub fn append(&mut self, full: &TrajectorySet, to: usize) -> usize {
+    pub(crate) fn append(&mut self, full: &TrajectorySet, to: usize) -> usize {
         self.index.append_batch(&prefix_set(full, to))
     }
 
-    pub fn spq(&self, q: &Spq) -> Vec<u8> {
+    pub(crate) fn spq(&self, q: &Spq) -> Vec<u8> {
         wire::encode_travel_times(&self.index.get_travel_times(q)).into_bytes()
     }
 
-    pub fn trip(&self, q: &Spq) -> Vec<u8> {
+    pub(crate) fn trip(&self, q: &Spq) -> Vec<u8> {
         wire::encode_trip(&self.query_engine().trip_query(q)).into_bytes()
     }
 
     /// The trip the engine's depth-first definition computes through the
     /// level-by-level loop (the trait's default ladder).
-    pub fn sequential_trip(&self, q: &Spq) -> Vec<u8> {
+    pub(crate) fn sequential_trip(&self, q: &Spq) -> Vec<u8> {
         let trip = self
             .query_engine()
             .trip_query_sequential_via(&Sequential(&self.index), q);
         wire::encode_trip(&trip).into_bytes()
     }
 
-    pub fn batch(&self, qs: &[Spq]) -> Vec<u8> {
+    pub(crate) fn batch(&self, qs: &[Spq]) -> Vec<u8> {
         let engine = self.query_engine();
         let trips: Vec<TripQuery> = qs.iter().map(|q| engine.trip_query(q)).collect();
         wire::encode_trips(&trips).into_bytes()
     }
 
     /// The relaxation ladder answered level by level: the definition.
-    pub fn ladder(&self, q: &Spq, levels: &[TimeInterval]) -> (usize, TravelTimes) {
+    pub(crate) fn ladder(&self, q: &Spq, levels: &[TimeInterval]) -> (usize, TravelTimes) {
         ladder_sequential(&self.index, q, levels, &mut SearchScratch::new())
     }
 
     /// The capped count and every estimator mode's bits.
-    pub fn primitives(&self, q: &Spq, cap: u32) -> (usize, Vec<u64>) {
+    pub(crate) fn primitives(&self, q: &Spq, cap: u32) -> (usize, Vec<u64>) {
         let estimates = CardinalityMode::ALL
             .iter()
             .map(|&mode| IndexBackend::estimate(&self.index, q, mode).to_bits())
@@ -100,13 +100,13 @@ impl Oracle {
 }
 
 /// A ladder answer as comparable bytes.
-pub fn ladder_bytes((level, times): &(usize, TravelTimes)) -> Vec<u8> {
+pub(crate) fn ladder_bytes((level, times): &(usize, TravelTimes)) -> Vec<u8> {
     format!("{level}:{}", wire::encode_travel_times(times)).into_bytes()
 }
 
 /// One leg on one tier: the stream, the oracle, the tier, the query
 /// generator. Every check names the leg and the tier when it fails.
-pub struct Run<T: Tier + ?Sized = dyn Tier> {
+pub(crate) struct Run<T: Tier + ?Sized = dyn Tier> {
     pub leg: &'static str,
     pub tier_name: &'static str,
     /// The full datagen stream; `applied` trajectories are indexed.
@@ -120,7 +120,7 @@ pub struct Run<T: Tier + ?Sized = dyn Tier> {
 /// The small world every run starts from: its network, the full
 /// stream, and the prefix the tiers boot over (the first third; the rest
 /// feeds appends).
-pub fn world() -> (Arc<RoadNetwork>, TrajectorySet, usize) {
+pub(crate) fn world() -> (Arc<RoadNetwork>, TrajectorySet, usize) {
     let (syn, full) = small_world();
     let applied = full.len() / 3;
     (Arc::new(syn.network), full, applied)
@@ -129,12 +129,12 @@ pub fn world() -> (Arc<RoadNetwork>, TrajectorySet, usize) {
 impl Run {
     /// Boots `spec` and the oracle over [`world`] under the default
     /// engine.
-    pub fn new(leg: &'static str, spec: TierSpec) -> Run {
+    pub(crate) fn new(leg: &'static str, spec: TierSpec) -> Run {
         Self::with_engine(leg, spec, QueryEngineConfig::default())
     }
 
     /// [`Run::new`] with an explicit engine configuration.
-    pub fn with_engine(leg: &'static str, spec: TierSpec, engine: QueryEngineConfig) -> Run {
+    pub(crate) fn with_engine(leg: &'static str, spec: TierSpec, engine: QueryEngineConfig) -> Run {
         let (network, full, applied) = world();
         let dir_name = format!("{leg}-{}", spec.name);
         let tier = spec.boot(&dir_name, &network, &full, applied, &engine);
@@ -146,7 +146,7 @@ impl<T: Tier> Run<T> {
     /// A run over a concretely typed tier that `wrap` makes from a
     /// service of backend `B` over [`world`] — for tests that read the
     /// service or the server behind the tier.
-    pub fn over_service<B: Build>(
+    pub(crate) fn over_service<B: Build>(
         leg: &'static str,
         tier_name: &'static str,
         shards: usize,
@@ -164,7 +164,7 @@ impl<T: Tier> Run<T> {
 
 impl<T: Tier + ?Sized> Run<T> {
     /// A run over an already booted tier holding `full[..applied]`.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         leg: &'static str,
         tier_name: &'static str,
         network: Arc<RoadNetwork>,
@@ -185,22 +185,22 @@ impl<T: Tier + ?Sized> Run<T> {
     }
 
     /// A random SPQ over the applied prefix ([`QueryGen::spq_from`]).
-    pub fn spq(&mut self) -> Spq {
+    pub(crate) fn spq(&mut self) -> Spq {
         self.gen.spq_from(&self.full, self.applied)
     }
 
     /// A random ladder-climbing query ([`QueryGen::ladder_spq_from`]).
-    pub fn ladder_spq(&mut self) -> Spq {
+    pub(crate) fn ladder_spq(&mut self) -> Spq {
         self.gen.ladder_spq_from(&self.full, self.applied)
     }
 
-    pub fn can_append(&self) -> bool {
+    pub(crate) fn can_append(&self) -> bool {
         self.applied < self.full.len()
     }
 
     /// Appends up to `n` more stream trajectories to the tier (as one
     /// stamped batch) and to the oracle; returns the number appended.
-    pub fn append_next(&mut self, n: usize) -> usize {
+    pub(crate) fn append_next(&mut self, n: usize) -> usize {
         let to = (self.applied + n.max(1)).min(self.full.len());
         if to == self.applied {
             return 0;
@@ -218,12 +218,12 @@ impl<T: Tier + ?Sized> Run<T> {
     }
 
     /// Asserts the tier's `/spq` answer is the oracle's.
-    pub fn check_spq(&self, q: &Spq) {
+    pub(crate) fn check_spq(&self, q: &Spq) {
         self.assert_same("/spq", q, self.oracle.spq(q), self.tier.spq(q));
     }
 
     /// Asserts the tier's `/trip` answer is the oracle's.
-    pub fn check_trip(&self, q: &Spq) {
+    pub(crate) fn check_trip(&self, q: &Spq) {
         self.assert_same("/trip", q, self.oracle.trip(q), self.tier.trip(q));
     }
 
@@ -240,7 +240,7 @@ impl<T: Tier + ?Sized> Run<T> {
     }
 
     /// Asserts the tier's `/batch` answer is the oracle's.
-    pub fn check_batch(&self, qs: &[Spq]) {
+    pub(crate) fn check_batch(&self, qs: &[Spq]) {
         let (want, got) = (self.oracle.batch(qs), self.tier.batch(qs));
         assert!(
             want == got,
@@ -255,7 +255,7 @@ impl<T: Tier + ?Sized> Run<T> {
 
     /// Checks `spqs` fresh random SPQs, then `trips` fresh random trips;
     /// returns the number of checks.
-    pub fn check_fresh(&mut self, spqs: usize, trips: usize) -> usize {
+    pub(crate) fn check_fresh(&mut self, spqs: usize, trips: usize) -> usize {
         for _ in 0..spqs {
             let q = self.spq();
             self.check_spq(&q);
@@ -269,7 +269,7 @@ impl<T: Tier + ?Sized> Run<T> {
 
     /// Checks `/spq` for every query and `/trip` for every
     /// `trip_every`-th.
-    pub fn check_all(&self, queries: &[Spq], trip_every: usize) {
+    pub(crate) fn check_all(&self, queries: &[Spq], trip_every: usize) {
         for (i, q) in queries.iter().enumerate() {
             self.check_spq(q);
             if trip_every > 0 && i % trip_every == 0 {
@@ -283,7 +283,7 @@ impl<T: Tier + ?Sized> Run<T> {
     /// and its trip equals the trip the engine's depth-first definition
     /// computes through that loop. Returns the loop's answer so legs can
     /// assert the mix climbed.
-    pub fn check_ladder(&self, q: &Spq) -> (usize, TravelTimes) {
+    pub(crate) fn check_ladder(&self, q: &Spq) -> (usize, TravelTimes) {
         let levels = ladder_levels(&self.oracle.engine, q);
         let want = self.oracle.ladder(q, &levels);
         let got = self.tier.ladder(q, &levels).unwrap_or_else(|| {
@@ -313,7 +313,7 @@ impl<T: Tier + ?Sized> Run<T> {
 
     /// Capped counts and every estimator mode agree with the oracle's, on
     /// tiers that answer the primitives (a no-op elsewhere).
-    pub fn check_primitives(&mut self, checks: usize) {
+    pub(crate) fn check_primitives(&mut self, checks: usize) {
         for _ in 0..checks {
             let q = self.spq();
             let cap = 1 + self.gen.range(0..32) as u32;
@@ -332,13 +332,13 @@ impl<T: Tier + ?Sized> Run<T> {
 }
 
 /// The relaxation ladder an engine under `config` dispatches for `spq`.
-pub fn ladder_levels(config: &QueryEngineConfig, spq: &Spq) -> Vec<TimeInterval> {
+pub(crate) fn ladder_levels(config: &QueryEngineConfig, spq: &Spq) -> Vec<TimeInterval> {
     Splitter::new(config.split_method, config.interval_sizes.clone()).ladder(spq.interval)
 }
 
 /// A provider that forwards single SPQs but inherits the trait's default
 /// ladder — the sequential loop every override is pinned to.
-pub struct Sequential<'a, B>(pub &'a B);
+pub(crate) struct Sequential<'a, B>(pub &'a B);
 
 impl<B: IndexBackend> TravelTimeProvider for Sequential<'_, B> {
     fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
@@ -347,7 +347,7 @@ impl<B: IndexBackend> TravelTimeProvider for Sequential<'_, B> {
 }
 
 /// Deterministic randomized query/op generation over the proptest shim.
-pub struct QueryGen {
+pub(crate) struct QueryGen {
     rng: TestRng,
 }
 
@@ -355,7 +355,7 @@ impl QueryGen {
     /// Seeds from the test name (the shim's per-test convention), plus an
     /// optional environment override `TTHR_DIFF_SEED` so CI can pin (or a
     /// soak run can vary) the stream without editing the test.
-    pub fn new(name: &str) -> QueryGen {
+    pub(crate) fn new(name: &str) -> QueryGen {
         let seed = std::env::var("TTHR_DIFF_SEED").unwrap_or_default();
         QueryGen {
             rng: TestRng::from_name(&format!("{name}-{seed}")),
@@ -363,7 +363,7 @@ impl QueryGen {
     }
 
     /// A uniform draw from a range (proptest-shim strategy sampling).
-    pub fn range(&mut self, r: std::ops::Range<usize>) -> usize {
+    pub(crate) fn range(&mut self, r: std::ops::Range<usize>) -> usize {
         r.sample(&mut self.rng)
     }
 
@@ -372,7 +372,7 @@ impl QueryGen {
     /// `900 + r` centred near the traversal or pushed across midnight,
     /// β ∈ {1, 20, unreachable}, a user filter two times in three (the
     /// ladders counts alone may answer), optional exclusion id.
-    pub fn ladder_spq_from(&mut self, set: &TrajectorySet, applied: usize) -> Spq {
+    pub(crate) fn ladder_spq_from(&mut self, set: &TrajectorySet, applied: usize) -> Spq {
         assert!(applied > 0, "cannot sample from an empty prefix");
         let tr = set.get(TrajId(self.range(0..applied) as u32));
         let centre = match self.range(0..4) {
@@ -393,7 +393,7 @@ impl QueryGen {
     /// A random SPQ whose path is a sub-path of one of the first
     /// `applied` trajectories of `set` (so answers are non-trivial), with
     /// randomized interval flavor, β, user filter, and exclusion.
-    pub fn spq_from(&mut self, set: &TrajectorySet, applied: usize) -> Spq {
+    pub(crate) fn spq_from(&mut self, set: &TrajectorySet, applied: usize) -> Spq {
         assert!(applied > 0, "cannot sample from an empty prefix");
         let tr = set.get(TrajId(self.range(0..applied) as u32));
         let max_len = tr.len().min(6);

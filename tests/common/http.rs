@@ -8,7 +8,7 @@ use std::time::Duration;
 
 /// One parsed response.
 #[derive(Clone, Debug)]
-pub struct Response {
+pub(crate) struct Response {
     pub status: u16,
     pub headers: Vec<(String, String)>,
     pub body: Vec<u8>,
@@ -16,26 +16,26 @@ pub struct Response {
 
 impl Response {
     /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
-    pub fn body_str(&self) -> &str {
+    pub(crate) fn body_str(&self) -> &str {
         std::str::from_utf8(&self.body).expect("utf-8 response body")
     }
 }
 
 /// A keep-alive client connection.
-pub struct HttpClient {
+pub(crate) struct HttpClient {
     stream: TcpStream,
     buf: Vec<u8>,
 }
 
 impl HttpClient {
-    pub fn connect(addr: SocketAddr) -> HttpClient {
+    pub(crate) fn connect(addr: SocketAddr) -> HttpClient {
         let stream = TcpStream::connect(addr).expect("connect to test server");
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
@@ -48,29 +48,29 @@ impl HttpClient {
     }
 
     /// Sends one request (no body for `GET`).
-    pub fn send(&mut self, method: &str, path: &str, body: &[u8]) {
+    pub(crate) fn send(&mut self, method: &str, path: &str, body: &[u8]) {
         self.send_raw(&encode_request(method, path, body));
     }
 
     /// Sends pre-encoded bytes (pipelining, malformed corpora, …).
-    pub fn send_raw(&mut self, bytes: &[u8]) {
+    pub(crate) fn send_raw(&mut self, bytes: &[u8]) {
         self.stream.write_all(bytes).expect("send request");
     }
 
     /// Sends bytes, tolerating a server that already closed the
     /// connection (flood/garbage scenarios race the close).
-    pub fn send_raw_best_effort(&mut self, bytes: &[u8]) {
+    pub(crate) fn send_raw_best_effort(&mut self, bytes: &[u8]) {
         let _ = self.stream.write_all(bytes);
     }
 
     /// Reads one full response (blocking).
-    pub fn read_response(&mut self) -> Response {
+    pub(crate) fn read_response(&mut self) -> Response {
         self.try_read_response()
             .expect("server closed the connection mid-response")
     }
 
     /// Reads one response, or `None` on a clean close before/within it.
-    pub fn try_read_response(&mut self) -> Option<Response> {
+    pub(crate) fn try_read_response(&mut self) -> Option<Response> {
         loop {
             if let Some((response, consumed)) = parse_response(&self.buf) {
                 self.buf.drain(..consumed);
@@ -86,7 +86,7 @@ impl HttpClient {
     }
 
     /// Request → response round trip.
-    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> Response {
+    pub(crate) fn request(&mut self, method: &str, path: &str, body: &[u8]) -> Response {
         self.send(method, path, body);
         self.read_response()
     }
@@ -94,7 +94,7 @@ impl HttpClient {
     /// Whether the server closed the connection (EOF or reset observed
     /// after draining buffered bytes, within two seconds). A connection
     /// that stays silent is open: a read timeout is not a close.
-    pub fn at_eof(&mut self) -> bool {
+    pub(crate) fn at_eof(&mut self) -> bool {
         let mut chunk = [0u8; 1024];
         self.stream
             .set_read_timeout(Some(Duration::from_secs(2)))
@@ -115,7 +115,7 @@ impl HttpClient {
 }
 
 /// Serializes a request with a `content-length` body.
-pub fn encode_request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
     let mut out = format!(
         "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
         body.len()
@@ -126,7 +126,7 @@ pub fn encode_request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
 }
 
 /// Serializes a binary `/spq` request carrying one `tthr-rpc` frame.
-pub fn encode_frame_request(frame: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_frame_request(frame: &[u8]) -> Vec<u8> {
     let mut out = format!(
         "POST /spq HTTP/1.1\r\nhost: test\r\ncontent-type: {}\r\ncontent-length: {}\r\n\r\n",
         tthr::server::http::FRAME_CONTENT_TYPE,
@@ -138,13 +138,13 @@ pub fn encode_frame_request(frame: &[u8]) -> Vec<u8> {
 }
 
 /// A `/batch` request body.
-pub fn batch_body(queries: &[tthr::core::Spq]) -> String {
+pub(crate) fn batch_body(queries: &[tthr::core::Spq]) -> String {
     let queries: Vec<String> = queries.iter().map(tthr::server::wire::encode_spq).collect();
     format!("{{\"queries\":[{}]}}", queries.join(","))
 }
 
 /// One-shot convenience: connect, request, disconnect.
-pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> Response {
+pub(crate) fn post(addr: SocketAddr, path: &str, body: &[u8]) -> Response {
     HttpClient::connect(addr).request("POST", path, body)
 }
 

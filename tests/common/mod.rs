@@ -2,11 +2,11 @@
 
 //! Shared fixtures and the brute-force SPQ oracle for integration tests.
 
-pub mod cluster;
-pub mod differential;
-pub mod http;
-pub mod proxy;
-pub mod tier;
+pub(crate) mod cluster;
+pub(crate) mod differential;
+pub(crate) mod http;
+pub(crate) mod proxy;
+pub(crate) mod tier;
 
 use tthr::core::{Filter, Spq};
 use tthr::datagen::{
@@ -15,7 +15,7 @@ use tthr::datagen::{
 use tthr::trajectory::TrajectorySet;
 
 /// A small but non-trivial synthetic world shared by the integration tests.
-pub fn small_world() -> (SyntheticNetwork, TrajectorySet) {
+pub(crate) fn small_world() -> (SyntheticNetwork, TrajectorySet) {
     let syn = generate_network(&NetworkConfig::small());
     let set = generate_workload(&syn, &WorkloadConfig::small());
     (syn, set)
@@ -30,7 +30,7 @@ pub fn small_world() -> (SyntheticNetwork, TrajectorySet) {
 /// Only valid against single-partition indexes: with temporal partitioning
 /// the scan tie-break becomes (partition, id), which this oracle does not
 /// model — the partitioned tests therefore compare β-free result multisets.
-pub fn brute_force_spq(set: &TrajectorySet, spq: &Spq) -> Vec<f64> {
+pub(crate) fn brute_force_spq(set: &TrajectorySet, spq: &Spq) -> Vec<f64> {
     let mut matches: Vec<(i64, u32, u32, f64)> = Vec::new();
     for tr in set {
         if let Filter::User(u) = spq.filter {
@@ -65,7 +65,7 @@ pub fn brute_force_spq(set: &TrajectorySet, spq: &Spq) -> Vec<f64> {
 
 /// Copies the first `n` trajectories of `set` into their own set (ids are
 /// re-assigned densely, users and entries preserved).
-pub fn prefix_set(set: &TrajectorySet, n: usize) -> TrajectorySet {
+pub(crate) fn prefix_set(set: &TrajectorySet, n: usize) -> TrajectorySet {
     let mut prefix = TrajectorySet::new();
     for tr in set.iter().take(n) {
         prefix
@@ -77,12 +77,12 @@ pub fn prefix_set(set: &TrajectorySet, n: usize) -> TrajectorySet {
 
 /// Raw bit patterns of travel-time values in scan order — byte-identical
 /// comparison, stricter than float equality.
-pub fn value_bits(values: &[f64]) -> Vec<u64> {
+pub(crate) fn value_bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Sorts travel times for multiset comparison.
-pub fn sorted(values: impl Into<Vec<f64>>) -> Vec<f64> {
+pub(crate) fn sorted(values: impl Into<Vec<f64>>) -> Vec<f64> {
     let mut values = values.into();
     values.sort_by(f64::total_cmp);
     values
@@ -92,7 +92,7 @@ pub fn sorted(values: impl Into<Vec<f64>>) -> Vec<f64> {
 /// noise (the index derives durations as `a_{l−1} − (a₀ − TT₀)` from prefix
 /// sums, the oracle sums raw values — a different association order).
 #[track_caller]
-pub fn assert_times_eq(got: &[f64], want: &[f64], ctx: &dyn std::fmt::Debug) {
+pub(crate) fn assert_times_eq(got: &[f64], want: &[f64], ctx: &dyn std::fmt::Debug) {
     assert_eq!(got.len(), want.len(), "length mismatch for {ctx:?}");
     for (g, w) in got.iter().zip(want) {
         let tol = 1e-9 * w.abs().max(1.0);

@@ -30,7 +30,7 @@ use std::time::Duration;
 
 /// What the proxy does with connections right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// Pump bytes both ways.
     Forward,
     /// Forward, but stall each new connection first.
@@ -50,7 +50,7 @@ struct Shared {
 
 /// A running fault proxy. Dropping it stops the accept loop and severs
 /// everything.
-pub struct FaultProxy {
+pub(crate) struct FaultProxy {
     addr: SocketAddr,
     upstream: SocketAddr,
     shared: Arc<Shared>,
@@ -59,7 +59,7 @@ pub struct FaultProxy {
 
 impl FaultProxy {
     /// Starts a proxy to `upstream` on an ephemeral port, forwarding.
-    pub fn start(upstream: SocketAddr) -> FaultProxy {
+    pub(crate) fn start(upstream: SocketAddr) -> FaultProxy {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
         let addr = listener.local_addr().expect("proxy addr");
         listener
@@ -84,23 +84,23 @@ impl FaultProxy {
     }
 
     /// The stable address clients should dial.
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// The upstream this proxy fronts.
-    pub fn upstream(&self) -> SocketAddr {
+    pub(crate) fn upstream(&self) -> SocketAddr {
         self.upstream
     }
 
     /// Switches the failure mode for **new** connections. Call
     /// [`FaultProxy::sever`] as well to cut established ones.
-    pub fn set_mode(&self, mode: Mode) {
+    pub(crate) fn set_mode(&self, mode: Mode) {
         *self.shared.mode.lock().expect("mode lock") = mode;
     }
 
     /// Shuts down every established proxied connection (both sides).
-    pub fn sever(&self) {
+    pub(crate) fn sever(&self) {
         let mut conns = self.shared.conns.lock().expect("conns lock");
         for conn in conns.drain(..) {
             let _ = conn.shutdown(Shutdown::Both);
@@ -109,14 +109,14 @@ impl FaultProxy {
 
     /// `set_mode` + `sever`: the upstream is now unreachable through
     /// the proxy in the given way, for everyone.
-    pub fn cut(&self, mode: Mode) {
+    pub(crate) fn cut(&self, mode: Mode) {
         self.set_mode(mode);
         self.sever();
     }
 
     /// Back to transparent forwarding (established black-holed
     /// connections are severed so peers notice promptly).
-    pub fn restore(&self) {
+    pub(crate) fn restore(&self) {
         self.set_mode(Mode::Forward);
         self.sever();
     }

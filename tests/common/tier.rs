@@ -27,7 +27,7 @@ use super::prefix_set;
 /// One serving tier under test. Answers are wire bytes; capabilities a
 /// tier lacks answer `None` / `false`, and a leg that needs one names it
 /// when it is missing.
-pub trait Tier: Sync {
+pub(crate) trait Tier: Sync {
     /// The `/spq` answer.
     fn spq(&self, q: &Spq) -> Vec<u8>;
     /// The `/trip` answer.
@@ -65,7 +65,7 @@ pub trait Tier: Sync {
 
 /// How a tier is reached.
 #[derive(Clone, Copy, Debug)]
-pub enum Front {
+pub(crate) enum Front {
     /// Calls into a [`QueryService`].
     InProcess,
     /// Loopback HTTP to [`serve`] over a [`QueryService`].
@@ -77,7 +77,7 @@ pub enum Front {
 /// A tier to boot: front door, shard count (0 = the monolithic index),
 /// and whether appends absorb into a hot tail.
 #[derive(Clone, Copy, Debug)]
-pub struct TierSpec {
+pub(crate) struct TierSpec {
     pub name: &'static str,
     pub front: Front,
     pub shards: usize,
@@ -86,7 +86,7 @@ pub struct TierSpec {
 
 impl TierSpec {
     /// Boots the tier over `full[..applied]`.
-    pub fn boot(
+    pub(crate) fn boot(
         &self,
         dir_name: &str,
         network: &Arc<RoadNetwork>,
@@ -134,7 +134,7 @@ impl TierSpec {
 }
 
 /// A service backend a tier can be built over.
-pub trait Build: ServiceBackend {
+pub(crate) trait Build: ServiceBackend {
     /// The index over `set`; `shards` is ignored by the monolith.
     fn build_tier(network: &RoadNetwork, set: &TrajectorySet, shards: usize) -> Self;
 }
@@ -152,7 +152,7 @@ impl Build for ShardedSntIndex {
 }
 
 /// The service configuration the in-process and HTTP tiers run.
-pub fn service_config(engine: &QueryEngineConfig, hot_tail: bool) -> ServiceConfig {
+pub(crate) fn service_config(engine: &QueryEngineConfig, hot_tail: bool) -> ServiceConfig {
     ServiceConfig {
         num_threads: 2,
         cache_capacity: 4096,
@@ -166,7 +166,11 @@ pub fn service_config(engine: &QueryEngineConfig, hot_tail: bool) -> ServiceConf
 }
 
 /// `full[from..to]` as an append payload.
-pub fn payload(full: &TrajectorySet, from: usize, to: usize) -> Vec<(UserId, Vec<TrajEntry>)> {
+pub(crate) fn payload(
+    full: &TrajectorySet,
+    from: usize,
+    to: usize,
+) -> Vec<(UserId, Vec<TrajEntry>)> {
     (from..to)
         .map(|id| {
             let tr = full.get(TrajId(id as u32));
@@ -186,7 +190,7 @@ fn compact_service<B: ServiceBackend>(name: &str, svc: &QueryService<B>) -> usiz
 
 /// The in-process service, with snapshot/restart cycles in a scratch
 /// directory (removed on drop).
-pub struct InProcess<B: ServiceBackend> {
+pub(crate) struct InProcess<B: ServiceBackend> {
     pub name: &'static str,
     pub svc: QueryService<B>,
     /// Append through the grown-set entry point (`append_batch`) instead
@@ -199,7 +203,7 @@ pub struct InProcess<B: ServiceBackend> {
 }
 
 impl<B: ServiceBackend> InProcess<B> {
-    pub fn new(
+    pub(crate) fn new(
         name: &'static str,
         svc: QueryService<B>,
         config: ServiceConfig,
@@ -220,7 +224,7 @@ impl<B: ServiceBackend> InProcess<B> {
 
     /// The named file of the latest snapshot directory, and the
     /// service's in-memory snapshot bytes.
-    pub fn store_bytes(&self, file: &str) -> (Vec<u8>, Vec<u8>) {
+    pub(crate) fn store_bytes(&self, file: &str) -> (Vec<u8>, Vec<u8>) {
         let dir = self.latest.as_ref().expect("snapshot() ran");
         let mut state = Vec::new();
         self.svc
@@ -300,14 +304,14 @@ impl<B: ServiceBackend> Drop for InProcess<B> {
 
 /// The HTTP server over a service, plus a handle on that service for
 /// the lifecycle (compaction) a client cannot trigger.
-pub struct Http<B: ServiceBackend> {
+pub(crate) struct Http<B: ServiceBackend> {
     pub name: &'static str,
     pub server: ServerHandle,
     pub svc: QueryService<B>,
 }
 
 impl<B: ServiceBackend> Http<B> {
-    pub fn new(name: &'static str, svc: QueryService<B>) -> Http<B> {
+    pub(crate) fn new(name: &'static str, svc: QueryService<B>) -> Http<B> {
         let server = serve(svc.clone(), "127.0.0.1:0", ServerConfig::default()).expect("boot");
         Http { name, server, svc }
     }
@@ -368,7 +372,7 @@ impl<B: ServiceBackend> Tier for Http<B> {
 }
 
 /// The scatter-gather router over [`CLUSTER_K`] `tthr-node` processes.
-pub struct Cluster {
+pub(crate) struct Cluster {
     pub name: &'static str,
     pub h: ClusterHarness,
 }

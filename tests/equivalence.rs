@@ -42,7 +42,7 @@ mod tiers {
 
     macro_rules! tiers {
         ($($name:ident: $front:ident, $shards:expr, $hot_tail:expr;)*) => {$(
-            pub fn $name() -> TierSpec {
+            pub(crate) fn $name() -> TierSpec {
                 TierSpec {
                     name: stringify!($name),
                     front: $front,
