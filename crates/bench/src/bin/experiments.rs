@@ -8,7 +8,7 @@
 //!   figures-temporal   Figures 5a, 6a, 7a, 8a, 9a (temporal filters)
 //!   figures-user       Figures 5b, 6b, 7b, 8b, 9b (user filters)
 //!   figures-spq        Figures 5c, 6c, 7c, 8c, 9c (SPQ only)
-//!   fig10              Figure 10a/b/c (temporal partitioning: memory, setup)
+//!   fig10              Figure 10a/b/c (memory, setup: partitions, BT, WM)
 //!   fig11              Figure 11a/b/c (cardinality estimator)
 //!   baselines          Section 6.1 reference numbers
 //!   selfx              extension: self-exclusion ablation
@@ -16,7 +16,8 @@
 //!   all                everything above
 //! ```
 //!
-//! Scale via `TTHR_SCALE=small|medium|large` (default: medium).
+//! Scale via `TTHR_SCALE=small|medium|large` (unset or empty: medium; any
+//! other value exits with status 2, like an unknown command).
 
 use std::time::Instant;
 use tthr_bench::{
@@ -26,7 +27,7 @@ use tthr_bench::{
 use tthr_core::baseline::{speed_limit_estimate, SegmentLevelBaseline};
 use tthr_core::{
     estimate_cardinality, CardinalityMode, PartitionMethod, QueryEngine, QueryEngineConfig,
-    SntConfig, SplitMethod, Spq, TimeInterval, TreeKind,
+    SntConfig, SplitMethod, Spq, TimeInterval, TreeKind, WaveletKind,
 };
 use tthr_histogram::SmoothedPdf;
 use tthr_metrics::{mean, q_error, smape};
@@ -34,7 +35,12 @@ use tthr_metrics::{mean, q_error, smape};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|bad| {
+        eprintln!(
+            "unknown TTHR_SCALE {bad:?}; expected small, medium or large (unset means medium)"
+        );
+        std::process::exit(2);
+    });
 
     eprintln!("[experiments] generating world at {scale:?} scale…");
     let t0 = Instant::now();
@@ -134,19 +140,38 @@ fn fig10(world: &World) {
         "partition", "partitions", "C", "WT", "U", "census", "Forest", "setup s"
     );
     let mib = |b: usize| b as f64 / (1024.0 * 1024.0);
+    // One row per partition width, then two FULL variants: the paper's
+    // "BT" column (B+-tree forest) and "WM" (the balanced wavelet matrix
+    // in place of the Huffman-shaped tree).
+    let rows = partition_days
+        .map(|days| (label(days), TreeKind::Css, WaveletKind::Huffman, days))
+        .into_iter()
+        .chain([
+            (
+                "BT".to_string(),
+                TreeKind::BPlus,
+                WaveletKind::Huffman,
+                None,
+            ),
+            ("WM".to_string(), TreeKind::Css, WaveletKind::Matrix, None),
+        ]);
     let mut setups: Vec<(String, f64)> = Vec::new();
-    for days in partition_days {
+    // The leaf payload counts one entry per traversal, so every row has
+    // the same one; the last row's is printed.
+    let mut leaf_payload = (0, 0);
+    for (name, tree, wavelet, partition_days) in rows {
         let t0 = Instant::now();
         let index = world.build_index(SntConfig {
-            partition_days: days,
+            tree,
+            wavelet,
+            partition_days,
             tod_bucket_secs: None,
-            ..SntConfig::default()
         });
         let setup = t0.elapsed().as_secs_f64();
         let m = index.memory_report();
         println!(
             "{:>10} {:>12} {:>10.2} {:>10.2} {:>10.3} {:>10.3} {:>10.2} {:>10.2}",
-            label(days),
+            name,
             index.num_partitions(),
             mib(m.counts_bytes),
             mib(m.wavelet_bytes),
@@ -155,33 +180,13 @@ fn fig10(world: &World) {
             mib(m.forest_bytes),
             setup
         );
-        setups.push((label(days), setup));
+        setups.push((name, setup));
+        leaf_payload = (m.forest_logical_bytes, m.forest_logical_bytes_no_partition);
     }
-    // The B+-tree forest variant (paper's "BT" column, FULL partitioning).
-    let t0 = Instant::now();
-    let bt = world.build_index(SntConfig {
-        tree: TreeKind::BPlus,
-        tod_bucket_secs: None,
-        ..SntConfig::default()
-    });
-    let setup = t0.elapsed().as_secs_f64();
-    let m = bt.memory_report();
-    println!(
-        "{:>10} {:>12} {:>10.2} {:>10.2} {:>10.3} {:>10.3} {:>10.2} {:>10.2}",
-        "BT",
-        bt.num_partitions(),
-        mib(m.counts_bytes),
-        mib(m.wavelet_bytes),
-        mib(m.user_bytes - m.census_bytes),
-        mib(m.census_bytes),
-        mib(m.forest_bytes),
-        setup
-    );
-    setups.push(("BT".into(), setup));
     println!(
         "leaf payload with partition ids: {:.2} MiB, without: {:.2} MiB",
-        mib(m.forest_logical_bytes),
-        mib(m.forest_logical_bytes_no_partition)
+        mib(leaf_payload.0),
+        mib(leaf_payload.1)
     );
 
     println!("\n=== Figure 10b — Time-of-Day Histogram Memory (MiB) ===");

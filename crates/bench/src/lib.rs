@@ -1,9 +1,9 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! The `experiments` binary (and the criterion benches) build a synthetic
-//! world at a configurable scale, derive the paper's query set (Section 5.2)
-//! and evaluate engine configurations against the ground-truth trajectories,
-//! producing the rows behind every figure of Section 6.
+//! The `experiments` binary builds a synthetic world at a configurable
+//! scale, derives the paper's query set (Section 5.2) and evaluates engine
+//! configurations against the ground-truth trajectories, producing the
+//! rows behind every figure of Section 6.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,12 +35,22 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment (default `medium`).
-    pub fn from_env() -> Scale {
-        match std::env::var("TTHR_SCALE").unwrap_or_default().as_str() {
-            "small" => Scale::Small,
-            "large" => Scale::Large,
-            _ => Scale::Medium,
+    /// Reads the scale from the environment: `medium` when unset or
+    /// empty, or the rejected value when it names no scale.
+    pub fn from_env() -> Result<Scale, String> {
+        let value = std::env::var_os("TTHR_SCALE").unwrap_or_default();
+        let value = value.to_string_lossy();
+        Scale::parse(&value).ok_or_else(|| value.into_owned())
+    }
+
+    /// Maps a `TTHR_SCALE` value to its scale; the empty string is the
+    /// `medium` default.
+    fn parse(value: &str) -> Option<Scale> {
+        match value {
+            "small" => Some(Scale::Small),
+            "" | "medium" => Some(Scale::Medium),
+            "large" => Some(Scale::Large),
+            _ => None,
         }
     }
 
@@ -315,5 +325,21 @@ pub fn print_metric_table(rows: &[EvalRow], metric: &str, value: impl Fn(&EvalRo
             print!(" {:>16.3}", value(row));
         }
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Scale;
+
+    #[test]
+    fn scale_names_map_exactly_and_unset_means_medium() {
+        assert_eq!(Scale::parse("small"), Some(Scale::Small));
+        assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
+        assert_eq!(Scale::parse("large"), Some(Scale::Large));
+        assert_eq!(Scale::parse(""), Some(Scale::Medium));
+        for bad in ["Small", "smal", "LARGE", " medium", "tiny"] {
+            assert_eq!(Scale::parse(bad), None, "{bad:?}");
+        }
     }
 }

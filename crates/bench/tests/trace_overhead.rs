@@ -1,5 +1,5 @@
-//! Bench-smoke guard for the query-trace instrumentation (CI runs this in
-//! the bench-smoke job).
+//! Guard for the query-trace instrumentation (CI runs this in the
+//! `measure` job, beside the experiments run and the benchmark self-test).
 //!
 //! The trace contract is two-tier: the **counters** (rank ops, wavelet
 //! descents, scratch hits, …) are plain `u64` adds on an exclusively-owned

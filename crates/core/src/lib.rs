@@ -3,7 +3,7 @@
 //!
 //! Layer map (bottom-up):
 //!
-//! * [`text`] — trajectory-string construction over `Σ = E ∪ {$}`.
+//! * `text` — trajectory-string construction over `Σ = E ∪ {$}`.
 //! * [`SntIndex`] — per-partition FM-indexes + extended temporal forests +
 //!   the `U` user table + optional time-of-day histogram store; implements
 //!   `buildMap` / `probeMap` / `getTravelTimes` (Procedures 3–5).
@@ -54,7 +54,7 @@ mod sharded;
 mod snt;
 mod split;
 mod spq;
-pub mod text;
+mod text;
 mod trace;
 
 pub use cardinality::{estimate_cardinality, CardinalityMode};

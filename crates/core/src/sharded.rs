@@ -10,7 +10,8 @@
 //! exactly the trajectories that touch the group's edges. Each shard sits
 //! behind its **own** `RwLock`, so an append write-locks only the shards
 //! its batch routes to — readers of every other shard proceed without
-//! stalling (`benches/sharded.rs` measures the effect).
+//! stalling (`untouched_shard_answers_while_another_is_write_locked`
+//! pins it).
 //!
 //! # Why routing by first edge is exact
 //!
@@ -835,7 +836,7 @@ impl IndexBackend for ShardedSntIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tthr_network::examples::{example_network, EDGE_A, EDGE_B, EDGE_E, EDGE_F};
+    use tthr_network::examples::{example_network, EDGE_A, EDGE_B, EDGE_C, EDGE_D, EDGE_E, EDGE_F};
     use tthr_network::Path;
     use tthr_trajectory::examples::example_trajectories;
 
@@ -1079,6 +1080,62 @@ mod tests {
             });
         });
         assert_eq!(idx.get_travel_times(&qf).len(), 6);
+    }
+
+    /// Write isolation: `ingest` write-locks only the shards its batch
+    /// touches, so while one shard's lock is held a trip confined to
+    /// another shard answers, and a trip routed to the locked shard waits
+    /// until the lock is dropped.
+    #[test]
+    fn untouched_shard_answers_while_another_is_write_locked() {
+        use crate::{QueryEngine, QueryEngineConfig, TripQuery};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let net = example_network();
+        let idx = sharded(2);
+        let engine = QueryEngine::new(&idx, &net, QueryEngineConfig::default());
+        let trip = |edges| Spq::new(Path::new(edges), TimeInterval::fixed(0, 100));
+        let answer = |t: &TripQuery| {
+            let total = t.predicted_duration().to_bits();
+            (t.stats, t.histogram.clone(), total)
+        };
+        let target = idx.router().shard_of(EDGE_E);
+        let free = trip(vec![EDGE_C, EDGE_D]);
+        let locked = trip(vec![EDGE_E]);
+        for e in [EDGE_C, EDGE_D] {
+            assert_ne!(idx.router().shard_of(e), target, "⟨C,D⟩ avoids E's shard");
+        }
+        let want_free = answer(&engine.trip_query(&free));
+        let want_locked = answer(&engine.trip_query(&locked));
+
+        // What `ingest` holds while it applies a batch to `target`.
+        let guard = idx.shards[target].write().unwrap();
+        let (engine, free, locked) = (&engine, &free, &locked);
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            scope.spawn(move || {
+                let _ = tx.send(engine.trip_query(free));
+            });
+            let got = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a trip in an unlocked shard waits for another shard's writer");
+            assert_eq!(answer(&got), want_free);
+
+            let (tx, rx) = mpsc::channel();
+            scope.spawn(move || {
+                let _ = tx.send(engine.trip_query(locked));
+            });
+            assert!(
+                rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "a trip in the write-locked shard answered"
+            );
+            drop(guard);
+            let got = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the trip answers once the writer is gone");
+            assert_eq!(answer(&got), want_locked);
+        });
     }
 
     #[test]

@@ -1175,7 +1175,7 @@ impl SntIndex {
     ///
     /// Works unchanged over the hot tail: matches are drawn from the same
     /// merged scan `buildMap` uses.
-    pub fn travel_times_ladder_with(
+    pub(crate) fn travel_times_ladder_with(
         &self,
         spq: &Spq,
         levels: &[TimeInterval],

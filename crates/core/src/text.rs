@@ -40,7 +40,7 @@ pub(crate) fn path_symbols_into(path: &Path, out: &mut Vec<u32>) {
 /// the symbols and, for each trajectory (in input order), the text position
 /// of its first traversal. Traversal `k` of trajectory `i` sits at
 /// `starts[i] + k`.
-pub fn build_text<'a, I>(trajectories: I) -> (Vec<u32>, Vec<usize>)
+pub(crate) fn build_text<'a, I>(trajectories: I) -> (Vec<u32>, Vec<usize>)
 where
     I: IntoIterator<Item = &'a Trajectory>,
 {

@@ -45,7 +45,7 @@ pub struct HuffmanWaveletTree {
 impl HuffmanWaveletTree {
     /// Builds from a symbol sequence; `alphabet_size` must exceed every
     /// symbol.
-    pub fn new(sequence: &[u32], alphabet_size: u32) -> Self {
+    pub(crate) fn new(sequence: &[u32], alphabet_size: u32) -> Self {
         let sigma = alphabet_size as usize;
         assert!(
             sequence.iter().all(|&s| (s as usize) < sigma.max(1)),

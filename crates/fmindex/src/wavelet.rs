@@ -24,7 +24,7 @@ pub struct WaveletMatrix {
 impl WaveletMatrix {
     /// Builds from a symbol sequence. `alphabet_size` must exceed every
     /// symbol; it fixes the number of levels at `ceil(log2 alphabet_size)`.
-    pub fn new(sequence: &[u32], alphabet_size: u32) -> Self {
+    pub(crate) fn new(sequence: &[u32], alphabet_size: u32) -> Self {
         assert!(
             sequence.iter().all(|&s| s < alphabet_size.max(1)),
             "symbol out of alphabet range"

@@ -349,7 +349,7 @@ pub fn percentile<I: IntoIterator<Item = f64>>(values: I, p: f64) -> f64 {
 
 /// [`percentile`] over an already ascending-sorted sample (avoids re-sorting
 /// when several percentiles are read from one sample).
-pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

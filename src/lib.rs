@@ -98,7 +98,8 @@
 //!   keeps answers byte-identical to the monolith
 //!   (`tests/equivalence.rs` proves it differentially for
 //!   K ∈ {1, 2, 7}), while appends stall only the written shards
-//!   (`crates/bench/benches/sharded.rs`).
+//!   (a unit test of `tthr-core`'s `sharded` module holds one shard's
+//!   write lock and answers a trip in another).
 //! * **Observability** — [`service::ServiceStats`] snapshots p50/p95/p99
 //!   latency, throughput, and cache hit rate, computed with [`metrics`].
 //!   Underneath, every query carries a [`core::QueryTrace`] (rank ops,
