@@ -367,7 +367,7 @@ impl SntIndex {
     pub(crate) fn recount_census(&self) -> Census {
         let mut counter = LeafCounter::new(&self.user_table);
         self.forest
-            .for_each_leaf(&mut |edge, leaf| counter.add(edge, leaf));
+            .for_each_leaf(|edge, leaf| counter.add(edge, leaf));
         counter.finish()
     }
 

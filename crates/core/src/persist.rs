@@ -388,14 +388,17 @@ impl SntIndex {
             estimate_tt,
             data_min,
             data_max,
+            max_span: 0,
             total_entries,
             scratch_id: crate::snt::next_scratch_id(),
             hot: Default::default(),
             mutation_stamp: 0,
         };
-        // The census is derived state, recounted from the forest (the hot
-        // batches re-absorbed below join it when they are sealed).
+        // The census and the span bound are derived state, recounted from
+        // the forest (the hot batches re-absorbed below join the census
+        // when they are sealed, and the span bound as they are absorbed).
         index.census = index.recount_census();
+        index.max_span = index.recount_max_span();
 
         // Pending hot batches (absent in pre-lifecycle snapshots → empty
         // tail). The user table and data span already cover them; only the

@@ -372,12 +372,12 @@ impl Forest {
 
     /// Calls `f(edge, leaf)` for every leaf in the forest (per-tree scan
     /// order).
-    pub(crate) fn for_each_leaf(&self, f: &mut dyn FnMut(usize, &LeafEntry)) {
+    pub(crate) fn for_each_leaf(&self, mut f: impl FnMut(usize, &LeafEntry)) {
         match self {
             Forest::Css(trees) => {
                 for (edge, t) in trees.iter().enumerate() {
-                    for l in t.entries() {
-                        f(edge, l);
+                    for l in t.iter() {
+                        f(edge, &l);
                     }
                 }
             }
@@ -393,16 +393,15 @@ impl Forest {
     }
 
     /// Rebuilds every tree from the leaves `f(edge, leaf)` maps to `Some`
-    /// (retention). Rebuilding `from_sorted` on the filtered scan sequence
-    /// preserves relative order — including timestamp-tie order — so the
-    /// result is exactly the forest an index that only ever appended the
-    /// surviving batches would hold.
+    /// (retention). Filtering the scan sequence preserves relative order
+    /// — including timestamp-tie order — so the result is exactly the
+    /// forest an index that only ever appended the surviving batches
+    /// would hold.
     fn retain_map(&mut self, f: &mut dyn FnMut(usize, &LeafEntry) -> Option<LeafEntry>) {
         match self {
             Forest::Css(trees) => {
                 for (edge, t) in trees.iter_mut().enumerate() {
-                    let kept = t.entries().iter().filter_map(|l| f(edge, l)).collect();
-                    *t = CssTree::from_sorted(kept);
+                    t.retain_map(|l| f(edge, l));
                 }
             }
             Forest::BPlus(trees) => {
@@ -456,6 +455,12 @@ impl TodStore {
 pub(crate) fn next_scratch_id() -> u64 {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
+/// A trajectory's span: its last entry time minus its first.
+fn span(tr: &tthr_trajectory::Trajectory) -> Timestamp {
+    let last = tr.entries().last().expect("trajectories are non-empty");
+    last.enter_time - tr.start_time()
 }
 
 /// Per-query scratch state for the backward-search hot path: reusable
@@ -556,6 +561,12 @@ pub struct SntIndex {
     pub(crate) estimate_tt: Vec<f64>,
     pub(crate) data_min: Timestamp,
     pub(crate) data_max: Timestamp,
+    /// An upper bound on any indexed trajectory's span (last entry time −
+    /// first entry time): `probeMap` finds every match of a `buildMap`
+    /// window `[lo, hi)` before `hi + max_span`. Exact after build and
+    /// restore, grown by every admitted batch, kept across retention
+    /// (derived, not persisted; see [`SntIndex::recount_max_span`]).
+    pub(crate) max_span: Timestamp,
     /// Leaf entries in the *immutable* forest (hot-tail entries are
     /// counted separately by [`SntIndex::hot_stats`]).
     pub(crate) total_entries: usize,
@@ -588,10 +599,12 @@ impl SntIndex {
         // Data span.
         let mut data_min = Timestamp::MAX;
         let mut data_max = Timestamp::MIN;
+        let mut max_span = 0;
         for tr in trajectories {
             data_min = data_min.min(tr.start_time());
             let last = tr.entries().last().expect("trajectories are non-empty");
             data_max = data_max.max(last.enter_time);
+            max_span = max_span.max(span(tr));
         }
         if trajectories.is_empty() {
             data_min = 0;
@@ -713,6 +726,7 @@ impl SntIndex {
             estimate_tt: network.edge_ids().map(|e| network.estimate_tt(e)).collect(),
             data_min,
             data_max,
+            max_span,
             total_entries,
             hot: HotTail::default(),
             mutation_stamp: 0,
@@ -893,19 +907,25 @@ impl SntIndex {
     /// kinds keep existing entries first on ties). The callback's second
     /// argument distinguishes hot leaves, whose spatial filter is
     /// evaluated against the retained trajectory instead of an ISA range.
+    ///
+    /// `from` is the tree's window cursor
+    /// ([`TemporalIndex::scan_range_from`]): one per scan, threaded
+    /// through its ascending windows.
     fn scan_merged(
         &self,
         e: EdgeId,
         lo: Timestamp,
         hi: Timestamp,
+        from: &mut usize,
         f: &mut dyn FnMut(&LeafEntry, bool) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
+        let tree = self.forest.tree(e);
         let hot = self.hot.slice(e, lo, hi);
         if hot.is_empty() {
-            return self.forest.tree(e).scan_range(lo, hi, &mut |r| f(r, false));
+            return tree.scan_range_from(from, lo, hi, &mut |r| f(r, false));
         }
         let mut h = 0usize;
-        self.forest.tree(e).scan_range(lo, hi, &mut |c| {
+        tree.scan_range_from(from, lo, hi, &mut |c| {
             while h < hot.len() && hot[h].time < c.time {
                 f(&hot[h], true)?;
                 h += 1;
@@ -945,26 +965,29 @@ impl SntIndex {
     ///   `a − (a − TT)` per leaf — so when `collect` is given, that value
     ///   is emitted during this scan and [`SntIndex::probe_map`] is
     ///   skipped entirely.
-    /// * `first_lo` reports the earliest window bound scanned; segment
-    ///   entry times are non-decreasing along a trajectory, so no probe
-    ///   leaf matching a map entry can sit before it — the probe scan
-    ///   starts there instead of the tree's minimum key.
+    /// * The returned spans are where the probe scan can find a match:
+    ///   the union, in ascending order, of `[lo, hi + max_span)` over the
+    ///   windows `[lo, hi)` that inserted a map entry. A trajectory that
+    ///   enters the first segment at `t ∈ [lo, hi)` enters the last one
+    ///   at `t' ≥ t` (entry times increase along a trajectory) and at
+    ///   `t' ≤ t + span ≤ t + max_span < hi + max_span`.
     fn build_map(
         &self,
         spq: &Spq,
         ranges: &[IsaRange],
         mut collect: Option<&mut Vec<f64>>,
-    ) -> (ProbeTable, Timestamp) {
+    ) -> (ProbeTable, Vec<(Timestamp, Timestamp)>) {
         let cap = spq.beta_cap() as usize;
         let mut map = ProbeTable::with_capacity(cap.min(1024));
-        let mut first_lo = Timestamp::MAX;
+        let mut spans: Vec<(Timestamp, Timestamp)> = Vec::new();
         let first = spq.path.first();
         let Some((kmin, kmax)) = self.edge_bounds(first) else {
-            return (map, first_lo);
+            return (map, spans);
         };
+        let mut from = 0;
         let _ = spq.interval.for_each_window(kmin, kmax, &mut |lo, hi| {
-            first_lo = first_lo.min(lo);
-            self.scan_merged(first, lo, hi, &mut |r, is_hot| {
+            let held = map.len();
+            let flow = self.scan_merged(first, lo, hi, &mut from, &mut |r, is_hot| {
                 let on_path = if is_hot {
                     self.hot.leaf_matches(r, &spq.path)
                 } else {
@@ -981,19 +1004,28 @@ impl SntIndex {
                     }
                 }
                 ControlFlow::Continue(())
-            })
+            });
+            if map.len() > held {
+                let end = hi.saturating_add(self.max_span);
+                match spans.last_mut() {
+                    Some(last) if last.1 >= lo => last.1 = end,
+                    _ => spans.push((lo, end)),
+                }
+            }
+            flow
         });
-        (map, first_lo)
+        (map, spans)
     }
 
     /// `probeMap` (Procedure 4): scans the temporal index of the last
     /// segment, probing the map with `(d, seq + 1 − l)`; every hit yields
     /// the path travel time `a_{l−1} − (a₀ − TT₀)`. The scan stops as soon
     /// as every map entry has been matched (each spatially filtered entry
-    /// matches exactly once), and starts at `from` — the earliest
-    /// buildMap window bound — because a trajectory enters its last query
-    /// segment no earlier than its first.
-    fn probe_map(&self, spq: &Spq, map: &ProbeTable, from: Timestamp) -> Vec<f64> {
+    /// matches exactly once), and covers only `spans`, the ascending
+    /// disjoint time spans [`SntIndex::build_map`] proves every match
+    /// lies in: it meets the same hits, in the same order, as a scan of
+    /// the whole tree.
+    fn probe_map(&self, spq: &Spq, map: &ProbeTable, spans: &[(Timestamp, Timestamp)]) -> Vec<f64> {
         let mut xs = Vec::with_capacity(map.len());
         if map.is_empty() {
             return xs;
@@ -1003,19 +1035,31 @@ impl SntIndex {
         let Some((kmin, kmax)) = self.edge_bounds(last) else {
             return xs;
         };
-        let _ = self.scan_merged(last, kmin.max(from), kmax + 1, &mut |r, _| {
-            // Probe hits are map-membership tests: identical for hot and
-            // cold leaves (the map's (traj, seq) keys are global either way).
-            if r.seq + 1 >= l {
-                if let Some(diff) = map.get(r.traj, r.seq + 1 - l) {
-                    xs.push(r.aggregate - diff);
-                    if xs.len() == map.len() {
-                        return ControlFlow::Break(());
+        let mut from = 0;
+        for &(lo, end) in spans {
+            let flow = self.scan_merged(
+                last,
+                lo.max(kmin),
+                end.min(kmax + 1),
+                &mut from,
+                &mut |r, _| {
+                    // Probe hits are map-membership tests: identical for hot and
+                    // cold leaves (the map's (traj, seq) keys are global either way).
+                    if r.seq + 1 >= l {
+                        if let Some(diff) = map.get(r.traj, r.seq + 1 - l) {
+                            xs.push(r.aggregate - diff);
+                            if xs.len() == map.len() {
+                                return ControlFlow::Break(());
+                            }
+                        }
                     }
-                }
+                    ControlFlow::Continue(())
+                },
+            );
+            if flow.is_break() {
+                break;
             }
-            ControlFlow::Continue(())
-        });
+        }
         xs
     }
 
@@ -1089,7 +1133,7 @@ impl SntIndex {
         // `build_map`.
         let mut collected: Vec<f64> = Vec::new();
         trace.temporal_passes += 1;
-        let (map, first_lo) = self.build_map(spq, ranges, single.then_some(&mut collected));
+        let (map, spans) = self.build_map(spq, ranges, single.then_some(&mut collected));
         if let Some(beta) = spq.beta {
             if (map.len() as u32) < beta && spq.interval.is_periodic() {
                 return TravelTimes::empty();
@@ -1098,7 +1142,7 @@ impl SntIndex {
         let values = if single {
             collected
         } else {
-            self.probe_map(spq, &map, first_lo)
+            self.probe_map(spq, &map, &spans)
         };
         if values.is_empty() && single && !spq.interval.is_periodic() {
             return self.estimate(spq);
@@ -1130,8 +1174,9 @@ impl SntIndex {
         let Some((kmin, kmax)) = self.edge_bounds(first) else {
             return;
         };
+        let mut from = 0;
         let _ = interval.for_each_window(kmin, kmax, &mut |lo, hi| {
-            self.scan_merged(first, lo, hi, &mut |r, is_hot| {
+            self.scan_merged(first, lo, hi, &mut from, &mut |r, is_hot| {
                 let on_path = if is_hot {
                     self.hot.leaf_matches(r, &spq.path)
                 } else {
@@ -1356,10 +1401,29 @@ impl SntIndex {
                 self.data_max = self.data_max.max(entry.enter_time);
             }
             self.data_min = self.data_min.min(tr.start_time());
+            self.max_span = self.max_span.max(span(tr));
             self.user_table.push(tr.user());
         }
         let tod_bucket = self.tod.as_ref().map(|t| t.bucket_secs);
         HotBatch::build(from, trajs, self.estimate_tt.len(), tod_bucket)
+    }
+
+    /// [`SntIndex::max_span`] recounted from the forest's leaves: the
+    /// widest first-to-last entry time of any trajectory with a sealed
+    /// leaf (a restore folds in the hot batches as it re-absorbs them).
+    pub(crate) fn recount_max_span(&self) -> Timestamp {
+        let mut bounds = vec![(Timestamp::MAX, Timestamp::MIN); self.num_trajectories()];
+        self.forest.for_each_leaf(|_, l| {
+            if let Some(b) = bounds.get_mut(l.traj as usize) {
+                *b = (b.0.min(l.time), b.1.max(l.time));
+            }
+        });
+        bounds
+            .iter()
+            .filter(|b| b.0 <= b.1)
+            .map(|b| b.1 - b.0)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Seals one pending batch as its own immutable partition — the exact
@@ -1424,12 +1488,14 @@ impl SntIndex {
     }
 
     /// Re-absorbs one snapshot hot batch during restore: the user table
-    /// and data span already cover it, so only the tail state is rebuilt.
+    /// and data span already cover it, so only the tail state (and the
+    /// span bound) is rebuilt.
     pub(crate) fn restore_hot_batch(
         &mut self,
         first_id: u32,
         trajs: Vec<tthr_trajectory::Trajectory>,
     ) {
+        self.max_span = trajs.iter().map(span).fold(self.max_span, Timestamp::max);
         let tod_bucket = self.tod.as_ref().map(|t| t.bucket_secs);
         let batch = HotBatch::build(first_id, trajs, self.estimate_tt.len(), tod_bucket);
         self.hot.absorb(batch, self.estimate_tt.len());
@@ -1488,7 +1554,7 @@ impl SntIndex {
         }
         let mut max_time: Vec<Option<i64>> = vec![None; num_parts];
         let mut part_entries: Vec<usize> = vec![0; num_parts];
-        self.forest.for_each_leaf(&mut |_, l| {
+        self.forest.for_each_leaf(|_, l| {
             let p = l.partition as usize;
             max_time[p] = Some(max_time[p].map_or(l.time, |m| m.max(l.time)));
             part_entries[p] += 1;

@@ -3,6 +3,8 @@
 //! the query draw and the structural trip comparison.
 #![allow(dead_code)] // each suite uses its own subset
 
+pub(crate) mod oracle;
+
 use std::sync::OnceLock;
 use tthr_core::{
     SearchScratch, SntConfig, SntIndex, Spq, TimeInterval, TravelTimeProvider, TravelTimes,

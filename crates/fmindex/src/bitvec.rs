@@ -33,7 +33,6 @@ const REL_MASK: u64 = (1 << REL_BITS) - 1;
 pub struct RankBitVec {
     len: usize,
     blocks: Vec<u64>,
-    ones: usize,
 }
 
 impl RankBitVec {
@@ -82,11 +81,7 @@ impl RankBitVec {
             }
             blocks[base + 1] = rel;
         }
-        RankBitVec {
-            len,
-            blocks,
-            ones: total as usize,
-        }
+        RankBitVec { len, blocks }
     }
 
     /// Number of bits.
@@ -99,12 +94,6 @@ impl RankBitVec {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of set bits.
-    #[inline]
-    pub fn count_ones(&self) -> usize {
-        self.ones
     }
 
     /// The bit at position `i`.
@@ -225,7 +214,7 @@ mod tests {
         let bits = vec![true, false, true, true, false, false, true];
         let bv = RankBitVec::from_bits(bits.iter().copied());
         assert_eq!(bv.len(), 7);
-        assert_eq!(bv.count_ones(), 4);
+        assert_eq!(bv.rank1(bv.len()), 4);
         for i in 0..=bits.len() {
             assert_eq!(bv.rank1(i), reference_rank(&bits, i), "rank1({i})");
             assert_eq!(bv.rank0(i), i - reference_rank(&bits, i), "rank0({i})");

@@ -112,7 +112,7 @@ impl Persist for BPlusTree {
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let entries = LeafEntry::restore_seq(r)?;
+        let entries: Vec<LeafEntry> = LeafEntry::records(r)?.collect();
         if entries.windows(2).any(|w| w[0].time > w[1].time) {
             return Err(StoreError::corrupt("b+-tree entries out of time order"));
         }

@@ -6,6 +6,13 @@
 //! cache misses per lookup, and — crucially for the cardinality estimator —
 //! the size of any key range in logarithmic time (Sections 4.3.1, 4.4).
 //!
+//! The sorted array is stored as two columns: the dense key column `keys`
+//! (8 timestamps per cache line), which the directory is built over and
+//! every search and range bound reads, and the [`Row`] column (the leaf
+//! without its time), read once per visited leaf. A periodic query
+//! compares one key line per daily window instead of one 40-byte leaf
+//! per key, at the same 40 bytes per leaf in memory.
+//!
 //! Appends must arrive in non-decreasing key order (the trajectory loader
 //! feeds traversals in timestamp order). The directory maintains, per level,
 //! the maximum key of each group of [`FANOUT`] lower-level slots; appending
@@ -20,12 +27,52 @@ use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
 /// Keys per directory node — 8 × `i64` fills one 64-byte cache line.
 const FANOUT: usize = 8;
 
+/// A [`LeafEntry`] without its key: 30 bytes of payload, 32 in memory.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Row {
+    aggregate: f64,
+    travel_time: f64,
+    isa: u32,
+    traj: u32,
+    seq: u32,
+    partition: u16,
+}
+
+impl Row {
+    fn of(e: &LeafEntry) -> Row {
+        Row {
+            aggregate: e.aggregate,
+            travel_time: e.travel_time,
+            isa: e.isa,
+            traj: e.traj,
+            seq: e.seq,
+            partition: e.partition,
+        }
+    }
+
+    #[inline]
+    fn leaf(&self, time: i64) -> LeafEntry {
+        LeafEntry {
+            time,
+            aggregate: self.aggregate,
+            travel_time: self.travel_time,
+            isa: self.isa,
+            traj: self.traj,
+            seq: self.seq,
+            partition: self.partition,
+        }
+    }
+}
+
 /// An append-only CSS-tree keyed by [`LeafEntry::time`].
 #[derive(Clone, Debug, Default)]
 pub struct CssTree {
-    entries: Vec<LeafEntry>,
-    /// `levels[0][b]` = max key of entry block `b` (blocks of `FANOUT`
-    /// entries); `levels[l][g]` = max key of group `g` of `FANOUT` slots at
+    /// The leaves' timestamps, non-decreasing.
+    keys: Vec<i64>,
+    /// `rows[i]` is the rest of the leaf keyed by `keys[i]`.
+    rows: Vec<Row>,
+    /// `levels[0][b]` = max key of key block `b` (blocks of `FANOUT`
+    /// keys); `levels[l][g]` = max key of group `g` of `FANOUT` slots at
     /// level `l − 1`. The top level has at most `FANOUT` slots.
     levels: Vec<Vec<i64>>,
 }
@@ -37,14 +84,18 @@ impl CssTree {
     }
 
     /// Bulk-loads from entries already sorted by time.
-    pub fn from_sorted(mut entries: Vec<LeafEntry>) -> Self {
+    pub fn from_sorted(entries: Vec<LeafEntry>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].time <= w[1].time));
-        // The sorted array is the index; don't carry the producer's growth
-        // slack (a pointerless structure's memory edge over the B+-tree is
-        // the point of the CSS-tree).
-        entries.shrink_to_fit();
+        let keys = entries.iter().map(|e| e.time).collect();
+        // Collected in place: std reuses `entries`' buffer for the rows.
+        let mut rows: Vec<Row> = entries.into_iter().map(|e| Row::of(&e)).collect();
+        // Exact-size columns: the sorted array is the index, and a
+        // pointerless structure's memory edge over the B+-tree is the
+        // point of the CSS-tree, so no producer growth slack is carried.
+        rows.shrink_to_fit();
         let mut tree = CssTree {
-            entries,
+            keys,
+            rows,
             levels: Vec::new(),
         };
         tree.rebuild_directory();
@@ -57,15 +108,16 @@ impl CssTree {
     /// Panics on out-of-order appends — the CSS-tree is an *append-only*
     /// structure; use [`crate::BPlusTree`] for arbitrary-order inserts.
     pub fn append(&mut self, entry: LeafEntry) {
-        if let Some(last) = self.entries.last() {
+        if let Some(&last) = self.keys.last() {
             assert!(
-                last.time <= entry.time,
+                last <= entry.time,
                 "CSS-tree appends must be in non-decreasing key order"
             );
         }
-        self.entries.push(entry);
+        self.keys.push(entry.time);
+        self.rows.push(Row::of(&entry));
         // Update the rightmost directory path: the new key is the global max.
-        let mut slot = (self.entries.len() - 1) / FANOUT;
+        let mut slot = (self.keys.len() - 1) / FANOUT;
         for l in 0..self.levels.len() {
             if slot == self.levels[l].len() {
                 self.levels[l].push(entry.time);
@@ -80,19 +132,10 @@ impl CssTree {
             .levels
             .last()
             .map(|top| top.len() > FANOUT)
-            .unwrap_or(!self.entries.is_empty() && self.levels.is_empty())
+            .unwrap_or(!self.keys.is_empty() && self.levels.is_empty())
         {
-            let top: Vec<i64> = match self.levels.last() {
-                Some(top) => top
-                    .chunks(FANOUT)
-                    .map(|c| *c.last().expect("non-empty"))
-                    .collect(),
-                None => self
-                    .entries
-                    .chunks(FANOUT)
-                    .map(|c| c.last().expect("non-empty").time)
-                    .collect(),
-            };
+            let below = self.levels.last().unwrap_or(&self.keys);
+            let top = block_maxima(below);
             self.levels.push(top);
         }
     }
@@ -110,12 +153,7 @@ impl CssTree {
         let Some(first) = batch.first() else {
             return;
         };
-        if self
-            .entries
-            .last()
-            .map(|l| l.time <= first.time)
-            .unwrap_or(true)
-        {
+        if self.keys.last().map(|&l| l <= first.time).unwrap_or(true) {
             for leaf in batch {
                 self.append(leaf);
             }
@@ -123,50 +161,70 @@ impl CssTree {
         }
         // Merge the overlapping tail.
         let splice = self.lower_bound(first.time);
-        let tail: Vec<LeafEntry> = self.entries.split_off(splice);
-        self.entries.reserve(tail.len() + batch.len());
+        let tail_keys = self.keys.split_off(splice);
+        let tail_rows = self.rows.split_off(splice);
+        self.keys.reserve(tail_keys.len() + batch.len());
+        self.rows.reserve(tail_keys.len() + batch.len());
         let (mut i, mut j) = (0usize, 0usize);
-        while i < tail.len() && j < batch.len() {
+        while i < tail_keys.len() && j < batch.len() {
             // `<=` keeps existing entries first on ties (matching the
             // stable time sort a from-scratch build performs).
-            if tail[i].time <= batch[j].time {
-                self.entries.push(tail[i]);
+            if tail_keys[i] <= batch[j].time {
+                self.keys.push(tail_keys[i]);
+                self.rows.push(tail_rows[i]);
                 i += 1;
             } else {
-                self.entries.push(batch[j]);
+                self.keys.push(batch[j].time);
+                self.rows.push(Row::of(&batch[j]));
                 j += 1;
             }
         }
-        self.entries.extend_from_slice(&tail[i..]);
-        self.entries.extend_from_slice(&batch[j..]);
+        self.keys.extend_from_slice(&tail_keys[i..]);
+        self.rows.extend_from_slice(&tail_rows[i..]);
+        self.keys.extend(batch[j..].iter().map(|e| e.time));
+        self.rows.extend(batch[j..].iter().map(Row::of));
+        self.rebuild_directory();
+    }
+
+    /// Keeps, in order, the leaves `f` maps to `Some`, each replaced by
+    /// what `f` returns under its own key (`f` may rewrite everything but
+    /// the time). Compacts both columns in place, without a copy of the
+    /// forest, then rebuilds the directory.
+    pub fn retain_map(&mut self, mut f: impl FnMut(&LeafEntry) -> Option<LeafEntry>) {
+        let mut kept = 0;
+        for i in 0..self.keys.len() {
+            if let Some(e) = f(&self.rows[i].leaf(self.keys[i])) {
+                debug_assert_eq!(e.time, self.keys[i], "retain_map moved a key");
+                self.keys[kept] = self.keys[i];
+                self.rows[kept] = Row::of(&e);
+                kept += 1;
+            }
+        }
+        self.keys.truncate(kept);
+        self.rows.truncate(kept);
+        self.keys.shrink_to_fit();
+        self.rows.shrink_to_fit();
         self.rebuild_directory();
     }
 
     fn rebuild_directory(&mut self) {
         self.levels.clear();
-        if self.entries.is_empty() {
+        if self.keys.is_empty() {
             return;
         }
-        let mut level: Vec<i64> = self
-            .entries
-            .chunks(FANOUT)
-            .map(|c| c.last().expect("non-empty").time)
-            .collect();
+        let mut level = block_maxima(&self.keys);
         while level.len() > FANOUT {
-            let next = level
-                .chunks(FANOUT)
-                .map(|c| *c.last().expect("non-empty"))
-                .collect();
+            let next = block_maxima(&level);
             self.levels.push(level);
             level = next;
         }
         self.levels.push(level);
     }
 
-    /// Index of the first entry with `time ≥ key`, via directory descent —
+    /// Index of the first key `≥ key`, via directory descent —
     /// `O(log_FANOUT n)` node visits, each one cache line.
     pub(crate) fn lower_bound(&self, key: i64) -> usize {
-        if self.entries.is_empty() {
+        if self.keys.is_empty() {
             return 0;
         }
         // Descend from the top level to a level-0 block.
@@ -189,27 +247,66 @@ impl CssTree {
         }
         // `slot` is now a level-0 block index.
         let start = slot * FANOUT;
-        let end = (start + FANOUT).min(self.entries.len());
-        let within = self.entries[start..end].partition_point(|e| e.time < key);
-        (start + within).min(self.entries.len())
+        let end = (start + FANOUT).min(self.keys.len());
+        let within = self.keys[start..end].partition_point(|&k| k < key);
+        (start + within).min(self.keys.len())
     }
 
-    /// Direct slice access to the sorted entries.
-    pub fn entries(&self) -> &[LeafEntry] {
-        &self.entries
+    /// [`CssTree::lower_bound`] searched forward from `from`. When every
+    /// key before `from` is `< key` — `from` is where the previous window
+    /// of an ascending sequence ended — the answer is found by galloping
+    /// over `keys` from there: the keys between two daily windows are a
+    /// few cache lines, where a descent pays a line per level. Any other
+    /// `from` descends the directory.
+    fn seek(&self, from: usize, key: i64) -> usize {
+        let keys = &self.keys;
+        if from == 0 || from > keys.len() || keys[from - 1] >= key {
+            return self.lower_bound(key);
+        }
+        // Invariant: keys[..lo] < key. Double the stride until a key
+        // ≥ `key` (or the end) brackets the answer.
+        let (mut lo, mut hi, mut step) = (from, from, 1usize);
+        while hi < keys.len() && keys[hi] < key {
+            lo = hi + 1;
+            hi += step;
+            step *= 2;
+        }
+        let hi = hi.min(keys.len());
+        lo + keys[lo..hi].partition_point(|&k| k < key)
+    }
+
+    /// The leaves in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = LeafEntry> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.rows)
+            .map(|(&time, row)| row.leaf(time))
     }
 }
 
-/// Wire form: the sorted entry array. The directory is derived and is
-/// rebuilt on restore; restoring validates the sort invariant so a
-/// corrupt payload cannot produce wrong range scans.
+/// The last (largest) key of each `FANOUT`-slot block of a sorted level.
+fn block_maxima(level: &[i64]) -> Vec<i64> {
+    level
+        .chunks(FANOUT)
+        .map(|c| *c.last().expect("non-empty"))
+        .collect()
+}
+
+/// Wire form: the sorted leaves as a length-prefixed sequence of
+/// [`LeafEntry`] records — the same bytes whatever the in-memory column
+/// split. The directory is derived and is rebuilt on restore; restoring
+/// validates the sort invariant so a corrupt payload cannot produce wrong
+/// range scans.
 impl Persist for CssTree {
     fn persist(&self, w: &mut ByteWriter) {
-        w.put_seq(&self.entries);
+        w.put_len(self.keys.len());
+        for leaf in self.iter() {
+            leaf.persist(w);
+        }
     }
 
     fn restore(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let entries = LeafEntry::restore_seq(r)?;
+        let entries: Vec<LeafEntry> = LeafEntry::records(r)?.collect();
         if entries.windows(2).any(|w| w[0].time > w[1].time) {
             return Err(StoreError::corrupt("css-tree entries out of time order"));
         }
@@ -219,15 +316,15 @@ impl Persist for CssTree {
 
 impl TemporalIndex for CssTree {
     fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     fn min_key(&self) -> Option<i64> {
-        self.entries.first().map(|e| e.time)
+        self.keys.first().copied()
     }
 
     fn max_key(&self) -> Option<i64> {
-        self.entries.last().map(|e| e.time)
+        self.keys.last().copied()
     }
 
     fn scan_range(
@@ -236,15 +333,29 @@ impl TemporalIndex for CssTree {
         hi: i64,
         f: &mut dyn FnMut(&LeafEntry) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
+        self.scan_range_from(&mut 0, lo, hi, f)
+    }
+
+    fn scan_range_from(
+        &self,
+        from: &mut usize,
+        lo: i64,
+        hi: i64,
+        f: &mut dyn FnMut(&LeafEntry) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if lo >= hi {
             return ControlFlow::Continue(());
         }
-        let start = self.lower_bound(lo);
-        for e in &self.entries[start..] {
-            if e.time >= hi {
+        let start = self.seek(*from, lo);
+        // `from` ends on the first key ≥ hi, or on the leaf the callback
+        // broke on: either way no later window starts before it.
+        *from = start;
+        for (&time, row) in self.keys[start..].iter().zip(&self.rows[start..]) {
+            if time >= hi {
                 break;
             }
-            f(e)?;
+            f(&row.leaf(time))?;
+            *from += 1;
         }
         ControlFlow::Continue(())
     }
@@ -257,7 +368,8 @@ impl TemporalIndex for CssTree {
     }
 
     fn size_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<LeafEntry>()
+        self.keys.capacity() * std::mem::size_of::<i64>()
+            + self.rows.capacity() * std::mem::size_of::<Row>()
             + self
                 .levels
                 .iter()
@@ -372,6 +484,15 @@ mod tests {
     }
 
     #[test]
+    fn columns_keep_forty_bytes_per_leaf() {
+        assert_eq!(std::mem::size_of::<Row>(), 32);
+        assert_eq!(
+            std::mem::size_of::<i64>() + std::mem::size_of::<Row>(),
+            std::mem::size_of::<LeafEntry>()
+        );
+    }
+
+    #[test]
     fn css_uses_less_memory_than_bplus() {
         // The paper's Figure 10a: the B+-forest needs slightly more memory
         // than the CSS-forest.
@@ -392,7 +513,7 @@ mod tests {
         t.extend_sorted((50..80).map(|i| e(i, i as u32)).collect());
         assert_eq!(t.len(), 80);
         assert_eq!(t.range_count(0, 80), 80);
-        assert!(t.entries().windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(t.keys.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -401,17 +522,28 @@ mod tests {
         // Batch overlaps the tail: times 80..120 interleave with 80..98.
         t.extend_sorted((40..60).map(|i| e(i * 2, 1000 + i as u32)).collect());
         assert_eq!(t.len(), 70);
-        assert!(t.entries().windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(t.keys.windows(2).all(|w| w[0] <= w[1]));
         // Ties keep the existing entry first.
         let at80: Vec<u32> = t.collect_range(80, 81).iter().map(|x| x.traj).collect();
         assert_eq!(at80, vec![40, 1040]);
         // Directory still answers correctly after the rebuild: 10 base
         // entries (80, 82, …, 98) + 20 batch entries (80, 82, …, 118).
         assert_eq!(t.range_count(80, 120), 30);
+        assert_eq!(t.lower_bound(100), t.keys.partition_point(|&x| x < 100));
+    }
+
+    #[test]
+    fn retain_map_equals_a_rebuild_of_the_kept_leaves() {
+        let mut t = CssTree::from_sorted((0..500).map(|i| e(i / 3, i as u32)).collect());
+        let relabel = |x: &LeafEntry| (x.traj % 3 != 1).then_some(LeafEntry { partition: 7, ..*x });
+        let want = CssTree::from_sorted(t.iter().filter_map(|x| relabel(&x)).collect());
+        t.retain_map(relabel);
         assert_eq!(
-            t.lower_bound(100),
-            t.entries().partition_point(|x| x.time < 100)
+            t.iter().collect::<Vec<_>>(),
+            want.iter().collect::<Vec<_>>()
         );
+        assert_eq!(t.levels, want.levels);
+        assert_eq!(t.size_bytes(), want.size_bytes());
     }
 
     #[test]
@@ -430,7 +562,10 @@ mod tests {
         let mut r = tthr_store::ByteReader::new(&bytes);
         let restored = CssTree::restore(&mut r).unwrap();
         r.expect_exhausted("css tree").unwrap();
-        assert_eq!(restored.entries(), t.entries());
+        assert_eq!(
+            restored.iter().collect::<Vec<_>>(),
+            t.iter().collect::<Vec<_>>()
+        );
         for key in [-1, 0, 50, 166, 167] {
             assert_eq!(restored.lower_bound(key), t.lower_bound(key));
         }
@@ -467,13 +602,13 @@ mod tests {
             let mut want = base.clone();
             want.extend(&batch);
             want.sort_unstable();
-            let got: Vec<i64> = t.entries().iter().map(|x| x.time).collect();
+            let got = t.keys.clone();
             proptest::prop_assert_eq!(got, want);
             // Directory invariant: probe lower_bound at several keys.
             for key in [0i64, 100, 250, 599] {
                 proptest::prop_assert_eq!(
                     t.lower_bound(key),
-                    t.entries().partition_point(|x| x.time < key)
+                    t.keys.partition_point(|&x| x < key)
                 );
             }
         }

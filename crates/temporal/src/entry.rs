@@ -54,28 +54,23 @@ impl LeafEntry {
     /// The wire record is fixed-width, so the whole payload can be sliced
     /// up front and parsed with `chunks_exact` — one bounds check per
     /// record instead of one per field. Forests hold millions of leaves;
-    /// this is the hot loop of a snapshot load.
-    pub(crate) fn restore_seq(r: &mut ByteReader<'_>) -> Result<Vec<LeafEntry>, StoreError> {
+    /// this is the hot loop of a snapshot load. Each tree collects the
+    /// records into its own layout.
+    pub(crate) fn records<'a>(
+        r: &mut ByteReader<'a>,
+    ) -> Result<impl ExactSizeIterator<Item = LeafEntry> + 'a, StoreError> {
         const WIRE: usize = LeafEntry::logical_size(true);
         let n = r.get_len(WIRE)?;
         let bytes = r.get_bytes(n * WIRE)?;
-        let mut out = Vec::with_capacity(n);
-        for c in bytes.chunks_exact(WIRE) {
-            out.push(LeafEntry {
-                time: i64::from_le_bytes(c[0..8].try_into().expect("8 bytes")),
-                aggregate: f64::from_bits(u64::from_le_bytes(
-                    c[8..16].try_into().expect("8 bytes"),
-                )),
-                travel_time: f64::from_bits(u64::from_le_bytes(
-                    c[16..24].try_into().expect("8 bytes"),
-                )),
-                isa: u32::from_le_bytes(c[24..28].try_into().expect("4 bytes")),
-                traj: u32::from_le_bytes(c[28..32].try_into().expect("4 bytes")),
-                seq: u32::from_le_bytes(c[32..36].try_into().expect("4 bytes")),
-                partition: u16::from_le_bytes(c[36..38].try_into().expect("2 bytes")),
-            });
-        }
-        Ok(out)
+        Ok(bytes.chunks_exact(WIRE).map(|c| LeafEntry {
+            time: i64::from_le_bytes(c[0..8].try_into().expect("8 bytes")),
+            aggregate: f64::from_bits(u64::from_le_bytes(c[8..16].try_into().expect("8 bytes"))),
+            travel_time: f64::from_bits(u64::from_le_bytes(c[16..24].try_into().expect("8 bytes"))),
+            isa: u32::from_le_bytes(c[24..28].try_into().expect("4 bytes")),
+            traj: u32::from_le_bytes(c[28..32].try_into().expect("4 bytes")),
+            seq: u32::from_le_bytes(c[32..36].try_into().expect("4 bytes")),
+            partition: u16::from_le_bytes(c[36..38].try_into().expect("2 bytes")),
+        }))
     }
 }
 

@@ -15,10 +15,16 @@
 //! * [`CssTree`] — a cache-sensitive search tree (Rao & Ross, 1999): a
 //!   pointerless directory over a sorted array, append-only, with
 //!   logarithmic-time range *counting* used by the CSS-mode cardinality
-//!   estimators (paper, Section 4.3.1).
+//!   estimators (paper, Section 4.3.1). The array is held as a dense key
+//!   column plus a column of the leaves without their key (40 bytes per
+//!   leaf either way), so searches and window bounds read keys only.
 //!
 //! Both implement [`TemporalIndex`]; the SNT layer assembles them into
-//! per-segment forests.
+//! per-segment forests. A periodic predicate is a sequence of ascending
+//! daily windows: [`TemporalIndex::scan_range_from`] scans them with one
+//! cursor, and the CSS-tree then walks forward from each window's end to
+//! the next window's start instead of descending its directory per day.
+//! Both trees persist the same 38-byte [`LeafEntry`] record per leaf.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,6 +64,26 @@ pub trait TemporalIndex {
         hi: i64,
         f: &mut dyn FnMut(&LeafEntry) -> ControlFlow<()>,
     ) -> ControlFlow<()>;
+
+    /// [`TemporalIndex::scan_range`] for one window of an ascending
+    /// sequence, resuming from the cursor `from` (start it at 0 and pass
+    /// the same one to every window). A periodic predicate visits one
+    /// window per day; when each window starts at or after the previous
+    /// one's end, the CSS-tree searches forward from where the previous
+    /// window stopped instead of descending its directory again. Visits
+    /// exactly the entries, in the same order, that `scan_range(lo, hi)`
+    /// visits, whatever `from` holds; the B+-tree keeps the per-window
+    /// descent.
+    fn scan_range_from(
+        &self,
+        from: &mut usize,
+        lo: i64,
+        hi: i64,
+        f: &mut dyn FnMut(&LeafEntry) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let _ = from;
+        self.scan_range(lo, hi, f)
+    }
 
     /// Number of entries with `lo ≤ t < hi`.
     ///

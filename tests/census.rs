@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{assert_times_eq, brute_force_spq, prefix_set, small_world, sorted};
+use common::{assert_times_eq, oracle::brute_force_spq, prefix_set, small_world, sorted};
 use proptest::{proptest, Strategy, TestRng};
 use std::sync::OnceLock;
 use tthr::core::{

@@ -8,7 +8,10 @@ pub(crate) mod http;
 pub(crate) mod proxy;
 pub(crate) mod tier;
 
-use tthr::core::{Filter, Spq};
+// The one brute-force SPQ oracle, kept with the core crate's suites.
+#[path = "../../crates/core/tests/common/oracle.rs"]
+pub(crate) mod oracle;
+
 use tthr::datagen::{
     generate_network, generate_workload, NetworkConfig, SyntheticNetwork, WorkloadConfig,
 };
@@ -19,48 +22,6 @@ pub(crate) fn small_world() -> (SyntheticNetwork, TrajectorySet) {
     let syn = generate_network(&NetworkConfig::small());
     let set = generate_workload(&syn, &WorkloadConfig::small());
     (syn, set)
-}
-
-/// Brute-force SPQ evaluation: scans every trajectory, finds every strict
-/// occurrence of the query path, applies the temporal and user predicates,
-/// and replicates the index's β semantics (first β matches in ascending
-/// entry-time order, ties broken by trajectory id then sequence; periodic
-/// queries that miss β return nothing).
-///
-/// Only valid against single-partition indexes: with temporal partitioning
-/// the scan tie-break becomes (partition, id), which this oracle does not
-/// model — the partitioned tests therefore compare β-free result multisets.
-pub(crate) fn brute_force_spq(set: &TrajectorySet, spq: &Spq) -> Vec<f64> {
-    let mut matches: Vec<(i64, u32, u32, f64)> = Vec::new();
-    for tr in set {
-        if let Filter::User(u) = spq.filter {
-            if tr.user() != u {
-                continue;
-            }
-        }
-        if spq.exclude == Some(tr.id()) {
-            continue;
-        }
-        for occ in tr.occurrences_of(&spq.path) {
-            let enter = tr.entries()[occ].enter_time;
-            if !spq.interval.contains(enter) {
-                continue;
-            }
-            let dur: f64 = tr.entries()[occ..occ + spq.path.len()]
-                .iter()
-                .map(|e| e.travel_time)
-                .sum();
-            matches.push((enter, tr.id().0, occ as u32, dur));
-        }
-    }
-    matches.sort_by_key(|a| (a.0, a.1, a.2));
-    if let Some(beta) = spq.beta {
-        if spq.interval.is_periodic() && matches.len() < beta as usize {
-            return Vec::new();
-        }
-        matches.truncate(beta as usize);
-    }
-    matches.into_iter().map(|m| m.3).collect()
 }
 
 /// Copies the first `n` trajectories of `set` into their own set (ids are

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{assert_times_eq, brute_force_spq, small_world, sorted};
+use common::{assert_times_eq, oracle::brute_force_spq, small_world, sorted};
 use tthr::core::{SntConfig, SntIndex, Spq, TimeInterval, TreeKind, WaveletKind};
 use tthr::network::Path;
 use tthr::trajectory::{TrajId, UserId};
