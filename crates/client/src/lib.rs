@@ -1,7 +1,7 @@
 //! Cluster client tier: pooled binary-protocol connections to shard
 //! nodes, and a scatter-gather router that answers trip queries over a
-//! shard-per-process cluster **byte-identically** to the in-process
-//! [`ShardedSntIndex`](tthr_core::ShardedSntIndex).
+//! shard-per-process cluster **byte-identically** to the monolithic
+//! [`SntIndex`](tthr_core::SntIndex) over the same history.
 //!
 //! # Layout
 //!
@@ -21,8 +21,8 @@
 //!
 //! # Exactness
 //!
-//! The router is exact for the same reason the in-process sharded index
-//! is: shard `s` holds the complete trajectories of everything touching
+//! The router is exact by the first-edge argument of `tthr-core`'s
+//! partitioner ([`ShardRouter`]): shard `s` holds the complete trajectories of everything touching
 //! its edges, every SPQ a trip query issues keeps the traverse path's
 //! first edge, and member ids preserve global order. The cluster
 //! differential suite (`tests/equivalence.rs`) checks the
@@ -1298,7 +1298,7 @@ impl ClusterRouter {
     }
 
     /// `getTravelTimes` routed to the owning shard — byte-identical to
-    /// the in-process sharded index by the first-edge exactness argument.
+    /// the monolith by the first-edge exactness argument.
     pub fn travel_times(&self, spq: &Spq) -> Result<TravelTimes, ClusterError> {
         let shard = self.shard_for(spq);
         match self.core.query(shard, &Message::TravelTimes(spq.clone()))? {
@@ -1314,8 +1314,8 @@ impl ClusterRouter {
 
     /// A whole relaxation ladder in **one** RPC to the owning shard — a
     /// ladder batch of one; every level keeps the path, so every level
-    /// routes there — byte-identical to the in-process sharded index's
-    /// ladder, which is itself pinned to the level-by-level loop.
+    /// routes there — byte-identical to the monolith's ladder, which is
+    /// itself pinned to the level-by-level loop.
     pub fn travel_times_ladder(
         &self,
         spq: &Spq,
@@ -1396,7 +1396,7 @@ impl ClusterRouter {
     }
 
     /// The σ fallback interval `[min(data_min, 0), data_max + 1)`,
-    /// mirroring the sharded index's global-span bookkeeping.
+    /// mirroring the monolith's data-span bookkeeping.
     pub fn full_interval(&self) -> TimeInterval {
         let state = self.core.state.lock().expect("state lock");
         TimeInterval::fixed(state.span_min.min(0), state.span_max + 1)

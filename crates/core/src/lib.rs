@@ -14,10 +14,11 @@
 //!   modes (Section 4.4).
 //! * [`QueryEngine`] — the trip-query driver with shift-and-enlarge and
 //!   estimator gating (Procedure 6), generic over [`IndexBackend`].
-//! * [`ShardedSntIndex`] — K network-partitioned, independently locked
-//!   [`SntIndex`] shards with exact first-edge routing: byte-identical
-//!   answers, per-shard append isolation (the `sharded` module docs give
-//!   the exactness argument).
+//! * [`ShardRouter`] / [`ShardedSntIndex`] — the cluster's partitioner:
+//!   an edge → shard table with exact first-edge routing, and the
+//!   immutable K-shard build cluster nodes are exported from
+//!   ([`ShardNodeState`]); answers are byte-identical to the monolith
+//!   (the `sharded` module docs give the exactness argument).
 //! * [`baseline`] — the speed-limit and segment-level reference estimators.
 //!
 //! ```
@@ -66,10 +67,7 @@ pub use interval::TimeInterval;
 pub use node::{NodeWalRecord, ShardNodeState};
 pub use partition::{partition_query, PartitionMethod};
 pub use persist::WalBatch;
-pub use sharded::{
-    ShardRouter, ShardStats, ShardedAppend, ShardedSntIndex, ShardedWalBatch, SECTION_ROUTING,
-    SECTION_SHARDED_META, SHARD_SECTION_BASE,
-};
+pub use sharded::{ShardRouter, ShardedSntIndex};
 pub use snt::{
     CompactionOutcome, HotStats, MemoryReport, SearchScratch, SntConfig, SntIndex, TravelTimes,
     TreeKind, TtValues, WaveletKind,

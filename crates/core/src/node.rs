@@ -1,12 +1,11 @@
 //! Single-shard node state for the shard-per-process cluster tier.
 //!
-//! [`crate::ShardedSntIndex`] keeps all `K` shards in one process; the
-//! cluster tier instead runs each shard as its own process (`tthr-node`)
-//! behind the binary protocol of `tthr-rpc`, with a router process
-//! scattering queries by the same [`ShardRouter`] first-edge table. This
-//! module is the index-side half of that split: everything a node process
-//! holds and must persist, with no sockets involved (the transport lives
-//! in `tthr-server` / `tthr-client`).
+//! The cluster tier runs each shard of a [`ShardedSntIndex`] build as its
+//! own process (`tthr-node`) behind the binary protocol of `tthr-rpc`,
+//! with a router process scattering queries by the [`ShardRouter`]
+//! first-edge table. This module is the index-side half of that split:
+//! everything a node process holds and must persist, with no sockets
+//! involved (the transport lives in `tthr-server` / `tthr-client`).
 //!
 //! # Why a node can answer alone
 //!
@@ -16,7 +15,8 @@
 //! [`ShardedSntIndex`]'s docs) is local per query — `get_travel_times`,
 //! `count_matching`, and `estimate` each consult only the shard owning the
 //! path's first edge — so a node answers those primitives byte-identically
-//! to the in-process sharded backend without talking to any other node.
+//! to the monolithic [`SntIndex`] over the whole history without talking
+//! to any other node.
 //! Only [`IndexBackend::full_interval`](crate::IndexBackend) needs global
 //! state (the cluster-wide data span), which is why every append record
 //! carries the post-batch global span and every node tracks it: a router
@@ -203,7 +203,7 @@ pub struct PreparedRecord<'r> {
 }
 
 impl ShardNodeState {
-    /// Extracts shard `shard` of an in-process sharded index as a
+    /// Extracts shard `shard` of a sharded build as a
     /// standalone node state — the cluster bootstrap path: build (or
     /// restore) a [`ShardedSntIndex`] once, export each shard, hand each
     /// node its own state.
@@ -289,7 +289,7 @@ impl ShardNodeState {
     }
 
     /// `getTravelTimes` for a query owned by this shard — byte-identical
-    /// to [`ShardedSntIndex::get_travel_times`] on the same history.
+    /// to [`SntIndex::get_travel_times`] over the whole history.
     pub fn get_travel_times(&self, spq: &Spq) -> Result<TravelTimes, StoreError> {
         self.get_travel_times_with(spq, &mut SearchScratch::new())
     }
@@ -310,8 +310,8 @@ impl ShardNodeState {
     }
 
     /// One relaxation round's ladders for this shard, answered in request
-    /// order — each byte-identical to
-    /// `ShardedSntIndex::travel_times_ladder_with`. The caller holds one
+    /// order — each byte-identical to the monolith's
+    /// `SntIndex::travel_times_ladder_with`. The caller holds one
     /// borrow of the state throughout, so the answers are a consistent
     /// cut of the shard. The batch arrives off the wire: unless it holds
     /// 1..=[`MAX_LADDER_BATCH`] items, each an owned query with a
@@ -425,8 +425,8 @@ impl ShardNodeState {
     }
 
     /// Ingests a record [`ShardNodeState::prepare`] validated against
-    /// this very state, exactly like the touched shard of an in-process
-    /// [`ShardedSntIndex::ingest`] — sealed as one temporal partition, or
+    /// this very state, exactly like [`SntIndex::ingest`] of the member
+    /// subset — sealed as one temporal partition, or
     /// absorbed into the shard index's hot tail when `seal` is off (a
     /// later [`ShardNodeState::compact`] seals it; answers are
     /// byte-identical throughout) — and advances the global counters (an
@@ -528,6 +528,14 @@ mod tests {
         )
     }
 
+    fn monolith() -> SntIndex {
+        SntIndex::build(
+            &example_network(),
+            &example_trajectories(),
+            SntConfig::default(),
+        )
+    }
+
     fn nodes(sharded: &ShardedSntIndex) -> Vec<ShardNodeState> {
         (0..sharded.num_shards())
             .map(|s| ShardNodeState::export_from(sharded, s))
@@ -554,6 +562,7 @@ mod tests {
             )
             .with_beta(2),
             Spq::new(Path::new(vec![EDGE_E]), TimeInterval::periodic(0, 900)).with_beta(3),
+            Spq::new(Path::new(vec![EDGE_F]), TimeInterval::fixed(0, 100)).with_beta(3),
             Spq::new(Path::new(vec![EDGE_B, EDGE_E]), TimeInterval::fixed(0, 100))
                 .with_user(UserId(1)),
             Spq::new(
@@ -564,24 +573,34 @@ mod tests {
         ]
     }
 
-    fn assert_nodes_match(sharded: &ShardedSntIndex, nodes: &[ShardNodeState]) {
+    /// Every node answers the queries its shard owns — values, fallback,
+    /// capped counts, every estimator mode — exactly as the monolith over
+    /// the same history does, and tracks the monolith's global counters.
+    fn assert_nodes_match(mono: &SntIndex, nodes: &[ShardNodeState]) {
+        for node in nodes {
+            assert_eq!(node.num_global(), mono.num_trajectories() as u64);
+            assert_eq!(node.span_min(), mono.data_min());
+            assert_eq!(node.span_max(), mono.data_max());
+        }
         for spq in workload() {
-            let owner = sharded.router().shard_of(spq.path.first());
-            let a = sharded.get_travel_times(&spq);
-            let b = nodes[owner].get_travel_times(&spq).unwrap();
+            let owner = &nodes[nodes[0].router().shard_of(spq.path.first())];
+            let a = mono.get_travel_times(&spq);
+            let b = owner.get_travel_times(&spq).unwrap();
             let ab: Vec<u64> = a.values.iter().map(|v| v.to_bits()).collect();
             let bb: Vec<u64> = b.values.iter().map(|v| v.to_bits()).collect();
             assert_eq!(ab, bb, "{spq:?}");
             assert_eq!(a.fallback, b.fallback, "{spq:?}");
-            assert_eq!(
-                sharded.count_matching(&spq, u32::MAX),
-                nodes[owner].count_matching(&spq, u32::MAX).unwrap(),
-                "{spq:?}"
-            );
+            for cap in [1, u32::MAX] {
+                assert_eq!(
+                    mono.count_matching(&spq, cap),
+                    owner.count_matching(&spq, cap).unwrap(),
+                    "{spq:?} cap {cap}"
+                );
+            }
             for mode in CardinalityMode::ALL {
                 assert_eq!(
-                    crate::IndexBackend::estimate(sharded, &spq, mode).to_bits(),
-                    nodes[owner].estimate(&spq, mode).unwrap().to_bits(),
+                    crate::IndexBackend::estimate(mono, &spq, mode).to_bits(),
+                    owner.estimate(&spq, mode).unwrap().to_bits(),
                     "{spq:?} {mode:?}"
                 );
             }
@@ -589,19 +608,17 @@ mod tests {
     }
 
     #[test]
-    fn exported_nodes_answer_like_the_sharded_backend() {
+    fn exported_nodes_answer_like_the_monolith() {
+        let mono = monolith();
         for k in [1usize, 2, 7] {
             let idx = sharded(k);
             let nodes = nodes(&idx);
             assert_eq!(nodes.len(), k);
             for (s, node) in nodes.iter().enumerate() {
                 assert_eq!(node.shard() as usize, s);
-                assert_eq!(node.num_global(), idx.num_trajectories() as u64);
-                assert_eq!(node.span_min(), idx.data_min());
-                assert_eq!(node.span_max(), idx.data_max());
                 assert_eq!(node.members(), idx.shard_members(s).as_slice());
             }
-            assert_nodes_match(&idx, &nodes);
+            assert_nodes_match(&mono, &nodes);
         }
     }
 
@@ -643,52 +660,85 @@ mod tests {
         }
     }
 
-    /// Both flavours of the one write primitive: sealed and absorbed
-    /// records land every node exactly where the in-process sharded
-    /// `ingest` lands its shard.
+    /// Both flavours of the one write primitive, over K ∈ {1, 2, 7}:
+    /// sealed and absorbed records of a batch crossing shards land every
+    /// node where the monolith's `ingest` of the same batch lands it —
+    /// answers, counters and the member lists the plan assigns — and a
+    /// compaction that seals the absorbed tails changes no answer.
     #[test]
     fn planned_records_apply_identically_to_an_in_process_append() {
-        for seal in [true, false] {
-            let idx = sharded(2);
-            let mut nodes = nodes(&idx);
-            let batch: Vec<(UserId, Vec<TrajEntry>)> = vec![
-                (
-                    UserId(8),
-                    vec![
-                        TrajEntry::new(EDGE_A, 20, 3.0),
-                        TrajEntry::new(EDGE_B, 23, 3.0),
-                        TrajEntry::new(EDGE_E, 26, 5.0),
-                    ],
-                ),
-                (UserId(9), vec![TrajEntry::new(EDGE_F, 22, 7.0)]),
-            ];
-            let records = plan_node_records(
-                idx.router(),
-                idx.num_trajectories() as u64,
-                idx.data_min(),
-                idx.data_max(),
-                &batch,
-            )
-            .unwrap();
-            assert_eq!(records.len(), 2);
-            let from = idx.num_trajectories() as u32;
-            idx.ingest(
-                prepare_batch(from, idx.router().num_edges(), &batch).unwrap(),
-                seal,
-            );
-            for (node, record) in nodes.iter_mut().zip(&records) {
-                apply(node, record, seal).unwrap();
-                assert_eq!(node.hot_stats().batches > 0, !seal, "seal={seal}");
-                assert_eq!(node.num_global(), idx.num_trajectories() as u64);
-                assert_eq!(node.span_min(), idx.data_min());
-                assert_eq!(node.span_max(), idx.data_max());
-                assert_eq!(
-                    node.members(),
-                    idx.shard_members(node.shard() as usize).as_slice()
-                );
+        let batch: Vec<(UserId, Vec<TrajEntry>)> = vec![
+            (
+                UserId(8),
+                vec![
+                    TrajEntry::new(EDGE_A, 20, 3.0),
+                    TrajEntry::new(EDGE_B, 23, 3.0),
+                    TrajEntry::new(EDGE_E, 26, 5.0),
+                ],
+            ),
+            (UserId(9), vec![TrajEntry::new(EDGE_F, 22, 7.0)]),
+        ];
+        for k in [1usize, 2, 7] {
+            for seal in [true, false] {
+                let mut mono = monolith();
+                let idx = sharded(k);
+                let mut nodes = nodes(&idx);
+                let records = plan_node_records(
+                    idx.router(),
+                    mono.num_trajectories() as u64,
+                    mono.data_min(),
+                    mono.data_max(),
+                    &batch,
+                )
+                .unwrap();
+                assert_eq!(records.len(), k);
+                let from = mono.num_trajectories() as u32;
+                mono.ingest(prepare_batch(from, mono.num_edges(), &batch).unwrap(), seal);
+                let touched = records.iter().filter(|r| !r.members.is_empty()).count();
+                assert!(k == 1 || touched >= 2, "k={k}: the batch crosses shards");
+                for (node, record) in nodes.iter_mut().zip(&records) {
+                    let had = node.members().len();
+                    assert_eq!(apply(node, record, seal).unwrap(), record.members.len());
+                    assert_eq!(node.members()[had..], record.members[..]);
+                    let absorbed = !seal && !record.members.is_empty();
+                    assert_eq!(node.hot_stats().batches > 0, absorbed, "k={k} seal={seal}");
+                }
+                assert_nodes_match(&mono, &nodes);
+                for node in &mut nodes {
+                    node.compact(None);
+                    assert_eq!(node.hot_stats().batches, 0);
+                }
+                assert_nodes_match(&mono, &nodes);
             }
-            assert_nodes_match(&idx, &nodes);
         }
+    }
+
+    /// A node's retention decides from its index's derived per-partition
+    /// newest times: they equal the leaf walk across export, sealed and
+    /// absorbed records, a snapshot round trip and a drop.
+    #[test]
+    fn node_partition_newest_times_match_the_leaf_walk() {
+        let idx = sharded(2);
+        let mut node = ShardNodeState::export_from(&idx, idx.router().shard_of(EDGE_A));
+        let check = |node: &ShardNodeState, at: &str| {
+            let index = node.index();
+            assert_eq!(index.part_newest, index.part_newest_by_walk(), "{at}");
+        };
+        check(&node, "export");
+        for (seal, t) in [(true, 500), (false, 900)] {
+            let batch = vec![(UserId(7), vec![TrajEntry::new(EDGE_A, t, 3.0)])];
+            let (lo, hi) = (node.span_min(), node.span_max());
+            let records = plan_node_records(idx.router(), node.num_global(), lo, hi, &batch);
+            let record = &records.unwrap()[node.shard() as usize];
+            assert_eq!(apply(&mut node, record, seal).unwrap(), 1);
+            check(&node, "a record");
+        }
+        node = ShardNodeState::from_snapshot_bytes(&node.to_snapshot_bytes()).unwrap();
+        check(&node, "a restore");
+        let out = node.compact(Some(100));
+        assert_eq!((out.sealed_batches, out.dropped_partitions), (1, 1));
+        check(&node, "a retention drop");
+        assert_eq!(node.index().part_newest, vec![Some(500), Some(900)]);
     }
 
     #[test]
@@ -778,13 +828,12 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        assert_nodes_match(&idx, &nodes);
+        assert_nodes_match(&monolith(), &nodes);
     }
 
     /// Any flipped payload bit trips a section CRC. (Parts that pass
     /// their CRCs but break the shard invariants: see the table in
-    /// `tests/persistence_roundtrip.rs`, driven through this container
-    /// and the sharded one.)
+    /// `tests/persistence_roundtrip.rs`, driven through this container.)
     #[test]
     fn corrupt_node_snapshots_are_typed_errors() {
         let node = ShardNodeState::export_from(&sharded(2), 0);

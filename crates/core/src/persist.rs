@@ -389,16 +389,18 @@ impl SntIndex {
             data_min,
             data_max,
             max_span: 0,
+            part_newest: Vec::new(),
             total_entries,
             scratch_id: crate::snt::next_scratch_id(),
             hot: Default::default(),
             mutation_stamp: 0,
         };
-        // The census and the span bound are derived state, recounted from
-        // the forest (the hot batches re-absorbed below join the census
-        // when they are sealed, and the span bound as they are absorbed).
+        // The census and the leaf bounds are derived state, recounted
+        // from the forest (the hot batches re-absorbed below join the
+        // census and `part_newest` when they are sealed, and the span
+        // bound as they are absorbed).
         index.census = index.recount_census();
-        index.max_span = index.recount_max_span();
+        index.recount_leaf_bounds();
 
         // Pending hot batches (absent in pre-lifecycle snapshots → empty
         // tail). The user table and data span already cover them; only the
@@ -588,7 +590,7 @@ mod tests {
                     let bytes = index.to_snapshot_bytes();
                     let restored = SntIndex::from_snapshot_bytes(&bytes).unwrap();
                     assert_equivalent(&index, &restored);
-                    assert_eq!(restored.config().tree, tree);
+                    assert_eq!(restored.config.tree, tree);
                     assert_eq!(restored.tod_bucket_secs(), tod_bucket_secs);
                 }
             }

@@ -1,17 +1,15 @@
-//! Multi-index sharding: a partitioned SNT-index with exact routing and
-//! per-shard locking.
+//! The cluster's partitioner: a static edge → shard routing table, and
+//! the `K`-shard build a cluster boots its nodes from.
 //!
-//! The monolithic [`SntIndex`] serves every query and absorbs every append
-//! through one structure — in the service layer that means one `RwLock`
-//! write stall per append and one giant blob per rebuild. This module
-//! partitions the *road network* into `K` edge groups (a zone/grid
-//! partitioner in the spirit of the π_Z strategy of
-//! [`crate::partition`]) and builds one full `SntIndex` per group over
-//! exactly the trajectories that touch the group's edges. Each shard sits
-//! behind its **own** `RwLock`, so an append write-locks only the shards
-//! its batch routes to — readers of every other shard proceed without
-//! stalling (`untouched_shard_answers_while_another_is_write_locked`
-//! pins it).
+//! The cluster tier (`tthr-node` + `tthr-router`) partitions the *road
+//! network* into `K` edge groups (a zone/grid partitioner in the spirit of
+//! the π_Z strategy of [`crate::partition`]) and runs one full `SntIndex`
+//! per group, over exactly the trajectories that touch the group's edges,
+//! in its own node process ([`crate::ShardNodeState`]). This module holds
+//! the pieces both sides share: the [`ShardRouter`] table, the [`Shard`]
+//! (an index plus its global-id member list), and [`ShardedSntIndex`],
+//! the immutable `K`-shard build a deployment exports its node states
+//! from ([`crate::ShardNodeState::export_from`]).
 //!
 //! # Why routing by first edge is exact
 //!
@@ -26,25 +24,14 @@
 //! the same leaves in the same order as the monolith: answers are
 //! **byte-identical**, including β-capped prefixes, fallback estimates,
 //! counting queries, and the cardinality estimator's per-partition sums.
-//! The differential suite in `tests/equivalence.rs` pins this
-//! contract for K ∈ {1, 2, 7} across query/append/snapshot/reopen
-//! interleavings.
+//! The node tests pin this for K ∈ {1, 2, 7} against the monolith, fresh
+//! and after planned appends; `tests/equivalence.rs` pins it for the
+//! running cluster.
 //!
 //! The cost is bounded duplication: a trajectory crossing `m` shards is
 //! indexed `m` times (the partition-by-fingerprint trade-off of Chapuis
 //! et al.); the zone/grid partitioner keeps `m` small because real paths
 //! are spatially local.
-//!
-//! # Concurrency contract
-//!
-//! Every query method takes `&self` and locks exactly one shard for
-//! reading, so a single SPQ is always answered from one atomic shard
-//! state. Appends also take `&self` (write-locking only the touched
-//! shards) but are **not self-serializing**: concurrent appenders, and
-//! snapshots racing appenders, must hold the [`ShardedSntIndex::append_permit`]
-//! mutex — `tthr-service` does this for you and additionally validates
-//! result-cache inserts and trip-query assembly against an append
-//! generation counter.
 //!
 //! # Temporal-partitioning caveat
 //!
@@ -53,29 +40,16 @@
 //! bucketing would anchor at each shard's own `data_min`, shifting bucket
 //! boundaries relative to the monolith and with them the tie order of
 //! equal-timestamp scans. Appends still create one temporal partition per
-//! batch — identically in the monolith and in every touched shard.
+//! batch — identically in the monolith and in every touched node.
 
 use crate::interval::TimeInterval;
-use crate::persist::WalBatch;
 use crate::snt::{SntConfig, SntIndex, TravelTimes};
 use crate::spq::Spq;
 use crate::{CardinalityMode, IndexBackend, TravelTimeProvider};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use tthr_network::{EdgeId, RoadNetwork, Timestamp};
-use tthr_store::snapshot::{SectionId, SnapshotArchive, SnapshotBuilder};
 use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
 use tthr_trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet};
-
-/// Header section of a sharded snapshot: shard count, routing-table shape,
-/// trajectory count, data span, construction config.
-pub const SECTION_SHARDED_META: SectionId = SectionId(101);
-/// The edge → shard routing table.
-pub const SECTION_ROUTING: SectionId = SectionId(102);
-/// Section id of shard `s` is `SHARD_SECTION_BASE + s`; the payload is the
-/// shard's member list followed by its full monolithic snapshot container.
-pub const SHARD_SECTION_BASE: u32 = 1000;
 
 /// A static edge → shard assignment over a road network.
 ///
@@ -143,21 +117,12 @@ impl ShardRouter {
     }
 
     /// Sorted, deduplicated shard ids touched by a sequence of entries —
-    /// the shards that must index a trajectory traversing them. Public
-    /// because the cluster tier's router plans per-node append subsets
-    /// with exactly this partition (see [`crate::node`]).
+    /// the shards that must index a trajectory traversing them: the
+    /// sharded build and the cluster's per-node append plans (see
+    /// [`crate::node`]) partition with exactly this.
     pub(crate) fn shards_touched(&self, entries: &[TrajEntry]) -> Vec<u16> {
-        self.shards_of(entries.iter())
-    }
-
-    /// Sorted, deduplicated shard ids a whole batch touches — the tag a
-    /// [`ShardedWalBatch`] stores.
-    pub fn batch_shards(&self, batch: &[Trajectory]) -> Vec<u16> {
-        self.shards_of(batch.iter().flat_map(|tr| tr.entries()))
-    }
-
-    fn shards_of<'a>(&self, entries: impl Iterator<Item = &'a TrajEntry>) -> Vec<u16> {
         let mut shards: Vec<u16> = entries
+            .iter()
             .map(|en| self.shard_of_edge[en.edge.index()])
             .collect();
         shards.sort_unstable();
@@ -193,51 +158,11 @@ impl Persist for ShardRouter {
     }
 }
 
-/// The effect of one sharded append: how many trajectories were added and
-/// which shards absorbed leaves. Untouched shards were never even
-/// write-locked — the service layer uses this to scope cache
-/// invalidation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardedAppend {
-    /// Trajectories appended (0 leaves every shard unchanged).
-    pub appended: usize,
-    /// Sorted ids of the shards that received leaves.
-    pub touched: Vec<usize>,
-}
-
-/// One sharded write-ahead-log record: the monolithic [`WalBatch`] tagged
-/// with the shard ids the batch routes to under the writing service's
-/// routing table. Replay re-derives the routing and rejects a record whose
-/// tag disagrees — the snapshot's routing table and the log would then
-/// describe different partitionings, and applying the batch could silently
-/// skew shard membership.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardedWalBatch {
-    /// Sorted shard ids the batch touches.
-    pub touched: Vec<u16>,
-    /// The appended trajectories with their base stamp.
-    pub batch: WalBatch,
-}
-
-/// Wire form: the touched-shard tag, then the monolithic batch record.
-impl Persist for ShardedWalBatch {
-    fn persist(&self, w: &mut ByteWriter) {
-        w.put_seq(&self.touched);
-        self.batch.persist(w);
-    }
-
-    fn restore(r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
-        let touched: Vec<u16> = r.get_seq()?;
-        let batch = WalBatch::restore(r)?;
-        Ok(ShardedWalBatch { touched, batch })
-    }
-}
-
-/// One shard — the unit both [`ShardedSntIndex`] (`K` of them, each behind
-/// its own lock) and [`crate::ShardNodeState`] (one, plus the cluster's
-/// global counters) are made of: the index and its member list, guarded
-/// together so a reader always sees the exclusion-id translation that
-/// matches the index content.
+/// One shard — the unit both [`ShardedSntIndex`] (`K` of them) and
+/// [`crate::ShardNodeState`] (one, plus the cluster's global counters) are
+/// made of: the index and its member list, kept together so a reader
+/// always sees the exclusion-id translation that matches the index
+/// content.
 pub(crate) struct Shard {
     pub(crate) index: SntIndex,
     /// `members[local] = global` trajectory id, ascending — shard-local
@@ -318,48 +243,14 @@ impl Shard {
     }
 }
 
-/// A partitioned SNT-index: `K` independently locked [`SntIndex`] shards
-/// plus a thin routing table (see the module docs for the exactness
-/// argument and the concurrency contract).
+/// A partitioned SNT-index: `K` [`SntIndex`] shards plus a thin routing
+/// table, built once (see the module docs for the exactness argument).
 pub struct ShardedSntIndex {
-    config: SntConfig,
     router: ShardRouter,
-    shards: Vec<RwLock<Shard>>,
-    /// Serializes appenders (and snapshots against appenders) without
-    /// blocking readers; see [`ShardedSntIndex::append_permit`].
-    append_serial: Mutex<()>,
-    num_trajectories: AtomicUsize,
-    data_min: AtomicI64,
-    data_max: AtomicI64,
-    /// Observational per-shard counters (never read on the query path);
-    /// one per shard, indexed like `shards`.
-    shard_counters: Vec<ShardCounters>,
-}
-
-/// Lifetime counters one shard accumulates; exposed as [`ShardStats`].
-#[derive(Default)]
-struct ShardCounters {
-    /// Append batches that write-locked this shard.
-    appends: AtomicU64,
-    /// Trajectories those batches added to this shard.
-    appended_trajectories: AtomicU64,
-    /// Nanoseconds appenders spent waiting to acquire this shard's write
-    /// lock (reader contention made visible).
-    lock_wait_ns: AtomicU64,
-}
-
-/// Point-in-time statistics of one shard, read through
-/// [`ShardedSntIndex::shard_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Trajectories currently indexed by the shard (members list length).
-    pub trajectories: u64,
-    /// Append batches that touched the shard since construction.
-    pub appends: u64,
-    /// Trajectories appended to the shard since construction.
-    pub appended_trajectories: u64,
-    /// Total nanoseconds appenders waited on the shard's write lock.
-    pub lock_wait_ns: u64,
+    shards: Vec<Shard>,
+    num_trajectories: usize,
+    data_min: Timestamp,
+    data_max: Timestamp,
 }
 
 impl ShardedSntIndex {
@@ -409,22 +300,17 @@ impl ShardedSntIndex {
         let shards = subsets
             .iter()
             .zip(members)
-            .map(|(subset, members)| {
-                RwLock::new(Shard {
-                    index: SntIndex::build(network, subset, config),
-                    members,
-                })
+            .map(|(subset, members)| Shard {
+                index: SntIndex::build(network, subset, config),
+                members,
             })
             .collect();
         ShardedSntIndex {
-            config,
             router,
             shards,
-            append_serial: Mutex::new(()),
-            num_trajectories: AtomicUsize::new(trajectories.len()),
-            data_min: AtomicI64::new(data_min),
-            data_max: AtomicI64::new(data_max),
-            shard_counters: (0..k).map(|_| ShardCounters::default()).collect(),
+            num_trajectories: trajectories.len(),
+            data_min,
+            data_max,
         }
     }
 
@@ -438,96 +324,53 @@ impl ShardedSntIndex {
         self.shards.len()
     }
 
-    /// Runs a closure against one shard's index (read-locked).
+    /// Runs a closure against one shard's index.
     pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&SntIndex) -> R) -> R {
-        f(&self.read_shard(s).index)
+        f(&self.shards[s].index)
     }
 
     /// Global trajectory ids indexed by shard `s`, ascending.
     pub fn shard_members(&self, s: usize) -> Vec<u32> {
-        self.read_shard(s).members.clone()
+        self.shards[s].members.clone()
     }
 
-    /// Point-in-time per-shard statistics (one entry per shard). Counter
-    /// fields are lifetime totals since this in-memory instance was
-    /// constructed (restores start from zero); `trajectories` is the
-    /// shard's current membership size.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        (0..self.shards.len())
-            .map(|s| {
-                let c = &self.shard_counters[s];
-                ShardStats {
-                    trajectories: self.read_shard(s).members.len() as u64,
-                    appends: c.appends.load(Ordering::Relaxed),
-                    appended_trajectories: c.appended_trajectories.load(Ordering::Relaxed),
-                    lock_wait_ns: c.lock_wait_ns.load(Ordering::Relaxed),
-                }
-            })
-            .collect()
-    }
-
-    /// Number of trajectories appended across the index's lifetime (the
-    /// global id space; shard-local counts are larger in sum whenever
-    /// trajectories cross shard boundaries).
+    /// Number of trajectories indexed (the global id space; shard-local
+    /// counts are larger in sum whenever trajectories cross shard
+    /// boundaries).
     pub fn num_trajectories(&self) -> usize {
-        self.num_trajectories.load(Ordering::Acquire)
-    }
-
-    /// Total temporal partitions across all shards (each shard counts its
-    /// initial build plus one per touching batch).
-    pub fn num_partitions(&self) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.read_shard(s).index.num_partitions())
-            .sum()
+        self.num_trajectories
     }
 
     /// Earliest trajectory start time across all shards.
     pub fn data_min(&self) -> Timestamp {
-        self.data_min.load(Ordering::Acquire)
+        self.data_min
     }
 
     /// Latest segment entry time across all shards (`t_max`).
     pub fn data_max(&self) -> Timestamp {
-        self.data_max.load(Ordering::Acquire)
+        self.data_max
     }
 
-    /// Excludes other appenders — and snapshots from racing appenders —
-    /// while held; readers are unaffected. [`ShardedSntIndex::ingest`]
-    /// and the snapshot writers do **not** take this internally (so a
-    /// holder can compose append + WAL logging atomically, the way
-    /// `tthr-service` does); anyone running concurrent appenders must
-    /// hold it across each append, and snapshots taken while an appender
-    /// may run must hold it too.
-    pub fn append_permit(&self) -> MutexGuard<'_, ()> {
-        self.append_serial.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn read_shard(&self, s: usize) -> RwLockReadGuard<'_, Shard> {
-        self.shards[s].read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Read-locks the shard owning a query (the shard of its path's first
-    /// edge), noting the routing in the scratch's trace.
-    fn route(&self, spq: &Spq, scratch: &mut crate::SearchScratch) -> RwLockReadGuard<'_, Shard> {
+    /// The shard owning a query (the shard of its path's first edge),
+    /// noting the routing in the scratch's trace.
+    fn route(&self, spq: &Spq, scratch: &mut crate::SearchScratch) -> &Shard {
         let s = self.router.shard_of(spq.path.first());
         scratch.trace.note_shard(s);
-        self.read_shard(s)
+        &self.shards[s]
     }
 
     /// `getTravelTimes` routed to the owning shard — byte-identical to the
-    /// monolith over the same history (Procedure 5 semantics). Locks one
-    /// shard for reading: the answer always reflects one atomic shard
-    /// state.
-    pub fn get_travel_times(&self, spq: &Spq) -> TravelTimes {
+    /// monolith over the same history (Procedure 5 semantics).
+    #[cfg(test)]
+    pub(crate) fn get_travel_times(&self, spq: &Spq) -> TravelTimes {
         self.get_travel_times_with(spq, &mut crate::SearchScratch::new())
     }
 
-    /// [`ShardedSntIndex::get_travel_times`] through a per-query
+    /// [`ShardedSntIndex`]'s `getTravelTimes` through a per-query
     /// [`SearchScratch`](crate::SearchScratch). Each shard's inner index
-    /// tags the scratch with its own process-unique id (plus its
-    /// trajectory count), so a relaxation chain whose sub-paths route to
-    /// different shards — or races an append — can never be served cached
-    /// ranges from the wrong index state.
+    /// tags the scratch with its own process-unique id, so a relaxation
+    /// chain whose sub-paths route to different shards can never be
+    /// served cached ranges from the wrong index.
     pub fn get_travel_times_with(
         &self,
         spq: &Spq,
@@ -537,11 +380,10 @@ impl ShardedSntIndex {
             .query(spq, |i, q| i.get_travel_times_with(q, scratch))
     }
 
-    /// A whole relaxation ladder routed to the owning shard under **one**
-    /// read lock ([`SntIndex::travel_times_ladder_with`]): every level
-    /// keeps the path, so every level routes to the same shard, and the
-    /// answer reflects one atomic shard state.
-    pub(crate) fn travel_times_ladder_with(
+    /// A whole relaxation ladder routed to the owning shard
+    /// ([`SntIndex::travel_times_ladder_with`]): every level keeps the
+    /// path, so every level routes to the same shard.
+    fn travel_times_ladder_with(
         &self,
         spq: &Spq,
         levels: &[TimeInterval],
@@ -552,242 +394,10 @@ impl ShardedSntIndex {
     }
 
     /// Exact predicate-matching traversal count with a fresh scratch: the
-    /// tests' convenience over [`ShardedSntIndex::count_matching_with`].
+    /// tests' convenience over [`IndexBackend::count_matching_with`].
     #[cfg(test)]
     pub(crate) fn count_matching(&self, spq: &Spq, cap: u32) -> usize {
-        self.count_matching_with(spq, cap, &mut crate::SearchScratch::new())
-    }
-
-    /// Exact predicate-matching traversal count, routed like a query,
-    /// through a per-shard-tagged scratch.
-    pub fn count_matching_with(
-        &self,
-        spq: &Spq,
-        cap: u32,
-        scratch: &mut crate::SearchScratch,
-    ) -> usize {
-        self.route(spq, scratch)
-            .query(spq, |i, q| i.count_matching_with(q, cap, scratch))
-    }
-
-    /// Appends all trajectories of `set` with ids `≥ num_trajectories()`
-    /// as one sealed batch over [`ShardedSntIndex::ingest`]: the tests'
-    /// whole-set update helper.
-    #[cfg(test)]
-    pub(crate) fn append_batch(&self, set: &TrajectorySet) -> ShardedAppend {
-        let delta = set.iter().skip(self.num_trajectories()).cloned().collect();
-        self.ingest(delta, true)
-    }
-
-    /// The one mutator: ingests a batch with the next dense global ids
-    /// (embedded ids are ignored), each touched shard running
-    /// [`SntIndex::ingest`] over the batch members that cross it —
-    /// sealed into one new temporal partition per touched shard, or
-    /// absorbed into their hot tails (`seal = false`). Untouched shards
-    /// are not even write-locked, and answers stay byte-identical to the
-    /// monolith ingesting the same batch under the same flag. See the
-    /// module docs (and [`ShardedSntIndex::append_permit`]) for the
-    /// multi-appender serialization contract.
-    pub fn ingest(&self, batch: Vec<Trajectory>, seal: bool) -> ShardedAppend {
-        if batch.is_empty() {
-            return ShardedAppend::default();
-        }
-        let from = self.num_trajectories() as u32;
-        let k = self.shards.len();
-        let mut per_shard: Vec<Vec<Trajectory>> = vec![Vec::new(); k];
-        let mut new_members: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for (i, tr) in batch.iter().enumerate() {
-            self.data_min.fetch_min(tr.start_time(), Ordering::AcqRel);
-            let last = tr.entries().last().expect("trajectories are non-empty");
-            self.data_max.fetch_max(last.enter_time, Ordering::AcqRel);
-            for &s in &self.router.shards_touched(tr.entries()) {
-                per_shard[s as usize].push(tr.clone());
-                new_members[s as usize].push(from + i as u32);
-            }
-        }
-        let mut touched = Vec::new();
-        for (s, trajs) in per_shard.into_iter().enumerate() {
-            if trajs.is_empty() {
-                continue;
-            }
-            // Only this shard's readers wait, and only for this append.
-            let wait = std::time::Instant::now();
-            let mut shard = self.shards[s].write().unwrap_or_else(|e| e.into_inner());
-            let counters = &self.shard_counters[s];
-            counters
-                .lock_wait_ns
-                .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            counters.appends.fetch_add(1, Ordering::Relaxed);
-            counters
-                .appended_trajectories
-                .fetch_add(trajs.len() as u64, Ordering::Relaxed);
-            shard.ingest(&new_members[s], trajs, seal);
-            touched.push(s);
-        }
-        self.num_trajectories
-            .store(from as usize + batch.len(), Ordering::Release);
-        ShardedAppend {
-            appended: batch.len(),
-            touched,
-        }
-    }
-
-    /// Compacts every shard — seals pending hot batches and applies the
-    /// retention horizon — write-locking one shard at a time, so readers
-    /// of other shards proceed undisturbed. Callers running concurrent
-    /// appenders must hold [`ShardedSntIndex::append_permit`] across the
-    /// call, like any other multi-writer operation.
-    pub fn compact(&self, retention_horizon: Option<Timestamp>) -> crate::CompactionOutcome {
-        let mut out = crate::CompactionOutcome::default();
-        for s in 0..self.shards.len() {
-            let mut shard = self.shards[s].write().unwrap_or_else(|e| e.into_inner());
-            out.merge(&shard.index.compact(retention_horizon));
-        }
-        out
-    }
-
-    /// Aggregated hot-tail accounting across all shards.
-    pub fn hot_stats(&self) -> crate::HotStats {
-        let mut out = crate::HotStats::default();
-        for s in 0..self.shards.len() {
-            let st = self.read_shard(s).index.hot_stats();
-            out.batches += st.batches;
-            out.entries += st.entries;
-            out.bytes += st.bytes;
-        }
-        out
-    }
-
-    /// Serializes the sharded index into one snapshot container:
-    /// [`SECTION_SHARDED_META`], [`SECTION_ROUTING`], then one section per
-    /// shard (id [`SHARD_SECTION_BASE`]` + s`) holding the shard's member
-    /// list and its complete monolithic snapshot bytes.
-    ///
-    /// Shards are read-locked one at a time; hold
-    /// [`ShardedSntIndex::append_permit`] if an appender may run
-    /// concurrently, or the sections could straddle an append.
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        self.snapshot_builder().into_bytes()
-    }
-
-    /// Streams the snapshot container into a writer (the sharded
-    /// counterpart of [`SntIndex::write_snapshot_to`]); the same
-    /// appender-quiescence note as [`ShardedSntIndex::to_snapshot_bytes`]
-    /// applies.
-    pub fn write_snapshot_to<W: std::io::Write>(&self, out: &mut W) -> Result<(), StoreError> {
-        self.snapshot_builder().write_to(out)
-    }
-
-    fn snapshot_builder(&self) -> SnapshotBuilder {
-        let mut builder = SnapshotBuilder::new();
-
-        let mut meta = ByteWriter::new();
-        self.config.persist(&mut meta);
-        meta.put_u32(self.shards.len() as u32);
-        meta.put_len(self.num_trajectories());
-        meta.put_i64(self.data_min());
-        meta.put_i64(self.data_max());
-        meta.put_len(self.router.num_edges());
-        builder.add_section(SECTION_SHARDED_META, meta.into_bytes());
-
-        let mut routing = ByteWriter::new();
-        self.router.persist(&mut routing);
-        builder.add_section(SECTION_ROUTING, routing.into_bytes());
-
-        for s in 0..self.shards.len() {
-            let shard = self.read_shard(s);
-            let mut w = ByteWriter::new();
-            w.put_seq(&shard.members);
-            let bytes = shard.index.to_snapshot_bytes();
-            w.put_len(bytes.len());
-            w.put_bytes(&bytes);
-            builder.add_section(SectionId(SHARD_SECTION_BASE + s as u32), w.into_bytes());
-        }
-        builder
-    }
-
-    /// Reassembles a sharded index from a snapshot container, verifying
-    /// the per-section CRCs (via [`SnapshotArchive`]) plus the
-    /// cross-section invariants: routing-table shape, shard configs,
-    /// member-list monotonicity, member counts against each shard's
-    /// trajectory count, and global-id coverage.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let archive = SnapshotArchive::from_bytes(bytes)?;
-
-        let mut meta = archive.section(SECTION_SHARDED_META)?;
-        let config = SntConfig::restore(&mut meta)?;
-        let k = meta.get_u32()? as usize;
-        let num_trajectories = meta.get_u64()? as usize;
-        let data_min = meta.get_i64()?;
-        let data_max = meta.get_i64()?;
-        let num_edges = meta.get_u64()? as usize;
-        meta.expect_exhausted("sharded meta section")?;
-        if k == 0 || k > u16::MAX as usize {
-            return Err(StoreError::corrupt(format!("meta claims {k} shards")));
-        }
-        // Every trajectory appears in at least one member list (≥ 4 bytes
-        // in the container), so a count beyond the container length is
-        // corrupt — reject it before sizing the coverage bitmap, or a
-        // crafted meta section could force a huge allocation instead of a
-        // typed error.
-        if num_trajectories > bytes.len() {
-            return Err(StoreError::corrupt(format!(
-                "meta claims {num_trajectories} trajectories in a {}-byte container",
-                bytes.len()
-            )));
-        }
-
-        let mut routing = archive.section(SECTION_ROUTING)?;
-        let router = ShardRouter::restore(&mut routing)?;
-        routing.expect_exhausted("routing section")?;
-        if router.num_shards() != k {
-            return Err(StoreError::corrupt(format!(
-                "meta promises {k} shards, routing table has {}",
-                router.num_shards()
-            )));
-        }
-        if router.num_edges() != num_edges {
-            return Err(StoreError::corrupt(format!(
-                "meta promises {num_edges} edges, routing table has {}",
-                router.num_edges()
-            )));
-        }
-
-        let mut shards = Vec::with_capacity(k);
-        let mut covered = vec![false; num_trajectories];
-        for s in 0..k {
-            let mut r = archive.section(SectionId(SHARD_SECTION_BASE + s as u32))?;
-            let members: Vec<u32> = r.get_seq()?;
-            let len = r.get_len(1)?;
-            let shard_bytes = r.get_bytes(len)?;
-            let index = SntIndex::from_snapshot_bytes(shard_bytes)?;
-            r.expect_exhausted("shard section")?;
-            if *index.config() != config {
-                return Err(StoreError::corrupt(format!(
-                    "shard {s} config disagrees with the sharded meta config"
-                )));
-            }
-            let shard = Shard::new(index, members, num_trajectories as u64, num_edges)?;
-            for &g in &shard.members {
-                covered[g as usize] = true;
-            }
-            shards.push(RwLock::new(shard));
-        }
-        if let Some(orphan) = covered.iter().position(|&c| !c) {
-            return Err(StoreError::corrupt(format!(
-                "trajectory {orphan} belongs to no shard"
-            )));
-        }
-        Ok(ShardedSntIndex {
-            config,
-            router,
-            shards,
-            append_serial: Mutex::new(()),
-            num_trajectories: AtomicUsize::new(num_trajectories),
-            data_min: AtomicI64::new(data_min),
-            data_max: AtomicI64::new(data_max),
-            shard_counters: (0..k).map(|_| ShardCounters::default()).collect(),
-        })
+        IndexBackend::count_matching_with(self, spq, cap, &mut crate::SearchScratch::new())
     }
 }
 
@@ -813,17 +423,17 @@ impl IndexBackend for ShardedSntIndex {
         cap: u32,
         scratch: &mut crate::SearchScratch,
     ) -> usize {
-        ShardedSntIndex::count_matching_with(self, spq, cap, scratch)
+        self.route(spq, scratch)
+            .query(spq, |i, q| i.count_matching_with(q, cap, scratch))
     }
 
     fn estimate(&self, spq: &Spq, mode: CardinalityMode) -> f64 {
         // The owning shard sees every traversal of the path's first edge,
         // so its ISA counts and per-partition ToD histograms match the
         // monolith's term for term (absent partitions contribute 0).
-        self.read_shard(self.router.shard_of(spq.path.first()))
-            .query(spq, |i, q| {
-                crate::cardinality::estimate_cardinality(i, q, mode)
-            })
+        self.shards[self.router.shard_of(spq.path.first())].query(spq, |i, q| {
+            crate::cardinality::estimate_cardinality(i, q, mode)
+        })
     }
 
     fn full_interval(&self) -> TimeInterval {
@@ -836,7 +446,7 @@ impl IndexBackend for ShardedSntIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tthr_network::examples::{example_network, EDGE_A, EDGE_B, EDGE_C, EDGE_D, EDGE_E, EDGE_F};
+    use tthr_network::examples::{example_network, EDGE_A, EDGE_B, EDGE_E, EDGE_F};
     use tthr_network::Path;
     use tthr_trajectory::examples::example_trajectories;
 
@@ -948,223 +558,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn append_batch_reports_touched_shards_only() {
-        let idx = sharded(7);
-        let before: Vec<usize> = (0..7)
-            .map(|s| idx.with_shard(s, |i| i.num_partitions()))
-            .collect();
-        let mut grown = example_trajectories();
-        grown
-            .push(
-                tthr_trajectory::UserId(9),
-                vec![TrajEntry::new(EDGE_F, 40, 6.0)],
-            )
-            .unwrap();
-        let effect = idx.append_batch(&grown);
-        assert_eq!(effect.appended, 1);
-        assert_eq!(effect.touched, vec![idx.router().shard_of(EDGE_F)]);
-        for (s, partitions_before) in before.iter().enumerate() {
-            let want = partitions_before + usize::from(effect.touched.contains(&s));
-            assert_eq!(idx.with_shard(s, |i| i.num_partitions()), want, "shard {s}");
-        }
-        // The appended traversal is served.
-        let q = Spq::new(Path::new(vec![EDGE_F]), TimeInterval::fixed(0, 100));
-        assert_eq!(idx.get_travel_times(&q).sorted(), vec![6.0, 6.0]);
-    }
-
-    #[test]
-    fn trace_records_shard_routing_and_stats_count_appends() {
-        let idx = sharded(7);
-        let q = Spq::new(
-            Path::new(vec![EDGE_A, EDGE_B, EDGE_E]),
-            TimeInterval::fixed(0, 100),
-        );
-        let mut scratch = crate::SearchScratch::new();
-        let _ = idx.get_travel_times_with(&q, &mut scratch);
-        let expected = idx.router().shard_of(EDGE_A);
-        assert_eq!(scratch.trace.shard_queries, 1);
-        assert_eq!(scratch.trace.shard_fanout(), 1);
-        assert_eq!(scratch.trace.shard_mask, 1u64 << (expected % 64));
-
-        // Fresh instance: stats start at zero, trajectories reflect
-        // membership, and an append bumps only the touched shard.
-        let stats = idx.shard_stats();
-        assert_eq!(stats.len(), 7);
-        for (s, st) in stats.iter().enumerate() {
-            assert_eq!(st.appends, 0, "shard {s}");
-            assert_eq!(st.trajectories as usize, idx.shard_members(s).len());
-        }
-        let mut grown = example_trajectories();
-        grown
-            .push(
-                tthr_trajectory::UserId(9),
-                vec![TrajEntry::new(EDGE_F, 40, 6.0)],
-            )
-            .unwrap();
-        idx.append_batch(&grown);
-        let touched = idx.router().shard_of(EDGE_F);
-        for (s, st) in idx.shard_stats().iter().enumerate() {
-            let want = u64::from(s == touched);
-            assert_eq!(st.appends, want, "shard {s}");
-            assert_eq!(st.appended_trajectories, want, "shard {s}");
-            assert_eq!(st.trajectories as usize, idx.shard_members(s).len());
-        }
-    }
-
-    #[test]
-    fn append_matches_monolith_after_multi_shard_batch() {
-        let mut mono = monolith();
-        let idx = sharded(7);
-        let mut grown = example_trajectories();
-        grown
-            .push(
-                tthr_trajectory::UserId(8),
-                vec![
-                    TrajEntry::new(EDGE_A, 20, 3.0),
-                    TrajEntry::new(EDGE_B, 23, 3.0),
-                    TrajEntry::new(EDGE_E, 26, 5.0),
-                ],
-            )
-            .unwrap();
-        grown
-            .push(
-                tthr_trajectory::UserId(9),
-                vec![TrajEntry::new(EDGE_F, 22, 7.0)],
-            )
-            .unwrap();
-        assert_eq!(mono.append_batch(&grown), 2);
-        let effect = idx.append_batch(&grown);
-        assert_eq!(effect.appended, 2);
-        assert!(effect.touched.len() >= 2, "batch crosses shards");
-        assert_matches_monolith(&mono, &idx);
-        assert_eq!(idx.num_trajectories(), 6);
-    }
-
-    #[test]
-    fn concurrent_readers_see_atomic_shard_states_during_appends() {
-        // 4 reader threads hammer one untouched-shard query and one
-        // touched-shard query while the appender (holding the permit, as
-        // the contract requires) applies 5 single-edge batches to F.
-        let idx = std::sync::Arc::new(sharded(6));
-        let qa = Spq::new(Path::new(vec![EDGE_A]), TimeInterval::fixed(0, 1000));
-        let qf = Spq::new(Path::new(vec![EDGE_F]), TimeInterval::fixed(0, 1000));
-        let stable = idx.get_travel_times(&qa).sorted();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let idx = std::sync::Arc::clone(&idx);
-                let (qa, qf, stable) = (qa.clone(), qf.clone(), stable.clone());
-                scope.spawn(move || {
-                    for _ in 0..400 {
-                        assert_eq!(idx.get_travel_times(&qa).sorted(), stable);
-                        // F starts with one traversal and gains one per
-                        // batch; any prefix generation is a legal answer.
-                        let n = idx.get_travel_times(&qf).len();
-                        assert!((1..=6).contains(&n), "torn read: {n} values");
-                    }
-                });
-            }
-            let idx = std::sync::Arc::clone(&idx);
-            scope.spawn(move || {
-                let mut grown = example_trajectories();
-                for round in 0..5 {
-                    grown
-                        .push(
-                            tthr_trajectory::UserId(9),
-                            vec![TrajEntry::new(EDGE_F, 50 + round, 6.0)],
-                        )
-                        .unwrap();
-                    let _permit = idx.append_permit();
-                    assert_eq!(idx.append_batch(&grown).appended, 1);
-                }
-            });
-        });
-        assert_eq!(idx.get_travel_times(&qf).len(), 6);
-    }
-
-    /// Write isolation: `ingest` write-locks only the shards its batch
-    /// touches, so while one shard's lock is held a trip confined to
-    /// another shard answers, and a trip routed to the locked shard waits
-    /// until the lock is dropped.
-    #[test]
-    fn untouched_shard_answers_while_another_is_write_locked() {
-        use crate::{QueryEngine, QueryEngineConfig, TripQuery};
-        use std::sync::mpsc;
-        use std::time::Duration;
-
-        let net = example_network();
-        let idx = sharded(2);
-        let engine = QueryEngine::new(&idx, &net, QueryEngineConfig::default());
-        let trip = |edges| Spq::new(Path::new(edges), TimeInterval::fixed(0, 100));
-        let answer = |t: &TripQuery| {
-            let total = t.predicted_duration().to_bits();
-            (t.stats, t.histogram.clone(), total)
-        };
-        let target = idx.router().shard_of(EDGE_E);
-        let free = trip(vec![EDGE_C, EDGE_D]);
-        let locked = trip(vec![EDGE_E]);
-        for e in [EDGE_C, EDGE_D] {
-            assert_ne!(idx.router().shard_of(e), target, "⟨C,D⟩ avoids E's shard");
-        }
-        let want_free = answer(&engine.trip_query(&free));
-        let want_locked = answer(&engine.trip_query(&locked));
-
-        // What `ingest` holds while it applies a batch to `target`.
-        let guard = idx.shards[target].write().unwrap();
-        let (engine, free, locked) = (&engine, &free, &locked);
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            scope.spawn(move || {
-                let _ = tx.send(engine.trip_query(free));
-            });
-            let got = rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("a trip in an unlocked shard waits for another shard's writer");
-            assert_eq!(answer(&got), want_free);
-
-            let (tx, rx) = mpsc::channel();
-            scope.spawn(move || {
-                let _ = tx.send(engine.trip_query(locked));
-            });
-            assert!(
-                rx.recv_timeout(Duration::from_millis(200)).is_err(),
-                "a trip in the write-locked shard answered"
-            );
-            drop(guard);
-            let got = rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("the trip answers once the writer is gone");
-            assert_eq!(answer(&got), want_locked);
-        });
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_answers_and_appends() {
-        let idx = sharded(3);
-        let bytes = idx.to_snapshot_bytes();
-        let restored = ShardedSntIndex::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(restored.num_shards(), 3);
-        assert_eq!(restored.num_trajectories(), 4);
-        assert_eq!(restored.router(), idx.router());
-        assert_matches_monolith(&monolith(), &restored);
-
-        // Both copies accept the same append and stay in agreement.
-        let mut grown = example_trajectories();
-        grown
-            .push(
-                tthr_trajectory::UserId(7),
-                vec![TrajEntry::new(EDGE_A, 50, 3.0)],
-            )
-            .unwrap();
-        assert_eq!(idx.append_batch(&grown).appended, 1);
-        assert_eq!(restored.append_batch(&grown).appended, 1);
-        let q = Spq::new(Path::new(vec![EDGE_A]), TimeInterval::fixed(0, 100));
-        assert_eq!(
-            idx.get_travel_times(&q).sorted(),
-            restored.get_travel_times(&q).sorted()
-        );
-    }
-
     /// The one validator of a shard part, asked directly (the containers
     /// that carry parts to it: `tests/persistence_roundtrip.rs`).
     #[test]
@@ -1180,40 +573,6 @@ mod tests {
             let err = part(members.clone()).unwrap_err();
             assert!(matches!(err, StoreError::Corrupt { .. }), "{members:?}");
         }
-    }
-
-    #[test]
-    fn wal_batch_round_trips_with_shard_tag() {
-        let idx = sharded(7);
-        let mut grown = example_trajectories();
-        grown
-            .push(
-                tthr_trajectory::UserId(3),
-                vec![
-                    TrajEntry::new(EDGE_A, 60, 3.0),
-                    TrajEntry::new(EDGE_B, 63, 3.0),
-                ],
-            )
-            .unwrap();
-        let delta: Vec<Trajectory> = grown.iter().skip(4).cloned().collect();
-        let record = ShardedWalBatch {
-            touched: idx.router().batch_shards(&delta),
-            batch: WalBatch {
-                base: 4,
-                trajectories: delta
-                    .iter()
-                    .map(|t| (t.user(), t.entries().to_vec()))
-                    .collect(),
-            },
-        };
-        assert!(!record.touched.is_empty());
-        let mut w = ByteWriter::new();
-        record.persist(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let restored = ShardedWalBatch::restore(&mut r).unwrap();
-        r.expect_exhausted("sharded wal batch").unwrap();
-        assert_eq!(restored, record);
     }
 
     #[test]

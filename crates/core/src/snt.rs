@@ -270,14 +270,6 @@ impl CompactionOutcome {
     pub fn changed(&self) -> bool {
         self.sealed_batches > 0 || self.dropped_partitions > 0
     }
-
-    /// Folds another outcome into this one (per-shard aggregation).
-    pub(crate) fn merge(&mut self, other: &CompactionOutcome) {
-        self.sealed_batches += other.sealed_batches;
-        self.sealed_entries += other.sealed_entries;
-        self.dropped_partitions += other.dropped_partitions;
-        self.dropped_entries += other.dropped_entries;
-    }
 }
 
 pub(crate) enum FmVariant {
@@ -457,6 +449,12 @@ pub(crate) fn next_scratch_id() -> u64 {
     NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
+/// `t` raised to the newest entry time of `tr`: the newest leaf time a
+/// partition holding `tr` has.
+fn newest(t: Option<Timestamp>, tr: &tthr_trajectory::Trajectory) -> Option<Timestamp> {
+    t.max(tr.entries().iter().map(|e| e.enter_time).max())
+}
+
 /// A trajectory's span: its last entry time minus its first.
 fn span(tr: &tthr_trajectory::Trajectory) -> Timestamp {
     let last = tr.entries().last().expect("trajectories are non-empty");
@@ -565,8 +563,15 @@ pub struct SntIndex {
     /// first entry time): `probeMap` finds every match of a `buildMap`
     /// window `[lo, hi)` before `hi + max_span`. Exact after build and
     /// restore, grown by every admitted batch, kept across retention
-    /// (derived, not persisted; see [`SntIndex::recount_max_span`]).
+    /// (derived, not persisted; see [`SntIndex::recount_leaf_bounds`]).
     pub(crate) max_span: Timestamp,
+    /// The newest leaf time of each immutable partition, indexed like
+    /// `partitions` (`None` for a partition without leaves): retention
+    /// reads its drop decisions here, so a pass that can drop nothing
+    /// returns without walking the forest. Set at build and at seal,
+    /// compacted with the partitions on a drop, recounted on restore
+    /// (derived, not persisted; see [`SntIndex::recount_leaf_bounds`]).
+    pub(crate) part_newest: Vec<Option<Timestamp>>,
     /// Leaf entries in the *immutable* forest (hot-tail entries are
     /// counted separately by [`SntIndex::hot_stats`]).
     pub(crate) total_entries: usize,
@@ -643,6 +648,7 @@ impl SntIndex {
         // Per-partition FM-indexes + leaf accumulation.
         let mut leaf_acc: Vec<Vec<LeafEntry>> = vec![Vec::new(); num_edges];
         let mut partitions = Vec::with_capacity(num_partitions);
+        let mut part_newest = vec![None; num_partitions];
         let mut total_entries = 0usize;
         for (w, group) in groups.iter().enumerate() {
             let (txt, starts) = text::build_text(
@@ -668,6 +674,7 @@ impl SntIndex {
                     });
                     total_entries += 1;
                 }
+                part_newest[w] = newest(part_newest[w], tr);
             }
             partitions.push(fm);
         }
@@ -727,15 +734,11 @@ impl SntIndex {
             data_min,
             data_max,
             max_span,
+            part_newest,
             total_entries,
             hot: HotTail::default(),
             mutation_stamp: 0,
         }
-    }
-
-    /// The construction configuration.
-    pub(crate) fn config(&self) -> &SntConfig {
-        &self.config
     }
 
     /// Number of temporal partitions `W`.
@@ -1408,22 +1411,41 @@ impl SntIndex {
         HotBatch::build(from, trajs, self.estimate_tt.len(), tod_bucket)
     }
 
-    /// [`SntIndex::max_span`] recounted from the forest's leaves: the
-    /// widest first-to-last entry time of any trajectory with a sealed
-    /// leaf (a restore folds in the hot batches as it re-absorbs them).
-    pub(crate) fn recount_max_span(&self) -> Timestamp {
+    /// Recounts the derived leaf bounds in one walk of the forest:
+    /// [`SntIndex::max_span`], the widest first-to-last entry time of any
+    /// trajectory with a sealed leaf (a restore folds in the hot batches
+    /// as it re-absorbs them), and [`SntIndex::part_newest`].
+    pub(crate) fn recount_leaf_bounds(&mut self) {
         let mut bounds = vec![(Timestamp::MAX, Timestamp::MIN); self.num_trajectories()];
+        let mut part_newest: Vec<Option<Timestamp>> = vec![None; self.partitions.len()];
         self.forest.for_each_leaf(|_, l| {
             if let Some(b) = bounds.get_mut(l.traj as usize) {
                 *b = (b.0.min(l.time), b.1.max(l.time));
             }
+            if let Some(p) = part_newest.get_mut(l.partition as usize) {
+                *p = Some(p.map_or(l.time, |t| t.max(l.time)));
+            }
         });
-        bounds
+        self.max_span = bounds
             .iter()
             .filter(|b| b.0 <= b.1)
             .map(|b| b.1 - b.0)
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        self.part_newest = part_newest;
+    }
+
+    /// The leaf walk [`SntIndex::part_newest`] replaces: each partition's
+    /// newest leaf time, read off the forest — the derived vector's
+    /// oracle.
+    #[cfg(test)]
+    pub(crate) fn part_newest_by_walk(&self) -> Vec<Option<Timestamp>> {
+        let mut newest: Vec<Option<Timestamp>> = vec![None; self.partitions.len()];
+        self.forest.for_each_leaf(|_, l| {
+            let p = &mut newest[l.partition as usize];
+            *p = Some(p.map_or(l.time, |t| t.max(l.time)));
+        });
+        newest
     }
 
     /// Seals one pending batch as its own immutable partition — the exact
@@ -1471,6 +1493,7 @@ impl SntIndex {
             }
         }
         self.total_entries += entries;
+        self.part_newest.push(trajs.iter().fold(None, newest));
         self.census.add_trajectories(&trajs);
         if let Some(tod) = &mut self.tod {
             // The batch's ToD row — the same per-entry adds, in the same
@@ -1541,62 +1564,51 @@ impl SntIndex {
     /// partitions are renumbered densely and the forest is rebuilt on the
     /// filtered leaf sequence (relative order — including timestamp-tie
     /// order — is preserved, so answers match an index that only ever
-    /// appended the surviving batches); the same walk recounts the census
-    /// and finds the new `data_min`. The user table keeps its full dense
+    /// appended the surviving batches); the same walk counts the dropped
+    /// entries, recounts the census and finds the new `data_min`. The
+    /// decisions come from [`SntIndex::part_newest`], so a horizon that
+    /// drops nothing walks no leaf. The user table keeps its full dense
     /// id space (4 bytes per expired trajectory) so global ids never
     /// shift. Runs on a sealed index only ([`SntIndex::compact`] drains
     /// the hot tail first).
     fn apply_retention(&mut self, horizon: Timestamp) -> (usize, usize) {
         debug_assert!(self.hot.is_empty(), "retention runs after sealing");
-        let num_parts = self.partitions.len();
-        if num_parts == 0 {
-            return (0, 0);
-        }
-        let mut max_time: Vec<Option<i64>> = vec![None; num_parts];
-        let mut part_entries: Vec<usize> = vec![0; num_parts];
-        self.forest.for_each_leaf(|_, l| {
-            let p = l.partition as usize;
-            max_time[p] = Some(max_time[p].map_or(l.time, |m| m.max(l.time)));
-            part_entries[p] += 1;
-        });
-        let drop: Vec<bool> = max_time
+        let drop: Vec<bool> = self
+            .part_newest
             .iter()
-            .map(|m| m.is_some_and(|m| m < horizon))
+            .map(|t| t.is_some_and(|t| t < horizon))
             .collect();
-        if !drop.iter().any(|&d| d) {
+        if !drop.contains(&true) {
             return (0, 0);
         }
-        let mut remap: Vec<u16> = vec![u16::MAX; num_parts];
+        let mut remap: Vec<u16> = vec![u16::MAX; drop.len()];
         let mut next = 0u16;
-        let mut dropped_parts = 0usize;
-        let mut dropped_entries = 0usize;
         for (p, &dropped) in drop.iter().enumerate() {
-            if dropped {
-                dropped_parts += 1;
-                dropped_entries += part_entries[p];
-            } else {
+            if !dropped {
                 remap[p] = next;
                 next += 1;
             }
         }
-        let mut p = 0;
-        self.partitions.retain(|_| {
-            let keep = !drop[p];
-            p += 1;
+        let dropped_parts = drop.len() - next as usize;
+        let kept = |p: &mut usize| {
+            let keep = !drop[*p];
+            *p += 1;
             keep
-        });
+        };
+        let mut p = 0;
+        self.partitions.retain(|_| kept(&mut p));
+        let mut p = 0;
+        self.part_newest.retain(|_| kept(&mut p));
         if let Some(tod) = &mut self.tod {
             let mut p = 0;
-            tod.hists.retain(|_| {
-                let keep = !drop[p];
-                p += 1;
-                keep
-            });
+            tod.hists.retain(|_| kept(&mut p));
         }
         let mut census = LeafCounter::new(&self.user_table);
         let mut min_time = i64::MAX;
+        let mut dropped_entries = 0usize;
         self.forest.retain_map(&mut |edge, l| {
             if drop[l.partition as usize] {
+                dropped_entries += 1;
                 return None;
             }
             census.add(edge, l);
@@ -2257,6 +2269,60 @@ mod lifecycle_tests {
         let out = idx.compact(Some(i64::MIN));
         assert!(!out.changed());
         assert_eq!(idx.to_snapshot_bytes(), before);
+    }
+
+    /// Retention reads its drop decisions from `part_newest`, so the
+    /// vector must equal the leaf walk's through build (an empty one, day
+    /// partitions), seal (direct and absorbed), restore with a hot tail
+    /// and a retention drop, on both forests; and a horizon's drops must
+    /// be exactly the partitions the walk puts before it.
+    #[test]
+    fn partition_newest_times_match_the_leaf_walk() {
+        const DAY: i64 = 86_400;
+        let net = example_network();
+        for tree in [TreeKind::Css, TreeKind::BPlus] {
+            let check = |idx: &SntIndex, at: &str| {
+                assert_eq!(idx.part_newest, idx.part_newest_by_walk(), "{tree:?}: {at}");
+            };
+            let config = SntConfig {
+                tree,
+                partition_days: Some(1),
+                ..SntConfig::default()
+            };
+            let empty = SntIndex::build(&net, &TrajectorySet::new(), config);
+            check(&empty, "an empty build");
+            assert_eq!(empty.part_newest, vec![None]);
+
+            let mut s = 11u64;
+            let mut set = TrajectorySet::new();
+            for t0 in [0, 3 * DAY] {
+                for tr in random_batch(&mut s, t0, 4) {
+                    set.push(tr.user(), tr.entries().to_vec()).unwrap();
+                }
+            }
+            let mut idx = SntIndex::build(&net, &set, config);
+            check(&idx, "a day-partitioned build");
+            assert!(idx.part_newest.iter().filter(|t| t.is_some()).count() >= 2);
+            let sealed = random_batch(&mut s, 6 * DAY, 3);
+            idx.append_trajectories(&sealed.iter().collect::<Vec<_>>());
+            check(&idx, "a sealed append");
+            let absorbed = random_batch(&mut s, 9 * DAY, 3);
+            idx.absorb_trajectories(&absorbed.iter().collect::<Vec<_>>());
+            idx = SntIndex::from_snapshot_bytes(&idx.to_snapshot_bytes()).unwrap();
+            check(&idx, "a restore with a hot tail");
+            for horizon in [i64::MIN, DAY, 5 * DAY] {
+                let walked = idx.part_newest_by_walk();
+                let want = walked.iter().filter(|t| t.is_some_and(|t| t < horizon));
+                let (want, parts) = (want.count(), walked.len());
+                let pending = idx.hot_stats().batches;
+                let out = idx.compact(Some(horizon));
+                assert_eq!(out.dropped_partitions, want, "{tree:?} horizon {horizon}");
+                check(&idx, "a retention pass");
+                assert_eq!(idx.num_partitions(), parts + pending - want);
+            }
+            let live = idx.part_newest.iter().filter(|t| t.is_some()).count();
+            assert_eq!(live, 2, "the day-6 seal and the day-9 tail remain");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Traces deliberately live outside [`QueryStats`](crate::QueryStats): the
 //! differential harnesses compare `QueryStats` byte-for-byte across
-//! backends, while cost attribution legitimately differs (a sharded backend
+//! tiers, while cost attribution legitimately differs (a sharded build
 //! routes, a single index does not).
 
 /// Cost profile of one query (or an accumulation over several), filled in
@@ -56,8 +56,8 @@ pub struct QueryTrace {
     pub cache_hits: u64,
     /// Service-layer result-cache misses.
     pub cache_misses: u64,
-    /// Queries routed to a shard (equals `index_queries` on a sharded
-    /// backend, 0 on a bare index).
+    /// Queries routed to a shard (equals `index_queries` on a
+    /// [`ShardedSntIndex`](crate::ShardedSntIndex), 0 on a bare index).
     pub shard_queries: u64,
     /// Bitmask of shards touched (shard `s` sets bit `s % 64`); fanout is
     /// its population count.

@@ -7,8 +7,8 @@
 //! crate's only unsafe surface), a hand-rolled
 //! incremental HTTP/1.1 parser ([`http`]), a small JSON codec ([`json`]),
 //! and the wire protocol ([`wire`]). It is the one HTTP front door of
-//! both tiers: [`serve`] serves a [`QueryService`] over either backend
-//! (`SntIndex`, `ShardedSntIndex`), [`serve_router`] a cluster router,
+//! both tiers: [`serve`] serves a [`QueryService`] over its `SntIndex`,
+//! [`serve_router`] a cluster router,
 //! with one request handler and one `/spq` body decoder.
 //!
 //! One reactor thread owns the listener and every connection; requests
@@ -102,7 +102,7 @@ use std::time::Duration;
 use tthr_client::ClusterRouter;
 use tthr_core::{Spq, TravelTimes, TripQuery};
 use tthr_rpc::{decode_frame, encode_frame, Decode, ErrCode, Message};
-use tthr_service::{QueryService, ServiceBackend};
+use tthr_service::QueryService;
 use tthr_store::StoreError;
 use tthr_trajectory::{TrajEntry, UserId};
 
@@ -146,7 +146,7 @@ pub(crate) trait Api: Send + Sync + 'static {
 }
 
 /// The single-process tier: every operation forwards to the service.
-impl<B: ServiceBackend> Api for QueryService<B> {
+impl Api for QueryService {
     fn num_edges(&self) -> usize {
         self.network().num_edges()
     }
@@ -364,8 +364,8 @@ impl Drop for ServerHandle {
 /// for an ephemeral port; [`ServerHandle::local_addr`] reports the
 /// binding). The service's **existing** worker pool executes the
 /// requests; the reactor itself never blocks on query work.
-pub fn serve<B: ServiceBackend>(
-    service: QueryService<B>,
+pub fn serve(
+    service: QueryService,
     addr: impl ToSocketAddrs,
     config: ServerConfig,
 ) -> io::Result<ServerHandle> {
@@ -597,11 +597,7 @@ fn decode_spq_body(op: Op, body: &[u8], num_edges: usize) -> Result<Spq, ApiResp
 /// `POST` of `body` to `target` (`/spq`, `/trip`, `/batch` or `/append`)
 /// with, computed without a socket; `None` for another target.
 #[doc(hidden)]
-pub fn answer_json<B: ServiceBackend>(
-    service: &QueryService<B>,
-    target: &str,
-    body: &[u8],
-) -> Option<(u16, Vec<u8>)> {
+pub fn answer_json(service: &QueryService, target: &str, body: &[u8]) -> Option<(u16, Vec<u8>)> {
     let op = match target {
         "/spq" => Op::Spq,
         "/trip" => Op::Trip,

@@ -426,7 +426,7 @@ fn append_bits(body: &wire::AppendBody) -> AppendBits {
     (*base, payload)
 }
 
-fn example_service() -> QueryService<SntIndex> {
+fn example_service() -> QueryService {
     let network = Arc::new(example_network());
     let index = SntIndex::build(&network, &example_trajectories(), SntConfig::default());
     let config = ServiceConfig {
@@ -439,7 +439,7 @@ fn example_service() -> QueryService<SntIndex> {
 /// What the tree path answers: `json::parse`, the tree decoder, the
 /// service call, and the wire encoder — the handler as it was before the
 /// typed decoders.
-fn tree_answer(service: &QueryService<SntIndex>, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
+fn tree_answer(service: &QueryService, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
     let num_edges = service.network().num_edges();
     let bad = |e: wire::WireError| (400, e);
     let answer = json::parse(body)
@@ -477,12 +477,7 @@ fn tree_answer(service: &QueryService<SntIndex>, target: &str, body: &[u8]) -> (
 
 /// The handler answers `served`'s request as the tree path answers
 /// `oracle`'s.
-fn check_answer(
-    served: &QueryService<SntIndex>,
-    oracle: &QueryService<SntIndex>,
-    target: &str,
-    body: &[u8],
-) {
+fn check_answer(served: &QueryService, oracle: &QueryService, target: &str, body: &[u8]) {
     let got = answer_json(served, target, body).expect("a JSON endpoint");
     let want = tree_answer(oracle, target, body);
     assert_eq!(

@@ -4,8 +4,8 @@
 //! exclusion — because [`SntIndex::get_travel_times`] is a pure function of
 //! `(index state, query)`; see `tthr_core::Spq`'s `Hash` impl. Index
 //! mutations invalidate either the whole cache (`ShardedCache::clear`,
-//! monolithic backends) or exactly the entries routing to the written
-//! index shards (`ShardedCache::clear_where`, partitioned backends).
+//! retention) or exactly the entries an append's time range can reach
+//! (`ShardedCache::clear_where`).
 //!
 //! **One hash per key.** A caller hashes a key once with
 //! `ShardedCache::hash` — the cache's own keyed hasher (`RandomState` by
@@ -366,7 +366,7 @@ impl<S: BuildHasher> ShardedCache<S> {
 
     /// Drops exactly the entries whose key matches `pred`, leaving every
     /// other entry (and its recency) untouched — the scoped invalidation
-    /// a partitioned index uses when an append wrote only some shards.
+    /// an append uses for the windows its batch can reach.
     /// Returns the number of entries removed; counts one invalidation.
     pub(crate) fn clear_where(&self, pred: impl Fn(&Spq) -> bool) -> usize {
         let mut removed = 0;

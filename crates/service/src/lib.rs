@@ -7,14 +7,10 @@
 //! pay off. This crate adds that serving layer without touching query
 //! semantics:
 //!
-//! * [`QueryService`] — wraps an index backend + `Arc<RoadNetwork>`
+//! * [`QueryService`] — wraps an [`SntIndex`] + `Arc<RoadNetwork>`
 //!   behind a thread-safe API for single SPQs, single trip queries, and
-//!   batches of trip queries. The backend is generic
-//!   ([`ServiceBackend`]): the monolithic `SntIndex` appends under the
-//!   service write lock; the partitioned
-//!   [`ShardedSntIndex`] ([`ShardedQueryService`]) appends under the
-//!   *read* lock with per-shard write locks, so only the touched shards'
-//!   readers ever wait.
+//!   batches of trip queries. One `RwLock` is the whole locking model:
+//!   appends and compactions take it for writing, readers for reading.
 //! * a worker **thread pool** ([`pool`]) fans a batch out across threads,
 //!   one job per trip; a helper-joining task group keeps a batch issued
 //!   *from* a pool worker deadlock-free. A trip itself runs on one thread,
@@ -23,15 +19,14 @@
 //! * a **sharded LRU cache** keyed by the full SPQ
 //!   `(path, interval, filter, β, exclusion)`, hashed once per lookup,
 //!   with one `Mutex` per shard, second-sighting admission once a shard
-//!   is full, and hit/miss/eviction/rejection counters. Appends
-//!   invalidate it scoped to the backend: whole-cache for the monolith,
-//!   only the entries routing to touched index shards for the sharded
-//!   backend (`cache::ShardedCache::clear_where`).
+//!   is full, and hit/miss/eviction/rejection counters. An append evicts
+//!   only the entries whose window its batch can reach
+//!   (`cache::ShardedCache::clear_where`).
 //! * [`ServiceStats`] — p50/p95/p99 latency, throughput, and cache hit
 //!   rate, computed with `tthr-metrics`.
 //! * an **observability layer** — every request is cost-traced
-//!   ([`tthr_core::QueryTrace`]: rank ops, wavelet descents, cache tiers,
-//!   shard fanout) into a [`tthr_metrics::MetricsRegistry`] the service
+//!   ([`tthr_core::QueryTrace`]: rank ops, wavelet descents, cache tiers)
+//!   into a [`tthr_metrics::MetricsRegistry`] the service
 //!   owns; [`QueryService::render_metrics`] renders the Prometheus text
 //!   exposition and [`QueryService::slow_queries`] exposes the top-N
 //!   slowest traced requests ([`SlowQuery`]).
@@ -62,13 +57,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod cache;
 mod persist;
 pub mod pool;
 mod stats;
 
-pub use backend::{AppendEffect, ServiceBackend};
 pub use cache::CacheCounters;
 pub use persist::{SnapshotInfo, SNAPSHOT_FILE, WAL_FILE};
 pub use pool::ThreadPool;
@@ -80,21 +73,15 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
+use tthr_core::persist::prepare_batch;
 use tthr_core::{
     CompactionOutcome, HotStats, QueryEngine, QueryEngineConfig, QueryTrace, SearchScratch,
-    ShardStats, ShardedSntIndex, SntIndex, Spq, TimeInterval, TravelTimeProvider, TravelTimes,
-    TripQuery,
+    SntIndex, Spq, TimeInterval, TravelTimeProvider, TravelTimes, TripQuery,
 };
 use tthr_metrics::{LogHistogram, MetricsRegistry};
 use tthr_network::{RoadNetwork, Timestamp};
 use tthr_store::StoreError;
 use tthr_trajectory::{TrajEntry, Trajectory, TrajectorySet, UserId};
-
-/// A [`QueryService`] over the partitioned
-/// [`ShardedSntIndex`]: appends stall only the
-/// written shards' readers at the index level, and cache invalidation is
-/// scoped to the touched shards.
-pub type ShardedQueryService = QueryService<ShardedSntIndex>;
 
 /// Live-ingestion lifecycle options: hot-tail absorption, background
 /// compaction, and time-based retention.
@@ -102,7 +89,7 @@ pub type ShardedQueryService = QueryService<ShardedSntIndex>;
 /// With [`IngestConfig::hot_tail`] **off** (the default) every append
 /// seals its batch into an immutable partition immediately — exactly the
 /// behaviour the service always had. Turned on, appends are *absorbed*
-/// into the backend's mutable hot tail (no FM-index or wavelet-tree
+/// into the index's mutable hot tail (no FM-index or wavelet-tree
 /// construction on the write path; answers stay byte-identical), and a
 /// compaction — background-scheduled, size-triggered, or explicit via
 /// [`QueryService::compact_now`] — later seals the pending batches,
@@ -110,7 +97,7 @@ pub type ShardedQueryService = QueryService<ShardedSntIndex>;
 /// WAL.
 #[derive(Clone, Debug)]
 pub struct IngestConfig {
-    /// Route appends into the backend's mutable hot tail. Off by default:
+    /// Route appends into the index's mutable hot tail. Off by default:
     /// the write path seals immediately, as before.
     pub hot_tail: bool,
     /// Background compaction cadence (`None` disables the thread —
@@ -180,8 +167,8 @@ impl Default for ServiceConfig {
     }
 }
 
-struct Inner<B: ServiceBackend> {
-    index: RwLock<B>,
+struct Inner {
+    index: RwLock<SntIndex>,
     network: Arc<RoadNetwork>,
     cache: ShardedCache,
     engine_config: QueryEngineConfig,
@@ -192,47 +179,41 @@ struct Inner<B: ServiceBackend> {
     /// Whether per-query traces read the wall clock inside search calls
     /// ([`ServiceConfig::trace_timing`]).
     trace_timing: bool,
-    /// Append counter in seqlock style: incremented to **odd** right
-    /// before a shared-append backend starts applying a batch and back to
-    /// **even** when the apply is complete (exclusive-append backends
-    /// jump by 2 under the write lock). Readers validate work against it:
-    /// a result is single-generation iff the counter was even and
-    /// unchanged across the read. `ServiceStats::generation` reports
-    /// `counter / 2` — the number of completed appends.
+    /// Index generations: +1 per applied append batch, +1 per compaction
+    /// that dropped at least one partition — the writes that change
+    /// answers. Bumped under the index write lock; reported as
+    /// `ServiceStats::generation`.
     generation: AtomicU64,
     /// Durable storage, attached by `save_snapshot` / `open`. Lock order:
     /// the index lock is always taken **before** this mutex.
     persist: Mutex<Option<persist::Persistence>>,
     /// The index as `/health` and `/metrics` report it, republished by
-    /// every writer before it releases the append serialization point
-    /// ([`with_appender`]). The mutex guards only the pointer swap, so a
+    /// every writer before it releases the index write lock
+    /// ([`with_writer`]). The mutex guards only the pointer swap, so a
     /// reader never waits behind index work.
     summary: Mutex<Arc<IndexSummary>>,
 }
 
-/// The index state the liveness and scrape endpoints read: sizes, the
-/// hot-tail backlog and the per-shard counters. Every field changes only
-/// under the append serialization point, so the copy published there is
-/// exact until the next writer.
+/// The index state the liveness and scrape endpoints read: sizes and the
+/// hot-tail backlog. Every field changes only under the index write lock,
+/// so the copy published there is exact until the next writer.
 struct IndexSummary {
     trajectories: usize,
     partitions: usize,
     hot: HotStats,
-    shards: Option<Vec<ShardStats>>,
 }
 
 impl IndexSummary {
-    fn of<B: ServiceBackend>(index: &B) -> Arc<IndexSummary> {
+    fn of(index: &SntIndex) -> Arc<IndexSummary> {
         Arc::new(IndexSummary {
             trajectories: index.num_trajectories(),
             partitions: index.num_partitions(),
             hot: index.hot_stats(),
-            shards: index.shard_stats(),
         })
     }
 }
 
-impl<B: ServiceBackend> Inner<B> {
+impl Inner {
     /// Folds one finished request into every observability sink: the
     /// latency histogram, the request counter, the trace aggregates, and
     /// the slow-query log.
@@ -258,28 +239,20 @@ impl<B: ServiceBackend> Inner<B> {
 }
 
 /// Routes the engine's `getTravelTimes` dispatches through the shared
-/// cache.
+/// cache, over an index its caller holds read-locked.
 ///
-/// Inserts are seqlock-validated against the append generation counter
-/// (odd while a shared apply is in flight): the provider only inserts
-/// when the counter was even before it read the index and is unchanged
-/// after — so a result computed against pre- or mid-append state either
-/// fails the check or is removed by the eviction that strictly follows
-/// the apply's closing bump. With an exclusive-append backend the check
-/// never fires (the read lock already excludes writers); with a
-/// shared-append backend ([`ServiceBackend::SHARED_APPENDS`]) it is what
-/// keeps the cache stale-free without stalling readers.
-struct CachedIndex<'a, B> {
-    index: &'a B,
+/// A miss is inserted unchecked: the read lock excludes every writer, so
+/// the computed answer belongs to the one index generation the lock
+/// holds, and the writer that ends it takes the write lock — after this
+/// insert — and evicts what it makes stale before it releases the lock.
+struct CachedIndex<'a> {
+    index: &'a SntIndex,
     cache: &'a ShardedCache,
-    generation: &'a AtomicU64,
 }
 
-impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
-    /// Cache miss → the backend runs its backward search through the
-    /// trip's scratch (suffix-cache reuse); the scratch
-    /// self-invalidates on index-generation changes, so the seqlock
-    /// validation below stays the only staleness gate for the *cache*.
+impl TravelTimeProvider for CachedIndex<'_> {
+    /// Cache miss → the index runs its backward search through the
+    /// trip's scratch (suffix-cache reuse).
     fn travel_times_with(&self, spq: &Spq, scratch: &mut tthr_core::SearchScratch) -> TravelTimes {
         let hash = self.cache.hash(spq);
         if let Some(hit) = self.cache.get(hash, spq) {
@@ -287,21 +260,17 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
             return hit;
         }
         scratch.trace.cache_misses += 1;
-        let before = self.generation.load(Ordering::SeqCst);
         let computed = self.index.travel_times_with(spq, scratch);
-        if before.is_multiple_of(2) && self.generation.load(Ordering::SeqCst) == before {
-            self.cache.insert(hash, spq, &computed);
-        }
+        self.cache.insert(hash, spq, &computed);
         computed
     }
 
     /// Per-level cache lookups first — a cached level answers, or is
-    /// known to fail, without the index — then **one** backend ladder
-    /// over the levels from the first miss on. Every level the backend
-    /// consumed is inserted under the same seqlock validation as a
-    /// single dispatch (the failed ones as `∅`), so the cache holds what
-    /// the level-by-level loop would have left in it and a repeated trip
-    /// is all hits. Each level's key is hashed once.
+    /// known to fail, without the index — then **one** index ladder over
+    /// the levels from the first miss on. Every level the index consumed
+    /// is inserted (the failed ones as `∅`), so the cache holds what the
+    /// level-by-level loop would have left in it and a repeated trip is
+    /// all hits. Each level's key is hashed once.
     fn travel_times_ladder(
         &self,
         spq: &Spq,
@@ -322,21 +291,18 @@ impl<B: ServiceBackend> TravelTimeProvider for CachedIndex<'_, B> {
             sub.to_mut().interval = levels[level];
             hash = self.cache.hash(&sub);
         }
-        let before = self.generation.load(Ordering::SeqCst);
         let (consumed, computed) = self
             .index
             .travel_times_ladder(&sub, &levels[level..], scratch);
         scratch.trace.cache_misses += consumed as u64 + 1;
-        if before.is_multiple_of(2) && self.generation.load(Ordering::SeqCst) == before {
-            let empty = TravelTimes::empty();
-            for (k, interval) in levels[level..=level + consumed].iter().enumerate() {
-                if k > 0 {
-                    sub.to_mut().interval = *interval;
-                    hash = self.cache.hash(&sub);
-                }
-                let value = if k < consumed { &empty } else { &computed };
-                self.cache.insert(hash, &sub, value);
+        let empty = TravelTimes::empty();
+        for (k, interval) in levels[level..=level + consumed].iter().enumerate() {
+            if k > 0 {
+                sub.to_mut().interval = *interval;
+                hash = self.cache.hash(&sub);
             }
+            let value = if k < consumed { &empty } else { &computed };
+            self.cache.insert(hash, &sub, value);
         }
         (level + consumed, computed)
     }
@@ -363,102 +329,46 @@ pub struct IngestStatus {
     pub dropped_partitions: u64,
 }
 
-/// The append serialization point, held — the write half of the index
-/// lock as the backend's locking model defines it. [`with_appender`] is
-/// the only place that model is branched on; everything that mutates the
-/// index runs one body over this.
-enum Appender<'a, B> {
-    /// The service write lock: readers are excluded outright.
-    Exclusive(&'a mut B),
-    /// The service read lock plus the backend's append permit: readers
-    /// keep flowing, stalled at most per shard.
-    Shared(&'a B),
-}
-
-impl<B: ServiceBackend> Appender<'_, B> {
-    fn index(&self) -> &B {
-        match self {
-            Appender::Exclusive(index) => index,
-            Appender::Shared(index) => index,
-        }
-    }
-
-    fn ingest(&mut self, batch: Vec<Trajectory>, seal: bool) -> AppendEffect {
-        match self {
-            Appender::Exclusive(index) => index.ingest(batch, seal),
-            Appender::Shared(index) => index.ingest_shared(batch, seal),
-        }
-    }
-
-    fn compact(&mut self, horizon: Option<Timestamp>) -> CompactionOutcome {
-        match self {
-            Appender::Exclusive(index) => index.compact(horizon),
-            Appender::Shared(index) => index.compact_shared(horizon),
-        }
-    }
-}
-
-/// Runs `f` holding the append serialization point: other appenders,
-/// compactions and snapshot rotations are excluded for its whole duration
-/// (lock order: index, then the append permit, then the persist mutex).
-/// Before releasing it, publishes the [`IndexSummary`] `f` left behind.
-fn with_appender<B: ServiceBackend, R>(
-    inner: &Inner<B>,
-    f: impl FnOnce(Appender<'_, B>) -> R,
-) -> R {
-    let publish =
-        |index: &B| *inner.summary.lock().expect("summary lock") = IndexSummary::of(index);
-    if B::SHARED_APPENDS {
-        let index = inner.index.read().expect("index lock");
-        let permit = index.append_permit();
-        debug_assert!(permit.is_some(), "SHARED_APPENDS promises a permit");
-        let result = f(Appender::Shared(&*index));
-        publish(&index);
-        result
-    } else {
-        let mut index = inner.index.write().expect("index lock");
-        let result = f(Appender::Exclusive(&mut index));
-        publish(&index);
-        result
-    }
+/// Runs `f` on the index under its write lock — the one serialization
+/// point of appends, compactions and (under the read lock) snapshots:
+/// readers are excluded outright. Before releasing the lock, publishes the
+/// [`IndexSummary`] `f` left behind.
+fn with_writer<R>(inner: &Inner, f: impl FnOnce(&mut SntIndex) -> R) -> R {
+    let mut index = inner.index.write().expect("index lock");
+    let result = f(&mut index);
+    *inner.summary.lock().expect("summary lock") = IndexSummary::of(&index);
+    result
 }
 
 /// The retention horizon of one compaction pass: everything strictly
 /// older than `max_data_time − retention` is expired. Computed against
 /// the data's own clock (the newest entry ever indexed), not wall time —
 /// replaying the same history always drops the same partitions.
-fn retention_horizon<B: ServiceBackend>(index: &B, ingest: &IngestConfig) -> Option<Timestamp> {
+fn retention_horizon(index: &SntIndex, ingest: &IngestConfig) -> Option<Timestamp> {
     let retention = ingest.retention?;
     let secs = i64::try_from(retention.as_secs()).unwrap_or(i64::MAX);
-    Some(index.max_data_time().saturating_sub(secs))
+    Some(index.data_max().saturating_sub(secs))
 }
 
-/// One compaction pass over the service's backend: seals pending hot
+/// One compaction pass over the service's index: seals pending hot
 /// batches, applies the retention horizon, and — when anything changed
 /// and durable storage is attached — rotates the snapshot (truncating the
 /// WAL). Shared by [`QueryService::compact_now`], the append-path size
 /// trigger, and the background compactor thread.
-fn compact_on<B: ServiceBackend>(inner: &Inner<B>) -> Result<CompactionOutcome, StoreError> {
+fn compact_on(inner: &Inner) -> Result<CompactionOutcome, StoreError> {
     let started = Instant::now();
-    let outcome = with_appender(inner, |mut index| {
-        // Holding the serialization point keeps the horizon, the seals and
+    let outcome = with_writer(inner, |index| {
+        // Holding the write lock keeps the horizon, the seals and
         // `data_max` consistent.
-        let horizon = retention_horizon(index.index(), &inner.ingest);
-        // Seqlock write (odd while in flight) only when retention can
-        // change answers: sealing alone is byte-identity-preserving, so
-        // readers racing a pure seal keep both their results and their
-        // cache inserts.
-        let bump = u64::from(horizon.is_some());
-        inner.generation.fetch_add(bump, Ordering::SeqCst);
-        let outcome = index.compact(horizon);
-        inner.generation.fetch_add(bump, Ordering::SeqCst);
+        let outcome = index.compact(retention_horizon(index, &inner.ingest));
         if outcome.dropped_partitions > 0 {
-            // Retention changed answers; every cached entry may be stale.
-            // Cleared before the serialization point is released, so no
-            // reader that saw the post-retention index can be followed by
-            // a cache hit from before it. (Pure sealing never clears:
-            // cached answers are byte-identical across it — the hot-tail
-            // equivalence invariant.)
+            // Retention changed answers: a new generation, and every
+            // cached entry may be stale. Cleared before the write lock is
+            // released, so no reader that saw the post-retention index
+            // can be followed by a cache hit from before it. (Pure sealing
+            // is neither: cached answers are byte-identical across it —
+            // the hot-tail equivalence invariant.)
+            inner.generation.fetch_add(1, Ordering::SeqCst);
             inner.cache.clear();
         }
         outcome
@@ -491,7 +401,7 @@ fn compact_on<B: ServiceBackend>(inner: &Inner<B>) -> Result<CompactionOutcome, 
 /// Background compaction: a detached thread ticking every `interval`,
 /// holding only a weak reference to the service — dropping the last
 /// service handle ends it at its next tick.
-fn spawn_compactor<B: ServiceBackend>(inner: &Arc<Inner<B>>, interval: Duration) {
+fn spawn_compactor(inner: &Arc<Inner>, interval: Duration) {
     let weak = Arc::downgrade(inner);
     let _ = std::thread::Builder::new()
         .name("tthr-compactor".into())
@@ -504,23 +414,18 @@ fn spawn_compactor<B: ServiceBackend>(inner: &Arc<Inner<B>>, interval: Duration)
         });
 }
 
-/// A multi-threaded query service over one shared index backend.
-///
-/// `B` defaults to the monolithic [`SntIndex`]; construct with a
-/// [`ShardedSntIndex`] (or use the [`ShardedQueryService`] alias) to get
-/// per-shard append isolation and scoped cache invalidation with
-/// byte-identical query results.
+/// A multi-threaded query service over one shared [`SntIndex`].
 ///
 /// The service is `Send + Sync`; share it across threads with `Arc` (or
 /// plain references and scoped threads). All query methods take `&self`.
-pub struct QueryService<B: ServiceBackend = SntIndex> {
-    inner: Arc<Inner<B>>,
+pub struct QueryService {
+    inner: Arc<Inner>,
     pool: Arc<ThreadPool>,
 }
 
-impl<B: ServiceBackend> QueryService<B> {
+impl QueryService {
     /// Builds a service owning the index.
-    pub fn new(index: B, network: Arc<RoadNetwork>, config: ServiceConfig) -> Self {
+    pub fn new(index: SntIndex, network: Arc<RoadNetwork>, config: ServiceConfig) -> Self {
         let threads = if config.num_threads == 0 {
             std::thread::available_parallelism().map_or(4, |n| n.get())
         } else {
@@ -590,9 +495,8 @@ impl<B: ServiceBackend> QueryService<B> {
         let mut scratch = self.inner.scratch();
         let index = self.inner.index.read().expect("index lock");
         let provider = CachedIndex {
-            index: &*index,
+            index: &index,
             cache: &self.inner.cache,
-            generation: &self.inner.generation,
         };
         let result = provider.travel_times_with(spq, &mut scratch);
         drop(index);
@@ -671,17 +575,10 @@ impl<B: ServiceBackend> QueryService<B> {
     /// update path) and invalidates exactly the cache entries the append
     /// can have changed. Returns the number of appended trajectories.
     ///
-    /// With an exclusive-append backend (the monolithic [`SntIndex`]) the
-    /// call takes the index write lock: in-flight scans finish against
+    /// The call takes the index write lock: in-flight scans finish against
     /// the old state first, and every reader blocked behind the append
-    /// sees the new index with the stale entries gone. With a
-    /// shared-append backend ([`ShardedSntIndex`]) the call runs under
-    /// the index *read* lock plus the backend's append permit: only the
-    /// touched shards' readers wait (on those shards' own locks), queries
-    /// against every other shard proceed stall-free, and only cache
-    /// entries routing to the touched shards are evicted. Either way a
-    /// returned query result never mixes index generations (see
-    /// [`QueryService::trip_query`]).
+    /// sees the new index with the stale entries gone, so a returned query
+    /// result never mixes index generations.
     ///
     /// With durable storage attached ([`QueryService::save_snapshot`] /
     /// [`QueryService::open`]) the batch is logged **write-ahead**: it is
@@ -710,7 +607,7 @@ impl<B: ServiceBackend> QueryService<B> {
     /// The payload is validated **before** anything is logged or applied
     /// (invalid trajectories are a [`StoreError::Corrupt`] and the index
     /// is untouched); locking, write-ahead logging, the generation
-    /// seqlock, and scoped cache invalidation are exactly
+    /// counter, and scoped cache invalidation are exactly
     /// [`QueryService::append_batch`]'s — the two entry points produce
     /// byte-identical index states for the same logical batch
     /// (`tests/persistence_roundtrip.rs` enforces this differentially).
@@ -725,48 +622,41 @@ impl<B: ServiceBackend> QueryService<B> {
                 expected: from as u64,
                 found: b,
             }),
-            _ => index.prepare_payload_at(new, from),
+            _ => prepare_batch(from as u32, index.num_edges(), new),
         })
     }
 
-    /// The one write path both entry points run, holding the append
-    /// serialization point ([`with_appender`]) throughout: `delta_at`
+    /// The one write path both entry points run, holding the index write
+    /// lock ([`with_writer`]) throughout: `delta_at`
     /// turns the request into the id-stamped batch it appends at the
     /// index's own trajectory count (empty for an already-applied
     /// request, an error for an invalid or gapped one — neither is
     /// logged nor applied); the batch is logged write-ahead as **one**
-    /// record with **one** fsync; then it is applied between two
-    /// generation-seqlock bumps and the stale cache entries are evicted.
-    /// The hot-tail size trigger runs after the serialization point is
-    /// released.
+    /// record with **one** fsync; then it is applied, the generation
+    /// counter moves on, and the stale cache entries are evicted. The
+    /// hot-tail size trigger runs after the write lock is released.
     fn append_delta(
         &self,
-        delta_at: impl FnOnce(&B, usize) -> Result<Vec<Trajectory>, StoreError>,
+        delta_at: impl FnOnce(&SntIndex, usize) -> Result<Vec<Trajectory>, StoreError>,
     ) -> Result<usize, StoreError> {
         let start = Instant::now();
         let inner = &*self.inner;
-        let result = with_appender(inner, |mut index| {
-            let from = index.index().num_trajectories();
-            let delta = delta_at(index.index(), from)?;
+        let result = with_writer(inner, |index| {
+            let from = index.num_trajectories();
+            let delta = delta_at(index, from)?;
             if delta.is_empty() {
                 return Ok(0);
             }
             // A failed log write applies nothing: the caller sees the
             // error and a re-send is a fresh attempt.
-            self.wal_append(index.index(), &delta, from)?;
+            self.wal_append(&delta, from)?;
             // Trajectory entries are validated time-monotonic, so each
             // member's time floor is its start time.
             let floor = delta.iter().map(Trajectory::start_time).min();
-            // Seqlock write: odd while the apply is in flight, so a trip
-            // whose ladders straddle the window of a shared apply (shard A
-            // post-append, shard B pre-append) can never pass generation
-            // validation — it either reads an odd counter or sees it
-            // change. (Under the exclusive lock no reader runs in between.)
+            let appended = index.ingest(delta, !inner.ingest.hot_tail);
             inner.generation.fetch_add(1, Ordering::SeqCst);
-            let effect = index.ingest(delta, !inner.ingest.hot_tail);
-            inner.generation.fetch_add(1, Ordering::SeqCst);
-            self.evict_stale(index.index(), &effect, floor);
-            Ok(effect.appended)
+            self.evict_stale(floor);
+            Ok(appended)
         });
         // Appends have no search trace; they still count and feed the
         // slow-query log (a stalled append is worth seeing there).
@@ -778,12 +668,12 @@ impl<B: ServiceBackend> QueryService<B> {
     /// Logs one stamped batch as one WAL record, written and fsynced
     /// before this returns `Ok`. A no-op without attached storage — the
     /// record is only encoded when there is a log to write it to.
-    fn wal_append(&self, index: &B, delta: &[Trajectory], from: usize) -> Result<(), StoreError> {
+    fn wal_append(&self, delta: &[Trajectory], from: usize) -> Result<(), StoreError> {
         let mut persist = self.inner.persist.lock().expect("persist lock");
         let Some(p) = persist.as_mut() else {
             return Ok(());
         };
-        let record = index.encode_wal_record(delta, from);
+        let record = persist::encode_wal_record(delta, from);
         let start = Instant::now();
         p.wal.append(&record)?;
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -795,14 +685,11 @@ impl<B: ServiceBackend> QueryService<B> {
         Ok(())
     }
 
-    /// Evicts exactly the entries the append can have changed, scoped
-    /// along two independent axes: the **shards** the batch wrote
-    /// ([`AppendEffect::touched_shards`]) and the batch's **time range**
-    /// (`batch_min_time`, the earliest entry it ingested). Runs *after*
-    /// the generation left the odd (in-progress) state: a racing reader's
-    /// generation-validated insert (see [`CachedIndex`]) either
-    /// happens-before this eviction or is abandoned, so a stale entry can
-    /// never outlive the invalidation.
+    /// Evicts exactly the entries a non-empty append can have changed,
+    /// scoped by the batch's **time range** (`batch_min_time`, the
+    /// earliest entry it ingested). Runs under the write lock, so every
+    /// reader's insert (see [`CachedIndex`]) happened before it: a stale
+    /// entry can never outlive the invalidation.
     ///
     /// Time scoping is only applied where it is provably sound. A
     /// multi-edge fixed-interval answer admits exactly the traversals
@@ -814,10 +701,7 @@ impl<B: ServiceBackend> QueryService<B> {
     /// count-shortcut serving tied to whole-tree statistics, and an
     /// engine-level cardinality estimator makes answers depend on global
     /// index statistics that every append shifts.
-    fn evict_stale(&self, index: &B, effect: &AppendEffect, batch_min_time: Option<Timestamp>) {
-        if effect.appended == 0 {
-            return;
-        }
+    fn evict_stale(&self, batch_min_time: Option<Timestamp>) {
         let time_scoped = self.inner.engine_config.estimator.is_none();
         let keep = |spq: &Spq| match (time_scoped, batch_min_time, &spq.interval) {
             (true, Some(floor), TimeInterval::Fixed { end, .. }) => {
@@ -825,26 +709,11 @@ impl<B: ServiceBackend> QueryService<B> {
             }
             _ => false,
         };
-        match &effect.touched_shards {
-            // Unpartitioned backend: everything overlapping the batch's
-            // time range may be stale.
-            None => {
-                self.inner.cache.clear_where(|spq| !keep(spq));
-            }
-            // Partitioned backend: a query's answer can only change if
-            // its owning index shard received leaves inside the query's
-            // window — evict exactly those entries and keep every other
-            // shard's (and every provably disjoint window's) warm.
-            Some(touched) => {
-                self.inner.cache.clear_where(|spq| {
-                    index.route_shard(spq).is_none_or(|s| touched.contains(&s)) && !keep(spq)
-                });
-            }
-        }
+        self.inner.cache.clear_where(|spq| !keep(spq));
     }
 
     /// Runs a closure against the current index state (read-locked).
-    pub fn with_index<R>(&self, f: impl FnOnce(&B) -> R) -> R {
+    pub fn with_index<R>(&self, f: impl FnOnce(&SntIndex) -> R) -> R {
         f(&self.inner.index.read().expect("index lock"))
     }
 
@@ -863,15 +732,15 @@ impl<B: ServiceBackend> QueryService<B> {
     /// two never mix.
     ///
     /// Safe (and a cheap no-op) when the hot tail is empty and nothing is
-    /// expired. Concurrent queries keep running; with a shared-append
-    /// backend only one shard at a time is write-locked.
+    /// expired. The pass holds the index write lock, so queries wait for
+    /// it.
     pub fn compact_now(&self) -> Result<CompactionOutcome, StoreError> {
         compact_on(&self.inner)
     }
 
     /// Pending hot-tail accounting (batches, entries, approximate heap
-    /// bytes; summed across shards on a sharded backend) as of the last
-    /// completed write — read without the index lock.
+    /// bytes) as of the last completed write — read without the index
+    /// lock.
     pub fn hot_stats(&self) -> HotStats {
         self.inner.summary().hot
     }
@@ -926,9 +795,7 @@ impl<B: ServiceBackend> QueryService<B> {
             endpoints,
             throughput_qps,
             cache: self.inner.cache.counters(),
-            // The counter is a seqlock (2 ticks per append, odd =
-            // in-progress); report completed appends.
-            generation: self.inner.generation.load(Ordering::SeqCst) / 2,
+            generation: self.inner.generation.load(Ordering::SeqCst),
             uptime,
         };
         (stats, histograms)
@@ -943,22 +810,18 @@ impl<B: ServiceBackend> QueryService<B> {
 
     /// Renders every registry series in the Prometheus text exposition
     /// format, after mirroring the scrape-time values (cache counters,
-    /// index generation and size, per-shard series) into the registry.
+    /// index generation and size) into the registry.
     /// The index values come from the last completed write's summary, so
     /// a scrape never waits on the index lock.
     pub fn render_metrics(&self) -> String {
         let m = &self.inner.metrics;
         m.mirror_cache(&self.inner.cache.counters());
-        m.generation.set(
-            i64::try_from(self.inner.generation.load(Ordering::SeqCst) / 2).unwrap_or(i64::MAX),
-        );
+        m.generation
+            .set(i64::try_from(self.inner.generation.load(Ordering::SeqCst)).unwrap_or(i64::MAX));
         let index = self.inner.summary();
         let gauge = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
         m.index_trajectories.set(gauge(index.trajectories));
         m.index_partitions.set(gauge(index.partitions));
-        if let Some(shards) = &index.shards {
-            m.mirror_shards(shards);
-        }
         m.hot_tail_batches.set(gauge(index.hot.batches));
         m.hot_tail_entries.set(gauge(index.hot.entries));
         m.hot_tail_bytes.set(gauge(index.hot.bytes));
@@ -980,7 +843,7 @@ impl<B: ServiceBackend> QueryService<B> {
 
 /// Cloning shares the service: both handles answer over the same index,
 /// cache, pool, and stats (the front-end keeps one clone per worker).
-impl<B: ServiceBackend> Clone for QueryService<B> {
+impl Clone for QueryService {
     fn clone(&self) -> Self {
         QueryService {
             inner: Arc::clone(&self.inner),
@@ -991,59 +854,17 @@ impl<B: ServiceBackend> Clone for QueryService<B> {
 
 /// Executes one trip query against the shared state: the engine's round
 /// driver over the cache, on the calling thread, under one read lock —
-/// result-identical to the plain engine.
-///
-/// A returned `TripQuery` never mixes index generations. With an
-/// exclusive-append backend that is the read lock's doing: a pass holds
-/// it from its first dispatch to its last, so no append can land inside
-/// one. A shared-append backend's appenders do not take the service write
-/// lock, so there a trip can straddle an append (shard A read post-append,
-/// shard B pre-append); each optimistic pass is therefore validated
-/// against the append generation counter and redone if it moved. A trip
-/// is much shorter than an append, so consecutive invalidations are
-/// exponentially unlikely; after four of them the trip runs once more
-/// with appends frozen via the backend's permit — readers are still
-/// unaffected, only appenders briefly queue.
-fn trip_query_on<B: ServiceBackend>(inner: &Inner<B>, query: &Spq) -> TripQuery {
-    for _ in 0..4 {
-        if let Some(result) = trip_query_pass(inner, query) {
-            return result;
-        }
-    }
-    // Freeze appends for the final pass. For an exclusive-append backend
-    // the permit is `None` — the read lock alone already excludes
-    // writers, so the pass below cannot be invalidated.
+/// result-identical to the plain engine. Writers take the write lock, so
+/// no append or compaction can land inside a trip: a returned `TripQuery`
+/// never mixes index generations.
+fn trip_query_on(inner: &Inner, query: &Spq) -> TripQuery {
     let index = inner.index.read().expect("index lock");
-    let _permit = index.append_permit();
-    trip_query_at(inner, &index, query)
-}
-
-/// One optimistic trip execution; `None` when an append committed while
-/// it ran (the result may straddle two index generations).
-fn trip_query_pass<B: ServiceBackend>(inner: &Inner<B>, query: &Spq) -> Option<TripQuery> {
-    let generation_before = inner.generation.load(Ordering::SeqCst);
-    let index = inner.index.read().expect("index lock");
-    let result = trip_query_at(inner, &index, query);
-    generation_valid(inner, generation_before).then_some(result)
-}
-
-/// The trip itself, against a read-locked index: one round-driver run
-/// with the cache as the engine's provider.
-fn trip_query_at<B: ServiceBackend>(inner: &Inner<B>, index: &B, query: &Spq) -> TripQuery {
-    let engine = QueryEngine::new(index, &inner.network, inner.engine_config.clone());
+    let engine = QueryEngine::new(&*index, &inner.network, inner.engine_config.clone());
     let provider = CachedIndex {
-        index,
+        index: &index,
         cache: &inner.cache,
-        generation: &inner.generation,
     };
     engine.trip_query_via_with(&provider, query, &mut inner.scratch())
-}
-
-/// Seqlock read validation: the pass saw one index generation iff the
-/// counter was even (no apply in flight) when it started and has not
-/// moved since.
-fn generation_valid<B: ServiceBackend>(inner: &Inner<B>, before: u64) -> bool {
-    before.is_multiple_of(2) && inner.generation.load(Ordering::SeqCst) == before
 }
 
 // The whole point of the service is cross-thread sharing; keep that a
@@ -1051,7 +872,6 @@ fn generation_valid<B: ServiceBackend>(inner: &Inner<B>, before: u64) -> bool {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryService>();
-    assert_send_sync::<ShardedQueryService>();
     assert_send_sync::<ServiceConfig>();
     assert_send_sync::<ServiceStats>();
 };
@@ -1069,24 +889,6 @@ mod tests {
     fn service(threads: usize) -> QueryService {
         let network = example_network();
         let index = SntIndex::build(&network, &example_trajectories(), SntConfig::default());
-        QueryService::new(
-            index,
-            Arc::new(network),
-            ServiceConfig {
-                num_threads: threads,
-                ..ServiceConfig::default()
-            },
-        )
-    }
-
-    fn sharded_service(threads: usize, shards: usize) -> ShardedQueryService {
-        let network = example_network();
-        let index = ShardedSntIndex::build(
-            &network,
-            &example_trajectories(),
-            SntConfig::default(),
-            shards,
-        );
         QueryService::new(
             index,
             Arc::new(network),
@@ -1122,8 +924,8 @@ mod tests {
     /// order, value bits, histogram, all nine `QueryStats` fields — and
     /// take the rounds the plain engine's driver takes on the same index.
     /// Returns the definition's stats, one per trip.
-    fn assert_trips_match_the_definition<B: ServiceBackend>(
-        s: &QueryService<B>,
+    fn assert_trips_match_the_definition(
+        s: &QueryService,
         queries: &[Spq],
     ) -> Vec<tthr_core::QueryStats> {
         let batch = s.batch_trip_queries(queries);
@@ -1185,12 +987,9 @@ mod tests {
                 num_threads: threads,
                 ..ServiceConfig::default()
             };
-            let mono = SntIndex::build(&network, &set, SntConfig::default());
-            let sharded = ShardedSntIndex::build(&network, &set, SntConfig::default(), 2);
-            let mono = QueryService::new(mono, Arc::clone(&network), config.clone());
-            let sharded = QueryService::new(sharded, Arc::clone(&network), config);
-            let stats = assert_trips_match_the_definition(&mono, &queries);
-            assert_eq!(assert_trips_match_the_definition(&sharded, &queries), stats);
+            let index = SntIndex::build(&network, &set, SntConfig::default());
+            let service = QueryService::new(index, Arc::clone(&network), config);
+            let stats = assert_trips_match_the_definition(&service, &queries);
             // The inputs hold what the single shape has to get right: a
             // fixed-interval trip of ≥ 3 ladders, at least one relaxing.
             assert!(queries.iter().zip(&stats).any(|(q, st)| {
@@ -1253,70 +1052,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sharded_backend_answers_like_the_monolith_service() {
-        let mono = service(2);
-        for shards in [1usize, 3, 6] {
-            let sharded = sharded_service(2, shards);
-            let q = abe();
-            assert_eq!(
-                sharded.get_travel_times(&q).sorted(),
-                mono.get_travel_times(&q).sorted(),
-                "shards={shards}"
-            );
-            let a = mono.trip_query(&q);
-            let b = sharded.trip_query(&q);
-            assert_eq!(
-                a.predicted_duration().to_bits(),
-                b.predicted_duration().to_bits(),
-                "shards={shards}"
-            );
-            assert_eq!(a.stats, b.stats, "shards={shards}");
-        }
-    }
-
-    /// Regression: a single-shard append must evict only the touched
-    /// shard's cache entries — an earlier draft cleared every shard the
-    /// way the monolithic backend does, throwing warm entries away on
-    /// every write.
-    #[test]
-    fn single_shard_append_invalidates_only_the_touched_shard() {
-        // Six shards over the six example edges: every edge is its own
-        // shard, so the routing of the two probe queries is disjoint.
-        let s = sharded_service(2, 6);
-        let qa = Spq::new(Path::new(vec![EDGE_A]), TimeInterval::fixed(0, 100));
-        let qf = Spq::new(Path::new(vec![EDGE_F]), TimeInterval::fixed(0, 100));
-        let _ = s.get_travel_times(&qa);
-        let _ = s.get_travel_times(&qf);
-        assert_eq!(s.stats().cache.entries, 2);
-
-        // Append a trajectory that touches only F's shard.
-        let mut grown = example_trajectories();
-        grown
-            .push(UserId(9), vec![TrajEntry::new(EDGE_F, 50, 6.5)])
-            .unwrap();
-        assert_eq!(s.append_batch(&grown).unwrap(), 1);
-        let stats = s.stats();
-        assert_eq!(stats.cache.entries, 1, "only F's entry evicted");
-        assert_eq!(stats.cache.invalidations, 1);
-        assert_eq!(stats.generation, 1);
-
-        // A's entry is still served from cache (hit-rate on the untouched
-        // shard stays flat: one more hit, no more misses)...
-        let before = s.stats().cache;
-        assert_eq!(s.get_travel_times(&qa).sorted(), vec![3.0, 3.0, 3.0, 4.0]);
-        let after = s.stats().cache;
-        assert_eq!(after.hits, before.hits + 1);
-        assert_eq!(after.misses, before.misses);
-
-        // ...while F recomputes and sees the new traversal.
-        assert_eq!(s.get_travel_times(&qf).sorted(), vec![6.0, 6.5]);
-    }
-
     /// The payload append entry point (`append_new`) must land the index
     /// in the same state as the grown-set entry point (`append_batch`),
-    /// honour the idempotency stamp, and reject gapped stamps — for both
-    /// backends.
+    /// honour the idempotency stamp, and reject gapped stamps.
     #[test]
     fn append_new_matches_append_batch() {
         let payload = vec![(
@@ -1369,16 +1107,6 @@ mod tests {
             Err(StoreError::Corrupt { .. })
         ));
         via_payload.with_index(|i| assert_eq!(i.num_trajectories(), 5));
-
-        // The sharded backend: same equivalence, scoped eviction intact.
-        let sharded_set = sharded_service(2, 3);
-        assert_eq!(sharded_set.append_batch(&grown).unwrap(), 1);
-        let sharded_payload = sharded_service(2, 3);
-        assert_eq!(sharded_payload.append_new(None, &payload).unwrap(), 1);
-        assert_eq!(
-            sharded_payload.get_travel_times(&q).sorted(),
-            sharded_set.get_travel_times(&q).sorted()
-        );
     }
 
     fn hot_service(threads: usize, ingest: IngestConfig) -> QueryService {
@@ -1410,11 +1138,11 @@ mod tests {
     /// are both I/O errors (the service's fault, not the payload's), the
     /// index, the generation and a warm cache entry are untouched, and the
     /// directory reopens to exactly the acknowledged appends.
-    fn failed_wal_write_neither_applies_nor_acks<B: ServiceBackend>(s: QueryService<B>, tag: &str) {
-        let dir = std::env::temp_dir().join(format!(
-            "tthr-service-wal-fail-{tag}-{}",
-            std::process::id()
-        ));
+    #[test]
+    fn failed_wal_write_neither_applies_nor_acks_on_the_monolith() {
+        let s = service(2);
+        let dir =
+            std::env::temp_dir().join(format!("tthr-service-wal-fail-mono-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         s.save_snapshot(&dir).unwrap();
         assert_eq!(s.append_new(None, &[ninth()]).unwrap(), 1);
@@ -1444,24 +1172,11 @@ mod tests {
             assert_eq!(s.stats().cache.hits, hits + 1, "{attempt}: still cached");
         }
         drop(s);
-        let reopened = QueryService::<B>::open_with(
-            &dir,
-            Arc::new(example_network()),
-            ServiceConfig::default(),
-        )
-        .unwrap();
+        let reopened =
+            QueryService::open(&dir, Arc::new(example_network()), ServiceConfig::default())
+                .unwrap();
         assert_eq!(reopened.with_index(|i| i.num_trajectories()), acked);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn failed_wal_write_neither_applies_nor_acks_on_the_monolith() {
-        failed_wal_write_neither_applies_nor_acks(service(2), "mono");
-    }
-
-    #[test]
-    fn failed_wal_write_neither_applies_nor_acks_on_two_shards() {
-        failed_wal_write_neither_applies_nor_acks(sharded_service(2, 2), "k2");
     }
 
     /// Hot-tail appends answer byte-identically to sealed appends, and a
@@ -1629,17 +1344,45 @@ mod tests {
             1,
             "only the recent traversal remains"
         );
-        s.with_index(|i| {
-            assert_eq!(
-                ServiceBackend::num_trajectories(i),
-                5,
-                "ids are never reused"
-            )
-        });
+        s.with_index(|i| assert_eq!(i.num_trajectories(), 5, "ids are never reused"));
         assert!(
             !s.compact_now().unwrap().changed(),
             "second pass is a no-op"
         );
+    }
+
+    /// The generation counts the writes that change answers: one per
+    /// applied append batch and one per compaction that dropped a
+    /// partition. A horizon pass that drops nothing, or only seals, adds
+    /// none.
+    #[test]
+    fn generation_counts_appends_and_dropping_compactions_only() {
+        let s = hot_service(
+            2,
+            IngestConfig {
+                hot_tail: true,
+                retention: Some(Duration::from_secs(50)),
+                ..IngestConfig::default()
+            },
+        );
+        let generation = || s.stats().generation;
+        // Nothing expires (the data spans 50 s), nothing to seal.
+        let outcome = s.compact_now().unwrap();
+        assert_eq!((outcome.sealed_batches, outcome.dropped_partitions), (0, 0));
+        assert_eq!(generation(), 0, "a horizon pass that drops nothing");
+        assert_eq!(s.append_new(None, &[ninth()]).unwrap(), 1);
+        assert_eq!(generation(), 1, "one applied batch");
+        // Seals the batch; its t ≤ 9 keeps the horizon below the build.
+        let outcome = s.compact_now().unwrap();
+        assert_eq!((outcome.sealed_batches, outcome.dropped_partitions), (1, 0));
+        assert_eq!(generation(), 1, "sealing under a horizon drops nothing");
+        let far = (UserId(9), vec![TrajEntry::new(EDGE_A, 1000, 3.0)]);
+        assert_eq!(s.append_new(None, &[far]).unwrap(), 1);
+        assert_eq!(generation(), 2);
+        let outcome = s.compact_now().unwrap();
+        assert!(outcome.dropped_partitions >= 1, "{outcome:?}");
+        assert_eq!(generation(), 3, "a dropping compaction is one generation");
+        assert!(s.render_metrics().contains("tthr_index_generation 3"));
     }
 
     /// Regression: retention's cache clear ran after the index write lock
@@ -1672,7 +1415,7 @@ mod tests {
         for q in &queries {
             assert_eq!(s.get_travel_times(q).len(), 5);
         }
-        let settled = s.inner.generation.load(Ordering::SeqCst) + 2;
+        let settled = s.inner.generation.load(Ordering::SeqCst) + 1;
         let (held_tx, held_rx) = std::sync::mpsc::channel();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         std::thread::scope(|scope| {
@@ -1875,39 +1618,6 @@ mod tests {
             rank_ops >= 3,
             "⟨A,B,E⟩ ranks at least 3 times, got {rank_ops}"
         );
-        // Monolithic backend: no per-shard series.
-        assert!(!text.contains("tthr_shard_trajectories"));
-    }
-
-    /// The sharded service additionally exposes `{shard=…}` series mirrored
-    /// from the backend's per-shard counters.
-    #[test]
-    fn sharded_render_metrics_exposes_per_shard_series() {
-        let s = sharded_service(2, 3);
-        let _ = s.get_travel_times(&abe());
-        let mut grown = example_trajectories();
-        grown
-            .push(UserId(9), vec![TrajEntry::new(EDGE_F, 50, 6.5)])
-            .unwrap();
-        assert_eq!(s.append_batch(&grown).unwrap(), 1);
-        let text = s.render_metrics();
-        tthr_metrics::validate_exposition(&text).expect(&text);
-        for shard in 0..3 {
-            assert!(
-                text.contains(&format!("tthr_shard_trajectories{{shard=\"{shard}\"}}")),
-                "{text}"
-            );
-        }
-        // Exactly one shard took the append.
-        let appended: u64 = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("tthr_shard_appends_total{"))
-            .filter_map(|l| l.split_once("} ").and_then(|(_, v)| v.parse::<u64>().ok()))
-            .sum();
-        assert_eq!(appended, 1);
-        assert!(text.contains("tthr_index_generation 1"));
-        // Queries routed through shards show up in the trace aggregates.
-        assert!(!text.contains("tthr_shard_queries_total 0\n"), "{text}");
     }
 
     /// The slow-query log captures the worst requests with their traces,

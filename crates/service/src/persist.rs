@@ -15,12 +15,15 @@
 //! write-ahead. [`QueryService::open`] is the restart path: load the
 //! snapshot, replay the WAL, resume logging.
 
-use crate::{QueryService, ServiceBackend, ServiceConfig};
+use crate::{QueryService, ServiceConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tthr_core::persist::prepare_batch;
+use tthr_core::{SntIndex, WalBatch};
 use tthr_network::RoadNetwork;
 use tthr_store::wal::WalWriter;
-use tthr_store::StoreError;
+use tthr_store::{ByteReader, ByteWriter, Persist, StoreError};
+use tthr_trajectory::Trajectory;
 
 /// File name of the snapshot container inside a service directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.tthr";
@@ -49,7 +52,7 @@ pub struct SnapshotInfo {
     pub partitions: usize,
 }
 
-impl<B: ServiceBackend> QueryService<B> {
+impl QueryService {
     /// Writes the current index state as a snapshot into `dir` (created
     /// if missing), resets the WAL, and attaches durable storage so every
     /// later [`QueryService::append_batch`] is logged write-ahead.
@@ -93,30 +96,22 @@ impl<B: ServiceBackend> QueryService<B> {
     /// WAL batch the snapshot predates, truncates any torn WAL tail, and
     /// resumes write-ahead logging in the same directory.
     ///
-    /// The snapshot and WAL-record formats are the backend's
-    /// ([`ServiceBackend`]): a monolithic directory opens as
-    /// `QueryService<SntIndex>`, a sharded one as
-    /// [`ShardedQueryService`](crate::ShardedQueryService) — opening a
-    /// directory with the wrong backend type is a typed error, not a
-    /// misparse (each format's required sections are absent from the
-    /// other).
-    ///
     /// Replay is stamp-checked: records already contained in the snapshot
     /// are skipped, and a record that *skips ahead* of the index state
     /// (a deleted or reordered log) is a [`StoreError::WalGap`]. The
     /// resulting service answers queries byte-identically to one built
     /// from the full trajectory history in memory.
-    pub fn open_with(
+    pub fn open(
         dir: impl AsRef<Path>,
         network: Arc<RoadNetwork>,
         config: ServiceConfig,
-    ) -> Result<QueryService<B>, StoreError> {
+    ) -> Result<QueryService, StoreError> {
         let dir = dir.as_ref();
         let bytes = std::fs::read(dir.join(SNAPSHOT_FILE))?;
-        let mut index = B::from_snapshot_bytes(&bytes)?;
+        let mut index = SntIndex::from_snapshot_bytes(&bytes)?;
         let (wal, recovery) = WalWriter::open(&dir.join(WAL_FILE))?;
         for record in &recovery.records {
-            index.replay_wal_record(record)?;
+            replay_wal_record(&mut index, record)?;
         }
         let service = QueryService::new(index, network, config);
         *service.inner.persist.lock().expect("persist lock") = Some(Persistence {
@@ -128,38 +123,54 @@ impl<B: ServiceBackend> QueryService<B> {
 }
 
 /// The storage directory attached to the service internals, if any.
-pub(crate) fn store_dir<B: ServiceBackend>(inner: &crate::Inner<B>) -> Option<PathBuf> {
+pub(crate) fn store_dir(inner: &crate::Inner) -> Option<PathBuf> {
     let persist = inner.persist.lock().expect("persist lock");
     persist.as_ref().map(|p| p.dir.clone())
 }
 
-impl QueryService {
-    /// [`QueryService::open_with`] pinned to the monolithic
-    /// [`SntIndex`](tthr_core::SntIndex) backend (the original service
-    /// directory flavor).
-    pub fn open(
-        dir: impl AsRef<Path>,
-        network: Arc<RoadNetwork>,
-        config: ServiceConfig,
-    ) -> Result<QueryService, StoreError> {
-        Self::open_with(dir, network, config)
+/// The WAL record logging `batch` ingested at trajectory count `from`:
+/// one [`WalBatch`].
+pub(crate) fn encode_wal_record(batch: &[Trajectory], from: usize) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    WalBatch::encode(from as u64, batch, &mut w);
+    w.into_bytes()
+}
+
+/// Replays one WAL record: skips a record the snapshot already covers
+/// (base stamp below the trajectory count), seals one that lines up
+/// exactly, and reports a [`StoreError::WalGap`] for one that skips
+/// ahead.
+fn replay_wal_record(index: &mut SntIndex, record: &[u8]) -> Result<(), StoreError> {
+    let mut r = ByteReader::new(record);
+    let batch = WalBatch::restore(&mut r)?;
+    r.expect_exhausted("wal record")?;
+    let have = index.num_trajectories();
+    match batch.base.cmp(&(have as u64)) {
+        std::cmp::Ordering::Less => {}
+        std::cmp::Ordering::Greater => {
+            return Err(StoreError::WalGap {
+                expected: have as u64,
+                found: batch.base,
+            })
+        }
+        std::cmp::Ordering::Equal => {
+            let due = prepare_batch(have as u32, index.num_edges(), &batch.trajectories)?;
+            index.ingest(due, true);
+        }
     }
+    Ok(())
 }
 
 /// [`QueryService::save_snapshot`]'s implementation, callable from
 /// anything holding the service internals — the public method and the
 /// background compactor's snapshot rotation both land here.
-pub(crate) fn save_snapshot_on<B: ServiceBackend>(
-    inner: &crate::Inner<B>,
+pub(crate) fn save_snapshot_on(
+    inner: &crate::Inner,
     dir: &Path,
 ) -> Result<SnapshotInfo, StoreError> {
-    // Lock order: index, then the append permit, then the persist
-    // mutex (same as `append_batch`). For an exclusive-append backend
-    // the read lock alone keeps writers out; a shared-append backend
-    // admits appends under the read lock, so the permit is what keeps
-    // the snapshot and the WAL reset from interleaving with one.
+    // Lock order: index, then the persist mutex (same as `append_batch`).
+    // The read lock keeps writers out for the whole rotation.
     let index = inner.index.read().expect("index lock");
-    let _permit = index.append_permit();
     let mut persist = inner.persist.lock().expect("persist lock");
     let started = std::time::Instant::now();
     // The snapshot streams straight into the temp file; once it is

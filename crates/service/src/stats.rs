@@ -137,7 +137,9 @@ pub struct ServiceStats {
     pub throughput_qps: f64,
     /// Result-cache counters.
     pub cache: CacheCounters,
-    /// Index generation: number of applied update batches.
+    /// Index generation: applied append batches plus compactions that
+    /// dropped at least one partition (the writes that change answers;
+    /// sealing the hot tail changes none).
     pub generation: u64,
     /// Time since service start (or the last reset).
     pub uptime: Duration,
@@ -229,7 +231,7 @@ impl LatencyLog {
 
 /// Every registry series the service maintains, pre-registered so the hot
 /// path is a relaxed atomic add per counter. Cache, generation, and
-/// per-shard series are authoritatively maintained elsewhere and
+/// index-size series are authoritatively maintained elsewhere and
 /// **mirrored** into the registry at scrape time
 /// (`QueryService::render_metrics`).
 pub(crate) struct ServiceMetrics {
@@ -248,7 +250,6 @@ pub(crate) struct ServiceMetrics {
     pub(crate) ladders: Counter,
     pub(crate) temporal_passes: Counter,
     pub(crate) pruned: Counter,
-    pub(crate) shard_queries: Counter,
     // Result-cache mirrors (authoritative atomics live in ShardedCache).
     pub(crate) cache_hits: Counter,
     pub(crate) cache_misses: Counter,
@@ -333,10 +334,6 @@ impl ServiceMetrics {
                 "tthr_temporal_passes_total",
                 "Temporal scans over a query path's first segment",
             ),
-            shard_queries: counter(
-                "tthr_shard_queries_total",
-                "Index dispatches routed to a shard (0 on a monolithic backend)",
-            ),
             cache_hits: counter("tthr_cache_hits_total", "Result-cache hits"),
             cache_misses: counter("tthr_cache_misses_total", "Result-cache misses"),
             cache_evictions: counter("tthr_cache_evictions_total", "Result-cache LRU evictions"),
@@ -352,12 +349,12 @@ impl ServiceMetrics {
             cache_capacity: gauge("tthr_cache_capacity", "Result-cache capacity in entries"),
             generation: gauge(
                 "tthr_index_generation",
-                "Completed append batches applied to the index",
+                "Append batches applied plus compactions that dropped a partition",
             ),
             index_trajectories: gauge("tthr_index_trajectories", "Trajectories currently indexed"),
             index_partitions: gauge(
                 "tthr_index_partitions",
-                "Temporal partitions currently held (summed across shards)",
+                "Temporal partitions currently held",
             ),
             wal_appends: counter("tthr_wal_appends_total", "Write-ahead-log records appended"),
             wal_bytes: counter(
@@ -437,7 +434,6 @@ impl ServiceMetrics {
         self.ladders.add(t.ladders);
         self.temporal_passes.add(t.temporal_passes);
         self.pruned.add(t.pruned);
-        self.shard_queries.add(t.shard_queries);
     }
 
     /// Mirrors the authoritative cache counters into the registry.
@@ -449,44 +445,6 @@ impl ServiceMetrics {
         self.cache_invalidations.set(c.invalidations);
         self.cache_entries.set(c.entries as i64);
         self.cache_capacity.set(c.capacity as i64);
-    }
-
-    /// Mirrors per-shard backend counters into `{shard=…}` labeled series
-    /// (registered idempotently on first scrape — the shard count is a
-    /// backend property the registry does not need to know up front).
-    pub(crate) fn mirror_shards(&self, stats: &[tthr_core::ShardStats]) {
-        for (i, s) in stats.iter().enumerate() {
-            let shard = i.to_string();
-            let labels = [("shard", shard.as_str())];
-            self.registry
-                .gauge(
-                    "tthr_shard_trajectories",
-                    "Trajectories indexed per shard",
-                    &labels,
-                )
-                .set(i64::try_from(s.trajectories).unwrap_or(i64::MAX));
-            self.registry
-                .counter(
-                    "tthr_shard_appends_total",
-                    "Append batches that wrote this shard",
-                    &labels,
-                )
-                .set(s.appends);
-            self.registry
-                .counter(
-                    "tthr_shard_appended_trajectories_total",
-                    "Trajectories appended to this shard",
-                    &labels,
-                )
-                .set(s.appended_trajectories);
-            self.registry
-                .counter(
-                    "tthr_shard_lock_wait_ns_total",
-                    "Nanoseconds appenders waited on this shard's write lock",
-                    &labels,
-                )
-                .set(s.lock_wait_ns);
-        }
     }
 }
 
@@ -789,15 +747,6 @@ mod tests {
             entries: 2,
             capacity: 100,
         });
-        m.mirror_shards(&[
-            tthr_core::ShardStats {
-                trajectories: 10,
-                appends: 2,
-                appended_trajectories: 6,
-                lock_wait_ns: 1234,
-            },
-            tthr_core::ShardStats::default(),
-        ]);
         let text = m.registry.render();
         tthr_metrics::validate_exposition(&text).expect(&text);
         assert!(text.contains("tthr_requests_total{endpoint=\"spq\"} 1"));
@@ -806,9 +755,5 @@ mod tests {
         assert!(text.contains("tthr_cache_hits_total 3"));
         assert!(text.contains("tthr_cache_capacity 100"));
         assert!(text.contains("tthr_cache_admission_rejected_total 5"));
-        assert!(text.contains("tthr_shard_trajectories{shard=\"0\"} 10"));
-        assert!(text.contains("tthr_shard_appends_total{shard=\"0\"} 2"));
-        assert!(text.contains("tthr_shard_lock_wait_ns_total{shard=\"0\"} 1234"));
-        assert!(text.contains("tthr_shard_trajectories{shard=\"1\"} 0"));
     }
 }

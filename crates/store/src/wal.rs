@@ -137,7 +137,7 @@ impl WalWriter {
     /// Appends one record (length, CRC, payload) with one write and one
     /// fsync — when this returns `Ok`, the record survives a crash. This
     /// is the only code that writes records: every WAL in the system
-    /// (service, sharded service, shard node) appends through here.
+    /// (service, shard node) appends through here.
     ///
     /// A failed write (e.g. a full disk) is rolled back by truncating the
     /// file to its pre-append length, so the log stays well-formed and no

@@ -48,8 +48,8 @@
 //! * [`client`] — the cluster tier's scatter-gather router: pooled
 //!   binary-protocol node clients with timeouts and bounded retry, and
 //!   a [`client::ClusterRouter`] that answers trip queries over a
-//!   shard-per-process cluster byte-identically to the in-process
-//!   sharded backend (`src/bin/tthr-node.rs` and
+//!   shard-per-process cluster byte-identically to the monolithic
+//!   index (`src/bin/tthr-node.rs` and
 //!   `src/bin/tthr-router.rs` are the runnable processes;
 //!   `examples/cluster.rs` boots a whole cluster in one command).
 //!
@@ -72,10 +72,9 @@
 //!                   │      admission once a shard is full)
 //!                   │                │ miss
 //!                   │                ▼
-//!                   └──► backend: RwLock over SntIndex (monolith), or
-//!                        ShardedSntIndex — K per-shard RwLocks, appends only
-//!                        write-lock touched shards (generation + 1, scoped
-//!                        cache invalidation)
+//!                   └──► RwLock over SntIndex: readers share it; an
+//!                        append or compaction takes it for writing
+//!                        (generation + 1, scoped cache invalidation)
 //! ```
 //!
 //! * **Concurrency** — trip queries in a batch run as parallel pool tasks;
@@ -88,22 +87,20 @@
 //! * **Caching** — results are cached per relaxed SPQ, so two trips
 //!   sharing a sub-path (or one trip repeated) skip the FM-index and
 //!   temporal-forest scans entirely. Updates via
-//!   [`service::QueryService::append_batch`] invalidate scoped to the
-//!   backend (whole cache for the monolith, touched shards only for the
-//!   sharded backend), with generation-validated inserts so stale
-//!   entries cannot survive an append.
-//! * **Sharding** — [`core::ShardedSntIndex`] partitions the road
-//!   network into K zone/grid shards, each a complete SNT-index over the
-//!   trajectories touching it, behind its own lock. First-edge routing
-//!   keeps answers byte-identical to the monolith
-//!   (`tests/equivalence.rs` proves it differentially for
-//!   K ∈ {1, 2, 7}), while appends stall only the written shards
-//!   (a unit test of `tthr-core`'s `sharded` module holds one shard's
-//!   write lock and answers a trip in another).
+//!   [`service::QueryService::append_batch`] evict the entries whose
+//!   window the batch can reach, under the index write lock, so no stale
+//!   entry survives an append.
+//! * **Sharding** — the cluster tier: [`core::ShardRouter`] partitions
+//!   the road network into K zone/grid shards, each a complete
+//!   SNT-index over the trajectories touching it in its own node
+//!   process ([`core::ShardNodeState`], exported from a
+//!   [`core::ShardedSntIndex`] build). First-edge routing keeps answers
+//!   byte-identical to the monolith (`tthr-core`'s node tests pin it for
+//!   K ∈ {1, 2, 7}; `tests/equivalence.rs` for the running cluster).
 //! * **Observability** — [`service::ServiceStats`] snapshots p50/p95/p99
 //!   latency, throughput, and cache hit rate, computed with [`metrics`].
 //!   Underneath, every query carries a [`core::QueryTrace`] (rank ops,
-//!   wavelet descents, cache/scratch hits, shard fanout) feeding a
+//!   wavelet descents, cache/scratch hits) feeding a
 //!   slow-query ring ([`service::QueryService::slow_queries`]) and a
 //!   labeled [`metrics::MetricsRegistry`] the server exposes as
 //!   Prometheus text on `GET /metrics` (`GET /debug/slow` returns the
@@ -175,6 +172,6 @@ pub mod prelude {
     pub use tthr_metrics::{log_likelihood, percentile, q_error, smape, weighted_error};
     pub use tthr_network::{Category, EdgeId, Path, RoadNetwork, Zone};
     pub use tthr_server::{serve, ServerConfig, ServerHandle, ServerMetrics};
-    pub use tthr_service::{QueryService, ServiceConfig, ServiceStats, ShardedQueryService};
+    pub use tthr_service::{QueryService, ServiceConfig, ServiceStats};
     pub use tthr_trajectory::{TrajId, Trajectory, TrajectorySet, UserId};
 }

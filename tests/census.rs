@@ -15,8 +15,10 @@ mod common;
 use common::{assert_times_eq, oracle::brute_force_spq, prefix_set, small_world, sorted};
 use proptest::{proptest, Strategy, TestRng};
 use std::sync::OnceLock;
+use tthr::core::node::plan_node_records;
 use tthr::core::{
-    SearchScratch, ShardedSntIndex, SntConfig, SntIndex, Spq, TimeInterval, TravelTimeProvider,
+    SearchScratch, ShardNodeState, ShardedSntIndex, SntConfig, SntIndex, Spq, TimeInterval,
+    TravelTimeProvider,
 };
 use tthr::datagen::SyntheticNetwork;
 use tthr::network::{EdgeId, Path};
@@ -28,23 +30,48 @@ fn refs(set: &TrajectorySet, ids: std::ops::Range<usize>) -> Vec<&Trajectory> {
     ids.map(|id| set.get(TrajId(id as u32))).collect()
 }
 
-fn owned(set: &TrajectorySet, ids: std::ops::Range<usize>) -> Vec<Trajectory> {
-    refs(set, ids).into_iter().cloned().collect()
+fn assert_exact(nodes: &[ShardNodeState], after: &str) {
+    for node in nodes {
+        assert!(
+            node.index().census_is_exact(),
+            "node {} of {}: census differs from a recount after {after}",
+            node.shard(),
+            node.num_shards()
+        );
+    }
 }
 
-fn assert_exact(index: &ShardedSntIndex, after: &str) {
-    for s in 0..index.num_shards() {
-        assert!(
-            index.with_shard(s, |i| i.census_is_exact()),
-            "shard {s} of {}: census differs from a recount after {after}",
-            index.num_shards()
-        );
+/// `set[ids]` appended to every node as the cluster router plans it,
+/// sealed or absorbed into the nodes' hot tails.
+fn append(
+    nodes: &mut [ShardNodeState],
+    set: &TrajectorySet,
+    ids: std::ops::Range<usize>,
+    seal: bool,
+) {
+    let payload: Vec<_> = refs(set, ids)
+        .into_iter()
+        .map(|tr| (tr.user(), tr.entries().to_vec()))
+        .collect();
+    let first = &nodes[0];
+    let records = plan_node_records(
+        first.router(),
+        first.num_global(),
+        first.span_min(),
+        first.span_max(),
+        &payload,
+    )
+    .expect("a valid batch");
+    for (node, record) in nodes.iter_mut().zip(&records) {
+        if let Some(prepared) = node.prepare(record).expect("record in sequence") {
+            node.commit(prepared, seal);
+        }
     }
 }
 
 proptest! {
     /// (a) Every mutation keeps the census equal to a recount, on every
-    /// shard of K ∈ {1, 2, 7}.
+    /// node of a K ∈ {1, 2, 7} cluster.
     #[test]
     fn maintained_census_equals_a_recount(
         k in 0usize..3,
@@ -53,49 +80,60 @@ proptest! {
         static WORLD: OnceLock<(SyntheticNetwork, TrajectorySet)> = OnceLock::new();
         let (syn, set) = WORLD.get_or_init(small_world);
         let mut applied = set.len() / 8;
-        let mut index = ShardedSntIndex::build(
+        let sharded = ShardedSntIndex::build(
             &syn.network,
             &prefix_set(set, applied),
             SntConfig::default(),
             [1, 2, 7][k],
         );
-        assert_exact(&index, "build");
+        let mut nodes: Vec<ShardNodeState> = (0..sharded.num_shards())
+            .map(|s| ShardNodeState::export_from(&sharded, s))
+            .collect();
+        drop(sharded);
+        assert_exact(&nodes, "build");
         for (op, n, frac) in ops {
             let to = (applied + n).min(set.len());
             let what = match op {
                 0 => {
-                    index.ingest(owned(set, applied..to), true);
+                    append(&mut nodes, set, applied..to, true);
                     applied = to;
                     "append"
                 }
                 1 => {
-                    index.ingest(owned(set, applied..to), false);
+                    append(&mut nodes, set, applied..to, false);
                     applied = to;
                     "absorb"
                 }
                 2 => {
-                    index.compact(None);
+                    for node in &mut nodes {
+                        node.compact(None);
+                    }
                     "compact"
                 }
                 3 => {
-                    let span = (index.data_max() - index.data_min()) as f64;
-                    index.compact(Some(index.data_min() + (frac * span) as i64));
+                    let (lo, hi) = (nodes[0].span_min(), nodes[0].span_max());
+                    let horizon = lo + (frac * (hi - lo) as f64) as i64;
+                    for node in &mut nodes {
+                        node.compact(Some(horizon));
+                    }
                     "retention"
                 }
                 _ => {
                     // Pending hot batches travel as raw trajectories and
                     // are re-absorbed on restore.
-                    index = ShardedSntIndex::from_snapshot_bytes(&index.to_snapshot_bytes())
-                        .expect("a just-written snapshot restores");
+                    for node in &mut nodes {
+                        *node = ShardNodeState::from_snapshot_bytes(&node.to_snapshot_bytes())
+                            .expect("a just-written snapshot restores");
+                    }
                     "snapshot round trip"
                 }
             };
-            assert_exact(&index, what);
+            assert_exact(&nodes, what);
         }
     }
 }
 
-/// Day-partitioned monoliths (which sharding does not cover) recount the
+/// Day-partitioned monoliths (which a sharded build does not cover) recount the
 /// same way through build, restore and a retention drop.
 #[test]
 fn partitioned_monolith_census_survives_retention_and_restore() {

@@ -10,7 +10,7 @@
 //!   from its *local* stamp rather than re-shipping;
 //! * SIGKILL of a primary mid-query-flood: every query keeps succeeding
 //!   (zero non-typed failures) and post-failover answers stay
-//!   byte-identical to the in-process sharded oracle;
+//!   byte-identical to the monolithic oracle;
 //! * a primary gone between two relaxation rounds of one trip: the next
 //!   ladder batch fails over and the trip stays byte-identical;
 //! * a stamped append retried across a promotion applies exactly once
@@ -159,7 +159,7 @@ fn standby_bootstraps_tails_and_resumes_from_local_stamp_after_restart() {
 /// The acceptance scenario: a 2-shard cluster where shard 0 runs a
 /// primary + standby pair, SIGKILL of the primary in the middle of a
 /// query flood, zero non-typed failures, and post-failover answers
-/// byte-identical to the in-process sharded oracle.
+/// byte-identical to the monolithic oracle.
 #[test]
 fn sigkill_primary_mid_flood_keeps_answering_byte_identically() {
     let mut h = ClusterHarness::boot("failover-kill", quick());

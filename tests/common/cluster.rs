@@ -1,10 +1,10 @@
 //! The cluster differential harness: a real shard-per-process cluster —
 //! K spawned `tthr-node` processes plus an in-process [`ClusterRouter`]
-//! — next to the in-process [`ShardedSntIndex`] it must answer
-//! byte-identically to.
+//! — next to the monolithic [`SntIndex`] it must answer byte-identically
+//! to.
 //!
-//! Bootstrap mirrors production: build the sharded index once, export
-//! each shard as a [`ShardNodeState`], initialise each node's store
+//! Bootstrap mirrors production: build the [`ShardedSntIndex`] once,
+//! export each shard as a [`ShardNodeState`], initialise each node's store
 //! directory (snapshot + WAL), spawn the node binaries on ephemeral
 //! ports (discovered through their `LISTENING <addr>` stdout line), and
 //! assemble the router. Nodes exit when their stdin closes, so a
@@ -20,7 +20,7 @@ use tthr::client::{ClientConfig, ClusterRouter, NodeClient, RouterConfig};
 use tthr::core::persist::prepare_batch;
 use tthr::core::{
     ladder_sequential, QueryEngine, QueryEngineConfig, SearchScratch, ShardNodeState,
-    ShardedSntIndex, SntConfig, Spq, TripQuery,
+    ShardedSntIndex, SntConfig, SntIndex, Spq, TripQuery,
 };
 use tthr::network::RoadNetwork;
 use tthr::rpc::Message;
@@ -225,7 +225,7 @@ pub(crate) fn relay_that_dies_on_ladder_batch(upstream: SocketAddr, nth: usize) 
     })
 }
 
-/// A live 2-process cluster plus its in-process reference index.
+/// A live 2-process cluster plus its monolithic reference index.
 pub(crate) struct ClusterHarness {
     /// The shared road network (the cluster router owns its own clone).
     pub network: RoadNetwork,
@@ -234,7 +234,7 @@ pub(crate) struct ClusterHarness {
     /// Trajectories indexed so far (on both sides).
     pub applied: usize,
     /// The in-process truth the cluster must match byte-for-byte.
-    pub reference: ShardedSntIndex,
+    pub reference: SntIndex,
     /// The engine configuration both sides plan trip queries with.
     pub engine_config: QueryEngineConfig,
     /// The node processes, indexed by shard.
@@ -249,8 +249,9 @@ pub(crate) struct ClusterHarness {
 
 impl ClusterHarness {
     /// Builds the reference index over the first third of a small
-    /// synthetic world, bootstraps node stores from its shards, spawns
-    /// the node processes, and connects the router.
+    /// synthetic world, bootstraps node stores from a sharded build of
+    /// the same prefix, spawns the node processes, and connects the
+    /// router.
     pub(crate) fn boot(name: &str, client_config: ClientConfig) -> ClusterHarness {
         Self::boot_with(name, client_config, false)
     }
@@ -269,14 +270,15 @@ impl ClusterHarness {
         let network = syn.network;
         let applied = full.len() / 3;
         let initial = prefix_set(&full, applied);
-        let reference = ShardedSntIndex::build(&network, &initial, SntConfig::default(), CLUSTER_K);
+        let reference = SntIndex::build(&network, &initial, SntConfig::default());
+        let sharded = ShardedSntIndex::build(&network, &initial, SntConfig::default(), CLUSTER_K);
         let dir = std::env::temp_dir().join(format!("tthr-cluster-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let node_args: &[&str] = if hot_tail { &["--hot-tail"] } else { &[] };
         let nodes: Vec<NodeProcess> = (0..CLUSTER_K)
             .map(|shard| {
                 let node_dir = dir.join(format!("node{shard}"));
-                NodeStore::init(&node_dir, ShardNodeState::export_from(&reference, shard))
+                NodeStore::init(&node_dir, ShardNodeState::export_from(&sharded, shard))
                     .expect("init node store");
                 NodeProcess::spawn_with(shard, &node_dir, node_args)
             })
@@ -375,11 +377,11 @@ impl ClusterHarness {
         }
         let owned = prepare_batch(
             self.reference.num_trajectories() as u32,
-            self.reference.router().num_edges(),
+            self.reference.num_edges(),
             &batch,
         )
         .expect("reference batch");
-        let appended = self.reference.ingest(owned, true).appended;
+        let appended = self.reference.ingest(owned, true);
         assert_eq!(
             appended,
             batch.len(),
@@ -414,7 +416,7 @@ impl ClusterHarness {
     }
 
     /// The reference trip answer (the in-process engine over the
-    /// sharded index).
+    /// monolith).
     pub(crate) fn reference_trip(&self, spq: &Spq) -> TripQuery {
         let engine = QueryEngine::new(&self.reference, &self.network, self.engine_config.clone());
         engine.trip_query(spq)

@@ -25,7 +25,7 @@ use tthr::server::wire;
 use tthr::service::{QueryService, ServiceConfig};
 use tthr::trajectory::{TrajId, TrajectorySet};
 
-use super::tier::{Build, Tier, TierSpec};
+use super::tier::{Tier, TierSpec};
 use super::{prefix_set, small_world};
 
 /// The reference every tier must match byte for byte: a direct-append
@@ -144,17 +144,16 @@ impl Run {
 
 impl<T: Tier> Run<T> {
     /// A run over a concretely typed tier that `wrap` makes from a
-    /// service of backend `B` over [`world`] — for tests that read the
-    /// service or the server behind the tier.
-    pub(crate) fn over_service<B: Build>(
+    /// service over [`world`] — for tests that read the service or the
+    /// server behind the tier.
+    pub(crate) fn over_service(
         leg: &'static str,
         tier_name: &'static str,
-        shards: usize,
         config: ServiceConfig,
-        wrap: impl FnOnce(QueryService<B>, ServiceConfig) -> T,
+        wrap: impl FnOnce(QueryService, ServiceConfig) -> T,
     ) -> Run<T> {
         let (network, full, applied) = world();
-        let index = B::build_tier(&network, &prefix_set(&full, applied), shards);
+        let index = SntIndex::build(&network, &prefix_set(&full, applied), SntConfig::default());
         let svc = QueryService::new(index, Arc::clone(&network), config.clone());
         let engine = config.engine.clone();
         let tier = Box::new(wrap(svc, config));

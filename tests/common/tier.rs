@@ -1,7 +1,8 @@
 //! The serving tiers a differential leg runs against, behind one
-//! [`Tier`] trait: the in-process [`QueryService`] over either backend,
-//! the HTTP server over either backend, and the router over spawned
-//! `tthr-node` processes. Every tier answers `/spq`, `/trip` and
+//! [`Tier`] trait: the in-process [`QueryService`], the HTTP server over
+//! it, the router over spawned `tthr-node` processes, and — for the
+//! read-only legs — the engine over the immutable K-shard build those
+//! nodes are exported from. Every tier answers `/spq`, `/trip` and
 //! `/batch` as the bytes `tthr::server::wire` writes, so one oracle
 //! checks them all ([`super::differential::Run`]).
 
@@ -10,13 +11,13 @@ use std::sync::Arc;
 
 use tthr::client::ClientConfig;
 use tthr::core::{
-    CardinalityMode, QueryEngineConfig, SearchScratch, ShardedSntIndex, SntConfig, SntIndex, Spq,
-    TimeInterval, TripQuery,
+    CardinalityMode, IndexBackend, QueryEngine, QueryEngineConfig, SearchScratch, ShardedSntIndex,
+    SntConfig, SntIndex, Spq, TimeInterval, TravelTimeProvider, TripQuery,
 };
 use tthr::network::RoadNetwork;
 use tthr::rpc::Message;
 use tthr::server::{serve, wire, ServerConfig, ServerHandle};
-use tthr::service::{IngestConfig, QueryService, ServiceBackend, ServiceConfig};
+use tthr::service::{IngestConfig, QueryService, ServiceConfig};
 use tthr::trajectory::{TrajEntry, TrajId, TrajectorySet, UserId};
 
 use super::cluster::{ClusterHarness, CLUSTER_K};
@@ -72,15 +73,17 @@ pub(crate) enum Front {
     Http,
     /// The [`tthr::client::ClusterRouter`] over `tthr-node` processes.
     Cluster,
+    /// The engine over a [`ShardedSntIndex`] of this many shards: the
+    /// partitioner a cluster boots from, read-only.
+    Sharded(usize),
 }
 
-/// A tier to boot: front door, shard count (0 = the monolithic index),
-/// and whether appends absorb into a hot tail.
+/// A tier to boot: front door, and whether appends absorb into a hot
+/// tail.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TierSpec {
     pub name: &'static str,
     pub front: Front,
-    pub shards: usize,
     pub hot_tail: bool,
 }
 
@@ -95,10 +98,6 @@ impl TierSpec {
         engine: &QueryEngineConfig,
     ) -> Box<dyn Tier> {
         if let Front::Cluster = self.front {
-            assert_eq!(
-                self.shards, CLUSTER_K,
-                "the cluster harness runs {CLUSTER_K} nodes"
-            );
             let client = ClientConfig::default();
             let h = if self.hot_tail {
                 ClusterHarness::boot_hot_tail(dir_name, client)
@@ -108,46 +107,23 @@ impl TierSpec {
             assert_eq!(h.applied, applied, "the cluster boots over the same prefix");
             return Box::new(Cluster { name: self.name, h });
         }
-        let initial = prefix_set(full, applied);
-        match self.shards {
-            0 => self.wrap::<SntIndex>(network, &initial, engine, dir_name),
-            _ => self.wrap::<ShardedSntIndex>(network, &initial, engine, dir_name),
+        if let Front::Sharded(k) = self.front {
+            let initial = prefix_set(full, applied);
+            return Box::new(Sharded {
+                name: self.name,
+                network: Arc::clone(network),
+                index: ShardedSntIndex::build(network, &initial, SntConfig::default(), k),
+                engine: engine.clone(),
+            });
         }
-    }
-
-    fn wrap<B: Build>(
-        &self,
-        network: &Arc<RoadNetwork>,
-        initial: &TrajectorySet,
-        engine: &QueryEngineConfig,
-        dir_name: &str,
-    ) -> Box<dyn Tier> {
         let config = service_config(engine, self.hot_tail);
-        let index = B::build_tier(network, initial, self.shards);
+        let index = SntIndex::build(network, &prefix_set(full, applied), SntConfig::default());
         let svc = QueryService::new(index, Arc::clone(network), config.clone());
         match self.front {
             Front::InProcess => Box::new(InProcess::new(self.name, svc, config, dir_name)),
             Front::Http => Box::new(Http::new(self.name, svc)),
-            Front::Cluster => unreachable!("booted above"),
+            Front::Cluster | Front::Sharded(_) => unreachable!("booted above"),
         }
-    }
-}
-
-/// A service backend a tier can be built over.
-pub(crate) trait Build: ServiceBackend {
-    /// The index over `set`; `shards` is ignored by the monolith.
-    fn build_tier(network: &RoadNetwork, set: &TrajectorySet, shards: usize) -> Self;
-}
-
-impl Build for SntIndex {
-    fn build_tier(network: &RoadNetwork, set: &TrajectorySet, _: usize) -> Self {
-        SntIndex::build(network, set, SntConfig::default())
-    }
-}
-
-impl Build for ShardedSntIndex {
-    fn build_tier(network: &RoadNetwork, set: &TrajectorySet, shards: usize) -> Self {
-        ShardedSntIndex::build(network, set, SntConfig::default(), shards)
     }
 }
 
@@ -180,7 +156,7 @@ pub(crate) fn payload(
 }
 
 /// Seals a service's hot tail and asserts it drained.
-fn compact_service<B: ServiceBackend>(name: &str, svc: &QueryService<B>) -> usize {
+fn compact_service(name: &str, svc: &QueryService) -> usize {
     let outcome = svc
         .compact_now()
         .unwrap_or_else(|e| panic!("{name}: compact: {e}"));
@@ -190,9 +166,9 @@ fn compact_service<B: ServiceBackend>(name: &str, svc: &QueryService<B>) -> usiz
 
 /// The in-process service, with snapshot/restart cycles in a scratch
 /// directory (removed on drop).
-pub(crate) struct InProcess<B: ServiceBackend> {
+pub(crate) struct InProcess {
     pub name: &'static str,
-    pub svc: QueryService<B>,
+    pub svc: QueryService,
     /// Append through the grown-set entry point (`append_batch`) instead
     /// of the stamped payload a network client ships (`append_new`).
     pub via_grown_set: bool,
@@ -202,13 +178,13 @@ pub(crate) struct InProcess<B: ServiceBackend> {
     snapshots: usize,
 }
 
-impl<B: ServiceBackend> InProcess<B> {
+impl InProcess {
     pub(crate) fn new(
         name: &'static str,
-        svc: QueryService<B>,
+        svc: QueryService,
         config: ServiceConfig,
         dir_name: &str,
-    ) -> InProcess<B> {
+    ) -> InProcess {
         let dir = std::env::temp_dir().join(format!("tthr-tier-{}-{dir_name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         InProcess {
@@ -234,7 +210,7 @@ impl<B: ServiceBackend> InProcess<B> {
     }
 }
 
-impl<B: ServiceBackend> Tier for InProcess<B> {
+impl Tier for InProcess {
     fn spq(&self, q: &Spq) -> Vec<u8> {
         wire::encode_travel_times(&self.svc.get_travel_times(q)).into_bytes()
     }
@@ -280,7 +256,7 @@ impl<B: ServiceBackend> Tier for InProcess<B> {
         if let Some(dir) = &self.latest {
             let want = self.svc.with_index(|i| i.num_trajectories());
             let network = Arc::clone(self.svc.network());
-            self.svc = QueryService::open_with(dir, network, self.config.clone())
+            self.svc = QueryService::open(dir, network, self.config.clone())
                 .unwrap_or_else(|e| panic!("{}: reopen: {e}", self.name));
             let got = self.svc.with_index(|i| i.num_trajectories());
             assert_eq!(got, want, "{} lost trajectories on reopen", self.name);
@@ -296,7 +272,7 @@ impl<B: ServiceBackend> Tier for InProcess<B> {
     }
 }
 
-impl<B: ServiceBackend> Drop for InProcess<B> {
+impl Drop for InProcess {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.dir);
     }
@@ -304,14 +280,14 @@ impl<B: ServiceBackend> Drop for InProcess<B> {
 
 /// The HTTP server over a service, plus a handle on that service for
 /// the lifecycle (compaction) a client cannot trigger.
-pub(crate) struct Http<B: ServiceBackend> {
+pub(crate) struct Http {
     pub name: &'static str,
     pub server: ServerHandle,
-    pub svc: QueryService<B>,
+    pub svc: QueryService,
 }
 
-impl<B: ServiceBackend> Http<B> {
-    pub(crate) fn new(name: &'static str, svc: QueryService<B>) -> Http<B> {
+impl Http {
+    pub(crate) fn new(name: &'static str, svc: QueryService) -> Http {
         let server = serve(svc.clone(), "127.0.0.1:0", ServerConfig::default()).expect("boot");
         Http { name, server, svc }
     }
@@ -330,7 +306,7 @@ impl<B: ServiceBackend> Http<B> {
     }
 }
 
-impl<B: ServiceBackend> Tier for Http<B> {
+impl Tier for Http {
     fn spq(&self, q: &Spq) -> Vec<u8> {
         self.post_ok("/spq", wire::encode_spq(q).as_bytes())
     }
@@ -368,6 +344,65 @@ impl<B: ServiceBackend> Tier for Http<B> {
 
     fn hot_entries(&self) -> Option<usize> {
         Some(self.svc.hot_stats().entries)
+    }
+}
+
+/// The engine over an immutable [`ShardedSntIndex`] build: every query
+/// routes by its first edge to one shard. It answers reads only.
+pub(crate) struct Sharded {
+    pub name: &'static str,
+    network: Arc<RoadNetwork>,
+    index: ShardedSntIndex,
+    engine: QueryEngineConfig,
+}
+
+impl Sharded {
+    fn trip_query(&self, q: &Spq) -> TripQuery {
+        QueryEngine::new(&self.index, &self.network, self.engine.clone()).trip_query(q)
+    }
+}
+
+impl Tier for Sharded {
+    fn spq(&self, q: &Spq) -> Vec<u8> {
+        let answer = self
+            .index
+            .get_travel_times_with(q, &mut SearchScratch::new());
+        wire::encode_travel_times(&answer).into_bytes()
+    }
+
+    fn trip(&self, q: &Spq) -> Vec<u8> {
+        wire::encode_trip(&self.trip_query(q)).into_bytes()
+    }
+
+    fn batch(&self, qs: &[Spq]) -> Vec<u8> {
+        let trips: Vec<TripQuery> = qs.iter().map(|q| self.trip_query(q)).collect();
+        wire::encode_trips(&trips).into_bytes()
+    }
+
+    fn append(&self, _: &TrajectorySet, _: usize, _: usize) -> usize {
+        panic!("{}: a sharded build is immutable", self.name)
+    }
+
+    fn compact(&self) -> usize {
+        panic!("{}: a sharded build is immutable", self.name)
+    }
+
+    fn ladder(&self, q: &Spq, levels: &[TimeInterval]) -> Option<Vec<u8>> {
+        let answer = self
+            .index
+            .travel_times_ladder(q, levels, &mut SearchScratch::new());
+        Some(ladder_bytes(&answer))
+    }
+
+    fn primitives(&self, q: &Spq, cap: u32) -> Option<(usize, Vec<u64>)> {
+        let count = self
+            .index
+            .count_matching_with(q, cap, &mut SearchScratch::new());
+        let estimates = CardinalityMode::ALL
+            .iter()
+            .map(|&mode| self.index.estimate(q, mode).to_bits())
+            .collect();
+        Some((count, estimates))
     }
 }
 

@@ -1,7 +1,8 @@
 //! Every serving tier returns the paper's `getTravelTimes` and trip
-//! answers (Procedure 5) byte for byte: the in-process service over the
-//! monolithic and the sharded index (K ∈ {1, 2, 7}), the HTTP server
-//! over either backend, and the router over real `tthr-node` processes.
+//! answers (Procedure 5) byte for byte: the in-process service, the HTTP
+//! server over it, the router over real `tthr-node` processes, and — on
+//! the read-only legs — the engine over the immutable K-shard build
+//! (K ∈ {1, 2, 7}) a cluster's nodes are exported from.
 //!
 //! Each leg is written once and run from the table below, one `#[test]`
 //! per (leg, tier) named `<leg>::<tier>`, against one oracle: a
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 use common::cluster::{read_listening_line, ClusterHarness, CLUSTER_K};
 use common::differential::{ladder_levels, Oracle, QueryGen, Run};
 use common::http::{batch_body, encode_frame_request, encode_request, post, HttpClient};
-use common::tier::{service_config, Build, Http, InProcess, Tier, TierSpec};
+use common::tier::{service_config, Http, InProcess, Tier, TierSpec};
 use common::{prefix_set, small_world};
 use tthr::client::{ClientConfig, ClusterRouter};
 use tthr::core::{
@@ -33,7 +34,7 @@ use tthr::core::{
 use tthr::rpc::{encode_frame, Message};
 use tthr::server::http::FRAME_CONTENT_TYPE;
 use tthr::server::{cluster, serve, serve_router, wire, ServerConfig, ServerHandle};
-use tthr::service::{IngestConfig, QueryService, ServiceBackend, ServiceConfig};
+use tthr::service::{IngestConfig, QueryService, ServiceConfig};
 use tthr::trajectory::{TrajEntry, TrajId, TrajectorySet, UserId};
 
 /// The tiers, by the name their tests carry.
@@ -41,12 +42,11 @@ mod tiers {
     use super::common::tier::{Front::*, TierSpec};
 
     macro_rules! tiers {
-        ($($name:ident: $front:ident, $shards:expr, $hot_tail:expr;)*) => {$(
+        ($($name:ident: $front:expr, $hot_tail:expr;)*) => {$(
             pub(crate) fn $name() -> TierSpec {
                 TierSpec {
                     name: stringify!($name),
                     front: $front,
-                    shards: $shards,
                     hot_tail: $hot_tail,
                 }
             }
@@ -54,19 +54,15 @@ mod tiers {
     }
 
     tiers! {
-        mono: InProcess, 0, false;
-        k1: InProcess, 1, false;
-        k2: InProcess, 2, false;
-        k7: InProcess, 7, false;
-        mono_hot: InProcess, 0, true;
-        k1_hot: InProcess, 1, true;
-        k2_hot: InProcess, 2, true;
-        k7_hot: InProcess, 7, true;
-        http_mono: Http, 0, false;
-        http_k2: Http, 2, false;
-        http_mono_hot: Http, 0, true;
-        cluster: Cluster, 2, false;
-        cluster_hot: Cluster, 2, true;
+        mono: InProcess, false;
+        k1: Sharded(1), false;
+        k2: Sharded(2), false;
+        k7: Sharded(7), false;
+        mono_hot: InProcess, true;
+        http_mono: Http, false;
+        http_mono_hot: Http, true;
+        cluster: Cluster, false;
+        cluster_hot: Cluster, true;
     }
 }
 
@@ -93,17 +89,17 @@ macro_rules! legs {
 }
 
 legs! {
-    spq_mix: mono, k1, k2, k7;
-    trip_mix: mono, k1, k2, k7;
+    spq_mix: mono, k1, k2, k7, cluster;
+    trip_mix: mono, k1, k2, k7, cluster;
     estimator_mix: mono, k1, k2, k7;
-    append_interleaving: mono, k1, k2, k7;
-    checkpoint_restart: mono, k1, k2, k7;
-    hot_tail_compaction: mono_hot, k1_hot, k2_hot, k7_hot;
-    ladder: mono_hot, k1_hot, k2_hot, k7_hot, cluster, cluster_hot;
-    rounds: http_mono, http_k2, http_mono_hot, cluster, cluster_hot;
-    concurrent_appends: mono, http_k2;
+    append_interleaving: mono, cluster;
+    checkpoint_restart: mono, cluster;
+    hot_tail_compaction: mono_hot;
+    ladder: mono_hot, cluster, cluster_hot;
+    rounds: http_mono, http_mono_hot, cluster, cluster_hot;
+    concurrent_appends: mono, http_mono;
 }
-legs!(ignored soak: mono, k1, k2, k7, cluster;);
+legs!(ignored soak: mono, cluster;);
 
 // ------------------------------------------------------------------ legs
 
@@ -144,11 +140,11 @@ fn estimator_mix(tier: TierSpec) {
 /// The rest of the stream appended in random batch sizes, with 8 SPQs
 /// and 1 trip checked after every batch, and the previous batch's
 /// queries (cached by then) asked again so no stale entry survives an
-/// append. The stream must include batches that touch several of 7
-/// shards at once.
+/// append. The stream must include batches that touch both of the
+/// cluster's shards at once.
 fn append_interleaving(tier: TierSpec) {
     let mut r = Run::new("append_interleaving", tier);
-    let router = ShardRouter::build(&r.oracle.network, 7);
+    let router = ShardRouter::build(&r.oracle.network, CLUSTER_K);
     let check = |r: &Run, queries: &[Spq]| {
         for q in &queries[..8] {
             r.check_spq(q);
@@ -176,7 +172,10 @@ fn append_interleaving(tier: TierSpec) {
         checks += previous.len();
     }
     assert!(checks >= 200, "only {checks} checks — stream too short");
-    assert!(widest >= 2, "no append batch ever touched ≥ 2 of 7 shards");
+    assert!(
+        widest >= 2,
+        "no append batch ever touched both cluster shards"
+    );
 }
 
 /// Appends, queries, snapshots and restarts (which replay the WAL) mixed
@@ -407,8 +406,8 @@ fn soak(tier: TierSpec) {
 
 /// An in-process run over the monolith, typed so the test can read the
 /// service's own counters.
-fn mono_service(leg: &'static str, config: ServiceConfig) -> Run<InProcess<SntIndex>> {
-    Run::over_service(leg, "mono", 0, config, |svc, config| {
+fn mono_service(leg: &'static str, config: ServiceConfig) -> Run<InProcess> {
+    Run::over_service(leg, "mono", config, |svc, config| {
         InProcess::new("mono", svc, config, leg)
     })
 }
@@ -551,46 +550,41 @@ fn assert_spq_twice(server: &ServerHandle, q: &Spq, want: &TravelTimes, frame_fi
 
 /// Every `/spq` repeat is a result-cache hit the reactor answers itself,
 /// as JSON and as a frame, with the oracle's bytes — also right after an
-/// append made the cached entries stale — over either backend. Then one
-/// keep-alive connection pipelines hits between fresh misses, and every
-/// answer comes back in request order with the oracle's bytes.
+/// append made the cached entries stale. Then one keep-alive connection
+/// pipelines hits between fresh misses, and every answer comes back in
+/// request order with the oracle's bytes.
 #[test]
 fn repeated_spqs_are_inline_hits_with_the_oracle_bytes() {
-    fn check<B: Build>(name: &'static str, shards: usize) {
-        let config = service_config(&QueryEngineConfig::default(), false);
-        let mut r = Run::over_service::<B>("inline_hits", name, shards, config, |svc, _| {
-            Http::new(name, svc)
-        });
-        let queries: Vec<Spq> = (0..12).map(|_| r.spq()).collect();
-        for round in 0..2 {
-            for (i, q) in queries.iter().enumerate() {
-                let want = r.oracle.index.get_travel_times(q);
-                assert_spq_twice(&r.tier.server, q, &want, i % 2 == 1);
-            }
-            if round == 0 {
-                r.append_next(4);
-            }
+    let name = "http_mono";
+    let config = service_config(&QueryEngineConfig::default(), false);
+    let mut r = Run::over_service("inline_hits", name, config, |svc, _| Http::new(name, svc));
+    let queries: Vec<Spq> = (0..12).map(|_| r.spq()).collect();
+    for round in 0..2 {
+        for (i, q) in queries.iter().enumerate() {
+            let want = r.oracle.index.get_travel_times(q);
+            assert_spq_twice(&r.tier.server, q, &want, i % 2 == 1);
         }
-
-        let fresh: Vec<Spq> = (0..queries.len()).map(|_| r.spq()).collect();
-        let burst: Vec<&Spq> = queries
-            .iter()
-            .zip(&fresh)
-            .flat_map(|(a, b)| [b, a])
-            .collect();
-        let mut client = HttpClient::connect(r.tier.server.local_addr());
-        let requests: Vec<u8> = burst
-            .iter()
-            .flat_map(|q| encode_request("POST", "/spq", wire::encode_spq(q).as_bytes()))
-            .collect();
-        client.send_raw(&requests);
-        for q in burst {
-            let want = wire::encode_travel_times(&r.oracle.index.get_travel_times(q));
-            assert_eq!(client.read_response().body_str(), want, "pipelined {q:?}");
+        if round == 0 {
+            r.append_next(4);
         }
     }
-    check::<SntIndex>("http_mono", 0);
-    check::<ShardedSntIndex>("http_k2", 2);
+
+    let fresh: Vec<Spq> = (0..queries.len()).map(|_| r.spq()).collect();
+    let burst: Vec<&Spq> = queries
+        .iter()
+        .zip(&fresh)
+        .flat_map(|(a, b)| [b, a])
+        .collect();
+    let mut client = HttpClient::connect(r.tier.server.local_addr());
+    let requests: Vec<u8> = burst
+        .iter()
+        .flat_map(|q| encode_request("POST", "/spq", wire::encode_spq(q).as_bytes()))
+        .collect();
+    client.send_raw(&requests);
+    for q in burst {
+        let want = wire::encode_travel_times(&r.oracle.index.get_travel_times(q));
+        assert_eq!(client.read_response().body_str(), want, "pipelined {q:?}");
+    }
 }
 
 /// Hot-tail ingestion is observable over the wire: after absorbed
@@ -600,9 +594,7 @@ fn repeated_spqs_are_inline_hits_with_the_oracle_bytes() {
 fn hot_tail_lifecycle_is_observable_over_http() {
     let config = service_config(&QueryEngineConfig::default(), true);
     let name = "http_mono_hot";
-    let mut r = Run::over_service::<SntIndex>("hot_tail_http", name, 0, config, |svc, _| {
-        Http::new(name, svc)
-    });
+    let mut r = Run::over_service("hot_tail_http", name, config, |svc, _| Http::new(name, svc));
     r.append_next(2);
     assert!(r.tier.compact() > 0);
     r.append_next(3);
@@ -671,7 +663,7 @@ fn retention_leaves_no_stale_inline_hit() {
 
     // One trajectory ten days past the data: the retention horizon moves
     // past everything the initial build holds.
-    let far = lifecycle.with_index(|index| index.max_data_time()) + 10 * 86_400;
+    let far = lifecycle.with_index(|index| index.data_max()) + 10 * 86_400;
     let payload = [(
         UserId(0),
         vec![TrajEntry::new(queries[0].path.first(), far, 5.0)],

@@ -19,7 +19,7 @@ use common::differential::QueryGen;
 use common::http::{encode_frame_request, HttpClient};
 use common::prefix_set;
 use std::sync::Arc;
-use tthr::core::{ShardedSntIndex, SntConfig, SntIndex, Spq, TimeInterval};
+use tthr::core::{SntConfig, SntIndex, Spq, TimeInterval};
 use tthr::rpc::{encode_frame, Message};
 use tthr::server::{serve, wire, ServerConfig};
 use tthr::service::{QueryService, ServiceConfig};
@@ -48,7 +48,7 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
     };
     let make = |cfg: &ServiceConfig| {
         QueryService::new(
-            ShardedSntIndex::build(&network, &initial, SntConfig::default(), 2),
+            SntIndex::build(&network, &initial, SntConfig::default()),
             Arc::clone(&network),
             cfg.clone(),
         )
@@ -146,7 +146,7 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
     );
 
     // The final exposition carries the whole stack: per-endpoint service
-    // counters, engine trace totals, per-shard series, reactor counters.
+    // counters, engine trace totals, index series, reactor counters.
     let text_response = HttpClient::connect(addr).request("GET", "/metrics", b"");
     let text = text_response.body_str();
     tthr::metrics::validate_exposition(text).expect("final exposition");
@@ -159,8 +159,8 @@ fn concurrent_scrapes_are_well_formed_and_monotonic() {
         "tthr_ladders_total",
         "tthr_spq_pruned_total",
         "tthr_cache_admission_rejected_total",
-        "tthr_shard_trajectories{shard=\"0\"}",
-        "tthr_shard_trajectories{shard=\"1\"}",
+        "tthr_index_trajectories",
+        "tthr_index_generation",
         "tthr_server_connections_accepted_total",
         "tthr_server_bytes_read_total",
         "tthr_server_bytes_written_total",

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use tthr::core::{SntConfig, SntIndex, Spq, TimeInterval, WalBatch};
 use tthr::datagen::sample_query_trajectories;
-use tthr::service::{QueryService, ServiceBackend, ServiceConfig, SNAPSHOT_FILE, WAL_FILE};
+use tthr::service::{QueryService, ServiceConfig, SNAPSHOT_FILE, WAL_FILE};
 use tthr::store::wal::WalWriter;
 use tthr::store::{ByteReader, ByteWriter, Persist, StoreError};
 use tthr::trajectory::TrajectorySet;
@@ -43,10 +43,7 @@ fn workload(set: &TrajectorySet) -> Vec<Spq> {
 
 /// Bit patterns of the travel times, in index scan order: byte-identical
 /// comparison, stricter than float equality.
-fn bits<B: tthr::service::ServiceBackend>(
-    service: &QueryService<B>,
-    spq: &Spq,
-) -> (Vec<u64>, bool) {
+fn bits(service: &QueryService, spq: &Spq) -> (Vec<u64>, bool) {
     let t = service.get_travel_times(spq);
     (value_bits(&t.values), t.fallback)
 }
@@ -235,41 +232,6 @@ fn wal_replay_after_crash_recovers_batches_newer_than_the_snapshot() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ---------------------------------------------------------------------
-// Sharded store format: per-shard snapshot sections + shard-tagged WAL
-// records (`tthr_core::sharded`), opened via `QueryService::open_with`.
-// ---------------------------------------------------------------------
-
-use tthr::core::{ShardedSntIndex, ShardedWalBatch, SHARD_SECTION_BASE};
-use tthr::service::ShardedQueryService;
-
-const SHARDS: usize = 3;
-
-fn sharded_service(
-    network: &Arc<tthr::network::RoadNetwork>,
-    set: &TrajectorySet,
-) -> ShardedQueryService {
-    QueryService::new(
-        ShardedSntIndex::build(network, set, SntConfig::default(), SHARDS),
-        Arc::clone(network),
-        ServiceConfig::default(),
-    )
-}
-
-/// Parses the snapshot container's section table: `(id, offset, len)`.
-fn section_table(bytes: &[u8]) -> Vec<(u32, usize, usize)> {
-    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    (0..count)
-        .map(|i| {
-            let o = 16 + i * 24;
-            let id = u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-            let off = u64::from_le_bytes(bytes[o + 4..o + 12].try_into().unwrap()) as usize;
-            let len = u64::from_le_bytes(bytes[o + 12..o + 20].try_into().unwrap()) as usize;
-            (id, off, len)
-        })
-        .collect()
-}
-
 /// Frame offsets `(start, payload_len)` of every WAL record.
 fn wal_frames(bytes: &[u8]) -> Vec<(usize, usize)> {
     let mut frames = Vec::new();
@@ -283,206 +245,6 @@ fn wal_frames(bytes: &[u8]) -> Vec<(usize, usize)> {
         pos += 8 + len;
     }
     frames
-}
-
-#[test]
-fn sharded_open_serves_byte_identically_after_snapshot_and_wal_appends() {
-    let dir = temp_dir("sharded-roundtrip");
-    let (syn, set) = small_world();
-    let network = Arc::new(syn.network.clone());
-    let queries = workload(&set);
-
-    let third = set.len() / 3;
-    let service = sharded_service(&network, &prefix_set(&set, third));
-    service.save_snapshot(&dir).unwrap();
-    assert_eq!(
-        service.append_batch(&prefix_set(&set, 2 * third)).unwrap(),
-        third
-    );
-    assert_eq!(service.append_batch(&set).unwrap(), set.len() - 2 * third);
-
-    let reopened =
-        ShardedQueryService::open_with(&dir, Arc::clone(&network), ServiceConfig::default())
-            .unwrap();
-    reopened.with_index(|index| {
-        assert_eq!(index.num_trajectories(), set.len());
-        assert_eq!(index.num_shards(), SHARDS);
-    });
-    for spq in &queries {
-        assert_eq!(bits(&reopened, spq), bits(&service, spq), "{spq:?}");
-    }
-
-    // The monolithic service over the same history agrees byte for byte —
-    // restart does not loosen the differential contract.
-    let mono = QueryService::new(
-        SntIndex::build(&syn.network, &prefix_set(&set, third), SntConfig::default()),
-        Arc::clone(&network),
-        ServiceConfig::default(),
-    );
-    let _ = mono.append_batch(&prefix_set(&set, 2 * third)).unwrap();
-    let _ = mono.append_batch(&set).unwrap();
-    for spq in &queries {
-        assert_eq!(bits(&mono, spq), bits(&reopened, spq), "{spq:?}");
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_wal_truncated_mid_record_recovers_the_intact_prefix() {
-    let dir = temp_dir("sharded-torn");
-    let (syn, set) = small_world();
-    let network = Arc::new(syn.network.clone());
-    let half = set.len() / 2;
-    let queries = workload(&set);
-
-    let service = sharded_service(&network, &prefix_set(&set, half));
-    service.save_snapshot(&dir).unwrap();
-    assert_eq!(
-        service.append_batch(&prefix_set(&set, half + 3)).unwrap(),
-        3
-    );
-    // Answers of the generation the torn log must recover to.
-    let after_first: Vec<_> = queries.iter().map(|q| bits(&service, q)).collect();
-    assert_eq!(service.append_batch(&set).unwrap(), set.len() - half - 3);
-    drop(service);
-
-    // Tear the second record in half — mid-payload, the way a crash
-    // during an fsync-ed write cannot happen but a disk can deliver.
-    let wal_path = dir.join(WAL_FILE);
-    let wal_bytes = std::fs::read(&wal_path).unwrap();
-    let frames = wal_frames(&wal_bytes);
-    assert_eq!(frames.len(), 2, "two appends, two records");
-    let (start, len) = frames[1];
-    std::fs::write(&wal_path, &wal_bytes[..start + 8 + len / 2]).unwrap();
-
-    let reopened =
-        ShardedQueryService::open_with(&dir, Arc::clone(&network), ServiceConfig::default())
-            .unwrap();
-    reopened.with_index(|index| assert_eq!(index.num_trajectories(), half + 3));
-    for (spq, want) in queries.iter().zip(&after_first) {
-        assert_eq!(&bits(&reopened, spq), want, "{spq:?}");
-    }
-
-    // The torn tail was truncated: appending and reopening again works.
-    assert_eq!(reopened.append_batch(&set).unwrap(), set.len() - half - 3);
-    let once_more =
-        ShardedQueryService::open_with(&dir, Arc::clone(&network), ServiceConfig::default())
-            .unwrap();
-    once_more.with_index(|index| assert_eq!(index.num_trajectories(), set.len()));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn sharded_snapshot_corruption_is_a_typed_error_per_section() {
-    let dir = temp_dir("sharded-corruption");
-    let (syn, set) = small_world();
-    let network = Arc::new(syn.network.clone());
-    let service = sharded_service(&network, &prefix_set(&set, 40));
-    service.save_snapshot(&dir).unwrap();
-    drop(service);
-    let snapshot_path = dir.join(SNAPSHOT_FILE);
-    let pristine = std::fs::read(&snapshot_path).unwrap();
-
-    let reopen = |bytes: &[u8]| {
-        std::fs::write(&snapshot_path, bytes).unwrap();
-        ShardedQueryService::open_with(&dir, Arc::clone(&network), ServiceConfig::default())
-    };
-
-    // Flip one byte inside each shard's section payload: the container
-    // CRC for exactly that section must fail.
-    let table = section_table(&pristine);
-    for s in 0..SHARDS as u32 {
-        let &(_, off, len) = table
-            .iter()
-            .find(|&&(id, _, _)| id == SHARD_SECTION_BASE + s)
-            .expect("shard section present");
-        assert!(len > 0);
-        let mut corrupt = pristine.clone();
-        corrupt[off + len / 2] ^= 0x40;
-        match reopen(&corrupt) {
-            Err(StoreError::ChecksumMismatch { context }) => {
-                assert!(
-                    context.contains(&(SHARD_SECTION_BASE + s).to_string()),
-                    "wrong section blamed: {context}"
-                );
-            }
-            other => panic!("shard {s} corruption: {:?}", other.err()),
-        }
-    }
-
-    // A monolithic service directory refuses to open as sharded (and vice
-    // versa) with a typed missing-section error, not a misparse.
-    std::fs::write(&snapshot_path, &pristine).unwrap();
-    let mono_dir = temp_dir("sharded-corruption-mono");
-    let mono = QueryService::new(
-        SntIndex::build(&syn.network, &prefix_set(&set, 40), SntConfig::default()),
-        Arc::clone(&network),
-        ServiceConfig::default(),
-    );
-    mono.save_snapshot(&mono_dir).unwrap();
-    assert!(matches!(
-        ShardedQueryService::open_with(&mono_dir, Arc::clone(&network), ServiceConfig::default()),
-        Err(StoreError::MissingSection(_))
-    ));
-    assert!(matches!(
-        QueryService::open(&dir, Arc::clone(&network), ServiceConfig::default()),
-        Err(StoreError::MissingSection(_))
-    ));
-
-    // Pristine bytes still open (the harness, not the format, failed
-    // above).
-    assert!(reopen(&pristine).is_ok());
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&mono_dir).unwrap();
-}
-
-#[test]
-fn sharded_wal_records_skipping_ahead_or_misrouted_are_typed_errors() {
-    let dir = temp_dir("sharded-gap");
-    let (syn, set) = small_world();
-    let network = Arc::new(syn.network.clone());
-    let service = sharded_service(&network, &prefix_set(&set, 30));
-    service.save_snapshot(&dir).unwrap();
-    // The record the service itself would log for the next two
-    // trajectories, decoded so its stamp and tag can be forged.
-    let delta: Vec<_> = set.iter().skip(30).take(2).cloned().collect();
-    let logged = service.with_index(|index| index.encode_wal_record(&delta, 30));
-    let base_plan = ShardedWalBatch::restore(&mut ByteReader::new(&logged)).unwrap();
-    assert_eq!(
-        (base_plan.batch.base, base_plan.batch.trajectories.len()),
-        (30, 2)
-    );
-    drop(service);
-
-    let write_wal = |record: &ShardedWalBatch| {
-        let mut w = ByteWriter::new();
-        record.persist(&mut w);
-        let mut wal = WalWriter::create(&dir.join(WAL_FILE)).unwrap();
-        wal.append(&w.into_bytes()).unwrap();
-    };
-
-    // A record whose base stamp skips ahead of the snapshot is a gap.
-    let mut skipping = base_plan.clone();
-    skipping.batch.base = 1000;
-    write_wal(&skipping);
-    assert!(matches!(
-        ShardedQueryService::open_with(&dir, Arc::clone(&network), ServiceConfig::default()),
-        Err(StoreError::WalGap {
-            expected: 30,
-            found: 1000
-        })
-    ));
-
-    // A record whose shard tag disagrees with the routing table is
-    // corrupt: the log was written against a different partitioning.
-    let mut misrouted = base_plan.clone();
-    misrouted.touched = vec![u16::MAX - 1];
-    write_wal(&misrouted);
-    assert!(matches!(
-        ShardedQueryService::open_with(&dir, Arc::clone(&network), ServiceConfig::default()),
-        Err(StoreError::Corrupt { .. })
-    ));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -510,7 +272,7 @@ fn flood_payloads(set: &TrajectorySet, from: usize) -> Vec<(UserId, Vec<TrajEntr
 /// [`FLOOD_THREADS`] threads while the index read lock is held: every
 /// appender queues on the write lock, then each logs, fsyncs and applies
 /// its own record in turn — and every ack means "fsynced".
-fn append_flood(service: &QueryService<SntIndex>, payloads: &[(UserId, Vec<TrajEntry>)]) {
+fn append_flood(service: &QueryService, payloads: &[(UserId, Vec<TrajEntry>)]) {
     std::thread::scope(|s| {
         let handles = service.with_index(|_held| {
             let handles: Vec<_> = payloads
@@ -877,12 +639,12 @@ fn wal_records_skipping_ahead_are_a_gap_error() {
 
 // ---------------------------------------------------------------------
 // One write path: `append_batch(&set)` and `append_new(Some(n), payload)`
-// are two spellings of the same `ingest`, on every backend, sealed or
-// absorbed — same WAL record bytes, same snapshot bytes, same answers.
+// are two spellings of the same `ingest`, sealed or absorbed — same WAL
+// record bytes, same snapshot bytes, same answers.
 // ---------------------------------------------------------------------
 
 use common::differential::Run;
-use common::tier::{service_config, Build, InProcess, Tier};
+use common::tier::{service_config, InProcess, Tier};
 use tthr::core::QueryEngineConfig;
 
 /// The WAL bytes three appends through one entry point log, and the
@@ -891,10 +653,11 @@ use tthr::core::QueryEngineConfig;
 /// the compaction.
 type StoreBytes = ((Vec<u8>, Vec<u8>), (Vec<u8>, Vec<u8>));
 
-fn one_path<B: Build>(tier: &'static str, shards: usize, hot: bool, grown_set: bool) -> StoreBytes {
+fn one_path(hot: bool, grown_set: bool) -> StoreBytes {
+    let tier = "mono";
     let config = service_config(&QueryEngineConfig::default(), hot);
     let dir_name = format!("one-path-{tier}-{hot}-{grown_set}");
-    let mut r = Run::over_service::<B>("one-path", tier, shards, config, |svc, config| {
+    let mut r = Run::over_service("one-path", tier, config, |svc, config| {
         let mut tier = InProcess::new(tier, svc, config, &dir_name);
         tier.via_grown_set = grown_set;
         tier
@@ -914,45 +677,33 @@ fn one_path<B: Build>(tier: &'static str, shards: usize, hot: bool, grown_set: b
 #[test]
 fn append_batch_and_append_new_write_identical_records_and_snapshots() {
     for hot in [false, true] {
-        // The monolith and K ∈ {1, 2, 7}, sealed or absorbing, through
-        // each entry point.
-        let run = |grown_set: bool| {
-            [
-                ("mono", one_path::<SntIndex>("mono", 0, hot, grown_set)),
-                ("k1", one_path::<ShardedSntIndex>("k1", 1, hot, grown_set)),
-                ("k2", one_path::<ShardedSntIndex>("k2", 2, hot, grown_set)),
-                ("k7", one_path::<ShardedSntIndex>("k7", 7, hot, grown_set)),
-            ]
-        };
-        for ((tier, (wal_set, snap_set)), (_, (wal_new, snap_new))) in
-            run(true).iter().zip(run(false))
-        {
-            assert!(wal_frames(&wal_set.0).len() == 3, "three records logged");
-            assert!(
-                wal_set.0 == wal_new.0,
-                "hot_tail={hot} {tier}: WAL bytes differ by entry point"
-            );
-            assert!(
-                *snap_set == snap_new,
-                "hot_tail={hot} {tier}: snapshot bytes differ by entry point"
-            );
-        }
+        // Sealed or absorbing, through each entry point.
+        let ((wal_set, snap_set), (wal_new, snap_new)) =
+            (one_path(hot, true), one_path(hot, false));
+        assert!(wal_frames(&wal_set.0).len() == 3, "three records logged");
+        assert!(
+            wal_set.0 == wal_new.0,
+            "hot_tail={hot}: WAL bytes differ by entry point"
+        );
+        assert!(
+            snap_set == snap_new,
+            "hot_tail={hot}: snapshot bytes differ by entry point"
+        );
     }
 }
 
 // ---------------------------------------------------------------------
 // One shard type: the invariants of a shard part (index + member list)
-// are validated by one constructor, so the same corrupt part is the same
-// typed error whether it arrives in a sharded service snapshot or in a
-// shard node's.
+// are validated by one constructor, which a shard node's snapshot
+// reaches with every corrupt part as a typed error.
 // ---------------------------------------------------------------------
 
 use tthr::core::node::{plan_node_records, SECTION_NODE_INDEX, SECTION_NODE_META};
-use tthr::core::{ShardNodeState, ShardRouter, SECTION_ROUTING, SECTION_SHARDED_META};
-use tthr::store::snapshot::{SectionId, SnapshotArchive, SnapshotBuilder};
+use tthr::core::{ShardNodeState, ShardRouter, ShardedSntIndex};
+use tthr::store::snapshot::{SnapshotArchive, SnapshotBuilder};
 
 #[test]
-fn corrupt_shard_parts_are_the_same_typed_error_in_both_containers() {
+fn corrupt_shard_parts_are_typed_errors_in_the_node_container() {
     let (syn, set) = small_world();
     let set = prefix_set(&set, 40);
     let sharded = ShardedSntIndex::build(&syn.network, &set, SntConfig::default(), 1);
@@ -990,38 +741,10 @@ fn corrupt_shard_parts_are_the_same_typed_error_in_both_containers() {
         ("edges, routing table", &members, index.clone(), &wider),
     ];
 
-    let raw = |archive: &SnapshotArchive<'_>, id| {
-        let mut r = archive.section(id).unwrap();
-        r.get_bytes(r.remaining()).unwrap().to_vec()
-    };
-    let pristine_sharded = sharded.to_snapshot_bytes();
     let pristine_node = ShardNodeState::export_from(&sharded, 0).to_snapshot_bytes();
-    assert!(ShardedSntIndex::from_snapshot_bytes(&pristine_sharded).is_ok());
     assert!(ShardNodeState::from_snapshot_bytes(&pristine_node).is_ok());
 
     for (what, members, index, router) in table {
-        // The sharded container: meta (edge count patched to the routing
-        // table's, so only the shard part disagrees), routing, shard 0.
-        let archive = SnapshotArchive::from_bytes(&pristine_sharded).unwrap();
-        let mut meta = raw(&archive, SECTION_SHARDED_META);
-        let at = meta.len() - 8;
-        meta[at..].copy_from_slice(&(router.num_edges() as u64).to_le_bytes());
-        let mut routing = ByteWriter::new();
-        router.persist(&mut routing);
-        let mut shard = ByteWriter::new();
-        shard.put_seq(members);
-        shard.put_len(index.len());
-        shard.put_bytes(&index);
-        let mut container = SnapshotBuilder::new();
-        container.add_section(SECTION_SHARDED_META, meta);
-        container.add_section(SECTION_ROUTING, routing.into_bytes());
-        container.add_section(SectionId(SHARD_SECTION_BASE), shard.into_bytes());
-        let err = ShardedSntIndex::from_snapshot_bytes(&container.into_bytes())
-            .err()
-            .unwrap_or_else(|| panic!("sharded container accepted: {what}"));
-        assert!(matches!(err, StoreError::Corrupt { .. }), "{what}: {err:?}");
-        assert!(err.to_string().contains(what), "{what}: {err}");
-
         // The node container: meta (shard, counters, routing, members),
         // then the index.
         let archive = SnapshotArchive::from_bytes(&pristine_node).unwrap();

@@ -27,7 +27,7 @@ use tthr::trajectory::{TrajId, TrajectorySet};
 /// A served world behind the server's one reactor thread, plus an
 /// identically built in-process oracle and the full trajectory set for
 /// sampling.
-fn boot(config: ServerConfig) -> (ServerHandle, QueryService<SntIndex>, TrajectorySet) {
+fn boot(config: ServerConfig) -> (ServerHandle, QueryService, TrajectorySet) {
     let (syn, set) = common::small_world();
     let initial = prefix_set(&set, set.len());
     let network = Arc::new(syn.network);
