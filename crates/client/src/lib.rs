@@ -28,6 +28,34 @@
 //! differential suite (`tests/equivalence.rs`) checks the
 //! byte-identity claim end to end against the monolith.
 //!
+//! # Result cache
+//!
+//! The router answers from `tthr-service`'s [`ShardedCache`], the
+//! single-process service's result cache: [`ClusterRouter::travel_times`]
+//! and every ladder of a trip look it up first, and a relaxation round
+//! ships only the ladders that miss — each from its first uncached level,
+//! still one `LadderBatch` per shard — and caches the replies. A round
+//! every ladder of which hits sends no RPC; so a trip whose every ladder
+//! is cached answers even while its shard is down. Dummy answers of a
+//! failed trip are never cached.
+//!
+//! The locking model is the service's: one gate (`RwLock<()>`), held
+//! shared by [`ClusterRouter::trip_query`] and
+//! [`ClusterRouter::travel_times`] for their whole call and exclusive by
+//! [`ClusterRouter::append_batch`] from its stamp check through its
+//! scatter. So a trip sees one append generation on every shard, and an
+//! append evicts the entries it can have changed
+//! ([`ShardedCache::evict_stale`]) before any read resumes — after a
+//! failed or partial scatter too.
+//!
+//! A hit is exact under one invariant: **every append reaches the
+//! cluster through this router.** The router's `num_global` and
+//! [`ClusterRouter::full_interval`] already assume it (a second writer
+//! turns this router's next append into a [`ClusterError::WalGap`] and
+//! leaves its σ fallback window stale). A failover read only switches to
+//! an endpoint that has reached the router's confirmed count, so what a
+//! standby would answer is what the cache holds.
+//!
 //! # Failure semantics
 //!
 //! A shard that cannot be reached on any admissible endpoint within the
@@ -68,18 +96,19 @@ use std::cell::RefCell;
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use tthr_core::node::{plan_node_records, MAX_LADDER_BATCH, MAX_LADDER_LEVELS};
 use tthr_core::{
     ladder_sequential, CardinalityMode, IndexBackend, LadderRequest, NodeWalRecord, QueryEngine,
-    QueryEngineConfig, SearchScratch, ShardRouter, Spq, TimeInterval, TravelTimeProvider,
-    TravelTimes, TripQuery, TtValues,
+    QueryEngineConfig, QueryTrace, SearchScratch, ShardRouter, Spq, TimeInterval,
+    TravelTimeProvider, TravelTimes, TripQuery, TtValues,
 };
 use tthr_metrics::{Counter, Gauge, MetricsRegistry};
 use tthr_network::{RoadNetwork, Timestamp};
 use tthr_rpc::{read_frame, write_frame, ErrCode, FrameError, Message, NodeMeta, Role, WireError};
+use tthr_service::{CacheMetrics, ShardedCache, DEFAULT_CACHE_CAPACITY};
 use tthr_store::StoreError;
 use tthr_trajectory::{TrajEntry, UserId};
 
@@ -957,6 +986,14 @@ pub struct ClusterRouter {
     network: RoadNetwork,
     engine_config: QueryEngineConfig,
     core: Arc<RouterCore>,
+    /// Answers the router has fetched, keyed by the whole SPQ (see the
+    /// module docs' *Result cache*).
+    cache: ShardedCache,
+    cache_metrics: CacheMetrics,
+    /// Held shared by a read for its whole call and exclusive by an
+    /// append from its stamp check through its eviction, so no read
+    /// straddles an append. Never taken twice on one thread.
+    gate: RwLock<()>,
     prober_stop: Arc<AtomicBool>,
     prober: Option<std::thread::JoinHandle<()>>,
 }
@@ -1194,10 +1231,14 @@ impl ClusterRouter {
                 })
                 .expect("spawn router prober")
         });
+        let cache_metrics = CacheMetrics::register(&core.registry);
         Ok(ClusterRouter {
             network,
             engine_config,
             core,
+            cache: ShardedCache::with_capacity(DEFAULT_CACHE_CAPACITY),
+            cache_metrics,
+            gate: RwLock::new(()),
             prober_stop,
             prober,
         })
@@ -1219,13 +1260,15 @@ impl ClusterRouter {
     }
 
     /// The router's metrics registry: failovers, breaker states,
-    /// replication lag, probe failures.
+    /// replication lag, probe failures, RPC counts and the result cache.
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         &self.core.registry
     }
 
-    /// Renders the router's metrics in Prometheus text exposition format.
+    /// Renders the router's metrics in Prometheus text exposition format,
+    /// after mirroring the result cache's counters into the registry.
     pub fn render_metrics(&self) -> String {
+        self.cache_metrics.mirror(&self.cache.counters());
         self.core.registry.render()
     }
 
@@ -1297,25 +1340,58 @@ impl ClusterRouter {
         self.core.routing.shard_of(spq.path.first()) as u16
     }
 
-    /// `getTravelTimes` routed to the owning shard — byte-identical to
-    /// the monolith by the first-edge exactness argument.
+    /// `getTravelTimes` from the result cache, or routed to the owning
+    /// shard and cached — byte-identical to the monolith by the
+    /// first-edge exactness argument.
     pub fn travel_times(&self, spq: &Spq) -> Result<TravelTimes, ClusterError> {
+        let _read = self.gate.read().expect("router gate");
+        self.travel_times_gated(spq, &mut QueryTrace::default())
+    }
+
+    /// The cached answer to an SPQ, or `None` — without the gate or an
+    /// RPC. A front-end answers a hit on the spot and hands a miss to
+    /// [`ClusterRouter::travel_times`]. Counts only a hit; the miss is
+    /// counted by the lookup that follows. An append evicts what it made
+    /// stale before it returns, so a hit served while one is in flight is
+    /// ordered before it.
+    pub fn cached_travel_times(&self, spq: &Spq) -> Option<TravelTimes> {
+        self.cache.probe(self.cache.hash(spq), spq)
+    }
+
+    /// [`ClusterRouter::travel_times`] under a gate the caller holds,
+    /// counting the cache hit or miss in `trace`.
+    fn travel_times_gated(
+        &self,
+        spq: &Spq,
+        trace: &mut QueryTrace,
+    ) -> Result<TravelTimes, ClusterError> {
+        let hash = self.cache.hash(spq);
+        if let Some(hit) = self.cache.get(hash, spq) {
+            trace.cache_hits += 1;
+            return Ok(hit);
+        }
+        trace.cache_misses += 1;
         let shard = self.shard_for(spq);
-        match self.core.query(shard, &Message::TravelTimes(spq.clone()))? {
-            Message::TravelTimesResult { values, fallback } => Ok(TravelTimes {
+        let answer = match self.core.query(shard, &Message::TravelTimes(spq.clone()))? {
+            Message::TravelTimesResult { values, fallback } => TravelTimes {
                 values: tt_values(values),
                 fallback,
-            }),
-            other => Err(ClusterError::Unexpected(format!(
-                "TravelTimes answered with {other:?}"
-            ))),
-        }
+            },
+            other => {
+                return Err(ClusterError::Unexpected(format!(
+                    "TravelTimes answered with {other:?}"
+                )))
+            }
+        };
+        self.cache.insert(hash, spq, &answer);
+        Ok(answer)
     }
 
     /// A whole relaxation ladder in **one** RPC to the owning shard — a
     /// ladder batch of one; every level keeps the path, so every level
     /// routes there — byte-identical to the monolith's ladder, which is
-    /// itself pinned to the level-by-level loop.
+    /// itself pinned to the level-by-level loop. The cache is neither
+    /// read nor filled: this is the wire primitive.
     pub fn travel_times_ladder(
         &self,
         spq: &Spq,
@@ -1407,9 +1483,12 @@ impl ClusterRouter {
     /// SPQ primitive the engine issues is routed to its owning shard.
     ///
     /// Any node failure mid-query aborts the whole trip query with the
-    /// first error — never a partial answer.
+    /// first error — never a partial answer. The trip holds the gate
+    /// shared throughout, so it sees one append generation on every
+    /// shard; ladders and SPQs the cache holds cost no RPC.
     pub fn trip_query(&self, spq: &Spq) -> Result<TripQuery, ClusterError> {
         self.core.trips.inc();
+        let _read = self.gate.read().expect("router gate");
         let backend = RemoteBackend {
             cluster: self,
             error: RefCell::new(None),
@@ -1441,11 +1520,18 @@ impl ClusterRouter {
     /// by base stamp, simply calling `append_batch` again with the same
     /// batch heals the cluster (nodes that already applied skip, the
     /// rest catch up).
+    ///
+    /// The call holds the gate exclusive from the stamp check through the
+    /// scatter, then evicts the cache entries the batch can have changed
+    /// ([`ShardedCache::evict_stale`]) before it lets reads in again —
+    /// after a failed or partial scatter too, since some shards may have
+    /// applied the record.
     pub fn append_batch(
         &self,
         base: Option<u64>,
         trajectories: &[(UserId, Vec<TrajEntry>)],
     ) -> Result<u64, ClusterError> {
+        let _write = self.gate.write().expect("router gate");
         let mut state = self.core.state.lock().expect("state lock");
         if let Some(found) = base.filter(|&b| b != state.num_global) {
             return Err(ClusterError::WalGap {
@@ -1462,9 +1548,20 @@ impl ClusterRouter {
         )
         .map_err(|e: StoreError| ClusterError::Invalid(e.to_string()))?;
         let need = state.num_global;
-        for (shard, record) in records.iter().enumerate() {
-            self.core.append_record(shard as u16, record, need)?;
+        let scattered = records
+            .iter()
+            .enumerate()
+            .try_for_each(|(shard, record)| self.core.append_record(shard as u16, record, need));
+        if !trajectories.is_empty() {
+            let floor = trajectories
+                .iter()
+                .filter_map(|(_, entries)| entries.first())
+                .map(|entry| entry.enter_time)
+                .min();
+            let time_scoped = self.engine_config.estimator.is_none();
+            self.cache.evict_stale(time_scoped, floor);
         }
+        scattered?;
         let planned = &records[0];
         state.num_global = planned.new_total;
         state.span_min = planned.span_min;
@@ -1548,43 +1645,59 @@ impl RemoteBackend<'_> {
 }
 
 impl TravelTimeProvider for RemoteBackend<'_> {
-    fn travel_times_with(&self, spq: &Spq, _scratch: &mut SearchScratch) -> TravelTimes {
-        self.call(|cluster| cluster.travel_times(spq))
+    fn travel_times_with(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
+        self.call(|cluster| cluster.travel_times_gated(spq, &mut scratch.trace))
             .unwrap_or_else(dummy_times)
     }
 
-    /// One `LadderBatch` RPC per shard the round touches (in chunks of
-    /// [`MAX_LADDER_BATCH`]) instead of one RPC per ladder; the batches
-    /// go out one after the other. A ladder longer than the wire admits
+    /// The ladders the result cache answers cost nothing
+    /// ([`ShardedCache::ladder_lookup`]); the rest go out as one
+    /// `LadderBatch` RPC per shard the round touches (in chunks of
+    /// [`MAX_LADDER_BATCH`]), each shipping its ladder from the first
+    /// uncached level, one batch after the other, and the replies are
+    /// cached ([`ShardedCache::ladder_insert`]). A round that every
+    /// ladder hits sends nothing. A ladder longer than the wire admits
     /// (an outsized `interval_sizes` configuration) keeps the
     /// level-by-level loop. The first failed batch parks its error and
-    /// every ladder from there on gets the dummy.
+    /// every ladder from there on gets the dummy, which is never cached.
     fn travel_times_ladders(
         &self,
         requests: &[LadderRequest],
         scratch: &mut SearchScratch,
     ) -> Vec<(usize, TravelTimes)> {
+        let cache = &self.cluster.cache;
         let mut answers: Vec<(usize, TravelTimes)> = vec![(0, dummy_times()); requests.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.cluster.num_shards()];
+        let mut by_shard: Vec<Vec<_>> =
+            (0..self.cluster.num_shards()).map(|_| Vec::new()).collect();
         for (i, (spq, levels)) in requests.iter().enumerate() {
             if levels.len() > MAX_LADDER_LEVELS {
                 answers[i] = ladder_sequential(self, spq, levels, scratch);
-            } else {
-                by_shard[self.cluster.shard_for(spq) as usize].push(i);
+                continue;
+            }
+            match cache.ladder_lookup(spq, levels, &mut scratch.trace) {
+                Ok(hit) => answers[i] = hit,
+                Err(miss) => by_shard[self.cluster.shard_for(spq) as usize].push((i, miss)),
             }
         }
-        for (shard, members) in by_shard.iter().enumerate() {
-            for chunk in members.chunks(MAX_LADDER_BATCH) {
+        for (shard, mut misses) in by_shard.into_iter().enumerate() {
+            while !misses.is_empty() {
+                let chunk: Vec<_> = misses.drain(..misses.len().min(MAX_LADDER_BATCH)).collect();
                 let Some(batch) = self.call(|cluster| {
-                    let items = chunk.iter().map(|&i| requests[i].clone()).collect();
+                    let items = chunk
+                        .iter()
+                        .map(|(i, miss)| {
+                            (miss.key().clone(), requests[*i].1[miss.level..].to_vec())
+                        })
+                        .collect();
                     cluster.ladder_batch(shard as u16, items)
                 }) else {
                     continue;
                 };
                 scratch.trace.ladder_batches += 1;
                 scratch.trace.ladders += chunk.len() as u64;
-                for (&i, answer) in chunk.iter().zip(batch) {
-                    answers[i] = answer;
+                for ((i, miss), answer) in chunk.into_iter().zip(batch) {
+                    answers[i] =
+                        cache.ladder_insert(miss, &requests[i].1, answer, &mut scratch.trace);
                 }
             }
         }

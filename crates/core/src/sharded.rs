@@ -351,12 +351,9 @@ impl ShardedSntIndex {
         self.data_max
     }
 
-    /// The shard owning a query (the shard of its path's first edge),
-    /// noting the routing in the scratch's trace.
-    fn route(&self, spq: &Spq, scratch: &mut crate::SearchScratch) -> &Shard {
-        let s = self.router.shard_of(spq.path.first());
-        scratch.trace.note_shard(s);
-        &self.shards[s]
+    /// The shard owning a query (the shard of its path's first edge).
+    fn route(&self, spq: &Spq) -> &Shard {
+        &self.shards[self.router.shard_of(spq.path.first())]
     }
 
     /// `getTravelTimes` routed to the owning shard — byte-identical to the
@@ -376,7 +373,7 @@ impl ShardedSntIndex {
         spq: &Spq,
         scratch: &mut crate::SearchScratch,
     ) -> TravelTimes {
-        self.route(spq, scratch)
+        self.route(spq)
             .query(spq, |i, q| i.get_travel_times_with(q, scratch))
     }
 
@@ -389,7 +386,7 @@ impl ShardedSntIndex {
         levels: &[TimeInterval],
         scratch: &mut crate::SearchScratch,
     ) -> (usize, TravelTimes) {
-        self.route(spq, scratch)
+        self.route(spq)
             .query(spq, |i, q| i.travel_times_ladder_with(q, levels, scratch))
     }
 
@@ -423,7 +420,7 @@ impl IndexBackend for ShardedSntIndex {
         cap: u32,
         scratch: &mut crate::SearchScratch,
     ) -> usize {
-        self.route(spq, scratch)
+        self.route(spq)
             .query(spq, |i, q| i.count_matching_with(q, cap, scratch))
     }
 

@@ -1861,7 +1861,6 @@ mod tests {
         assert_eq!(t.rank_ops, 3, "one rank per live symbol of ⟨A,B,E⟩");
         assert!(t.wavelet_nodes >= t.rank_ops, "each rank descends ≥ 1 node");
         assert_eq!(t.search_ns, 0, "timing is off by default");
-        assert_eq!(t.shard_queries, 0, "no shard routing on a bare index");
 
         // A suffix sub-path answers from the scratch cache: hit, no ranks.
         let be = Spq::new(Path::new(vec![EDGE_B, EDGE_E]), TimeInterval::fixed(0, 100));

@@ -2,7 +2,7 @@
 //!
 //! A [`QueryTrace`] rides inside [`SearchScratch`](crate::SearchScratch) and
 //! accumulates what a query *did* — rank operations, wavelet descents,
-//! scratch-cache and result-cache hits, shard fanout, search time — without
+//! scratch-cache and result-cache hits, ladder batches, search time — without
 //! ever influencing what it *returns*. The trace is plain counters on an
 //! already-thread-local scratch, so recording is a handful of integer adds;
 //! the only optional part is wall-clock timing ([`QueryTrace::timing`]),
@@ -10,8 +10,9 @@
 //!
 //! Traces deliberately live outside [`QueryStats`](crate::QueryStats): the
 //! differential harnesses compare `QueryStats` byte-for-byte across
-//! tiers, while cost attribution legitimately differs (a sharded build
-//! routes, a single index does not).
+//! tiers, while cost attribution legitimately differs (the cluster router
+//! batches ladders into RPCs and answers some from its cache, a single
+//! index does neither).
 
 /// Cost profile of one query (or an accumulation over several), filled in
 /// by the layers a query passes through.
@@ -56,12 +57,6 @@ pub struct QueryTrace {
     pub cache_hits: u64,
     /// Service-layer result-cache misses.
     pub cache_misses: u64,
-    /// Queries routed to a shard (equals `index_queries` on a
-    /// [`ShardedSntIndex`](crate::ShardedSntIndex), 0 on a bare index).
-    pub shard_queries: u64,
-    /// Bitmask of shards touched (shard `s` sets bit `s % 64`); fanout is
-    /// its population count.
-    pub shard_mask: u64,
     /// Whether wall-clock timing is enabled; off by default so the hot
     /// path never reads the clock unless a layer asks for it.
     pub timing: bool,
@@ -80,19 +75,6 @@ impl QueryTrace {
         };
     }
 
-    /// Records that shard `s` served part of this query.
-    #[inline]
-    pub(crate) fn note_shard(&mut self, s: usize) {
-        self.shard_queries += 1;
-        self.shard_mask |= 1u64 << (s % 64);
-    }
-
-    /// Number of distinct shards touched (distinct modulo 64 — exact for
-    /// every realistic shard count).
-    pub fn shard_fanout(&self) -> u32 {
-        self.shard_mask.count_ones()
-    }
-
     /// Accumulates another trace's counters into this one. `timing` is
     /// OR-ed; `search_ns` adds.
     pub fn merge(&mut self, other: &QueryTrace) {
@@ -108,8 +90,6 @@ impl QueryTrace {
         self.pruned += other.pruned;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.shard_queries += other.shard_queries;
-        self.shard_mask |= other.shard_mask;
         self.timing |= other.timing;
         self.search_ns += other.search_ns;
     }
@@ -131,23 +111,6 @@ mod tests {
         assert!(t.timing);
         assert_eq!(t.rank_ops, 0);
         assert_eq!(t.search_ns, 0);
-
-        let mut u = QueryTrace::default();
-        u.note_shard(3);
-        u.reset();
-        assert!(!u.timing);
-        assert_eq!(u.shard_mask, 0);
-    }
-
-    #[test]
-    fn note_shard_tracks_fanout() {
-        let mut t = QueryTrace::default();
-        t.note_shard(0);
-        t.note_shard(3);
-        t.note_shard(3);
-        t.note_shard(67); // wraps to bit 3 — still 2 distinct bits
-        assert_eq!(t.shard_queries, 4);
-        assert_eq!(t.shard_fanout(), 2);
     }
 
     #[test]
@@ -156,19 +119,15 @@ mod tests {
             rank_ops: 2,
             ..QueryTrace::default()
         };
-        a.note_shard(1);
         let mut b = QueryTrace {
             timing: true,
             ..QueryTrace::default()
         };
         b.rank_ops = 3;
         b.search_ns = 10;
-        b.note_shard(2);
         a.merge(&b);
         assert_eq!(a.rank_ops, 5);
         assert_eq!(a.search_ns, 10);
         assert!(a.timing);
-        assert_eq!(a.shard_fanout(), 2);
-        assert_eq!(a.shard_queries, 2);
     }
 }

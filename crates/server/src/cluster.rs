@@ -5,8 +5,10 @@
 //! ([`crate::wire`]), with its in-flight bound, shedding, reaping and
 //! graceful drain; the router plans locally and scatters SPQ primitives
 //! to shard nodes ([`crate::node`]). Requests run on the router's own
-//! pool, a `/batch`'s trips in parallel. There is no result cache,
-//! `/stats` or `/debug/slow`, and `/health` sends no RPC.
+//! pool, a `/batch`'s trips in parallel. A `/spq` the router's result
+//! cache holds is answered inline on the reactor, as on the
+//! single-process server. There is no `/stats` or `/debug/slow`, and
+//! `/health` sends no RPC.
 //!
 //! Failure mapping ([`status_of`]; `tests/cluster_faults.rs` pins it over
 //! HTTP). A `/batch` answers the status of its first failing trip, in
@@ -89,6 +91,10 @@ impl RouterApi {
 impl Api for RouterApi {
     fn num_edges(&self) -> usize {
         self.router.routing().num_edges()
+    }
+
+    fn cached(&self, query: &Spq) -> Option<TravelTimes> {
+        self.router.cached_travel_times(query)
     }
 
     fn spq(&self, query: &Spq) -> Result<TravelTimes, Refusal> {

@@ -118,9 +118,7 @@ pub(crate) trait Api: Send + Sync + 'static {
     /// Edges of the served network; a query naming another is a `400`.
     fn num_edges(&self) -> usize;
     /// A result-cache hit, found without the index lock or the pool.
-    fn cached(&self, _: &Spq) -> Option<TravelTimes> {
-        None
-    }
+    fn cached(&self, query: &Spq) -> Option<TravelTimes>;
     /// `/spq`.
     fn spq(&self, query: &Spq) -> Result<TravelTimes, Refusal>;
     /// `/trip`.

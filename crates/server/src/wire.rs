@@ -818,8 +818,6 @@ fn slow_query_json(q: &SlowQuery) -> Json {
                 ("pruned", int(t.pruned)),
                 ("cache_hits", int(t.cache_hits)),
                 ("cache_misses", int(t.cache_misses)),
-                ("shard_queries", int(t.shard_queries)),
-                ("shard_fanout", Json::Int(t.shard_fanout() as i64)),
                 ("search_ns", int(t.search_ns)),
             ]),
         ),

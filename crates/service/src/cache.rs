@@ -25,14 +25,25 @@
 //! the cache then stops churning it, and a refused insert costs one
 //! doorkeeper probe, with no clone.
 //!
+//! **Ladders.** A relaxation ladder is cached level by level:
+//! [`ShardedCache::ladder_lookup`] walks the levels until one answers or
+//! one is missing, and [`ShardedCache::ladder_insert`] stores what a
+//! search from the missing level consumed — `∅` for every level below its
+//! answer — so the cache holds what the level-by-level loop would have
+//! left in it. The service's in-process provider and the cluster router
+//! both answer ladders through this pair.
+//!
 //! [`SntIndex::get_travel_times`]: tthr_core::SntIndex::get_travel_times
 
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use tthr_core::{Spq, TravelTimes};
+use tthr_core::{QueryTrace, Spq, TimeInterval, TravelTimes};
+use tthr_metrics::{Counter, Gauge, MetricsRegistry};
+use tthr_network::Timestamp;
 
 #[cfg(test)]
 mod oracle;
@@ -243,14 +254,19 @@ impl Shard {
     }
 }
 
-/// The service's result-cache shard (lock) count.
-pub(crate) const CACHE_SHARDS: usize = 16;
+/// The result-cache shard (lock) count.
+const CACHE_SHARDS: usize = 16;
+
+/// The result cache's default total capacity in entries: the service's
+/// [`ServiceConfig::cache_capacity`](crate::ServiceConfig::cache_capacity)
+/// and the cluster router's cache.
+pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
 /// A sharded LRU map from [`Spq`] to [`TravelTimes`] with second-sighting
 /// admission once a shard is full (see the module docs).
 ///
 /// `S` is the key hasher; the default `RandomState` is keyed per cache.
-pub(crate) struct ShardedCache<S = RandomState> {
+pub struct ShardedCache<S = RandomState> {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
     hasher: S,
@@ -261,12 +277,36 @@ pub(crate) struct ShardedCache<S = RandomState> {
     invalidations: AtomicU64,
 }
 
+/// The first level of a ladder the cache does not hold
+/// ([`ShardedCache::ladder_lookup`]), keyed and hashed for
+/// [`ShardedCache::ladder_insert`].
+pub struct LadderMiss<'q> {
+    /// The missing level's index in the ladder.
+    pub level: usize,
+    key: Cow<'q, Spq>,
+    hash: u64,
+}
+
+impl LadderMiss<'_> {
+    /// The query at the missing level: a search of the ladder's levels
+    /// from [`LadderMiss::level`] on starts from it.
+    pub fn key(&self) -> &Spq {
+        &self.key
+    }
+}
+
 impl ShardedCache {
     /// A cache of ~`capacity` total entries over `shards` locks. A zero
     /// capacity disables caching (every lookup misses, inserts are
     /// dropped).
     pub(crate) fn new(shards: usize, capacity: usize) -> Self {
         Self::with_hasher(shards, capacity, RandomState::new())
+    }
+
+    /// A cache of ~`capacity` total entries over the standard shard
+    /// count.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self::new(CACHE_SHARDS, capacity)
     }
 }
 
@@ -295,7 +335,7 @@ impl<S: BuildHasher> ShardedCache<S> {
 
     /// The key's hash: computed once per key by the caller and passed to
     /// every other call for that key.
-    pub(crate) fn hash(&self, key: &Spq) -> u64 {
+    pub fn hash(&self, key: &Spq) -> u64 {
         self.hasher.hash_one(key)
     }
 
@@ -313,7 +353,7 @@ impl<S: BuildHasher> ShardedCache<S> {
 
     /// Looks a query up, refreshing its recency on a hit; counts the hit
     /// or the miss. `hash` is [`ShardedCache::hash`] of `key`.
-    pub(crate) fn get(&self, hash: u64, key: &Spq) -> Option<TravelTimes> {
+    pub fn get(&self, hash: u64, key: &Spq) -> Option<TravelTimes> {
         let hit = self.probe(hash, key);
         if hit.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -324,7 +364,7 @@ impl<S: BuildHasher> ShardedCache<S> {
     /// [`ShardedCache::get`] that counts only a hit: for a caller whose
     /// miss falls through to one that looks the query up again with
     /// [`ShardedCache::get`], so every request counts once.
-    pub(crate) fn probe(&self, hash: u64, key: &Spq) -> Option<TravelTimes> {
+    pub fn probe(&self, hash: u64, key: &Spq) -> Option<TravelTimes> {
         if self.per_shard_capacity == 0 {
             return None;
         }
@@ -337,7 +377,7 @@ impl<S: BuildHasher> ShardedCache<S> {
     /// takes it; a full one takes it only on the key's second sighting,
     /// evicting its least-recently-used entry. Key and value are cloned
     /// only when stored. `hash` is [`ShardedCache::hash`] of `key`.
-    pub(crate) fn insert(&self, hash: u64, key: &Spq, value: &TravelTimes) {
+    pub fn insert(&self, hash: u64, key: &Spq, value: &TravelTimes) {
         if self.per_shard_capacity == 0 {
             return;
         }
@@ -389,8 +429,89 @@ impl<S: BuildHasher> ShardedCache<S> {
         removed
     }
 
+    /// Walks a relaxation ladder — `spq` under each window of `levels`,
+    /// `levels[0]` being `spq.interval` — through the cache: `Ok((k,
+    /// times))` when level `k` is cached non-empty, or is the last level
+    /// and cached `∅`, exactly as the ladder would answer; otherwise
+    /// `Err` with the first level the cache does not hold. Counts one
+    /// trace hit per cached level passed; each level's key is hashed
+    /// once.
+    pub fn ladder_lookup<'q>(
+        &self,
+        spq: &'q Spq,
+        levels: &[TimeInterval],
+        trace: &mut QueryTrace,
+    ) -> Result<(usize, TravelTimes), LadderMiss<'q>> {
+        let last = levels.len() - 1;
+        let mut level = 0;
+        // Borrowed until a wider level needs its own key.
+        let mut key = Cow::Borrowed(spq);
+        let mut hash = self.hash(&key);
+        while let Some(hit) = self.get(hash, &key) {
+            trace.cache_hits += 1;
+            if !hit.is_empty() || level == last {
+                return Ok((level, hit));
+            }
+            level += 1;
+            key.to_mut().interval = levels[level];
+            hash = self.hash(&key);
+        }
+        Err(LadderMiss { level, key, hash })
+    }
+
+    /// Stores what a search of `levels[miss.level..]` from `miss`'s key
+    /// answered — `(consumed, times)`, relative to the missing level —
+    /// and returns the ladder's answer. Every level the search consumed
+    /// is stored, the failed ones as `∅`, so a repeated ladder is all
+    /// hits. Counts the consumed levels as trace misses.
+    pub fn ladder_insert(
+        &self,
+        miss: LadderMiss<'_>,
+        levels: &[TimeInterval],
+        (consumed, times): (usize, TravelTimes),
+        trace: &mut QueryTrace,
+    ) -> (usize, TravelTimes) {
+        let LadderMiss {
+            level,
+            mut key,
+            mut hash,
+        } = miss;
+        trace.cache_misses += consumed as u64 + 1;
+        let empty = TravelTimes::empty();
+        for (k, interval) in levels[level..=level + consumed].iter().enumerate() {
+            if k > 0 {
+                key.to_mut().interval = *interval;
+                hash = self.hash(&key);
+            }
+            let value = if k < consumed { &empty } else { &times };
+            self.insert(hash, &key, value);
+        }
+        (level + consumed, times)
+    }
+
+    /// Evicts exactly the entries an applied, non-empty append batch can
+    /// have changed; `batch_min_time` is the earliest entry time it
+    /// ingested and `time_scoped` whether answers are free of
+    /// engine-level global statistics (no cardinality estimator). A
+    /// writer calls this before any reader can see its batch's results,
+    /// so a stale entry never outlives the append.
+    ///
+    /// Time scoping is only applied where it is provably sound. A
+    /// multi-edge fixed-interval answer admits exactly the traversals
+    /// whose first-edge enter time lies inside the interval, so a batch
+    /// whose earliest entry sits at or past the interval end cannot
+    /// change it. Everything else is evicted: periodic windows recur
+    /// daily (a batch at any absolute time can land in them), single-edge
+    /// fixed queries stay conservatively eligible for count-shortcut
+    /// serving tied to whole-tree statistics, and an engine-level
+    /// cardinality estimator makes answers depend on global index
+    /// statistics that every append shifts.
+    pub fn evict_stale(&self, time_scoped: bool, batch_min_time: Option<Timestamp>) -> usize {
+        self.clear_where(|spq| !survives_append(spq, time_scoped, batch_min_time))
+    }
+
     /// Snapshot of the counters.
-    pub(crate) fn counters(&self) -> CacheCounters {
+    pub fn counters(&self) -> CacheCounters {
         CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -404,6 +525,64 @@ impl<S: BuildHasher> ShardedCache<S> {
                 .sum(),
             capacity: self.per_shard_capacity * self.shards.len(),
         }
+    }
+}
+
+/// Whether a cached answer provably survives an append batch whose
+/// earliest entry is at `batch_min_time` (the rule
+/// [`ShardedCache::evict_stale`] documents).
+fn survives_append(spq: &Spq, time_scoped: bool, batch_min_time: Option<Timestamp>) -> bool {
+    match (time_scoped, batch_min_time, &spq.interval) {
+        (true, Some(floor), TimeInterval::Fixed { end, .. }) => spq.path.len() > 1 && *end <= floor,
+        _ => false,
+    }
+}
+
+/// The result cache's series in a metrics registry — the same names and
+/// help text wherever a cache is scraped (the service's and the cluster
+/// router's `/metrics`). The cache's own atomics stay authoritative;
+/// [`CacheMetrics::mirror`] copies them in at scrape time.
+pub struct CacheMetrics {
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    rejected: Counter,
+    invalidations: Counter,
+    entries: Gauge,
+    capacity: Gauge,
+}
+
+impl CacheMetrics {
+    /// Registers the `tthr_cache_*` series in `registry`.
+    pub fn register(registry: &MetricsRegistry) -> Self {
+        let counter = |name, help| registry.counter(name, help, &[]);
+        let gauge = |name, help| registry.gauge(name, help, &[]);
+        CacheMetrics {
+            hits: counter("tthr_cache_hits_total", "Result-cache hits"),
+            misses: counter("tthr_cache_misses_total", "Result-cache misses"),
+            evictions: counter("tthr_cache_evictions_total", "Result-cache LRU evictions"),
+            rejected: counter(
+                "tthr_cache_admission_rejected_total",
+                "Result-cache inserts refused by the doorkeeper (a new key's first sighting in a full shard)",
+            ),
+            invalidations: counter(
+                "tthr_cache_invalidations_total",
+                "Result-cache entries invalidated by appends",
+            ),
+            entries: gauge("tthr_cache_entries", "Result-cache resident entries"),
+            capacity: gauge("tthr_cache_capacity", "Result-cache capacity in entries"),
+        }
+    }
+
+    /// Mirrors a snapshot of the cache's counters into the series.
+    pub fn mirror(&self, c: &CacheCounters) {
+        self.hits.set(c.hits);
+        self.misses.set(c.misses);
+        self.evictions.set(c.evictions);
+        self.rejected.set(c.rejected);
+        self.invalidations.set(c.invalidations);
+        self.entries.set(c.entries as i64);
+        self.capacity.set(c.capacity as i64);
     }
 }
 

@@ -16,12 +16,13 @@
 //!   *from* a pool worker deadlock-free. A trip itself runs on one thread,
 //!   on the engine's round driver
 //!   ([`QueryEngine::trip_query_via_with`]).
-//! * a **sharded LRU cache** keyed by the full SPQ
+//! * a **sharded LRU cache** ([`ShardedCache`]) keyed by the full SPQ
 //!   `(path, interval, filter, β, exclusion)`, hashed once per lookup,
 //!   with one `Mutex` per shard, second-sighting admission once a shard
 //!   is full, and hit/miss/eviction/rejection counters. An append evicts
 //!   only the entries whose window its batch can reach
-//!   (`cache::ShardedCache::clear_where`).
+//!   ([`ShardedCache::evict_stale`]). The cluster router
+//!   (`tthr-client`) answers from the same cache type.
 //! * [`ServiceStats`] — p50/p95/p99 latency, throughput, and cache hit
 //!   rate, computed with `tthr-metrics`.
 //! * an **observability layer** — every request is cost-traced
@@ -62,14 +63,12 @@ mod persist;
 pub mod pool;
 mod stats;
 
-pub use cache::CacheCounters;
+pub use cache::{CacheCounters, CacheMetrics, LadderMiss, ShardedCache, DEFAULT_CACHE_CAPACITY};
 pub use persist::{SnapshotInfo, SNAPSHOT_FILE, WAL_FILE};
 pub use pool::ThreadPool;
 pub use stats::{Endpoint, LatencySummary, PerEndpoint, ServiceStats, SlowQuery};
 
-use crate::cache::ShardedCache;
 use crate::stats::{LatencyLog, ServiceMetrics, SlowLog};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -157,7 +156,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             num_threads: 0,
-            cache_capacity: 65_536,
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
             ingest: IngestConfig::default(),
             engine: QueryEngineConfig::default(),
             trace_timing: false,
@@ -267,44 +266,24 @@ impl TravelTimeProvider for CachedIndex<'_> {
 
     /// Per-level cache lookups first — a cached level answers, or is
     /// known to fail, without the index — then **one** index ladder over
-    /// the levels from the first miss on. Every level the index consumed
-    /// is inserted (the failed ones as `∅`), so the cache holds what the
-    /// level-by-level loop would have left in it and a repeated trip is
-    /// all hits. Each level's key is hashed once.
+    /// the levels from the first miss on, whose consumed levels are
+    /// stored ([`ShardedCache::ladder_lookup`] /
+    /// [`ShardedCache::ladder_insert`]), so a repeated trip is all hits.
     fn travel_times_ladder(
         &self,
         spq: &Spq,
         levels: &[TimeInterval],
         scratch: &mut tthr_core::SearchScratch,
     ) -> (usize, TravelTimes) {
-        let last = levels.len() - 1;
-        let mut level = 0;
-        // Borrowed until a wider level needs its own key.
-        let mut sub = Cow::Borrowed(spq);
-        let mut hash = self.cache.hash(&sub);
-        while let Some(hit) = self.cache.get(hash, &sub) {
-            scratch.trace.cache_hits += 1;
-            if !hit.is_empty() || level == last {
-                return (level, hit);
-            }
-            level += 1;
-            sub.to_mut().interval = levels[level];
-            hash = self.cache.hash(&sub);
-        }
-        let (consumed, computed) = self
+        let miss = match self.cache.ladder_lookup(spq, levels, &mut scratch.trace) {
+            Ok(hit) => return hit,
+            Err(miss) => miss,
+        };
+        let answer = self
             .index
-            .travel_times_ladder(&sub, &levels[level..], scratch);
-        scratch.trace.cache_misses += consumed as u64 + 1;
-        let empty = TravelTimes::empty();
-        for (k, interval) in levels[level..=level + consumed].iter().enumerate() {
-            if k > 0 {
-                sub.to_mut().interval = *interval;
-                hash = self.cache.hash(&sub);
-            }
-            let value = if k < consumed { &empty } else { &computed };
-            self.cache.insert(hash, &sub, value);
-        }
-        (level + consumed, computed)
+            .travel_times_ladder(miss.key(), &levels[miss.level..], scratch);
+        self.cache
+            .ladder_insert(miss, levels, answer, &mut scratch.trace)
     }
 }
 
@@ -443,7 +422,7 @@ impl QueryService {
             inner: Arc::new(Inner {
                 index: RwLock::new(index),
                 network,
-                cache: ShardedCache::new(cache::CACHE_SHARDS, config.cache_capacity),
+                cache: ShardedCache::with_capacity(config.cache_capacity),
                 engine_config: config.engine,
                 ingest: config.ingest,
                 latency,
@@ -655,7 +634,11 @@ impl QueryService {
             let floor = delta.iter().map(Trajectory::start_time).min();
             let appended = index.ingest(delta, !inner.ingest.hot_tail);
             inner.generation.fetch_add(1, Ordering::SeqCst);
-            self.evict_stale(floor);
+            // Under the write lock, so every reader's insert (see
+            // [`CachedIndex`]) happened before it: a stale entry never
+            // outlives the invalidation.
+            let time_scoped = inner.engine_config.estimator.is_none();
+            inner.cache.evict_stale(time_scoped, floor);
             Ok(appended)
         });
         // Appends have no search trace; they still count and feed the
@@ -683,33 +666,6 @@ impl QueryService {
         metrics.wal_appends.inc();
         metrics.wal_bytes.add(record.len() as u64);
         Ok(())
-    }
-
-    /// Evicts exactly the entries a non-empty append can have changed,
-    /// scoped by the batch's **time range** (`batch_min_time`, the
-    /// earliest entry it ingested). Runs under the write lock, so every
-    /// reader's insert (see [`CachedIndex`]) happened before it: a stale
-    /// entry can never outlive the invalidation.
-    ///
-    /// Time scoping is only applied where it is provably sound. A
-    /// multi-edge fixed-interval answer admits exactly the traversals
-    /// whose first-edge enter time lies inside the interval, so a batch
-    /// whose earliest entry sits at or past the interval end cannot change
-    /// it. Everything else keeps the unscoped eviction: periodic windows
-    /// recur daily (a batch at any absolute time can land in them),
-    /// single-edge fixed queries stay conservatively eligible for
-    /// count-shortcut serving tied to whole-tree statistics, and an
-    /// engine-level cardinality estimator makes answers depend on global
-    /// index statistics that every append shifts.
-    fn evict_stale(&self, batch_min_time: Option<Timestamp>) {
-        let time_scoped = self.inner.engine_config.estimator.is_none();
-        let keep = |spq: &Spq| match (time_scoped, batch_min_time, &spq.interval) {
-            (true, Some(floor), TimeInterval::Fixed { end, .. }) => {
-                spq.path.len() > 1 && *end <= floor
-            }
-            _ => false,
-        };
-        self.inner.cache.clear_where(|spq| !keep(spq));
     }
 
     /// Runs a closure against the current index state (read-locked).
@@ -815,7 +771,7 @@ impl QueryService {
     /// a scrape never waits on the index lock.
     pub fn render_metrics(&self) -> String {
         let m = &self.inner.metrics;
-        m.mirror_cache(&self.inner.cache.counters());
+        m.cache.mirror(&self.inner.cache.counters());
         m.generation
             .set(i64::try_from(self.inner.generation.load(Ordering::SeqCst)).unwrap_or(i64::MAX));
         let index = self.inner.summary();

@@ -12,7 +12,7 @@
 //!   histograms live directly in the registry ([`LatencyLog`] holds
 //!   registry handles), so both consumers read the *same* series.
 
-use crate::cache::CacheCounters;
+use crate::cache::{CacheCounters, CacheMetrics};
 use std::collections::VecDeque;
 use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,14 +250,8 @@ pub(crate) struct ServiceMetrics {
     pub(crate) ladders: Counter,
     pub(crate) temporal_passes: Counter,
     pub(crate) pruned: Counter,
-    // Result-cache mirrors (authoritative atomics live in ShardedCache).
-    pub(crate) cache_hits: Counter,
-    pub(crate) cache_misses: Counter,
-    pub(crate) cache_evictions: Counter,
-    pub(crate) cache_rejected: Counter,
-    pub(crate) cache_invalidations: Counter,
-    pub(crate) cache_entries: Gauge,
-    pub(crate) cache_capacity: Gauge,
+    /// Result-cache mirrors (authoritative atomics live in ShardedCache).
+    pub(crate) cache: CacheMetrics,
     // Index-level mirrors.
     pub(crate) generation: Gauge,
     pub(crate) index_trajectories: Gauge,
@@ -334,19 +328,7 @@ impl ServiceMetrics {
                 "tthr_temporal_passes_total",
                 "Temporal scans over a query path's first segment",
             ),
-            cache_hits: counter("tthr_cache_hits_total", "Result-cache hits"),
-            cache_misses: counter("tthr_cache_misses_total", "Result-cache misses"),
-            cache_evictions: counter("tthr_cache_evictions_total", "Result-cache LRU evictions"),
-            cache_rejected: counter(
-                "tthr_cache_admission_rejected_total",
-                "Result-cache inserts refused by the doorkeeper (a new key's first sighting in a full shard)",
-            ),
-            cache_invalidations: counter(
-                "tthr_cache_invalidations_total",
-                "Result-cache entries invalidated by appends",
-            ),
-            cache_entries: gauge("tthr_cache_entries", "Result-cache resident entries"),
-            cache_capacity: gauge("tthr_cache_capacity", "Result-cache capacity in entries"),
+            cache: CacheMetrics::register(&registry),
             generation: gauge(
                 "tthr_index_generation",
                 "Append batches applied plus compactions that dropped a partition",
@@ -434,17 +416,6 @@ impl ServiceMetrics {
         self.ladders.add(t.ladders);
         self.temporal_passes.add(t.temporal_passes);
         self.pruned.add(t.pruned);
-    }
-
-    /// Mirrors the authoritative cache counters into the registry.
-    pub(crate) fn mirror_cache(&self, c: &CacheCounters) {
-        self.cache_hits.set(c.hits);
-        self.cache_misses.set(c.misses);
-        self.cache_evictions.set(c.evictions);
-        self.cache_rejected.set(c.rejected);
-        self.cache_invalidations.set(c.invalidations);
-        self.cache_entries.set(c.entries as i64);
-        self.cache_capacity.set(c.capacity as i64);
     }
 }
 
@@ -738,7 +709,7 @@ mod tests {
             ..QueryTrace::default()
         };
         m.note_trace(&trace);
-        m.mirror_cache(&CacheCounters {
+        m.cache.mirror(&CacheCounters {
             hits: 3,
             misses: 4,
             evictions: 0,

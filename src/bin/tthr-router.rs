@@ -12,7 +12,13 @@
 //! `/debug/slow` are `404`) by scattering SPQ primitives over the binary
 //! protocol. `/health` answers from router state without contacting a
 //! node: each shard's replication stamps are the last ones its preferred
-//! endpoint reported. Each `--node` lists one shard's endpoints: the
+//! endpoint reported. SPQs and trip ladders the router has answered are
+//! served from its result cache, with no RPC; `/metrics` exports it as
+//! `tthr_cache_{hits,misses,evictions,admission_rejected,invalidations}_total`,
+//! `tthr_cache_entries` and `tthr_cache_capacity`, next to the router's
+//! RPC, failover, breaker and lag series. Every append must go through
+//! this router: the cache and the router's append stamps assume it is
+//! the cluster's one writer. Each `--node` lists one shard's endpoints: the
 //! primary first, then any standby replicas — when a primary dies, reads
 //! fail over to the freshest caught-up standby and appends promote it.
 //! Trip-query planning needs the road network, which nodes do not ship;

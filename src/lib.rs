@@ -89,7 +89,9 @@
 //!   temporal-forest scans entirely. Updates via
 //!   [`service::QueryService::append_batch`] evict the entries whose
 //!   window the batch can reach, under the index write lock, so no stale
-//!   entry survives an append.
+//!   entry survives an append. The cluster router keeps the same cache
+//!   under the same locking model, so a repeated sub-query costs it no
+//!   RPC.
 //! * **Sharding** — the cluster tier: [`core::ShardRouter`] partitions
 //!   the road network into K zone/grid shards, each a complete
 //!   SNT-index over the trajectories touching it in its own node

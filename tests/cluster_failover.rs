@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::cluster::{
-    relay_that_dies_on_ladder_batch, wait_for_stamp, ClusterHarness, NodeProcess,
+    relay_that_dies_on_ladder_batch, router_rpcs, wait_for_stamp, ClusterHarness, NodeProcess,
 };
 use common::differential::QueryGen;
 use common::http::HttpClient;
@@ -241,8 +241,20 @@ fn primary_killed_between_two_rounds_of_a_trip_fails_the_next_batch_over() {
         text.contains("tthr_failovers_total{shard=\"0\"} 1"),
         "failover counter missing:\n{text}"
     );
-    // And the standby keeps answering whole trips.
+    // The trip already answered comes from the router's cache, with no
+    // RPC; a fresh one is answered whole by the standby.
+    let rpcs = router_rpcs(&router);
     h.check_trip_on(&router, &spq);
+    assert_eq!(router_rpcs(&router), rpcs, "a cached trip sent an RPC");
+    let fresh = loop {
+        let mut fresh = gen.ladder_spq_from(&h.full, h.applied);
+        fresh.beta = Some(1_000_000);
+        if h.cluster.routing().shard_of(fresh.path.first()) == 0 {
+            break fresh;
+        }
+    };
+    let trip = h.check_trip_on(&router, &fresh);
+    assert!(trip.trace.ladder_batches >= 2, "{:?}", trip.trace);
 }
 
 /// A stamped append retried across a promotion applies exactly once:

@@ -7,7 +7,8 @@
 //!
 //! * killed shard process → [`ClusterError::ShardUnavailable`] with the
 //!   shard id, bounded retry-with-backoff actually attempted (counters
-//!   asserted), healthy shards still answering byte-identically;
+//!   asserted), healthy shards still answering byte-identically, and what
+//!   the router answered before the kill served from its result cache;
 //! * trip queries touching a dead shard abort whole — the error slot in
 //!   the remote backend never lets a partial trip escape;
 //! * restart from snapshot + WAL replay (no snapshot rotation in
@@ -81,12 +82,19 @@ fn killed_replica_is_typed_and_restart_reconverges_from_wal() {
     h.append_next(h.full.len() / 6 + 1);
     h.append_next(h.full.len() / 6 + 1);
 
+    let answered = spq_routed_to(&h, &mut gen, 0);
     let dead_spq = spq_routed_to(&h, &mut gen, 0);
     let alive_spq = spq_routed_to(&h, &mut gen, 1);
-    h.check_spq(&dead_spq);
+    h.check_spq(&answered);
     h.check_spq(&alive_spq);
 
     h.kill_node(0);
+
+    // What the router already answered comes from its cache: the
+    // reference's bytes, and no RPC to the dead shard.
+    let rpcs = h.router_rpcs();
+    h.check_spq(&answered);
+    assert_eq!(h.router_rpcs(), rpcs, "a cached SPQ asked the dead shard");
 
     // Single-shard primitive on the dead shard: typed, with the shard id.
     match h.cluster.travel_times(&dead_spq) {

@@ -21,7 +21,7 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::cluster::{read_listening_line, ClusterHarness, CLUSTER_K};
+use common::cluster::{read_listening_line, router_rpcs, ClusterHarness, CLUSTER_K};
 use common::differential::{ladder_levels, Oracle, QueryGen, Run};
 use common::http::{batch_body, encode_frame_request, encode_request, post, HttpClient};
 use common::tier::{service_config, Http, InProcess, Tier, TierSpec};
@@ -97,7 +97,7 @@ legs! {
     hot_tail_compaction: mono_hot;
     ladder: mono_hot, cluster, cluster_hot;
     rounds: http_mono, http_mono_hot, cluster, cluster_hot;
-    concurrent_appends: mono, http_mono;
+    concurrent_appends: mono, http_mono, cluster;
 }
 legs!(ignored soak: mono, cluster;);
 
@@ -570,21 +570,111 @@ fn repeated_spqs_are_inline_hits_with_the_oracle_bytes() {
     }
 
     let fresh: Vec<Spq> = (0..queries.len()).map(|_| r.spq()).collect();
+    assert_pipelined_in_order(&r.tier.server, &queries, &fresh, &r.oracle.index);
+}
+
+/// Pipelines `queries` on one keep-alive connection, each after a `fresh`
+/// miss, and asserts every answer comes back in request order with
+/// `oracle`'s bytes.
+fn assert_pipelined_in_order(
+    server: &ServerHandle,
+    queries: &[Spq],
+    fresh: &[Spq],
+    oracle: &SntIndex,
+) {
     let burst: Vec<&Spq> = queries
         .iter()
-        .zip(&fresh)
+        .zip(fresh)
         .flat_map(|(a, b)| [b, a])
         .collect();
-    let mut client = HttpClient::connect(r.tier.server.local_addr());
+    let mut client = HttpClient::connect(server.local_addr());
     let requests: Vec<u8> = burst
         .iter()
         .flat_map(|q| encode_request("POST", "/spq", wire::encode_spq(q).as_bytes()))
         .collect();
     client.send_raw(&requests);
     for q in burst {
-        let want = wire::encode_travel_times(&r.oracle.index.get_travel_times(q));
+        let want = wire::encode_travel_times(&oracle.get_travel_times(q));
         assert_eq!(client.read_response().body_str(), want, "pipelined {q:?}");
     }
+}
+
+/// The same contract on the cluster router's front door, whose result
+/// cache answers repeats with no RPC: every `/spq` repeat is an inline
+/// hit with the oracle's bytes, also right after an `/append`; a
+/// repeated `/trip` sends no RPC and is the oracle's; and after an append
+/// that changes a trip's answer, the next one is the post-append
+/// oracle's.
+#[test]
+fn router_repeats_are_inline_hits_and_rpc_free_with_the_oracle_bytes() {
+    let mut h = ClusterHarness::boot("router-cache", ClientConfig::default());
+    let router = Arc::new(
+        ClusterRouter::connect(
+            h.network.clone(),
+            &h.addrs(),
+            h.engine_config.clone(),
+            ClientConfig::default(),
+        )
+        .expect("connect router"),
+    );
+    let server = serve_router(Arc::clone(&router), "127.0.0.1:0", cluster::router_config())
+        .expect("serve router");
+    let mut http = HttpClient::connect(server.local_addr());
+    let mut append = |h: &mut ClusterHarness, n: usize| {
+        let stamp = h.applied as u64;
+        let batch = h.reference_append_next(n);
+        let body = wire::encode_append_request(Some(stamp), &batch);
+        let response = http.request("POST", "/append", body.as_bytes());
+        assert_eq!(response.body_str(), wire::encode_appended(batch.len()));
+    };
+    let mut gen = QueryGen::new("router_cache");
+    let queries: Vec<Spq> = (0..12).map(|_| gen.spq_from(&h.full, h.applied)).collect();
+    for round in 0..2 {
+        for (i, q) in queries.iter().enumerate() {
+            let want = h.reference.get_travel_times(q);
+            assert_spq_twice(&server, q, &want, i % 2 == 1);
+        }
+        if round == 0 {
+            append(&mut h, 4);
+        }
+    }
+    let fresh: Vec<Spq> = (0..queries.len())
+        .map(|_| gen.spq_from(&h.full, h.applied))
+        .collect();
+    assert_pipelined_in_order(&server, &queries, &fresh, &h.reference);
+
+    // Trips over the whole paths of the next batch's trajectories, which
+    // that batch gives new traversals.
+    let trips: Vec<Spq> = (0..4)
+        .map(|k| {
+            let tr = h.full.get(TrajId((h.applied + k) as u32));
+            Spq::new(tr.path(), TimeInterval::fixed(0, i64::MAX / 4))
+        })
+        .collect();
+    let trip = |h: &ClusterHarness, q: &Spq| {
+        let response = HttpClient::connect(server.local_addr()).request(
+            "POST",
+            "/trip",
+            wire::encode_spq(q).as_bytes(),
+        );
+        let want = wire::encode_trip(&h.reference_trip(q));
+        assert_eq!(response.body_str(), want, "{q:?}");
+        want
+    };
+    let before: Vec<String> = trips.iter().map(|q| trip(&h, q)).collect();
+    let rpcs = router_rpcs(&router);
+    for q in &trips {
+        trip(&h, q);
+    }
+    assert_eq!(router_rpcs(&router), rpcs, "repeated trips sent RPCs");
+    append(&mut h, 4);
+    let changed = trips
+        .iter()
+        .zip(&before)
+        .filter(|&(q, old)| trip(&h, q) != *old)
+        .count();
+    assert!(changed > 0, "the append changed none of the trips");
+    server.shutdown();
 }
 
 /// Hot-tail ingestion is observable over the wire: after absorbed
@@ -1121,16 +1211,18 @@ fn router_process_drains_a_batch_in_flight_when_stdin_closes() {
     assert_eq!(status.code(), Some(0), "router exit: {status:?}");
 }
 
-/// The count behind the frontier rounds, on the benchmark's own traffic:
-/// replays `benchmark/`'s `trip_stream` (medium world, seeds 1 and 4 —
-/// temporal-filter, user-filter and fixed-interval trips in equal thirds
-/// over 3 072 distinct query trajectories, β = 20, own trajectory
-/// excluded) through a real 2-node cluster and prints, per query type,
-/// ladders (= RPCs when every ladder was its own RPC), RPCs and rounds
-/// per trip. A count, not a timing: `cargo test --release --test
-/// equivalence -- --ignored --nocapture trip_stream`.
+/// The count behind the frontier rounds and the router's result cache,
+/// on the benchmark's own traffic: replays `benchmark/`'s `trip_stream`
+/// (medium world, seed 1 — temporal-filter, user-filter and
+/// fixed-interval trips in equal thirds over 3 072 distinct query
+/// trajectories, β = 20, own trajectory excluded) twice through one
+/// router over a real 2-node cluster and prints, per pass and query type,
+/// the ladders shipped, RPCs and rounds per trip. The second pass sends
+/// fewer RPCs per trip: the ladders the cache admitted in the first cost
+/// none. A count, not a timing: `cargo test --release --test equivalence
+/// -- --ignored --nocapture trip_stream`.
 #[test]
-#[ignore = "count report over the benchmark's medium world (≈ 1 min in release)"]
+#[ignore = "count report over the benchmark's medium world (≈ 15 s in release)"]
 fn trip_stream_takes_one_rpc_per_round_and_shard() {
     use tthr::core::ShardNodeState;
     use tthr::datagen::{
@@ -1210,11 +1302,13 @@ fn trip_stream_takes_one_rpc_per_round_and_shard() {
         trips
     };
 
-    for seed in [1, 4] {
+    let stream = trip_stream(1);
+    let mut passes = Vec::new();
+    for pass in 1..=2 {
         // Per query type: trips, ladders, RPCs, rounds.
         let mut table = [[0u64; 4]; 3];
         let (mut rpcs_per_trip, mut ladders_per_trip) = (Vec::new(), Vec::new());
-        for (i, spq) in trip_stream(seed).iter().enumerate() {
+        for (i, spq) in stream.iter().enumerate() {
             let before = common::cluster::router_rpcs(&router);
             let trip = router.trip_query(spq).expect("cluster trip");
             let rpcs = common::cluster::router_rpcs(&router) - before;
@@ -1245,7 +1339,7 @@ fn trip_stream_takes_one_rpc_per_round_and_shard() {
             }
         }
         let per_trip = |sum: u64, trips: u64| sum as f64 / trips as f64;
-        println!("seed {seed}: query type        trips  ladders/trip  RPCs/trip  rounds/trip");
+        println!("pass {pass}: query type        trips  ladders/trip  RPCs/trip  rounds/trip");
         for (name, row) in ["temporal filter", "user filter", "fixed interval", "all"]
             .iter()
             .zip(table.into_iter().chain([total]))
@@ -1272,6 +1366,11 @@ fn trip_stream_takes_one_rpc_per_round_and_shard() {
             per_trip(total[2], total[0]) <= 11.0,
             "a trip must take ≤ 11 router RPCs"
         );
+        passes.push(per_trip(total[2], total[0]));
     }
+    assert!(
+        passes[1] < passes[0],
+        "the second pass must send fewer RPCs per trip: {passes:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -248,8 +248,9 @@ fn every_spq_counts_once() {
 }
 
 /// The cluster router's `/metrics`: `tthr_router_rpcs_total{shard}`,
-/// `tthr_router_ladders_total{shard}` and `tthr_router_trips_total` pass
-/// the exposition grammar and count what they say — one per read RPC
+/// `tthr_router_ladders_total{shard}`, `tthr_router_trips_total` and the
+/// result cache's `tthr_cache_*` series pass the exposition grammar and
+/// count what they say — one per read RPC
 /// routed to the shard, one per ladder shipped inside a batch, one per
 /// trip — so RPCs per trip and ladders per RPC (the batch fill) can be
 /// read off a running cluster (a relaxation round is one RPC per shard,
@@ -270,6 +271,7 @@ fn router_metrics_count_rpcs_per_shard() {
     };
     let text = h.cluster.render_metrics();
     tthr::metrics::validate_exposition(&text).expect(&text);
+    let cache_before = cache_series(&text);
     let before = per_shard(&text, "tthr_router_rpcs_total");
     assert_eq!(per_shard(&text, "tthr_router_ladders_total"), [0.0, 0.0]);
     assert_eq!(series_value(&text, "tthr_router_trips_total"), Some(0.0));
@@ -313,4 +315,37 @@ fn router_metrics_count_rpcs_per_shard() {
         batches < logical as f64,
         "rounds must cost fewer RPCs ({batches}) than logical dispatches ({logical})"
     );
+
+    // The result cache's series, with the service's names: present, and
+    // no counter goes backwards across scrapes. The repeated SPQ is a hit.
+    let spq = gen.spq_from(&h.full, h.applied);
+    h.cluster.travel_times(&spq).expect("cluster SPQ");
+    h.cluster.travel_times(&spq).expect("cluster SPQ");
+    let cache_after = cache_series(&h.cluster.render_metrics());
+    for ((name, was), (_, now)) in cache_before.iter().zip(&cache_after) {
+        if name.ends_with("_total") {
+            assert!(now >= was, "{name} went from {was} to {now}");
+        }
+    }
+    assert!(cache_after[0].1 > cache_before[0].1, "{cache_after:?}");
+}
+
+/// The router's `tthr_cache_*` series, hits first; panics if one is
+/// missing.
+fn cache_series(text: &str) -> Vec<(&'static str, f64)> {
+    [
+        "tthr_cache_hits_total",
+        "tthr_cache_misses_total",
+        "tthr_cache_evictions_total",
+        "tthr_cache_admission_rejected_total",
+        "tthr_cache_invalidations_total",
+        "tthr_cache_entries",
+        "tthr_cache_capacity",
+    ]
+    .into_iter()
+    .map(|name| {
+        let value = series_value(text, name).unwrap_or_else(|| panic!("{name} missing:\n{text}"));
+        (name, value)
+    })
+    .collect()
 }
