@@ -187,9 +187,13 @@ impl UserCensus {
 }
 
 impl Census {
-    /// Counts every traversal of a batch of trajectories being sealed.
-    pub(crate) fn add_trajectories(&mut self, trajs: &[Trajectory]) {
-        for tr in trajs {
+    /// Counts every leaf of a batch being sealed: each trajectory's
+    /// traversals from the position its leaves start at.
+    pub(crate) fn add_trajectories<'a>(
+        &mut self,
+        trajs: impl IntoIterator<Item = (&'a Trajectory, usize)>,
+    ) {
+        for (tr, start) in trajs {
             let slot = match self.users.binary_search(&tr.user().0) {
                 Ok(slot) => slot,
                 Err(slot) => {
@@ -199,7 +203,7 @@ impl Census {
                 }
             };
             let mut row = 0;
-            for entry in tr.entries() {
+            for entry in &tr.entries()[start..] {
                 row = self.per_user[slot].add(entry.edge.0, entry.enter_time, row);
             }
         }
@@ -413,12 +417,16 @@ mod tests {
     #[test]
     fn rows_stay_sorted_and_cells_land_in_their_hours() {
         let mut c = Census::default();
-        c.add_trajectories(&[
-            traj(7, &[(5, 9), (3, 9), (5, 10)]),
-            traj(2, &[(5, 23)]),
-            traj(7, &[(5, 1), (5, 9), (9, 9)]),
-            traj(7, &[(5, 9)]),
-        ]);
+        c.add_trajectories(
+            [
+                traj(7, &[(5, 9), (3, 9), (5, 10)]),
+                traj(2, &[(5, 23)]),
+                traj(7, &[(5, 1), (5, 9), (9, 9)]),
+                traj(7, &[(5, 9)]),
+            ]
+            .iter()
+            .map(|tr| (tr, 0)),
+        );
         let on_5 = |user, hours| c.count(EdgeId(5), UserId(user), hours);
         assert_eq!(on_5(7, 1 << 9), 3);
         assert_eq!(on_5(7, 1 << 1), 1);
@@ -436,11 +444,15 @@ mod tests {
 
         // Arrival order does not matter: the encoding is canonical.
         let mut d = Census::default();
-        d.add_trajectories(&[
-            traj(7, &[(9, 9), (5, 10), (5, 9), (5, 9)]),
-            traj(7, &[(5, 9), (5, 1), (3, 9)]),
-            traj(2, &[(5, 23)]),
-        ]);
+        d.add_trajectories(
+            [
+                traj(7, &[(9, 9), (5, 10), (5, 9), (5, 9)]),
+                traj(7, &[(5, 9), (5, 1), (3, 9)]),
+                traj(2, &[(5, 23)]),
+            ]
+            .iter()
+            .map(|tr| (tr, 0)),
+        );
         assert_eq!(c, d);
     }
 
@@ -449,11 +461,11 @@ mod tests {
         let mut c = Census::default();
         let one = traj(1, &[(0, 0)]);
         for _ in 0..254 {
-            c.add_trajectories(std::slice::from_ref(&one));
+            c.add_trajectories([(&one, 0)]);
         }
         assert_eq!(c.count(EdgeId(0), UserId(1), 1), 254);
         for _ in 0..10 {
-            c.add_trajectories(std::slice::from_ref(&one));
+            c.add_trajectories([(&one, 0)]);
         }
         assert_eq!(c.count(EdgeId(0), UserId(1), 1), usize::MAX);
         assert_eq!(

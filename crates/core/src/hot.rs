@@ -38,10 +38,11 @@
 //!   the length its ISA range will have once sealed, and
 //!   [`HotBatch::tod_hist`] is byte-for-byte the ToD row the seal pushes.
 
+use crate::snt::suffix_leaves;
 use tthr_histogram::TimeOfDayHistogram;
-use tthr_network::{EdgeId, Path};
+use tthr_network::{EdgeId, Path, Timestamp};
 use tthr_temporal::LeafEntry;
-use tthr_trajectory::Trajectory;
+use tthr_trajectory::{TrajEntry, Trajectory};
 
 /// One absorbed append batch, pending compaction.
 pub(crate) struct HotBatch {
@@ -51,6 +52,11 @@ pub(crate) struct HotBatch {
     /// The batch's trajectories (embedded ids are ignored; position `i`
     /// maps to global id `first_id + i`).
     pub(crate) trajs: Vec<Trajectory>,
+    /// `starts[i]`: the position of `trajs[i]` its leaves start at — 0 in
+    /// a monolith, the first owned position in a cluster shard (see
+    /// [`suffix_leaves`]). The trajectories stay whole: the hot-side
+    /// spatial filter reads them from a leaf's `seq` on.
+    starts: Vec<u32>,
     /// ToD row shape: `(bucket_secs, num_edges)` when the store is on.
     tod: Option<(u32, usize)>,
     /// Per-edge time-of-day histograms — exactly the ToD row this batch's
@@ -58,51 +64,70 @@ pub(crate) struct HotBatch {
     /// query or sealing), so the absorb path never pays for it; empty
     /// when the store is disabled.
     hists: std::sync::OnceLock<Vec<Option<TimeOfDayHistogram>>>,
-    /// Total traversals in the batch.
+    /// Leaves in the batch (the traversals its kept suffixes hold).
     pub(crate) entries: usize,
 }
 
 impl HotBatch {
-    /// Builds a pending batch: counts traversals; the per-edge ToD row
-    /// stays unbuilt until something asks for it.
+    /// Builds a pending batch of the suffixes `trajs[i]` has from
+    /// position `starts[i]` on: counts their traversals; the per-edge ToD
+    /// row stays unbuilt until something asks for it.
     pub(crate) fn build(
         first_id: u32,
         trajs: Vec<Trajectory>,
+        starts: Vec<u32>,
         num_edges: usize,
         tod_bucket: Option<u32>,
     ) -> HotBatch {
-        let entries = trajs.iter().map(|tr| tr.entries().len()).sum();
-        HotBatch {
+        debug_assert_eq!(trajs.len(), starts.len());
+        let mut batch = HotBatch {
             first_id,
             trajs,
+            starts,
             tod: tod_bucket.map(|bucket| (bucket, num_edges)),
             hists: std::sync::OnceLock::new(),
-            entries,
-        }
+            entries: 0,
+        };
+        batch.entries = batch.suffixes().map(<[TrajEntry]>::len).sum();
+        batch
+    }
+
+    /// Each trajectory with the position its leaves start at.
+    pub(crate) fn kept(&self) -> impl Iterator<Item = (&Trajectory, usize)> {
+        self.trajs
+            .iter()
+            .zip(&self.starts)
+            .map(|(tr, &start)| (tr, start as usize))
+    }
+
+    /// Each trajectory's kept suffix: the traversals its leaves are made of.
+    pub(crate) fn suffixes(&self) -> impl Iterator<Item = &[TrajEntry]> {
+        self.kept().map(|(tr, start)| &tr.entries()[start..])
+    }
+
+    /// `span` raised to the widest first-to-last leaf time of the batch.
+    pub(crate) fn max_span(&self, span: Timestamp) -> Timestamp {
+        self.suffixes()
+            .map(|kept| kept[kept.len() - 1].enter_time - kept[0].enter_time)
+            .fold(span, Timestamp::max)
     }
 
     /// The batch's ToD row, built on first access — the same per-entry
     /// fold, in the same order, the direct append path performs, so a
     /// sealed partition's row is byte-identical either way.
     fn hists(&self) -> &[Option<TimeOfDayHistogram>] {
-        self.hists
-            .get_or_init(|| Self::build_hists(&self.trajs, self.tod))
+        self.hists.get_or_init(|| self.build_hists())
     }
 
-    fn build_hists(
-        trajs: &[Trajectory],
-        tod: Option<(u32, usize)>,
-    ) -> Vec<Option<TimeOfDayHistogram>> {
-        let Some((bucket, num_edges)) = tod else {
+    fn build_hists(&self) -> Vec<Option<TimeOfDayHistogram>> {
+        let Some((bucket, num_edges)) = self.tod else {
             return Vec::new();
         };
         let mut hists: Vec<Option<TimeOfDayHistogram>> = vec![None; num_edges];
-        for tr in trajs {
-            for entry in tr.entries() {
-                hists[entry.edge.index()]
-                    .get_or_insert_with(|| TimeOfDayHistogram::new(bucket))
-                    .add(entry.enter_time);
-            }
+        for entry in self.suffixes().flatten() {
+            hists[entry.edge.index()]
+                .get_or_insert_with(|| TimeOfDayHistogram::new(bucket))
+                .add(entry.enter_time);
         }
         hists
     }
@@ -110,17 +135,15 @@ impl HotBatch {
     /// Takes the batch's ToD row for sealing (building it now if no
     /// query ever forced it).
     pub(crate) fn take_hists(&mut self) -> Vec<Option<TimeOfDayHistogram>> {
-        self.hists
-            .take()
-            .unwrap_or_else(|| Self::build_hists(&self.trajs, self.tod))
+        self.hists.take().unwrap_or_else(|| self.build_hists())
     }
 
-    /// Occurrences of `path` as a strict sub-path across the batch — the
-    /// length the batch partition's ISA range will have once sealed.
+    /// Occurrences of `path` as a strict sub-path across the kept
+    /// suffixes — the length the batch partition's ISA range will have
+    /// once sealed.
     pub(crate) fn count_path(&self, path: &Path) -> usize {
-        self.trajs
-            .iter()
-            .map(|tr| tr.occurrences_of(path).count())
+        self.suffixes()
+            .map(|kept| occurrences(kept, path).count())
             .sum()
     }
 
@@ -204,24 +227,9 @@ impl HotTail {
         // order with ties in (trajectory, seq) push order — exactly the
         // per-edge ordering sealing produces.
         let mut fresh: Vec<(u32, LeafEntry)> = Vec::with_capacity(batch.entries);
-        for (i, tr) in batch.trajs.iter().enumerate() {
+        for (i, (tr, start)) in batch.kept().enumerate() {
             let id = batch.first_id + i as u32;
-            let mut aggregate = 0.0;
-            for (k, entry) in tr.entries().iter().enumerate() {
-                aggregate += entry.travel_time;
-                fresh.push((
-                    entry.edge.index() as u32,
-                    LeafEntry {
-                        time: entry.enter_time,
-                        aggregate,
-                        travel_time: entry.travel_time,
-                        isa: 0,
-                        traj: id,
-                        seq: k as u32,
-                        partition: b as u16,
-                    },
-                ));
-            }
+            fresh.extend(suffix_leaves(tr, start, id, b as u16).map(|(e, l)| (e as u32, l)));
         }
         // (edge, time, traj, seq) is a total order (traj/seq are unique
         // per entry and equal to push order), so the unstable sort lands
@@ -285,12 +293,13 @@ impl HotTail {
                 .all(|(entry, &p)| entry.edge == p)
     }
 
-    /// Whether any pending trajectory traverses `path` (the merged
+    /// Whether any pending kept suffix traverses `path` (the merged
     /// equivalent of "some partition's ISA range is non-empty").
     pub(crate) fn traverses(&self, path: &Path) -> bool {
-        self.batches
-            .iter()
-            .any(|b| b.trajs.iter().any(|tr| tr.traverses(path)))
+        self.batches.iter().any(|b| {
+            b.suffixes()
+                .any(|kept| occurrences(kept, path).next().is_some())
+        })
     }
 
     /// Drains every pending batch for sealing, resetting the tail (lane
@@ -302,6 +311,17 @@ impl HotTail {
         self.bytes = 0;
         std::mem::take(&mut self.batches)
     }
+}
+
+/// The occurrences of `path` as a strict sub-path of `entries`.
+fn occurrences<'a>(
+    entries: &'a [TrajEntry],
+    path: &'a Path,
+) -> impl Iterator<Item = &'a [TrajEntry]> + 'a {
+    let needle = path.edges();
+    entries
+        .windows(needle.len())
+        .filter(move |w| w.iter().map(|e| e.edge).eq(needle.iter().copied()))
 }
 
 /// Merges a time-sorted batch into a time-sorted lane, keeping existing

@@ -10,7 +10,8 @@
 //! # Why a node can answer alone
 //!
 //! A [`ShardNodeState`] is exactly one shard of a [`ShardedSntIndex`]: the
-//! shard's full [`SntIndex`], its ascending global-id member list, and the
+//! shard's [`SntIndex`] (each member kept from its first position on an
+//! edge the shard owns), its ascending global-id member list, and the
 //! cluster-wide routing table. The sharded exactness argument (see
 //! [`ShardedSntIndex`]'s docs) is local per query — `get_travel_times`,
 //! `count_matching`, and `estimate` each consult only the shard owning the
@@ -26,8 +27,10 @@
 //!
 //! The router assigns global ids and plans one [`NodeWalRecord`] per node
 //! and batch: the record carries the batch stamp (`base` → `new_total`),
-//! the post-batch global span, and this node's member subset (possibly
-//! empty — the node then only advances its global counters). Application
+//! the post-batch global span, and this node's member subset, whole
+//! (possibly empty — the node then only advances its global counters);
+//! the node keeps each member from its first owned position on, and a
+//! member that enters none of the shard's edges is a typed error. Application
 //! is **idempotent** by base stamp: a record the node already absorbed is
 //! skipped, a record from the future is a typed [`StoreError::WalGap`].
 //! Node processes validate a record ([`ShardNodeState::prepare`]), write
@@ -49,7 +52,7 @@ use tthr_trajectory::{TrajEntry, Trajectory, UserId};
 /// Header section of a node snapshot: shard id, routing table, member
 /// list, global counters.
 pub const SECTION_NODE_META: SectionId = SectionId(120);
-/// The shard's complete monolithic index snapshot.
+/// The shard's index, as a monolithic index snapshot.
 pub const SECTION_NODE_INDEX: SectionId = SectionId(121);
 
 /// Most levels a relaxation ladder may carry across the wire: far above
@@ -159,7 +162,7 @@ pub fn plan_node_records(
     let mut subsets: Vec<Vec<(UserId, Vec<TrajEntry>)>> = vec![Vec::new(); k];
     for (i, (user, entries)) in trajectories.iter().enumerate() {
         let global = base as u32 + i as u32;
-        for &s in &router.shards_touched(entries) {
+        for (s, _) in router.first_owned(entries) {
             members[s as usize].push(global);
             subsets[s as usize].push((*user, entries.clone()));
         }
@@ -200,6 +203,8 @@ pub struct ShardNodeState {
 pub struct PreparedRecord<'r> {
     record: &'r NodeWalRecord,
     trajs: Vec<Trajectory>,
+    /// Where the shard's leaves of each member start.
+    starts: Vec<u32>,
 }
 
 impl ShardNodeState {
@@ -216,11 +221,13 @@ impl ShardNodeState {
         // obtain an owned SntIndex clone, and exactly what a node restores
         // from disk anyway.
         let bytes = sharded.with_shard(shard, |i| i.to_snapshot_bytes());
-        let index = SntIndex::from_snapshot_bytes(&bytes)
-            .expect("a just-written shard snapshot must restore");
+        let router = sharded.router();
+        let index =
+            SntIndex::restore_suffixes(&bytes, |trajs| router.suffix_starts(shard as u16, trajs))
+                .expect("a just-written shard snapshot must restore");
         ShardNodeState {
             shard: shard as u16,
-            router: sharded.router().clone(),
+            router: router.clone(),
             state: Shard {
                 index,
                 members: sharded.shard_members(shard),
@@ -386,9 +393,11 @@ impl ShardNodeState {
     /// * `new_total ≤ num_global` — already absorbed, `Ok(None)`.
     /// * `base ≠ num_global` — a missing predecessor,
     ///   [`StoreError::WalGap`].
-    /// * a malformed member subset — a typed error; the node is untouched.
-    /// * otherwise the record with its member subset materialized, ready
-    ///   for an infallible [`ShardNodeState::commit`].
+    /// * a malformed member subset, or a member that enters none of the
+    ///   shard's edges — a typed error; the node is untouched.
+    /// * otherwise the record with its member subset materialized and
+    ///   each member's first owned position found, ready for an
+    ///   infallible [`ShardNodeState::commit`].
     pub fn prepare<'r>(
         &self,
         record: &'r NodeWalRecord,
@@ -421,7 +430,12 @@ impl ShardNodeState {
         }
         let local_from = self.state.index.num_trajectories() as u32;
         let trajs = prepare_batch(local_from, self.router.num_edges(), &record.trajectories)?;
-        Ok(Some(PreparedRecord { record, trajs }))
+        let starts = self.router.suffix_starts(self.shard, &trajs)?;
+        Ok(Some(PreparedRecord {
+            record,
+            trajs,
+            starts,
+        }))
     }
 
     /// Ingests a record [`ShardNodeState::prepare`] validated against
@@ -433,11 +447,15 @@ impl ShardNodeState {
     /// empty subset only does that). Returns the number of trajectories
     /// this shard indexed.
     pub fn commit(&mut self, prepared: PreparedRecord<'_>, seal: bool) -> usize {
-        let PreparedRecord { record, trajs } = prepared;
+        let PreparedRecord {
+            record,
+            trajs,
+            starts,
+        } = prepared;
         debug_assert_eq!(record.base, self.num_global, "prepared against this state");
         let applied = trajs.len();
         if applied > 0 {
-            self.state.ingest(&record.members, trajs, seal);
+            self.state.ingest(&record.members, trajs, starts, seal);
         }
         self.num_global = record.new_total;
         self.span_min = self.span_min.min(record.span_min);
@@ -498,7 +516,9 @@ impl ShardNodeState {
             )));
         }
         let mut idx = archive.section(SECTION_NODE_INDEX)?;
-        let index = SntIndex::from_snapshot_bytes(idx.get_bytes(idx.remaining())?)?;
+        let index = SntIndex::restore_suffixes(idx.get_bytes(idx.remaining())?, |trajs| {
+            router.suffix_starts(shard, trajs)
+        })?;
         let state = Shard::new(index, members, num_global, router.num_edges())?;
         Ok(ShardNodeState {
             shard,
@@ -573,10 +593,24 @@ mod tests {
         ]
     }
 
+    /// The example history's entries, in global id order.
+    fn example_history() -> Vec<Vec<TrajEntry>> {
+        example_trajectories()
+            .iter()
+            .map(|tr| tr.entries().to_vec())
+            .collect()
+    }
+
     /// Every node answers the queries its shard owns — values, fallback,
     /// capped counts, every estimator mode — exactly as the monolith over
-    /// the same history does, and tracks the monolith's global counters.
-    fn assert_nodes_match(mono: &SntIndex, nodes: &[ShardNodeState]) {
+    /// the same history does, tracks the monolith's global counters, and
+    /// keeps exactly its members' suffixes of `history`.
+    fn assert_nodes_match(mono: &SntIndex, nodes: &[ShardNodeState], history: &[Vec<TrajEntry>]) {
+        for node in nodes {
+            let router = node.router();
+            node.state
+                .assert_keeps_suffixes(node.shard(), router, history, mono);
+        }
         for node in nodes {
             assert_eq!(node.num_global(), mono.num_trajectories() as u64);
             assert_eq!(node.span_min(), mono.data_min());
@@ -618,7 +652,7 @@ mod tests {
                 assert_eq!(node.shard() as usize, s);
                 assert_eq!(node.members(), idx.shard_members(s).as_slice());
             }
-            assert_nodes_match(&mono, &nodes);
+            assert_nodes_match(&mono, &nodes, &example_history());
         }
     }
 
@@ -663,8 +697,10 @@ mod tests {
     /// Both flavours of the one write primitive, over K ∈ {1, 2, 7}:
     /// sealed and absorbed records of a batch crossing shards land every
     /// node where the monolith's `ingest` of the same batch lands it —
-    /// answers, counters and the member lists the plan assigns — and a
-    /// compaction that seals the absorbed tails changes no answer.
+    /// answers, counters, the member lists the plan assigns and the
+    /// suffixes each node keeps — and neither a snapshot round trip
+    /// (hot tail included) nor a compaction that seals the absorbed
+    /// tails changes any of it.
     #[test]
     fn planned_records_apply_identically_to_an_in_process_append() {
         let batch: Vec<(UserId, Vec<TrajEntry>)> = vec![
@@ -677,7 +713,21 @@ mod tests {
                 ],
             ),
             (UserId(9), vec![TrajEntry::new(EDGE_F, 22, 7.0)]),
+            (
+                UserId(1),
+                vec![
+                    TrajEntry::new(EDGE_B, 30, 2.5),
+                    TrajEntry::new(EDGE_E, 33, 4.5),
+                ],
+            ),
         ];
+        let mut history = example_history();
+        history.extend(batch.iter().map(|(_, entries)| entries.clone()));
+        let round_trip = |nodes: &mut Vec<ShardNodeState>| {
+            for node in nodes.iter_mut() {
+                *node = ShardNodeState::from_snapshot_bytes(&node.to_snapshot_bytes()).unwrap();
+            }
+        };
         for k in [1usize, 2, 7] {
             for seal in [true, false] {
                 let mut mono = monolith();
@@ -703,12 +753,17 @@ mod tests {
                     let absorbed = !seal && !record.members.is_empty();
                     assert_eq!(node.hot_stats().batches > 0, absorbed, "k={k} seal={seal}");
                 }
-                assert_nodes_match(&mono, &nodes);
+                assert_nodes_match(&mono, &nodes, &history);
+                round_trip(&mut nodes);
+                assert_nodes_match(&mono, &nodes, &history);
                 for node in &mut nodes {
                     node.compact(None);
                     assert_eq!(node.hot_stats().batches, 0);
                 }
-                assert_nodes_match(&mono, &nodes);
+                mono.compact(None);
+                assert_nodes_match(&mono, &nodes, &history);
+                round_trip(&mut nodes);
+                assert_nodes_match(&mono, &nodes, &history);
             }
         }
     }
@@ -810,25 +865,52 @@ mod tests {
 
     #[test]
     fn node_snapshot_round_trips_and_keeps_answering() {
-        let idx = sharded(2);
-        for s in 0..2 {
-            let node = ShardNodeState::export_from(&idx, s);
-            let bytes = node.to_snapshot_bytes();
-            let restored = ShardNodeState::from_snapshot_bytes(&bytes).unwrap();
-            assert_eq!(restored.shard(), node.shard());
-            assert_eq!(restored.num_global(), node.num_global());
-            assert_eq!(restored.members(), node.members());
-            assert_eq!(restored.router(), node.router());
+        for k in [1usize, 2, 7] {
+            let idx = sharded(k);
+            let nodes: Vec<ShardNodeState> = (0..k)
+                .map(|s| {
+                    let node = ShardNodeState::export_from(&idx, s);
+                    let bytes = node.to_snapshot_bytes();
+                    let restored = ShardNodeState::from_snapshot_bytes(&bytes).unwrap();
+                    assert_eq!(restored.shard(), node.shard());
+                    assert_eq!(restored.num_global(), node.num_global());
+                    assert_eq!(restored.members(), node.members());
+                    assert_eq!(restored.router(), node.router());
+                    assert!(restored.to_snapshot_bytes() == bytes, "k={k} shard {s}");
+                    restored
+                })
+                .collect();
+            assert_nodes_match(&monolith(), &nodes, &example_history());
         }
-        let nodes: Vec<ShardNodeState> = (0..2)
-            .map(|s| {
-                ShardNodeState::from_snapshot_bytes(
-                    &ShardNodeState::export_from(&idx, s).to_snapshot_bytes(),
-                )
-                .unwrap()
-            })
-            .collect();
-        assert_nodes_match(&monolith(), &nodes);
+    }
+
+    /// A record whose member never enters the node's shard has no suffix
+    /// there: a typed error that leaves the node untouched, like any
+    /// malformed record.
+    #[test]
+    fn members_outside_the_shard_are_typed_errors() {
+        let idx = sharded(7);
+        let s = idx.router().shard_of(EDGE_F);
+        let mut node = ShardNodeState::export_from(&idx, s);
+        let before = node.to_snapshot_bytes();
+        let base = node.num_global();
+        let elsewhere = [EDGE_A, EDGE_B, EDGE_E]
+            .into_iter()
+            .find(|&e| idx.router().shard_of(e) != s)
+            .expect("7 shards split the example's edges");
+        let bad = NodeWalRecord {
+            base,
+            new_total: base + 1,
+            span_min: 0,
+            span_max: 100,
+            members: vec![base as u32],
+            trajectories: vec![(UserId(1), vec![TrajEntry::new(elsewhere, 90, 1.0)])],
+        };
+        assert!(matches!(
+            apply(&mut node, &bad, true),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert!(node.to_snapshot_bytes() == before);
     }
 
     /// Any flipped payload bit trips a section CRC. (Parts that pass

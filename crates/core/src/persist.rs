@@ -281,6 +281,19 @@ impl SntIndex {
     /// magic, version, per-section checksums, and the cross-section
     /// invariants (component counts and kinds against `SECTION_META`).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
+        Self::restore_suffixes(bytes, |trajs| Ok(vec![0; trajs.len()]))
+    }
+
+    /// [`SntIndex::from_snapshot_bytes`] of an index whose leaves of a
+    /// trajectory start at the position `starts` gives for it (see
+    /// [`crate::snt::suffix_leaves`]; a cluster node's, from its routing
+    /// table): the `HOT` section holds whole trajectories, and the
+    /// re-absorbed batches keep the suffixes they were absorbed with. An
+    /// error from `starts` fails the restore.
+    pub(crate) fn restore_suffixes(
+        bytes: &[u8],
+        starts: impl Fn(&[Trajectory]) -> Result<Vec<u32>, StoreError>,
+    ) -> Result<Self, StoreError> {
         let archive = SnapshotArchive::from_bytes(bytes)?;
 
         let mut meta = archive.section(SECTION_META)?;
@@ -429,7 +442,8 @@ impl SntIndex {
                 }
                 for (first_id, trajectories) in raw {
                     let trajs = prepare_batch(first_id, index.estimate_tt.len(), &trajectories)?;
-                    index.restore_hot_batch(first_id, trajs);
+                    let starts = starts(&trajs)?;
+                    index.restore_hot_batch(first_id, trajs, starts);
                 }
             }
         }

@@ -2,36 +2,68 @@
 //! the `K`-shard build a cluster boots its nodes from.
 //!
 //! The cluster tier (`tthr-node` + `tthr-router`) partitions the *road
-//! network* into `K` edge groups (a zone/grid partitioner in the spirit of
-//! the π_Z strategy of [`crate::partition`]) and runs one full `SntIndex`
-//! per group, over exactly the trajectories that touch the group's edges,
-//! in its own node process ([`crate::ShardNodeState`]). This module holds
-//! the pieces both sides share: the [`ShardRouter`] table, the [`Shard`]
-//! (an index plus its global-id member list), and [`ShardedSntIndex`],
-//! the immutable `K`-shard build a deployment exports its node states
-//! from ([`crate::ShardNodeState::export_from`]).
+//! network* into `K` edge groups — strips of the map, cut by the source
+//! vertex's x coordinate — and runs one `SntIndex` per group, over the
+//! trajectories that touch the group's edges, in its own node process
+//! ([`crate::ShardNodeState`]). This module holds the pieces both sides
+//! share: the [`ShardRouter`] table, the [`Shard`] (an index plus its
+//! global-id member list), and [`ShardedSntIndex`], the immutable
+//! `K`-shard build a deployment exports its node states from
+//! ([`crate::ShardNodeState::export_from`]).
 //!
-//! # Why routing by first edge is exact
+//! # Why a shard's suffixes are enough
 //!
-//! A shard `s` holds the **complete** trajectory (all entries, original
-//! aggregates) of every trajectory that traverses at least one edge of
-//! `s`. Any trajectory matching an SPQ traverses the query path strictly,
-//! so in particular it traverses the path's first edge — hence it is a
-//! member of `shard(P[0])`. Routing every index operation whose pattern
-//! starts at edge `e` to `shard(e)` therefore loses no candidates, and
-//! because shard membership preserves the global trajectory order (and
-//! temporal trees break timestamp ties by insertion order), scans return
-//! the same leaves in the same order as the monolith: answers are
-//! **byte-identical**, including β-capped prefixes, fallback estimates,
-//! counting queries, and the cardinality estimator's per-partition sums.
-//! The node tests pin this for K ∈ {1, 2, 7} against the monolith, fresh
-//! and after planned appends; `tests/equivalence.rs` pins it for the
-//! running cluster.
+//! A shard `s` has as members the trajectories that traverse at least
+//! one edge of `s`, and of each member it keeps only the **suffix** from
+//! the member's first position on an edge `s` owns: those leaves, with
+//! the whole trajectory's `seq` and aggregates (prefix sums from its
+//! first entry), and an FM text over the suffixes. Every index operation
+//! whose pattern starts at edge `e` is routed to `shard(e)`. A
+//! trajectory matching such a query traverses the path strictly, so it
+//! traverses `e` — it is a member of `shard(e)` — and every position
+//! where it does lies at or after its first owned position: the whole
+//! occurrence of the path is inside the kept suffix, both the leaf that
+//! `buildMap` finds on the first edge and the leaf `probeMap` finds on
+//! the last one, and the suffix text holds the occurrence exactly as the
+//! whole trajectory's text does. So `e`'s tree holds every traversal of
+//! `e` the monolith holds, and the ISA count of a pattern starting at `e`
+//! is the monolith's. Shard membership preserves the global trajectory
+//! order, and temporal trees break timestamp ties by insertion order, so
+//! scans return the same leaves in the same order as the monolith, with
+//! the same `seq` and aggregates: answers are **byte-identical**,
+//! including β-capped prefixes, fallback estimates, counting queries,
+//! the census bound and the cardinality estimator (which reads only the
+//! pattern's ISA counts and the first edge's ToD rows and leaf counts).
+//! Appends keep the rule: a node trims the whole trajectories of an
+//! append record as it applies them (hot tail included), and derives the
+//! same starts again when it re-absorbs a snapshot's hot batches.
+//! The node tests pin this for K ∈ {1, 2, 7} against the monolith, fresh,
+//! after planned appends, across a hot-tail seal and a snapshot round
+//! trip, with a brute-force oracle for every kept leaf
+//! (`Shard::assert_keeps_suffixes`); `tests/equivalence.rs` pins it for
+//! the running cluster.
 //!
 //! The cost is bounded duplication: a trajectory crossing `m` shards is
 //! indexed `m` times (the partition-by-fingerprint trade-off of Chapuis
-//! et al.); the zone/grid partitioner keeps `m` small because real paths
-//! are spatially local.
+//! et al.), each time from its first position in the shard. Measured on
+//! the benchmark's medium world (39 571 trajectories, 1.80 M traversals),
+//! as leaves stored across the `K` shards per traversal; "whole" keeps
+//! every member in full, "zone-first" is the partitioner this one
+//! replaced (edges sorted by zone class before x), and the shipped
+//! configuration is x strips with suffixes:
+//!
+//! | K | partitioner | whole | suffix | one-shard trajectories |
+//! |---|-------------|-------|--------|------------------------|
+//! | 2 | zone-first  | 1.825 | 1.590  | 45.8 % |
+//! | 2 | x strips    | 1.714 | 1.347  | 61.6 % |
+//! | 4 | zone-first  | 3.120 | 2.341  | 29.2 % |
+//! | 4 | x strips    | 2.774 | 1.875  | 42.7 % |
+//! | 7 | zone-first  | 4.735 | 3.174  | 24.0 % |
+//! | 7 | x strips    | 4.149 | 2.571  | 28.5 % |
+//!
+//! `trip_stream_takes_one_rpc_per_round_and_shard` (an ignored test in
+//! `tests/equivalence.rs` that CI runs) re-counts the K = 2 cell and
+//! holds it to ≤ 1.40.
 //!
 //! # Temporal-partitioning caveat
 //!
@@ -53,11 +85,11 @@ use tthr_trajectory::{TrajEntry, TrajId, Trajectory, TrajectorySet};
 
 /// A static edge → shard assignment over a road network.
 ///
-/// Built by sorting edges by `(zone, x, y, id)` of their source vertex and
-/// chunking the order into `K` near-equal contiguous groups: shards are
-/// zone-coherent and spatially contiguous (a grid-column sweep within each
-/// zone class), so trajectories — which are spatially local — cross few
-/// shards, and shard sizes are balanced to ±1 edge.
+/// Built by sorting edges by `(x, y, id)` of their source vertex and
+/// chunking the order into `K` near-equal contiguous groups: each shard is
+/// a strip of the map, so trajectories — which are spatially local — cross
+/// few shards (the module docs measure how few), and shard sizes are
+/// balanced to ±1 edge.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardRouter {
     /// `shard_of_edge[e] = s` for every edge id `e`.
@@ -76,15 +108,12 @@ impl ShardRouter {
         let mut order: Vec<EdgeId> = network.edge_ids().collect();
         let key = |e: EdgeId| {
             let p = network.position(network.edge_from(e));
-            (network.attrs(e).zone as u8, p.x, p.y, e.0)
+            (p.x, p.y, e.0)
         };
         order.sort_by(|&a, &b| {
-            let (za, xa, ya, ia) = key(a);
-            let (zb, xb, yb, ib) = key(b);
-            za.cmp(&zb)
-                .then(xa.total_cmp(&xb))
-                .then(ya.total_cmp(&yb))
-                .then(ia.cmp(&ib))
+            let (xa, ya, ia) = key(a);
+            let (xb, yb, ib) = key(b);
+            xa.total_cmp(&xb).then(ya.total_cmp(&yb)).then(ia.cmp(&ib))
         });
         let mut shard_of_edge = vec![0u16; network.num_edges()];
         let n = order.len();
@@ -116,18 +145,46 @@ impl ShardRouter {
         self.shard_of_edge[e.index()] as usize
     }
 
-    /// Sorted, deduplicated shard ids touched by a sequence of entries —
-    /// the shards that must index a trajectory traversing them: the
-    /// sharded build and the cluster's per-node append plans (see
-    /// [`crate::node`]) partition with exactly this.
-    pub(crate) fn shards_touched(&self, entries: &[TrajEntry]) -> Vec<u16> {
-        let mut shards: Vec<u16> = entries
+    /// Each shard a sequence of entries crosses, ascending, with the first
+    /// position on an edge it owns — the shards that must index a
+    /// trajectory traversing them, and where each one's leaves of it
+    /// start (see the module docs): the sharded build and the cluster's
+    /// per-node append plans (see [`crate::node`]) partition with
+    /// exactly this. An edge outside the table belongs to no shard.
+    pub(crate) fn first_owned(&self, entries: &[TrajEntry]) -> Vec<(u16, u32)> {
+        let mut firsts: Vec<(u16, u32)> = Vec::new();
+        for (k, en) in entries.iter().enumerate() {
+            let Some(&s) = self.shard_of_edge.get(en.edge.index()) else {
+                continue;
+            };
+            if firsts.iter().all(|&(t, _)| t != s) {
+                firsts.push((s, k as u32));
+            }
+        }
+        firsts.sort_unstable();
+        firsts
+    }
+
+    /// Where shard `shard`'s leaves of each trajectory start
+    /// ([`ShardRouter::first_owned`]). A trajectory that never enters the
+    /// shard has no place in it: a typed error, never a panic.
+    pub(crate) fn suffix_starts(
+        &self,
+        shard: u16,
+        trajs: &[Trajectory],
+    ) -> Result<Vec<u32>, StoreError> {
+        trajs
             .iter()
-            .map(|en| self.shard_of_edge[en.edge.index()])
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
+            .map(|tr| {
+                let firsts = self.first_owned(tr.entries());
+                let hit = firsts.iter().find(|&&(s, _)| s == shard);
+                hit.map(|&(_, start)| start).ok_or_else(|| {
+                    StoreError::corrupt(format!(
+                        "a trajectory for shard {shard} traverses none of its edges"
+                    ))
+                })
+            })
+            .collect()
     }
 }
 
@@ -235,11 +292,73 @@ impl Shard {
 
     /// Ingests the batch members that cross this shard: `globals[i]` is
     /// the global id of `trajs[i]`, ascending and above every present
-    /// member.
-    pub(crate) fn ingest(&mut self, globals: &[u32], trajs: Vec<Trajectory>, seal: bool) {
+    /// member, and `starts[i]` its first owned position
+    /// ([`ShardRouter::suffix_starts`]).
+    pub(crate) fn ingest(
+        &mut self,
+        globals: &[u32],
+        trajs: Vec<Trajectory>,
+        starts: Vec<u32>,
+        seal: bool,
+    ) {
         debug_assert_eq!(globals.len(), trajs.len());
         self.members.extend_from_slice(globals);
-        self.index.ingest(trajs, seal);
+        self.index.ingest_suffixes(trajs, starts, seal);
+    }
+}
+
+#[cfg(test)]
+impl Shard {
+    /// Test oracle for the suffix rule, by brute force over the whole
+    /// history (`history[g]` = the entries of global trajectory `g`):
+    /// the shard's members are the trajectories crossing `shard`; its
+    /// leaves, sealed and hot, are exactly their traversals from each
+    /// one's first owned position on, and the sealed ones are
+    /// `total_entries`; each leaf carries the monolith leaf's aggregate
+    /// for the same `(traj, seq)`, bit for bit.
+    pub(crate) fn assert_keeps_suffixes(
+        &self,
+        shard: u16,
+        router: &ShardRouter,
+        history: &[Vec<TrajEntry>],
+        mono: &SntIndex,
+    ) {
+        let mut members = Vec::new();
+        let mut want = Vec::new();
+        for (g, entries) in history.iter().enumerate() {
+            let firsts = router.first_owned(entries);
+            let Some(&(_, start)) = firsts.iter().find(|&&(s, _)| s == shard) else {
+                continue;
+            };
+            members.push(g as u32);
+            for (k, en) in entries.iter().enumerate().skip(start as usize) {
+                want.push((g as u32, k as u32, en.edge.index(), en.enter_time));
+            }
+        }
+        assert_eq!(self.members, members, "shard {shard} members");
+        let aggregates: std::collections::HashMap<(u32, u32), u64> = mono
+            .all_leaves()
+            .into_iter()
+            .map(|(_, l, _)| ((l.traj, l.seq), l.aggregate.to_bits()))
+            .collect();
+        let mut got = Vec::new();
+        let mut sealed = 0;
+        for (edge, leaf, hot) in self.index.all_leaves() {
+            let g = self.members[leaf.traj as usize];
+            assert_eq!(
+                leaf.aggregate.to_bits(),
+                aggregates[&(g, leaf.seq)],
+                "shard {shard}: aggregate of trajectory {g} at seq {}",
+                leaf.seq
+            );
+            sealed += usize::from(!hot);
+            got.push((g, leaf.seq, edge, leaf.time));
+        }
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "shard {shard} leaves");
+        assert_eq!(self.index.memory_report().total_entries, sealed);
+        assert_eq!(self.index.hot_stats().entries, want.len() - sealed);
     }
 }
 
@@ -256,9 +375,9 @@ pub struct ShardedSntIndex {
 impl ShardedSntIndex {
     /// Builds `num_shards` shards over a trajectory set.
     ///
-    /// Every shard indexes the full entry sequence of each member
-    /// trajectory (aggregates and FM-text are those of the whole
-    /// trajectory), so answers match the monolith bit for bit.
+    /// Every shard indexes each member trajectory from its first owned
+    /// position on, with the whole trajectory's `seq` and aggregates, so
+    /// answers match the monolith bit for bit (see the module docs).
     ///
     /// # Panics
     /// Panics if `num_shards` is 0 or `config.partition_days` is set (see
@@ -280,17 +399,20 @@ impl ShardedSntIndex {
         let k = router.num_shards();
         let mut subsets: Vec<TrajectorySet> = (0..k).map(|_| TrajectorySet::new()).collect();
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut starts: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut data_min = Timestamp::MAX;
         let mut data_max = Timestamp::MIN;
         for tr in trajectories {
             data_min = data_min.min(tr.start_time());
             let last = tr.entries().last().expect("trajectories are non-empty");
             data_max = data_max.max(last.enter_time);
-            for &s in &router.shards_touched(tr.entries()) {
-                subsets[s as usize]
+            for (s, start) in router.first_owned(tr.entries()) {
+                let s = s as usize;
+                subsets[s]
                     .push(tr.user(), tr.entries().to_vec())
                     .expect("member of a valid set");
-                members[s as usize].push(tr.id().0);
+                members[s].push(tr.id().0);
+                starts[s].push(start);
             }
         }
         if trajectories.is_empty() {
@@ -300,8 +422,9 @@ impl ShardedSntIndex {
         let shards = subsets
             .iter()
             .zip(members)
-            .map(|(subset, members)| Shard {
-                index: SntIndex::build(network, subset, config),
+            .zip(&starts)
+            .map(|((subset, members), starts)| Shard {
+                index: SntIndex::build_suffixes(network, subset, starts, config),
                 members,
             })
             .collect();
@@ -484,6 +607,9 @@ mod tests {
         ]
     }
 
+    /// Values, fallback, capped counts and every estimator mode equal the
+    /// monolith's bit for bit, and every shard keeps exactly its
+    /// members' suffixes.
     fn assert_matches_monolith(mono: &SntIndex, sharded: &ShardedSntIndex) {
         for spq in workload() {
             let a = mono.get_travel_times(&spq);
@@ -492,11 +618,27 @@ mod tests {
             let bb: Vec<u64> = b.values.iter().map(|v| v.to_bits()).collect();
             assert_eq!(ab, bb, "{spq:?}");
             assert_eq!(a.fallback, b.fallback, "{spq:?}");
-            assert_eq!(
-                mono.count_matching(&spq, u32::MAX),
-                sharded.count_matching(&spq, u32::MAX),
-                "{spq:?}"
-            );
+            for cap in [1, u32::MAX] {
+                assert_eq!(
+                    mono.count_matching(&spq, cap),
+                    sharded.count_matching(&spq, cap),
+                    "{spq:?} cap {cap}"
+                );
+            }
+            for mode in CardinalityMode::ALL {
+                assert_eq!(
+                    IndexBackend::estimate(mono, &spq, mode).to_bits(),
+                    sharded.estimate(&spq, mode).to_bits(),
+                    "{spq:?} {mode:?}"
+                );
+            }
+        }
+        let history: Vec<Vec<TrajEntry>> = example_trajectories()
+            .iter()
+            .map(|tr| tr.entries().to_vec())
+            .collect();
+        for (s, shard) in sharded.shards.iter().enumerate() {
+            shard.assert_keeps_suffixes(s as u16, &sharded.router, &history, mono);
         }
     }
 
@@ -533,6 +675,62 @@ mod tests {
         for k in [1usize, 2, 7] {
             assert_matches_monolith(&mono, &sharded(k));
         }
+    }
+
+    /// Trimming is not vacuous on the example: some shard keeps a member
+    /// from past its first traversal, and at K = 1 nothing is trimmed.
+    #[test]
+    fn shards_store_fewer_leaves_than_whole_members() {
+        let stored = |idx: &ShardedSntIndex| -> (usize, usize) {
+            let whole = (0..idx.num_shards())
+                .flat_map(|s| idx.shard_members(s))
+                .map(|g| example_trajectories().get(TrajId(g)).entries().len())
+                .sum();
+            let kept = (0..idx.num_shards())
+                .map(|s| idx.with_shard(s, |i| i.memory_report().total_entries))
+                .sum();
+            (whole, kept)
+        };
+        let (whole, kept) = stored(&sharded(1));
+        assert_eq!(kept, whole);
+        assert_eq!(kept, monolith().memory_report().total_entries);
+        for k in [2usize, 7] {
+            let (whole, kept) = stored(&sharded(k));
+            assert!(kept < whole, "k={k}: {kept} of {whole} leaves kept");
+        }
+    }
+
+    #[test]
+    fn shards_of_a_trajectory_start_at_its_first_owned_position() {
+        let net = example_network();
+        let router = ShardRouter::build(&net, 7);
+        for tr in &example_trajectories() {
+            let firsts = router.first_owned(tr.entries());
+            assert!(firsts.windows(2).all(|w| w[0].0 < w[1].0));
+            for &(s, k) in &firsts {
+                let k = k as usize;
+                assert_eq!(router.shard_of(tr.entries()[k].edge), s as usize);
+                assert!(tr.entries()[..k]
+                    .iter()
+                    .all(|en| router.shard_of(en.edge) != s as usize));
+            }
+            let touched = tr
+                .entries()
+                .iter()
+                .map(|en| router.shard_of(en.edge) as u16);
+            let mut touched: Vec<u16> = touched.collect();
+            touched.sort_unstable();
+            touched.dedup();
+            assert_eq!(firsts.iter().map(|f| f.0).collect::<Vec<_>>(), touched);
+        }
+        let stray = example_trajectories().get(TrajId(0)).clone();
+        let foreign = (0..7u16)
+            .find(|&s| router.first_owned(stray.entries()).iter().all(|f| f.0 != s))
+            .expect("a 3-edge trajectory misses some of 7 shards");
+        assert!(matches!(
+            router.suffix_starts(foreign, &[stray]),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use tthr_fmindex::{FmIndex, HuffmanWaveletTree, IsaRange, SearchCost, WaveletMat
 use tthr_histogram::TimeOfDayHistogram;
 use tthr_network::{EdgeId, RoadNetwork, Timestamp, SECONDS_PER_DAY};
 use tthr_temporal::{BPlusTree, CssTree, LeafEntry, TemporalIndex};
-use tthr_trajectory::{TrajectorySet, UserId};
+use tthr_trajectory::{Trajectory, TrajectorySet, UserId};
 
 /// Which temporal tree implementation backs the forest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -450,15 +450,52 @@ pub(crate) fn next_scratch_id() -> u64 {
 }
 
 /// `t` raised to the newest entry time of `tr`: the newest leaf time a
-/// partition holding `tr` has.
-fn newest(t: Option<Timestamp>, tr: &tthr_trajectory::Trajectory) -> Option<Timestamp> {
+/// partition holding `tr` has (every kept suffix ends at the last entry).
+fn newest(t: Option<Timestamp>, tr: &Trajectory) -> Option<Timestamp> {
     t.max(tr.entries().iter().map(|e| e.enter_time).max())
 }
 
-/// A trajectory's span: its last entry time minus its first.
-fn span(tr: &tthr_trajectory::Trajectory) -> Timestamp {
+/// The span of `tr`'s leaves from position `start` on: its last entry
+/// time minus the entry time at `start`.
+fn span(tr: &Trajectory, start: usize) -> Timestamp {
     let last = tr.entries().last().expect("trajectories are non-empty");
-    last.enter_time - tr.start_time()
+    last.enter_time - tr.entries()[start].enter_time
+}
+
+/// The leaves `tr` contributes from position `start` on, each with its
+/// edge index. `seq` is the position in the whole trajectory and
+/// `aggregate` the prefix sum from its first entry, so a kept leaf is the
+/// same value whichever suffix an index keeps: a monolith keeps every
+/// leaf (`start = 0`), a cluster shard a member's leaves from its first
+/// position on an edge the shard owns (see [`crate::sharded`]). `isa` is
+/// left 0 for the caller.
+pub(crate) fn suffix_leaves(
+    tr: &Trajectory,
+    start: usize,
+    traj: u32,
+    partition: u16,
+) -> impl Iterator<Item = (usize, LeafEntry)> + '_ {
+    let mut aggregate = 0.0;
+    tr.entries()
+        .iter()
+        .enumerate()
+        .map(move |(k, entry)| {
+            aggregate += entry.travel_time;
+            (k, entry, aggregate)
+        })
+        .skip(start)
+        .map(move |(k, entry, aggregate)| {
+            let leaf = LeafEntry {
+                time: entry.enter_time,
+                aggregate,
+                travel_time: entry.travel_time,
+                isa: 0,
+                traj,
+                seq: k as u32,
+                partition,
+            };
+            (entry.edge.index(), leaf)
+        })
 }
 
 /// Per-query scratch state for the backward-search hot path: reusable
@@ -598,6 +635,19 @@ impl SntIndex {
     /// temporal tree, carrying its ISA value, trajectory id, sequence
     /// number, traversal time, aggregate, and partition id.
     pub fn build(network: &RoadNetwork, trajectories: &TrajectorySet, config: SntConfig) -> Self {
+        Self::build_suffixes(network, trajectories, &vec![0; trajectories.len()], config)
+    }
+
+    /// [`SntIndex::build`] over the suffixes trajectory `d` has from
+    /// position `starts[d]` on (see [`suffix_leaves`]): the FM text holds
+    /// the suffixes and the forest their leaves.
+    pub(crate) fn build_suffixes(
+        network: &RoadNetwork,
+        trajectories: &TrajectorySet,
+        starts: &[u32],
+        config: SntConfig,
+    ) -> Self {
+        debug_assert_eq!(starts.len(), trajectories.len());
         let num_edges = network.num_edges();
         let sigma = text::alphabet_size(num_edges);
 
@@ -609,7 +659,7 @@ impl SntIndex {
             data_min = data_min.min(tr.start_time());
             let last = tr.entries().last().expect("trajectories are non-empty");
             data_max = data_max.max(last.enter_time);
-            max_span = max_span.max(span(tr));
+            max_span = max_span.max(span(tr, starts[tr.id().index()] as usize));
         }
         if trajectories.is_empty() {
             data_min = 0;
@@ -651,27 +701,21 @@ impl SntIndex {
         let mut part_newest = vec![None; num_partitions];
         let mut total_entries = 0usize;
         for (w, group) in groups.iter().enumerate() {
-            let (txt, starts) = text::build_text(
+            let kept = |&id: &u32| {
+                let tr = trajectories.get(tthr_trajectory::TrajId(id));
+                (tr, starts[id as usize] as usize)
+            };
+            let (txt, bases) = text::build_text(
                 group
                     .iter()
-                    .map(|&id| trajectories.get(tthr_trajectory::TrajId(id))),
+                    .map(kept)
+                    .map(|(tr, start)| &tr.entries()[start..]),
             );
             let (fm, isa) = FmVariant::build(config.wavelet, &txt, sigma);
-            for (gi, &id) in group.iter().enumerate() {
-                let tr = trajectories.get(tthr_trajectory::TrajId(id));
-                let base = starts[gi];
-                let mut aggregate = 0.0;
-                for (k, entry) in tr.entries().iter().enumerate() {
-                    aggregate += entry.travel_time;
-                    leaf_acc[entry.edge.index()].push(LeafEntry {
-                        time: entry.enter_time,
-                        aggregate,
-                        travel_time: entry.travel_time,
-                        isa: isa[base + k],
-                        traj: id,
-                        seq: k as u32,
-                        partition: w as u16,
-                    });
+            for (gi, (tr, start)) in group.iter().map(kept).enumerate() {
+                for (edge, mut leaf) in suffix_leaves(tr, start, tr.id().0, w as u16) {
+                    leaf.isa = isa[bases[gi] + leaf.seq as usize - start];
+                    leaf_acc[edge].push(leaf);
                     total_entries += 1;
                 }
                 part_newest[w] = newest(part_newest[w], tr);
@@ -1360,12 +1404,24 @@ impl SntIndex {
     /// # Panics
     /// Panics if the partition id space (2¹⁶), or the hot batch id space
     /// (2¹⁶ − 1) before a compaction runs, is exhausted.
-    pub fn ingest(&mut self, batch: Vec<tthr_trajectory::Trajectory>, seal: bool) -> usize {
+    pub fn ingest(&mut self, batch: Vec<Trajectory>, seal: bool) -> usize {
+        let starts = vec![0; batch.len()];
+        self.ingest_suffixes(batch, starts, seal)
+    }
+
+    /// [`SntIndex::ingest`] of the suffixes `batch[i]` has from position
+    /// `starts[i]` on (see [`suffix_leaves`]).
+    pub(crate) fn ingest_suffixes(
+        &mut self,
+        batch: Vec<Trajectory>,
+        starts: Vec<u32>,
+        seal: bool,
+    ) -> usize {
         if batch.is_empty() {
             return 0;
         }
         let ingested = batch.len();
-        let pending = self.admit(batch);
+        let pending = self.admit(batch, starts);
         if seal && self.hot.is_empty() {
             self.seal_batch(pending);
         } else {
@@ -1397,18 +1453,19 @@ impl SntIndex {
     /// Admission bookkeeping of [`SntIndex::ingest`]: assigns the next
     /// dense ids, folds the batch into `data_min`/`data_max` and the user
     /// table, and builds the pending [`HotBatch`].
-    fn admit(&mut self, trajs: Vec<tthr_trajectory::Trajectory>) -> HotBatch {
+    fn admit(&mut self, trajs: Vec<Trajectory>, starts: Vec<u32>) -> HotBatch {
         let from = self.num_trajectories() as u32;
         for tr in &trajs {
             for entry in tr.entries() {
                 self.data_max = self.data_max.max(entry.enter_time);
             }
             self.data_min = self.data_min.min(tr.start_time());
-            self.max_span = self.max_span.max(span(tr));
             self.user_table.push(tr.user());
         }
         let tod_bucket = self.tod.as_ref().map(|t| t.bucket_secs);
-        HotBatch::build(from, trajs, self.estimate_tt.len(), tod_bucket)
+        let batch = HotBatch::build(from, trajs, starts, self.estimate_tt.len(), tod_bucket);
+        self.max_span = batch.max_span(self.max_span);
+        batch
     }
 
     /// Recounts the derived leaf bounds in one walk of the forest:
@@ -1448,6 +1505,20 @@ impl SntIndex {
         newest
     }
 
+    /// Every leaf, sealed (`false`) and hot (`true`), with its edge — the
+    /// suffix oracle's walk (see `Shard::assert_keeps_suffixes`).
+    #[cfg(test)]
+    pub(crate) fn all_leaves(&self) -> Vec<(usize, LeafEntry, bool)> {
+        let mut leaves = Vec::new();
+        self.forest
+            .for_each_leaf(|e, l| leaves.push((e, *l, false)));
+        for e in 0..self.num_edges() {
+            let lane = self.hot.lane(EdgeId(e as u32));
+            leaves.extend(lane.iter().map(|l| (e, *l, true)));
+        }
+        leaves
+    }
+
     /// Seals one pending batch as its own immutable partition — the exact
     /// construction direct appends have always used, so the sealed state is
     /// byte-identical to an index that appended the batch directly
@@ -1458,43 +1529,26 @@ impl SntIndex {
     /// Panics if the partition id space (2¹⁶) is exhausted.
     fn seal_batch(&mut self, mut batch: HotBatch) {
         let hists = batch.take_hists();
-        let HotBatch {
-            first_id,
-            trajs,
-            entries,
-            ..
-        } = batch;
         let w = self.partitions.len();
         assert!(w < u16::MAX as usize, "partition id space exhausted");
 
         // FM-index over the batch's own trajectory string.
         let sigma = self.estimate_tt.len() as u32 + 1;
-        let (txt, starts) = text::build_text(trajs.iter());
+        let (txt, bases) = text::build_text(batch.kept().map(|(tr, start)| &tr.entries()[start..]));
         let (fm, isa) = FmVariant::build(self.config.wavelet, &txt, sigma);
 
         // Collect the batch's leaves per edge, then append in time order.
         let num_edges = self.estimate_tt.len();
         let mut per_edge: Vec<Vec<LeafEntry>> = vec![Vec::new(); num_edges];
-        for (gi, tr) in trajs.iter().enumerate() {
-            let id = first_id + gi as u32;
-            let base = starts[gi];
-            let mut aggregate = 0.0;
-            for (k, entry) in tr.entries().iter().enumerate() {
-                aggregate += entry.travel_time;
-                per_edge[entry.edge.index()].push(LeafEntry {
-                    time: entry.enter_time,
-                    aggregate,
-                    travel_time: entry.travel_time,
-                    isa: isa[base + k],
-                    traj: id,
-                    seq: k as u32,
-                    partition: w as u16,
-                });
+        for (gi, (tr, start)) in batch.kept().enumerate() {
+            for (edge, mut leaf) in suffix_leaves(tr, start, batch.first_id + gi as u32, w as u16) {
+                leaf.isa = isa[bases[gi] + leaf.seq as usize - start];
+                per_edge[edge].push(leaf);
             }
         }
-        self.total_entries += entries;
-        self.part_newest.push(trajs.iter().fold(None, newest));
-        self.census.add_trajectories(&trajs);
+        self.total_entries += batch.entries;
+        self.part_newest.push(batch.trajs.iter().fold(None, newest));
+        self.census.add_trajectories(batch.kept());
         if let Some(tod) = &mut self.tod {
             // The batch's ToD row — the same per-entry adds, in the same
             // order, the direct path used to make here.
@@ -1516,11 +1570,12 @@ impl SntIndex {
     pub(crate) fn restore_hot_batch(
         &mut self,
         first_id: u32,
-        trajs: Vec<tthr_trajectory::Trajectory>,
+        trajs: Vec<Trajectory>,
+        starts: Vec<u32>,
     ) {
-        self.max_span = trajs.iter().map(span).fold(self.max_span, Timestamp::max);
         let tod_bucket = self.tod.as_ref().map(|t| t.bucket_secs);
-        let batch = HotBatch::build(first_id, trajs, self.estimate_tt.len(), tod_bucket);
+        let batch = HotBatch::build(first_id, trajs, starts, self.estimate_tt.len(), tod_bucket);
+        self.max_span = batch.max_span(self.max_span);
         self.hot.absorb(batch, self.estimate_tt.len());
         self.mutation_stamp += 1;
     }

@@ -6,7 +6,7 @@
 //! (paper, Section 4.1.1). Symbol `0` is `$` and edge `e` maps to `e + 1`.
 
 use tthr_network::{EdgeId, Path};
-use tthr_trajectory::Trajectory;
+use tthr_trajectory::TrajEntry;
 
 /// The `$` terminator symbol.
 pub(crate) const TERMINATOR: u32 = 0;
@@ -36,19 +36,20 @@ pub(crate) fn path_symbols_into(path: &Path, out: &mut Vec<u32>) {
     out.extend(path.edges().iter().map(|&e| edge_symbol(e)));
 }
 
-/// Builds the trajectory string for a sequence of trajectories, returning
-/// the symbols and, for each trajectory (in input order), the text position
-/// of its first traversal. Traversal `k` of trajectory `i` sits at
+/// Builds the trajectory string for a sequence of traversal sequences
+/// (whole trajectories, or the suffixes a cluster shard keeps), returning
+/// the symbols and, for each sequence (in input order), the text position
+/// of its first traversal. Traversal `k` of sequence `i` sits at
 /// `starts[i] + k`.
-pub(crate) fn build_text<'a, I>(trajectories: I) -> (Vec<u32>, Vec<usize>)
+pub(crate) fn build_text<'a, I>(sequences: I) -> (Vec<u32>, Vec<usize>)
 where
-    I: IntoIterator<Item = &'a Trajectory>,
+    I: IntoIterator<Item = &'a [TrajEntry]>,
 {
     let mut text = Vec::new();
     let mut starts = Vec::new();
-    for tr in trajectories {
+    for entries in sequences {
         starts.push(text.len());
-        text.extend(tr.entries().iter().map(|e| edge_symbol(e.edge)));
+        text.extend(entries.iter().map(|e| edge_symbol(e.edge)));
         text.push(TERMINATOR);
     }
     (text, starts)
@@ -63,7 +64,7 @@ mod tests {
     fn example_set_builds_figure3_string() {
         // T = ABE$ACDE$ABF$ABE$ with A=1 … F=6.
         let set = example_trajectories();
-        let (text, starts) = build_text(set.iter());
+        let (text, starts) = build_text(set.iter().map(|tr| tr.entries()));
         assert_eq!(
             text,
             vec![1, 2, 5, 0, 1, 3, 4, 5, 0, 1, 2, 6, 0, 1, 2, 5, 0]

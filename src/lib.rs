@@ -93,9 +93,9 @@
 //!   under the same locking model, so a repeated sub-query costs it no
 //!   RPC.
 //! * **Sharding** — the cluster tier: [`core::ShardRouter`] partitions
-//!   the road network into K zone/grid shards, each a complete
-//!   SNT-index over the trajectories touching it in its own node
-//!   process ([`core::ShardNodeState`], exported from a
+//!   the road network into K map strips, each an SNT-index over the
+//!   trajectories touching it (each from its first position on the
+//!   strip) in its own node process ([`core::ShardNodeState`], exported from a
 //!   [`core::ShardedSntIndex`] build). First-edge routing keeps answers
 //!   byte-identical to the monolith (`tthr-core`'s node tests pin it for
 //!   K ∈ {1, 2, 7}; `tests/equivalence.rs` for the running cluster).

@@ -46,6 +46,11 @@ pub(crate) trait Tier: Sync {
     fn hot_entries(&self) -> Option<usize> {
         None
     }
+    /// The `/spq` answer the tier's result cache holds, if any, without
+    /// computing one (the probe a front end answers a hit with).
+    fn cached_spq(&self, _q: &Spq) -> Option<Vec<u8>> {
+        None
+    }
     /// Persists a snapshot; later appends are WAL-logged on top of it.
     fn snapshot(&mut self) -> bool {
         false
@@ -241,6 +246,11 @@ impl Tier for InProcess {
         Some(self.svc.hot_stats().entries)
     }
 
+    fn cached_spq(&self, q: &Spq) -> Option<Vec<u8>> {
+        let hit = self.svc.cached_travel_times(q)?;
+        Some(wire::encode_travel_times(&hit).into_bytes())
+    }
+
     fn snapshot(&mut self) -> bool {
         self.snapshots += 1;
         let dir = self.dir.join(format!("snap-{}", self.snapshots));
@@ -345,6 +355,11 @@ impl Tier for Http {
     fn hot_entries(&self) -> Option<usize> {
         Some(self.svc.hot_stats().entries)
     }
+
+    fn cached_spq(&self, q: &Spq) -> Option<Vec<u8>> {
+        let hit = self.svc.cached_travel_times(q)?;
+        Some(wire::encode_travel_times(&hit).into_bytes())
+    }
 }
 
 /// The engine over an immutable [`ShardedSntIndex`] build: every query
@@ -426,6 +441,11 @@ impl Tier for Cluster {
         let answer = self.h.cluster.travel_times(q);
         let answer = answer.unwrap_or_else(|e| panic!("{}: spq: {e}", self.name));
         wire::encode_travel_times(&answer).into_bytes()
+    }
+
+    fn cached_spq(&self, q: &Spq) -> Option<Vec<u8>> {
+        let hit = self.h.cluster.cached_travel_times(q)?;
+        Some(wire::encode_travel_times(&hit).into_bytes())
     }
 
     fn trip(&self, q: &Spq) -> Vec<u8> {

@@ -95,7 +95,7 @@ fn frame_round_trip(addr: SocketAddr, frame: &[u8]) -> (u16, Message) {
 /// the excess with `503` + `Retry-After`, answers every request exactly
 /// once and in order, and recovers to normal service.
 #[test]
-fn flood_across_reactors_bounds_inflight_and_sheds() {
+fn one_reactor_flood_bounds_inflight_and_sheds() {
     const CONNS: usize = 12;
     const PER_CONN: usize = 3;
     let config = ServerConfig {
@@ -164,7 +164,7 @@ fn flood_across_reactors_bounds_inflight_and_sheds() {
 /// Several keep-alive connections to the same reactor all see the
 /// oracle's answers, in order, across sequential and pipelined use.
 #[test]
-fn keep_alive_connections_agree_across_reactors() {
+fn keep_alive_connections_to_one_reactor_agree() {
     let (server, oracle, set) = boot(ServerConfig::default());
     let addr = server.local_addr();
     let queries = workload(&set);
