@@ -58,9 +58,8 @@
 //! 900–1 070 µs for tallying the batch by edge and merging it in.
 
 use crate::interval::TimeInterval;
-use crate::snt::SntIndex;
+use crate::snt::{PathRanges, SntIndex};
 use crate::spq::{Filter, Spq};
-use tthr_fmindex::IsaRange;
 use tthr_network::{EdgeId, Timestamp, SECONDS_PER_DAY};
 use tthr_temporal::LeafEntry;
 use tthr_trajectory::{Trajectory, UserId};
@@ -320,41 +319,51 @@ impl LeafCounter {
 }
 
 impl SntIndex {
-    /// An upper bound on the traversals matching `spq` under the periodic
-    /// `window`, given the per-partition ISA `ranges` of its path;
-    /// `usize::MAX` when nothing bounds it (fixed windows are never
-    /// consulted). See the module docs for why it can only over-count.
-    fn match_bound(&self, spq: &Spq, window: &TimeInterval, ranges: &[IsaRange]) -> usize {
+    /// The census's bound on the traversals matching `spq` under the
+    /// periodic `window`, from counts that need no ISA range: for a user
+    /// filter, the user's sealed cells over the window's hours plus their
+    /// hot leaves in them; `usize::MAX` without one. `None` for a fixed
+    /// window, which is never consulted. See the module docs for why it
+    /// can only over-count.
+    fn census_bound(&self, spq: &Spq, window: &TimeInterval) -> Option<usize> {
         let TimeInterval::Periodic { start_sod, len } = *window else {
-            return usize::MAX;
+            return None;
+        };
+        let Filter::User(user) = spq.filter else {
+            return Some(usize::MAX);
         };
         let first = spq.path.first();
-        let hot = self.hot.lane(first);
-        let on_path = ranges.iter().map(|r| r.len()).sum::<usize>() + hot.len();
-        match spq.filter {
-            Filter::None => on_path,
-            Filter::User(user) => {
-                let hours = hours_overlapping(start_sod, len);
-                let hot_by_user = hot.iter().filter(|leaf| {
-                    self.user_table[leaf.traj as usize] == user
-                        && hours & 1 << hour_of(leaf.time) != 0
-                });
-                let sealed = self.census.count(first, user, hours);
-                on_path.min(sealed.saturating_add(hot_by_user.count()))
-            }
-        }
+        let hours = hours_overlapping(start_sod, len);
+        let hot_by_user = self.hot.lane(first).iter().filter(|leaf| {
+            self.user_table[leaf.traj as usize] == user && hours & 1 << hour_of(leaf.time) != 0
+        });
+        let sealed = self.census.count(first, user, hours);
+        Some(sealed.saturating_add(hot_by_user.count()))
     }
 
     /// Whether counts alone prove that `spq` under `window` has fewer
     /// matches than a non-empty answer needs (β; one when β is omitted or
     /// zero) — i.e. that Procedure 5 would scan and return `∅`.
+    ///
+    /// The bound is `min(census, on_path)`, where `on_path` — the path's
+    /// occurrences, Σ |ISA range| plus the hot leaves of its first edge —
+    /// over-counts the matches for any filter. The range-free census is
+    /// checked first; then the partitions' ranges are summed oldest first
+    /// only until `on_path` reaches the need, so the decision is the full
+    /// bound's while a query the census does not prune searches only the
+    /// partitions it takes to reach β.
     pub(crate) fn provably_short(
         &self,
         spq: &Spq,
         window: &TimeInterval,
-        ranges: &[IsaRange],
+        ranges: &mut PathRanges,
     ) -> bool {
-        self.match_bound(spq, window, ranges) < spq.beta.unwrap_or(1).max(1) as usize
+        let need = spq.beta.unwrap_or(1).max(1) as usize;
+        let Some(census) = self.census_bound(spq, window) else {
+            return false;
+        };
+        let hot = self.hot.lane(spq.path.first()).len();
+        census < need || !ranges.hold_at_least(need.saturating_sub(hot))
     }
 
     /// The upper bound on the matches of `spq` within its own (periodic)
@@ -362,7 +371,11 @@ impl SntIndex {
     /// test support: held against a brute-force count.
     #[doc(hidden)]
     pub fn match_upper_bound(&self, spq: &Spq) -> usize {
-        self.match_bound(spq, &spq.interval, &self.isa_ranges(&spq.path))
+        let Some(census) = self.census_bound(spq, &spq.interval) else {
+            return usize::MAX;
+        };
+        let sealed: usize = self.isa_ranges(&spq.path).iter().map(|r| r.len()).sum();
+        census.min(sealed + self.hot.lane(spq.path.first()).len())
     }
 
     /// The census counted from scratch: every forest leaf attributed

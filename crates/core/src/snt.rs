@@ -298,16 +298,11 @@ impl FmVariant {
         }
     }
 
-    /// Appends `isa_range(&pattern[k..])` for every `k` to `out` — one
+    /// Writes `isa_range(&pattern[k..])` to `out[k]` for every `k` — one
     /// backward search whose checkpointed cursor states become the
     /// suffix-cache entries of [`SearchScratch`] — charging each live step
     /// to `cost` ([`tthr_fmindex::FmIndex::suffix_ranges_costed`]).
-    fn suffix_ranges_costed(
-        &self,
-        pattern: &[u32],
-        out: &mut Vec<IsaRange>,
-        cost: &mut SearchCost,
-    ) {
+    fn suffix_ranges_costed(&self, pattern: &[u32], out: &mut [IsaRange], cost: &mut SearchCost) {
         match self {
             FmVariant::Huffman(fm) => fm.suffix_ranges_costed(pattern, out, cost),
             FmVariant::Matrix(fm) => fm.suffix_ranges_costed(pattern, out, cost),
@@ -509,6 +504,14 @@ pub(crate) fn suffix_leaves(
 /// every re-dispatch of an unchanged path under a widened window) are
 /// answered without touching the wavelet structures at all.
 ///
+/// The cache is filled per partition, on demand: a query searches a
+/// partition's FM-index only when one of its checks or its temporal scan
+/// needs that partition's range ([`PathRanges`]), and that one backward
+/// search records every suffix state of the cached pattern for the
+/// partition. A sub-path answered from an entry therefore finds the
+/// partitions its parent touched already searched, and searches the
+/// others itself.
+///
 /// A scratch is single-index-state: entries are tagged with the owning
 /// index's process-unique id plus its trajectory count, and
 /// self-invalidate whenever queries are answered by any other index (a
@@ -522,10 +525,16 @@ pub struct SearchScratch {
     owner: Option<(u64, u64)>,
     /// Pattern buffer for the query being answered.
     symbols: Vec<u32>,
-    /// Per-partition ISA ranges of the last [`SntIndex::fill_ranges`].
+    /// Per partition, the range of the path being answered, or
+    /// [`UNSEARCHED`] (the buffer behind [`PathRanges`]).
     ranges: Vec<IsaRange>,
-    /// Suffix-state cache over previously searched patterns.
+    /// Suffix-state cache over previously searched patterns; a partition
+    /// no query has needed yet holds [`UNSEARCHED`] states.
     entries: Vec<ScratchEntry>,
+    /// Whether a cache miss searches every partition at once — the eager
+    /// reference the on-demand search is tested against
+    /// ([`SearchScratch::eager`]).
+    eager: bool,
     /// Cost attribution for the queries answered through this scratch;
     /// purely observational (see [`QueryTrace`]). Callers that want
     /// per-query profiles call `QueryTrace::reset` between queries.
@@ -534,11 +543,19 @@ pub struct SearchScratch {
 
 /// One cached search: the pattern and, flattened per partition, the ISA
 /// range of every suffix (`states[p * len + k]` = partition `p`, suffix
-/// `pattern[k..]`).
+/// `pattern[k..]`), [`UNSEARCHED`] for a partition not searched yet.
 struct ScratchEntry {
     symbols: Vec<u32>,
     states: Vec<IsaRange>,
 }
+
+/// The state of a partition whose backward search has not run. A search
+/// that produced it — an empty range at `u32::MAX` — would only make the
+/// partition be searched again, to the same result.
+const UNSEARCHED: IsaRange = IsaRange {
+    start: u32::MAX,
+    end: u32::MAX,
+};
 
 /// Hard cap on cached searches: a defensive bound for adversarially deep
 /// relaxation chains (hit ⇒ the cache resets and keeps working).
@@ -548,6 +565,18 @@ impl SearchScratch {
     /// A fresh scratch (no allocations until first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A scratch whose cache misses search every partition up front, as
+    /// the index did before partitions were searched on demand — test
+    /// support: the reference the on-demand search must answer, prune and
+    /// hit the cache exactly like, searching no more partitions.
+    #[doc(hidden)]
+    pub fn eager() -> Self {
+        SearchScratch {
+            eager: true,
+            ..Self::default()
+        }
     }
 
     /// Number of cached searches (diagnostics/tests).
@@ -576,6 +605,87 @@ impl SearchScratch {
             self.trace.search_ns += t0.elapsed().as_nanos() as u64;
         }
         out
+    }
+}
+
+/// The per-partition ISA ranges of one query's path, each partition
+/// searched the first time a reader asks for its range (Section 4.3.2's
+/// one FM-index per partition, searched on demand).
+///
+/// Procedure 5 needs a partition's range only to test a leaf of that
+/// partition, or to count occurrences for the census bound, so the readers
+/// ask in the order they need: [`PathRanges::any`] and
+/// [`PathRanges::hold_at_least`] walk the partitions oldest first and stop
+/// at their answer, and a temporal scan asks for a leaf's partition when
+/// it meets the leaf. A β-capped scan that stops after the first few
+/// partitions' leaves leaves the others unsearched. Every range it does
+/// return is the one [`SntIndex::isa_ranges`] returns, so answers do not
+/// depend on which partitions were searched.
+pub(crate) struct PathRanges<'a> {
+    partitions: &'a [FmVariant],
+    /// Per partition, the path's range, or [`UNSEARCHED`]: the entry's
+    /// states at `offset`, copied out so that a scan's per-leaf lookup is
+    /// one load.
+    ranges: &'a mut [IsaRange],
+    /// The cached search the path's pattern is a suffix of.
+    entry: &'a mut ScratchEntry,
+    /// Where the path's pattern starts in `entry.symbols`.
+    offset: usize,
+    /// The trace each search is charged to; the query's own counters ride
+    /// along.
+    trace: &'a mut QueryTrace,
+}
+
+impl PathRanges<'_> {
+    /// Partition `p`'s range of the path, searching the partition first
+    /// if no query through this cache entry has yet.
+    #[inline]
+    fn get(&mut self, p: usize) -> IsaRange {
+        match self.ranges[p] {
+            UNSEARCHED => self.search(p),
+            range => range,
+        }
+    }
+
+    /// One backward search of the cached pattern in partition `p`,
+    /// recording every suffix state for later sub-path lookups.
+    #[inline(never)]
+    fn search(&mut self, p: usize) -> IsaRange {
+        let len = self.entry.symbols.len();
+        let states = &mut self.entry.states[p * len..(p + 1) * len];
+        let mut cost = SearchCost::default();
+        self.partitions[p].suffix_ranges_costed(&self.entry.symbols, states, &mut cost);
+        self.trace.partitions_searched += 1;
+        self.trace.rank_ops += cost.rank_ops;
+        self.trace.wavelet_nodes += cost.wavelet_nodes;
+        self.ranges[p] = states[self.offset];
+        self.ranges[p]
+    }
+
+    /// Searches every partition not searched yet.
+    fn search_all(&mut self) {
+        for p in 0..self.partitions.len() {
+            self.get(p);
+        }
+    }
+
+    /// Whether any partition holds the path, searching oldest first up to
+    /// the first that does.
+    fn any(&mut self) -> bool {
+        (0..self.partitions.len()).any(|p| !self.get(p).is_empty())
+    }
+
+    /// Whether the partitions hold at least `n` occurrences of the path
+    /// (`Σ |range| ≥ n`), summing oldest first until they do.
+    pub(crate) fn hold_at_least(&mut self, n: usize) -> bool {
+        let mut held = 0;
+        for p in 0..self.partitions.len() {
+            if held >= n {
+                return true;
+            }
+            held += self.get(p).len();
+        }
+        held >= n
     }
 }
 
@@ -845,66 +955,68 @@ impl SntIndex {
     /// [`SntIndex::isa_ranges`] through a [`SearchScratch`]: reuses the
     /// scratch buffers (no per-call allocation) and answers from the
     /// suffix cache when the path's pattern is a suffix of a previously
-    /// searched one. Results are byte-identical to [`SntIndex::isa_ranges`].
+    /// searched one. Searches every partition the cache has not; results
+    /// are byte-identical to [`SntIndex::isa_ranges`].
     pub fn isa_ranges_with<'s>(
         &self,
         path: &tthr_network::Path,
         scratch: &'s mut SearchScratch,
     ) -> &'s [IsaRange] {
-        scratch.ensure(self.scratch_id, self.mutation_stamp);
-        self.fill_ranges(path, scratch);
+        self.path_ranges(path, scratch).search_all();
         &scratch.ranges
     }
 
-    /// Fills `scratch.ranges` with the per-partition ISA ranges of `path`,
-    /// via the suffix cache. Callers must have tagged the scratch with
-    /// [`SearchScratch::ensure`] first.
-    fn fill_ranges(&self, path: &tthr_network::Path, scratch: &mut SearchScratch) {
+    /// The ranges of `path` through the scratch's suffix cache: a hit
+    /// when its pattern is a suffix of a cached search, else a new entry
+    /// with no partition searched yet (every partition, on an
+    /// [eager](SearchScratch::eager) scratch). Partitions are searched as
+    /// the returned [`PathRanges`] is asked for them.
+    fn path_ranges<'a>(
+        &'a self,
+        path: &tthr_network::Path,
+        scratch: &'a mut SearchScratch,
+    ) -> PathRanges<'a> {
+        scratch.ensure(self.scratch_id, self.mutation_stamp);
         text::path_symbols_into(path, &mut scratch.symbols);
-        let len = scratch.symbols.len();
-        scratch.ranges.clear();
-        if len == 0 {
-            scratch
-                .ranges
-                .resize(self.partitions.len(), IsaRange::EMPTY);
-            return;
-        }
-
-        // Cache hit: the pattern is a suffix of a cached search, so its
-        // per-partition ranges are checkpointed cursor states.
-        for entry in &scratch.entries {
-            let elen = entry.symbols.len();
-            if elen >= len && entry.symbols[elen - len..] == scratch.symbols[..] {
-                let m = elen - len;
-                scratch
-                    .ranges
-                    .extend((0..self.partitions.len()).map(|p| entry.states[p * elen + m]));
+        let pattern = &scratch.symbols;
+        let hit = scratch
+            .entries
+            .iter()
+            .position(|entry| entry.symbols.ends_with(pattern));
+        let (at, offset) = match hit {
+            Some(at) => {
                 scratch.trace.scratch_hits += 1;
-                return;
+                (at, scratch.entries[at].symbols.len() - pattern.len())
             }
-        }
-
-        // Miss: one backward search per partition, recording every suffix
-        // state for future sub-path lookups.
-        scratch.trace.scratch_misses += 1;
-        let mut cost = SearchCost::default();
-        let mut states = Vec::with_capacity(self.partitions.len() * len);
-        for fm in &self.partitions {
-            fm.suffix_ranges_costed(&scratch.symbols, &mut states, &mut cost);
-            scratch.trace.partitions_searched += 1;
-        }
-        scratch.trace.rank_ops += cost.rank_ops;
-        scratch.trace.wavelet_nodes += cost.wavelet_nodes;
+            None => {
+                scratch.trace.scratch_misses += 1;
+                if scratch.entries.len() >= SCRATCH_MAX_ENTRIES {
+                    scratch.entries.clear();
+                }
+                scratch.entries.push(ScratchEntry {
+                    symbols: pattern.clone(),
+                    states: vec![UNSEARCHED; self.partitions.len() * pattern.len()],
+                });
+                (scratch.entries.len() - 1, 0)
+            }
+        };
+        let entry = &mut scratch.entries[at];
+        let stride = entry.symbols.len();
+        scratch.ranges.clear();
         scratch
             .ranges
-            .extend((0..self.partitions.len()).map(|p| states[p * len]));
-        if scratch.entries.len() >= SCRATCH_MAX_ENTRIES {
-            scratch.entries.clear();
+            .extend((0..self.partitions.len()).map(|p| entry.states[p * stride + offset]));
+        let mut ranges = PathRanges {
+            partitions: &self.partitions,
+            ranges: &mut scratch.ranges,
+            entry,
+            offset,
+            trace: &mut scratch.trace,
+        };
+        if scratch.eager && hit.is_none() {
+            ranges.search_all();
         }
-        scratch.entries.push(ScratchEntry {
-            symbols: scratch.symbols.clone(),
-            states,
-        });
+        ranges
     }
 
     /// Exact number of traversals of the path across all partitions
@@ -1021,7 +1133,7 @@ impl SntIndex {
     fn build_map(
         &self,
         spq: &Spq,
-        ranges: &[IsaRange],
+        ranges: &mut PathRanges,
         mut collect: Option<&mut Vec<f64>>,
     ) -> (ProbeTable, Vec<(Timestamp, Timestamp)>) {
         let cap = spq.beta_cap() as usize;
@@ -1038,7 +1150,7 @@ impl SntIndex {
                 let on_path = if is_hot {
                     self.hot.leaf_matches(r, &spq.path)
                 } else {
-                    ranges[r.partition as usize].contains(r.isa)
+                    ranges.get(r.partition as usize).contains(r.isa)
                 };
                 if on_path && self.passes_filter(spq, r.traj) {
                     map.insert(r.traj, r.seq, r.antecedent());
@@ -1132,16 +1244,14 @@ impl SntIndex {
     }
 
     fn get_travel_times_inner(&self, spq: &Spq, scratch: &mut SearchScratch) -> TravelTimes {
-        scratch.ensure(self.scratch_id, self.mutation_stamp);
-        self.fill_ranges(&spq.path, scratch);
-        self.answer(spq, &scratch.ranges, &mut scratch.trace)
+        self.answer(spq, &mut self.path_ranges(&spq.path, scratch))
     }
 
     /// Procedure 5 behind the backward search: answers `spq` given the
     /// per-partition ISA `ranges` of its path. A periodic query the census
     /// proves short of β is answered `∅` without its temporal scan
     /// ([`SntIndex::provably_short`]).
-    fn answer(&self, spq: &Spq, ranges: &[IsaRange], trace: &mut QueryTrace) -> TravelTimes {
+    fn answer(&self, spq: &Spq, ranges: &mut PathRanges) -> TravelTimes {
         if !self.traversed(&spq.path, ranges) {
             // Procedure 5 returns ∅ here; for the terminal fallback query
             // (single segment, fixed interval) that would strand the
@@ -1152,10 +1262,10 @@ impl SntIndex {
             return TravelTimes::empty();
         }
         if self.provably_short(spq, &spq.interval, ranges) {
-            trace.pruned += 1;
+            ranges.trace.pruned += 1;
             return TravelTimes::empty();
         }
-        self.answer_by_scan(spq, ranges, trace)
+        self.answer_by_scan(spq, ranges)
     }
 
     /// Procedure 5, line 13: one inline value — no heap churn on the
@@ -1168,18 +1278,13 @@ impl SntIndex {
     }
 
     /// The scanning part of Procedure 5, for a path known to be traversed.
-    fn answer_by_scan(
-        &self,
-        spq: &Spq,
-        ranges: &[IsaRange],
-        trace: &mut QueryTrace,
-    ) -> TravelTimes {
+    fn answer_by_scan(&self, spq: &Spq, ranges: &mut PathRanges) -> TravelTimes {
         let single = spq.path.len() == 1;
         // Single-segment queries collect their values during the build
         // scan (the probe scan would revisit the same leaves); see
         // `build_map`.
         let mut collected: Vec<f64> = Vec::new();
-        trace.temporal_passes += 1;
+        ranges.trace.temporal_passes += 1;
         let (map, spans) = self.build_map(spq, ranges, single.then_some(&mut collected));
         if let Some(beta) = spq.beta {
             if (map.len() as u32) < beta && spq.interval.is_periodic() {
@@ -1202,8 +1307,8 @@ impl SntIndex {
 
     /// Whether any trajectory — sealed or hot — traverses `path` at all
     /// (the FM-index short-circuit of Procedure 5).
-    fn traversed(&self, path: &tthr_network::Path, ranges: &[IsaRange]) -> bool {
-        ranges.iter().any(|r| !r.is_empty()) || self.hot.traverses(path)
+    fn traversed(&self, path: &tthr_network::Path, ranges: &mut PathRanges) -> bool {
+        ranges.any() || self.hot.traverses(path)
     }
 
     /// Visits, in scan order, every leaf of the path's first segment that
@@ -1214,7 +1319,7 @@ impl SntIndex {
         &self,
         spq: &Spq,
         interval: &TimeInterval,
-        ranges: &[IsaRange],
+        ranges: &mut PathRanges,
         f: &mut dyn FnMut(&LeafEntry, Timestamp) -> ControlFlow<()>,
     ) {
         let first = spq.path.first();
@@ -1227,7 +1332,7 @@ impl SntIndex {
                 let on_path = if is_hot {
                     self.hot.leaf_matches(r, &spq.path)
                 } else {
-                    ranges[r.partition as usize].contains(r.isa)
+                    ranges.get(r.partition as usize).contains(r.isa)
                 };
                 if on_path && self.passes_filter(spq, r.traj) {
                     f(r, lo)?;
@@ -1287,20 +1392,17 @@ impl SntIndex {
         levels: &[TimeInterval],
         scratch: &mut SearchScratch,
     ) -> (usize, TravelTimes) {
-        scratch.ensure(self.scratch_id, self.mutation_stamp);
-        self.fill_ranges(&spq.path, scratch);
-        let ranges: &[IsaRange] = &scratch.ranges;
-        let trace = &mut scratch.trace;
+        let ranges = &mut self.path_ranges(&spq.path, scratch);
         let last = levels.len() - 1;
         if !self.traversed(&spq.path, ranges) {
             // Periodic levels all answer ∅ without a scan.
             return (last, TravelTimes::empty());
         }
         if self.provably_short(spq, &levels[last], ranges) {
-            trace.pruned += 1;
+            ranges.trace.pruned += 1;
             return (last, TravelTimes::empty());
         }
-        let times = self.answer_by_scan(spq, ranges, trace);
+        let times = self.answer_by_scan(spq, ranges);
         if !times.is_empty() {
             return (0, times);
         }
@@ -1320,7 +1422,7 @@ impl SntIndex {
         // still needs one value).
         let need = spq.beta.unwrap_or(1).max(1) as usize;
         let mut narrowest = vec![0usize; levels.len()];
-        trace.temporal_passes += 1;
+        ranges.trace.temporal_passes += 1;
         self.for_each_match(spq, &levels[last], ranges, &mut |r, window_lo| {
             let offset = r.time - window_lo;
             let level = spans
@@ -1340,7 +1442,7 @@ impl SntIndex {
         }) else {
             return (last, TravelTimes::empty());
         };
-        let times = self.answer_by_scan(&spq.with_interval(levels[level]), ranges, trace);
+        let times = self.answer_by_scan(&spq.with_interval(levels[level]), ranges);
         debug_assert!(!times.is_empty(), "a level holding β matches answers");
         (level, times)
     }
@@ -1358,14 +1460,12 @@ impl SntIndex {
     }
 
     fn count_matching_inner(&self, spq: &Spq, cap: u32, scratch: &mut SearchScratch) -> usize {
-        scratch.ensure(self.scratch_id, self.mutation_stamp);
-        self.fill_ranges(&spq.path, scratch);
-        let ranges: &[IsaRange] = &scratch.ranges;
+        let ranges = &mut self.path_ranges(&spq.path, scratch);
         if !self.traversed(&spq.path, ranges) {
             return 0;
         }
         let mut n = 0usize;
-        scratch.trace.temporal_passes += 1;
+        ranges.trace.temporal_passes += 1;
         self.for_each_match(spq, &spq.interval, ranges, &mut |_, _| {
             n += 1;
             if n >= cap as usize {
@@ -1912,7 +2012,8 @@ mod tests {
         assert_eq!(t.index_queries, 1);
         assert_eq!(t.scratch_misses, 1, "first search is a miss");
         assert_eq!(t.scratch_hits, 0);
-        assert_eq!(t.partitions_searched as usize, idx.num_partitions());
+        assert_eq!(idx.num_partitions(), 1);
+        assert_eq!(t.partitions_searched, 1, "the one partition, searched once");
         assert_eq!(t.rank_ops, 3, "one rank per live symbol of ⟨A,B,E⟩");
         assert!(t.wavelet_nodes >= t.rank_ops, "each rank descends ≥ 1 node");
         assert_eq!(t.search_ns, 0, "timing is off by default");
@@ -1938,6 +2039,62 @@ mod tests {
         assert_eq!(n, idx.count_matching(&q, u32::MAX));
         assert_eq!(counting.trace.index_queries, 1);
         assert_eq!(counting.trace.scratch_misses, 1);
+    }
+
+    /// Partitions are searched on demand: a read searches the partitions
+    /// its checks and its scan reach, oldest first, and a later read
+    /// through the same scratch searches only the partitions not searched
+    /// yet.
+    #[test]
+    fn reads_search_only_the_partitions_they_reach() {
+        let mut idx = index();
+        for t0 in [1_000, 2_000, 3_000] {
+            let tr = Trajectory::new(
+                tthr_trajectory::TrajId(0),
+                UserId(5),
+                vec![
+                    tthr_trajectory::TrajEntry::new(EDGE_A, t0, 3.0),
+                    tthr_trajectory::TrajEntry::new(EDGE_B, t0 + 3, 3.0),
+                    tthr_trajectory::TrajEntry::new(EDGE_E, t0 + 6, 4.0),
+                ],
+            )
+            .unwrap();
+            idx.append_trajectories(&[&tr]);
+        }
+        assert_eq!(idx.num_partitions(), 4);
+        let abe = Path::new(vec![EDGE_A, EDGE_B, EDGE_E]);
+
+        // β = 2 is met by tr0 and tr3 in the first partition: the scan
+        // stops before it meets a leaf of any other.
+        let early = Spq::new(abe.clone(), TimeInterval::fixed(0, 10_000)).with_beta(2);
+        let mut scratch = SearchScratch::new();
+        let got = idx.get_travel_times_with(&early, &mut scratch);
+        assert_eq!(got.sorted(), vec![10.0, 11.0]);
+        assert_eq!(scratch.trace.partitions_searched, 1);
+        assert_eq!(scratch.trace.rank_ops, 3);
+        let mut eager = SearchScratch::eager();
+        assert_eq!(idx.get_travel_times_with(&early, &mut eager), got);
+        assert_eq!(
+            eager.trace.partitions_searched, 4,
+            "the eager search takes all"
+        );
+
+        // An uncapped count through the same scratch is a cache hit that
+        // meets every partition's leaves: it searches the three left.
+        let n = idx.count_matching_with(&early, u32::MAX, &mut scratch);
+        assert_eq!(n, 5);
+        assert_eq!(scratch.trace.scratch_hits, 1);
+        assert_eq!(scratch.trace.partitions_searched, 4);
+
+        // A path no partition holds is searched everywhere, oldest first.
+        let ef = Spq::new(
+            Path::new(vec![EDGE_E, EDGE_F]),
+            TimeInterval::fixed(0, 10_000),
+        );
+        let mut scratch = SearchScratch::new();
+        assert!(idx.get_travel_times_with(&ef, &mut scratch).is_empty());
+        assert_eq!(scratch.trace.partitions_searched, 4);
+        assert_eq!(scratch.trace.temporal_passes, 0);
     }
 
     #[test]

@@ -30,7 +30,12 @@ pub struct QueryTrace {
     pub scratch_hits: u64,
     /// Scratch suffix-cache misses (fresh backward searches executed).
     pub scratch_misses: u64,
-    /// FM-index partitions searched by those fresh searches.
+    /// FM-index partitions backward-searched. A partition is searched
+    /// the first time a read needs its range — a check or a temporal
+    /// scan that reaches one of its leaves — once per scratch cache
+    /// entry, so a scratch hit can search a partition its parent never
+    /// reached, and a read that stops at β searches fewer partitions than
+    /// the index holds.
     pub partitions_searched: u64,
     /// Index-level queries executed (`get_travel_times` / `count_matching`
     /// calls that reached an [`SntIndex`](crate::SntIndex)).

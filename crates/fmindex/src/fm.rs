@@ -263,23 +263,23 @@ impl<W: SymbolRank> FmIndex<W> {
     }
 
     /// The ISA range of **every suffix** of the pattern in one backward
-    /// search: `out[k] = isa_range(&pattern[k..])`, appended to `out` in
-    /// index order, with each live backward-search step charged to `cost`.
-    /// One search costs the same as `isa_range(pattern)` (dead-state
-    /// extensions are constant-time), and the recorded states are what the
-    /// query layer's suffix cache serves sub-path searches from.
+    /// search: `out[k] = isa_range(&pattern[k..])` for every `k` (`out`
+    /// holds one slot per pattern symbol), with each live backward-search
+    /// step charged to `cost`. One search costs the same as
+    /// `isa_range(pattern)` (dead-state extensions are constant-time), and
+    /// the recorded states are what the query layer's suffix cache serves
+    /// sub-path searches from.
     pub fn suffix_ranges_costed(
         &self,
         pattern: &[u32],
-        out: &mut Vec<IsaRange>,
+        out: &mut [IsaRange],
         cost: &mut SearchCost,
     ) {
-        let from = out.len();
-        out.resize(from + pattern.len(), IsaRange::EMPTY);
+        assert_eq!(out.len(), pattern.len(), "one slot per suffix");
         let mut cur = self.cursor();
         for (k, &c) in pattern.iter().enumerate().rev() {
             cur = self.extend_left_costed(cur, c, cost);
-            out[from + k] = cur.range();
+            out[k] = cur.range();
         }
     }
 
@@ -514,7 +514,7 @@ mod tests {
         // wavelet shape's per-symbol depth.
         let pattern = [1u32, 2, 5]; // ⟨A,B,E⟩ — occurs twice
         let mut plain = Vec::new();
-        let mut costed = Vec::new();
+        let mut costed = [IsaRange::EMPTY; 3];
         let mut cost = SearchCost::default();
         matrix.suffix_ranges(&pattern, &mut plain);
         matrix.suffix_ranges_costed(&pattern, &mut costed, &mut cost);
@@ -533,7 +533,7 @@ mod tests {
 
         // Huffman shape: depths vary by code length but ranges agree.
         let mut hplain = Vec::new();
-        let mut hcosted = Vec::new();
+        let mut hcosted = [IsaRange::EMPTY; 3];
         let mut hcost = SearchCost::default();
         huff.suffix_ranges(&pattern, &mut hplain);
         huff.suffix_ranges_costed(&pattern, &mut hcosted, &mut hcost);
@@ -551,12 +551,11 @@ mod tests {
         // on the dead cursor is free; a pattern ending in an unknown
         // symbol is dead from step 0.
         let mut cost = SearchCost::default();
-        let mut out = Vec::new();
+        let mut out = [IsaRange::EMPTY; 3];
         matrix.suffix_ranges_costed(&[3, 2, 1], &mut out, &mut cost);
         assert_eq!(cost.rank_ops, 2, "A and B rank; dead C step is free");
         let mut cost = SearchCost::default();
-        out.clear();
-        matrix.suffix_ranges_costed(&[1, 42], &mut out, &mut cost);
+        matrix.suffix_ranges_costed(&[1, 42], &mut out[..2], &mut cost);
         assert_eq!(cost, SearchCost::default(), "dead from the first step");
 
         // extend_left_costed returns bit-identical cursors.

@@ -310,7 +310,7 @@ impl ServiceMetrics {
             ),
             partitions_searched: counter(
                 "tthr_partitions_searched_total",
-                "FM-index partitions scanned by fresh backward searches",
+                "FM-index partitions backward-searched, each on a read's first need of its range",
             ),
             index_queries: counter(
                 "tthr_index_queries_total",
