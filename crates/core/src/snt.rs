@@ -506,7 +506,7 @@ pub(crate) fn suffix_leaves(
 ///
 /// The cache is filled per partition, on demand: a query searches a
 /// partition's FM-index only when one of its checks or its temporal scan
-/// needs that partition's range ([`PathRanges`]), and that one backward
+/// needs that partition's range (`PathRanges`), and that one backward
 /// search records every suffix state of the cached pattern for the
 /// partition. A sub-path answered from an entry therefore finds the
 /// partitions its parent touched already searched, and searches the

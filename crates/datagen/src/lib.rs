@@ -14,15 +14,15 @@
 //!   months: personal departure habits and driving styles, weekday rush-hour
 //!   congestion, per-traversal lognormal noise, and intersection turn
 //!   delays (the effect that motivates path-level estimation).
-//! * [`gps`] — 1 Hz GPS traces with Gaussian noise re-derived from generated
-//!   trajectories, to exercise the HMM map-matcher end to end.
 //!
-//! Everything is seeded and reproducible.
+//! Trajectories come out network-constrained, as map-matched input would:
+//! each trip follows a least-`estimateTT` route. Everything is seeded and
+//! reproducible; `tests/fingerprint.rs` pins the `small` and `medium`
+//! worlds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gps;
 mod network;
 mod workload;
 

@@ -405,7 +405,7 @@ fn b_position(b: &NetworkBuilder, v: VertexId) -> Point {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tthr_network::route::{Router, Weighting};
+    use tthr_network::route::Router;
 
     #[test]
     fn small_network_statistics() {
@@ -443,14 +443,10 @@ mod tests {
         let mut router = Router::new(&syn.network);
         let a = syn.cities[0].vertices[10];
         let z = *syn.cities[1].vertices.last().unwrap();
-        let route = router
-            .shortest_route(a, z, Weighting::TravelTime, f64::INFINITY)
-            .expect("cities connected");
-        assert!(route.edges.len() > 10);
+        let route = router.shortest_route(a, z).expect("cities connected");
+        assert!(route.len() > 10);
         // And back (all roads are two-way).
-        assert!(router
-            .shortest_route(z, a, Weighting::TravelTime, f64::INFINITY)
-            .is_some());
+        assert!(router.shortest_route(z, a).is_some());
     }
 
     #[test]
@@ -486,9 +482,7 @@ mod tests {
         let mut router = Router::new(&syn.network);
         let home = syn.cities[0].vertices[0];
         let pocket = syn.summer_vertices[0];
-        assert!(router
-            .shortest_route(home, pocket, Weighting::TravelTime, f64::INFINITY)
-            .is_some());
+        assert!(router.shortest_route(home, pocket).is_some());
     }
 
     #[test]

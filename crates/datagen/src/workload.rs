@@ -12,7 +12,7 @@ use crate::network::SyntheticNetwork;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr_shim::sample_lognormal;
-use tthr_network::route::{Router, Weighting};
+use tthr_network::route::Router;
 use tthr_network::{Category, EdgeId, RoadNetwork, Timestamp, VertexId, Zone, SECONDS_PER_DAY};
 use tthr_trajectory::{TrajEntry, TrajId, TrajectorySet, UserId};
 
@@ -205,12 +205,10 @@ pub fn generate_workload(syn: &SyntheticNetwork, config: &WorkloadConfig) -> Tra
     // Pre-compute commute routes (they repeat every day).
     for d in &mut drivers {
         d.home_work = router
-            .shortest_route(d.home, d.work, Weighting::TravelTime, f64::INFINITY)
-            .map(|r| r.edges)
+            .shortest_route(d.home, d.work)
             .filter(|e| !e.is_empty());
         d.work_home = router
-            .shortest_route(d.work, d.home, Weighting::TravelTime, f64::INFINITY)
-            .map(|r| r.edges)
+            .shortest_route(d.work, d.home)
             .filter(|e| !e.is_empty());
     }
 
@@ -254,8 +252,7 @@ pub fn generate_workload(syn: &SyntheticNetwork, config: &WorkloadConfig) -> Tra
                     syn.cities[city].vertices[rng.gen_range(0..syn.cities[city].vertices.len())]
                 };
                 if let Some(route) = router
-                    .shortest_route(driver.home, dest, Weighting::TravelTime, f64::INFINITY)
-                    .map(|r| r.edges)
+                    .shortest_route(driver.home, dest)
                     .filter(|e| !e.is_empty())
                 {
                     let depart =
@@ -279,10 +276,7 @@ fn random_route(
 ) -> Option<Vec<EdgeId>> {
     let city = rng.gen_range(0..syn.cities.len());
     let to = syn.cities[city].vertices[rng.gen_range(0..syn.cities[city].vertices.len())];
-    router
-        .shortest_route(from, to, Weighting::TravelTime, f64::INFINITY)
-        .map(|r| r.edges)
-        .filter(|e| !e.is_empty())
+    router.shortest_route(from, to).filter(|e| !e.is_empty())
 }
 
 /// Synthesizes traversal times along a route and appends the trajectory.

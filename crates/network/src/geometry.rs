@@ -1,4 +1,4 @@
-//! Minimal planar geometry for vertex placement, GPS noise, and map-matching.
+//! Minimal planar geometry for placing the synthetic network's vertices.
 //!
 //! The workspace operates in a local planar coordinate system (meters), which
 //! is accurate enough at the regional scale of the paper's Northern Denmark
@@ -37,20 +37,6 @@ impl Point {
             y: self.y + (other.y - self.y) * t,
         }
     }
-
-    /// Distance from `self` to the segment `a`–`b`, together with the
-    /// parameter `t ∈ [0, 1]` of the closest point on the segment.
-    pub fn distance_to_segment(&self, a: &Point, b: &Point) -> (f64, f64) {
-        let abx = b.x - a.x;
-        let aby = b.y - a.y;
-        let len2 = abx * abx + aby * aby;
-        if len2 <= f64::EPSILON {
-            return (self.distance(a), 0.0);
-        }
-        let t = (((self.x - a.x) * abx + (self.y - a.y) * aby) / len2).clamp(0.0, 1.0);
-        let proj = a.lerp(b, t);
-        (self.distance(&proj), t)
-    }
 }
 
 #[cfg(test)]
@@ -72,38 +58,5 @@ mod tests {
         assert_eq!(a.lerp(&b, 1.0), b);
         let m = a.lerp(&b, 0.5);
         assert!((m.x - 5.0).abs() < 1e-12 && (m.y + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segment_distance_projects_onto_interior() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 0.0);
-        let p = Point::new(5.0, 3.0);
-        let (d, t) = p.distance_to_segment(&a, &b);
-        assert!((d - 3.0).abs() < 1e-12);
-        assert!((t - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segment_distance_clamps_to_endpoints() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 0.0);
-        let p = Point::new(-4.0, 3.0);
-        let (d, t) = p.distance_to_segment(&a, &b);
-        assert!((d - 5.0).abs() < 1e-12);
-        assert_eq!(t, 0.0);
-        let q = Point::new(14.0, -3.0);
-        let (d2, t2) = q.distance_to_segment(&a, &b);
-        assert!((d2 - 5.0).abs() < 1e-12);
-        assert_eq!(t2, 1.0);
-    }
-
-    #[test]
-    fn degenerate_segment_falls_back_to_point_distance() {
-        let a = Point::new(2.0, 2.0);
-        let p = Point::new(5.0, 6.0);
-        let (d, t) = p.distance_to_segment(&a, &a);
-        assert!((d - 5.0).abs() < 1e-12);
-        assert_eq!(t, 0.0);
     }
 }

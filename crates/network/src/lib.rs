@@ -12,8 +12,8 @@
 //! * [`Path`] — a traversable sequence of segments with sub-path slicing.
 //! * [`Category`] / [`Zone`] — the 17 OSM-style road categories and the
 //!   Danish-zoning-style zone types used by the partitioning strategies.
-//! * [`route`] — Dijkstra routing over the network (needed by the synthetic
-//!   workload generator and the HMM map-matcher).
+//! * [`route`] — Dijkstra routing over the network, along which the
+//!   synthetic workload generator draws its trajectories.
 //! * [`examples`] — the paper's Figure 1 / Table 1 example network, reused as
 //!   a fixture throughout the workspace test suites.
 
@@ -26,7 +26,6 @@ mod geometry;
 mod graph;
 mod path;
 pub mod route;
-pub mod spatial;
 mod types;
 
 pub use edge::EdgeAttrs;

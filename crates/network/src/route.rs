@@ -1,33 +1,13 @@
 //! Dijkstra routing over the road network.
 //!
 //! Routing is a substrate requirement, not a paper contribution: the
-//! synthetic workload generator routes drivers between origin–destination
-//! pairs, and the HMM map-matcher needs network distances between candidate
-//! segments for its transition probabilities.
+//! synthetic workload generator draws every trajectory along a least
+//! `estimateTT` route between an origin–destination pair.
 
 use crate::graph::RoadNetwork;
 use crate::types::{EdgeId, VertexId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Edge weighting for shortest-path searches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Weighting {
-    /// Minimize total `estimateTT` (free-flow travel time in seconds).
-    TravelTime,
-    /// Minimize total segment length in meters.
-    Distance,
-}
-
-impl Weighting {
-    #[inline]
-    fn weight(self, network: &RoadNetwork, e: EdgeId) -> f64 {
-        match self {
-            Weighting::TravelTime => network.estimate_tt(e),
-            Weighting::Distance => network.attrs(e).length_m,
-        }
-    }
-}
 
 #[derive(PartialEq)]
 struct HeapEntry {
@@ -54,17 +34,8 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Result of a shortest-path search.
-#[derive(Clone, Debug)]
-pub struct Route {
-    /// Edge sequence from source to target (empty when source == target).
-    pub edges: Vec<EdgeId>,
-    /// Total cost under the requested [`Weighting`].
-    pub cost: f64,
-}
-
 /// Reusable Dijkstra search state. Buffers are retained across queries so a
-/// generator or map-matcher issuing millions of searches does not reallocate.
+/// generator issuing thousands of searches does not reallocate.
 pub struct Router<'a> {
     network: &'a RoadNetwork,
     dist: Vec<f64>,
@@ -84,18 +55,13 @@ impl<'a> Router<'a> {
         }
     }
 
-    /// Shortest route from `source` to `target` under `weighting`, giving up
-    /// once the best reachable cost exceeds `cutoff` (pass `f64::INFINITY`
-    /// for an unbounded search). Returns `None` if `target` is unreachable
-    /// within the cutoff.
-    pub fn shortest_route(
-        &mut self,
-        source: VertexId,
-        target: VertexId,
-        weighting: Weighting,
-        cutoff: f64,
-    ) -> Option<Route> {
-        let cost = self.search(source, Some(target), weighting, cutoff)?;
+    /// The edges of a least total `estimateTT` route from `source` to
+    /// `target` (empty when they are equal), or `None` if `target` is
+    /// unreachable.
+    pub fn shortest_route(&mut self, source: VertexId, target: VertexId) -> Option<Vec<EdgeId>> {
+        if !self.search(source, target) {
+            return None;
+        }
         let mut edges = Vec::new();
         let mut v = target;
         while v != source {
@@ -104,28 +70,12 @@ impl<'a> Router<'a> {
             v = self.network.edge_from(e);
         }
         edges.reverse();
-        Some(Route { edges, cost })
+        Some(edges)
     }
 
-    /// Shortest cost from `source` to `target` without path reconstruction.
-    pub fn shortest_cost(
-        &mut self,
-        source: VertexId,
-        target: VertexId,
-        weighting: Weighting,
-        cutoff: f64,
-    ) -> Option<f64> {
-        self.search(source, Some(target), weighting, cutoff)
-    }
-
-    /// Runs Dijkstra; returns the cost to `target` if given and reached.
-    fn search(
-        &mut self,
-        source: VertexId,
-        target: Option<VertexId>,
-        weighting: Weighting,
-        cutoff: f64,
-    ) -> Option<f64> {
+    /// Runs Dijkstra from `source` until `target` is settled; returns
+    /// whether it was reached.
+    fn search(&mut self, source: VertexId, target: VertexId) -> bool {
         // Reset state touched by the previous query.
         for v in self.touched.drain(..) {
             self.dist[v.index()] = f64::INFINITY;
@@ -144,16 +94,13 @@ impl<'a> Router<'a> {
             if cost > self.dist[vertex.index()] {
                 continue; // stale entry
             }
-            if Some(vertex) == target {
-                return Some(cost);
-            }
-            if cost > cutoff {
-                return None;
+            if vertex == target {
+                return true;
             }
             for &e in self.network.out_edges(vertex) {
                 let next = self.network.edge_to(e);
-                let next_cost = cost + weighting.weight(self.network, e);
-                if next_cost < self.dist[next.index()] && next_cost <= cutoff {
+                let next_cost = cost + self.network.estimate_tt(e);
+                if next_cost < self.dist[next.index()] {
                     if self.dist[next.index()].is_infinite() {
                         self.touched.push(next);
                     }
@@ -166,10 +113,7 @@ impl<'a> Router<'a> {
                 }
             }
         }
-        target.and_then(|t| {
-            let d = self.dist[t.index()];
-            d.is_finite().then_some(d)
-        })
+        false
     }
 }
 
@@ -181,32 +125,13 @@ mod tests {
     #[test]
     fn routes_on_example_network() {
         // Figure 1: v0 -A-> v1 -B-> v2 -E-> v4, with detour v1 -C-> v3 -D-> v2.
-        let net = example_network();
-        let mut router = Router::new(&net);
-        let route = router
-            .shortest_route(
-                VertexId(0),
-                VertexId(4),
-                Weighting::TravelTime,
-                f64::INFINITY,
-            )
-            .unwrap();
         // A,B,E is the fastest (29.5 + 8.6 + 7.2 ≈ 45.3 s) vs A,C,D,E (≈ 51 s).
-        assert_eq!(route.edges, vec![EdgeId(0), EdgeId(1), EdgeId(4)]);
-        assert!((route.cost - (29.4545 + 8.64 + 7.2)).abs() < 1e-2);
-    }
-
-    #[test]
-    fn distance_weighting_can_differ_from_time() {
         let net = example_network();
         let mut router = Router::new(&net);
-        // By distance, A,C,D,E = 900+40+80+100 = 1120 m beats A,B,E = 1120 m?
-        // A,B,E = 900+120+100 = 1120 m; tie — Dijkstra picks one of them, and
-        // both costs must be equal.
-        let route = router
-            .shortest_route(VertexId(0), VertexId(4), Weighting::Distance, f64::INFINITY)
-            .unwrap();
-        assert!((route.cost - 1120.0).abs() < 1e-9);
+        assert_eq!(
+            router.shortest_route(VertexId(0), VertexId(4)),
+            Some(vec![EdgeId(0), EdgeId(1), EdgeId(4)])
+        );
     }
 
     #[test]
@@ -214,71 +139,27 @@ mod tests {
         let net = example_network();
         let mut router = Router::new(&net);
         // Nothing leads back to v0.
-        assert!(router
-            .shortest_route(
-                VertexId(4),
-                VertexId(0),
-                Weighting::TravelTime,
-                f64::INFINITY
-            )
-            .is_none());
-    }
-
-    #[test]
-    fn cutoff_prunes_search() {
-        let net = example_network();
-        let mut router = Router::new(&net);
-        assert!(router
-            .shortest_cost(VertexId(0), VertexId(4), Weighting::TravelTime, 10.0)
-            .is_none());
-        assert!(router
-            .shortest_cost(VertexId(0), VertexId(4), Weighting::TravelTime, 100.0)
-            .is_some());
+        assert!(router.shortest_route(VertexId(4), VertexId(0)).is_none());
     }
 
     #[test]
     fn source_equals_target_costs_zero() {
         let net = example_network();
         let mut router = Router::new(&net);
-        let r = router
-            .shortest_route(
-                VertexId(2),
-                VertexId(2),
-                Weighting::TravelTime,
-                f64::INFINITY,
-            )
-            .unwrap();
-        assert!(r.edges.is_empty());
-        assert_eq!(r.cost, 0.0);
+        assert_eq!(
+            router.shortest_route(VertexId(2), VertexId(2)),
+            Some(vec![])
+        );
     }
 
     #[test]
     fn router_state_resets_between_queries() {
         let net = example_network();
         let mut router = Router::new(&net);
-        let a = router
-            .shortest_cost(
-                VertexId(0),
-                VertexId(4),
-                Weighting::TravelTime,
-                f64::INFINITY,
-            )
-            .unwrap();
+        let a = router.shortest_route(VertexId(0), VertexId(4));
         // Run an unrelated query, then repeat the first: identical result.
-        let _ = router.shortest_cost(
-            VertexId(1),
-            VertexId(5),
-            Weighting::TravelTime,
-            f64::INFINITY,
-        );
-        let b = router
-            .shortest_cost(
-                VertexId(0),
-                VertexId(4),
-                Weighting::TravelTime,
-                f64::INFINITY,
-            )
-            .unwrap();
-        assert_eq!(a, b);
+        let _ = router.shortest_route(VertexId(1), VertexId(5));
+        assert_eq!(router.shortest_route(VertexId(0), VertexId(4)), a);
+        assert!(a.is_some());
     }
 }

@@ -21,9 +21,12 @@
 //! take over as primary (e.g. from the failover router).
 //!
 //! With `--hot-tail`, appends are absorbed into the index's hot tail
-//! (cheap ingest, no per-append FM/wavelet work) and sealed at the next
-//! snapshot rotation; answers are byte-identical either way, so the flag
-//! is purely an ingest-cost knob.
+//! (cheap ingest, no per-append FM/wavelet work); answers are
+//! byte-identical either way, so the flag is purely an ingest-cost knob.
+//! The tail is sealed only when a `Snapshot` request rotates the node's
+//! snapshot, and no binary sends one (only `ClusterRouter::snapshot_all`
+//! does): a deployed node never seals its tail, its `node.wal` grows for
+//! its whole life, and a restart replays all of it.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};

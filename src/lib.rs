@@ -22,8 +22,8 @@
 //!
 //! * [`network`] — road network graph (categories, zones, speed limits,
 //!   routing, the paper's Figure 1 example network).
-//! * [`trajectory`] — network-constrained trajectories, GPS traces, and an
-//!   HMM map-matcher.
+//! * [`trajectory`] — network-constrained (map-matched) trajectories and
+//!   trajectory sets.
 //! * [`histogram`] — travel-time histograms, convolution, time-of-day
 //!   histograms.
 //! * [`core`] — the SNT-index adapted for travel-time retrieval, the SPQ
