@@ -29,9 +29,9 @@
 //!            ║   │     full → park conn (stop reading: TCP back-      │
 //!            ║   │     pressure); parked ≥ watermark → 503+Retry-After│
 //!            ║   └───────────────┬───────────────────▲───────────────-┘
-//!            ║                   ▼ execute           │ completions (reordered
-//!            ║   the tier's worker pool ─────────────┘  per-conn by seq, wake
-//!            ╚═══◄═══ responses over per-conn write buffers  via socketpair)
+//!            ║                   ▼ execute           │ completions (one per
+//!            ║   the tier's worker pool ─────────────┘  busy conn, wake via
+//!            ╚═══◄═══ responses, one at a time per conn      socketpair)
 //! ```
 //!
 //! The contract the test battery pins (`tests/equivalence.rs`,
@@ -47,9 +47,13 @@
 //!   [`ServerConfig::queue_cap`] requests in flight; overload answers are
 //!   `503` with `Retry-After`; keep-alive connections survive
 //!   served-then-idle cycles;
-//! * a cached `/spq` is answered by the reactor, in pipelining order,
-//!   even while the in-flight window is full; the reactor never takes the
-//!   index lock ([`QueryService::cached_travel_times`]);
+//! * pipelined requests are answered in order, one at a time: a
+//!   connection parses its next request only once the previous response
+//!   is written, so each sees its predecessors' effects (an `/spq`
+//!   behind an `/append` sees the append);
+//! * a cached `/spq` is answered by the reactor even while the in-flight
+//!   window is full; the reactor never takes the index lock
+//!   ([`QueryService::cached_travel_times`]);
 //! * graceful [`ServerHandle::shutdown`] drains in-flight requests,
 //!   refuses new ones, and never tears a response mid-byte;
 //! * malformed input never panics the reactor: it maps to `400`/`413`/
@@ -244,7 +248,7 @@ pub struct ServerConfig {
     /// slow-loris / non-reading-client guard. A connection is exempt
     /// only while the server itself owes it work it can still deliver (a
     /// response pending in a worker, or a request parked for a queue
-    /// slot); an unread write backlog does **not** exempt it.
+    /// slot); a response the client leaves unread does **not** exempt it.
     pub idle_timeout: Duration,
     /// How long a graceful shutdown waits for in-flight work to drain
     /// before closing whatever remains.

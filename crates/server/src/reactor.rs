@@ -8,11 +8,12 @@
 //! window is the backpressure boundary**:
 //!
 //! * `inflight < queue_cap` — the request is dispatched to the pool.
-//! * queue full — the connection **parks** the request and the reactor
-//!   stops reading from it (bytes back up into the kernel buffer and,
-//!   once that fills, into the client's TCP window: natural
-//!   backpressure). At most one request per connection is ever parked,
-//!   so parked work is bounded by the connection count.
+//! * queue full — the connection **parks** the request. Like every busy
+//!   connection it parses nothing more and reads at most one chunk, so
+//!   further bytes back up into the kernel buffer and, once that fills,
+//!   into the client's TCP window: natural backpressure. At most one
+//!   request per connection is ever parked, so parked work is bounded by
+//!   the connection count.
 //! * parked requests at the `shed_watermark` — further complete requests
 //!   are answered `503` + `Retry-After` immediately (load shedding), and
 //!   the connection stays usable.
@@ -23,12 +24,17 @@
 //! answered on the spot; a miss is dispatched carrying the decoded query,
 //! so the worker never parses it again.
 //!
-//! Responses travel back over a per-connection write buffer. Because the
-//! pool completes requests in any order while HTTP/1.1 pipelining
-//! requires responses in request order, every request gets a
-//! per-connection sequence number and finished responses wait in a
-//! reorder map until their turn — inline answers included. Workers wake
-//! the reactor through a socketpair byte.
+//! Each connection is a two-state machine. **Idle**, it reads and
+//! parses. **Busy**, it owes exactly one response — dispatched, parked,
+//! or being written — and parses nothing, so pipelined requests are
+//! answered in order, one at a time, each after its predecessor's
+//! effects (an `/spq` pipelined behind an `/append` sees the append).
+//! When the last byte of the response is written the connection turns
+//! idle and parses what it has buffered. A busy connection with an
+//! empty read buffer keeps reading (one request in flight per
+//! connection costs no `epoll_ctl` per request); one with pipelined
+//! bytes buffered stops, which bounds it at one read chunk. Workers
+//! wake the reactor through a socketpair byte.
 //!
 //! Graceful shutdown: the listener closes, already-accepted requests
 //! (dispatched *and* parked) drain normally, requests parsed after the
@@ -39,7 +45,7 @@
 use crate::http::{self, Limits, Parse, ParseError};
 use crate::sys::{self, Event, Interest, Poller};
 use crate::{Api, Op, ServerConfig, ServerMetrics};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::ControlFlow;
@@ -57,7 +63,6 @@ const TOKEN_FIRST_CONN: u64 = 2;
 /// A finished response traveling from a worker back to the reactor.
 pub(crate) struct Completion {
     pub token: u64,
-    pub seq: u64,
     pub bytes: Vec<u8>,
     pub close: bool,
 }
@@ -208,58 +213,27 @@ struct Conn {
     token: u64,
     /// Unparsed input.
     buf: Vec<u8>,
-    /// Sequence number handed to the next parsed request.
-    next_seq: u64,
-    /// Sequence number whose response flushes next (pipelining order).
-    next_flush: u64,
-    /// Out-of-order finished responses: seq → (bytes, close-after).
-    pending: BTreeMap<u64, (Vec<u8>, bool)>,
-    /// The one request waiting for a queue slot (backpressure parking).
-    parked: Option<(u64, Job, bool)>,
-    /// In-order responses awaiting the socket, oldest first. Each encoded
-    /// response is **moved** here (never recopied into a flat buffer) and
-    /// freed the moment it is fully written, so a connection's retained
-    /// write memory is its live backlog, not its historical maximum. The
-    /// front element is written up to `write_pos`; a flush gathers the
-    /// queued responses into one `writev`.
-    write_queue: VecDeque<Vec<u8>>,
-    /// Bytes of the front `write_queue` element already written.
-    write_pos: usize,
-    /// Queued for the end-of-iteration corked flush (`flush_dirty`).
-    dirty: bool,
-    /// Stop reading/parsing; close once every owed response is flushed.
+    state: State,
+    /// The owed response carries `connection: close` (or answers a
+    /// protocol error): close once it is written.
     close_after_flush: bool,
-    /// Read side retired before the close response flushed: set the
-    /// moment a request is routed whose response will carry
-    /// `connection: close`, or on a protocol error. Requests pipelined
-    /// behind it are **not** parsed (their responses could never be
-    /// delivered, and executing a side-effectful `/append` whose ack is
-    /// guaranteed to be dropped would invite client retries and
-    /// double-appends), and malformed bytes are not re-parsed into
-    /// duplicate error responses on every read event.
-    parse_disabled: bool,
     peer_closed: bool,
     last_activity: Instant,
     interest: Interest,
 }
 
-impl Conn {
-    /// Responses promised (sequence numbers issued) but not yet moved
-    /// into the write buffer.
-    fn outstanding(&self) -> u64 {
-        self.next_seq - self.next_flush
-    }
-
-    fn write_drained(&self) -> bool {
-        self.write_queue.is_empty()
-    }
-
-    /// Bytes owed to the peer (flush backlog): unwritten queued responses
-    /// plus reordered responses not yet in the queue.
-    fn backlog(&self) -> usize {
-        (self.write_queue.iter().map(Vec::len).sum::<usize>() - self.write_pos)
-            + self.pending.values().map(|(b, _)| b.len()).sum::<usize>()
-    }
+/// What a connection owes its peer: nothing (idle), or exactly one
+/// response (busy).
+enum State {
+    /// Reads and parses.
+    Idle,
+    /// On the worker pool; its [`Completion`] is on the way.
+    Dispatched,
+    /// Waiting for a queue slot: the job and its keep-alive.
+    Parked(Job, bool),
+    /// The encoded response, written up to the offset. It is freed the
+    /// moment its last byte is out.
+    Writing(Vec<u8>, usize),
 }
 
 pub(crate) struct Reactor {
@@ -272,11 +246,6 @@ pub(crate) struct Reactor {
     conns: HashMap<u64, Conn>,
     /// Tokens with a parked request, oldest first.
     parked: VecDeque<u64>,
-    parked_count: usize,
-    /// Connections with responses staged since the last flush (corking:
-    /// one gathered `writev` per connection per loop iteration instead of
-    /// one `write` per response).
-    dirty_tokens: Vec<u64>,
     /// Recycled read buffers from closed connections, so short-lived
     /// connections don't pay a fresh allocation each.
     buf_pool: Vec<Vec<u8>>,
@@ -307,8 +276,6 @@ impl Reactor {
             poller,
             conns: HashMap::new(),
             parked: VecDeque::new(),
-            parked_count: 0,
-            dirty_tokens: Vec::new(),
             buf_pool: Vec::new(),
             next_token: TOKEN_FIRST_CONN,
             limits: Limits {
@@ -341,7 +308,6 @@ impl Reactor {
             }
             self.process_completions();
             self.dispatch_parked();
-            self.flush_dirty();
             if self.sweep() {
                 return Ok(());
             }
@@ -383,15 +349,8 @@ impl Reactor {
                             stream,
                             token,
                             buf: self.buf_pool.pop().unwrap_or_default(),
-                            next_seq: 0,
-                            next_flush: 0,
-                            pending: BTreeMap::new(),
-                            parked: None,
-                            write_queue: VecDeque::new(),
-                            write_pos: 0,
-                            dirty: false,
+                            state: State::Idle,
                             close_after_flush: false,
-                            parse_disabled: false,
                             peer_closed: false,
                             last_activity: Instant::now(),
                             interest: Interest::READ,
@@ -453,6 +412,7 @@ impl Reactor {
         if ev.readable {
             self.read_conn(token);
         }
+        self.advance_conn(token);
         self.update_interest(token);
     }
 
@@ -467,7 +427,7 @@ impl Reactor {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 conn.peer_closed = true;
-                if conn.outstanding() == 0 && conn.write_drained() && conn.parked.is_none() {
+                if matches!(conn.state, State::Idle) {
                     self.close_conn(token);
                 }
             }
@@ -478,7 +438,6 @@ impl Reactor {
                     .counters
                     .bytes_in
                     .fetch_add(n as u64, Ordering::Relaxed);
-                self.advance_conn(token);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -488,22 +447,19 @@ impl Reactor {
         }
     }
 
-    /// Parses and routes every complete request buffered on a connection,
-    /// until input runs dry, the connection parks, or it begins closing.
-    /// On the way out, a drained buffer that ballooned past the retention
-    /// watermark (one oversized request is enough) gives the excess back
-    /// to the allocator instead of pinning it for the connection's
-    /// lifetime.
+    /// Parses and routes buffered requests one at a time, for as long as
+    /// the connection is idle: a request answered and written on the spot
+    /// (an inline answer the socket takes whole) leaves it idle for the
+    /// next one. On the way out, a drained buffer that ballooned past the
+    /// retention watermark (one oversized request is enough) gives the
+    /// excess back to the allocator instead of pinning it for the
+    /// connection's lifetime.
     fn advance_conn(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.close_after_flush
-                || conn.parse_disabled
-                || conn.parked.is_some()
-                || conn.buf.is_empty()
-            {
+            if !matches!(conn.state, State::Idle) || conn.buf.is_empty() {
                 break;
             }
             match http::try_parse(&conn.buf, &self.limits) {
@@ -529,20 +485,10 @@ impl Reactor {
     /// Answers a malformed request: mapped status, then close (the next
     /// request boundary is unknowable after a bad head).
     fn protocol_error(&mut self, token: u64, e: &ParseError) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        // Retire the read side now: the error response may have to wait
-        // behind earlier in-flight responses, and until it flushes the
-        // malformed bytes must not be re-parsed into duplicate error
-        // responses on every read event.
-        conn.parse_disabled = true;
         let body = crate::wire::encode_error(e.reason());
         let bytes = http::encode_response(e.status(), body.as_bytes(), false, None);
         self.shared.counters.count_status(e.status());
-        self.finish(token, seq, bytes, true);
+        self.finish(token, bytes, true);
     }
 
     /// Routes one parsed request: inline endpoints answer immediately;
@@ -552,19 +498,7 @@ impl Reactor {
             .counters
             .requests
             .fetch_add(1, Ordering::Relaxed);
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
         let keep_alive = request.keep_alive;
-        if !keep_alive {
-            // This response will carry `connection: close`; anything the
-            // client pipelined behind it could never be answered, so stop
-            // parsing instead of executing work whose ack is guaranteed
-            // to be dropped.
-            conn.parse_disabled = true;
-        }
 
         let op = match (request.method.as_str(), request.target.as_str()) {
             // The inline endpoints; a tier without one answers `404`.
@@ -583,7 +517,7 @@ impl Reactor {
                     Some(body) => ApiResponse::with(200, body.into_bytes(), content_type),
                     None => ApiResponse::json(404, crate::wire::encode_error("unknown endpoint")),
                 };
-                self.respond(token, seq, &response, keep_alive);
+                self.respond(token, &response, keep_alive);
                 return;
             }
             // The frame content type selects the binary codec: the body
@@ -618,21 +552,17 @@ impl Reactor {
                 } else {
                     (404, "unknown endpoint")
                 };
-                self.respond_error(token, seq, status, reason, keep_alive);
+                self.respond_error(token, status, reason, keep_alive);
                 return;
             }
             _ => {
-                self.respond_error(token, seq, 405, "method not allowed", keep_alive);
+                self.respond_error(token, 405, "method not allowed", keep_alive);
                 return;
             }
         };
 
         if self.shared.shutdown.load(Ordering::SeqCst) {
             // Refuse new work while draining; tell the client to go away.
-            // The refusal closes the connection, so stop parsing too.
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.parse_disabled = true;
-            }
             self.shared
                 .counters
                 .refused_shutdown
@@ -644,7 +574,7 @@ impl Reactor {
                 false,
                 Some(self.config.retry_after_secs),
             );
-            self.finish(token, seq, bytes, true);
+            self.finish(token, bytes, true);
             return;
         }
 
@@ -664,29 +594,29 @@ impl Reactor {
                         let hit = u64::from(response.status == 200);
                         let hits = &self.shared.counters.inline_hits;
                         hits.fetch_add(hit, Ordering::Relaxed);
-                        self.respond(token, seq, &response, keep_alive);
+                        self.respond(token, &response, keep_alive);
                         return;
                     }
                 }
             } else {
                 Job::Body(op, request.body)
             };
-        self.admit(token, seq, job, keep_alive);
+        self.admit(token, job, keep_alive);
     }
 
     /// Answers a request on the reactor.
-    fn respond(&mut self, token: u64, seq: u64, response: &ApiResponse, keep_alive: bool) {
+    fn respond(&mut self, token: u64, response: &ApiResponse, keep_alive: bool) {
         self.shared.counters.count_status(response.status);
-        self.finish(token, seq, response.encode(keep_alive), !keep_alive);
+        self.finish(token, response.encode(keep_alive), !keep_alive);
     }
 
     /// The backpressure gate: dispatch into a free queue slot, park under
     /// the watermark, shed past it.
-    fn admit(&mut self, token: u64, seq: u64, job: Job, keep_alive: bool) {
+    fn admit(&mut self, token: u64, job: Job, keep_alive: bool) {
         if self.shared.inflight.load(Ordering::SeqCst) < self.config.queue_cap {
-            self.dispatch(token, seq, job, keep_alive);
+            self.dispatch(token, job, keep_alive);
         } else {
-            self.park_or_shed(token, seq, job, keep_alive);
+            self.park_or_shed(token, job, keep_alive);
         }
     }
 
@@ -694,7 +624,11 @@ impl Reactor {
     /// Callers have checked `inflight < queue_cap`; the reactor thread is
     /// the only incrementer (workers only decrement), so the
     /// check-then-add cannot overshoot the cap.
-    fn dispatch(&mut self, token: u64, seq: u64, job: Job, keep_alive: bool) {
+    fn dispatch(&mut self, token: u64, job: Job, keep_alive: bool) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.state = State::Dispatched;
         let now_inflight = self.shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         debug_assert!(now_inflight <= self.config.queue_cap);
         self.shared
@@ -722,7 +656,6 @@ impl Reactor {
                 .unwrap_or_else(|e| e.into_inner())
                 .push(Completion {
                     token,
-                    seq,
                     bytes,
                     close: !keep_alive,
                 });
@@ -732,17 +665,13 @@ impl Reactor {
     }
 
     /// Queue-full path: park under the watermark, shed past it.
-    fn park_or_shed(&mut self, token: u64, seq: u64, job: Job, keep_alive: bool) {
-        if self.parked_count < self.config.shed_watermark {
+    fn park_or_shed(&mut self, token: u64, job: Job, keep_alive: bool) {
+        if self.parked.len() < self.config.shed_watermark {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            debug_assert!(conn.parked.is_none());
-            conn.parked = Some((seq, job, keep_alive));
+            conn.state = State::Parked(job, keep_alive);
             self.parked.push_back(token);
-            self.parked_count += 1;
-            // `wants_read` is now false: the reactor stops reading this
-            // connection until the parked request gets a slot.
         } else {
             self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
             let body = crate::wire::encode_error("overloaded, retry later");
@@ -752,121 +681,56 @@ impl Reactor {
                 keep_alive,
                 Some(self.config.retry_after_secs),
             );
-            self.finish(token, seq, bytes, !keep_alive);
+            self.finish(token, bytes, !keep_alive);
         }
     }
 
-    fn respond_error(&mut self, token: u64, seq: u64, status: u16, reason: &str, keep_alive: bool) {
+    fn respond_error(&mut self, token: u64, status: u16, reason: &str, keep_alive: bool) {
         let response = ApiResponse::json(status, crate::wire::encode_error(reason));
-        self.respond(token, seq, &response, keep_alive);
+        self.respond(token, &response, keep_alive);
     }
 
-    /// Hands a finished response to the connection's reorder map, stages
-    /// whatever became in-order, and queues the connection for the
-    /// end-of-iteration corked flush — responses completed in the same
-    /// loop iteration (pipelined bursts, completion batches) leave in one
-    /// gathered `writev` instead of one syscall each.
-    fn finish(&mut self, token: u64, seq: u64, bytes: Vec<u8>, close: bool) {
+    /// Stages a connection's one owed response and writes what the
+    /// socket takes of it.
+    fn finish(&mut self, token: u64, bytes: Vec<u8>, close: bool) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if conn.close_after_flush {
-            // A `connection: close` response already flushed ahead of this
-            // seq; nothing may follow it on the wire, and the seq was
-            // already settled by `flush_ready`'s fast-forward.
-            return;
-        }
-        conn.pending.insert(seq, (bytes, close));
-        Self::flush_ready(conn);
-        if !conn.dirty {
-            conn.dirty = true;
-            self.dirty_tokens.push(token);
-        }
+        conn.state = State::Writing(bytes, 0);
+        conn.close_after_flush = close;
+        self.flush_conn(token);
     }
 
-    /// Flushes every connection that staged responses this iteration.
-    fn flush_dirty(&mut self) {
-        for token in std::mem::take(&mut self.dirty_tokens) {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue; // closed since it was staged
-            };
-            conn.dirty = false;
-            self.flush_conn(token);
-            self.update_interest(token);
-        }
-    }
-
-    /// Moves in-order responses from the reorder map into the write
-    /// queue.
-    fn flush_ready(conn: &mut Conn) {
-        while let Some((bytes, close)) = conn.pending.remove(&conn.next_flush) {
-            if !bytes.is_empty() {
-                conn.write_queue.push_back(bytes);
-            }
-            conn.next_flush += 1;
-            if close {
-                conn.close_after_flush = true;
-                // Nothing may follow a `connection: close` on the wire:
-                // drop responses already completed for later seqs and
-                // fast-forward the flush cursor so every promised seq
-                // counts as settled — the close/reap paths are gated on
-                // `outstanding() == 0` and would otherwise leak the
-                // connection forever.
-                conn.pending.clear();
-                conn.next_flush = conn.next_seq;
-                break;
-            }
-        }
-    }
-
-    /// Writes the queued responses with gathered `writev` calls (up to
-    /// [`MAX_FLUSH_IOVECS`] per syscall), popping and freeing each
-    /// response the moment its last byte is written.
+    /// Writes the owed response. Once its last byte is out the connection
+    /// closes, if the response said so, or turns idle; the caller then
+    /// parses what it has buffered ([`Reactor::advance_conn`]).
     fn flush_conn(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        while !conn.write_queue.is_empty() {
-            let mut slices: Vec<std::io::IoSlice<'_>> =
-                Vec::with_capacity(conn.write_queue.len().min(MAX_FLUSH_IOVECS));
-            for (i, bytes) in conn.write_queue.iter().take(MAX_FLUSH_IOVECS).enumerate() {
-                let rest = if i == 0 {
-                    &bytes[conn.write_pos..]
-                } else {
-                    &bytes[..]
-                };
-                slices.push(std::io::IoSlice::new(rest));
-            }
-            match conn.stream.write_vectored(&slices) {
-                Ok(0) => break,
-                Ok(mut n) => {
+        let State::Writing(bytes, pos) = &mut conn.state else {
+            return;
+        };
+        while *pos < bytes.len() {
+            match conn.stream.write(&bytes[*pos..]) {
+                Ok(0) => return,
+                Ok(n) => {
+                    *pos += n;
                     conn.last_activity = Instant::now();
                     self.shared
                         .counters
                         .bytes_out
                         .fetch_add(n as u64, Ordering::Relaxed);
-                    while n > 0 {
-                        let front_left = conn.write_queue[0].len() - conn.write_pos;
-                        if n >= front_left {
-                            conn.write_queue.pop_front();
-                            conn.write_pos = 0;
-                            n -= front_left;
-                        } else {
-                            conn.write_pos += n;
-                            n = 0;
-                        }
-                    }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
+                Err(_) => return self.close_conn(token),
             }
         }
-        if conn.write_drained() && conn.close_after_flush && conn.outstanding() == 0 {
+        if conn.close_after_flush {
             self.close_conn(token);
+        } else {
+            conn.state = State::Idle;
         }
     }
 
@@ -883,30 +747,27 @@ impl Reactor {
         for c in completed {
             // The connection may have died while the worker ran; its
             // response is simply dropped.
-            self.finish(c.token, c.seq, c.bytes, c.close);
+            self.finish(c.token, c.bytes, c.close);
+            self.advance_conn(c.token);
+            self.update_interest(c.token);
         }
     }
 
-    /// Gives freed queue slots to parked requests, oldest first, and
-    /// resumes reading on their connections.
+    /// Gives freed queue slots to parked requests, oldest first.
     fn dispatch_parked(&mut self) {
         while self.shared.inflight.load(Ordering::SeqCst) < self.config.queue_cap {
             let Some(token) = self.parked.pop_front() else {
                 return;
             };
+            // Every queued token is an open connection in `State::Parked`:
+            // `close_conn` unqueues it.
             let Some(conn) = self.conns.get_mut(&token) else {
-                self.parked_count -= 1;
                 continue;
             };
-            let Some((seq, job, keep_alive)) = conn.parked.take() else {
-                self.parked_count -= 1;
-                continue;
-            };
-            self.parked_count -= 1;
-            self.dispatch(token, seq, job, keep_alive);
-            // The connection can read (and possibly park) again.
-            self.advance_conn(token);
-            self.update_interest(token);
+            if let State::Parked(job, keep_alive) = std::mem::replace(&mut conn.state, State::Idle)
+            {
+                self.dispatch(token, job, keep_alive);
+            }
         }
     }
 
@@ -927,19 +788,17 @@ impl Reactor {
             .conns
             .values()
             .filter_map(|c| {
-                let drained = c.outstanding() == 0 && c.write_drained() && c.parked.is_none();
+                let drained = matches!(c.state, State::Idle);
                 // Exempt from the idle clock only while *we* owe work we
-                // can still deliver: a response pending in a worker
-                // (`outstanding` with the write side drained) or a parked
-                // request waiting for a queue slot. A connection stalled
-                // on an unread write backlog is the client's fault — the
-                // write path bumps `last_activity` on every successful
+                // can still deliver: a response pending in a worker or a
+                // parked request waiting for a queue slot. A connection
+                // stalled on an unread response is the client's fault —
+                // the write path bumps `last_activity` on every successful
                 // byte, so no progress for `idle_timeout` means a
                 // non-reading peer, and it is reaped like any other idle
                 // connection (otherwise non-readers would pin buffers and
                 // connection slots forever).
-                let waiting_on_us =
-                    (c.outstanding() > 0 && c.write_drained()) || c.parked.is_some();
+                let waiting_on_us = matches!(c.state, State::Dispatched | State::Parked(..));
                 let idle_timed_out = !waiting_on_us
                     && now.duration_since(c.last_activity) > self.config.idle_timeout;
                 // During a drain, a quiesced connection closes immediately.
@@ -979,8 +838,7 @@ impl Reactor {
 
     fn close_conn(&mut self, token: u64) {
         if let Some(mut conn) = self.conns.remove(&token) {
-            if conn.parked.is_some() {
-                self.parked_count -= 1;
+            if matches!(conn.state, State::Parked(..)) {
                 self.parked.retain(|&t| t != token);
             }
             let _ = self.poller.delete(conn.stream.as_raw_fd());
@@ -1004,7 +862,7 @@ impl Reactor {
         };
         let desired = Interest {
             readable: wants_read(conn),
-            writable: !conn.write_drained(),
+            writable: matches!(conn.state, State::Writing(..)),
         };
         if desired != conn.interest
             && self
@@ -1017,11 +875,6 @@ impl Reactor {
     }
 }
 
-/// Response bytes a connection may owe before the reactor stops reading
-/// from it (write-side backpressure against clients that pipeline
-/// requests without consuming responses).
-const MAX_RESPONSE_BACKLOG: usize = 256 * 1024;
-
 /// Capacity a drained per-connection read buffer is allowed to keep (one
 /// read chunk). Anything past it — grown by a single oversized request —
 /// is returned to the allocator instead of being pinned for the
@@ -1031,18 +884,15 @@ const BUF_RETAIN_WATERMARK: usize = 16 * 1024;
 /// Recycled read buffers a reactor keeps for future accepts.
 const BUF_POOL_MAX: usize = 64;
 
-/// Responses gathered into one `writev` (well under `IOV_MAX`).
-const MAX_FLUSH_IOVECS: usize = 64;
-
 /// Whether the reactor should read more bytes from a connection: not
-/// while it is closing, parked behind the queue, or owing the peer more
-/// response bytes than the backlog cap.
+/// once it is closing, and while it is busy only into an empty buffer.
+/// A busy connection with nothing buffered keeps its read interest, so a
+/// client with one request in flight costs no `epoll_ctl` per request;
+/// one with pipelined bytes buffered holds at most one read chunk.
 fn wants_read(conn: &Conn) -> bool {
     !conn.close_after_flush
-        && !conn.parse_disabled
         && !conn.peer_closed
-        && conn.parked.is_none()
-        && conn.backlog() < MAX_RESPONSE_BACKLOG
+        && (matches!(conn.state, State::Idle) || conn.buf.is_empty())
 }
 
 #[cfg(test)]
@@ -1199,11 +1049,9 @@ mod tests {
         let token = accept_one(&mut reactor);
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            reactor.read_conn(token);
-            reactor.process_completions();
-            reactor.flush_dirty();
+            reactor.conn_ready(token, readable(token));
             let conn = reactor.conns.get(&token).expect("conn stays open");
-            if conn.next_seq == 1 && conn.buf.is_empty() {
+            if matches!(conn.state, State::Dispatched) && conn.buf.is_empty() {
                 break;
             }
             assert!(Instant::now() < deadline, "request never fully parsed");
@@ -1218,51 +1066,81 @@ mod tests {
         let _client = writer.join().unwrap();
     }
 
-    /// A cache hit is answered on the reactor — no pool job — yet waits
-    /// its turn behind an earlier miss on the same connection; a probe
-    /// that panics is answered `500`, as a panicking worker is.
+    /// One `/spq` request on `edge`.
+    fn spq_request(edge: u32) -> String {
+        let body = crate::wire::encode_spq(&Spq::new(
+            tthr_network::Path::new(vec![tthr_network::EdgeId(edge)]),
+            tthr_core::TimeInterval::fixed(0, 1),
+        ));
+        let len = body.len();
+        format!("POST /spq HTTP/1.1\r\ncontent-length: {len}\r\n\r\n{body}")
+    }
+
+    /// A readable event for `token`, as the poller reports one.
+    fn readable(token: u64) -> Event {
+        Event {
+            token,
+            readable: true,
+            writable: false,
+            error: false,
+        }
+    }
+
+    /// A busy connection parses nothing: a request pipelined behind a
+    /// miss in flight is read into the buffer but not parsed, and only
+    /// then does the connection stop reading; while its buffer was empty
+    /// it kept `Interest::READ`, so one request in flight per connection
+    /// costs no `epoll_ctl`. Once the miss is written, the buffered cache
+    /// hit is answered on the reactor (no pool job), then a probe that
+    /// panics is answered `500`, as a panicking worker is — in order.
     #[test]
-    fn inline_hits_answer_in_pipelining_order() {
+    fn a_busy_connection_parses_nothing_and_reads_only_into_an_empty_buffer() {
         let (mut reactor, fake, addr) = test_reactor();
+        let shared = Arc::clone(&reactor.shared);
+        let counters = &shared.counters;
         let mut client = std::net::TcpStream::connect(addr).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         // Edge 0 misses, edge 1 hits, edge 2 panics the probe.
-        let burst: String = (0..3)
-            .map(|edge| {
-                let body = crate::wire::encode_spq(&Spq::new(
-                    tthr_network::Path::new(vec![tthr_network::EdgeId(edge)]),
-                    tthr_core::TimeInterval::fixed(0, 1),
-                ));
-                let len = body.len();
-                format!("POST /spq HTTP/1.1\r\ncontent-length: {len}\r\n\r\n{body}")
-            })
-            .collect();
-        client.write_all(burst.as_bytes()).unwrap();
-
+        client.write_all(spq_request(0).as_bytes()).unwrap();
         let token = accept_one(&mut reactor);
         let deadline = Instant::now() + Duration::from_secs(10);
-        while reactor.conns[&token].next_seq < 3 {
-            reactor.read_conn(token);
-            assert!(Instant::now() < deadline, "burst never parsed");
+        while counters.requests.load(Ordering::Relaxed) < 1 {
+            reactor.conn_ready(token, readable(token));
+            assert!(Instant::now() < deadline, "miss never parsed");
         }
-        reactor.flush_dirty();
-        let shared = Arc::clone(&reactor.shared);
-        let counters = &shared.counters;
-        assert_eq!(counters.inline_hits.load(Ordering::Relaxed), 1);
-        let jobs = std::mem::take(&mut *fake.queued.lock().unwrap());
-        assert_eq!(jobs.len(), 1, "only the miss is pool work");
-        assert!(
-            reactor.conns[&token].write_queue.is_empty(),
-            "nothing may overtake the miss"
+        assert!(matches!(reactor.conns[&token].state, State::Dispatched));
+        assert_eq!(reactor.conns[&token].interest, Interest::READ);
+
+        client
+            .write_all((spq_request(1) + &spq_request(2)).as_bytes())
+            .unwrap();
+        while reactor.conns[&token].buf.is_empty() {
+            reactor.conn_ready(token, readable(token));
+            assert!(Instant::now() < deadline, "pipelined bytes never read");
+        }
+        assert_eq!(
+            counters.requests.load(Ordering::Relaxed),
+            1,
+            "parsed while busy"
         );
+        assert!(!reactor.conns[&token].interest.readable);
+        let jobs = std::mem::take(&mut *fake.queued.lock().unwrap());
+        assert_eq!(jobs.len(), 1);
 
         for job in jobs {
             job();
         }
         reactor.process_completions();
-        reactor.flush_dirty();
+        assert_eq!(counters.requests.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.inline_hits.load(Ordering::Relaxed), 1);
+        assert!(
+            fake.queued.lock().unwrap().is_empty(),
+            "the hit is no pool work"
+        );
+        assert!(matches!(reactor.conns[&token].state, State::Idle));
+        assert_eq!(reactor.conns[&token].interest, Interest::READ);
         let mut replies = String::new();
         while replies.matches("HTTP/1.1").count() < 3 || !replies.ends_with('}') {
             let mut chunk = [0u8; 1024];

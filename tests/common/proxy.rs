@@ -48,6 +48,15 @@ struct Shared {
     stop: AtomicBool,
 }
 
+impl Shared {
+    /// Keeps a clone of `conn` for [`FaultProxy::sever`].
+    fn register(&self, conn: &TcpStream) {
+        if let Ok(clone) = conn.try_clone() {
+            self.conns.lock().expect("conns lock").push(clone);
+        }
+    }
+}
+
 /// A running fault proxy. Dropping it stops the accept loop and severs
 /// everything.
 pub(crate) struct FaultProxy {
@@ -140,23 +149,28 @@ fn accept_loop(listener: TcpListener, upstream: SocketAddr, shared: &Arc<Shared>
     while !shared.stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((conn, _)) => {
-                let mode = *shared.mode.lock().expect("mode lock");
-                match mode {
-                    Mode::Refuse => drop(conn),
+                // The connection is registered for `sever` under the mode
+                // lock, before the upstream connect: a `cut` either changed
+                // the mode before it was read here, or severs this
+                // connection too, so none keeps forwarding to an upstream
+                // the test has taken away.
+                let mode = shared.mode.lock().expect("mode lock");
+                let delay = match *mode {
+                    Mode::Refuse => {
+                        drop(conn);
+                        continue;
+                    }
                     Mode::BlackHole => {
-                        if let Ok(clone) = conn.try_clone() {
-                            shared.conns.lock().expect("conns lock").push(clone);
-                        }
+                        shared.register(&conn);
                         parked.push(conn);
+                        continue;
                     }
-                    Mode::Forward | Mode::Delay(_) => {
-                        let delay = match mode {
-                            Mode::Delay(d) => Some(d),
-                            _ => None,
-                        };
-                        pump(conn, upstream, delay, shared);
-                    }
-                }
+                    Mode::Forward => None,
+                    Mode::Delay(d) => Some(d),
+                };
+                shared.register(&conn);
+                drop(mode);
+                pump(conn, upstream, delay, shared);
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -169,23 +183,17 @@ fn accept_loop(listener: TcpListener, upstream: SocketAddr, shared: &Arc<Shared>
     }
 }
 
-/// Connects upstream and spawns one copy thread per direction. The
-/// threads die when either side closes or is severed.
+/// Connects an accepted (already registered) client upstream and spawns
+/// one copy thread per direction. The threads die when either side
+/// closes or is severed: a client severed before the connect is read as
+/// closed at once, and its thread shuts the upstream side down.
 fn pump(client: TcpStream, upstream: SocketAddr, delay: Option<Duration>, shared: &Arc<Shared>) {
     let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_secs(2)) else {
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
     let _ = client.set_nonblocking(false);
-    {
-        let mut conns = shared.conns.lock().expect("conns lock");
-        if let Ok(clone) = client.try_clone() {
-            conns.push(clone);
-        }
-        if let Ok(clone) = server.try_clone() {
-            conns.push(clone);
-        }
-    }
+    shared.register(&server);
     let (Ok(client_rx), Ok(server_rx)) = (client.try_clone(), server.try_clone()) else {
         return;
     };

@@ -8,10 +8,11 @@
 //!   (no drops, no duplicates, no torn responses);
 //! * keep-alive connections survive served-then-idle cycles; idle and
 //!   slow-loris connections are reaped by the idle timeout;
-//! * pipelined requests come back in order; pipelined garbage after a
-//!   valid request gets the valid response, then `400`, then a clean
-//!   close; malformed `/spq` bodies, JSON or frame, get the pool's exact
-//!   `400` and leave the connection usable;
+//! * pipelined requests come back in order, each after its
+//!   predecessors' effects (an `/spq` behind an `/append` sees it);
+//!   pipelined garbage after a valid request gets the valid response,
+//!   then `400`, then a clean close; malformed `/spq` bodies, JSON or
+//!   frame, get the pool's exact `400` and leave the connection usable;
 //! * `ServerConfig::reactors` above 1 is refused, never ignored;
 //! * graceful shutdown drains in-flight requests to the last byte while
 //!   refusing new ones with `503` + `connection: close`;
@@ -47,7 +48,7 @@ use tthr::server::http::FRAME_CONTENT_TYPE;
 use tthr::server::node::{serve_node, NodeStore};
 use tthr::server::{json, serve, serve_router, wire, ServerConfig, ServerHandle};
 use tthr::service::{QueryService, ServiceConfig};
-use tthr::trajectory::TrajId;
+use tthr::trajectory::{TrajId, UserId};
 
 /// The tier a leg runs against.
 #[derive(Clone, Copy)]
@@ -570,6 +571,59 @@ fn malformed_tail(tier: Tier) {
         metrics.client_errors, 1,
         "exactly one 400 counted: {metrics:?}"
     );
+}
+
+/// An `/spq` pipelined behind an `/append` on one connection is answered
+/// after the append, with its effect: the reactor parses it only once
+/// the append's ack is written, so the cache entry the append made stale
+/// is gone by the time it is probed. The slow worker keeps the append in
+/// flight while the pipelined `/spq` is already buffered.
+#[test]
+fn pipelined_spq_sees_the_append_ahead_of_it() {
+    pipelined_append_then_spq(Tier::Process);
+}
+
+#[test]
+fn router_pipelined_spq_sees_the_append_ahead_of_it() {
+    pipelined_append_then_spq(Tier::Router);
+}
+
+fn pipelined_append_then_spq(tier: Tier) {
+    let config = ServerConfig {
+        worker_delay: Some(Duration::from_millis(100)),
+        ..ServerConfig::default()
+    };
+    let (server, spq, _stores) = boot(tier, 2, config);
+    let body = wire::encode_spq(&spq);
+    let mut client = HttpClient::connect(server.local_addr());
+    let warm = client.request("POST", "/spq", body.as_bytes());
+    assert_eq!(warm.status, 200);
+
+    // One more traversal of the query's path, at the times trajectory 0
+    // took it: inside the query's window.
+    let (syn, set) = common::small_world();
+    let traversal = set.get(TrajId(0)).entries()[..spq.path.len()].to_vec();
+    let payload = vec![(UserId(77), traversal.clone())];
+    let mut oracle = SntIndex::build(&syn.network, &set, SntConfig::default());
+    assert_eq!(
+        wire::encode_travel_times(&oracle.get_travel_times(&spq)),
+        warm.body_str()
+    );
+    let mut after = set.clone();
+    after
+        .push(UserId(77), traversal)
+        .expect("a valid traversal");
+    assert_eq!(oracle.append_batch(&after), 1);
+    let want = wire::encode_travel_times(&oracle.get_travel_times(&spq));
+    assert_ne!(want, warm.body_str(), "the append must change the answer");
+
+    let append = wire::encode_append_request(None, &payload);
+    let mut burst = encode_request("POST", "/append", append.as_bytes());
+    burst.extend_from_slice(&encode_request("POST", "/spq", body.as_bytes()));
+    client.send_raw(&burst);
+    assert_eq!(client.read_response().body_str(), wire::encode_appended(1));
+    assert_eq!(client.read_response().body_str(), want, "a stale answer");
+    server.shutdown();
 }
 
 /// Graceful shutdown: in-flight requests drain to the last byte, new
