@@ -72,11 +72,15 @@
 //! # Failover
 //!
 //! Every endpoint carries a circuit breaker (closed → open after
-//! consecutive transport failures → half-open trials after a cooldown).
-//! When a shard's preferred endpoint exhausts its retry budget, reads
-//! fail over to the **freshest** reachable endpoint whose applied stamp
-//! has caught up with the router's confirmed progress — a stale standby
-//! is never preferred over a fresher one. Appends acquire a primary:
+//! consecutive transport failures → half-open trials after a cooldown),
+//! and every router RPC goes through one exchange that applies one rule:
+//! a transport failure (retry budget exhausted) counts against the
+//! endpoint, any answer — a typed error, an unexpected reply, a damaged
+//! frame — counts for it, because a node that answers is alive. When a
+//! shard's preferred endpoint exhausts its retry budget, reads fail
+//! over to the **freshest** reachable endpoint whose applied stamp has
+//! caught up with the router's confirmed progress — a stale standby is
+//! never preferred over a fresher one. Appends acquire a primary:
 //! a live endpoint already in the primary role wins (so the router heals
 //! back to a recovered real primary on its own); otherwise the freshest
 //! *caught-up* standby is promoted via `Promote`. A standby behind
@@ -85,9 +89,10 @@
 //! the router answers with a typed error instead. Re-sending a stamped
 //! record to the new primary is safe either way: application dedupes by
 //! base stamp, so an append retried across a promotion applies exactly
-//! once. Before any traffic switches to a failover endpoint, the
-//! connect-time consistency cross-checks (shard identity, cluster
-//! shape, routing table) are re-run against it once and cached.
+//! once. Every endpoint passes the same checks (shard identity, cluster
+//! shape, routing table) before it serves: connect runs them against
+//! every primary, and a standby runs them once, before traffic first
+//! switches to it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -430,9 +435,9 @@ enum BreakerInner {
 }
 
 /// A per-endpoint circuit breaker. Transport failures (retry budget
-/// exhausted) count against it; *any* completed exchange — including a
-/// typed error frame — counts as success, because a node that answers
-/// is alive. An open breaker lets the router skip an endpoint that is
+/// exhausted) count against it; *any* answer — a typed error frame, a
+/// reply of the wrong type, a damaged frame — counts as success, because
+/// a node that answers is alive ([`Endpoint::exchange`] applies this). An open breaker lets the router skip an endpoint that is
 /// known-dead without burning a full retry budget on it, and the
 /// half-open state re-admits it gradually once the cooldown elapses.
 struct Breaker {
@@ -576,14 +581,19 @@ struct Endpoint {
 }
 
 impl Endpoint {
-    fn on_success(&self) {
-        self.breaker.on_success();
+    /// One request/reply exchange through [`rpc_on`], applying the
+    /// [`Breaker`] rule: a [`ClusterError::ShardUnavailable`] counts
+    /// against the endpoint, any answer — a typed `Err`, an unexpected
+    /// reply, frame damage — counts for it. Every router RPC goes
+    /// through here.
+    fn exchange(&self, shard: u16, message: &Message) -> Result<Message, ClusterError> {
+        let result = rpc_on(&self.client, shard, message);
+        match result {
+            Err(ClusterError::ShardUnavailable { .. }) => self.breaker.on_failure(),
+            _ => self.breaker.on_success(),
+        }
         self.sync_breaker_gauge();
-    }
-
-    fn on_failure(&self) {
-        self.breaker.on_failure();
-        self.sync_breaker_gauge();
+        result
     }
 
     fn sync_breaker_gauge(&self) {
@@ -639,10 +649,12 @@ impl RouterCore {
     }
 
     /// One `Health` exchange with an endpoint, recording the result in
-    /// its status slot and breaker. Returns `None` on any failure.
+    /// its status slot (and, through [`Endpoint::exchange`], its
+    /// breaker). Returns `None` unless the endpoint answered with its
+    /// replication status.
     fn probe_endpoint(&self, shard: u16, idx: usize) -> Option<ReplInfo> {
         let ep = &self.shards[shard as usize].endpoints[idx];
-        match rpc_on(&ep.client, shard, &Message::Health) {
+        match ep.exchange(shard, &Message::Health) {
             Ok(Message::ReplStatus {
                 role,
                 applied_stamp,
@@ -654,11 +666,9 @@ impl RouterCore {
                     snapshot_stamp,
                 };
                 *ep.status.lock().expect("status lock") = Some(info);
-                ep.on_success();
                 Some(info)
             }
             _ => {
-                ep.on_failure();
                 self.probe_failures.inc();
                 None
             }
@@ -693,57 +703,21 @@ impl RouterCore {
         }
     }
 
-    /// Re-runs the connect-time consistency cross-checks against an
-    /// endpoint the router is about to fail over to: shard identity,
-    /// cluster shape, and routing-table equality. Construction only
-    /// verified each shard's *first* endpoint; switching traffic to an
-    /// unverified one without these checks would let a misconfigured
-    /// standby (wrong shard, wrong cluster) answer queries. The result
-    /// is cached per endpoint — verification is one-time, not
-    /// per-request. (Counts and spans are deliberately *not* compared:
-    /// a standby legitimately lags; the stamp filters of the failover
-    /// paths bound that.)
+    /// Runs the endpoint checks ([`check_endpoint`]: shard identity,
+    /// cluster shape, routing-table equality) against an endpoint the
+    /// router is about to fail over to, once. Connect ran them against
+    /// every primary; switching traffic to an unverified standby without
+    /// them would let a misconfigured one (wrong shard, wrong cluster)
+    /// answer queries. The result is cached per endpoint — verification
+    /// is one-time, not per-request. (Counts and spans are deliberately
+    /// *not* compared: a standby legitimately lags; the stamp filters of
+    /// the failover paths bound that.)
     fn verify_endpoint(&self, shard: u16, ep: &Endpoint) -> Result<(), ClusterError> {
         if ep.verified.load(Ordering::Acquire) {
             return Ok(());
         }
-        let meta = match rpc_on(&ep.client, shard, &Message::GetMeta)? {
-            Message::Meta(meta) => meta,
-            other => {
-                return Err(ClusterError::Unexpected(format!(
-                    "GetMeta answered with {other:?}"
-                )))
-            }
-        };
-        if meta.shard != shard {
-            return Err(ClusterError::Inconsistent(format!(
-                "endpoint {} serves shard {}, expected {shard}",
-                ep.client.addr(),
-                meta.shard
-            )));
-        }
-        if meta.num_shards as usize != self.shards.len() {
-            return Err(ClusterError::Inconsistent(format!(
-                "endpoint {} believes the cluster has {} shards, router has {}",
-                ep.client.addr(),
-                meta.num_shards,
-                self.shards.len()
-            )));
-        }
-        let routing = match rpc_on(&ep.client, shard, &Message::GetRouting)? {
-            Message::Routing(routing) => routing,
-            other => {
-                return Err(ClusterError::Unexpected(format!(
-                    "GetRouting answered with {other:?}"
-                )))
-            }
-        };
-        if routing != self.routing {
-            return Err(ClusterError::Inconsistent(format!(
-                "endpoint {} disagrees on the routing table",
-                ep.client.addr()
-            )));
-        }
+        let (meta, routing) = fetch_shape(|message| ep.exchange(shard, message))?;
+        check_endpoint(ep.client.addr(), shard, &meta, &routing, &self.routing)?;
         ep.verified.store(true, Ordering::Release);
         Ok(())
     }
@@ -756,21 +730,11 @@ impl RouterCore {
         set.rpcs.inc();
         let active = set.active.load(Ordering::Acquire);
         let mut last: Option<ClusterError> = None;
-        if set.endpoints[active].breaker.allow() {
-            let ep = &set.endpoints[active];
-            match rpc_on(&ep.client, shard, message) {
-                Ok(reply) => {
-                    ep.on_success();
-                    return Ok(reply);
-                }
-                Err(e @ ClusterError::ShardUnavailable { .. }) => {
-                    ep.on_failure();
-                    last = Some(e);
-                }
-                Err(e) => {
-                    ep.on_success();
-                    return Err(e);
-                }
+        let ep = &set.endpoints[active];
+        if ep.breaker.allow() {
+            match ep.exchange(shard, message) {
+                Err(e @ ClusterError::ShardUnavailable { .. }) => last = Some(e),
+                answered => return answered,
             }
         }
         self.failover_read(shard, message, active, last)
@@ -812,22 +776,15 @@ impl RouterCore {
                 last = Some(e);
                 continue;
             }
-            match rpc_on(&ep.client, shard, message) {
+            match ep.exchange(shard, message) {
                 Ok(reply) => {
-                    ep.on_success();
                     if set.active.swap(idx, Ordering::AcqRel) != idx {
                         set.failovers.inc();
                     }
                     return Ok(reply);
                 }
-                Err(e @ ClusterError::ShardUnavailable { .. }) => {
-                    ep.on_failure();
-                    last = Some(e);
-                }
-                Err(e) => {
-                    ep.on_success();
-                    return Err(e);
-                }
+                Err(e @ ClusterError::ShardUnavailable { .. }) => last = Some(e),
+                Err(e) => return Err(e),
             }
         }
         Err(last.unwrap_or_else(|| {
@@ -870,20 +827,13 @@ impl RouterCore {
                 continue;
             }
             if info.role != Role::Primary {
-                match rpc_on(&ep.client, shard, &Message::Promote) {
+                match ep.exchange(shard, &Message::Promote) {
                     Ok(Message::ReplStatus {
                         role: Role::Primary,
                         ..
-                    }) => ep.on_success(),
+                    }) => {}
                     Ok(other) => {
-                        last = Some(ClusterError::Unexpected(format!(
-                            "Promote answered with {other:?}"
-                        )));
-                        continue;
-                    }
-                    Err(e @ ClusterError::ShardUnavailable { .. }) => {
-                        ep.on_failure();
-                        last = Some(e);
+                        last = Some(unexpected("Promote", other));
                         continue;
                     }
                     Err(e) => {
@@ -922,56 +872,30 @@ impl RouterCore {
         need: u64,
     ) -> Result<(), ClusterError> {
         let set = &self.shards[shard as usize];
+        let message = Message::Append(record.clone());
+        let send = |idx: usize| {
+            let ep = &set.endpoints[idx];
+            match ep.exchange(shard, &message)? {
+                Message::Appended { total, .. } => {
+                    ep.note_applied(total);
+                    Ok(())
+                }
+                other => Err(unexpected("Append", other)),
+            }
+        };
         let active = set.active.load(Ordering::Acquire);
         if set.endpoints[active].breaker.allow() {
-            let ep = &set.endpoints[active];
-            match rpc_on(&ep.client, shard, &Message::Append(record.clone())) {
-                Ok(Message::Appended { total, .. }) => {
-                    ep.note_applied(total);
-                    ep.on_success();
-                    return Ok(());
-                }
-                Ok(other) => {
-                    ep.on_success();
-                    return Err(ClusterError::Unexpected(format!(
-                        "Append answered with {other:?}"
-                    )));
-                }
-                Err(ClusterError::Remote {
+            match send(active) {
+                // Gone, or alive but a standby: take the promotion path.
+                Err(ClusterError::ShardUnavailable { .. })
+                | Err(ClusterError::Remote {
                     code: ErrCode::NotPrimary,
                     ..
-                }) => {
-                    // The endpoint is alive but a standby — fall through
-                    // to the promotion path.
-                    ep.on_success();
-                }
-                Err(e @ ClusterError::ShardUnavailable { .. }) => {
-                    ep.on_failure();
-                    drop(e);
-                }
-                Err(e) => {
-                    ep.on_success();
-                    return Err(e);
-                }
+                }) => {}
+                done => return done,
             }
         }
-        let idx = self.acquire_primary(shard, need)?;
-        let ep = &set.endpoints[idx];
-        match rpc_on(&ep.client, shard, &Message::Append(record.clone())) {
-            Ok(Message::Appended { total, .. }) => {
-                ep.note_applied(total);
-                ep.on_success();
-                Ok(())
-            }
-            Ok(other) => Err(ClusterError::Unexpected(format!(
-                "Append answered with {other:?}"
-            ))),
-            Err(e @ ClusterError::ShardUnavailable { .. }) => {
-                ep.on_failure();
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
+        send(self.acquire_primary(shard, need)?)
     }
 }
 
@@ -1029,17 +953,18 @@ impl ClusterRouter {
         )
     }
 
-    /// Connects to every shard's first endpoint (its primary),
-    /// cross-checks the cluster's shape, and assembles the routing tier.
-    /// Each group lists one shard's endpoints: the primary first, then
-    /// any standbys (probed and verified lazily, on failover or by the
-    /// background prober).
+    /// Connects to every shard's first endpoint (its primary), runs the
+    /// endpoint checks against each, cross-checks the cluster's shape,
+    /// and assembles the routing tier. Each group lists one shard's
+    /// endpoints: the primary first, then any standbys (probed and
+    /// verified lazily, on failover or by the background prober).
     ///
     /// Groups may be listed in any order — each primary reports its
     /// shard id and the constructor sorts them into place. Fails with
-    /// [`ClusterError::Inconsistent`] if the primaries disagree on shard
-    /// count, global progress, or data span; if any shard is missing or
-    /// duplicated; or if the routing table does not match `network`.
+    /// [`ClusterError::Inconsistent`] if any primary disagrees with the
+    /// others on shard count, routing table, global progress, or data
+    /// span; if any shard is missing or duplicated; or if the routing
+    /// table does not match `network`.
     pub fn connect_with_standbys(
         network: RoadNetwork,
         groups: &[Vec<SocketAddr>],
@@ -1054,79 +979,46 @@ impl ClusterRouter {
                 "shard group {empty} lists no endpoints"
             )));
         }
-        let mut metas: Vec<(NodeMeta, Vec<NodeClient>)> = Vec::with_capacity(groups.len());
+        let mut primaries = Vec::with_capacity(groups.len());
         for group in groups {
             let clients: Vec<NodeClient> = group
                 .iter()
                 .map(|&addr| NodeClient::new(addr, config.client.clone()))
                 .collect();
-            let meta = match rpc_on(&clients[0], 0, &Message::GetMeta)? {
-                Message::Meta(meta) => meta,
-                other => {
-                    return Err(ClusterError::Unexpected(format!(
-                        "GetMeta answered with {other:?}"
-                    )))
-                }
-            };
-            metas.push((meta, clients));
+            let (meta, routing) = fetch_shape(|message| rpc_on(&clients[0], 0, message))?;
+            primaries.push((meta, routing, clients));
         }
-        let first = metas[0].0.clone();
-        let (num_global, span_min, span_max) = (first.num_global, first.span_min, first.span_max);
-        for (meta, clients) in &metas {
-            if meta.num_shards as usize != groups.len() {
-                return Err(ClusterError::Inconsistent(format!(
-                    "node {} believes the cluster has {} shards, {} endpoint groups given",
-                    clients[0].addr(),
-                    meta.num_shards,
-                    groups.len()
-                )));
-            }
-            if meta.num_global != num_global {
-                return Err(ClusterError::Inconsistent(format!(
-                    "diverged global counters: {} vs {}",
-                    meta.num_global, num_global
-                )));
-            }
-            if (meta.span_min, meta.span_max) != (span_min, span_max) {
-                return Err(ClusterError::Inconsistent(format!(
-                    "diverged data spans: [{}, {}] vs [{span_min}, {span_max}]",
-                    meta.span_min, meta.span_max
-                )));
-            }
-        }
-        metas.sort_by_key(|(meta, _)| meta.shard);
-        for (expected, (meta, clients)) in metas.iter().enumerate() {
-            if meta.shard as usize != expected {
-                return Err(ClusterError::Inconsistent(format!(
-                    "shard {expected} missing or duplicated (node {} serves shard {})",
-                    clients[0].addr(),
-                    meta.shard
-                )));
-            }
-        }
-        let num_edges = first.num_edges;
-        let routing = match rpc_on(&metas[0].1[0], metas[0].0.shard, &Message::GetRouting)? {
-            Message::Routing(routing) => routing,
-            other => {
-                return Err(ClusterError::Unexpected(format!(
-                    "GetRouting answered with {other:?}"
-                )))
-            }
-        };
+        primaries.sort_by_key(|(meta, ..)| meta.shard);
+        let (first, routing) = (primaries[0].0.clone(), primaries[0].1.clone());
         if routing.num_shards() != groups.len() {
             return Err(ClusterError::Inconsistent(format!(
-                "routing table covers {} shards, cluster has {}",
+                "routing table covers {} shards, {} endpoint groups given",
                 routing.num_shards(),
                 groups.len()
             )));
         }
-        if routing.num_edges() as u64 != num_edges || routing.num_edges() != network.num_edges() {
+        if routing.num_edges() as u64 != first.num_edges
+            || routing.num_edges() != network.num_edges()
+        {
             return Err(ClusterError::Inconsistent(format!(
                 "routing table covers {} edges, nodes report {}, network has {}",
                 routing.num_edges(),
-                num_edges,
+                first.num_edges,
                 network.num_edges()
             )));
+        }
+        let progress = |meta: &NodeMeta| (meta.num_global, meta.span_min, meta.span_max);
+        let (num_global, span_min, span_max) = progress(&first);
+        for (shard, (meta, node_routing, clients)) in primaries.iter().enumerate() {
+            let addr = clients[0].addr();
+            check_endpoint(addr, shard as u16, meta, node_routing, &routing)?;
+            if progress(meta) != progress(&first) {
+                return Err(ClusterError::Inconsistent(format!(
+                    "diverged global progress: node {addr} holds {} records over [{}, {}], \
+                     shard 0 {num_global} over [{span_min}, {span_max}]",
+                    meta.num_global, meta.span_min, meta.span_max
+                )));
+            }
         }
 
         let registry = MetricsRegistry::new();
@@ -1140,8 +1032,8 @@ impl ClusterRouter {
             "Trip queries started (rpcs / trips = round trips one trip costs)",
             &[],
         );
-        let mut shards = Vec::with_capacity(metas.len());
-        for (shard, (_, clients)) in metas.into_iter().enumerate() {
+        let mut shards = Vec::with_capacity(groups.len());
+        for (shard, (.., clients)) in primaries.into_iter().enumerate() {
             let shard_label = shard.to_string();
             let failovers = registry.counter(
                 "tthr_failovers_total",
@@ -1164,8 +1056,8 @@ impl ClusterRouter {
                 let endpoint = Endpoint {
                     breaker: Breaker::new(config.breaker.clone()),
                     status: Mutex::new(None),
-                    // The cross-checks above ran against each group's
-                    // first endpoint; the rest verify before first use.
+                    // The checks above ran against each group's first
+                    // endpoint; the rest verify before first use.
                     verified: AtomicBool::new(idx == 0),
                     breaker_gauge: registry.gauge(
                         "tthr_breaker_state",
@@ -1320,22 +1212,6 @@ impl ClusterRouter {
             .collect()
     }
 
-    /// Asks every shard's preferred endpoint to rotate its snapshot
-    /// (compacting its WAL).
-    pub fn snapshot_all(&self) -> Result<(), ClusterError> {
-        for shard in 0..self.core.shards.len() as u16 {
-            match self.core.query(shard, &Message::Snapshot)? {
-                Message::Ok => {}
-                other => {
-                    return Err(ClusterError::Unexpected(format!(
-                        "Snapshot answered with {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn shard_for(&self, spq: &Spq) -> u16 {
         self.core.routing.shard_of(spq.path.first()) as u16
     }
@@ -1377,11 +1253,7 @@ impl ClusterRouter {
                 values: tt_values(values),
                 fallback,
             },
-            other => {
-                return Err(ClusterError::Unexpected(format!(
-                    "TravelTimes answered with {other:?}"
-                )))
-            }
+            other => return Err(unexpected("TravelTimes", other)),
         };
         self.cache.insert(hash, spq, &answer);
         Ok(answer)
@@ -1431,43 +1303,34 @@ impl ClusterRouter {
                     })
                     .collect())
             }
-            other => Err(ClusterError::Unexpected(format!(
-                "LadderBatch of ladders with {heights:?} levels answered with {other:?}"
-            ))),
+            other => Err(unexpected(
+                &format!("LadderBatch of ladders with {heights:?} levels"),
+                other,
+            )),
         }
     }
 
     /// Capped exact count routed to the owning shard.
     pub fn count_matching(&self, spq: &Spq, cap: u32) -> Result<usize, ClusterError> {
-        let shard = self.shard_for(spq);
-        match self.core.query(
-            shard,
-            &Message::Count {
-                spq: spq.clone(),
-                cap,
-            },
-        )? {
+        let message = Message::Count {
+            spq: spq.clone(),
+            cap,
+        };
+        match self.core.query(self.shard_for(spq), &message)? {
             Message::CountResult(n) => Ok(n as usize),
-            other => Err(ClusterError::Unexpected(format!(
-                "Count answered with {other:?}"
-            ))),
+            other => Err(unexpected("Count", other)),
         }
     }
 
     /// Cardinality estimate routed to the owning shard.
     pub fn estimate(&self, spq: &Spq, mode: CardinalityMode) -> Result<f64, ClusterError> {
-        let shard = self.shard_for(spq);
-        match self.core.query(
-            shard,
-            &Message::Estimate {
-                spq: spq.clone(),
-                mode,
-            },
-        )? {
+        let message = Message::Estimate {
+            spq: spq.clone(),
+            mode,
+        };
+        match self.core.query(self.shard_for(spq), &message)? {
             Message::EstimateResult(v) => Ok(v),
-            other => Err(ClusterError::Unexpected(format!(
-                "Estimate answered with {other:?}"
-            ))),
+            other => Err(unexpected("Estimate", other)),
         }
     }
 
@@ -1594,6 +1457,57 @@ fn rpc_on(node: &NodeClient, shard: u16, message: &Message) -> Result<Message, C
         }),
         Err(WireError::Frame(e)) => Err(ClusterError::Frame(e)),
     }
+}
+
+/// A node's `GetMeta` and `GetRouting` answers, fetched through `send`.
+fn fetch_shape(
+    send: impl Fn(&Message) -> Result<Message, ClusterError>,
+) -> Result<(NodeMeta, ShardRouter), ClusterError> {
+    let meta = match send(&Message::GetMeta)? {
+        Message::Meta(meta) => meta,
+        other => return Err(unexpected("GetMeta", other)),
+    };
+    match send(&Message::GetRouting)? {
+        Message::Routing(routing) => Ok((meta, routing)),
+        other => Err(unexpected("GetRouting", other)),
+    }
+}
+
+/// The checks every endpoint passes before it serves `shard` — at
+/// connect for each primary, before first use for each standby: the
+/// shard count and shard id its `meta` reports, and its routing table,
+/// against the router's table `cluster`.
+fn check_endpoint(
+    addr: SocketAddr,
+    shard: u16,
+    meta: &NodeMeta,
+    routing: &ShardRouter,
+    cluster: &ShardRouter,
+) -> Result<(), ClusterError> {
+    if meta.num_shards as usize != cluster.num_shards() {
+        return Err(ClusterError::Inconsistent(format!(
+            "endpoint {addr} believes the cluster has {} shards, router has {}",
+            meta.num_shards,
+            cluster.num_shards()
+        )));
+    }
+    if meta.shard != shard {
+        return Err(ClusterError::Inconsistent(format!(
+            "endpoint {addr} serves shard {}, expected {shard} (missing or duplicated)",
+            meta.shard
+        )));
+    }
+    if routing != cluster {
+        return Err(ClusterError::Inconsistent(format!(
+            "endpoint {addr} disagrees on the routing table"
+        )));
+    }
+    Ok(())
+}
+
+/// A well-formed reply of the wrong type to a `request`.
+fn unexpected(request: &str, reply: Message) -> ClusterError {
+    ClusterError::Unexpected(format!("{request} answered with {reply:?}"))
 }
 
 fn tt_values(values: Vec<f64>) -> TtValues {
@@ -1882,6 +1796,160 @@ mod tests {
         assert_eq!((router.health()[0].addr, router.num_global()), (addr, 5));
         drop(router);
         stub.join().unwrap();
+    }
+
+    /// A breaker that opens on its first failure and stays open.
+    fn hair_trigger() -> BreakerConfig {
+        BreakerConfig {
+            failure_threshold: 1,
+            cooldown: Duration::from_secs(60),
+        }
+    }
+
+    /// A `num_shards`-shard cluster's node `shard` over `network`.
+    fn node_meta(network: &RoadNetwork, shard: u16, num_shards: u32) -> NodeMeta {
+        NodeMeta {
+            shard,
+            num_shards,
+            num_edges: network.num_edges() as u64,
+            num_global: 5,
+            num_members: 5,
+            num_partitions: 1,
+            span_min: 0,
+            span_max: 100,
+        }
+    }
+
+    fn err_frame(code: ErrCode) -> Vec<u8> {
+        tthr_rpc::encode_frame(&Message::Err {
+            code,
+            expected: 10,
+            found: 7,
+            message: "refused".into(),
+        })
+    }
+
+    /// The one breaker rule: a transport failure counts against the
+    /// endpoint, and each kind of answer — a typed `Err`, a `WalGap`, a
+    /// reply of any type, frame damage — counts for it.
+    #[test]
+    fn exchange_counts_transport_failures_against_and_every_answer_for() {
+        let registry = MetricsRegistry::new();
+        let endpoint = |addr: SocketAddr| Endpoint {
+            client: NodeClient::new(addr, quick_config()),
+            breaker: Breaker::new(hair_trigger()),
+            status: Mutex::new(None),
+            verified: AtomicBool::new(false),
+            breaker_gauge: registry.gauge("breaker", "", &[("endpoint", &addr.to_string())]),
+            lag_gauge: registry.gauge("lag", "", &[("endpoint", &addr.to_string())]),
+        };
+        let refused = {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            localhost(&listener)
+        };
+        let dead = endpoint(refused);
+        let reply = format!("{:?}", dead.exchange(0, &Message::Health));
+        assert!(reply.starts_with("Err(ShardUnavailable"), "{reply}");
+        assert_eq!(dead.breaker.state(), BreakerState::Open);
+        assert_eq!(dead.breaker_gauge.get(), 2);
+
+        let mut garbage = tthr_rpc::encode_frame(&Message::Ok);
+        let last = garbage.len() - 1;
+        garbage[last] ^= 0xff;
+        let replies = vec![
+            err_frame(ErrCode::NotPrimary),
+            err_frame(ErrCode::WalGap),
+            tthr_rpc::encode_frame(&Message::CountResult(7)),
+            garbage,
+        ];
+        let (addr, stub) = stub_node(replies);
+        let live = endpoint(addr);
+        for want in [
+            "Remote { code: NotPrimary",
+            "WalGap",
+            "Ok(CountResult(7))",
+            "Frame(",
+        ] {
+            live.breaker.on_failure();
+            assert_eq!(live.breaker.state(), BreakerState::Open);
+            let reply = format!("{:?}", live.exchange(0, &Message::Health));
+            assert!(reply.contains(want), "{reply}");
+            assert_eq!(live.breaker.state(), BreakerState::Closed, "{reply}");
+            assert_eq!(live.breaker_gauge.get(), 0, "{reply}");
+        }
+        stub.join().unwrap();
+    }
+
+    /// A connect-time `Health` answered with an `Err` frame is a failed
+    /// probe — counted, no status seeded — but the node answered, so its
+    /// breaker stays closed even when one failure would open it.
+    #[test]
+    fn err_answered_probe_counts_as_a_probe_failure_not_a_breaker_failure() {
+        let network = tthr_network::examples::example_network();
+        let replies = vec![
+            tthr_rpc::encode_frame(&Message::Meta(node_meta(&network, 0, 1))),
+            tthr_rpc::encode_frame(&Message::Routing(ShardRouter::build(&network, 1))),
+            err_frame(ErrCode::Internal),
+        ];
+        let (addr, stub) = stub_node(replies);
+        let config = RouterConfig {
+            client: quick_config(),
+            breaker: hair_trigger(),
+            probe_interval: None,
+        };
+        let engine = QueryEngineConfig::default();
+        let router =
+            ClusterRouter::connect_with_standbys(network, &[vec![addr]], engine, config).unwrap();
+        assert_eq!(router.breaker_states(0), [(addr, BreakerState::Closed)]);
+        assert_eq!(router.health()[0].status, None);
+        let metrics = router.render_metrics();
+        assert!(
+            metrics.contains("tthr_probe_failures_total 1\n"),
+            "{metrics}"
+        );
+        drop(router);
+        stub.join().unwrap();
+    }
+
+    /// Connect compares every primary's routing table, not only shard
+    /// 0's: a shard-1 primary whose table differs in one entry fails it.
+    #[test]
+    fn connect_refuses_a_primary_whose_routing_table_differs_in_one_entry() {
+        use tthr_store::{ByteReader, ByteWriter, Persist};
+        let network = tthr_network::examples::example_network();
+        let table = ShardRouter::build(&network, 2);
+        let mut w = ByteWriter::new();
+        table.persist(&mut w);
+        let mut bytes = w.into_bytes();
+        // The last table entry, a little-endian u16 shard id: 0 ↔ 1.
+        let entry = bytes.len() - 2;
+        bytes[entry] ^= 1;
+        let skewed = ShardRouter::restore(&mut ByteReader::new(&bytes)).unwrap();
+        assert_ne!(skewed, table);
+        let (addrs, stubs): (Vec<_>, Vec<_>) = [table, skewed]
+            .into_iter()
+            .enumerate()
+            .map(|(shard, routing)| {
+                stub_node(vec![
+                    tthr_rpc::encode_frame(&Message::Meta(node_meta(&network, shard as u16, 2))),
+                    tthr_rpc::encode_frame(&Message::Routing(routing)),
+                ])
+            })
+            .unzip();
+        let engine = QueryEngineConfig::default();
+        let err = ClusterRouter::connect(network, &addrs, engine, quick_config())
+            .err()
+            .expect("connect must refuse the skewed table");
+        let ClusterError::Inconsistent(why) = &err else {
+            panic!("expected Inconsistent, got {err:?}");
+        };
+        assert!(
+            why.contains(&format!("{} disagrees on the routing table", addrs[1])),
+            "{why}"
+        );
+        for stub in stubs {
+            stub.join().unwrap();
+        }
     }
 
     #[test]

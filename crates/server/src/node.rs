@@ -87,9 +87,6 @@ pub struct NodeStore {
     state: ShardNodeState,
     wal: WalWriter,
     role: Role,
-    /// Route appends through the index's hot tail (cheap absorb, sealed
-    /// at the next snapshot rotation) instead of the direct FM update.
-    hot_tail: bool,
     /// WAL records that advanced the state since the last snapshot
     /// rotation, contiguous: the first has `base == tail_start`, each
     /// next chains `base == previous.new_total`.
@@ -138,7 +135,7 @@ impl NodeStore {
         Ok(store)
     }
 
-    /// A primary, direct-mode store whose on-disk snapshot is exactly
+    /// A primary store whose on-disk snapshot is exactly
     /// `state`: nothing retained, nothing cached.
     fn at_snapshot(dir: &Path, state: ShardNodeState, wal: WalWriter) -> Self {
         let stamp = state.num_global();
@@ -147,7 +144,6 @@ impl NodeStore {
             state,
             wal,
             role: Role::Primary,
-            hot_tail: false,
             retained: VecDeque::new(),
             tail_start: stamp,
             snapshot_stamp: stamp,
@@ -169,20 +165,6 @@ impl NodeStore {
     /// [`Role::Standby`] before serving; `Promote` flips it back).
     pub(crate) fn set_role(&mut self, role: Role) {
         self.role = role;
-    }
-
-    /// Routes subsequent appends through the index's hot tail: the
-    /// record is absorbed without the FM/wavelet update and sealed at
-    /// the next snapshot rotation. Answers are byte-identical either
-    /// way, so the flag is a pure ingest-cost knob — a restarted node
-    /// replays its WAL correctly whichever mode wrote it.
-    pub fn set_hot_tail(&mut self, on: bool) {
-        self.hot_tail = on;
-    }
-
-    /// The index's hot-tail backlog (empty in direct mode).
-    pub fn hot_stats(&self) -> tthr_core::HotStats {
-        self.state.hot_stats()
     }
 
     /// The stamp the node has applied up to (`num_global`).
@@ -211,7 +193,7 @@ impl NodeStore {
         let mut w = ByteWriter::new();
         record.persist(&mut w);
         self.wal.append(&w.into_bytes())?;
-        let applied = self.state.commit(prepared, !self.hot_tail);
+        let applied = self.state.commit(prepared, true);
         self.retain(record.clone());
         Ok((applied as u64, self.state.num_global()))
     }
@@ -228,9 +210,10 @@ impl NodeStore {
         }
     }
 
-    /// Rotates the snapshot: seals the hot tail into the immutable
-    /// levels (node-tier compaction — a no-op in direct mode), writes
-    /// the current state atomically, then starts a fresh WAL (see the
+    /// Rotates the snapshot: seals any hot tail the state carries into
+    /// the immutable levels (appends commit sealed, but a directory or a
+    /// shipped snapshot written by an older hot-tail node may hold one),
+    /// writes the current state atomically, then starts a fresh WAL (see the
     /// module docs for the crash-ordering argument). The retained tail
     /// resets — everything it covered is in the snapshot now — and
     /// `NodeStore::snapshot_stamp` advances, shipped to standbys via
@@ -345,6 +328,8 @@ pub fn serve_node(listener: TcpListener, store: NodeStore) -> std::io::Result<()
 /// A failed `accept` is transient, as in the epoll reactor: the loop
 /// keeps accepting. Out of file descriptors — each connection holds one —
 /// it sleeps 10 ms first, so it cannot spin until a connection closes.
+/// A thread the OS refuses drops that connection and backs off the same
+/// way, instead of panicking the accept loop and the node with it.
 pub(crate) fn serve_node_shared(
     listener: TcpListener,
     store: Arc<RwLock<NodeStore>>,
@@ -353,7 +338,12 @@ pub(crate) fn serve_node_shared(
         match listener.accept() {
             Ok((conn, _)) => {
                 let store = Arc::clone(&store);
-                std::thread::spawn(move || serve_node_conn(conn, &store));
+                let spawned =
+                    std::thread::Builder::new().spawn(move || serve_node_conn(conn, &store));
+                if spawned.is_err() {
+                    // The connection went down with the refused closure.
+                    std::thread::sleep(crate::sys::ACCEPT_BACKOFF);
+                }
             }
             Err(e) if crate::sys::out_of_fds(&e) => std::thread::sleep(crate::sys::ACCEPT_BACKOFF),
             Err(_) => {}
@@ -765,65 +755,6 @@ mod tests {
             "the log holds what was acked"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Hot-tail mode absorbs appends without the FM update, answers
-    /// byte-identically to direct mode, and the snapshot rotation seals
-    /// the backlog without disturbing a caught-up standby's tail.
-    #[test]
-    fn hot_tail_append_matches_direct_and_rotation_seals() {
-        use tthr_core::node::plan_node_records;
-        use tthr_trajectory::{TrajEntry, UserId};
-        let dir_h = temp_dir("hot");
-        let dir_d = temp_dir("hot-direct");
-        let mut hot = NodeStore::init(&dir_h, example_state()).unwrap();
-        hot.set_hot_tail(true);
-        let mut direct = NodeStore::init(&dir_d, example_state()).unwrap();
-        let batch = vec![(
-            UserId(9),
-            vec![
-                TrajEntry::new(EDGE_A, 3, 3.0),
-                TrajEntry::new(EDGE_B, 6, 3.0),
-                TrajEntry::new(EDGE_E, 9, 4.0),
-            ],
-        )];
-        let records = plan_node_records(
-            hot.state().router(),
-            hot.applied_stamp(),
-            hot.state().span_min(),
-            hot.state().span_max(),
-            &batch,
-        )
-        .unwrap();
-        let record = &records[hot.state().shard() as usize];
-        hot.append(record).unwrap();
-        direct.append(record).unwrap();
-        assert!(hot.hot_stats().entries > 0, "absorbed into the hot tail");
-        assert_eq!(direct.hot_stats().entries, 0, "direct mode seals inline");
-
-        let spq = example_spq();
-        let want = direct.state().get_travel_times(&spq).unwrap().sorted();
-        assert_eq!(hot.state().get_travel_times(&spq).unwrap().sorted(), want);
-
-        let caught_up = hot.applied_stamp();
-        hot.snapshot().unwrap();
-        assert_eq!(hot.hot_stats().entries, 0, "rotation seals the backlog");
-        assert_eq!(hot.snapshot_stamp, caught_up, "ReplStatus ships it");
-        // A caught-up standby keeps tailing across the rotation — the
-        // primary's compaction never reads as a WalGap to it.
-        let (tail, end) = hot.tail_since(caught_up).unwrap();
-        assert!(tail.is_empty());
-        assert_eq!(end, caught_up);
-        assert_eq!(hot.state().get_travel_times(&spq).unwrap().sorted(), want);
-
-        drop(hot);
-        let reopened = NodeStore::open(&dir_h).unwrap();
-        assert_eq!(
-            reopened.state().get_travel_times(&spq).unwrap().sorted(),
-            want
-        );
-        std::fs::remove_dir_all(&dir_h).ok();
-        std::fs::remove_dir_all(&dir_d).ok();
     }
 
     #[test]

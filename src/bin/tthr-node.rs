@@ -2,7 +2,7 @@
 //! protocol.
 //!
 //! ```text
-//! tthr-node --dir <store-dir> [--addr 127.0.0.1:0] [--standby-of <ip:port>] [--hot-tail]
+//! tthr-node --dir <store-dir> [--addr 127.0.0.1:0] [--standby-of <ip:port>]
 //! ```
 //!
 //! Without `--standby-of`, the store directory must have been
@@ -20,12 +20,8 @@
 //! applied stamp, refuses appends, and accepts a `Promote` request to
 //! take over as primary (e.g. from the failover router).
 //!
-//! With `--hot-tail`, appends are absorbed into the index's hot tail
-//! (cheap ingest, no per-append FM/wavelet work); answers are
-//! byte-identical either way, so the flag is purely an ingest-cost knob.
-//! The tail is sealed only when a `Snapshot` request rotates the node's
-//! snapshot, and no binary sends one (only `ClusterRouter::snapshot_all`
-//! does): a deployed node never seals its tail, its `node.wal` grows for
+//! A node rotates its snapshot only when a `Snapshot` request asks it
+//! to, and no binary sends one: a deployed node's `node.wal` grows for
 //! its whole life, and a restart replays all of it.
 
 use std::io::{Read, Write};
@@ -35,7 +31,7 @@ use tthr::server::node::{serve_node, NodeStore};
 use tthr::server::standby::serve_standby;
 
 const USAGE: &str =
-    "usage: tthr-node --dir <store-dir> [--addr <ip:port>] [--standby-of <ip:port>] [--hot-tail]";
+    "usage: tthr-node --dir <store-dir> [--addr <ip:port>] [--standby-of <ip:port>]";
 
 fn die(message: &str) -> ! {
     eprintln!("tthr-node: {message}");
@@ -47,7 +43,6 @@ fn main() {
     let mut dir: Option<String> = None;
     let mut addr = String::from("127.0.0.1:0");
     let mut standby_of: Option<String> = None;
-    let mut hot_tail = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -59,7 +54,6 @@ fn main() {
                         .unwrap_or_else(|| die("--standby-of needs a value")),
                 )
             }
-            "--hot-tail" => hot_tail = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -112,17 +106,15 @@ fn main() {
         return;
     }
 
-    let mut store = match NodeStore::open(&dir) {
+    let store = match NodeStore::open(&dir) {
         Ok(store) => store,
         Err(e) => die(&format!("cannot open store {dir:?}: {e}")),
     };
-    store.set_hot_tail(hot_tail);
     eprintln!(
-        "tthr-node: shard {} of {} ({} trajectories indexed{}) on {local}",
+        "tthr-node: shard {} of {} ({} trajectories indexed) on {local}",
         store.state().shard(),
         store.state().num_shards(),
         store.state().members().len(),
-        if hot_tail { ", hot-tail ingest" } else { "" },
     );
     println!("LISTENING {local}");
     std::io::stdout().flush().ok();

@@ -53,14 +53,8 @@ impl NodeProcess {
     /// Spawns `tthr-node --dir <dir>` and waits for its `LISTENING`
     /// line.
     pub(crate) fn spawn(shard: usize, dir: &Path) -> NodeProcess {
-        Self::spawn_with(shard, dir, &[])
-    }
-
-    /// [`NodeProcess::spawn`] with extra CLI flags (e.g. `--hot-tail`).
-    pub(crate) fn spawn_with(shard: usize, dir: &Path, extra_args: &[&str]) -> NodeProcess {
         let mut child = Command::new(env!("CARGO_BIN_EXE_tthr-node"))
             .args(["--dir", dir.to_str().expect("utf-8 store dir")])
-            .args(extra_args)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -243,8 +237,6 @@ pub(crate) struct ClusterHarness {
     pub cluster: ClusterRouter,
     client_config: ClientConfig,
     dir: PathBuf,
-    /// Whether nodes run with `--hot-tail` (respawns preserve the mode).
-    hot_tail: bool,
 }
 
 impl ClusterHarness {
@@ -253,19 +245,6 @@ impl ClusterHarness {
     /// the same prefix, spawns the node processes, and connects the
     /// router.
     pub(crate) fn boot(name: &str, client_config: ClientConfig) -> ClusterHarness {
-        Self::boot_with(name, client_config, false)
-    }
-
-    /// [`ClusterHarness::boot`] with every node running `--hot-tail`:
-    /// appends absorb into per-node hot tails and seal at snapshot
-    /// rotations, while the in-process reference applies them directly —
-    /// so every differential check also pins the absorb/apply identity
-    /// across the wire.
-    pub(crate) fn boot_hot_tail(name: &str, client_config: ClientConfig) -> ClusterHarness {
-        Self::boot_with(name, client_config, true)
-    }
-
-    fn boot_with(name: &str, client_config: ClientConfig, hot_tail: bool) -> ClusterHarness {
         let (syn, full) = small_world();
         let network = syn.network;
         let applied = full.len() / 3;
@@ -274,13 +253,12 @@ impl ClusterHarness {
         let sharded = ShardedSntIndex::build(&network, &initial, SntConfig::default(), CLUSTER_K);
         let dir = std::env::temp_dir().join(format!("tthr-cluster-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let node_args: &[&str] = if hot_tail { &["--hot-tail"] } else { &[] };
         let nodes: Vec<NodeProcess> = (0..CLUSTER_K)
             .map(|shard| {
                 let node_dir = dir.join(format!("node{shard}"));
                 NodeStore::init(&node_dir, ShardNodeState::export_from(&sharded, shard))
                     .expect("init node store");
-                NodeProcess::spawn_with(shard, &node_dir, node_args)
+                NodeProcess::spawn(shard, &node_dir)
             })
             .collect();
         let engine_config = QueryEngineConfig::default();
@@ -301,7 +279,6 @@ impl ClusterHarness {
             cluster,
             client_config,
             dir,
-            hot_tail,
         }
     }
 
@@ -500,8 +477,7 @@ impl ClusterHarness {
     /// learns the new addresses.
     pub(crate) fn respawn_node(&mut self, shard: usize) {
         let dir = self.nodes[shard].dir.clone();
-        let args: &[&str] = if self.hot_tail { &["--hot-tail"] } else { &[] };
-        self.nodes[shard] = NodeProcess::spawn_with(shard, &dir, args);
+        self.nodes[shard] = NodeProcess::spawn(shard, &dir);
     }
 
     /// [`ClusterHarness::respawn_node`] + [`ClusterHarness::reconnect`]

@@ -84,7 +84,7 @@ pub(crate) enum Front {
 }
 
 /// A tier to boot: front door, and whether appends absorb into a hot
-/// tail.
+/// tail (the in-process and HTTP fronts; cluster nodes always seal).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TierSpec {
     pub name: &'static str,
@@ -103,12 +103,7 @@ impl TierSpec {
         engine: &QueryEngineConfig,
     ) -> Box<dyn Tier> {
         if let Front::Cluster = self.front {
-            let client = ClientConfig::default();
-            let h = if self.hot_tail {
-                ClusterHarness::boot_hot_tail(dir_name, client)
-            } else {
-                ClusterHarness::boot(dir_name, client)
-            };
+            let h = ClusterHarness::boot(dir_name, ClientConfig::default());
             assert_eq!(h.applied, applied, "the cluster boots over the same prefix");
             return Box::new(Cluster { name: self.name, h });
         }
@@ -472,15 +467,15 @@ impl Tier for Cluster {
         appended as usize
     }
 
-    /// Rotation seals every node's hot tail: each node's snapshot stamp
-    /// must reach its applied stamp.
+    /// Asks every node to rotate its snapshot; each node's snapshot
+    /// stamp must then reach its applied stamp.
     fn compact(&self) -> usize {
-        self.h
-            .cluster
-            .snapshot_all()
-            .unwrap_or_else(|e| panic!("{}: snapshot rotation: {e}", self.name));
         for addr in self.h.addrs() {
             let client = tthr::client::NodeClient::new(addr, ClientConfig::default());
+            match client.request(&Message::Snapshot) {
+                Ok(Message::Ok) => {}
+                other => panic!("{}: snapshot rotation at {addr}: {other:?}", self.name),
+            }
             match client.request(&Message::Health) {
                 Ok(Message::ReplStatus {
                     applied_stamp,
@@ -488,7 +483,7 @@ impl Tier for Cluster {
                     ..
                 }) => assert_eq!(
                     snapshot_stamp, applied_stamp,
-                    "{}: rotation must seal the tail and stamp the snapshot at {addr}",
+                    "{}: rotation must stamp the snapshot at {addr}",
                     self.name
                 ),
                 other => panic!(

@@ -62,7 +62,6 @@ mod tiers {
         http_mono: Http, false;
         http_mono_hot: Http, true;
         cluster: Cluster, false;
-        cluster_hot: Cluster, true;
     }
 }
 
@@ -95,8 +94,8 @@ legs! {
     append_interleaving: mono, cluster;
     checkpoint_restart: mono, cluster;
     hot_tail_compaction: mono_hot;
-    ladder: mono_hot, cluster, cluster_hot;
-    rounds: http_mono, http_mono_hot, cluster, cluster_hot;
+    ladder: mono_hot, cluster;
+    rounds: http_mono, http_mono_hot, cluster;
     concurrent_appends: mono, http_mono, cluster;
 }
 legs!(ignored soak: mono, cluster;);
@@ -1028,15 +1027,17 @@ fn health_stats_and_router_errors() {
 
 // --------------------------------------------------------- cluster checks
 
-/// What the relaxation rounds are for, on sealed and on hot-tail nodes:
-/// trips drawn to climb the ladder stay byte-identical to the in-process
-/// sharded index, and the router's RPC counter shows one RPC per (round,
-/// shard), not one per ladder — exactly the batches the trips' traces
-/// report, fewer than the ladders they carried, and for a trip of
-/// independent chains at most `shards × rounds`.
-fn ladders_take_one_rpc_per_round_and_shard(mut h: ClusterHarness, name: &str) {
-    let mut gen = QueryGen::new(name);
-    // Grow past the bootstrap state (hot-tail nodes: into the hot tail).
+/// What the relaxation rounds are for: trips drawn to climb the ladder
+/// stay byte-identical to the in-process sharded index, and the router's
+/// RPC counter shows one RPC per (round, shard), not one per ladder —
+/// exactly the batches the trips' traces report, fewer than the ladders
+/// they carried, and for a trip of independent chains at most
+/// `shards × rounds`.
+#[test]
+fn ladder_trips_take_one_rpc_per_round_and_shard() {
+    let mut h = ClusterHarness::boot("ladder", ClientConfig::default());
+    let mut gen = QueryGen::new("cluster_ladder");
+    // Grow past the bootstrap state.
     h.append_next(h.full.len() / 6 + 1);
     let engine = QueryEngine::new(&h.reference, &h.network, h.engine_config.clone());
     let (mut batches, mut ladders, mut widenings, mut multi_zone_fixed) = (0, 0, 0, 0);
@@ -1078,18 +1079,6 @@ fn ladders_take_one_rpc_per_round_and_shard(mut h: ClusterHarness, name: &str) {
         batches < ladders,
         "{batches} RPCs must be fewer than the {ladders} ladders they carried"
     );
-}
-
-#[test]
-fn ladder_trips_take_one_rpc_per_round_and_shard() {
-    let h = ClusterHarness::boot("ladder", ClientConfig::default());
-    ladders_take_one_rpc_per_round_and_shard(h, "cluster_ladder");
-}
-
-#[test]
-fn ladder_trips_take_one_rpc_per_round_and_shard_on_hot_tail_nodes() {
-    let h = ClusterHarness::boot_hot_tail("ladder-hot", ClientConfig::default());
-    ladders_take_one_rpc_per_round_and_shard(h, "cluster_ladder_hot");
 }
 
 /// Spawns `tthr-router` over the harness's nodes; returns the process,
